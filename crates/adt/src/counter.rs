@@ -27,6 +27,9 @@ pub enum CtOutput {
     Val(i64),
 }
 
+crate::wire_enum!(CtInput { 0 => Add(n), 1 => Read });
+crate::wire_enum!(CtOutput { 0 => Ack, 1 => Val(n) });
+
 /// The counter ADT (initially 0, wrapping arithmetic keeps δ total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter;

@@ -79,6 +79,7 @@ pub mod set;
 pub mod space;
 pub mod stack;
 pub mod window;
+pub mod wire;
 pub mod word;
 
 pub use adt::{Adt, AdtExt, OpKind};

@@ -28,6 +28,9 @@ pub enum RegOutput {
     Val(Value),
 }
 
+crate::wire_enum!(RegInput { 0 => Write(v), 1 => Read });
+crate::wire_enum!(RegOutput { 0 => Ack, 1 => Val(v) });
+
 /// An integer register initialized to the default value `0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Register;

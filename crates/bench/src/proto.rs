@@ -3,8 +3,9 @@
 //!
 //! Framing reuses the transport's length-prefixed CRC frames
 //! ([`cbm_net::tcp::write_frame`] / [`cbm_net::tcp::read_frame`]) over
-//! one TCP stream per node; bodies are [`Wire`]-encoded [`Ctrl`]
-//! messages. The driver listens, each spawned node dials back and
+//! one TCP stream per node; bodies are
+//! [`Wire`](cbm_adt::wire::Wire)-encoded [`Ctrl`] messages. The driver
+//! listens, each spawned node dials back and
 //! announces itself with [`Ctrl::Hello`], then serves [`Ctrl::Run`]
 //! requests until [`Ctrl::Shutdown`] (or EOF — a dead driver must
 //! never leave orphaned node processes computing).
@@ -14,8 +15,9 @@
 //! node-side into the leg's `trace_dir`, which on a loopback fleet is
 //! the same filesystem the driver's CI step uploads from.
 
+use cbm_adt::{wire_enum, wire_struct};
 use cbm_net::tcp::{read_frame, write_frame, MAX_FRAME};
-use cbm_net::wire::{from_bytes, to_bytes, Wire};
+use cbm_net::wire::{from_bytes, to_bytes};
 use cbm_store::{StoreConfig, StoreReport};
 use std::io::{self, Read, Write};
 
@@ -53,84 +55,26 @@ pub enum Ctrl {
     Shutdown,
 }
 
-impl Wire for Workload {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Workload::Register {
-                read_ratio,
-                remote_read_ratio,
-            } => {
-                out.push(0);
-                read_ratio.put(out);
-                remote_read_ratio.put(out);
-            }
-            Workload::Counter => out.push(1),
-        }
-    }
-    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => Workload::Register {
-                read_ratio: f64::get(buf, pos)?,
-                remote_read_ratio: f64::get(buf, pos)?,
-            },
-            1 => Workload::Counter,
-            _ => return None,
-        })
-    }
-}
+wire_enum!(Workload {
+    0 => Register { read_ratio, remote_read_ratio },
+    1 => Counter,
+});
 
-impl Wire for LegSpec {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.name.put(out);
-        self.cfg.put(out);
-        self.workload.put(out);
-        self.trace.put(out);
-        self.trace_dir.put(out);
-    }
-    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(LegSpec {
-            name: String::get(buf, pos)?,
-            cfg: StoreConfig::get(buf, pos)?,
-            workload: Workload::get(buf, pos)?,
-            trace: bool::get(buf, pos)?,
-            trace_dir: String::get(buf, pos)?,
-        })
-    }
-}
+wire_struct!(LegSpec {
+    name,
+    cfg,
+    workload,
+    trace,
+    trace_dir
+});
 
-impl Wire for Ctrl {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Ctrl::Hello(id) => {
-                out.push(0);
-                id.put(out);
-            }
-            Ctrl::Run(spec) => {
-                out.push(1);
-                spec.put(out);
-            }
-            Ctrl::Report(report) => {
-                out.push(2);
-                report.put(out);
-            }
-            Ctrl::Error(text) => {
-                out.push(3);
-                text.put(out);
-            }
-            Ctrl::Shutdown => out.push(4),
-        }
-    }
-    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => Ctrl::Hello(u32::get(buf, pos)?),
-            1 => Ctrl::Run(Box::new(LegSpec::get(buf, pos)?)),
-            2 => Ctrl::Report(Box::new(StoreReport::get(buf, pos)?)),
-            3 => Ctrl::Error(String::get(buf, pos)?),
-            4 => Ctrl::Shutdown,
-            _ => return None,
-        })
-    }
-}
+wire_enum!(Ctrl {
+    0 => Hello(id),
+    1 => Run(spec),
+    2 => Report(report),
+    3 => Error(text),
+    4 => Shutdown,
+});
 
 /// Write one control message as a CRC frame.
 pub fn send_ctrl<W: Write>(w: &mut W, msg: &Ctrl) -> io::Result<()> {

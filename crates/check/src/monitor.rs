@@ -217,6 +217,16 @@ pub struct MonitorStats {
     pub kernel_unknown: u64,
 }
 
+// sealed into every durable epoch-log cut (`cbm_store::durable`)
+cbm_adt::wire_struct!(MonitorStats {
+    ops_checked,
+    folds,
+    escalations,
+    cleared,
+    violations,
+    kernel_unknown,
+});
+
 /// Per-object shadow: independently-derived state, last-writer
 /// context for classification, and the bounded ring the escalation
 /// path rebuilds windows from.

@@ -224,110 +224,6 @@ impl<P: Clone> CausalBroadcast<P> {
     }
 }
 
-/// A causal broadcast that coalesces payloads into **batches**: one
-/// vector-clock-stamped envelope per flush instead of one per payload.
-///
-/// Built for the live store engine (`cbm-store`), where per-operation
-/// envelopes dominate message counts: payloads accumulate with
-/// [`BatchCausalBroadcast::push`] and ship together on
-/// [`BatchCausalBroadcast::flush`]. The batch is the causal unit — its
-/// vector clock covers everything its sender had delivered at flush
-/// time, so payloads inside a batch keep their issue order and batches
-/// across senders keep causal order. Coarsening is conservative: a
-/// payload pushed *before* a delivery may be stamped as if it depended
-/// on it, which can only delay delivery, never violate causality.
-#[derive(Debug, Clone)]
-pub struct BatchCausalBroadcast<P> {
-    inner: CausalBroadcast<Vec<P>>,
-    pending: Vec<P>,
-    batches_sent: u64,
-    payloads_sent: u64,
-}
-
-impl<P: Clone> BatchCausalBroadcast<P> {
-    /// A fresh endpoint for process `me` in a cluster of `n`.
-    pub fn new(me: NodeId, n: usize) -> Self {
-        BatchCausalBroadcast {
-            inner: CausalBroadcast::new(me, n),
-            pending: Vec::new(),
-            batches_sent: 0,
-            payloads_sent: 0,
-        }
-    }
-
-    /// Queue a payload for the next flush (delivered locally at once,
-    /// like [`CausalBroadcast::broadcast`] — the caller applies its own
-    /// operations when it invokes them).
-    pub fn push(&mut self, payload: P) {
-        self.pending.push(payload);
-    }
-
-    /// Payloads queued for the next flush.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Seal the pending payloads into one causal envelope to send to
-    /// every other process. `None` when nothing is pending.
-    pub fn flush(&mut self) -> Option<CausalMsg<Vec<P>>> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let batch = std::mem::take(&mut self.pending);
-        self.batches_sent += 1;
-        self.payloads_sent += batch.len() as u64;
-        Some(self.inner.broadcast(batch))
-    }
-
-    /// Receive a batch envelope; returns every batch that becomes
-    /// deliverable, in causal order (apply each batch's payloads in
-    /// vector order).
-    pub fn on_receive(&mut self, msg: CausalMsg<Vec<P>>) -> Vec<CausalMsg<Vec<P>>> {
-        self.inner.on_receive(msg)
-    }
-
-    /// Number of batch envelopes delivered from each sender.
-    pub fn delivered_clock(&self) -> &VectorClock {
-        self.inner.delivered_clock()
-    }
-
-    /// Envelopes waiting for their causal past.
-    pub fn buffered(&self) -> usize {
-        self.inner.buffered()
-    }
-
-    /// Entries in the duplicate-suppression set (see
-    /// [`CausalBroadcast::suppression_len`]).
-    pub fn suppression_len(&self) -> usize {
-        self.inner.suppression_len()
-    }
-
-    /// Distinct batch envelopes received from `sender` (see
-    /// [`CausalBroadcast::received_from`]).
-    pub fn received_from(&self, sender: NodeId) -> u64 {
-        self.inner.received_from(sender)
-    }
-
-    /// Reset to a delivery frontier after crash recovery (see
-    /// [`CausalBroadcast::resync`]); pending unsent payloads are
-    /// discarded with the rest of the pre-crash in-flight state.
-    pub fn resync(&mut self, frontier: &[u64]) {
-        self.inner.resync(frontier);
-        self.pending.clear();
-    }
-
-    /// Batches flushed so far.
-    pub fn batches_sent(&self) -> u64 {
-        self.batches_sent
-    }
-
-    /// Payloads shipped across all flushed batches (mean batch size =
-    /// `payloads_sent / batches_sent`).
-    pub fn payloads_sent(&self) -> u64 {
-        self.payloads_sent
-    }
-}
-
 pub use crate::delta::KnowledgeDelta;
 pub use crate::mask::{full_interest, InterestMask};
 
@@ -364,6 +260,8 @@ pub struct InterestMsg<P> {
     /// Application payload.
     pub payload: P,
 }
+
+cbm_adt::wire_struct!(InterestMsg<P> { sender, seq, knows, payload });
 
 /// Per-process causal multicast with **per-recipient interest filters**
 /// and **per-edge sequence numbers** — the delivery substrate for
@@ -1215,50 +1113,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, 3);
         assert_eq!(p2.delivered_clock().get(0), 3);
-    }
-
-    #[test]
-    fn batch_broadcast_coalesces_and_keeps_causal_order() {
-        let mut p0 = BatchCausalBroadcast::<u32>::new(0, 3);
-        let mut p1 = BatchCausalBroadcast::<u32>::new(1, 3);
-        let mut p2 = BatchCausalBroadcast::<u32>::new(2, 3);
-
-        assert_eq!(p0.flush(), None); // nothing pending
-        p0.push(1);
-        p0.push(2);
-        p0.push(3);
-        let b1 = p0.flush().expect("pending batch");
-        assert_eq!(b1.payload, vec![1, 2, 3]);
-        assert_eq!(p0.batches_sent(), 1);
-        assert_eq!(p0.payloads_sent(), 3);
-
-        // p1 delivers b1, then answers: its batch depends on b1
-        assert_eq!(p1.on_receive(b1.clone()).len(), 1);
-        p1.push(4);
-        let b2 = p1.flush().expect("pending batch");
-
-        // p2 gets the answer first: buffered until b1 arrives
-        assert!(p2.on_receive(b2).is_empty());
-        assert_eq!(p2.buffered(), 1);
-        let both = p2.on_receive(b1);
-        assert_eq!(both.len(), 2);
-        assert_eq!(both[0].payload, vec![1, 2, 3]);
-        assert_eq!(both[1].payload, vec![4]);
-    }
-
-    #[test]
-    fn batch_broadcast_mean_batch_accounting() {
-        let mut p = BatchCausalBroadcast::<u8>::new(0, 2);
-        for i in 0..10 {
-            p.push(i);
-            if p.pending() >= 4 {
-                p.flush();
-            }
-        }
-        p.flush();
-        assert_eq!(p.batches_sent(), 3); // 4 + 4 + 2
-        assert_eq!(p.payloads_sent(), 10);
-        assert_eq!(p.pending(), 0);
     }
 
     /// All nodes interested: the interest protocol must behave exactly

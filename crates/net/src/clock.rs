@@ -123,6 +123,8 @@ pub struct Timestamp {
     pub pid: NodeId,
 }
 
+cbm_adt::wire_struct!(Timestamp { time, pid });
+
 impl Timestamp {
     /// The timestamp `(0, 0)` carried by initial values in Fig. 5.
     pub const ZERO: Timestamp = Timestamp { time: 0, pid: 0 };

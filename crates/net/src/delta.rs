@@ -87,6 +87,8 @@ pub struct KnowledgeDelta {
     pub rows: Vec<(u32, Vec<(u32, u64)>)>,
 }
 
+cbm_adt::wire_struct!(KnowledgeDelta { rows });
+
 impl KnowledgeDelta {
     /// The delta's row for `j`, if dirty.
     pub fn row(&self, j: usize) -> Option<&[(u32, u64)]> {

@@ -34,6 +34,7 @@
 //!   whose visible activity) runs behind the cluster.
 
 use crate::NodeId;
+use cbm_adt::{wire_enum, wire_struct};
 
 /// A transport that fault events can act on.
 ///
@@ -159,6 +160,23 @@ pub enum Fault {
     },
 }
 
+wire_enum!(Fault {
+    0 => Crash(node),
+    1 => Recover(node),
+    2 => Partition { side },
+    3 => PartitionOneWay { from, to },
+    4 => BlockLink { from, to },
+    5 => HealLink { from, to },
+    6 => HealAll,
+    7 => LinkDrop { from, to, prob },
+    8 => DropAll { prob },
+    9 => LinkDup { from, to, prob },
+    10 => DupAll { prob },
+    11 => LinkDelay { from, to, extra },
+    12 => DelayAll { extra },
+    13 => ClockSkew { node, offset },
+});
+
 /// A fault firing at a simulated time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
@@ -168,11 +186,15 @@ pub struct FaultEvent {
     pub fault: Fault,
 }
 
+wire_struct!(FaultEvent { at, fault });
+
 /// A time-ordered schedule of faults (pure data; see module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
+
+wire_struct!(FaultPlan { events });
 
 impl FaultPlan {
     /// An empty plan (a fault-free run).

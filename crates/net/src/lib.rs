@@ -36,10 +36,13 @@
 //!   via [`wire::Wire`]), so the engine and the chaos layer run
 //!   unchanged over actual connections.
 //!
-//! For high-throughput callers the causal layer also has a **batched
-//! mode**, [`broadcast::BatchCausalBroadcast`]: payloads coalesce into
-//! one vector-clock-stamped envelope per flush, cutting message counts
-//! by the mean batch size while preserving causal order.
+//! For high-throughput callers the causal layer also has a **batched,
+//! interest-filtered mode**,
+//! [`broadcast::InterestBatchCausalBroadcast`]: payloads that share a
+//! recipient set coalesce into one edge-stamped envelope per flush,
+//! cutting message counts by the mean batch size while preserving
+//! causal order (full replication is the full-mask case). This is the
+//! stack the live store engine runs on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

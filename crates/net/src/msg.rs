@@ -10,7 +10,7 @@
 
 use crate::clock::{Timestamp, VectorClock};
 use crate::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use cbm_adt::wire::Wire;
 
 /// A Fig. 4 message: `Mess(x, v)` plus causal metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,79 +40,71 @@ pub struct CcvWire {
     pub ts: Timestamp,
 }
 
-fn put_vc(buf: &mut BytesMut, vc: &VectorClock) {
-    buf.put_u16(vc.len() as u16);
+// Process ids and vector lengths travel as `u16` here — the widths the
+// paper's message shapes are sized for — not as the `u64` a bare
+// `usize: Wire` would use, so these impls spell the narrowing out.
+
+fn put_vc(out: &mut Vec<u8>, vc: &VectorClock) {
+    (vc.len() as u16).put(out);
     for &c in vc.components() {
-        buf.put_u64(c);
+        c.put(out);
     }
 }
 
-fn get_vc(buf: &mut Bytes) -> VectorClock {
-    let n = buf.get_u16() as usize;
+fn get_vc(buf: &[u8], pos: &mut usize) -> Option<VectorClock> {
+    let n = usize::from(u16::get(buf, pos)?);
     let mut vc = VectorClock::new(n);
     for i in 0..n {
-        vc.set(i, buf.get_u64());
+        vc.set(i, u64::get(buf, pos)?);
     }
-    vc
+    Some(vc)
+}
+
+impl Wire for CcWire {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.sender as u16).put(out);
+        put_vc(out, &self.vc);
+        self.x.put(out);
+        self.v.put(out);
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(CcWire {
+            sender: NodeId::from(u16::get(buf, pos)?),
+            vc: get_vc(buf, pos)?,
+            x: u32::get(buf, pos)?,
+            v: u64::get(buf, pos)?,
+        })
+    }
 }
 
 impl CcWire {
-    /// Encode to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + 8 * self.vc.len());
-        buf.put_u16(self.sender as u16);
-        put_vc(&mut buf, &self.vc);
-        buf.put_u32(self.x);
-        buf.put_u64(self.v);
-        buf.freeze()
-    }
-
-    /// Decode from bytes (panics on malformed input; the transports
-    /// never corrupt messages).
-    pub fn decode(mut b: Bytes) -> Self {
-        let sender = b.get_u16() as NodeId;
-        let vc = get_vc(&mut b);
-        let x = b.get_u32();
-        let v = b.get_u64();
-        CcWire { sender, vc, x, v }
-    }
-
     /// Encoded size in bytes.
     pub fn wire_size(&self) -> usize {
         2 + 2 + 8 * self.vc.len() + 4 + 8
     }
 }
 
+impl Wire for CcvWire {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.sender as u16).put(out);
+        put_vc(out, &self.vc);
+        self.x.put(out);
+        self.v.put(out);
+        self.ts.time.put(out);
+        (self.ts.pid as u16).put(out);
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(CcvWire {
+            sender: NodeId::from(u16::get(buf, pos)?),
+            vc: get_vc(buf, pos)?,
+            x: u32::get(buf, pos)?,
+            v: u64::get(buf, pos)?,
+            ts: Timestamp::new(u64::get(buf, pos)?, NodeId::from(u16::get(buf, pos)?)),
+        })
+    }
+}
+
 impl CcvWire {
-    /// Encode to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32 + 8 * self.vc.len());
-        buf.put_u16(self.sender as u16);
-        put_vc(&mut buf, &self.vc);
-        buf.put_u32(self.x);
-        buf.put_u64(self.v);
-        buf.put_u64(self.ts.time);
-        buf.put_u16(self.ts.pid as u16);
-        buf.freeze()
-    }
-
-    /// Decode from bytes.
-    pub fn decode(mut b: Bytes) -> Self {
-        let sender = b.get_u16() as NodeId;
-        let vc = get_vc(&mut b);
-        let x = b.get_u32();
-        let v = b.get_u64();
-        let time = b.get_u64();
-        let pid = b.get_u16() as NodeId;
-        CcvWire {
-            sender,
-            vc,
-            x,
-            v,
-            ts: Timestamp::new(time, pid),
-        }
-    }
-
     /// Encoded size in bytes.
     pub fn wire_size(&self) -> usize {
         2 + 2 + 8 * self.vc.len() + 4 + 8 + 8 + 2
@@ -122,37 +114,57 @@ impl CcvWire {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbm_adt::wire::{from_bytes, to_bytes};
 
-    #[test]
-    fn cc_roundtrip() {
+    fn cc() -> CcWire {
         let mut vc = VectorClock::new(3);
         vc.set(0, 5);
         vc.set(2, 9);
-        let m = CcWire {
+        CcWire {
             sender: 2,
             vc,
             x: 7,
             v: 123456789,
-        };
-        let enc = m.encode();
-        assert_eq!(enc.len(), m.wire_size());
-        assert_eq!(CcWire::decode(enc), m);
+        }
     }
 
-    #[test]
-    fn ccv_roundtrip() {
+    fn ccv() -> CcvWire {
         let mut vc = VectorClock::new(2);
         vc.set(1, 3);
-        let m = CcvWire {
+        CcvWire {
             sender: 1,
             vc,
             x: 0,
             v: 42,
             ts: Timestamp::new(17, 1),
-        };
-        let enc = m.encode();
+        }
+    }
+
+    #[test]
+    fn cc_roundtrip() {
+        let m = cc();
+        let enc = to_bytes(&m);
         assert_eq!(enc.len(), m.wire_size());
-        assert_eq!(CcvWire::decode(enc), m);
+        assert_eq!(from_bytes::<CcWire>(&enc), Some(m));
+    }
+
+    #[test]
+    fn ccv_roundtrip() {
+        let m = ccv();
+        let enc = to_bytes(&m);
+        assert_eq!(enc.len(), m.wire_size());
+        assert_eq!(from_bytes::<CcvWire>(&enc), Some(m));
+    }
+
+    #[test]
+    fn truncated_messages_decode_to_none() {
+        let (cc, ccv) = (to_bytes(&cc()), to_bytes(&ccv()));
+        for cut in 0..cc.len() {
+            assert_eq!(from_bytes::<CcWire>(&cc[..cut]), None, "cc cut {cut}");
+        }
+        for cut in 0..ccv.len() {
+            assert_eq!(from_bytes::<CcvWire>(&ccv[..cut]), None, "ccv cut {cut}");
+        }
     }
 
     #[test]

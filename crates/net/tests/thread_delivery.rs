@@ -1,8 +1,10 @@
 //! Real-thread causal delivery stress test.
 //!
 //! N threads broadcast concurrently over [`ThreadNet`] through
-//! [`CausalBroadcast`]; every receiver's delivery order is checked
-//! causal *independently of the protocol's own bookkeeping*: per-sender
+//! [`CausalBroadcast`] (and, batched, through the full-mask
+//! [`InterestBatchCausalBroadcast`] the store engine uses); every
+//! receiver's delivery order is checked causal *independently of the
+//! protocol's own bookkeeping*: per-sender
 //! sequence numbers must arrive gap-free and duplicate-free, and each
 //! delivered message's vector clock must be covered by what the
 //! receiver had already delivered. The sweep varies cluster size,
@@ -10,7 +12,9 @@
 //! points), so each run exercises a different OS schedule on top of a
 //! different submission pattern.
 
-use cbm_net::broadcast::{BatchCausalBroadcast, CausalBroadcast, CausalMsg};
+use cbm_net::broadcast::{
+    full_interest, CausalBroadcast, CausalMsg, InterestBatchCausalBroadcast, InterestMsg,
+};
 use cbm_net::clock::VectorClock;
 use cbm_net::thread_net::ThreadNet;
 use rand::rngs::StdRng;
@@ -146,14 +150,22 @@ fn causal_delivery_wide_mesh() {
     }
 }
 
-/// The batched mode under the same monitor: batches are the causal
-/// unit; payload order inside a batch must be preserved.
+/// One batched payload: `(origin, per-origin index, the origin's
+/// monitor clock when it was pushed)`.
+type Stamped = (u64, u64, VectorClock);
+
+/// The batched mode — the interest stack with a full mask, which is
+/// what the store engine runs at full replication — under the same
+/// monitor. Batches are the causal unit and payload order inside a
+/// batch must be preserved. Interest envelopes carry edge stamps, not a
+/// vector clock, so each payload carries the *monitor's* clock instead:
+/// the check stays independent of the protocol's own bookkeeping.
 #[test]
 fn batched_causal_delivery_across_threads() {
     for seed in 0..6 {
         let n = 4;
         let msgs_per_node = 120u64;
-        let net: ThreadNet<CausalMsg<Vec<(u64, u64)>>> = ThreadNet::new(n);
+        let net: ThreadNet<InterestMsg<Vec<Stamped>>> = ThreadNet::new(n);
         let eps = net.into_endpoints();
         thread::scope(|s| {
             for ep in eps {
@@ -161,8 +173,8 @@ fn batched_causal_delivery_across_threads() {
                     let me = ep.me;
                     let n = ep.cluster_size();
                     let mut rng = StdRng::seed_from_u64(seed ^ (me as u64) << 7);
-                    let mut proto: BatchCausalBroadcast<(u64, u64)> =
-                        BatchCausalBroadcast::new(me, n);
+                    let mut proto: InterestBatchCausalBroadcast<Stamped> =
+                        InterestBatchCausalBroadcast::new(me, n);
                     let mut monitor = CausalMonitor::new(me, n);
                     // per-sender payload cursor: batches preserve issue order
                     let mut next_payload = vec![0u64; n];
@@ -172,27 +184,33 @@ fn batched_causal_delivery_across_threads() {
                     while issued < msgs_per_node || seen < want {
                         let burst = rng.gen_range(0u64..=4).min(msgs_per_node - issued);
                         for _ in 0..burst {
-                            proto.push((me as u64, issued));
+                            let stamp = monitor.delivered.clone();
+                            proto.push((me as u64, issued, stamp), full_interest(n));
                             issued += 1;
-                            if proto.pending() >= rng.gen_range(1..=3) {
-                                if let Some(b) = proto.flush() {
-                                    monitor.locally_broadcast();
-                                    ep.broadcast(b);
-                                }
-                            }
-                        }
-                        if issued == msgs_per_node {
-                            if let Some(b) = proto.flush() {
+                            if proto.pending() >= rng.gen_range(1..=3) || issued == msgs_per_node {
                                 monitor.locally_broadcast();
-                                ep.broadcast(b);
+                                for (to, env) in proto.flush_all() {
+                                    ep.send(to, env);
+                                }
                             }
                         }
                         let mut got_any = false;
                         while let Some((_, m)) = ep.try_recv() {
                             got_any = true;
                             for batch in proto.on_receive(m) {
-                                monitor.deliver(batch.sender, &batch.vc);
-                                for (src, k) in batch.payload {
+                                // the batch depends on everything its
+                                // origin had delivered when it pushed the
+                                // last payload, and is the origin's next
+                                let (_, _, mut vc) =
+                                    batch.payload.last().expect("non-empty").clone();
+                                vc.tick(batch.sender);
+                                assert_eq!(
+                                    batch.seq,
+                                    vc.get(batch.sender),
+                                    "edge seq = batch count"
+                                );
+                                monitor.deliver(batch.sender, &vc);
+                                for (src, k, _) in batch.payload {
                                     assert_eq!(src as usize, batch.sender);
                                     assert_eq!(
                                         k, next_payload[batch.sender],
@@ -207,6 +225,7 @@ fn batched_causal_delivery_across_threads() {
                             thread::yield_now();
                         }
                     }
+                    assert_eq!(proto.buffered(), 0, "receiver {me}: undelivered leftovers");
                     for (q, &cnt) in next_payload.iter().enumerate() {
                         if q != me {
                             assert_eq!(cnt, msgs_per_node, "receiver {me} missed payloads of {q}");

@@ -15,8 +15,8 @@
 //!
 //! Every record is framed exactly like a socket frame
 //! ([`cbm_net::tcp`]): `[len u32 LE][crc32 u32 LE][body]`, with bodies
-//! in the canonical fixed-width little-endian [`Wire`]/
-//! [`PayloadCodec`] encoding. Periodically ([`snapshot_every`
+//! in the canonical fixed-width little-endian [`Wire`] encoding.
+//! Periodically ([`snapshot_every`
 //! boundary seals](crate::DurableConfig::snapshot_every)) the worker
 //! writes a compacted snapshot — full state vector + delivered
 //! frontier + Lamport clock + monitor shadow seeds, as one framed
@@ -33,15 +33,14 @@
 //! replayed cut from co-replicas, or fall back to the full state
 //! transfer.
 
-use crate::codec::{get_payload_vec, put_payload_vec, PayloadCodec};
 use crate::config::Mode;
 use crate::objects::ObjectTable;
 use crate::wire::WireOp;
-use cbm_adt::Adt;
+use cbm_adt::wire::{put_slice, Wire};
+use cbm_adt::{wire_struct, Adt};
 use cbm_check::monitor::MonitorStats;
 use cbm_net::clock::Timestamp;
 use cbm_net::tcp::crc32;
-use cbm_net::wire::Wire;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -88,45 +87,15 @@ pub struct SealInfo {
     pub monitor: MonitorStats,
 }
 
-impl SealInfo {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.epoch.put(out);
-        self.boundary.put(out);
-        self.issued.put(out);
-        self.lamport.put(out);
-        self.delivered.put(out);
-        self.state_hash.put(out);
-        for v in [
-            self.monitor.ops_checked,
-            self.monitor.folds,
-            self.monitor.escalations,
-            self.monitor.cleared,
-            self.monitor.violations,
-            self.monitor.kernel_unknown,
-        ] {
-            v.put(out);
-        }
-    }
-
-    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(SealInfo {
-            epoch: u64::get(buf, pos)?,
-            boundary: bool::get(buf, pos)?,
-            issued: u64::get(buf, pos)?,
-            lamport: u64::get(buf, pos)?,
-            delivered: Vec::get(buf, pos)?,
-            state_hash: u64::get(buf, pos)?,
-            monitor: MonitorStats {
-                ops_checked: u64::get(buf, pos)?,
-                folds: u64::get(buf, pos)?,
-                escalations: u64::get(buf, pos)?,
-                cleared: u64::get(buf, pos)?,
-                violations: u64::get(buf, pos)?,
-                kernel_unknown: u64::get(buf, pos)?,
-            },
-        })
-    }
-}
+wire_struct!(SealInfo {
+    epoch,
+    boundary,
+    issued,
+    lamport,
+    delivered,
+    state_hash,
+    monitor
+});
 
 /// Why a disk recovery refused to install anything. Every variant is a
 /// clean fallback signal — the caller drops to the next rung of the
@@ -256,22 +225,17 @@ impl EpochLog {
     }
 
     /// Record one own update, applied at invocation.
-    pub fn log_own<I: PayloadCodec>(
-        &mut self,
-        obj: u32,
-        ts: Timestamp,
-        input: &I,
-    ) -> std::io::Result<()> {
+    pub fn log_own<I: Wire>(&mut self, obj: u32, ts: Timestamp, input: &I) -> std::io::Result<()> {
         self.body.clear();
         self.body.push(TAG_OWN);
         obj.put(&mut self.body);
         ts.put(&mut self.body);
-        input.enc(&mut self.body);
+        input.put(&mut self.body);
         self.append_frame()
     }
 
     /// Record one delivered envelope batch.
-    pub fn log_batch<I: PayloadCodec>(
+    pub fn log_batch<I: Wire>(
         &mut self,
         sender: usize,
         seq: u64,
@@ -281,10 +245,7 @@ impl EpochLog {
         self.body.push(TAG_BATCH);
         sender.put(&mut self.body);
         seq.put(&mut self.body);
-        ops.len().put(&mut self.body);
-        for op in ops {
-            op.put(&mut self.body);
-        }
+        put_slice(ops, &mut self.body);
         self.append_frame()
     }
 
@@ -308,14 +269,10 @@ impl EpochLog {
     /// truncate the log prefix it replaces. The snapshot goes to a
     /// temp file first and is renamed into place, so a crash leaves
     /// either the old snapshot or the new one — never a torn mix.
-    pub fn snapshot<S: PayloadCodec>(
-        &mut self,
-        seal: &SealInfo,
-        states: &[S],
-    ) -> std::io::Result<()> {
+    pub fn snapshot<S: Wire>(&mut self, seal: &SealInfo, states: &[S]) -> std::io::Result<()> {
         self.body.clear();
         seal.put(&mut self.body);
-        put_payload_vec(states, &mut self.body);
+        put_slice(states, &mut self.body);
         self.frame.clear();
         let body = std::mem::take(&mut self.body);
         frame_into(&body, &mut self.frame);
@@ -385,8 +342,8 @@ pub fn recover<T: Adt>(
     mode: Mode,
 ) -> Result<Recovered<T>, LogError>
 where
-    T::Input: PayloadCodec,
-    T::State: PayloadCodec,
+    T::Input: Wire,
+    T::State: Wire,
 {
     let mut table = ObjectTable::new(adt, objects, mode);
     let mut base: Option<SealInfo> = None;
@@ -402,8 +359,7 @@ where
             let buf = &bytes[body.clone()];
             let mut pos = 0usize;
             let seal = SealInfo::get(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
-            let states: Vec<T::State> =
-                get_payload_vec(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
+            let states: Vec<T::State> = Vec::get(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
             if pos != buf.len() {
                 return Err(LogError::CorruptSnapshot);
             }
@@ -439,7 +395,7 @@ where
                 Some(&TAG_OWN) => {
                     let obj = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
                     let ts = Timestamp::get(buf, &mut pos).ok_or(corrupt.clone())?;
-                    let input = T::Input::dec(buf, &mut pos).ok_or(corrupt)?;
+                    let input = T::Input::get(buf, &mut pos).ok_or(corrupt)?;
                     table.apply_update(adt, obj, ts, &input);
                 }
                 Some(&TAG_BATCH) => {

@@ -75,7 +75,6 @@
 //! meaningful.
 
 use crate::chaos::{ChaosSchedule, CrashSpan};
-use crate::codec::PayloadCodec;
 use crate::config::{Mode, StoreConfig};
 use crate::durable::{self, EpochLog, SealInfo};
 use crate::objects::ObjectTable;
@@ -90,6 +89,7 @@ use crate::wire::{
     sync_bytes, sync_req_bytes, BatchMsg, ShardDeltaPayload, ShardSyncPayload, StoreMsg, WireOp,
 };
 use cbm_adt::space::{ObjectSpace, SpaceInput};
+use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
 use cbm_check::monitor::{CcMonitor, CcvMonitor, Escalation, MonitorStats, Stamp};
 use cbm_check::Verdict;
@@ -249,9 +249,9 @@ struct EpochSnap {
 pub fn run<T, G>(adt: &T, cfg: &StoreConfig, gen: G) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
+    T::State: Wire + Send + Sync,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
 {
     let n = cfg.workers.max(1);
@@ -272,9 +272,9 @@ where
 pub fn run_tcp<T, G>(adt: &T, cfg: &StoreConfig, gen: G) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync + 'static,
-    T::Output: PayloadCodec + Send + 'static,
-    T::State: PayloadCodec + Send + Sync + 'static,
+    T::Input: Wire + Send + Sync + 'static,
+    T::Output: Wire + Send + 'static,
+    T::State: Wire + Send + Sync + 'static,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
 {
     let n = cfg.workers.max(1);
@@ -295,9 +295,9 @@ fn run_on<T, G, E>(
 ) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
+    T::State: Wire + Send + Sync,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
     E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
 {
@@ -793,9 +793,9 @@ struct Worker<'a, T: Adt, E> {
 impl<'a, T, E> Worker<'a, T, E>
 where
     T: Adt + Clone + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
+    T::State: Wire + Send + Sync,
     E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
 {
     #[allow(clippy::too_many_arguments)]

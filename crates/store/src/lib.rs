@@ -10,9 +10,9 @@
 //!   object table, updates apply locally and replicate asynchronously
 //!   (the paper's core claim: causal objects need no waiting);
 //! * **batched causal broadcast** — pending updates coalesce into one
-//!   vector-clock-stamped envelope per flush
-//!   ([`cbm_net::broadcast::BatchCausalBroadcast`]), cutting message
-//!   counts by the mean batch size;
+//!   edge-stamped envelope per flush
+//!   ([`cbm_net::broadcast::InterestBatchCausalBroadcast`]), cutting
+//!   message counts by the mean batch size;
 //! * two replication modes ([`Mode`]): delivery-order application
 //!   (Fig. 4 ⇒ causal consistency) and Lamport-timestamp arbitration
 //!   with epoch-compacted per-object logs (Fig. 5 ⇒ causal
