@@ -1268,6 +1268,38 @@ fn append_summary(
         )?;
     }
 
+    // Socket transport counters (docs/DEPLOYMENT.md): only legs that
+    // ran over the TCP mesh carry them. Scheduling decides how frames
+    // coalesce and how deep the backlog gets, so the table is
+    // informational and nothing gates on it.
+    const TCP_COUNTERS: [&str; 5] = [
+        "tcp_frames_written_total",
+        "tcp_write_syscalls_total",
+        "tcp_backlog_peak_bytes",
+        "tcp_backpressure_waits_total",
+        "tcp_frames_rejected_total",
+    ];
+    let tcp_rows: Vec<Vec<String>> = reports
+        .iter()
+        .filter_map(|(l, r)| {
+            let mut row = vec![l.name.clone()];
+            for name in TCP_COUNTERS {
+                row.push(r.metric(name)?.to_string());
+            }
+            Some(row)
+        })
+        .collect();
+    if !tcp_rows.is_empty() {
+        let mut columns = vec!["leg"];
+        columns.extend(TCP_COUNTERS);
+        cbm_bench::append_summary_table(
+            path,
+            "Socket transport counters (informational, never gated)",
+            &columns,
+            &tcp_rows,
+        )?;
+    }
+
     // Per-epoch dashboard: every column deterministic per
     // (config, seed), so this table diffs exactly across reruns.
     let mut epoch_rows: Vec<Vec<String>> = Vec::new();

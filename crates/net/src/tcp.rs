@@ -17,8 +17,9 @@
 //! drain rendezvous uses to tell "in flight" from "lost" (see
 //! [`Endpoint::send_marker`](crate::endpoint::Endpoint::send_marker)).
 //! `len` is bounded by [`MAX_FRAME`]; a frame claiming more is a
-//! protocol error, not an allocation. The CRC is IEEE 802.3 (the polynomial every `crc32`
-//! tool speaks), so captures are checkable with standard tooling. The
+//! protocol error, not an allocation. The CRC is IEEE 802.3 (the
+//! polynomial every `crc32` tool speaks), so captures are checkable
+//! with standard tooling. The
 //! framing codec is a pure state machine ([`FrameDecoder`]) fed by
 //! arbitrary byte chunks, so split reads, coalesced writes, and
 //! corruption handling are testable without sockets
@@ -36,13 +37,55 @@
 //!
 //! ## Threads and delivery semantics
 //!
-//! Per endpoint: one **reader thread per peer stream** decodes frames
-//! into the endpoint's merged inbound channel (per-peer FIFO, no
-//! cross-peer order — exactly `ThreadNet`'s contract), and one
-//! **writer thread** drains an unbounded outbound queue onto the
-//! sockets. Readers always drain their sockets, so a full kernel
-//! buffer can never deadlock two nodes writing to each other, and the
-//! unbounded writer queue keeps [`send_sized`] wait-free for workers.
+//! Per endpoint: one **reader thread per peer stream** and one
+//! **writer thread**.
+//!
+//! A reader lets the socket write straight into its [`FrameDecoder`]'s
+//! buffer, checks each frame's CRC where it lies, decodes the message
+//! from that borrowed slice, and pushes it onto the endpoint's merged
+//! inbound channel (per-peer FIFO, no cross-peer order — exactly
+//! `ThreadNet`'s contract). The inbound channel is unbounded and a
+//! reader does nothing else, so **readers always drain their
+//! sockets**, whatever the worker that owns the endpoint is doing. A
+//! frame a reader cannot trust or understand (CRC mismatch, oversized
+//! length, unknown tag, undecodable body) is counted in
+//! [`TcpStats::frames_rejected`] and ends that stream, like a dead
+//! peer.
+//!
+//! [`send_sized`] encodes the message once, in place behind its
+//! reserved header ([`frame_into`]), in the endpoint's reusable frame
+//! buffer — no per-message allocation, no separate body — and appends
+//! the sealed frame to the recipient's outbound queue, the only copy
+//! on the send side and the one coalescing needs. The writer takes
+//! everything queued for every peer per wake-up and issues **one
+//! `write` per peer per pass**, so frames coalesce exactly when the
+//! writer is the bottleneck. The outbound backlog — bytes accepted and
+//! not yet handed to the kernel — is bounded by a fixed 256 KiB per
+//! endpoint (the bound, plus at most the one frame that crossed it):
+//! at the bound `send_sized` **blocks** until the writer finishes a
+//! pass.
+//!
+//! What an update can therefore wait on, precisely: its own endpoint's
+//! writer thread, which waits only on the kernel's send buffers, which
+//! drain as fast as the **peers' reader threads** read — and those
+//! never wait on anything but their sockets. No link of that chain is
+//! a peer's *worker*: a peer that is busy, blocked in its own
+//! `send_sized`, or parked at a drain rendezvous still has its sockets
+//! read, so two nodes flooding each other (or all nodes flooding all
+//! others) cannot deadlock, and an update's delay is bounded by
+//! transport work, never by another replica's operations. The two
+//! failure shapes differ: a **dead** peer (stream reset or closed)
+//! fails the write, and its copies are dropped silently — exactly a
+//! send to a dropped `ThreadNet` endpoint — so nothing waits on it; a
+//! **stalled** peer (process alive, sockets open, readers not running:
+//! `SIGSTOP`, a machine-wide pause) fills its kernel buffers, the
+//! writer blocks in `write` — which also delays the frames queued for
+//! every *other* peer behind it — and once the backlog reaches the
+//! bound so does the sender, until the peer resumes or its connection
+//! dies. Before the bound existed the sender would instead have queued
+//! without limit; blocking is the same stall made visible, in bounded
+//! memory ([`TcpStats::backpressure_waits`],
+//! [`TcpStats::backlog_peak_bytes`]).
 //!
 //! The accounting contract is `ThreadNet`'s, verbatim: the shared
 //! [`ThreadNetStats`] count a message (and its **declared** byte size
@@ -70,10 +113,11 @@ use crate::thread_net::ThreadNetStats;
 use crate::wire::{from_bytes, Wire};
 use crate::NodeId;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Body tag of a data frame (tag byte + `Wire`-encoded message).
 const TAG_DATA: u8 = 0;
@@ -93,10 +137,44 @@ const VERSION: u32 = 1;
 /// Frame header: length prefix + body CRC.
 pub const FRAME_HEADER: usize = 8;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Spare room a reader keeps at the tail of its [`FrameDecoder`] for
+/// one `read` (64 KiB: loopback TCP hands over up to a socket buffer
+/// per call, and a coalesced peer write is rarely larger).
+const READ_CHUNK: usize = 64 * 1024;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Buffer size a [`FrameDecoder`] returns to once an oversized frame
+/// has been consumed: one read's spare room plus a pending partial
+/// frame of ordinary size, so steady-state traffic never reallocates.
+const DECODER_KEEP: usize = 2 * READ_CHUNK;
+
+/// Byte bound on one endpoint's outbound backlog (frames accepted by
+/// `send_sized` and not yet handed to the kernel), all peers together;
+/// at or above it `send_sized` blocks until the writer catches up. It
+/// is also the coalescing cap: one writer pass never carries more than
+/// the bound plus one frame.
+///
+/// Chosen by measurement on the benchmark's `write_fanout_tcp`
+/// (4 workers on 2 cores, 4–6 s runs, seed 42; the path this replaced,
+/// a per-frame writer behind a queue with no bound: 1.6–1.7 M ops/s at
+/// 22–23 MB peak RSS). A worker outruns its writer whenever the writer
+/// is off-core, so the backlog reaches any bound it is given and peak
+/// RSS follows it (buffers on both sides of the swap here, decoded
+/// bursts in the receivers' queues there): never reached (4 MiB) 3.5 M
+/// ops/s at 47 MB, 1 MiB 3.3–3.7 M at 29–35 MB, 512 KiB 3.3–3.5 M at
+/// 21–25 MB, 256 KiB 3.1–3.5 M at 17–19 MB, 128 KiB 3.1–3.3 M at
+/// 16 MB, 64 KiB 2.8 M at 14.5 MB, 16 KiB 2.1 M at 12.6 MB. 256 KiB
+/// (~230 envelopes of 32 ops) is the largest bound whose memory stays
+/// under the old path's with margin, and throughput is flat from there
+/// up.
+const OUTBOUND_BOUND: usize = 256 << 10;
+
+/// Slice-by-16 tables: `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so sixteen input bytes fold with
+/// sixteen independent look-ups instead of a sixteen-step chain.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -109,31 +187,72 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// IEEE 802.3 CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    const T: &[[u32; 256]; 16] = &CRC_TABLES;
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let w = [word(b) ^ c, word(&b[4..]), word(&b[8..]), word(&b[12..])];
+        c = 0;
+        // byte j of the block is followed by 15 - j more block bytes
+        for (i, w) in w.iter().enumerate() {
+            let k = 15 - 4 * i;
+            c ^= T[k][(w & 0xFF) as usize]
+                ^ T[k - 1][(w >> 8 & 0xFF) as usize]
+                ^ T[k - 2][(w >> 16 & 0xFF) as usize]
+                ^ T[k - 3][(w >> 24) as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
+/// The one framing primitive: append `[len][crc][body]` to `out`,
+/// where `encode` writes the body straight behind the reserved header
+/// and `len`/`crc` are patched in place afterwards — no intermediate
+/// body buffer, no copy. Socket frames, control-plane frames and
+/// durable log records all come from here. Returns the frame's total
+/// length.
+///
+/// Panics if the body exceeds [`MAX_FRAME`] — a message that large is
+/// a protocol-layer bug, not a runtime condition.
+pub fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let (header, body) = out[at..].split_at_mut(FRAME_HEADER);
+    assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    FRAME_HEADER + body.len()
+}
+
 /// Encode one frame: `[len][crc][body]`.
 ///
-/// Panics if `body` exceeds [`MAX_FRAME`] — a message that large is a
-/// protocol-layer bug, not a runtime condition.
+/// Panics if `body` exceeds [`MAX_FRAME`] (see [`frame_into`]).
 pub fn frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
     let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+    frame_into(&mut out, |b| b.extend_from_slice(body));
     out
 }
 
@@ -172,15 +291,46 @@ impl std::fmt::Display for FrameError {
     }
 }
 
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
+/// Parse a frame header: `(body length, expected CRC)`, with the
+/// length already checked against `max`.
+fn parse_header(header: &[u8], max: usize) -> Result<(usize, u32), FrameError> {
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+    if len > max {
+        return Err(FrameError::TooLarge { len, max });
+    }
+    let expect = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    Ok((len, expect))
+}
+
+fn check_crc(body: &[u8], expect: u32) -> Result<(), FrameError> {
+    let got = crc32(body);
+    if got == expect {
+        Ok(())
+    } else {
+        Err(FrameError::Corrupt { expect, got })
+    }
+}
+
 /// Incremental frame reassembly: feed arbitrary byte chunks with
-/// [`push`](FrameDecoder::push), pull complete bodies with
-/// [`next_frame`](FrameDecoder::next_frame). A pure state machine — no I/O — so
+/// [`push`](FrameDecoder::push) (or let a socket write straight into
+/// the buffer with [`read_from`](FrameDecoder::read_from)), pull
+/// complete bodies with [`next_body`](FrameDecoder::next_body) /
+/// [`next_frame`](FrameDecoder::next_frame). A pure state machine, so
 /// the framing contract is testable byte by byte.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Backing store, every byte initialised: `buf[start..end]` is
+    /// received-but-unconsumed stream, `buf[end..]` is spare room that
+    /// reads land in directly.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted when it outgrows the tail.
     start: usize,
+    end: usize,
     max: usize,
 }
 
@@ -195,49 +345,82 @@ impl FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
             start: 0,
+            end: 0,
             max,
+        }
+    }
+
+    /// Make `buf[end..]` at least `need` bytes long. Compacts the
+    /// pending bytes to the front only when room has run out, and
+    /// gives memory back: once what must be held fits in
+    /// [`DECODER_KEEP`] again, a buffer grown for an oversized frame
+    /// shrinks to that size.
+    fn make_room(&mut self, need: usize) {
+        let want = self.pending() + need;
+        let oversized = self.buf.len() > DECODER_KEEP && want <= DECODER_KEEP;
+        if self.buf.len() - self.end >= need && !oversized {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if oversized {
+            self.buf.truncate(DECODER_KEEP);
+            self.buf.shrink_to_fit();
+        } else if self.buf.len() < want {
+            self.buf.resize(want, 0);
         }
     }
 
     /// Feed received bytes (any split: one byte at a time, many frames
     /// coalesced, anything between).
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.start > 0 && self.start >= self.buf.len().saturating_sub(self.start) {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `r` straight into the decoder's spare room — no
+    /// bounce buffer. Returns the byte count; `0` is EOF.
+    pub fn read_from(&mut self, mut r: impl Read) -> std::io::Result<usize> {
+        self.make_room(READ_CHUNK);
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet returned as a frame.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
-    /// Next complete body, `Ok(None)` if more bytes are needed. After
-    /// an `Err` the stream is poisoned garbage: resynchronising inside
-    /// a corrupted byte stream is guesswork, so callers drop the
-    /// connection instead.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let avail = &self.buf[self.start..];
+    /// Bytes of memory the decoder currently holds.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Next complete body, borrowed from the decoder's buffer (valid
+    /// until the next call); `Ok(None)` if more bytes are needed.
+    /// After an `Err` the stream is poisoned garbage: resynchronising
+    /// inside a corrupted byte stream is guesswork, so callers drop
+    /// the connection instead.
+    pub fn next_body(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < FRAME_HEADER {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes")) as usize;
-        if len > self.max {
-            return Err(FrameError::TooLarge { len, max: self.max });
-        }
-        let expect = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if avail.len() < FRAME_HEADER + len {
+        let (len, expect) = parse_header(avail, self.max)?;
+        let Some(body) = avail.get(FRAME_HEADER..FRAME_HEADER + len) else {
             return Ok(None);
-        }
-        let body = avail[FRAME_HEADER..FRAME_HEADER + len].to_vec();
-        let got = crc32(&body);
-        if got != expect {
-            return Err(FrameError::Corrupt { expect, got });
-        }
+        };
+        check_crc(body, expect)?;
         self.start += FRAME_HEADER + len;
         Ok(Some(body))
+    }
+
+    /// [`next_body`](FrameDecoder::next_body), copied out.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        Ok(self.next_body()?.map(<[u8]>::to_vec))
     }
 }
 
@@ -271,27 +454,10 @@ pub fn read_frame(mut r: impl Read, max: usize) -> std::io::Result<Option<Vec<u8
         }
         got += n;
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let want = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > max {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            FrameError::TooLarge { len, max }.to_string(),
-        ));
-    }
+    let (len, expect) = parse_header(&header, max)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    let got_crc = crc32(&body);
-    if got_crc != want {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            FrameError::Corrupt {
-                expect: want,
-                got: got_crc,
-            }
-            .to_string(),
-        ));
-    }
+    check_crc(&body, expect)?;
     Ok(Some(body))
 }
 
@@ -322,12 +488,167 @@ fn read_handshake(stream: &mut TcpStream) -> std::io::Result<NodeId> {
     Ok(u32::from_le_bytes(b[8..12].try_into().expect("4 bytes")) as NodeId)
 }
 
+/// Per-mesh transport counters, shared by every endpoint's threads.
+/// Informational — scheduling decides how frames coalesce — so nothing
+/// gates on them; [`TcpStats::snapshot`] names them for a metrics
+/// table.
+#[derive(Debug, Default)]
+pub struct TcpStats {
+    /// Inbound frames a reader refused: CRC mismatch, oversized length
+    /// prefix, unknown tag, or a body that does not decode. Each one
+    /// also ends that peer stream.
+    pub frames_rejected: AtomicU64,
+    /// High-water mark of any one endpoint's outbound backlog, bytes.
+    pub backlog_peak_bytes: AtomicU64,
+    /// Times a sender found the backlog at its bound and had to wait
+    /// for the writer.
+    pub backpressure_waits: AtomicU64,
+    /// Frames handed to the kernel.
+    pub frames_written: AtomicU64,
+    /// `write` calls that carried them.
+    pub write_syscalls: AtomicU64,
+}
+
+impl TcpStats {
+    /// Every counter under its metric name.
+    pub fn snapshot(&self) -> [(&'static str, u64); 5] {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("tcp_frames_rejected_total", get(&self.frames_rejected)),
+            ("tcp_backlog_peak_bytes", get(&self.backlog_peak_bytes)),
+            (
+                "tcp_backpressure_waits_total",
+                get(&self.backpressure_waits),
+            ),
+            ("tcp_frames_written_total", get(&self.frames_written)),
+            ("tcp_write_syscalls_total", get(&self.write_syscalls)),
+        ]
+    }
+}
+
+/// Frames queued for one peer, already framed and back to back.
+#[derive(Default)]
+struct PeerQueue {
+    bytes: Vec<u8>,
+    frames: u64,
+}
+
+/// An endpoint's outbound state, shared between its senders and its
+/// writer thread.
+struct Outbound {
+    /// `queues[peer]`: what the writer's next pass will carry.
+    queues: Vec<PeerQueue>,
+    /// Bytes in `queues`.
+    queued: usize,
+    /// Bytes the writer has taken and not yet finished writing.
+    writing: usize,
+    /// High-water mark of `queued + writing`.
+    peak: usize,
+    /// The writer is parked on `ready`.
+    writer_idle: bool,
+    /// Senders parked on `space`.
+    senders_waiting: usize,
+    /// The endpoint is gone: flush, `FIN`, exit.
+    closed: bool,
+}
+
+struct OutboundShared {
+    state: Mutex<Outbound>,
+    /// Signalled when an idle writer gets work (or the close).
+    ready: Condvar,
+    /// Signalled when a pass finishes and senders are waiting.
+    space: Condvar,
+    stats: Arc<TcpStats>,
+}
+
+/// `Condvar::wait`, poison-tolerant for the reason [`OutboundShared::lock`] gives.
+fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, Outbound>) -> MutexGuard<'a, Outbound> {
+    cv.wait(guard)
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+impl OutboundShared {
+    fn lock(&self) -> MutexGuard<'_, Outbound> {
+        // every critical section appends whole frames and adjusts
+        // counters, so the state is valid at every step and a holder
+        // that panicked left nothing worth propagating
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// The sending half of an endpoint. Dropping it (endpoint shut down or
+/// dropped) closes the queue; the writer flushes the backlog first.
+struct OutboundHandle {
+    shared: Arc<OutboundShared>,
+    /// Where a frame is encoded before it joins the queues, reused
+    /// across sends. Encoding (and its CRC) happens outside the lock:
+    /// the lock is held for one `memcpy` per recipient, the writer
+    /// never waits behind an encoder, and an encoder that panics
+    /// leaves no half-written frame in a queue.
+    frame: RefCell<Vec<u8>>,
+}
+
+impl OutboundHandle {
+    /// Frame one body — encoded once, in place behind its header — and
+    /// append it to each recipient's queue. Blocks while the backlog is
+    /// at [`OUTBOUND_BOUND`].
+    fn enqueue(
+        &self,
+        to: impl Iterator<Item = NodeId>,
+        size_hint: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut frame = self.frame.borrow_mut();
+        frame.clear();
+        frame.reserve(FRAME_HEADER + size_hint);
+        frame_into(&mut frame, encode);
+
+        let shared = &*self.shared;
+        let mut st = shared.lock();
+        if st.queued + st.writing >= OUTBOUND_BOUND {
+            shared
+                .stats
+                .backpressure_waits
+                .fetch_add(1, Ordering::Relaxed);
+            st.senders_waiting += 1;
+            while st.queued + st.writing >= OUTBOUND_BOUND {
+                st = wait(&shared.space, st);
+            }
+            st.senders_waiting -= 1;
+        }
+        for peer in to {
+            let q = &mut st.queues[peer];
+            q.bytes.extend_from_slice(&frame);
+            q.frames += 1;
+            st.queued += frame.len();
+        }
+        st.peak = st.peak.max(st.queued + st.writing);
+        // a busy writer re-checks the queues before it parks; a parked
+        // one is woken once, by whoever clears the flag
+        let wake = std::mem::take(&mut st.writer_idle);
+        drop(st);
+        if wake {
+            shared.ready.notify_one();
+        }
+    }
+}
+
+impl Drop for OutboundHandle {
+    fn drop(&mut self) {
+        self.shared.lock().closed = true;
+        self.shared.ready.notify_one();
+    }
+}
+
 /// A fully connected loopback TCP mesh of `n` nodes, pre-handshaken
 /// and ready to split into endpoints.
 pub struct TcpNet<M> {
     /// `streams[me][peer]`, `None` on the diagonal.
     streams: Vec<Vec<Option<TcpStream>>>,
     stats: Arc<ThreadNetStats>,
+    tcp_stats: Arc<TcpStats>,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -336,7 +657,7 @@ pub struct TcpNet<M> {
 pub struct TcpEndpoint<M> {
     me: NodeId,
     n: usize,
-    out_tx: Sender<(NodeId, Vec<u8>)>,
+    out: OutboundHandle,
     /// Loopback for self-sends (peers arrive via reader threads).
     self_tx: Sender<(NodeId, M)>,
     in_rx: Receiver<(NodeId, M)>,
@@ -410,6 +731,7 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
         Ok(TcpNet {
             streams,
             stats: Arc::new(ThreadNetStats::new(n)),
+            tcp_stats: Arc::new(TcpStats::default()),
             _msg: std::marker::PhantomData,
         })
     }
@@ -417,6 +739,11 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
     /// The mesh's shared statistics handle.
     pub fn stats(&self) -> Arc<ThreadNetStats> {
         Arc::clone(&self.stats)
+    }
+
+    /// The mesh's transport counters (see [`TcpStats`]).
+    pub fn tcp_stats(&self) -> Arc<TcpStats> {
+        Arc::clone(&self.tcp_stats)
     }
 
     /// Consume the mesh into all `n` endpoints, spawning each
@@ -429,7 +756,6 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
             .enumerate()
             .map(|(me, row)| {
                 let (in_tx, in_rx) = unbounded::<(NodeId, M)>();
-                let (out_tx, out_rx) = unbounded::<(NodeId, Vec<u8>)>();
                 let markers: Arc<Vec<AtomicU64>> =
                     Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
                 let shared: Vec<Option<Arc<TcpStream>>> =
@@ -439,23 +765,44 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
                     let stream = Arc::clone(stream);
                     let in_tx = in_tx.clone();
                     let markers = Arc::clone(&markers);
+                    let tcp_stats = Arc::clone(&self.tcp_stats);
                     std::thread::Builder::new()
                         .name(format!("tcp-read-{me}-{peer}"))
                         .stack_size(128 * 1024)
-                        .spawn(move || reader_loop(&stream, peer, &in_tx, &markers[peer]))
+                        .spawn(move || {
+                            reader_loop(&stream, peer, &in_tx, &markers[peer], &tcp_stats)
+                        })
                         .expect("spawn reader thread");
                 }
+                let out = Arc::new(OutboundShared {
+                    state: Mutex::new(Outbound {
+                        queues: (0..n).map(|_| PeerQueue::default()).collect(),
+                        queued: 0,
+                        writing: 0,
+                        peak: 0,
+                        writer_idle: false,
+                        senders_waiting: 0,
+                        closed: false,
+                    }),
+                    ready: Condvar::new(),
+                    space: Condvar::new(),
+                    stats: Arc::clone(&self.tcp_stats),
+                });
+                let writer_out = Arc::clone(&out);
                 std::thread::Builder::new()
                     .name(format!("tcp-write-{me}"))
                     .stack_size(128 * 1024)
-                    .spawn(move || writer_loop(&shared, &out_rx))
+                    .spawn(move || writer_loop(&shared, &writer_out))
                     .expect("spawn writer thread");
                 TcpEndpoint {
                     me,
                     n,
-                    out_tx,
+                    out: OutboundHandle {
+                        shared: out,
+                        frame: RefCell::new(Vec::new()),
+                    },
                     // the endpoint keeps the last inbound handle for
-                    // self-sends; shutdown drops it alongside out_tx
+                    // self-sends; shutdown drops it alongside `out`
                     self_tx: in_tx,
                     in_rx,
                     markers,
@@ -466,26 +813,32 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
     }
 }
 
-/// Decode frames off one peer stream into the merged inbound channel.
-/// Exits on EOF (peer shut down), a transport error, or a poisoned
-/// frame — in every case dropping its inbound handle, which is what
-/// lets drains terminate.
+/// Decode frames off one peer stream into the merged inbound channel:
+/// the socket reads land in the decoder's own buffer and each message
+/// decodes from a body slice borrowed from it. Exits on EOF (peer shut
+/// down), a transport error, or a rejected frame (counted in
+/// [`TcpStats::frames_rejected`]) — in every case dropping its inbound
+/// handle, which is what lets drains terminate.
 fn reader_loop<M: Wire>(
     stream: &TcpStream,
     peer: NodeId,
     in_tx: &Sender<(NodeId, M)>,
     markers: &AtomicU64,
+    stats: &TcpStats,
 ) {
     let mut dec = FrameDecoder::new();
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut r: &TcpStream = stream;
+    // a frame this reader cannot trust or understand is peer death:
+    // count it and drop the connection
+    let reject = || {
+        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+    };
     loop {
         loop {
-            match dec.next_frame() {
+            match dec.next_body() {
                 Ok(Some(body)) => match body.split_first() {
                     Some((&TAG_DATA, rest)) => {
                         let Some(msg) = from_bytes::<M>(rest) else {
-                            return; // undecodable body: treat as peer death
+                            return reject();
                         };
                         if in_tx.send((peer, msg)).is_err() {
                             return; // receiver gone: endpoint fully dropped
@@ -497,35 +850,97 @@ fn reader_loop<M: Wire>(
                         // every data frame enqueued before it
                         markers.fetch_add(1, Ordering::Release);
                     }
-                    _ => return, // unknown tag / malformed: peer death
+                    _ => return reject(),
                 },
                 Ok(None) => break,
-                Err(_) => return, // corrupt stream: drop the connection
+                Err(_) => return reject(),
             }
         }
-        match r.read(&mut chunk) {
+        match dec.read_from(stream) {
             Ok(0) => return,
-            Ok(k) => dec.push(&chunk[..k]),
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }
 }
 
-/// Drain the outbound queue onto the sockets; on disconnect (endpoint
-/// shut down or dropped) finish the backlog, then `FIN` every stream.
-fn writer_loop(streams: &[Option<Arc<TcpStream>>], out_rx: &Receiver<(NodeId, Vec<u8>)>) {
-    while let Ok((to, bytes)) = out_rx.recv() {
-        if let Some(stream) = &streams[to] {
-            let mut w: &TcpStream = stream;
-            // a failed write models a dead peer: the copy is silently
-            // lost, exactly like a send to a dropped ThreadNet endpoint
-            let _ = w.write_all(&bytes);
+/// Carry the outbound queues onto the sockets: each pass takes
+/// everything queued for every peer and issues one `write` per peer
+/// (more only when the kernel accepts part of a buffer). After the
+/// endpoint closes, finish the backlog, then `FIN` every stream.
+fn writer_loop(streams: &[Option<Arc<TcpStream>>], out: &OutboundShared) {
+    // double buffer: senders fill `Outbound::queues` while the writer
+    // empties these; the two sets swap under the lock at each pass
+    let mut pass: Vec<PeerQueue> = streams.iter().map(|_| PeerQueue::default()).collect();
+    let mut st = out.lock();
+    loop {
+        // the previous pass is on the wire: its bytes leave the backlog
+        st.writing = 0;
+        if st.senders_waiting > 0 {
+            out.space.notify_all();
         }
+        while st.queued == 0 && !st.closed {
+            st.writer_idle = true;
+            st = wait(&out.ready, st);
+            st.writer_idle = false;
+        }
+        if st.queued == 0 {
+            break; // closed and flushed
+        }
+        std::mem::swap(&mut st.queues, &mut pass);
+        st.writing = std::mem::take(&mut st.queued);
+        let peak = st.peak as u64;
+        drop(st);
+
+        let (mut frames, mut syscalls) = (0u64, 0u64);
+        for (q, stream) in pass.iter_mut().zip(streams) {
+            let Some(stream) = stream else { continue };
+            if q.bytes.is_empty() {
+                continue;
+            }
+            // a failed write models a dead peer: the copies are
+            // silently lost, exactly like a send to a dropped
+            // ThreadNet endpoint
+            if write_counted(stream, &q.bytes, &mut syscalls).is_ok() {
+                frames += q.frames;
+            }
+            q.bytes.clear();
+            q.frames = 0;
+            // one oversized frame must not pin its capacity for good
+            if q.bytes.capacity() > OUTBOUND_BOUND {
+                q.bytes.shrink_to(OUTBOUND_BOUND);
+            }
+        }
+        out.stats
+            .frames_written
+            .fetch_add(frames, Ordering::Relaxed);
+        out.stats
+            .write_syscalls
+            .fetch_add(syscalls, Ordering::Relaxed);
+        out.stats
+            .backlog_peak_bytes
+            .fetch_max(peak, Ordering::Relaxed);
+        st = out.lock();
     }
+    drop(st);
     for stream in streams.iter().flatten() {
         let _ = stream.shutdown(Shutdown::Write);
     }
+}
+
+/// `write_all`, counting the `write` calls it takes.
+fn write_counted(mut w: &TcpStream, mut bytes: &[u8], syscalls: &mut u64) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        *syscalls += 1;
+        match w.write(bytes) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpoint<M> {
@@ -544,19 +959,22 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
     }
 
     fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
-        let ok = if to == self.me {
-            self.self_tx.send((self.me, msg)).is_ok()
+        if to == self.me {
+            if self.self_tx.send((self.me, msg)).is_err() {
+                return;
+            }
         } else {
-            let mut body = vec![TAG_DATA];
-            msg.put(&mut body);
-            self.out_tx.send((to, frame(&body))).is_ok()
-        };
-        if ok {
-            self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_sent
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+            // `bytes` (the protocol's own estimate) sizes the frame
+            // buffer's reservation
+            self.out.enqueue(std::iter::once(to), 1 + bytes, |b| {
+                b.push(TAG_DATA);
+                msg.put(b);
+            });
         }
+        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_sent
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     fn recv(&self) -> Option<(NodeId, M)> {
@@ -572,11 +990,8 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
 
     fn send_marker(&self) {
         // uncounted and below the fault layer: a cut token, not traffic
-        for to in 0..self.n {
-            if to != self.me {
-                let _ = self.out_tx.send((to, frame(&[TAG_MARKER])));
-            }
-        }
+        let peers = (0..self.n).filter(|&to| to != self.me);
+        self.out.enqueue(peers, 1, |b| b.push(TAG_MARKER));
     }
 
     fn marker_count(&self, peer: NodeId) -> u64 {
@@ -588,8 +1003,8 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
     }
 
     fn shutdown(self) -> TcpDrain<M> {
-        // dropping out_tx/self_tx closes the writer's queue: it flushes
-        // the backlog and FINs the streams
+        // dropping `out` and `self_tx` closes the outbound queue: the
+        // writer flushes the backlog and FINs the streams
         TcpDrain { in_rx: self.in_rx }
     }
 }
@@ -613,11 +1028,114 @@ mod tests {
     use super::*;
     use crate::endpoint::{Drain as _, Endpoint as _};
 
+    /// The byte-at-a-time table loop the sliced [`crc32`] replaced:
+    /// the reference every sliced result is checked against.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // the IEEE check value every crc32 implementation agrees on
+        // the IEEE check value every crc32 implementation agrees on,
+        // then vectors checked against zlib
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[0x00; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
+        let ramp: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32(&ramp), 0x9126_7E8A);
+    }
+
+    #[test]
+    fn sliced_crc_equals_bytewise_at_every_length_and_alignment() {
+        // 0..=67 covers empty, tail-only, one to four whole blocks and
+        // every remainder; the offsets move the blocks across every
+        // alignment of the backing buffer
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=67 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sliced_crc_equals_bytewise_on_random_slices(
+            buf in proptest::collection::vec(0u8..=255u8, 0..2048),
+            a in 0usize..2048,
+            b in 0usize..2048,
+        ) {
+            let (a, b) = (a.min(buf.len()), b.min(buf.len()));
+            let data = &buf[a.min(b)..a.max(b)];
+            proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
+    }
+
+    #[test]
+    fn frame_into_appends_behind_existing_bytes() {
+        let mut out = b"prefix".to_vec();
+        let n = frame_into(&mut out, |b| b.extend_from_slice(b"body"));
+        assert_eq!(n, FRAME_HEADER + 4);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &frame(b"body")[..]);
+    }
+
+    #[test]
+    fn decoder_gives_memory_back_after_an_oversized_frame() {
+        let mut dec = FrameDecoder::new();
+        let small = frame(b"ordinary traffic");
+        let big = frame(&vec![0xAB; 4 << 20]);
+        dec.push(&small);
+        assert!(dec.next_frame().unwrap().is_some());
+        // the oversized frame arrives with the next one already behind
+        // it, so the buffer is never empty when it is consumed
+        dec.push(&big);
+        dec.push(&small[..5]);
+        assert!(dec.capacity() >= 4 << 20);
+        assert_eq!(dec.next_body().unwrap().map(<[u8]>::len), Some(4 << 20));
+        dec.push(&small[5..]);
+        assert!(
+            dec.capacity() <= DECODER_KEEP,
+            "capacity {} still holds the oversized frame",
+            dec.capacity()
+        );
+        assert_eq!(
+            dec.next_frame().unwrap(),
+            Some(b"ordinary traffic".to_vec())
+        );
+        assert_eq!(dec.pending(), 0);
+    }
+
+    #[test]
+    fn read_from_fills_the_decoder_without_a_bounce_buffer() {
+        let mut stream = Vec::new();
+        for i in 0..50u8 {
+            stream.extend_from_slice(&frame(&vec![i; 3000]));
+        }
+        let mut src = &stream[..];
+        let mut dec = FrameDecoder::new();
+        let mut got = 0u8;
+        loop {
+            while let Some(body) = dec.next_body().unwrap() {
+                assert_eq!(body, &vec![got; 3000][..]);
+                got += 1;
+            }
+            if dec.read_from(&mut src).unwrap() == 0 {
+                break;
+            }
+        }
+        assert_eq!(got, 50);
+        assert!(dec.capacity() <= DECODER_KEEP + READ_CHUNK);
     }
 
     #[test]
@@ -710,5 +1228,119 @@ mod tests {
         assert_eq!(eps[0].recv(), Some((0, 5)));
         let d = eps.into_iter().next().unwrap().shutdown();
         assert_eq!(d.recv(), None);
+    }
+
+    /// Messages of 8192 words: 64 KiB frames, four to the bound.
+    fn big(i: u64) -> Vec<u64> {
+        vec![i; 8192]
+    }
+
+    #[test]
+    fn backpressure_bounds_the_backlog_and_shutdown_flushes_it() {
+        const MIN_MSGS: u64 = 1024; // 64 MiB
+        let net = TcpNet::<Vec<u64>>::new(2).expect("mesh");
+        let tcp = net.tcp_stats();
+        let mut eps = net.into_endpoints();
+        let rx = eps.pop().unwrap();
+        let tx = eps.pop().unwrap();
+        let sender_tcp = Arc::clone(&tcp);
+        let sender = std::thread::spawn(move || {
+            // whether the sender ever gets four frames ahead of its
+            // writer is the scheduler's call, so flood until it has
+            // happened (in practice: well inside the first 64 MiB)
+            let mut sent = 0;
+            while sent < MIN_MSGS
+                || (sender_tcp.backpressure_waits.load(Ordering::Relaxed) == 0
+                    && sent < 16 * MIN_MSGS)
+            {
+                tx.send_sized(1, big(sent), 8 * 8192);
+                sent += 1;
+            }
+            tx.send_sized(1, Vec::new(), 0); // end of flood
+
+            // shut down on the heels of the last send: whatever is
+            // still queued must reach the peer before the FIN
+            (sent, tx.shutdown())
+        });
+        let mut got = 0;
+        loop {
+            if got < 64 {
+                // a slow consumer slows nobody: the reader thread
+                // keeps draining the socket into the inbound queue
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let (from, msg) = rx.recv().expect("every message arrives");
+            if msg.is_empty() {
+                break;
+            }
+            assert_eq!((from, msg.len(), msg[0]), (0, 8192, got), "per-peer order");
+            got += 1;
+        }
+        let (sent, _tx_drain) = sender.join().unwrap();
+        assert_eq!(got, sent);
+        assert_eq!(rx.shutdown().recv(), None, "FIN follows the last frame");
+
+        let frame_len = FRAME_HEADER + 1 + 8 + 8 * 8192;
+        let peak = tcp.backlog_peak_bytes.load(Ordering::Relaxed) as usize;
+        assert!(peak <= OUTBOUND_BOUND + frame_len, "peak backlog {peak}");
+        assert!(tcp.backpressure_waits.load(Ordering::Relaxed) > 0);
+        assert_eq!(tcp.frames_written.load(Ordering::Relaxed), sent + 1);
+        assert_eq!(tcp.frames_rejected.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn all_to_all_burst_past_the_bound_terminates() {
+        // every node sends 8 MiB to every other before receiving
+        // anything — 32x the bound per stream, and more than the
+        // kernel's buffers would absorb unread — so progress rests on
+        // the reader threads alone
+        const PER_PEER: u64 = 128;
+        let net = TcpNet::<Vec<u64>>::new(4).expect("mesh");
+        let tcp = net.tcp_stats();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for ep in net.into_endpoints() {
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let me = ep.me();
+                for i in 0..PER_PEER {
+                    for to in (0..4).filter(|&to| to != me) {
+                        ep.send_sized(to, big(i), 8 * 8192);
+                    }
+                }
+                let mut next = [0u64; 4];
+                for _ in 0..3 * PER_PEER {
+                    let (from, msg) = ep.recv().expect("peers are alive");
+                    assert_eq!(msg[0], next[from], "per-peer order");
+                    next[from] += 1;
+                }
+                done_tx.send(me).unwrap();
+                ep // alive until every node is done
+            });
+        }
+        for _ in 0..4 {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("all-to-all burst deadlocked");
+        }
+        assert_eq!(tcp.frames_rejected.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_rejected_frame_is_counted_and_ends_the_stream() {
+        let net = TcpNet::<u64>::new(2).expect("mesh");
+        let tcp = net.tcp_stats();
+        let mut eps = net.into_endpoints();
+        let e1 = eps.pop().unwrap();
+        let e0 = eps.pop().unwrap();
+        e0.send_sized(1, 7, 8);
+        // an unknown tag, framed correctly
+        e0.out.enqueue(std::iter::once(1), 1, |b| b.push(0x7F));
+        e0.send_sized(1, 8, 8);
+        assert_eq!(e1.recv(), Some((0, 7)));
+        // node 1's reader for node 0 is gone; once node 1 shuts down
+        // too, its drain terminates without ever seeing the 8
+        drop(e0);
+        assert_eq!(e1.shutdown().recv(), None);
+        assert_eq!(tcp.frames_rejected.load(Ordering::Relaxed), 1);
     }
 }

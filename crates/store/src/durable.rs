@@ -40,7 +40,7 @@ use cbm_adt::wire::{put_slice, Wire};
 use cbm_adt::{wire_struct, Adt};
 use cbm_check::monitor::MonitorStats;
 use cbm_net::clock::Timestamp;
-use cbm_net::tcp::crc32;
+use cbm_net::tcp::{crc32, frame_into};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -161,21 +161,16 @@ fn snap_path(dir: &Path, me: usize) -> PathBuf {
     dir.join(format!("worker-{me}.snap"))
 }
 
-fn frame_into(body: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-}
-
 /// One worker's append-side handle: the open log file plus the paths
-/// and scratch buffers the record writers reuse.
+/// and the scratch buffer every record is framed in
+/// ([`cbm_net::tcp::frame_into`]: body encoded once behind its header,
+/// `len`/`crc` patched in place).
 pub struct EpochLog {
     file: File,
     dir: PathBuf,
     log_path: PathBuf,
     snap_path: PathBuf,
-    body: Vec<u8>,
-    frame: Vec<u8>,
+    record: Vec<u8>,
     /// Boundary seals since the last snapshot (snapshot cadence).
     boundary_seals: u64,
     /// Bytes appended to the log since open or last truncation.
@@ -207,31 +202,29 @@ impl EpochLog {
             dir: dir.to_path_buf(),
             log_path,
             snap_path,
-            body: Vec::new(),
-            frame: Vec::new(),
+            record: Vec::new(),
             boundary_seals: 0,
             appended: 0,
         })
     }
 
-    fn append_frame(&mut self) -> std::io::Result<()> {
-        self.frame.clear();
-        let body = std::mem::take(&mut self.body);
-        frame_into(&body, &mut self.frame);
-        self.body = body;
-        self.file.write_all(&self.frame)?;
-        self.appended += self.frame.len() as u64;
+    /// Frame one record (`encode` writes the body) and append it.
+    fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        self.record.clear();
+        frame_into(&mut self.record, encode);
+        self.file.write_all(&self.record)?;
+        self.appended += self.record.len() as u64;
         Ok(())
     }
 
     /// Record one own update, applied at invocation.
     pub fn log_own<I: Wire>(&mut self, obj: u32, ts: Timestamp, input: &I) -> std::io::Result<()> {
-        self.body.clear();
-        self.body.push(TAG_OWN);
-        obj.put(&mut self.body);
-        ts.put(&mut self.body);
-        input.put(&mut self.body);
-        self.append_frame()
+        self.append(|b| {
+            b.push(TAG_OWN);
+            obj.put(b);
+            ts.put(b);
+            input.put(b);
+        })
     }
 
     /// Record one delivered envelope batch.
@@ -241,22 +234,22 @@ impl EpochLog {
         seq: u64,
         ops: &[WireOp<I>],
     ) -> std::io::Result<()> {
-        self.body.clear();
-        self.body.push(TAG_BATCH);
-        sender.put(&mut self.body);
-        seq.put(&mut self.body);
-        put_slice(ops, &mut self.body);
-        self.append_frame()
+        self.append(|b| {
+            b.push(TAG_BATCH);
+            sender.put(b);
+            seq.put(b);
+            put_slice(ops, b);
+        })
     }
 
     /// Seal a drain cut and make everything up to it durable
     /// (`fdatasync`). Returns whether the snapshot cadence says this
     /// boundary should compact next.
     pub fn seal(&mut self, seal: &SealInfo, snapshot_every: u64) -> std::io::Result<bool> {
-        self.body.clear();
-        self.body.push(TAG_SEAL);
-        seal.put(&mut self.body);
-        self.append_frame()?;
+        self.append(|b| {
+            b.push(TAG_SEAL);
+            seal.put(b);
+        })?;
         self.file.sync_data()?;
         if seal.boundary {
             self.boundary_seals += 1;
@@ -270,17 +263,15 @@ impl EpochLog {
     /// temp file first and is renamed into place, so a crash leaves
     /// either the old snapshot or the new one — never a torn mix.
     pub fn snapshot<S: Wire>(&mut self, seal: &SealInfo, states: &[S]) -> std::io::Result<()> {
-        self.body.clear();
-        seal.put(&mut self.body);
-        put_slice(states, &mut self.body);
-        self.frame.clear();
-        let body = std::mem::take(&mut self.body);
-        frame_into(&body, &mut self.frame);
-        self.body = body;
+        self.record.clear();
+        frame_into(&mut self.record, |b| {
+            seal.put(b);
+            put_slice(states, b);
+        });
         let tmp = self.snap_path.with_extension("snap.tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&self.frame)?;
+            f.write_all(&self.record)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, &self.snap_path)?;

@@ -281,7 +281,17 @@ where
     let net: TcpNet<StoreMsg<T::Input, T::Output, T::State>> =
         TcpNet::new(n).expect("bind + handshake the loopback TCP mesh");
     let stats = net.stats();
-    run_on(adt, cfg, gen, stats, net.into_endpoints())
+    let tcp_stats = net.tcp_stats();
+    let mut report = run_on(adt, cfg, gen, stats, net.into_endpoints());
+    // the mesh's transport counters ride along as ordinary metrics:
+    // informational (scheduling decides how frames coalesce), looked
+    // up by name, in no deterministic column
+    report.metrics.extend(
+        tcp_stats
+            .snapshot()
+            .map(|(name, value)| (name.to_string(), value)),
+    );
+    report
 }
 
 /// Transport-generic engine core: everything [`run`] and [`run_tcp`]

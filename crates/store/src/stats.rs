@@ -349,6 +349,14 @@ impl StoreReport {
             && self.drains_converged
             && (!self.monitor.enabled || self.monitor.violations == 0)
     }
+
+    /// One row of [`StoreReport::metrics`], by name.
+    pub fn metric(&self, name: &str) -> Option<u64> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
 }
 
 #[cfg(test)]

@@ -23,11 +23,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 fn metric(r: &StoreReport, name: &str) -> u64 {
-    r.metrics
-        .iter()
-        .find(|(n, _)| n == name)
+    r.metric(name)
         .unwrap_or_else(|| panic!("metric {name} not in snapshot"))
-        .1
 }
 
 #[test]
