@@ -7,10 +7,9 @@
 //! contrast to the window stream (order-sensitive) in tests and benches.
 
 use crate::adt::{Adt, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of the counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtInput {
     /// Add `n` (signed; pure update).
     Add(i64),
@@ -19,7 +18,7 @@ pub enum CtInput {
 }
 
 /// Output alphabet of the counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtOutput {
     /// `⊥`, returned by `Add`.
     Ack,

@@ -10,11 +10,10 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Input alphabet of the KV store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KvInput {
     /// Map `key ↦ value` (pure update).
     Put(Value, Value),
@@ -29,7 +28,7 @@ pub enum KvInput {
 }
 
 /// Output alphabet of the KV store.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KvOutput {
     /// `⊥`, returned by updates.
     Ack,

@@ -10,10 +10,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogInput {
     /// Append an entry (pure update).
     Append(Value),
@@ -24,7 +23,7 @@ pub enum LogInput {
 }
 
 /// Output alphabet of the log.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogOutput {
     /// `⊥`, returned by appends.
     Ack,

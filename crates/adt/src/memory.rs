@@ -11,10 +11,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::{Value, DEFAULT_VALUE};
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of `M_X`: `Σi = {r_x, w_x(v) : v ∈ ℕ, x ∈ X}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemInput {
     /// `w_x(v)` — write `v` into register `x` (pure update).
     Write(usize, Value),
@@ -32,7 +31,7 @@ impl MemInput {
 }
 
 /// Output alphabet of `M_X`: `Σo = ℕ ∪ {⊥}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOutput {
     /// `⊥`, returned by writes.
     Ack,

@@ -14,10 +14,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of the queue `Q`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QInput {
     /// `push(v)` — append `v` at the tail (pure update).
     Push(Value),
@@ -26,7 +25,7 @@ pub enum QInput {
 }
 
 /// Output alphabet of the queue `Q`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QOutput {
     /// `⊥`, returned by pushes.
     Ack,
@@ -81,7 +80,7 @@ impl Adt for FifoQueue {
 }
 
 /// Input alphabet of the queue `Q'` (Fig. 3g).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QpInput {
     /// `push(v)` — append `v` at the tail (pure update).
     Push(Value),
@@ -92,7 +91,7 @@ pub enum QpInput {
 }
 
 /// Output alphabet of the queue `Q'`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QpOutput {
     /// `⊥`, returned by `push` and `rh`.
     Ack,

@@ -8,10 +8,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::{Value, DEFAULT_VALUE};
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of a register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegInput {
     /// `w(v)` — write `v` (pure update).
     Write(Value),
@@ -20,7 +19,7 @@ pub enum RegInput {
 }
 
 /// Output alphabet of a register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegOutput {
     /// `⊥`, returned by writes.
     Ack,

@@ -8,11 +8,10 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Input alphabet of the set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetInput {
     /// Insert `v` (pure update).
     Add(Value),
@@ -25,7 +24,7 @@ pub enum SetInput {
 }
 
 /// Output alphabet of the set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOutput {
     /// `⊥`, returned by updates.
     Ack,

@@ -16,13 +16,12 @@
 //! composite is a plain [`Adt`] and works with every checker.
 
 use crate::adt::{Adt, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an object inside an [`ObjectSpace`].
 pub type ObjId = u32;
 
 /// An input addressed to one object of the space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpaceInput<I> {
     /// Target object.
     pub obj: ObjId,

@@ -3,10 +3,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkInput {
     /// `push(v)` — push on top (pure update).
     Push(Value),
@@ -17,7 +16,7 @@ pub enum SkInput {
 }
 
 /// Output alphabet of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkOutput {
     /// `⊥`, returned by pushes.
     Ack,

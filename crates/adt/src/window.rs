@@ -14,10 +14,9 @@
 
 use crate::adt::{Adt, OpKind};
 use crate::{Value, DEFAULT_VALUE};
-use serde::{Deserialize, Serialize};
 
 /// Input alphabet of `Wk`: `Σi = {r} ∪ {w(v) : v ∈ ℕ}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WInput {
     /// `w(v)` — shift `v` into the window (pure update).
     Write(Value),
@@ -26,7 +25,7 @@ pub enum WInput {
 }
 
 /// Output alphabet of `Wk`: `Σo = ℕ^k ∪ {⊥}`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WOutput {
     /// `⊥`, returned by writes.
     Ack,
@@ -112,7 +111,7 @@ fn shift_in(q: &[Value], v: Value) -> Vec<Value> {
 }
 
 /// Input alphabet of `W_k^K` (array of `K` window streams of size `k`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaInput {
     /// `write(x, v)` — `w(v)` on stream `x` (pure update).
     Write(usize, Value),
@@ -121,7 +120,7 @@ pub enum WaInput {
 }
 
 /// Output alphabet of `W_k^K`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WaOutput {
     /// `⊥`, returned by writes.
     Ack,

@@ -1,6 +1,6 @@
 //! The workspace's one binary codec.
 //!
-//! The offline `serde` stand-in has no serializer, so everything that
+//! The workspace vendors no serializer crate, so everything that
 //! leaves a process — engine messages over `cbm_net::tcp`, leg specs
 //! and reports over the bench control protocol, epoch-log records on
 //! disk — encodes through the hand-rolled [`Wire`] trait instead. The

@@ -706,7 +706,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON (the offline `serde` stand-in has no serializer;
+/// Hand-rolled JSON (the workspace vendors no serializer;
 /// the explicit schema doubles as documentation).
 fn render_json(quick: bool, seeds: u64, rf: usize, cells: &[Cell]) -> String {
     let mut s = String::new();

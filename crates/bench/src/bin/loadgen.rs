@@ -1315,7 +1315,7 @@ fn append_summary(
     cbm_bench::append_summary_table(path, "Per-epoch activity", &columns, &epoch_rows)
 }
 
-/// Hand-rolled JSON (the offline `serde` stand-in has no serializer;
+/// Hand-rolled JSON (the workspace vendors no serializer;
 /// the explicit schema doubles as documentation).
 fn render_json(quick: bool, custom: bool, reports: &[(Leg, StoreReport)]) -> String {
     let mut s = String::new();

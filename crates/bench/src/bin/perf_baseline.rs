@@ -408,8 +408,8 @@ fn append_summary(
 }
 
 /// Extract `(criterion, ops_per_proc) -> nodes` from a committed
-/// baseline document (the offline `serde` stand-in has no
-/// deserializer; the emitter writes one checker cell per line, which
+/// baseline document (the workspace vendors no deserializer; the
+/// emitter writes one checker cell per line, which
 /// this scanner relies on).
 fn parse_checker_nodes(json: &str) -> std::collections::HashMap<(String, usize), u64> {
     let mut out = std::collections::HashMap::new();
@@ -426,8 +426,8 @@ fn parse_checker_nodes(json: &str) -> std::collections::HashMap<(String, usize),
     out
 }
 
-/// Hand-rolled JSON writer: the offline `serde` stand-in has no
-/// serializer, and the schema is small enough that explicit rendering
+/// Hand-rolled JSON writer: the workspace vendors no serializer,
+/// and the schema is small enough that explicit rendering
 /// doubles as its documentation.
 fn render_json(quick: bool, iters: u32, cells: &[CheckerCell], scens: &[ScenarioCell]) -> String {
     let mut s = String::new();

@@ -292,7 +292,7 @@ pub fn bar(value: f64, scale: f64, width: usize) -> String {
 /// `"key": "value"` on a line of the hand-rolled baseline JSON, if
 /// present. The committed `BENCH_*.json` emitters write one field per
 /// line, so the binaries' baseline parsers share these scanners
-/// instead of a deserializer (the offline `serde` stand-in has none) —
+/// instead of a deserializer (the workspace vendors none) —
 /// keeping the emitter convention and every parser in one crate.
 pub fn field_str(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\": \"");

@@ -32,8 +32,8 @@
 //! steady-state path allocates nothing beyond what `δ` itself clones;
 //! only query setup (reduction, CSR) touches the allocator. The u64
 //! memo admits a ~`nodes²/2⁶⁴` collision probability (a collision can
-//! prune a live branch); [`crate::kernel_ref`] retains the exact
-//! owned-key search as a differential oracle.
+//! prune a live branch); `tests/kernel_ref` retains the exact
+//! owned-key search as the differential oracle of `tests/kernel_diff.rs`.
 
 use cbm_adt::{Adt, OpKind};
 use cbm_history::{mix64, BitSet, MixHasher, U64Set};
@@ -97,7 +97,7 @@ pub struct LinQuery<'a, T: Adt, P: Pasts + ?Sized> {
 impl<'a, T: Adt, P: Pasts + ?Sized> LinQuery<'a, T, P> {
     /// Compute the retained event set (reduction 1): constrained
     /// outputs and updates, restricted to `include`.
-    pub(crate) fn effective_set(&self) -> BitSet {
+    pub fn effective_set(&self) -> BitSet {
         let n = self.labels.len();
         let mut eff = BitSet::new(n);
         for e in self.include.iter() {

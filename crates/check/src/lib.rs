@@ -59,7 +59,6 @@ pub mod cm;
 pub mod eventual;
 pub mod figures;
 pub mod kernel;
-pub mod kernel_ref;
 pub mod monitor;
 pub mod pc;
 pub mod sc;

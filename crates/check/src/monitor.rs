@@ -217,6 +217,19 @@ pub struct MonitorStats {
     pub kernel_unknown: u64,
 }
 
+impl std::ops::AddAssign for MonitorStats {
+    /// Field-wise sum: totals across replicas, or a restarted
+    /// monitor's counters continued from its last sealed cut.
+    fn add_assign(&mut self, s: MonitorStats) {
+        self.ops_checked += s.ops_checked;
+        self.folds += s.folds;
+        self.escalations += s.escalations;
+        self.cleared += s.cleared;
+        self.violations += s.violations;
+        self.kernel_unknown += s.kernel_unknown;
+    }
+}
+
 // sealed into every durable epoch-log cut (`cbm_store::durable`)
 cbm_adt::wire_struct!(MonitorStats {
     ops_checked,
@@ -324,9 +337,13 @@ impl<T: Adt> Ring<T> {
     }
 }
 
+/// Which replication discipline a [`Monitor`] shadows — the run-time
+/// choice behind the [`CcMonitor`] / [`CcvMonitor`] constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Discipline {
+pub enum Discipline {
+    /// Delivery-order fold (Fig. 4; certifies **CC**, Def. 9).
     Cc,
+    /// Lamport-arbitrated fold (Fig. 5; certifies **CCv**, Def. 12).
     Ccv,
 }
 
@@ -368,9 +385,11 @@ impl<T: Adt> Adt for Seeded<'_, T> {
     }
 }
 
-/// The shared monitor core (see [`CcMonitor`] / [`CcvMonitor`]).
+/// The streaming monitor: one type, its [`Discipline`] chosen at
+/// construction. [`CcMonitor`] / [`CcvMonitor`] are constructors that
+/// fix the discipline and `Deref` here.
 #[derive(Debug, Clone)]
-struct Core<T: Adt> {
+pub struct Monitor<T: Adt> {
     adt: T,
     discipline: Discipline,
     me: usize,
@@ -401,8 +420,10 @@ pub const DEFAULT_RING_CAP: usize = 12;
 /// Default bound on escalation windows handed to the DFS kernel.
 pub const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
 
-impl<T: Adt + Clone> Core<T> {
-    fn new(adt: T, discipline: Discipline, objects: usize, origins: usize, me: usize) -> Self {
+impl<T: Adt + Clone> Monitor<T> {
+    /// A monitor over `objects` object slots and `origins` replicas,
+    /// running at replica `me`.
+    pub fn new(adt: T, discipline: Discipline, objects: usize, origins: usize, me: usize) -> Self {
         let initial = adt.initial();
         let shadows = (0..objects.max(1))
             .map(|_| Shadow {
@@ -414,7 +435,7 @@ impl<T: Adt + Clone> Core<T> {
                 writes: 0,
             })
             .collect();
-        Core {
+        Monitor {
             adt,
             discipline,
             me,
@@ -429,7 +450,10 @@ impl<T: Adt + Clone> Core<T> {
         }
     }
 
-    fn on_own(
+    /// Fold one locally-invoked operation (query outputs are checked,
+    /// update effects folded). `time` is the op's Lamport time at
+    /// this replica.
+    pub fn on_own(
         &mut self,
         obj: u32,
         input: &T::Input,
@@ -461,7 +485,8 @@ impl<T: Adt + Clone> Core<T> {
         esc
     }
 
-    fn on_delivered(&mut self, obj: u32, input: &T::Input, stamp: Stamp) -> Option<Escalation> {
+    /// Fold one causally-delivered remote update.
+    pub fn on_delivered(&mut self, obj: u32, input: &T::Input, stamp: Stamp) -> Option<Escalation> {
         self.stats.folds += 1;
         self.delivered[stamp.origin] += 1;
         let mut esc = None;
@@ -499,7 +524,9 @@ impl<T: Adt + Clone> Core<T> {
         esc
     }
 
-    fn on_served_read(
+    /// Check the output of a routed read served *from* this replica
+    /// (certifies reads this replica answers for non-hosting peers).
+    pub fn on_served_read(
         &mut self,
         obj: u32,
         input: &T::Input,
@@ -784,7 +811,7 @@ impl<T: Adt + Clone> Core<T> {
     /// Drain compaction: every ring is cut at a stamps-ordered point
     /// (all later Lamport times exceed all folded ones), so the seed
     /// absorbs the fold and the escalation window restarts empty.
-    fn on_drain(&mut self) {
+    pub fn on_drain(&mut self) {
         for sh in &mut self.shadows {
             sh.seed = sh.state.clone();
             sh.ring.clear();
@@ -795,7 +822,7 @@ impl<T: Adt + Clone> Core<T> {
     /// a co-replica transfer. The shadow restarts from it — ring and
     /// last-writer context cleared, so no escalation window rebuilt
     /// after this point can contain pre-crash placeholders.
-    fn install_slot(&mut self, slot: usize, state: &T::State) {
+    pub fn install_slot(&mut self, slot: usize, state: &T::State) {
         let sh = &mut self.shadows[slot];
         sh.state = state.clone();
         sh.seed = state.clone();
@@ -806,124 +833,63 @@ impl<T: Adt + Clone> Core<T> {
     /// Recovery resync: restart the per-origin frontier (post-recovery
     /// stamps are all beyond the cut; monotonicity re-arms from the
     /// next delivery).
-    fn resync(&mut self) {
+    pub fn resync(&mut self) {
         for t in &mut self.last_ts {
             *t = None;
         }
     }
 
-    fn stats(&self) -> MonitorStats {
+    /// Counter snapshot.
+    pub fn stats(&self) -> MonitorStats {
         self.stats
     }
 
     /// Durable-restart seeding: add the counters a crashed monitor had
     /// persisted at its last sealed cut, so a restarted replica's totals
     /// continue from the cut instead of restarting at zero (shadows are
-    /// rebuilt separately via [`Core::install_slot`]).
-    fn seed_stats(&mut self, s: MonitorStats) {
-        self.stats.ops_checked += s.ops_checked;
-        self.stats.folds += s.folds;
-        self.stats.escalations += s.escalations;
-        self.stats.cleared += s.cleared;
-        self.stats.violations += s.violations;
-        self.stats.kernel_unknown += s.kernel_unknown;
+    /// rebuilt separately via [`Monitor::install_slot`]).
+    pub fn seed_stats(&mut self, s: MonitorStats) {
+        self.stats += s;
     }
 
-    fn frontier(&self) -> &[u64] {
+    /// Per-origin applied-update counts (the co/hb frontier).
+    pub fn frontier(&self) -> &[u64] {
         &self.delivered
     }
 }
 
-macro_rules! monitor_facade {
+/// `$name::new` builds a [`Monitor`] of one fixed discipline; every
+/// method is the [`Monitor`]'s, reached through `Deref`.
+macro_rules! monitor_of {
     ($name:ident, $discipline:expr, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone)]
-        pub struct $name<T: Adt>(Core<T>);
+        pub struct $name<T: Adt>(Monitor<T>);
 
         impl<T: Adt + Clone> $name<T> {
             /// A monitor over `objects` object slots and `origins`
             /// replicas, running at replica `me`.
             pub fn new(adt: T, objects: usize, origins: usize, me: usize) -> Self {
-                $name(Core::new(adt, $discipline, objects, origins, me))
+                $name(Monitor::new(adt, $discipline, objects, origins, me))
             }
+        }
 
-            /// Override the kernel budget for escalations.
-            pub fn with_budget(mut self, budget: Budget) -> Self {
-                self.0.budget = budget;
-                self
+        impl<T: Adt> std::ops::Deref for $name<T> {
+            type Target = Monitor<T>;
+            fn deref(&self) -> &Monitor<T> {
+                &self.0
             }
+        }
 
-            /// Fold one locally-invoked operation (query outputs are
-            /// checked, update effects folded). `time` is the op's
-            /// Lamport time at this replica.
-            pub fn on_own(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                output: &T::Output,
-                time: u64,
-            ) -> Option<Escalation> {
-                self.0.on_own(obj, input, output, time)
-            }
-
-            /// Fold one causally-delivered remote update.
-            pub fn on_delivered(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                stamp: Stamp,
-            ) -> Option<Escalation> {
-                self.0.on_delivered(obj, input, stamp)
-            }
-
-            /// Check the output of a routed read served *from* this
-            /// replica (certifies reads this replica answers for
-            /// non-hosting peers).
-            pub fn on_served_read(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                output: &T::Output,
-            ) -> Option<Escalation> {
-                self.0.on_served_read(obj, input, output)
-            }
-
-            /// Compact at a drain rendezvous: rings cut at a
-            /// stamps-ordered point, retained suffixes stay seeded.
-            pub fn on_drain(&mut self) {
-                self.0.on_drain()
-            }
-
-            /// Rebuild one object slot from a recovery state transfer.
-            pub fn install_slot(&mut self, slot: usize, state: &T::State) {
-                self.0.install_slot(slot, state)
-            }
-
-            /// Restart the per-origin frontier after a recovery resync.
-            pub fn resync(&mut self) {
-                self.0.resync()
-            }
-
-            /// Counter snapshot.
-            pub fn stats(&self) -> MonitorStats {
-                self.0.stats()
-            }
-
-            /// Seed the counters from a persisted snapshot (durable
-            /// restart continues totals from the sealed cut).
-            pub fn seed_stats(&mut self, s: MonitorStats) {
-                self.0.seed_stats(s)
-            }
-
-            /// Per-origin applied-update counts (the co/hb frontier).
-            pub fn frontier(&self) -> &[u64] {
-                self.0.frontier()
+        impl<T: Adt> std::ops::DerefMut for $name<T> {
+            fn deref_mut(&mut self) -> &mut Monitor<T> {
+                &mut self.0
             }
         }
     };
 }
 
-monitor_facade!(
+monitor_of!(
     CcMonitor,
     Discipline::Cc,
     "Streaming bad-pattern monitor for delivery-order (**CC**, Def. 9) \
@@ -932,7 +898,7 @@ monitor_facade!(
      escalate to the exact checkers (see the [module docs](self))."
 );
 
-monitor_facade!(
+monitor_of!(
     CcvMonitor,
     Discipline::Ccv,
     "Streaming bad-pattern monitor layering the arbitration/convergence \

@@ -1,5 +1,5 @@
 //! Differential test: the optimized mutate-and-undo kernel and the
-//! retained clone-per-node reference (`cbm_check::kernel_ref`) must
+//! retained clone-per-node reference (`tests/kernel_ref`) must
 //! agree on random small histories.
 //!
 //! The two implementations share the reductions and the candidate
@@ -21,8 +21,9 @@ use cbm_adt::queue::{FifoQueue, QInput, QOutput};
 use cbm_adt::window::{WInput, WOutput, WindowStream};
 use cbm_adt::Adt;
 use cbm_check::kernel::{LinQuery, Outcome};
-use cbm_check::kernel_ref::run_reference;
+mod kernel_ref;
 use cbm_history::{BitSet, HistoryBuilder, Relation};
+use kernel_ref::run_reference;
 use proptest::prelude::*;
 
 /// Compare optimized vs reference on one query; panics on divergence.

@@ -3,18 +3,18 @@
 //!
 //! This is the original, obviously-correct form of the kernel search,
 //! kept as a **differential oracle** for the optimized mutate-and-undo
-//! kernel in [`crate::kernel`]: same reductions, same candidate order,
+//! kernel in [`cbm_check::kernel`]: same reductions, same candidate order,
 //! same budget accounting — but it clones the `done` set and the ADT
 //! state at every node and memoises on owned `(BitSet, State)` pairs,
 //! so it cannot suffer 64-bit memo-hash collisions. The property test
-//! `tests/kernel_diff.rs` checks that both agree (verdict and budget
+//! `tests/kernel_diff.rs` (this module's one user) checks that both agree (verdict and budget
 //! behaviour, modulo `Unknown`) on random small histories.
 //!
 //! Do not use this on hot paths; it allocates two clones per search
 //! node.
 
-use crate::kernel::{LinQuery, Outcome, Pasts};
 use cbm_adt::Adt;
+use cbm_check::kernel::{LinQuery, Outcome, Pasts};
 use cbm_history::BitSet;
 use std::collections::HashSet;
 

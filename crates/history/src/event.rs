@@ -1,10 +1,9 @@
 //! Events and labels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an event within a [`crate::History`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub u32);
 
 impl EventId {
@@ -23,7 +22,7 @@ impl fmt::Display for EventId {
 
 /// Identifier of a sequential process (a maximal chain in the common
 /// disjoint-chains case).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -47,7 +46,7 @@ impl fmt::Display for ProcId {
 /// (Definition 2). Recorded executions always carry full labels; hidden
 /// labels arise from projections and from workloads that model
 /// fire-and-forget updates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Label<I, O> {
     /// The input symbol `σi` (the method and its arguments).
     pub input: I,

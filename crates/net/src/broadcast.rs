@@ -37,11 +37,10 @@
 
 use crate::clock::VectorClock;
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An envelope of the causal broadcast: payload plus causal metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalMsg<P> {
     /// Broadcaster.
     pub sender: NodeId,
@@ -234,7 +233,7 @@ pub use crate::mask::{full_interest, InterestMask};
 /// under partial replication a receiver only ever sees the envelopes it
 /// is interested in, so its causal metadata must count envelopes on
 /// interest edges, not global broadcasts it will never get.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterestMsg<P> {
     /// Multicaster.
     pub sender: NodeId,
@@ -770,7 +769,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
 }
 
 /// An envelope of the FIFO broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FifoMsg<P> {
     /// Broadcaster.
     pub sender: NodeId,
@@ -851,7 +850,7 @@ impl RawBroadcast {
 }
 
 /// Messages of the sequencer protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeqMsg<P> {
     /// Client → sequencer: please order this payload.
     Submit {

@@ -2,11 +2,10 @@
 //! (the timestamp arbitration of Fig. 5).
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A vector clock over a fixed cluster size.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock(Vec<u64>);
 
 impl VectorClock {
@@ -85,7 +84,7 @@ impl VectorClock {
 /// A Lamport scalar clock (§6.3: "a logical Lamport's clock is a
 /// pre-total order; to have a total order, writes are timestamped with
 /// a pair (logical time, process id)").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LamportClock(u64);
 
 impl LamportClock {
@@ -115,7 +114,7 @@ impl LamportClock {
 
 /// A totally ordered timestamp `(time, process id)` — the arbitration
 /// key of the Fig. 5 algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp {
     /// Lamport time (compare first).
     pub time: u64,

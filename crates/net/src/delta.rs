@@ -33,7 +33,6 @@
 //! is testable rather than asserted.
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Bytes of the LEB128 encoding of `v` (1 byte per 7 bits, ≥ 1).
 pub fn varint_len(v: u64) -> usize {
@@ -80,7 +79,7 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 /// matrix view it needs by overlaying these rows on the view carried
 /// over from the edge's previous envelope (per-edge FIFO delivery
 /// makes that view well-defined).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KnowledgeDelta {
     /// `(row index, non-zero cells as (column, value))`, both levels
     /// ascending.

@@ -9,13 +9,11 @@
 //! and funnels every construction through checked bit operations so no
 //! shift-overflow path survives for `n ≥ 64`.
 
-use serde::{Deserialize, Serialize};
-
 /// The recipient set of an interest-filtered multicast (bit `i` = node
 /// `i` is interested). Fixed-width inline bitset; the node bound is
 /// [`InterestMask::MAX_NODES`], asserted by
 /// [`crate::broadcast::InterestCausalBroadcast::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterestMask {
     words: [u64; Self::WORDS],
 }

@@ -1,0 +1,387 @@
+//! The paper's two handlers, and nothing else.
+//!
+//! Fig. 4 (CC) and Fig. 5 (CCv) are the same pair of handlers over a
+//! different object table — *on update: apply locally and causally
+//! broadcast; on delivery: apply* — and this file is that pair for a
+//! sharded object space: [`Worker::execute`] is "on update" (and the
+//! wait-free local query), [`Worker::deliver`] is "on delivery", and
+//! the rest is the plumbing between them and the wire: the op step,
+//! batching and shipping, the inbound message switch, and the one op
+//! that is not wait-free — a read of a shard this replica does not
+//! host ([`Worker::remote_read`]).
+//!
+//! ## Execution model
+//!
+//! Each worker thread is a replica of the shards assigned to it by the
+//! [`ShardMap`] (every shard under the default full-replication
+//! placement). Its loop is wait-free for **replica-local** operations:
+//! it generates its next operation, answers queries on hosted objects
+//! from its local object table, applies and queues updates for the
+//! interest-filtered batched causal multicast, and integrates whatever
+//! peers' batches have arrived — never blocking on another replica
+//! (§6.1's process model under a real scheduler). Under partial
+//! replication two routed paths appear: updates always execute at a
+//! replica of their object (non-hosted updates are deterministically
+//! re-addressed, [`ShardMap::localize`]), and a read of a non-hosted
+//! object travels to a live replica of its shard over a reliable
+//! request/reply exchange (the one place a worker waits — the price
+//! §1's wait-freedom result puts on reading state you do not
+//! replicate). See `docs/SHARDING.md`.
+//!
+//! ## Interest edges
+//!
+//! Replication runs over [`InterestBatchCausalBroadcast`]: updates
+//! queue per shard (one batch is only ever addressed to the replicas
+//! interested in all of its contents) and every flushed envelope is
+//! stamped per recipient with per-edge sequence numbers, so gap
+//! detection, duplicate suppression, and the drain's nack/repair round
+//! all work per **interest edge** — no part of the protocol assumes a
+//! receiver sees every envelope a sender emits.
+//!
+//! Everything that watches these handlers — log, tracing, checking,
+//! window sampling — hangs off [`Taps`]; the epoch schedule and the
+//! rendezvous are in `drain.rs`, crash recovery in `recovery.rs`.
+
+use super::counters::{Counters, Published};
+use super::drain::Coordinator;
+use super::taps::Taps;
+use crate::chaos::ChaosSchedule;
+use crate::config::StoreConfig;
+use crate::objects::ObjectTable;
+use crate::record::WindowRecord;
+use crate::shard::ShardMap;
+use crate::stats::{EpochMetrics, RecoveryStats};
+use crate::wire::{batch_bytes, read_reply_bytes, read_req_bytes, BatchMsg, StoreMsg, WireOp};
+use cbm_adt::space::SpaceInput;
+use cbm_adt::wire::Wire;
+use cbm_adt::Adt;
+use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMask};
+use cbm_net::chaos::ChaosEndpoint;
+use cbm_net::clock::{LamportClock, Timestamp};
+use cbm_net::endpoint::Endpoint as EndpointApi;
+use cbm_net::fault::FaultSchedule;
+use cbm_net::NodeId;
+use rand::rngs::StdRng;
+use std::sync::mpsc;
+use std::time::Instant;
+
+/// The chaos layer wrapped around a worker's transport endpoint,
+/// generic over the underlying transport `E` (thread channels or TCP).
+pub(super) type WorkerEndpoint<T, E> =
+    ChaosEndpoint<StoreMsg<<T as Adt>::Input, <T as Adt>::Output, <T as Adt>::State>, E>;
+
+pub(super) struct Worker<'a, T: Adt, E> {
+    pub(super) adt: &'a T,
+    pub(super) cfg: &'a StoreConfig,
+    pub(super) sched: &'a ChaosSchedule,
+    pub(super) map: &'a ShardMap,
+    pub(super) ep: WorkerEndpoint<T, E>,
+    pub(super) coord: &'a Coordinator,
+    pub(super) me: NodeId,
+    pub(super) proto: InterestBatchCausalBroadcast<WireOp<T::Input>>,
+    pub(super) table: ObjectTable<T>,
+    pub(super) clock: LamportClock,
+    fault_sched: FaultSchedule,
+    pub(super) vtime: u64,
+    pub(super) crashed: bool,
+    /// Drains started so far (also the transport marker a cut waits for).
+    pub(super) quiesce_idx: u64,
+    /// Precomputed `sched.can_lose()` (checked on every flush).
+    loss_capable: bool,
+    /// Per-recipient envelopes flushed since the last completed drain
+    /// (the per-edge repair logs).
+    pub(super) epoch_sent: Vec<Vec<BatchMsg<T::Input>>>,
+    /// Read-routing table for the current epoch: a live replica per
+    /// shard, recomputed at every boundary from the shared schedule.
+    pub(super) read_route: Vec<NodeId>,
+    /// This worker's cumulative counters; `c.ops` doubles as the
+    /// script position.
+    pub(super) c: Counters,
+    /// `c` as of the last epoch close (per-epoch row deltas).
+    pub(super) prev: Counters,
+    pub(super) published: &'a Published,
+    /// Deterministic per-epoch counter rows, epoch order.
+    pub(super) rows: Vec<EpochMetrics>,
+    pub(super) recoveries: Vec<RecoveryStats>,
+    /// In-run crash recovery goes through the disk ladder (own log
+    /// replay + co-replica delta fetch) instead of full state transfer.
+    pub(super) disk_recovery: bool,
+    /// Recovery-phase handshakes that arrived while this worker was
+    /// blocked on a different span's handshake (simultaneous spans).
+    #[allow(clippy::type_complexity)]
+    pub(super) stash: Vec<(NodeId, StoreMsg<T::Input, T::Output, T::State>)>,
+    pub(super) taps: Taps<'a, T>,
+}
+
+impl<'a, T, E> Worker<'a, T, E>
+where
+    T: Adt + Clone + Sync,
+    T::Input: Wire + Send + Sync,
+    T::Output: Send,
+    T::State: Wire + Send + Sync,
+    E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
+{
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn new(
+        adt: &'a T,
+        cfg: &'a StoreConfig,
+        sched: &'a ChaosSchedule,
+        map: &'a ShardMap,
+        ep: E,
+        coord: &'a Coordinator,
+        tx: mpsc::Sender<WindowRecord<T>>,
+        published: &'a Published,
+        t0: Instant,
+    ) -> Self {
+        let me = ep.me();
+        let n = ep.cluster_size();
+        // the chaos RNG stream is decorrelated from the workload RNGs
+        let chaos_seed = cfg
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(me as u64)
+            ^ 0xC4A0_5C4A_05C4_A05C;
+        let taps = Taps::new(adt, cfg, map, me, super::tracing(cfg, sched), tx, t0);
+        let mut ep = ChaosEndpoint::new(ep, chaos_seed);
+        if let Some(cap) = taps.fault_event_cap() {
+            ep.record_events(cap);
+        }
+        Worker {
+            adt,
+            cfg,
+            sched,
+            map,
+            ep,
+            coord,
+            me,
+            proto: InterestBatchCausalBroadcast::new(me, n),
+            table: ObjectTable::new(adt, cfg.objects.max(1), cfg.mode),
+            clock: LamportClock::new(),
+            fault_sched: sched.link_plan.clone().into_schedule(),
+            vtime: 0,
+            crashed: false,
+            quiesce_idx: 0,
+            loss_capable: sched.can_lose(),
+            epoch_sent: vec![Vec::new(); n],
+            read_route: vec![0; map.shards()],
+            c: Counters::default(),
+            prev: Counters::default(),
+            published,
+            rows: Vec::new(),
+            recoveries: Vec::new(),
+            disk_recovery: taps.logging() && cfg.durable.recover_from_disk,
+            stash: Vec::new(),
+            taps,
+        }
+    }
+
+    /// One operation of the hot loop.
+    pub(super) fn step<G>(&mut self, gen: &G, rng: &mut StdRng)
+    where
+        G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
+    {
+        self.vtime += 1;
+        self.advance_faults();
+        self.pump();
+        let op = gen(self.me, self.c.ops, rng);
+        self.execute(op);
+        self.c.ops += 1;
+    }
+
+    /// Apply due fault events and release due held-back sends.
+    pub(super) fn advance_faults(&mut self) {
+        self.fault_sched.apply_due(&mut self.ep, self.vtime);
+        self.ep.advance_to(self.vtime);
+    }
+
+    /// Execute one operation against the local replica. Updates and
+    /// hosted reads are wait-free; a read of a non-hosted object blocks
+    /// on a routed request/reply (serving peers' traffic meanwhile).
+    fn execute(&mut self, op: SpaceInput<T::Input>) {
+        let t = Instant::now();
+        let is_update = self.adt.is_update(&op.input);
+        if !is_update && !self.map.hosts(self.me, self.map.shard_of(op.obj)) {
+            let shard = self.map.shard_of(op.obj);
+            let server = self.read_route[shard];
+            self.remote_read(server, op.obj, op.input);
+            self.taps.read_routed(t, self.c.ops, op.obj, shard, server);
+            return;
+        }
+        // updates always execute at a replica of their object
+        let obj = if is_update {
+            self.map.localize(self.me, op.obj)
+        } else {
+            op.obj
+        };
+        let ts = Timestamp::new(self.clock.tick(), self.me);
+        let output = self.table.output(self.adt, obj, &op.input);
+        if is_update {
+            self.c.updates += 1;
+            self.table.apply_update(self.adt, obj, ts, &op.input);
+        } else {
+            self.c.reads += 1;
+        }
+        let wseq = self
+            .taps
+            .own_op(self.c.ops, obj, ts, &op.input, output, is_update);
+        if is_update {
+            let mask = self.map.mask(self.map.shard_of(obj));
+            if mask != InterestMask::solo(self.me) {
+                // at least one other replica is interested
+                let pending = self.proto.push(
+                    WireOp {
+                        obj,
+                        input: op.input,
+                        ts,
+                        wseq,
+                    },
+                    mask,
+                );
+                self.c.peak_pending = self.c.peak_pending.max(pending as u64);
+                if pending >= self.cfg.batch.threshold() {
+                    self.flush_mask(mask);
+                }
+            }
+        }
+        self.taps.op_done(t, self.c.ops, obj, is_update);
+    }
+
+    /// Route a read of a non-hosted object to `server`, a live replica
+    /// of its shard, and wait for the reply — serving every other
+    /// message kind while waiting, so two workers reading across each
+    /// other can never deadlock.
+    fn remote_read(&mut self, server: NodeId, obj: u32, input: T::Input) {
+        self.c.remote_reads += 1;
+        self.c.reads += 1;
+        self.ep.send_reliable(
+            server,
+            StoreMsg::ReadReq { obj, input },
+            read_req_bytes::<T::Input>(),
+        );
+        loop {
+            match self.ep.recv() {
+                Some((from, msg)) => {
+                    if self.handle(from, msg).is_some() {
+                        return;
+                    }
+                }
+                None => unreachable!("mesh closed while a routed read was in flight"),
+            }
+        }
+    }
+
+    /// Seal and ship one mask's pending batch through the fault layer.
+    fn flush_mask(&mut self, mask: InterestMask) {
+        let envs = self.proto.flush_mask(mask);
+        self.ship(envs);
+    }
+
+    /// Ship every pending batch, in first-push mask order (drains).
+    pub(super) fn flush_all(&mut self) {
+        let envs = self.proto.flush_all();
+        self.ship(envs);
+    }
+
+    /// Send stamped envelopes through the fault layer, keeping each
+    /// in its recipient's epoch repair log when faults can lose it —
+    /// the one place that rule and the byte accounting live, so the
+    /// threshold-flush and drain-flush paths can never diverge.
+    fn ship(&mut self, envs: Vec<(NodeId, BatchMsg<T::Input>)>) {
+        // exact per-envelope delta header sizes (the dense era charged
+        // a flat 8·n² here); sizes depend on flush-time knowledge, so
+        // this counter — unlike message/batch/payload counts — is not
+        // interleaving-deterministic
+        self.c.matrix_bytes += envs
+            .iter()
+            .map(|(_, e)| e.knows.wire_len(e.sender, e.seq) as u64)
+            .sum::<u64>();
+        self.c.payload_copy_ops += envs
+            .iter()
+            .map(|(_, e)| e.payload.len() as u64)
+            .sum::<u64>();
+        self.taps.flushed(&envs, &self.proto);
+        for (to, env) in envs {
+            let bytes = batch_bytes(&env);
+            if self.loss_capable {
+                // the repair log only matters when faults can lose
+                // envelopes (and hence nacks can arrive); fault-free,
+                // duplication-only, and latency-only runs skip the
+                // clone and the kept memory on their hot path
+                self.epoch_sent[to].push(env.clone());
+            }
+            self.ep.send(to, StoreMsg::Batch(env), bytes);
+        }
+    }
+
+    /// Handle one inbound message; returns the output when it answers
+    /// this worker's outstanding routed read.
+    pub(super) fn handle(
+        &mut self,
+        from: NodeId,
+        msg: StoreMsg<T::Input, T::Output, T::State>,
+    ) -> Option<T::Output> {
+        match msg {
+            StoreMsg::Batch(env) => self.deliver(env),
+            StoreMsg::Repair(envs) => {
+                for env in envs {
+                    self.deliver(env);
+                }
+            }
+            StoreMsg::Nack => self.serve_nack(from),
+            StoreMsg::ReadReq { obj, input } => {
+                let output = self.table.output(self.adt, obj, &input);
+                self.c.reads_served += 1;
+                self.taps.served_read(self.c.ops, obj, &input, &output);
+                self.ep.send_reliable(
+                    from,
+                    StoreMsg::ReadReply { output },
+                    read_reply_bytes::<T::Output>(),
+                );
+            }
+            StoreMsg::ReadReply { output } => return Some(output),
+            StoreMsg::ShardSync(_) => {
+                // a state transfer outside the recovery phase is a
+                // protocol bug; tolerate and count rather than corrupt
+                // the replica
+                debug_assert!(false, "unexpected ShardSync outside recovery");
+                self.c.discarded += 1;
+            }
+            StoreMsg::SyncReq { .. } | StoreMsg::ShardDelta(_) => {
+                // the disk-recovery handshake lives entirely inside the
+                // boundary's recovery phase; anywhere else is a bug
+                debug_assert!(false, "recovery handshake outside the recovery phase");
+                self.c.discarded += 1;
+            }
+        }
+        None
+    }
+
+    /// Integrate everything that has arrived (non-blocking).
+    pub(super) fn pump(&mut self) -> bool {
+        let mut got_any = false;
+        while let Some((from, msg)) = self.ep.try_recv() {
+            got_any = true;
+            let reply = self.handle(from, msg);
+            debug_assert!(reply.is_none(), "read reply with no outstanding request");
+        }
+        got_any
+    }
+
+    /// Deliver one batch envelope through the interest causal layer.
+    fn deliver(&mut self, env: BatchMsg<T::Input>) {
+        for batch in self.proto.on_receive(env) {
+            self.c.delivered += 1;
+            self.taps.delivered(&batch, &self.proto);
+            for op in &batch.payload {
+                self.clock.observe(op.ts.time);
+                self.table.apply_update(self.adt, op.obj, op.ts, &op.input);
+                self.taps.delivered_op(self.c.ops, batch.sender, op);
+            }
+        }
+        self.c.peak_buffered = self.c.peak_buffered.max(self.proto.buffered() as u64);
+        self.c.peak_suppression = self
+            .c
+            .peak_suppression
+            .max(self.proto.suppression_len() as u64);
+    }
+}
