@@ -1300,6 +1300,37 @@ fn append_summary(
         )?;
     }
 
+    // Envelope buffer stock (docs/THROUGHPUT.md "What replication
+    // costs"): the two counts sum to the batch envelopes stamped; how
+    // they split is decided by how deep each worker's inbound backlog
+    // gets relative to its stock, i.e. by the scheduler.
+    let stock_rows: Vec<Vec<String>> = reports
+        .iter()
+        .filter_map(|(l, r)| {
+            let reused = r.metric("envelope_bufs_reused_total")?;
+            let allocated = r.metric("envelope_bufs_allocated_total")?;
+            (reused + allocated > 0).then(|| {
+                vec![
+                    l.name.clone(),
+                    reused.to_string(),
+                    allocated.to_string(),
+                    format!(
+                        "{:.1}%",
+                        100.0 * reused as f64 / (reused + allocated) as f64
+                    ),
+                ]
+            })
+        })
+        .collect();
+    if !stock_rows.is_empty() {
+        cbm_bench::append_summary_table(
+            path,
+            "Envelope buffers (informational, never gated)",
+            &["leg", "reused", "allocated", "reuse"],
+            &stock_rows,
+        )?;
+    }
+
     // Per-epoch dashboard: every column deterministic per
     // (config, seed), so this table diffs exactly across reruns.
     let mut epoch_rows: Vec<Vec<String>> = Vec::new();

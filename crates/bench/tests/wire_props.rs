@@ -237,9 +237,16 @@ arb_enum! {
     }
 }
 
+/// Built from the nested `(row, cells)` form (rows may be empty, which
+/// the decoders accept).
+impl Arb for KnowledgeDelta {
+    fn arb(g: &mut StdRng) -> Self {
+        KnowledgeDelta::from_rows(Vec::<(u32, Vec<(u32, u64)>)>::arb(g))
+    }
+}
+
 arb_struct! {
     Timestamp { time, pid }
-    KnowledgeDelta { rows }
     InterestMsg<P> { sender, seq, knows, payload }
     FaultEvent { at, fault }
     MonitorStats { ops_checked, folds, escalations, cleared, violations, kernel_unknown }

@@ -36,6 +36,7 @@
 //! ```
 
 use crate::clock::VectorClock;
+use crate::stock::Stock;
 use crate::NodeId;
 use std::collections::VecDeque;
 
@@ -342,6 +343,10 @@ pub struct InterestCausalBroadcast<P> {
     /// delivery makes "the previous envelope on this edge" well-defined
     /// at both ends, which is what makes delta encoding sound.
     edge_col: Vec<u64>,
+    /// Emptied headers handed back by
+    /// [`recycle_header`](Self::recycle_header): the next stamp refills
+    /// one in place instead of allocating.
+    headers: Stock<KnowledgeDelta>,
 }
 
 impl<P: Clone> InterestCausalBroadcast<P> {
@@ -366,6 +371,7 @@ impl<P: Clone> InterestCausalBroadcast<P> {
             row_ver: vec![0; n],
             sent_ver: vec![0; n],
             edge_col: vec![0; n * n],
+            headers: Stock::default(),
         }
     }
 
@@ -384,14 +390,32 @@ impl<P: Clone> InterestCausalBroadcast<P> {
         payload: P,
         recipients: InterestMask,
     ) -> Vec<(NodeId, InterestMsg<P>)> {
+        let mut out = Vec::new();
+        self.multicast_into(payload, recipients, P::clone, &mut out);
+        out
+    }
+
+    /// [`multicast`](Self::multicast) into a caller-kept vector, with
+    /// the caller choosing how a recipient's copy of the payload is
+    /// made: `copy` runs once per recipient but the last, which takes
+    /// `payload` itself — a fan-out of `k` costs `k - 1` copies.
+    pub fn multicast_into(
+        &mut self,
+        payload: P,
+        recipients: InterestMask,
+        mut copy: impl FnMut(&P) -> P,
+        out: &mut Vec<(NodeId, InterestMsg<P>)>,
+    ) {
         let n = self.cluster_size();
         let me = self.me;
-        let targets: Vec<NodeId> = recipients.iter().filter(|&r| r != me && r < n).collect();
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        for &r in &targets {
+        let targets = || recipients.iter().filter(move |&r| r != me && r < n);
+        let mut left = 0usize;
+        for r in targets() {
             self.edge_sent[r] += 1;
+            left += 1;
+        }
+        if left == 0 {
+            return;
         }
         // the logical stamp is still one matrix snapshot per flush: row
         // `me` is the post-increment edge counts (so each recipient's
@@ -405,38 +429,59 @@ impl<P: Clone> InterestCausalBroadcast<P> {
         // zero-in-every-earlier-stamp: the sparseness is exact).
         self.ver += 1;
         self.row_ver[me] = self.ver;
-        let mut out = Vec::with_capacity(targets.len());
-        for &r in &targets {
-            let mut rows = Vec::new();
-            for j in 0..n {
-                if self.row_ver[j] <= self.sent_ver[r] {
-                    continue;
-                }
-                let row = if j == me {
-                    &self.edge_sent[..]
-                } else {
-                    &self.seen[j * n..(j + 1) * n]
-                };
-                let cells: Vec<(u32, u64)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != 0)
-                    .map(|(c, &v)| (c as u32, v))
-                    .collect();
-                rows.push((j as u32, cells));
+        let mut payload = Some(payload);
+        for r in targets() {
+            let mut knows = self.headers.draw().unwrap_or_default();
+            let dirty = |j: &usize| self.row_ver[*j] > self.sent_ver[r];
+            // size the header before filling it, so a fresh one is two
+            // allocations and a recycled one usually none
+            let cells = (0..n)
+                .filter(dirty)
+                .map(|j| self.row(j).iter().filter(|&&v| v != 0).count())
+                .sum();
+            knows.reserve((0..n).filter(dirty).count(), cells);
+            for j in (0..n).filter(dirty) {
+                let cells = self.row(j).iter().enumerate();
+                knows.push_row(
+                    j as u32,
+                    cells.filter(|&(_, &v)| v != 0).map(|(c, &v)| (c as u32, v)),
+                );
             }
             self.sent_ver[r] = self.ver;
+            left -= 1;
+            let payload = if left == 0 {
+                payload.take()
+            } else {
+                payload.as_ref().map(&mut copy)
+            };
             out.push((
                 r,
                 InterestMsg {
                     sender: me,
                     seq: self.edge_sent[r],
-                    knows: KnowledgeDelta { rows },
-                    payload: payload.clone(),
+                    knows,
+                    payload: payload.expect("the payload moves into the last envelope only"),
                 },
             ));
         }
-        out
+    }
+
+    /// Row `j` of this node's knowledge matrix as the next stamp
+    /// carries it: `edge_sent` for our own row, `seen` otherwise.
+    fn row(&self, j: NodeId) -> &[u64] {
+        if j == self.me {
+            &self.edge_sent
+        } else {
+            let n = self.cluster_size();
+            &self.seen[j * n..(j + 1) * n]
+        }
+    }
+
+    /// Hand back a delivered envelope's header once it has been folded
+    /// and read: it is emptied and kept (while the stock has room) for
+    /// the next stamp to refill.
+    pub fn recycle_header(&mut self, knows: KnowledgeDelta) {
+        self.headers.stow(knows);
     }
 
     /// Receive an envelope addressed to this node; returns every
@@ -445,11 +490,19 @@ impl<P: Clone> InterestCausalBroadcast<P> {
     /// endpoint's, so later multicasts carry the dependency forward
     /// (transitivity across uninterested intermediaries).
     pub fn on_receive(&mut self, msg: InterestMsg<P>) -> Vec<InterestMsg<P>> {
+        let mut out = Vec::new();
+        self.on_receive_into(msg, &mut out);
+        out
+    }
+
+    /// [`on_receive`](Self::on_receive), appending the deliverable
+    /// envelopes to a caller-kept vector.
+    pub fn on_receive_into(&mut self, msg: InterestMsg<P>, out: &mut Vec<InterestMsg<P>>) {
         if !self.stale(&msg) && self.pending.insert((msg.sender, msg.seq)) {
             self.pending_from[msg.sender] += 1;
             self.buffer.push(msg);
         }
-        let mut out = Vec::new();
+        let before = out.len();
         #[allow(clippy::while_let_loop)] // the loop body borrows self.buffer twice
         loop {
             let Some(pos) = self.buffer.iter().position(|m| self.deliverable(m)) else {
@@ -463,8 +516,8 @@ impl<P: Clone> InterestCausalBroadcast<P> {
             // fold — this edge's previous envelope (delivered first,
             // per-edge FIFO) already folded identical values, and
             // `seen` is monotone since
-            for (row, cells) in &m.knows.rows {
-                let j = *row as usize;
+            for (row, cells) in m.knows.rows() {
+                let j = row as usize;
                 // refresh this edge's carried-over view of our column
                 // (the decode baseline for the edge's next delta)
                 self.edge_col[s * n + j] = KnowledgeDelta::cell(cells, self.me);
@@ -486,7 +539,7 @@ impl<P: Clone> InterestCausalBroadcast<P> {
             }
             out.push(m);
         }
-        if !out.is_empty() {
+        if out.len() > before {
             let delivered = &self.delivered;
             let pending_from = &mut self.pending_from;
             self.pending.retain(|&(s, q)| {
@@ -500,7 +553,6 @@ impl<P: Clone> InterestCausalBroadcast<P> {
             self.buffer
                 .retain(|m| m.sender != me && m.seq > delivered[m.sender]);
         }
-        out
     }
 
     /// Already delivered (or sent by us)?
@@ -520,15 +572,13 @@ impl<P: Clone> InterestCausalBroadcast<P> {
         // delta rows so the gate is O(n + delta), not O(n · delta).
         let n = self.delivered.len();
         let s = m.sender;
-        let mut ri = 0usize;
+        let mut rows = m.knows.rows().peekable();
         for j in 0..n {
-            while ri < m.knows.rows.len() && (m.knows.rows[ri].0 as usize) < j {
-                ri += 1;
-            }
+            while rows.next_if(|(row, _)| (*row as usize) < j).is_some() {}
             if j == s || j == self.me {
                 continue;
             }
-            let v = match m.knows.rows.get(ri) {
+            let v = match rows.peek() {
                 Some((row, cells)) if *row as usize == j => KnowledgeDelta::cell(cells, self.me),
                 _ => self.edge_col[s * n + j],
             };
@@ -651,6 +701,38 @@ pub struct InterestBatchCausalBroadcast<P> {
     pending: Vec<(InterestMask, Vec<P>)>,
     batches_sent: u64,
     payloads_sent: u64,
+    bufs: PayloadBufs<P>,
+}
+
+/// Where an [`InterestBatchCausalBroadcast`]'s payload vectors come
+/// from: emptied payloads of delivered envelopes
+/// ([`recycle`](InterestBatchCausalBroadcast::recycle)) first, the
+/// allocator only when there is none.
+#[derive(Debug, Clone)]
+struct PayloadBufs<P> {
+    stock: Stock<Vec<P>>,
+    /// The largest batch flushed so far: what a freshly allocated
+    /// vector is sized to, so it never regrows on the way to the
+    /// caller's flush threshold.
+    batch_cap: usize,
+    reused: u64,
+    allocated: u64,
+}
+
+impl<P> PayloadBufs<P> {
+    /// An empty payload vector.
+    fn draw(&mut self) -> Vec<P> {
+        match self.stock.draw() {
+            Some(buf) => {
+                self.reused += 1;
+                buf
+            }
+            None => {
+                self.allocated += 1;
+                Vec::with_capacity(self.batch_cap)
+            }
+        }
+    }
 }
 
 impl<P: Clone> InterestBatchCausalBroadcast<P> {
@@ -662,6 +744,12 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
             pending: Vec::new(),
             batches_sent: 0,
             payloads_sent: 0,
+            bufs: PayloadBufs {
+                stock: Stock::default(),
+                batch_cap: 0,
+                reused: 0,
+                allocated: 0,
+            },
         }
     }
 
@@ -672,7 +760,9 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
             q.push(payload);
             return q.len();
         }
-        self.pending.push((recipients, vec![payload]));
+        let mut q = self.bufs.draw();
+        q.push(payload);
+        self.pending.push((recipients, q));
         1
     }
 
@@ -684,23 +774,48 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// Seal one mask's pending payloads into stamped per-recipient
     /// envelopes (empty if nothing is pending for the mask).
     pub fn flush_mask(&mut self, recipients: InterestMask) -> Vec<(NodeId, InterestMsg<Vec<P>>)> {
+        let mut out = Vec::new();
+        self.flush_mask_into(recipients, &mut out);
+        out
+    }
+
+    /// [`flush_mask`](Self::flush_mask), appending the envelopes to a
+    /// caller-kept vector. The last recipient's envelope carries the
+    /// pending batch itself; the others carry copies drawn from the
+    /// recycled stock.
+    pub fn flush_mask_into(
+        &mut self,
+        recipients: InterestMask,
+        out: &mut Vec<(NodeId, InterestMsg<Vec<P>>)>,
+    ) {
         let Some(pos) = self.pending.iter().position(|(m, _)| *m == recipients) else {
-            return Vec::new();
+            return;
         };
         let (mask, batch) = self.pending.remove(pos);
         self.batches_sent += 1;
         self.payloads_sent += batch.len() as u64;
-        self.inner.multicast(batch, mask)
+        self.bufs.batch_cap = self.bufs.batch_cap.max(batch.len());
+        let bufs = &mut self.bufs;
+        let copy = |batch: &Vec<P>| {
+            let mut buf = bufs.draw();
+            buf.extend_from_slice(batch);
+            buf
+        };
+        self.inner.multicast_into(batch, mask, copy, out);
     }
 
     /// Flush every pending mask, in first-push order (drain points).
     pub fn flush_all(&mut self) -> Vec<(NodeId, InterestMsg<Vec<P>>)> {
-        let masks: Vec<InterestMask> = self.pending.iter().map(|(m, _)| *m).collect();
         let mut out = Vec::new();
-        for m in masks {
-            out.extend(self.flush_mask(m));
-        }
+        self.flush_all_into(&mut out);
         out
+    }
+
+    /// [`flush_all`](Self::flush_all), appending to a caller-kept vector.
+    pub fn flush_all_into(&mut self, out: &mut Vec<(NodeId, InterestMsg<Vec<P>>)>) {
+        while let Some(&(mask, _)) = self.pending.first() {
+            self.flush_mask_into(mask, out);
+        }
     }
 
     /// Receive a batch envelope; returns every batch that becomes
@@ -708,6 +823,37 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// [`InterestCausalBroadcast::on_receive`]).
     pub fn on_receive(&mut self, msg: InterestMsg<Vec<P>>) -> Vec<InterestMsg<Vec<P>>> {
         self.inner.on_receive(msg)
+    }
+
+    /// [`on_receive`](Self::on_receive), appending to a caller-kept
+    /// vector.
+    pub fn on_receive_into(
+        &mut self,
+        msg: InterestMsg<Vec<P>>,
+        out: &mut Vec<InterestMsg<Vec<P>>>,
+    ) {
+        self.inner.on_receive_into(msg, out);
+    }
+
+    /// Hand back a delivered envelope once its payloads are applied:
+    /// its payload and header vectors are emptied and kept (up to a
+    /// fixed byte bound of each, `stock::STOCK_BYTES`) for the next
+    /// flush to leave in, so in steady state the buffer an update
+    /// arrived in is the buffer the next update leaves in, and the
+    /// sender's allocation is not freed from this thread.
+    pub fn recycle(&mut self, env: InterestMsg<Vec<P>>) {
+        self.bufs.stock.stow(env.payload);
+        self.inner.recycle_header(env.knows);
+    }
+
+    /// Payload vectors drawn from the recycled stock so far.
+    pub fn bufs_reused(&self) -> u64 {
+        self.bufs.reused
+    }
+
+    /// Payload vectors the stock could not supply (allocated).
+    pub fn bufs_allocated(&self) -> u64 {
+        self.bufs.allocated
     }
 
     /// Batch envelopes sent so far on the `me → r` edge.
@@ -747,7 +893,9 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// are discarded with the rest of the pre-crash in-flight state.
     pub fn resync(&mut self, delivered: &[u64], sent: &[u64]) {
         self.inner.resync(delivered, sent);
-        self.pending.clear();
+        while let Some((_, q)) = self.pending.pop() {
+            self.bufs.stock.stow(q);
+        }
     }
 
     /// Force the next envelope stamped for `r` to be a full knowledge
@@ -1302,6 +1450,99 @@ mod tests {
         assert_eq!(both.len(), 2);
         assert_eq!(both[0].payload, vec![9]);
         assert_eq!(both[1].payload, vec![7]);
+    }
+
+    /// Buffers circulate: after one warm-up round of a 4-replica
+    /// flush → deliver → recycle exchange, every envelope leaves in a
+    /// payload vector an earlier envelope arrived in, carrying exactly
+    /// what was pushed since — also across a `resync` — and the stock
+    /// stays inside its bound however much is handed back.
+    #[test]
+    fn recycled_buffers_carry_the_next_flush() {
+        use crate::stock::STOCK_BYTES;
+        use std::collections::HashSet;
+
+        const N: usize = 4;
+        let all = full_interest(N);
+        let mut nodes: Vec<_> = (0..N)
+            .map(|me| InterestBatchCausalBroadcast::<u64>::new(me, N))
+            .collect();
+        // one round: everyone flushes 8 payloads to everyone, every
+        // envelope is delivered and handed back; returns, per node, the
+        // payload buffers it sent in and the ones it recycled
+        let round = |nodes: &mut Vec<InterestBatchCausalBroadcast<u64>>, tag: u64| {
+            let mut sent = vec![HashSet::new(); N];
+            let mut recycled = vec![HashSet::new(); N];
+            let mut wire = Vec::new();
+            for (me, node) in nodes.iter_mut().enumerate() {
+                for k in 0..8 {
+                    node.push(tag * 100 + k, all);
+                }
+                node.flush_all_into(&mut wire);
+                for (_, env) in &wire[wire.len() - (N - 1)..] {
+                    assert_eq!(
+                        env.payload,
+                        (0..8).map(|k| tag * 100 + k).collect::<Vec<_>>()
+                    );
+                    sent[me].insert(env.payload.as_ptr());
+                }
+            }
+            for (to, env) in wire.drain(..) {
+                for got in nodes[to].on_receive(env) {
+                    recycled[to].insert(got.payload.as_ptr());
+                    nodes[to].recycle(got);
+                }
+            }
+            (sent, recycled)
+        };
+
+        let (_, warm) = round(&mut nodes, 1);
+        let allocated: Vec<u64> = nodes.iter().map(|n| n.bufs_allocated()).collect();
+        assert_eq!(
+            allocated, [3; N],
+            "cold: a pending batch and two copies each"
+        );
+        for node in &nodes {
+            assert_eq!(node.bufs.stock.len(), N - 1);
+            assert_eq!(node.inner.headers.len(), N - 1);
+        }
+        let (sent, _) = round(&mut nodes, 2);
+        for me in 0..N {
+            assert_eq!(
+                sent[me], warm[me],
+                "node {me} sent in the buffers it was handed"
+            );
+            assert_eq!(nodes[me].bufs_allocated(), 3, "nothing new allocated");
+            assert_eq!(nodes[me].bufs_reused(), 3);
+        }
+
+        // a resync discards pending payloads; their buffer comes back
+        // empty, so the next flush carries only what is pushed after
+        nodes[0].push(7, all);
+        nodes[0].push(8, all);
+        let held = nodes[0].bufs.stock.len();
+        nodes[0].resync(&[0, 2, 2, 2], &[0; N * N]);
+        assert_eq!(nodes[0].bufs.stock.len(), held + 1);
+        nodes[0].push(9, all);
+        for (_, env) in nodes[0].flush_all() {
+            assert_eq!(env.payload, [9]);
+        }
+
+        // the bound holds however many envelopes are handed back
+        let env = |cap: usize| InterestMsg {
+            sender: 1,
+            seq: 1,
+            knows: KnowledgeDelta::from_rows([(1, [(0, 1), (2, 1)])]),
+            payload: Vec::<u64>::with_capacity(cap),
+        };
+        for _ in 0..10_000 {
+            nodes[0].recycle(env(128));
+            assert!(nodes[0].bufs.stock.bytes() <= STOCK_BYTES);
+            assert!(nodes[0].inner.headers.bytes() <= STOCK_BYTES);
+        }
+        assert_eq!(nodes[0].bufs.stock.len(), STOCK_BYTES / (128 * 8));
+        nodes[0].recycle(env(0));
+        assert_eq!(nodes[0].bufs.stock.len(), STOCK_BYTES / (128 * 8));
     }
 
     #[test]

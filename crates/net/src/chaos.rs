@@ -289,37 +289,45 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
             self.count_drop(to);
             return;
         }
-        let copies = if self.links[to].dup_prob > 0.0 && self.rng.gen_bool(self.links[to].dup_prob)
-        {
+        if self.links[to].dup_prob > 0.0 && self.rng.gen_bool(self.links[to].dup_prob) {
             self.counters.dups += 1;
             self.stats().dup_per_node[to].fetch_add(1, Ordering::Relaxed);
             self.record(ChaosEventKind::Dup, to);
-            2
-        } else {
-            1
-        };
+            // the injected extra copy is the only clone: what a
+            // fault-free link sends is the message itself
+            self.dispatch(to, msg.clone(), bytes);
+        }
+        self.dispatch(to, msg, bytes);
+    }
+
+    /// Put one surviving copy on the wire, or hold it back if the link
+    /// is degraded.
+    fn dispatch(&mut self, to: NodeId, msg: M, bytes: usize) {
         let delay = self.links[to].extra_delay + self.skew;
-        for _ in 0..copies {
-            if delay > 0 {
-                self.counters.delayed += 1;
-                self.record(ChaosEventKind::Delay, to);
-                self.delayed.push(Delayed {
-                    due: self.vtime + delay,
-                    to,
-                    msg: msg.clone(),
-                    bytes,
-                });
-            } else {
-                self.transmit(to, msg.clone(), bytes);
-            }
+        if delay > 0 {
+            self.counters.delayed += 1;
+            self.record(ChaosEventKind::Delay, to);
+            self.delayed.push(Delayed {
+                due: self.vtime + delay,
+                to,
+                msg,
+                bytes,
+            });
+        } else {
+            self.transmit(to, msg, bytes);
         }
     }
 
-    /// Send one copy to every other node through the fault layer.
+    /// Send one copy to every other node through the fault layer (the
+    /// last peer's copy is `msg` itself).
     pub fn broadcast(&mut self, msg: M, bytes: usize) {
-        for to in 0..self.cluster_size() {
-            if to != self.me() {
+        let me = self.me();
+        let mut peers = (0..self.cluster_size()).filter(|&to| to != me).peekable();
+        while let Some(to) = peers.next() {
+            if peers.peek().is_some() {
                 self.send(to, msg.clone(), bytes);
+            } else {
+                return self.send(to, msg, bytes);
             }
         }
     }
@@ -548,6 +556,28 @@ mod tests {
         assert_eq!(s.bytes_sent, 4);
         assert_eq!(s.msgs_dropped(), 0);
         assert_eq!(a.counters(), ChaosCounters::default());
+    }
+
+    /// The fault-free path does not pay for fault injection: the one
+    /// undelayed copy is the message itself, not a deep copy of it.
+    #[test]
+    fn fault_free_send_moves_the_message() {
+        let mut net: ThreadNet<Vec<u64>> = ThreadNet::new(3);
+        let mut a = ChaosEndpoint::new(net.endpoint(0), 7);
+        let (b, c) = (net.endpoint(1), net.endpoint(2));
+        let msg = vec![1u64, 2, 3];
+        let heap = msg.as_ptr();
+        a.send(1, msg, 24);
+        let (_, got) = b.recv().unwrap();
+        assert_eq!(got, [1, 2, 3]);
+        assert_eq!(got.as_ptr(), heap, "same allocation end to end");
+
+        // broadcast: the last peer's copy is the original
+        let msg = vec![4u64; 8];
+        let heap = msg.as_ptr();
+        a.broadcast(msg, 64);
+        assert_ne!(b.recv().unwrap().1.as_ptr(), heap);
+        assert_eq!(c.recv().unwrap().1.as_ptr(), heap);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! on — and `encode`/`decode` round-trip the header so the exactness
 //! is testable rather than asserted.
 
+use crate::stock::Recycle;
 use crate::NodeId;
+use cbm_adt::wire::{put_slice, Wire};
 
 /// Bytes of the LEB128 encoding of `v` (1 byte per 7 bits, ≥ 1).
 pub fn varint_len(v: u64) -> usize {
@@ -79,22 +81,71 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 /// matrix view it needs by overlaying these rows on the view carried
 /// over from the edge's previous envelope (per-edge FIFO delivery
 /// makes that view well-defined).
+///
+/// Stored compressed-sparse-row, like the checker kernel's relations:
+/// one index of `(row, end of its cells)` and one flat cell array, so a
+/// header is **two allocations whatever its dirty-row count** (the
+/// nested `Vec` per row it replaces was one per dirty row per
+/// recipient on the multicast hot path) and both arrays can be
+/// emptied and refilled in place. Both wire forms —
+/// the varint header below and the [`Wire`] record — are byte-identical
+/// to the nested form's.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KnowledgeDelta {
-    /// `(row index, non-zero cells as (column, value))`, both levels
-    /// ascending.
-    pub rows: Vec<(u32, Vec<(u32, u64)>)>,
+    /// `(row index, end of the row's cells in `cells`)` per dirty row;
+    /// a row's cells start where the previous row's end.
+    index: Vec<(u32, u32)>,
+    /// Every dirty row's non-zero `(column, value)` cells, row after row.
+    cells: Vec<(u32, u64)>,
 }
 
-cbm_adt::wire_struct!(KnowledgeDelta { rows });
-
 impl KnowledgeDelta {
+    /// Build from the nested form `(row, cells)`, in the given order
+    /// (both levels ascending in every delta the protocol stamps).
+    pub fn from_rows<C: AsRef<[(u32, u64)]>>(rows: impl IntoIterator<Item = (u32, C)>) -> Self {
+        let mut d = KnowledgeDelta::default();
+        for (row, cells) in rows {
+            d.push_row(row, cells.as_ref().iter().copied());
+        }
+        d
+    }
+
+    /// Append dirty row `row` with the given cells.
+    pub(crate) fn push_row(&mut self, row: u32, cells: impl IntoIterator<Item = (u32, u64)>) {
+        self.cells.extend(cells);
+        self.end_row(row)
+            .expect("a delta holds fewer than 2^32 cells");
+    }
+
+    /// Close row `row` over the cells pushed since the previous row's
+    /// end; `None` if the cell array has outgrown a `u32` offset.
+    fn end_row(&mut self, row: u32) -> Option<()> {
+        self.index
+            .push((row, u32::try_from(self.cells.len()).ok()?));
+        Some(())
+    }
+
+    /// Make room for `rows` more rows holding `cells` more cells.
+    pub(crate) fn reserve(&mut self, rows: usize, cells: usize) {
+        self.index.reserve(rows);
+        self.cells.reserve(cells);
+    }
+
+    /// The dirty rows `(row index, cells)`, in stamped order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (u32, &[(u32, u64)])> + '_ {
+        let mut start = 0usize;
+        self.index.iter().map(move |&(row, end)| {
+            let cells = &self.cells[start..end as usize];
+            start = end as usize;
+            (row, cells)
+        })
+    }
+
     /// The delta's row for `j`, if dirty.
     pub fn row(&self, j: usize) -> Option<&[(u32, u64)]> {
-        self.rows
-            .iter()
+        self.rows()
             .find(|(r, _)| *r as usize == j)
-            .map(|(_, cells)| cells.as_slice())
+            .map(|(_, cells)| cells)
     }
 
     /// The value of `cells` at `col` (0 when absent — exact, because
@@ -111,9 +162,9 @@ impl KnowledgeDelta {
     /// delta under envelope header `(sender, seq)`.
     pub fn wire_len(&self, sender: NodeId, seq: u64) -> usize {
         let mut len =
-            varint_len(sender as u64) + varint_len(seq) + varint_len(self.rows.len() as u64);
-        for (row, cells) in &self.rows {
-            len += varint_len(u64::from(*row)) + varint_len(cells.len() as u64);
+            varint_len(sender as u64) + varint_len(seq) + varint_len(self.index.len() as u64);
+        for (row, cells) in self.rows() {
+            len += varint_len(u64::from(row)) + varint_len(cells.len() as u64);
             let mut prev: Option<u32> = None;
             for (col, v) in cells {
                 let gap = match prev {
@@ -132,9 +183,9 @@ impl KnowledgeDelta {
         let mut out = Vec::with_capacity(self.wire_len(sender, seq));
         put_varint(&mut out, sender as u64);
         put_varint(&mut out, seq);
-        put_varint(&mut out, self.rows.len() as u64);
-        for (row, cells) in &self.rows {
-            put_varint(&mut out, u64::from(*row));
+        put_varint(&mut out, self.index.len() as u64);
+        for (row, cells) in self.rows() {
+            put_varint(&mut out, u64::from(row));
             put_varint(&mut out, cells.len() as u64);
             let mut prev: Option<u32> = None;
             for (col, v) in cells {
@@ -157,11 +208,14 @@ impl KnowledgeDelta {
         let sender = get_varint(buf, &mut pos)? as NodeId;
         let seq = get_varint(buf, &mut pos)?;
         let n_rows = get_varint(buf, &mut pos)?;
-        let mut rows = Vec::with_capacity(n_rows.min(1024) as usize);
+        // every row and every cell is at least two bytes of input
+        let mut delta = KnowledgeDelta {
+            index: Vec::with_capacity(n_rows.min(1024) as usize),
+            cells: Vec::with_capacity((buf.len() / 2).min(1024)),
+        };
         for _ in 0..n_rows {
             let row = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
             let n_cells = get_varint(buf, &mut pos)?;
-            let mut cells = Vec::with_capacity(n_cells.min(1024) as usize);
             let mut prev: Option<u32> = None;
             for _ in 0..n_cells {
                 let gap = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
@@ -170,11 +224,54 @@ impl KnowledgeDelta {
                     Some(p) => p.checked_add(gap)?.checked_add(1)?,
                 };
                 prev = Some(col);
-                cells.push((col, get_varint(buf, &mut pos)?));
+                delta.cells.push((col, get_varint(buf, &mut pos)?));
             }
-            rows.push((row, cells));
+            delta.end_row(row)?;
         }
-        (pos == buf.len()).then_some((sender, seq, KnowledgeDelta { rows }))
+        (pos == buf.len()).then_some((sender, seq, delta))
+    }
+}
+
+impl Recycle for KnowledgeDelta {
+    fn empty(&mut self) {
+        self.index.clear();
+        self.cells.clear();
+    }
+    fn heap_bytes(&self) -> usize {
+        self.index.heap_bytes() + self.cells.heap_bytes()
+    }
+}
+
+/// The nested form's record, field for field: a `Vec` of
+/// `(row, Vec<(column, value)>)`.
+impl Wire for KnowledgeDelta {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.index.len().put(out);
+        for (row, cells) in self.rows() {
+            row.put(out);
+            put_slice(cells, out);
+        }
+    }
+
+    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let n_rows = usize::get(buf, pos)?;
+        // cap preallocation by what the buffer could possibly hold
+        // (12 bytes a row, 12 a cell), like `Vec<T>`'s decoder
+        let room = |pos: usize| buf.len().saturating_sub(pos) / 12;
+        let mut delta = KnowledgeDelta {
+            index: Vec::with_capacity(n_rows.min(room(*pos))),
+            cells: Vec::new(),
+        };
+        for _ in 0..n_rows {
+            let row = u32::get(buf, pos)?;
+            let n_cells = usize::get(buf, pos)?;
+            delta.cells.reserve(n_cells.min(room(*pos)));
+            for _ in 0..n_cells {
+                delta.cells.push(Wire::get(buf, pos)?);
+            }
+            delta.end_row(row)?;
+        }
+        Some(delta)
     }
 }
 
@@ -217,13 +314,11 @@ mod tests {
 
     #[test]
     fn delta_roundtrips_with_exact_wire_len() {
-        let d = KnowledgeDelta {
-            rows: vec![
-                (0, vec![(3, 1), (7, 200), (255, u64::MAX)]),
-                (5, vec![]),
-                (250, vec![(0, 1)]),
-            ],
-        };
+        let d = KnowledgeDelta::from_rows([
+            (0, vec![(3, 1), (7, 200), (255, u64::MAX)]),
+            (5, vec![]),
+            (250, vec![(0, 1)]),
+        ]);
         let bytes = d.encode(42, 1_000_000);
         assert_eq!(bytes.len(), d.wire_len(42, 1_000_000), "wire_len is exact");
         assert_eq!(KnowledgeDelta::decode(&bytes), Some((42, 1_000_000, d)));
@@ -238,9 +333,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_trailing_and_truncated_input() {
-        let d = KnowledgeDelta {
-            rows: vec![(1, vec![(2, 9)])],
-        };
+        let d = KnowledgeDelta::from_rows([(1, [(2, 9)])]);
         let mut bytes = d.encode(0, 1);
         let whole = bytes.clone();
         bytes.push(0);
@@ -250,9 +343,7 @@ mod tests {
 
     #[test]
     fn row_and_cell_lookups() {
-        let d = KnowledgeDelta {
-            rows: vec![(2, vec![(0, 5), (9, 1)])],
-        };
+        let d = KnowledgeDelta::from_rows([(2, [(0, 5), (9, 1)])]);
         assert_eq!(d.row(2), Some(&[(0, 5), (9, 1)][..]));
         assert_eq!(d.row(3), None);
         assert_eq!(KnowledgeDelta::cell(d.row(2).unwrap(), 0), 5);

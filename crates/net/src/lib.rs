@@ -57,6 +57,7 @@ pub mod latency;
 pub mod mask;
 pub mod msg;
 pub mod sim;
+mod stock;
 pub mod tcp;
 pub mod thread_net;
 pub mod wire;

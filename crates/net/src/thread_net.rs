@@ -1,9 +1,12 @@
-//! Real-thread transport over crossbeam channels.
+//! Real-thread transport over unbounded in-process channels
+//! (`std::sync::mpsc`, reached through the vendored `crossbeam`
+//! stand-in's `channel` API).
 //!
 //! Used by the live store engine (`cbm-store`) and the Criterion
 //! benches to measure wall-clock behaviour of the protocols under true
 //! parallelism. Each node owns a receiver; senders are cloneable
-//! handles. Unlike [`crate::sim::SimNet`] there is no virtual time —
+//! handles. A message is moved into the channel and out of it — the
+//! transport never copies one. Unlike [`crate::sim::SimNet`] there is no virtual time —
 //! ordering comes from the OS scheduler, which is exactly the
 //! nondeterminism the wait-free algorithms must tolerate.
 //!

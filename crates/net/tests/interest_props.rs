@@ -203,8 +203,8 @@ impl Harness {
             // the sender logically stamped, pointwise, under every
             // arrival interleaving
             let view = self.edge_view.entry(edge).or_insert_with(|| vec![0; n * n]);
-            for (row, cells) in &got.knows.rows {
-                let j = *row as usize;
+            for (row, cells) in got.knows.rows() {
+                let j = row as usize;
                 view[j * n..(j + 1) * n].fill(0);
                 for &(c, v) in cells {
                     view[j * n + c as usize] = v;

@@ -105,6 +105,13 @@ counter_block! {
         /// batch traffic is exactly `matrix_bytes + per_op_bytes *
         /// payload_copy_ops` (see `wire_accounting.rs`).
         payload_copy_ops => "payload_copy_ops_total",
+        /// Envelope payload buffers the causal layer drew from its
+        /// recycled stock (read off it at snapshots, like `batches`).
+        /// With `envelope_bufs_allocated` it sums to the envelopes
+        /// stamped; the split depends on interleaving.
+        envelope_bufs_reused => "envelope_bufs_reused_total",
+        /// Envelope payload buffers the stock could not supply.
+        envelope_bufs_allocated => "envelope_bufs_allocated_total",
         /// Gap nacks sent at drains.
         nacks => "nacks_total",
         /// Repair retransmissions answering peers' nacks.

@@ -199,6 +199,8 @@ where
         Counters {
             batches: self.proto.batches_sent(),
             payloads: self.proto.payloads_sent(),
+            envelope_bufs_reused: self.proto.bufs_reused(),
+            envelope_bufs_allocated: self.proto.bufs_allocated(),
             faults: f.drops + f.dups + f.parked + f.delayed + f.pruned + f.crash_discarded,
             ..self.c
         }

@@ -51,7 +51,7 @@ use crate::objects::ObjectTable;
 use crate::record::WindowRecord;
 use crate::shard::ShardMap;
 use crate::stats::{EpochMetrics, RecoveryStats};
-use crate::wire::{batch_bytes, read_reply_bytes, read_req_bytes, BatchMsg, StoreMsg, WireOp};
+use crate::wire::{op_bytes, read_reply_bytes, read_req_bytes, BatchMsg, StoreMsg, WireOp};
 use cbm_adt::space::SpaceInput;
 use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
@@ -91,6 +91,10 @@ pub(super) struct Worker<'a, T: Adt, E> {
     /// Per-recipient envelopes flushed since the last completed drain
     /// (the per-edge repair logs).
     pub(super) epoch_sent: Vec<Vec<BatchMsg<T::Input>>>,
+    /// The flush and delivery lists, kept between calls so neither
+    /// handler allocates one per batch (both are empty at rest).
+    outbox: Vec<(NodeId, BatchMsg<T::Input>)>,
+    deliverable: Vec<BatchMsg<T::Input>>,
     /// Read-routing table for the current epoch: a live replica per
     /// shard, recomputed at every boundary from the shared schedule.
     pub(super) read_route: Vec<NodeId>,
@@ -163,6 +167,8 @@ where
             quiesce_idx: 0,
             loss_capable: sched.can_lose(),
             epoch_sent: vec![Vec::new(); n],
+            outbox: Vec::new(),
+            deliverable: Vec::new(),
             read_route: vec![0; map.shards()],
             c: Counters::default(),
             prev: Counters::default(),
@@ -272,36 +278,33 @@ where
 
     /// Seal and ship one mask's pending batch through the fault layer.
     fn flush_mask(&mut self, mask: InterestMask) {
-        let envs = self.proto.flush_mask(mask);
-        self.ship(envs);
+        self.proto.flush_mask_into(mask, &mut self.outbox);
+        self.ship();
     }
 
     /// Ship every pending batch, in first-push mask order (drains).
     pub(super) fn flush_all(&mut self) {
-        let envs = self.proto.flush_all();
-        self.ship(envs);
+        self.proto.flush_all_into(&mut self.outbox);
+        self.ship();
     }
 
-    /// Send stamped envelopes through the fault layer, keeping each
-    /// in its recipient's epoch repair log when faults can lose it —
-    /// the one place that rule and the byte accounting live, so the
-    /// threshold-flush and drain-flush paths can never diverge.
-    fn ship(&mut self, envs: Vec<(NodeId, BatchMsg<T::Input>)>) {
-        // exact per-envelope delta header sizes (the dense era charged
-        // a flat 8·n² here); sizes depend on flush-time knowledge, so
-        // this counter — unlike message/batch/payload counts — is not
-        // interleaving-deterministic
-        self.c.matrix_bytes += envs
-            .iter()
-            .map(|(_, e)| e.knows.wire_len(e.sender, e.seq) as u64)
-            .sum::<u64>();
-        self.c.payload_copy_ops += envs
-            .iter()
-            .map(|(_, e)| e.payload.len() as u64)
-            .sum::<u64>();
+    /// Send the stamped envelopes in `outbox` through the fault layer,
+    /// keeping each in its recipient's epoch repair log when faults can
+    /// lose it — the one place that rule and the byte accounting live,
+    /// so the threshold-flush and drain-flush paths can never diverge.
+    fn ship(&mut self) {
+        let mut envs = std::mem::take(&mut self.outbox);
         self.taps.flushed(&envs, &self.proto);
-        for (to, env) in envs {
-            let bytes = batch_bytes(&env);
+        for (to, env) in envs.drain(..) {
+            // the exact delta header size (the dense era charged a flat
+            // 8·n² here), computed once per envelope; it depends on
+            // flush-time knowledge, so `matrix_bytes` — unlike the
+            // message/batch/payload counts — is not
+            // interleaving-deterministic
+            let header = env.knows.wire_len(env.sender, env.seq);
+            self.c.matrix_bytes += header as u64;
+            self.c.payload_copy_ops += env.payload.len() as u64;
+            let bytes = header + env.payload.len() * op_bytes::<T::Input>();
             if self.loss_capable {
                 // the repair log only matters when faults can lose
                 // envelopes (and hence nacks can arrive); fault-free,
@@ -311,6 +314,7 @@ where
             }
             self.ep.send(to, StoreMsg::Batch(env), bytes);
         }
+        self.outbox = envs;
     }
 
     /// Handle one inbound message; returns the output when it answers
@@ -367,9 +371,12 @@ where
         got_any
     }
 
-    /// Deliver one batch envelope through the interest causal layer.
+    /// Deliver one batch envelope through the interest causal layer,
+    /// then hand each applied envelope's buffers back to it.
     fn deliver(&mut self, env: BatchMsg<T::Input>) {
-        for batch in self.proto.on_receive(env) {
+        let mut batches = std::mem::take(&mut self.deliverable);
+        self.proto.on_receive_into(env, &mut batches);
+        for batch in batches.drain(..) {
             self.c.delivered += 1;
             self.taps.delivered(&batch, &self.proto);
             for op in &batch.payload {
@@ -377,7 +384,9 @@ where
                 self.table.apply_update(self.adt, op.obj, op.ts, &op.input);
                 self.taps.delivered_op(self.c.ops, batch.sender, op);
             }
+            self.proto.recycle(batch);
         }
+        self.deliverable = batches;
         self.c.peak_buffered = self.c.peak_buffered.max(self.proto.buffered() as u64);
         self.c.peak_suppression = self
             .c

@@ -122,9 +122,13 @@ pub enum StoreMsg<I, O, S> {
 /// totals, unlike message/batch/payload counts, are not
 /// interleaving-deterministic.
 pub fn batch_bytes<I>(env: &BatchMsg<I>) -> usize {
-    let header = env.knows.wire_len(env.sender, env.seq);
-    let per_op = 4 + 10 + 1 + std::mem::size_of::<I>();
-    header + env.payload.len() * per_op
+    env.knows.wire_len(env.sender, env.seq) + env.payload.len() * op_bytes::<I>()
+}
+
+/// What one replicated op is charged on the wire: object id,
+/// timestamp, tag byte, and the input's in-memory size.
+pub fn op_bytes<I>() -> usize {
+    4 + 10 + 1 + std::mem::size_of::<I>()
 }
 
 /// Estimated wire size of a nack (sender id + tag).
@@ -157,10 +161,9 @@ pub fn sync_req_bytes() -> usize {
 /// at the same per-op charge as a batch envelope, and the Lamport
 /// stamp.
 pub fn delta_bytes<I>(p: &ShardDeltaPayload<I>) -> usize {
-    let per_op = 4 + 10 + 1 + std::mem::size_of::<I>();
     p.shards
         .iter()
-        .map(|(_, ops)| 4 + ops.len() * per_op)
+        .map(|(_, ops)| 4 + ops.len() * op_bytes::<I>())
         .sum::<usize>()
         + 8
 }
@@ -206,9 +209,7 @@ mod tests {
         // codec's exact encoded length
         let dirty = env_with(
             vec![op],
-            KnowledgeDelta {
-                rows: vec![(0, vec![(1, 5), (3, 9)]), (2, vec![(0, 1)])],
-            },
+            KnowledgeDelta::from_rows([(0, vec![(1, 5), (3, 9)]), (2, vec![(0, 1)])]),
         );
         assert!(batch_bytes(&dirty) > batch_bytes(&one));
         assert_eq!(
@@ -226,12 +227,7 @@ mod tests {
             ts: Timestamp::ZERO,
             wseq: Some(0),
         };
-        let env = env_with(
-            vec![op],
-            KnowledgeDelta {
-                rows: vec![(3, vec![(0, 17)])],
-            },
-        );
+        let env = env_with(vec![op], KnowledgeDelta::from_rows([(3, [(0, 17)])]));
         assert_eq!(nack_bytes(), 3);
         assert_eq!(
             repair_bytes(std::slice::from_ref(&env)),

@@ -194,9 +194,7 @@ fn store_msg_batch_bytes_are_stable() {
     let msg: RegMsg = StoreMsg::Batch(InterestMsg {
         sender: 2,
         seq: 40,
-        knows: KnowledgeDelta {
-            rows: vec![(2, vec![(0, 40), (1, 7)]), (3, vec![(1, 9)])],
-        },
+        knows: KnowledgeDelta::from_rows([(2, vec![(0, 40), (1, 7)]), (3, vec![(1, 9)])]),
         payload: ops(),
     });
     let bytes = to_bytes(&msg);
