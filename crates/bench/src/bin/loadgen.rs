@@ -1145,6 +1145,12 @@ fn append_summary(
                     l.cfg.sharding.replication.to_string()
                 },
                 format!("{:.0}", r.ops_per_sec),
+                r.total_ops.to_string(),
+                // the op clock is sampled: the weights its samples
+                // enter the histogram with must still add up to the ops
+                r.metric("op_latency_ns.count")
+                    .map(|v| v.to_string())
+                    .unwrap_or_else(|| "—".into()),
                 r.latency.p50_ns.to_string(),
                 r.latency.p99_ns.to_string(),
                 r.msgs_sent.to_string(),
@@ -1170,6 +1176,8 @@ fn append_summary(
             "workers",
             "rf",
             "ops/s",
+            "total_ops",
+            "op_latency_ns.count",
             "p50 ns",
             "p99 ns",
             "msgs",

@@ -24,7 +24,11 @@
 //!   carries `process_name`/`thread_name` metadata for every lane plus
 //!   the verifier, stamps the schema id in `otherData`, and every
 //!   event line is a metadata (`"M"`), complete (`"X"`, with
-//!   `ts`/`dur`), or instant (`"i"`) event.
+//!   `ts`/`dur`), or instant (`"i"`) event. Every `op` and
+//!   `read_route` span has `dur > 0`, i.e. is a complete event: the op
+//!   clock times only the ops it samples, and the ones the tracer
+//!   samples must be among them — a traced-but-untimed op would
+//!   otherwise export as an instant and pass silently.
 //!
 //! Exit status: non-zero iff any file fails validation — the CI
 //! `obs-smoke` job runs this over the artifacts `loadgen --quick
@@ -199,13 +203,18 @@ fn check_chrome(path: &str, text: &str) -> Vec<String> {
             }
             other => errs.push(format!("{path}:{lno}: unexpected phase '{other}'")),
         }
-        if ph != "M"
-            && field_str(t, "name")
-                .as_deref()
-                .and_then(kind_rank)
-                .is_none()
-        {
+        if ph == "M" {
+            continue;
+        }
+        let name = field_str(t, "name");
+        if name.as_deref().and_then(kind_rank).is_none() {
             errs.push(format!("{path}:{lno}: event name is not a span kind"));
+        }
+        if matches!(name.as_deref(), Some("op" | "read_route")) && ph != "X" {
+            errs.push(format!(
+                "{path}:{lno}: {} span without a duration (traced but untimed)",
+                name.unwrap_or_default()
+            ));
         }
     }
     errs

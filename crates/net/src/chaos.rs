@@ -37,10 +37,23 @@
 //! replays the full plan and applies the events that concern it (its
 //! own outbound links, its own crash state, everyone's liveness).
 //!
+//! ## The operation clock
+//!
+//! The endpoint owns its clock: the owner calls [`ChaosEndpoint::tick`]
+//! once per operation (and [`ChaosEndpoint::advance_to`] to jump to a
+//! boundary), and every fault roll, hold-back deadline and recorded
+//! event reads that one counter — so it is current by construction,
+//! whatever the tick had to do. What a tick has to do is almost always
+//! nothing, so it is one compare against the cached next tick at which
+//! anything is due: the next event of the installed plan
+//! ([`ChaosEndpoint::schedule`]) or the earliest held-back send. Only
+//! this module changes what that cache summarises, so only this module
+//! maintains it.
+//!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
 use crate::endpoint::Endpoint as EndpointApi;
-use crate::fault::FaultTarget;
+use crate::fault::{FaultSchedule, FaultTarget};
 use crate::thread_net::ThreadNetStats;
 use crate::NodeId;
 use rand::rngs::StdRng;
@@ -145,7 +158,15 @@ pub struct ChaosEvent {
 /// injection sequence over threads and over TCP.
 pub struct ChaosEndpoint<M, E = crate::thread_net::Endpoint<M>> {
     ep: E,
+    /// The operation clock (see the module docs).
     vtime: u64,
+    /// The link-fault plan replayed on that clock.
+    plan: FaultSchedule,
+    /// The next tick with work for the clock: the plan's next event or
+    /// the earliest held-back send (`u64::MAX` when neither). May run
+    /// early after held-back sends are flushed or discarded — a due
+    /// tick with nothing to do just re-arms it.
+    next_due: u64,
     links: Vec<LinkChaos>,
     self_crashed: bool,
     peer_crashed: Vec<bool>,
@@ -172,6 +193,8 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         ChaosEndpoint {
             ep,
             vtime: 0,
+            plan: FaultSchedule::default(),
+            next_due: u64::MAX,
             links: vec![LinkChaos::default(); n],
             self_crashed: false,
             peer_crashed: vec![false; n],
@@ -245,15 +268,47 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         self.self_crashed
     }
 
-    /// Advance the endpoint's operation clock and transmit every
-    /// held-back message that has come due. Call once per operation
-    /// (and at drain boundaries with the boundary tick).
+    /// Install the fault plan this endpoint replays on its operation
+    /// clock: each event fires on the tick it names (events already
+    /// past fire on the next one).
+    pub fn schedule(&mut self, plan: FaultSchedule) {
+        self.next_due = self.next_due.min(plan.peek_time().unwrap_or(u64::MAX));
+        self.plan = plan;
+    }
+
+    /// The operation clock advances by one: call once per operation.
+    /// Applies the plan's events due at the new tick, then transmits
+    /// every held-back message that has come due.
+    #[inline]
+    pub fn tick(&mut self) {
+        self.advance_to(self.vtime + 1);
+    }
+
+    /// Jump the operation clock forward to `vtime` (a drain boundary's
+    /// tick), with everything [`tick`](ChaosEndpoint::tick) does for
+    /// the ticks passed. The clock never runs backwards.
+    #[inline]
     pub fn advance_to(&mut self, vtime: u64) {
-        self.vtime = self.vtime.max(vtime);
-        if self.delayed.is_empty() {
-            return;
+        let now = self.vtime.max(vtime);
+        if now >= self.next_due {
+            self.run_due(now);
         }
-        let now = self.vtime;
+        self.vtime = now;
+    }
+
+    /// The clock is reaching `now >= next_due`: fire the plan's due
+    /// events, release the due held-back sends, re-arm.
+    #[cold]
+    fn run_due(&mut self, now: u64) {
+        // the plan's events fire while the clock still reads the tick
+        // before, so what a heal releases is stamped as the last thing
+        // before `now`, not the first thing of it — how the recorded
+        // timeline of a partition has always read, and flight records
+        // are compared byte for byte across builds
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.apply_due(self, now);
+        self.plan = plan;
+        self.vtime = now;
         let (mut due, rest): (Vec<Delayed<M>>, Vec<Delayed<M>>) = std::mem::take(&mut self.delayed)
             .into_iter()
             .partition(|d| d.due <= now);
@@ -265,6 +320,12 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         for d in due {
             self.transmit(d.to, d.msg, d.bytes);
         }
+        let next_release = self.delayed.iter().map(|d| d.due).min();
+        self.next_due = next_release
+            .into_iter()
+            .chain(self.plan.peek_time())
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Send one message through the fault layer.
@@ -307,8 +368,10 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         if delay > 0 {
             self.counters.delayed += 1;
             self.record(ChaosEventKind::Delay, to);
+            let due = self.vtime + delay;
+            self.next_due = self.next_due.min(due);
             self.delayed.push(Delayed {
-                due: self.vtime + delay,
+                due,
                 to,
                 msg,
                 bytes,
@@ -536,7 +599,7 @@ impl<M: Clone + Send, E: EndpointApi<M>> FaultTarget for ChaosEndpoint<M, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{apply_fault, Fault};
+    use crate::fault::{apply_fault, Fault, FaultPlan};
     use crate::thread_net::{Endpoint, ThreadNet};
 
     fn pair() -> (ChaosEndpoint<u32>, Endpoint<u32>) {
@@ -675,6 +738,49 @@ mod tests {
         assert_eq!(b.try_recv(), None, "due at 13, not 12");
         a.advance_to(13);
         assert_eq!(b.recv(), Some((0, 5)));
+    }
+
+    /// The clock is one compare on a quiet tick, not a skipped one: a
+    /// fault that arms long after the last due tick still stamps its
+    /// events, and computes its hold-back deadlines, from the tick of
+    /// the send.
+    #[test]
+    fn a_fault_arming_after_quiet_ticks_sees_the_current_tick() {
+        let (mut a, b) = pair();
+        a.record_events(8);
+        let plan = FaultPlan::new().at(
+            10_001,
+            Fault::LinkDelay {
+                from: 0,
+                to: 1,
+                extra: 5,
+            },
+        );
+        a.schedule(plan.into_schedule());
+        for _ in 0..10_000 {
+            a.tick();
+        }
+        a.send(1, 1, 1);
+        assert_eq!(b.try_recv(), Some((0, 1)), "not armed yet");
+        for _ in 0..20 {
+            a.tick(); // the fault fires at 10_001; nothing is due after
+        }
+        a.send(1, 2, 1);
+        assert_eq!(a.delayed_count(), 1);
+        assert_eq!(
+            a.take_events(),
+            vec![ChaosEvent {
+                vtime: 10_020,
+                to: 1,
+                kind: ChaosEventKind::Delay
+            }]
+        );
+        for _ in 0..4 {
+            a.tick();
+            assert_eq!(b.try_recv(), None, "due at 10_025");
+        }
+        a.tick();
+        assert_eq!(b.try_recv(), Some((0, 2)));
     }
 
     #[test]

@@ -242,8 +242,9 @@ impl FaultPlan {
     }
 }
 
-/// A [`FaultPlan`] being replayed against a net.
-#[derive(Debug, Clone)]
+/// A [`FaultPlan`] being replayed against a net (the default is the
+/// empty plan's schedule).
+#[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
     cursor: usize,

@@ -26,7 +26,7 @@
 //! * [`sim::SimNet`] — a deterministic, seeded discrete-event simulator
 //!   with pluggable latency models and crash injection; every test and
 //!   figure harness runs on it so executions are replayable;
-//! * [`thread_net::ThreadNet`] — real threads over crossbeam channels
+//! * [`thread_net::ThreadNet`] — real threads over in-process queues
 //!   with lock-free message/byte accounting and graceful drain, used
 //!   by the live store engine (`cbm-store`) and the Criterion benches
 //!   for wall-clock numbers;
@@ -53,6 +53,7 @@ pub mod clock;
 pub mod delta;
 pub mod endpoint;
 pub mod fault;
+pub mod inbox;
 pub mod latency;
 pub mod mask;
 pub mod msg;

@@ -43,8 +43,8 @@
 //! A reader lets the socket write straight into its [`FrameDecoder`]'s
 //! buffer, checks each frame's CRC where it lies, decodes the message
 //! from that borrowed slice, and pushes it onto the endpoint's merged
-//! inbound channel (per-peer FIFO, no cross-peer order — exactly
-//! `ThreadNet`'s contract). The inbound channel is unbounded and a
+//! [inbox](crate::inbox) (per-peer FIFO, no cross-peer order — exactly
+//! `ThreadNet`'s contract, and the same type). The inbox is unbounded and a
 //! reader does nothing else, so **readers always drain their
 //! sockets**, whatever the worker that owns the endpoint is doing. A
 //! frame a reader cannot trust or understand (CRC mismatch, oversized
@@ -109,10 +109,10 @@
 //! [`send_sized`]: crate::endpoint::Endpoint::send_sized
 //! [`Wire`]: crate::wire::Wire
 
+use crate::inbox::{inbox, Inbox, InboxSender};
 use crate::thread_net::ThreadNetStats;
 use crate::wire::{from_bytes, Wire};
 use crate::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -659,17 +659,12 @@ pub struct TcpEndpoint<M> {
     n: usize,
     out: OutboundHandle,
     /// Loopback for self-sends (peers arrive via reader threads).
-    self_tx: Sender<(NodeId, M)>,
-    in_rx: Receiver<(NodeId, M)>,
+    self_tx: InboxSender<M>,
+    in_rx: Inbox<M>,
     /// Flush markers observed per peer, bumped by the reader threads
     /// (see [`crate::endpoint::Endpoint::send_marker`]).
     markers: Arc<Vec<AtomicU64>>,
     stats: Arc<ThreadNetStats>,
-}
-
-/// Receive side of a shut-down [`TcpEndpoint`].
-pub struct TcpDrain<M> {
-    in_rx: Receiver<(NodeId, M)>,
 }
 
 impl<M: Wire + Send + 'static> TcpNet<M> {
@@ -755,7 +750,7 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
             .into_iter()
             .enumerate()
             .map(|(me, row)| {
-                let (in_tx, in_rx) = unbounded::<(NodeId, M)>();
+                let (in_tx, in_rx) = inbox::<M>();
                 let markers: Arc<Vec<AtomicU64>> =
                     Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
                 let shared: Vec<Option<Arc<TcpStream>>> =
@@ -813,7 +808,7 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
     }
 }
 
-/// Decode frames off one peer stream into the merged inbound channel:
+/// Decode frames off one peer stream into the endpoint's inbox:
 /// the socket reads land in the decoder's own buffer and each message
 /// decodes from a body slice borrowed from it. Exits on EOF (peer shut
 /// down), a transport error, or a rejected frame (counted in
@@ -822,7 +817,7 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
 fn reader_loop<M: Wire>(
     stream: &TcpStream,
     peer: NodeId,
-    in_tx: &Sender<(NodeId, M)>,
+    in_tx: &InboxSender<M>,
     markers: &AtomicU64,
     stats: &TcpStats,
 ) {
@@ -840,14 +835,15 @@ fn reader_loop<M: Wire>(
                         let Some(msg) = from_bytes::<M>(rest) else {
                             return reject();
                         };
-                        if in_tx.send((peer, msg)).is_err() {
+                        if !in_tx.send(peer, msg) {
                             return; // receiver gone: endpoint fully dropped
                         }
                     }
                     Some((&TAG_MARKER, [])) => {
                         // Release pairs with marker_count's Acquire:
                         // whoever observes this marker also observes
-                        // every data frame enqueued before it
+                        // every data frame enqueued (and announced to
+                        // the inbox) before it
                         markers.fetch_add(1, Ordering::Release);
                     }
                     _ => return reject(),
@@ -944,7 +940,7 @@ fn write_counted(mut w: &TcpStream, mut bytes: &[u8], syscalls: &mut u64) -> std
 }
 
 impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpoint<M> {
-    type Drain = TcpDrain<M>;
+    type Drain = Inbox<M>;
 
     fn me(&self) -> NodeId {
         self.me
@@ -960,7 +956,7 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
 
     fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
         if to == self.me {
-            if self.self_tx.send((self.me, msg)).is_err() {
+            if !self.self_tx.send(self.me, msg) {
                 return;
             }
         } else {
@@ -978,14 +974,12 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
     }
 
     fn recv(&self) -> Option<(NodeId, M)> {
-        self.in_rx.recv().ok()
+        self.in_rx.recv()
     }
 
+    #[inline]
     fn try_recv(&self) -> Option<(NodeId, M)> {
-        match self.in_rx.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.in_rx.try_recv()
     }
 
     fn send_marker(&self) {
@@ -1002,31 +996,17 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
         }
     }
 
-    fn shutdown(self) -> TcpDrain<M> {
+    fn shutdown(self) -> Inbox<M> {
         // dropping `out` and `self_tx` closes the outbound queue: the
         // writer flushes the backlog and FINs the streams
-        TcpDrain { in_rx: self.in_rx }
-    }
-}
-
-impl<M> crate::endpoint::Drain<M> for TcpDrain<M> {
-    fn recv(&self) -> Option<(NodeId, M)> {
-        self.in_rx.recv().ok()
-    }
-
-    fn drain_now(&self) -> Vec<(NodeId, M)> {
-        let mut out = Vec::new();
-        while let Ok(m) = self.in_rx.try_recv() {
-            out.push(m);
-        }
-        out
+        self.in_rx
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{Drain as _, Endpoint as _};
+    use crate::endpoint::Endpoint as _;
 
     /// The byte-at-a-time table loop the sliced [`crc32`] replaced:
     /// the reference every sliced result is checked against.
@@ -1200,24 +1180,6 @@ mod tests {
         for i in 0..100u64 {
             assert_eq!(eps[1].recv(), Some((0, i)));
         }
-    }
-
-    #[test]
-    fn shutdown_drains_then_terminates() {
-        let net = TcpNet::<u64>::new(2).expect("mesh");
-        let mut eps = net.into_endpoints();
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        e0.send_sized(1, 7, 1);
-        e0.send_sized(1, 8, 1);
-        let d0 = e0.shutdown();
-        let d1 = e1.shutdown();
-        // all sends flushed before the FIN, so the drain sees them all
-        assert_eq!(d1.recv(), Some((0, 7)));
-        assert_eq!(d1.recv(), Some((0, 8)));
-        assert_eq!(d1.recv(), None);
-        assert_eq!(d0.recv(), None);
-        assert!(d1.drain_now().is_empty());
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Real-thread transport over unbounded in-process channels
-//! (`std::sync::mpsc`, reached through the vendored `crossbeam`
-//! stand-in's `channel` API).
+//! Real-thread transport over unbounded in-process queues (one
+//! [`crate::inbox`] per node).
 //!
 //! Used by the live store engine (`cbm-store`) and the Criterion
 //! benches to measure wall-clock behaviour of the protocols under true
-//! parallelism. Each node owns a receiver; senders are cloneable
+//! parallelism. Each node owns an inbox; senders are cloneable
 //! handles. A message is moved into the channel and out of it — the
 //! transport never copies one. Unlike [`crate::sim::SimNet`] there is no virtual time —
 //! ordering comes from the OS scheduler, which is exactly the
@@ -14,8 +13,8 @@
 //! the hot path of every worker thread, so a shared mutex would be a
 //! needless serialization point.
 
+use crate::inbox::{inbox, Inbox, InboxSender};
 use crate::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,10 +95,38 @@ impl ThreadNetStats {
     }
 }
 
+/// Depth of a peer's inbox, in messages, past which a sender gives up
+/// its timeslice after each send to it: the queues are unbounded and a
+/// send never waits for a peer, so with more nodes than cores a node
+/// that is descheduled is buried by the ones that run — at 60 ns an op
+/// a timeslice is a whole 50 k-op epoch of envelopes — and wakes to a
+/// backlog that has fallen out of every cache. Past the bound the
+/// sender yields, which is how the OS is told that the thread worth
+/// running is the one that would drain it; with a core per node the
+/// bound is never reached. It is a hint to the scheduler, not flow
+/// control: nothing blocks, a yield with no one to run returns at once,
+/// and no count or delivery order depends on it.
+///
+/// 256 messages is the thread-transport twin of the socket path's
+/// 256 KiB outbound bound (~230 envelopes of 32 ops,
+/// `tcp::OUTBOUND_BOUND`), chosen by the same kind of sweep (the
+/// benchmark's workloads, 4 workers on 2 cores, 5 s runs, seed 42, two
+/// runs each; M ops/s at MB peak RSS): `write_fanout` — no bound
+/// 3.4–5.1 at 22–25, 1024: 5.3–5.6 at 22, 256: 6.2–6.3 at 12–14, 64:
+/// 6.4–7.9 at 11–12; `convergent_hot` — no bound 5.1–5.4 at 31, 1024:
+/// 5.2–5.4 at 31, 256: 4.8–5.1 at 28–29, 64: 3.8–4.0 at 27 (its
+/// deliveries refold, so handing the core over every 64 envelopes
+/// costs more than the backlog did); `monitored_mixed` — 6.8–7.0 at
+/// 22–23, 6.1–6.5 at 22–23, 6.0–6.4 at 18–19, 6.0–6.6 at 16–19;
+/// `sharded_routed` — 1.0–1.5 at 5.5–6.0 everywhere (futex-bound, and
+/// its envelopes are few). 256 is the smallest bound that costs no
+/// workload its throughput.
+const BACKLOG_YIELD: u64 = 256;
+
 /// A mesh of channels between `n` nodes.
 pub struct ThreadNet<M> {
-    senders: Vec<Sender<(NodeId, M)>>,
-    receivers: Vec<Option<Receiver<(NodeId, M)>>>,
+    senders: Vec<InboxSender<M>>,
+    receivers: Vec<Option<Inbox<M>>>,
     stats: Arc<ThreadNetStats>,
 }
 
@@ -107,16 +134,9 @@ pub struct ThreadNet<M> {
 pub struct Endpoint<M> {
     /// This node's id.
     pub me: NodeId,
-    senders: Vec<Sender<(NodeId, M)>>,
-    receiver: Receiver<(NodeId, M)>,
+    senders: Vec<InboxSender<M>>,
+    receiver: Inbox<M>,
     stats: Arc<ThreadNetStats>,
-}
-
-/// The receive side of a shut-down [`Endpoint`]: all send handles have
-/// been dropped, only queued messages remain (see
-/// [`Endpoint::shutdown`]).
-pub struct Drain<M> {
-    receiver: Receiver<(NodeId, M)>,
 }
 
 impl<M: Send> ThreadNet<M> {
@@ -125,7 +145,7 @@ impl<M: Send> ThreadNet<M> {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = inbox();
             senders.push(tx);
             receivers.push(Some(rx));
         }
@@ -179,11 +199,14 @@ impl<M: Clone + Send> Endpoint<M> {
     pub fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
         // a disconnected peer (dropped endpoint) models a crash: sends
         // to it are silently lost, like the simulator's drops
-        if self.senders[to].send((self.me, msg)).is_ok() {
+        if self.senders[to].send(self.me, msg) {
             self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .bytes_sent
                 .fetch_add(bytes as u64, Ordering::Relaxed);
+            if self.senders[to].backlog() >= BACKLOG_YIELD {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -208,15 +231,13 @@ impl<M: Clone + Send> Endpoint<M> {
 
     /// Blocking receive.
     pub fn recv(&self) -> Option<(NodeId, M)> {
-        self.receiver.recv().ok()
+        self.receiver.recv()
     }
 
     /// Non-blocking receive.
+    #[inline]
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        match self.receiver.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.receiver.try_recv()
     }
 
     /// Cluster size.
@@ -233,36 +254,17 @@ impl<M: Clone + Send> Endpoint<M> {
     /// receive side so already-queued messages can still be drained.
     ///
     /// Once every node of a mesh built with
-    /// [`ThreadNet::into_endpoints`] has shut down, the channels
-    /// disconnect and [`Drain::recv`] returns `None` after the queue
+    /// [`ThreadNet::into_endpoints`] has shut down, the queues
+    /// disconnect and [`Inbox::recv`] returns `None` after the queue
     /// empties — the coordination-free termination used by the store
     /// engine's teardown.
-    pub fn shutdown(self) -> Drain<M> {
-        Drain {
-            receiver: self.receiver,
-        }
-    }
-}
-
-impl<M> Drain<M> {
-    /// Next queued message: blocks while live senders exist, returns
-    /// `None` once the queue is empty and every sender has shut down.
-    pub fn recv(&self) -> Option<(NodeId, M)> {
-        self.receiver.recv().ok()
-    }
-
-    /// Drain whatever is queued right now, without blocking.
-    pub fn drain_now(&self) -> Vec<(NodeId, M)> {
-        let mut out = Vec::new();
-        while let Ok(m) = self.receiver.try_recv() {
-            out.push(m);
-        }
-        out
+    pub fn shutdown(self) -> Inbox<M> {
+        self.receiver
     }
 }
 
 impl<M: Clone + Send> crate::endpoint::Endpoint<M> for Endpoint<M> {
-    type Drain = Drain<M>;
+    type Drain = Inbox<M>;
 
     fn me(&self) -> NodeId {
         self.me
@@ -284,22 +286,13 @@ impl<M: Clone + Send> crate::endpoint::Endpoint<M> for Endpoint<M> {
         Endpoint::recv(self)
     }
 
+    #[inline]
     fn try_recv(&self) -> Option<(NodeId, M)> {
         Endpoint::try_recv(self)
     }
 
-    fn shutdown(self) -> Drain<M> {
+    fn shutdown(self) -> Inbox<M> {
         Endpoint::shutdown(self)
-    }
-}
-
-impl<M> crate::endpoint::Drain<M> for Drain<M> {
-    fn recv(&self) -> Option<(NodeId, M)> {
-        Drain::recv(self)
-    }
-
-    fn drain_now(&self) -> Vec<(NodeId, M)> {
-        Drain::drain_now(self)
     }
 }
 
@@ -370,24 +363,6 @@ mod tests {
         let s = net.stats().snapshot();
         assert_eq!(s.msgs_sent, 2);
         assert_eq!(s.bytes_sent, 20);
-    }
-
-    #[test]
-    fn shutdown_drains_queued_then_disconnects() {
-        let net: ThreadNet<u32> = ThreadNet::new(2);
-        let mut eps = net.into_endpoints();
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        a.send(1, 1);
-        a.send(1, 2);
-        // both nodes shut down; queued messages survive
-        let drain_b = b.shutdown();
-        drop(a.shutdown());
-        assert_eq!(drain_b.recv(), Some((0, 1)));
-        assert_eq!(drain_b.recv(), Some((0, 2)));
-        // every sender gone: recv terminates instead of blocking
-        assert_eq!(drain_b.recv(), None);
-        assert!(drain_b.drain_now().is_empty());
     }
 
     #[test]

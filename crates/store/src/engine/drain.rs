@@ -221,7 +221,8 @@ where
             .push(delta.epoch_row(epoch, self.sched.crashed_at(self.me, epoch)));
         self.published.publish(&delta);
         self.prev = cur;
-        self.taps.merge_latency(&self.published.op_latency);
+        self.taps
+            .merge_latency(self.c.ops, &self.published.op_latency);
     }
 
     /// The run's last cut, at boundary `e`: drain, fsync'd seal,
@@ -262,8 +263,7 @@ where
     /// shard, deterministic: every worker derives the same table from
     /// the shared schedule.
     fn enter_epoch(&mut self, e: u64) {
-        self.vtime = e * self.sched.every_ops as u64;
-        self.advance_faults();
+        self.ep.advance_to(e * self.sched.every_ops as u64);
         self.read_route = (0..self.map.shards())
             .map(|s| {
                 *self
@@ -540,6 +540,7 @@ mod tests {
         BatchPolicy, DurableConfig, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
     };
     use crate::engine::counters::Published;
+    use crate::engine::taps::Taps;
     use crate::shard::ShardMap;
     use cbm_adt::register::Register;
     use cbm_net::thread_net::ThreadNet;
@@ -576,17 +577,8 @@ mod tests {
         let published = Published::register(&mut registry);
         let coord = Coordinator::new(2, map.shards());
         let (tx, _rx) = std::sync::mpsc::channel();
-        let mut w = Worker::new(
-            &Register,
-            &cfg,
-            &sched,
-            &map,
-            ep,
-            &coord,
-            tx,
-            &published,
-            Instant::now(),
-        );
+        let taps = Taps::new(&Register, &cfg, &map, 0, false, tx, Instant::now());
+        let mut w = Worker::new(&Register, &cfg, &sched, &map, ep, &coord, &published, taps);
         for _ in 0..3 {
             peer.send_sized(0, StoreMsg::Nack, nack_bytes());
         }

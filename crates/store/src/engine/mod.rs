@@ -8,7 +8,8 @@
 //! | `worker.rs`   | the paper's Fig. 4/5 handlers — on update, on delivery — and the plumbing between them and the wire; the execution model is documented there |
 //! | `drain.rs`    | the epoch schedule and the deterministic rendezvous: drain, nack/repair, convergence check |
 //! | `recovery.rs` | the recovery ladder (own disk → co-replica delta → full transfer) and the cold fleet restart |
-//! | `taps.rs`     | the one seam everything that *watches* the handlers hangs off: streaming monitor, flight recorder, durable log, window recorder, latency |
+//! | `taps.rs`     | the one seam everything that *watches* the handlers hangs off: streaming monitor, flight recorder, durable log, window recorder, latency — and the op path's only clock |
+//! | `sampler.rs`  | which ops that clock times (one per 64-op block) and the weight each enters the latency histogram with |
 //! | `counters.rs` | every engine counter, named once                                   |
 //! | `verifier.rs` | the verifier thread                                                |
 //!
@@ -17,6 +18,7 @@
 mod counters;
 mod drain;
 mod recovery;
+mod sampler;
 mod taps;
 mod verifier;
 mod worker;
@@ -46,7 +48,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
-use taps::TapReport;
+use taps::{TapReport, Taps};
 use worker::Worker;
 
 /// Run the engine: `gen(worker, op_index, rng)` supplies each
@@ -161,7 +163,8 @@ where
             let tx = tx.clone();
             let (coord, gen, sched, map, published) = (&coord, &gen, &sched, &map, &published);
             handles.push(s.spawn(move || {
-                Worker::new(adt, cfg, sched, map, ep, coord, tx, published, t0).run(gen)
+                let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
+                Worker::new(adt, cfg, sched, map, ep, coord, published, taps).run(gen)
             }));
         }
         drop(tx); // verifier's channel closes once every worker exits

@@ -27,7 +27,15 @@
 //! Every [`EpochLog`] call lives in this file, and so does every disk
 //! `expect`: the log is the durability contract, so a failed append or
 //! fsync stops the worker rather than let it run ahead of its disk.
+//!
+//! So does the op path's **clock**: the handlers never read one. They
+//! ask [`Taps::op_start`] whether this op is timed and hand the answer
+//! back to [`Taps::op_done`]; every reading this file takes goes
+//! through [`now`], the seam a simulated clock would replace. Which
+//! ops are timed, and with what weight they enter the latency
+//! histogram, is `sampler.rs`.
 
+use super::sampler::OpSampler;
 use crate::chaos::CrashSpan;
 use crate::config::{Mode, StoreConfig};
 use crate::durable::{self, EpochLog, LogError, Recovered, SealInfo};
@@ -74,6 +82,18 @@ pub(super) struct TapReport {
     pub escalations: Vec<MonitorEscalation>,
     /// This worker's operation latency profile.
     pub latency: LatencySummary,
+}
+
+/// The one clock reading on the op path.
+#[inline(always)]
+fn now() -> Instant {
+    Instant::now()
+}
+
+/// Nanoseconds since `t`.
+#[inline(always)]
+fn ns_since(t: Instant) -> u64 {
+    now().duration_since(t).as_nanos() as u64
 }
 
 /// A span stamped with its lane, epoch, logical key and wall offset;
@@ -137,6 +157,13 @@ pub(super) struct Taps<'a, T: Adt> {
     /// Latencies since the last epoch close; merged into `hist` and
     /// the shared registry histogram at each one.
     hist_epoch: LatencyHistogram,
+    /// Which local ops are timed, and the weight each enters
+    /// `hist_epoch` with.
+    sampler: OpSampler,
+    /// No local op before this index gets an `op` span (`u64::MAX`
+    /// when none ever does): one compare per op instead of a division
+    /// by the tracer's stride.
+    next_span: u64,
 }
 
 impl<'a, T> Taps<'a, T>
@@ -195,6 +222,12 @@ where
             tx,
             hist: LatencyHistogram::new(),
             hist_epoch: LatencyHistogram::new(),
+            sampler: OpSampler::new(me),
+            next_span: if tracing && cfg.obs.op_sample_every > 0 {
+                0
+            } else {
+                u64::MAX
+            },
         }
     }
 
@@ -239,10 +272,7 @@ where
         if !self.tracer.enabled() {
             return;
         }
-        let wall = match over {
-            Some((t, _)) => t.duration_since(self.t0),
-            None => self.t0.elapsed(),
-        };
+        let wall = over.map_or_else(now, |(t, _)| t).duration_since(self.t0);
         let mut sp = new_span(
             kind,
             self.me as u32,
@@ -250,7 +280,10 @@ where
             key,
             wall.as_nanos() as u64,
         );
-        sp.dur_ns = over.map_or(0, |(_, dur)| dur);
+        // a measured span is never an instant in the export, whatever
+        // the clock's resolution (`trace_check` holds `op` and
+        // `read_route` spans to that)
+        sp.dur_ns = over.map_or(0, |(_, dur)| dur.max(1));
         fill(&mut sp);
         self.tracer.push(sp);
     }
@@ -296,10 +329,10 @@ where
             None => (obj as usize % self.cfg.objects.max(1)) as u32,
         };
         self.mon_tick = self.mon_tick.wrapping_add(1);
-        let t = (self.mon_tick & 63 == 0).then(Instant::now);
+        let t = (self.mon_tick & 63 == 0).then(now);
         let esc = hook(monitor, slot);
         if let Some(t) = t {
-            self.mon_ns += (t.elapsed().as_nanos() as u64) << 6;
+            self.mon_ns += ns_since(t) << 6;
         }
         if let Some(esc) = esc {
             self.note_escalation(at_op, obj, esc);
@@ -394,15 +427,50 @@ where
         )
     }
 
-    /// A local operation that started at `t` is complete: latency
-    /// sample, and an `op` span on a deterministic stride of the
-    /// worker's own op counter.
-    #[inline(always)]
-    pub(super) fn op_done(&mut self, t: Instant, at_op: u64, obj: u32, is_update: bool) {
-        let lat = t.elapsed().as_nanos() as u64;
-        self.hist_epoch.record(lat);
+    /// Does local op `at_op` get an `op` span? A deterministic stride
+    /// of the worker's own op counter.
+    fn traces_op(&self, at_op: u64) -> bool {
         let stride = self.cfg.obs.op_sample_every as u64;
-        if self.tracer.enabled() && stride > 0 && at_op.is_multiple_of(stride) {
+        self.tracer.enabled() && stride > 0 && at_op.is_multiple_of(stride)
+    }
+
+    /// `at_op` reached `next_span` (so op spans are on): decide it, and
+    /// find the stride's next multiple.
+    #[cold]
+    fn arm_span(&mut self, at_op: u64) -> bool {
+        let stride = self.cfg.obs.op_sample_every as u64;
+        self.next_span = (at_op / stride + 1) * stride;
+        at_op.is_multiple_of(stride)
+    }
+
+    /// Local operation `at_op` is about to execute: its start instant
+    /// if it is timed — its block's latency sample, or an op the tracer
+    /// samples (timed for the span only) — else `None`, which is what
+    /// all but one op in 64 get, for two compares.
+    #[inline(always)]
+    pub(super) fn op_start(&mut self, at_op: u64) -> Option<Instant> {
+        let sampled = self.sampler.due(at_op, &mut self.hist_epoch);
+        let traced = at_op >= self.next_span && self.arm_span(at_op);
+        (sampled || traced).then(now)
+    }
+
+    /// Local operation `at_op` is complete; `t` is what
+    /// [`Taps::op_start`] answered for it.
+    #[inline(always)]
+    pub(super) fn op_done(&mut self, t: Option<Instant>, at_op: u64, obj: u32, is_update: bool) {
+        if let Some(t) = t {
+            self.op_timed(t, at_op, obj, is_update);
+        }
+    }
+
+    /// The timed minority of [`Taps::op_done`]: latency sample and/or
+    /// `op` span.
+    fn op_timed(&mut self, t: Instant, at_op: u64, obj: u32, is_update: bool) {
+        let lat = ns_since(t);
+        if self.sampler.is_sample(at_op) {
+            self.sampler.sampled(lat);
+        }
+        if self.traces_op(at_op) {
             let shard = self.map.shard_of(obj) as i64;
             self.span_at(SpanKind::Op, at_op, Some((t, lat)), |sp| {
                 sp.shard = shard;
@@ -412,8 +480,14 @@ where
         }
     }
 
+    /// A routed read is about to leave: always timed.
+    pub(super) fn read_start(&self) -> Instant {
+        now()
+    }
+
     /// A routed read of `obj` that started at `t` was answered by
-    /// `server`.
+    /// `server`. Routed reads enter the latency histogram one by one,
+    /// outside the sampled blocks.
     pub(super) fn read_routed(
         &mut self,
         t: Instant,
@@ -422,7 +496,8 @@ where
         shard: usize,
         server: NodeId,
     ) {
-        let lat = t.elapsed().as_nanos() as u64;
+        let lat = ns_since(t);
+        self.sampler.routed(at_op, &mut self.hist_epoch);
         self.hist_epoch.record(lat);
         self.span_at(SpanKind::ReadRoute, at_op, Some((t, lat)), |sp| {
             sp.peer = server as i64;
@@ -561,7 +636,7 @@ where
                     .expect("write the epoch-log snapshot");
             }
         }
-        let dur = t.elapsed().as_nanos() as u64;
+        let dur = ns_since(t);
         self.span_at(SpanKind::Drain, drain, Some((t, dur)), |sp| {
             sp.a = delivered; // cumulative at the cut
             sp.b = nacks;
@@ -584,9 +659,12 @@ where
         self.tracer.seal(epoch);
     }
 
-    /// Merge the closed epoch's latency buckets into the worker's
-    /// profile and the shared registry histogram.
-    pub(super) fn merge_latency(&mut self, shared: &AtomicHistogram) {
+    /// An epoch closed with `issued` ops issued so far: enter the
+    /// sampled blocks' outstanding weight, then merge the epoch's
+    /// latency buckets into the worker's profile and the shared
+    /// registry histogram.
+    pub(super) fn merge_latency(&mut self, issued: u64, shared: &AtomicHistogram) {
+        self.sampler.settle(issued, &mut self.hist_epoch);
         let eh = std::mem::replace(&mut self.hist_epoch, LatencyHistogram::new());
         shared.merge_from(&eh);
         self.hist.merge(&eh);
@@ -696,7 +774,7 @@ where
 
     /// This worker finished recovering `span` (started at `t`).
     pub(super) fn recovered(&mut self, t: Instant, span: &CrashSpan, shards: u64, objects: u64) {
-        let dur = t.elapsed().as_nanos() as u64;
+        let dur = ns_since(t);
         self.span_at(
             SpanKind::Recover,
             span.recover_epoch,

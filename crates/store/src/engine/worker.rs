@@ -39,8 +39,18 @@
 //! receiver sees every envelope a sender emits.
 //!
 //! Everything that watches these handlers — log, tracing, checking,
-//! window sampling — hangs off [`Taps`]; the epoch schedule and the
-//! rendezvous are in `drain.rs`, crash recovery in `recovery.rs`.
+//! window sampling, and the clock that times them — hangs off
+//! [`Taps`]; the epoch schedule and the rendezvous are in `drain.rs`,
+//! crash recovery in `recovery.rs`.
+//!
+//! ## What a step costs
+//!
+//! [`Worker::step`] is the op plus three checks that are almost always
+//! a compare or two loads each: the fault layer's clock tick
+//! ([`ChaosEndpoint::tick`]), the inbound poll (an empty
+//! [`cbm_net::inbox`] answers by comparing two counts), and the op
+//! clock ([`Taps::op_start`] times one op in 64). `docs/THROUGHPUT.md`,
+//! "What a step costs", has the measurements.
 
 use super::counters::{Counters, Published};
 use super::drain::Coordinator;
@@ -48,7 +58,6 @@ use super::taps::Taps;
 use crate::chaos::ChaosSchedule;
 use crate::config::StoreConfig;
 use crate::objects::ObjectTable;
-use crate::record::WindowRecord;
 use crate::shard::ShardMap;
 use crate::stats::{EpochMetrics, RecoveryStats};
 use crate::wire::{op_bytes, read_reply_bytes, read_req_bytes, BatchMsg, StoreMsg, WireOp};
@@ -59,11 +68,8 @@ use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMask};
 use cbm_net::chaos::ChaosEndpoint;
 use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::endpoint::Endpoint as EndpointApi;
-use cbm_net::fault::FaultSchedule;
 use cbm_net::NodeId;
 use rand::rngs::StdRng;
-use std::sync::mpsc;
-use std::time::Instant;
 
 /// The chaos layer wrapped around a worker's transport endpoint,
 /// generic over the underlying transport `E` (thread channels or TCP).
@@ -81,13 +87,14 @@ pub(super) struct Worker<'a, T: Adt, E> {
     pub(super) proto: InterestBatchCausalBroadcast<WireOp<T::Input>>,
     pub(super) table: ObjectTable<T>,
     pub(super) clock: LamportClock,
-    fault_sched: FaultSchedule,
-    pub(super) vtime: u64,
     pub(super) crashed: bool,
     /// Drains started so far (also the transport marker a cut waits for).
     pub(super) quiesce_idx: u64,
     /// Precomputed `sched.can_lose()` (checked on every flush).
     loss_capable: bool,
+    /// Precomputed `InterestMask::solo(me)`: an update whose shard has
+    /// this mask has no other replica to reach.
+    solo: InterestMask,
     /// Per-recipient envelopes flushed since the last completed drain
     /// (the per-edge repair logs).
     pub(super) epoch_sent: Vec<Vec<BatchMsg<T::Input>>>,
@@ -133,9 +140,8 @@ where
         map: &'a ShardMap,
         ep: E,
         coord: &'a Coordinator,
-        tx: mpsc::Sender<WindowRecord<T>>,
         published: &'a Published,
-        t0: Instant,
+        taps: Taps<'a, T>,
     ) -> Self {
         let me = ep.me();
         let n = ep.cluster_size();
@@ -145,8 +151,8 @@ where
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(me as u64)
             ^ 0xC4A0_5C4A_05C4_A05C;
-        let taps = Taps::new(adt, cfg, map, me, super::tracing(cfg, sched), tx, t0);
         let mut ep = ChaosEndpoint::new(ep, chaos_seed);
+        ep.schedule(sched.link_plan.clone().into_schedule());
         if let Some(cap) = taps.fault_event_cap() {
             ep.record_events(cap);
         }
@@ -161,11 +167,10 @@ where
             proto: InterestBatchCausalBroadcast::new(me, n),
             table: ObjectTable::new(adt, cfg.objects.max(1), cfg.mode),
             clock: LamportClock::new(),
-            fault_sched: sched.link_plan.clone().into_schedule(),
-            vtime: 0,
             crashed: false,
             quiesce_idx: 0,
             loss_capable: sched.can_lose(),
+            solo: InterestMask::solo(me),
             epoch_sent: vec![Vec::new(); n],
             outbox: Vec::new(),
             deliverable: Vec::new(),
@@ -186,38 +191,34 @@ where
     where
         G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
     {
-        self.vtime += 1;
-        self.advance_faults();
+        self.ep.tick();
         self.pump();
         let op = gen(self.me, self.c.ops, rng);
         self.execute(op);
         self.c.ops += 1;
     }
 
-    /// Apply due fault events and release due held-back sends.
-    pub(super) fn advance_faults(&mut self) {
-        self.fault_sched.apply_due(&mut self.ep, self.vtime);
-        self.ep.advance_to(self.vtime);
-    }
-
     /// Execute one operation against the local replica. Updates and
     /// hosted reads are wait-free; a read of a non-hosted object blocks
     /// on a routed request/reply (serving peers' traffic meanwhile).
     fn execute(&mut self, op: SpaceInput<T::Input>) {
-        let t = Instant::now();
         let is_update = self.adt.is_update(&op.input);
-        if !is_update && !self.map.hosts(self.me, self.map.shard_of(op.obj)) {
-            let shard = self.map.shard_of(op.obj);
+        let shard = self.map.shard_of(op.obj);
+        let hosted = self.map.hosts(self.me, shard);
+        if !is_update && !hosted {
+            let t = self.taps.read_start();
             let server = self.read_route[shard];
             self.remote_read(server, op.obj, op.input);
             self.taps.read_routed(t, self.c.ops, op.obj, shard, server);
             return;
         }
+        let t = self.taps.op_start(self.c.ops);
         // updates always execute at a replica of their object
-        let obj = if is_update {
-            self.map.localize(self.me, op.obj)
+        let (obj, shard) = if hosted {
+            (op.obj, shard)
         } else {
-            op.obj
+            let obj = self.map.localize(self.me, op.obj);
+            (obj, self.map.shard_of(obj))
         };
         let ts = Timestamp::new(self.clock.tick(), self.me);
         let output = self.table.output(self.adt, obj, &op.input);
@@ -231,8 +232,8 @@ where
             .taps
             .own_op(self.c.ops, obj, ts, &op.input, output, is_update);
         if is_update {
-            let mask = self.map.mask(self.map.shard_of(obj));
-            if mask != InterestMask::solo(self.me) {
+            let mask = self.map.mask(shard);
+            if mask != self.solo {
                 // at least one other replica is interested
                 let pending = self.proto.push(
                     WireOp {

@@ -3,14 +3,22 @@
 use crate::config::StoreConfig;
 use cbm_obs::LatencyHistogram;
 
-/// Latency percentiles over recorded per-operation wall times,
-/// extracted from a log-bucketed [`LatencyHistogram`].
+/// Latency percentiles over per-operation wall times, extracted from
+/// a log-bucketed [`LatencyHistogram`].
+///
+/// The engine's op clock is **sampled**: one local op per 64-op block
+/// of each worker's op counter is timed and entered with the block's
+/// weight (routed reads are always timed, at weight 1), so `count` is
+/// the number of operations — `latency.count == total_ops` on every
+/// run — while every other field is a statistic **of the sample**,
+/// each measurement standing for the ops of its block
+/// (`docs/OBSERVABILITY.md`, "Histogram precision").
 ///
 /// Each percentile is the histogram's nearest-rank bucket upper
 /// bound: within **3.125 % (2⁻⁵) relative error** of the exact order
-/// statistic, never below it, and never above the exact maximum (see
-/// `cbm_obs::hist` for the bucket layout). `count`, `max_ns`, and
-/// `mean_ns` are exact. This replaces the old sample-and-sort
+/// statistic of the weighted sample, never below it, and never above
+/// the sample's maximum (see `cbm_obs::hist` for the bucket layout).
+/// This replaces the old sample-and-sort
 /// summary, whose `pick(q)` indexed `⌊(len−1)·q⌋` — a floor that
 /// systematically understated tail percentiles (for 100 samples its
 /// "p99" was the 99th of 100 order statistics, never the 100th) and
@@ -19,7 +27,8 @@ use cbm_obs::LatencyHistogram;
 /// instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
-    /// Samples summarized.
+    /// Operations summarized (the weights of the timed ops add up to
+    /// the ops issued).
     pub count: u64,
     /// Median, nanoseconds.
     pub p50_ns: u64,
@@ -27,11 +36,13 @@ pub struct LatencySummary {
     pub p90_ns: u64,
     /// 99th percentile, nanoseconds.
     pub p99_ns: u64,
-    /// 99.9th percentile, nanoseconds.
+    /// 99.9th percentile of the sample, nanoseconds (a run of N ops
+    /// has about N/64,000 measurements above it).
     pub p999_ns: u64,
-    /// Maximum, nanoseconds (exact).
+    /// Slowest *timed* op, nanoseconds: the slowest op of the run is
+    /// among the timed ones with probability 1/64.
     pub max_ns: u64,
-    /// Mean, nanoseconds (exact).
+    /// Weighted mean of the timed ops, nanoseconds.
     pub mean_ns: u64,
 }
 
