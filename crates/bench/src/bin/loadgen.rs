@@ -1339,6 +1339,37 @@ fn append_summary(
         )?;
     }
 
+    // Epoch log I/O (docs/DURABILITY.md): only --log-dir legs write
+    // records. Where the write groups fill depends on delivery order,
+    // so the table is informational and nothing gates on it.
+    const DURABLE_COUNTERS: [&str; 4] = [
+        "durable_records_total",
+        "durable_bytes_total",
+        "durable_write_syscalls_total",
+        "durable_syncs_total",
+    ];
+    let durable_rows: Vec<Vec<String>> = reports
+        .iter()
+        .filter(|(_, r)| r.metric("durable_records_total").unwrap_or(0) > 0)
+        .filter_map(|(l, r)| {
+            let mut row = vec![l.name.clone()];
+            for name in DURABLE_COUNTERS {
+                row.push(r.metric(name)?.to_string());
+            }
+            Some(row)
+        })
+        .collect();
+    if !durable_rows.is_empty() {
+        let mut columns = vec!["leg"];
+        columns.extend(DURABLE_COUNTERS);
+        cbm_bench::append_summary_table(
+            path,
+            "Epoch log I/O (informational, never gated)",
+            &columns,
+            &durable_rows,
+        )?;
+    }
+
     // Per-epoch dashboard: every column deterministic per
     // (config, seed), so this table diffs exactly across reruns.
     let mut epoch_rows: Vec<Vec<String>> = Vec::new();

@@ -112,6 +112,18 @@ counter_block! {
         envelope_bufs_reused => "envelope_bufs_reused_total",
         /// Envelope payload buffers the stock could not supply.
         envelope_bufs_allocated => "envelope_bufs_allocated_total",
+        /// Records framed into the durable epoch log (read off the log
+        /// at snapshots, like `batches`).
+        durable_records => "durable_records_total",
+        /// Bytes of those records.
+        durable_bytes => "durable_bytes_total",
+        /// `write(2)` calls on the log and snapshot files: one per full
+        /// group, per seal with a group left, per snapshot. Where the
+        /// groups fill depends on delivery order, so this moves by a
+        /// write or so between identical runs.
+        durable_write_syscalls => "durable_write_syscalls_total",
+        /// `fdatasync`/`fsync` calls: one per seal, three per snapshot.
+        durable_syncs => "durable_syncs_total",
         /// Gap nacks sent at drains.
         nacks => "nacks_total",
         /// Repair retransmissions answering peers' nacks.

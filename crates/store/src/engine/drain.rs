@@ -193,14 +193,20 @@ where
     }
 
     /// The cumulative block as of now: the worker's own counts plus
-    /// what the causal layer and the fault layer count themselves.
+    /// what the causal layer, the fault layer and the durable log count
+    /// themselves.
     pub(super) fn counters(&self) -> Counters {
         let f = self.ep.counters();
+        let d = self.taps.log_counts();
         Counters {
             batches: self.proto.batches_sent(),
             payloads: self.proto.payloads_sent(),
             envelope_bufs_reused: self.proto.bufs_reused(),
             envelope_bufs_allocated: self.proto.bufs_allocated(),
+            durable_records: d.records,
+            durable_bytes: d.bytes,
+            durable_write_syscalls: d.write_syscalls,
+            durable_syncs: d.syncs,
             faults: f.drops + f.dups + f.parked + f.delayed + f.pruned + f.crash_discarded,
             ..self.c
         }

@@ -38,7 +38,7 @@
 use super::sampler::OpSampler;
 use crate::chaos::CrashSpan;
 use crate::config::{Mode, StoreConfig};
-use crate::durable::{self, EpochLog, LogError, Recovered, SealInfo};
+use crate::durable::{self, EpochLog, LogCounts, LogError, Recovered, SealInfo};
 use crate::objects::ObjectTable;
 use crate::record::{OwnEvent, WindowRecord, WindowRecorder};
 use crate::shard::ShardMap;
@@ -141,9 +141,10 @@ pub(super) struct Taps<'a, T: Adt> {
     /// drain closes.
     epoch: u64,
     /// Durable epoch log appender (`Some` when `durable.log_dir` is
-    /// set): own-op and delivered-batch records stream in, each drain
-    /// cut seals with an fsync, boundary seals snapshot-compact on the
-    /// configured cadence. See `docs/DURABILITY.md`.
+    /// set): own-op and delivered-batch records gather in its group
+    /// commit, each drain cut seals with a write and an fsync, boundary
+    /// seals snapshot-compact on the configured cadence. See
+    /// `docs/DURABILITY.md`.
     dlog: Option<EpochLog>,
     /// The per-run log directory (recovery replays from it).
     dlog_dir: Option<PathBuf>,
@@ -245,6 +246,11 @@ where
     /// Is a durable log attached?
     pub(super) fn logging(&self) -> bool {
         self.dlog.is_some()
+    }
+
+    /// The durable log's cumulative counts (zero without a log).
+    pub(super) fn log_counts(&self) -> LogCounts {
+        self.dlog.as_ref().map(|l| l.counts).unwrap_or_default()
     }
 
     /// Streaming-monitor counters (sealed into every durable cut).
