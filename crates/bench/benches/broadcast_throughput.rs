@@ -6,7 +6,6 @@
 use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
 use cbm_net::thread_net::ThreadNet;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use crossbeam::thread;
 
 /// In-order delivery of `n_msgs` messages between two endpoints.
 fn protocol_only(n_msgs: usize) {
@@ -31,20 +30,21 @@ fn protocol_reversed(n_msgs: usize) {
     assert_eq!(total, n_msgs);
 }
 
-/// Two threads exchanging causal broadcasts over crossbeam channels.
+/// Two threads exchanging causal broadcasts over the in-process
+/// transport.
 fn threaded_exchange(n_msgs: usize) {
     let mut net: ThreadNet<CausalMsg<u64>> = ThreadNet::new(2);
     let e0 = net.endpoint(0);
     let e1 = net.endpoint(1);
-    thread::scope(|s| {
-        s.spawn(move |_| {
+    std::thread::scope(|s| {
+        s.spawn(move || {
             let mut proto: CausalBroadcast<u64> = CausalBroadcast::new(0, 2);
             for i in 0..n_msgs as u64 {
                 let m = proto.broadcast(i);
                 e0.broadcast(m);
             }
         });
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut proto: CausalBroadcast<u64> = CausalBroadcast::new(1, 2);
             let mut delivered = 0;
             while delivered < n_msgs {
@@ -52,8 +52,7 @@ fn threaded_exchange(n_msgs: usize) {
                 delivered += proto.on_receive(m).len();
             }
         });
-    })
-    .unwrap();
+    });
 }
 
 fn bench_broadcast(c: &mut Criterion) {

@@ -2,7 +2,7 @@
 //! replication traffic on a real loopback TCP mesh.
 //!
 //! ```text
-//! cbm-node serve --control HOST:PORT --id N [--trace-dir DIR]
+//! cbm-node serve --control HOST:PORT --id N
 //! cbm-node run [--workers N] [--objects N] [--ops N] [--mode cc|ccv]
 //!              [--batch N|off] [--seed S] [--rf N] [--locality N]
 //!              [--read-ratio R] [--remote-read-ratio R]
@@ -26,38 +26,34 @@
 //! the report summary, exit status non-zero on any verification
 //! failure. `--profile` applies a named chaos profile
 //! ([`cbm_store::profile`]) — the full fault-injection story works
-//! over sockets.
+//! over sockets. Its workload flags are `loadgen`'s
+//! ([`cbm_bench::flags::WorkloadFlags`]).
+//!
+//! Usage errors exit 2 in both subcommands.
 
+use cbm_bench::flags::{usage_error, Flags, WorkloadFlags};
 use cbm_bench::proto::{recv_ctrl, send_ctrl, Ctrl, LegSpec};
+use cbm_bench::report::{self, dump_trace};
 use cbm_bench::{run_workload, Transport, Workload};
-use cbm_store::{profile, BatchPolicy, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig};
+use cbm_store::profile;
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => serve(&args[1..]),
-        Some("run") => run_once(&args[1..]),
-        Some("--help") | Some("-h") => {
-            print_help();
-            ExitCode::SUCCESS
-        }
-        _ => {
-            eprintln!("cbm-node: expected a subcommand (serve | run)");
-            print_help();
-            ExitCode::from(2)
-        }
-    }
-}
+const USAGE: &str = "cbm-node serve --control HOST:PORT --id N\n\
+     cbm-node run [--workers N] [--objects N] [--ops N] [--mode cc|ccv] \
+     [--batch N|off] [--seed S] [--rf N] [--locality N] [--read-ratio R] \
+     [--remote-read-ratio R] [--workload register|counter] [--profile NAME] [--monitor]";
 
-fn print_help() {
-    println!(
-        "cbm-node serve --control HOST:PORT --id N [--trace-dir DIR]\n\
-         cbm-node run [--workers N] [--objects N] [--ops N] [--mode cc|ccv] \
-         [--batch N|off] [--seed S] [--rf N] [--locality N] [--read-ratio R] \
-         [--remote-read-ratio R] [--workload register|counter] [--profile NAME] [--monitor]"
-    );
+fn main() -> ExitCode {
+    let mut args = Flags::from_env(USAGE);
+    match args.next().as_deref() {
+        Some("serve") => serve(args),
+        Some("run") => run_once(args),
+        Some(other) => args.other(other),
+        None => usage_error(format!(
+            "cbm-node: expected a subcommand (serve | run)\n{USAGE}"
+        )),
+    }
 }
 
 /// Execute one leg and report node-side: run over the TCP mesh, dump
@@ -92,49 +88,30 @@ fn execute(id: usize, spec: &LegSpec) -> cbm_store::StoreReport {
         report.windows.len(),
         report.windows_failed
     );
-    if let Some(rec) = &report.trace {
-        let wanted = spec.trace
-            || !report.verified()
-            || report.monitor.escalations > 0
-            || report.chaos.repairs > 0
-            || !report.chaos.recoveries.is_empty();
-        if wanted {
-            match cbm_bench::write_trace(&spec.trace_dir, &spec.name, rec) {
-                Ok((chrome, jsonl)) => eprintln!("cbm-node[{id}]   trace: {chrome} + {jsonl}"),
-                Err(e) => eprintln!(
-                    "cbm-node[{id}]   trace: could not write to {}: {e}",
-                    spec.trace_dir
-                ),
-            }
-        }
+    if spec.trace || report::wants_trace(&report) {
+        dump_trace(
+            &report,
+            &spec.trace_dir,
+            &spec.name,
+            &format!("cbm-node[{id}]   "),
+        );
     }
     report.trace = None; // never crosses the control socket
     report
 }
 
-fn serve(args: &[String]) -> ExitCode {
+fn serve(mut args: Flags) -> ExitCode {
     let mut control: Option<String> = None;
     let mut id: usize = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--control" => control = it.next().cloned(),
-            "--id" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => id = v,
-                None => {
-                    eprintln!("cbm-node: --id needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("cbm-node serve: unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            "--control" => control = Some(args.value(&a, "HOST:PORT")),
+            "--id" => id = args.value(&a, "a number"),
+            other => args.other(other),
         }
     }
     let Some(addr) = control else {
-        eprintln!("cbm-node serve: --control HOST:PORT is required");
-        return ExitCode::from(2);
+        usage_error("cbm-node serve: --control HOST:PORT is required");
     };
     let mut stream = match TcpStream::connect(&addr) {
         Ok(s) => s,
@@ -173,129 +150,37 @@ fn serve(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_once(args: &[String]) -> ExitCode {
-    let mut cfg = StoreConfig::default();
-    let mut read_ratio = 0.5;
-    let mut remote_read_ratio = 0.05;
-    let mut workload_name = String::from("register");
+fn run_once(mut args: Flags) -> ExitCode {
+    let mut w = WorkloadFlags::default();
+    let mut counter = false;
     let mut profile_name: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next_usize = |flag: &str, it: &mut std::slice::Iter<String>| -> Option<usize> {
-            let v = it.next().and_then(|v| v.parse().ok());
-            if v.is_none() {
-                eprintln!("cbm-node: {flag} needs a number");
-            }
-            v
-        };
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--workers" => match next_usize("--workers", &mut it) {
-                Some(v) => cfg.workers = v,
-                None => return ExitCode::from(2),
-            },
-            "--objects" => match next_usize("--objects", &mut it) {
-                Some(v) => cfg.objects = v.max(1),
-                None => return ExitCode::from(2),
-            },
-            "--ops" => match next_usize("--ops", &mut it) {
-                Some(v) => cfg.ops_per_worker = v,
-                None => return ExitCode::from(2),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.seed = v,
-                None => {
-                    eprintln!("cbm-node: --seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match next_usize("--rf", &mut it) {
-                Some(v) => cfg.sharding = ShardConfig::rf(v),
-                None => return ExitCode::from(2),
-            },
-            "--locality" => match next_usize("--locality", &mut it) {
-                Some(v) => cfg.sharding.locality = v,
-                None => return ExitCode::from(2),
-            },
-            "--mode" => match it.next().map(String::as_str) {
-                Some("cc") => cfg.mode = Mode::Causal,
-                Some("ccv") => cfg.mode = Mode::Convergent,
-                _ => {
-                    eprintln!("cbm-node: --mode needs cc or ccv");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" => match it.next().map(String::as_str) {
-                Some("off") => cfg.batch = BatchPolicy::Off,
-                Some(v) => match v.parse() {
-                    Ok(k) => cfg.batch = BatchPolicy::Every(k),
-                    Err(_) => {
-                        eprintln!("cbm-node: --batch needs a number or 'off'");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("cbm-node: --batch needs a number or 'off'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => read_ratio = v.clamp(0.0, 1.0),
-                None => {
-                    eprintln!("cbm-node: --read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--remote-read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => remote_read_ratio = v.clamp(0.0, 1.0),
-                None => {
-                    eprintln!("cbm-node: --remote-read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workload" => match it.next().map(String::as_str) {
-                Some(w @ ("register" | "counter")) => workload_name = w.to_string(),
-                _ => {
-                    eprintln!("cbm-node: --workload needs register or counter");
-                    return ExitCode::from(2);
-                }
-            },
-            "--profile" => match it.next() {
-                Some(p) => profile_name = Some(p.clone()),
-                None => {
-                    eprintln!("cbm-node: --profile needs a chaos profile name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--monitor" => cfg.verify.monitor = true,
-            other => {
-                eprintln!("cbm-node run: unknown flag '{other}'");
-                return ExitCode::from(2);
+            "--workload" => {
+                counter = args.choice(&a, "register or counter", |v| match v {
+                    "register" => Some(false),
+                    "counter" => Some(true),
+                    _ => None,
+                })
             }
+            "--profile" => profile_name = Some(args.value(&a, "a chaos profile name")),
+            flag if w.take(flag, &mut args) => {}
+            other => args.other(other),
         }
     }
-    cfg.verify = VerifyConfig {
-        every_ops: cfg.verify.every_ops.min(cfg.ops_per_worker / 2).max(1),
-        ..cfg.verify
-    };
-    cfg.obs = ObsConfig::default();
+    let mut cfg = w.config();
     if let Some(name) = &profile_name {
-        match profile(name, cfg.workers, cfg.verify.every_ops) {
-            Some(plan) => cfg.chaos = plan,
-            None => {
-                eprintln!(
-                    "cbm-node: unknown chaos profile '{name}' (known: {})",
-                    cbm_store::PROFILE_NAMES.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
+        cfg.chaos = profile(name, cfg.workers, cfg.verify.every_ops).unwrap_or_else(|| {
+            usage_error(format!(
+                "cbm-node: unknown chaos profile '{name}' (known: {})",
+                cbm_store::PROFILE_NAMES.join(", ")
+            ))
+        });
     }
-    let workload = match workload_name.as_str() {
-        "counter" => Workload::Counter,
-        _ => Workload::Register {
-            read_ratio,
-            remote_read_ratio,
-        },
+    let workload = if counter {
+        Workload::Counter
+    } else {
+        w.register()
     };
     let r = run_workload(&workload, &cfg, Transport::Tcp);
     println!(
@@ -309,16 +194,16 @@ fn run_once(args: &[String]) -> ExitCode {
         r.windows_failed,
         r.drains_converged
     );
-    if r.monitor.enabled {
-        println!(
-            "cbm-node: monitor certified {}/{} ops, {} escalation(s), {} violation(s)",
-            r.monitor.ops_checked, r.total_ops, r.monitor.escalations, r.monitor.violations
-        );
+    if let Some(m) = report::monitor_summary(&r) {
+        println!("cbm-node: {m}");
     }
-    if r.verified() && (!r.monitor.enabled || r.monitor.certified(r.total_ops)) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("cbm-node: verification FAILED");
-        ExitCode::FAILURE
+    let failures = report::run_failures(&r);
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
     }
+    for f in &failures {
+        eprintln!("cbm-node: FAIL {f}");
+    }
+    eprintln!("cbm-node: verification FAILED");
+    ExitCode::FAILURE
 }

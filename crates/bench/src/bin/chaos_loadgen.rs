@@ -45,10 +45,10 @@
 //! missing recovery (crash profiles must report every span recovered,
 //! with at least one verified window spanning the recovery drain), a
 //! final-state mismatch against the twin, or any determinism mismatch
-//! between the two chaos runs. Exit status is non-zero iff any cell
-//! failed — this is what the `chaos-smoke` CI job (and the nightly
-//! extended sweep) gates on. Wall-clock columns are recorded but never
-//! gate.
+//! between the two chaos runs. Exit status is 1 iff any cell failed —
+//! this is what the `chaos-smoke` CI job (and the nightly extended
+//! sweep) gates on — and 2 on a usage error, before any cell runs.
+//! Wall-clock columns are recorded but never gate.
 //!
 //! `--workers`/`--locality` override the matrix dimensions — the
 //! nightly sweep runs one 128-worker rf-2 locality-8 cell to keep the
@@ -82,38 +82,28 @@
 //!   state must be byte-identical to the uninterrupted twin. The
 //!   halt+resume pair runs twice to pin its determinism.
 
-use cbm_bench::{run_workload, Transport, Workload};
+use cbm_bench::flags::{usage_error, Flags};
+use cbm_bench::json::Json;
+use cbm_bench::report::{self, append_summary_table};
+use cbm_bench::{leg_config, run_workload, Transport, Workload, SEED};
 use cbm_store::{
-    profile, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
-    VerifyConfig, PROFILE_NAMES,
+    profile, BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport, PROFILE_NAMES,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] \
+     [--rf N] [--workers N] [--locality N] [--monitor] [--trace] \
+     [--trace-dir DIR] [--transport thread|tcp] [--log-dir DIR]";
+
+/// One judged cell; its mode and seed are its report's.
 struct Cell {
     profile: String,
-    mode: Mode,
-    seed: u64,
     report: StoreReport,
-    ops_survived: u64,
     windows_spanning_recovery: usize,
     determinism_match: bool,
     state_match: bool,
     failures: Vec<String>,
-}
-
-/// Shared matrix dimensions: (workers, every_ops) feed both the
-/// config and the fault-profile constructors, so crash/recover ticks
-/// always land on this config's epoch boundaries. `workers` = 0 takes
-/// the default 4; larger clusters shrink the per-worker op count so
-/// the cell's total work stays bounded on oversubscribed runners.
-fn dims(quick: bool, workers: usize) -> (usize, usize) {
-    let w = if workers == 0 { 4 } else { workers };
-    if quick {
-        (w, 500)
-    } else {
-        (w, 2_000)
-    }
 }
 
 /// Per-worker ops for a cell: the quick/full defaults, divided down
@@ -125,39 +115,6 @@ fn cell_ops(quick: bool, workers: usize, every: usize) -> (usize, usize) {
     let (ops, window) = if quick { (2_000, 16) } else { (20_000, 32) };
     let scale = (workers.max(4) / 4).max(1);
     ((ops / scale).max(4 * every), window)
-}
-
-fn cfg(
-    mode: Mode,
-    seed: u64,
-    quick: bool,
-    dim: Dims,
-    chaos: cbm_net::fault::FaultPlan,
-) -> StoreConfig {
-    let (workers, every) = dims(quick, dim.workers);
-    let (ops, window) = cell_ops(quick, workers, every);
-    StoreConfig {
-        workers,
-        // partial replication needs every worker to host a shard
-        // (shards = min(objects, workers)), so the object space grows
-        // with the cluster axis; at the default 4 workers this is the
-        // long-standing 64-object space of the committed baseline
-        objects: 64.max(workers),
-        ops_per_worker: ops,
-        mode,
-        batch: BatchPolicy::Every(8),
-        verify: VerifyConfig {
-            every_ops: every,
-            window_ops: window,
-            sample_every: 1,
-            monitor: dim.monitor,
-        },
-        seed,
-        sharding: ShardConfig::rf_local(dim.rf, dim.locality),
-        chaos,
-        obs: ObsConfig::default(),
-        durable: DurableConfig::default(),
-    }
 }
 
 /// The deterministic fingerprint of a run, diffed across the replay.
@@ -220,7 +177,7 @@ fn disk_cols(r: &StoreReport) -> (u64, u64) {
 
 /// The sweep's cluster-axis overrides (defaults = the 4-worker
 /// full-replication matrix of `docs/CHAOS.md`).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Dims {
     workers: usize,
     rf: usize,
@@ -244,6 +201,92 @@ fn cell_durable(base: &Path, label: &str, mode: Mode, seed: u64) -> DurableConfi
     }
 }
 
+/// A cell's fault-free configuration. Its `workers` and
+/// `verify.every_ops` also feed the fault-profile constructors, so
+/// crash/recover ticks always land on its epoch boundaries. `workers`
+/// = 0 takes the default 4; larger clusters shrink the per-worker op
+/// count so the cell's total work stays bounded on oversubscribed
+/// runners.
+fn cfg(mode: Mode, seed: u64, quick: bool, dim: Dims) -> StoreConfig {
+    let workers = if dim.workers == 0 { 4 } else { dim.workers };
+    let every = if quick { 500 } else { 2_000 };
+    let (ops, window) = cell_ops(quick, workers, every);
+    // partial replication needs every worker to host a shard
+    // (shards = min(objects, workers)), so the object space grows
+    // with the cluster axis; at the default 4 workers this is the
+    // long-standing 64-object space of the committed baseline
+    let objects = 64.max(workers);
+    let mut c = StoreConfig {
+        seed,
+        sharding: ShardConfig::rf_local(dim.rf, dim.locality),
+        ..leg_config(
+            mode,
+            workers,
+            objects,
+            ops,
+            BatchPolicy::Every(8),
+            every,
+            window,
+        )
+    };
+    c.verify.monitor = dim.monitor;
+    c
+}
+
+fn run(cfg: &StoreConfig, transport: Transport) -> StoreReport {
+    run_workload(&Workload::Counter, cfg, transport)
+}
+
+/// Judge a cell's run `a` (configured by `cfg`) on top of the
+/// cell-specific `failures`: the checks every run gets, no lost ops,
+/// every deterministic column equal in its replay `a2`, and final state
+/// byte-identical to its fault-free `twin`.
+fn judge(
+    profile: String,
+    cfg: &StoreConfig,
+    runs: [StoreReport; 3],
+    mut failures: Vec<String>,
+    windows_spanning_recovery: usize,
+) -> Cell {
+    let [a, a2, twin] = runs;
+    failures.extend(report::run_failures(&a));
+    if a.total_ops != cfg.total_ops() {
+        failures.push(format!("ops lost: {} of {}", a.total_ops, cfg.total_ops()));
+    }
+    let (det_a, det_a2) = (det_columns(&a), det_columns(&a2));
+    for ((k, va), (_, vb)) in det_a.iter().zip(&det_a2) {
+        if va != vb {
+            failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
+        }
+    }
+    // the run must end byte-identical to its fault-free twin, replica
+    // by replica; under full replication every replica must
+    // additionally agree (partial replicas host different shards, so
+    // cross-replica equality only holds per shard there — the drain
+    // convergence check covers that)
+    let full = cfg.sharding.replication == 0 || cfg.sharding.replication >= cfg.workers;
+    let hashes = &a.final_state_hashes;
+    let state_match =
+        *hashes == twin.final_state_hashes && (!full || hashes.iter().all(|&x| x == hashes[0]));
+    if !state_match {
+        failures.push(format!(
+            "final state mismatch: {hashes:x?} vs twin {:x?}",
+            twin.final_state_hashes
+        ));
+    }
+    Cell {
+        profile,
+        determinism_match: det_a == det_a2,
+        state_match,
+        windows_spanning_recovery,
+        failures,
+        report: a,
+    }
+}
+
+/// A fault-profile cell, run three times: under the fault plan, again
+/// (the replay), and fault-free (the twin). With `log_base` the
+/// crashed workers recover from their own epoch logs.
 fn run_cell(
     name: &'static str,
     mode: Mode,
@@ -253,66 +296,26 @@ fn run_cell(
     transport: Transport,
     log_base: Option<&Path>,
 ) -> Cell {
-    let (workers, every) = dims(quick, dim.workers);
-    let label = if log_base.is_some() {
-        format!("{name}-disk")
-    } else {
-        name.to_string()
+    let label = match log_base {
+        Some(_) => format!("{name}-disk"),
+        None => name.to_string(),
     };
-    let plan = profile(name, workers, every).expect("known profile");
-    let mut chaos_cfg = cfg(mode, seed, quick, dim, plan);
+    let free_cfg = cfg(mode, seed, quick, dim);
+    let mut chaos_cfg = free_cfg.clone();
+    chaos_cfg.chaos =
+        profile(name, free_cfg.workers, free_cfg.verify.every_ops).expect("known profile");
     if let Some(base) = log_base {
         // the replay (run 2) reopens the same directory fresh — the
         // log is wiped and rewritten, which is exactly the contract
         chaos_cfg.durable = cell_durable(base, &label, mode, seed);
     }
+    let a = run(&chaos_cfg, transport);
+    let a2 = run(&chaos_cfg, transport);
     // the twin stays memory-only: byte-identical convergence then
     // proves the disk ladder equivalent to the live state transfer
-    let free_cfg = cfg(mode, seed, quick, dim, cbm_net::fault::FaultPlan::new());
-
-    let a = run_workload(&Workload::Counter, &chaos_cfg, transport);
-    let a2 = run_workload(&Workload::Counter, &chaos_cfg, transport);
-    let twin = run_workload(&Workload::Counter, &free_cfg, transport);
+    let twin = run(&free_cfg, transport);
 
     let mut failures = Vec::new();
-    for w in a.windows.iter().filter(|w| w.result.is_err()) {
-        failures.push(format!(
-            "window {} [{}]: {:?}",
-            w.window, w.criterion, w.result
-        ));
-    }
-    if !a.drains_converged {
-        failures.push("drain divergence".into());
-    }
-
-    let determinism_match = det_columns(&a) == det_columns(&a2);
-    if !determinism_match {
-        for ((k, va), (_, vb)) in det_columns(&a).iter().zip(det_columns(&a2).iter()) {
-            if va != vb {
-                failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
-            }
-        }
-    }
-
-    // the chaos run must end byte-identical to its fault-free twin,
-    // replica by replica; under full replication every replica must
-    // additionally agree (partial replicas host different shards, so
-    // cross-replica equality only holds per shard there — the drain
-    // convergence check covers that)
-    let full =
-        chaos_cfg.sharding.replication == 0 || chaos_cfg.sharding.replication >= chaos_cfg.workers;
-    let state_match = a.final_state_hashes == twin.final_state_hashes
-        && (!full
-            || a.final_state_hashes
-                .iter()
-                .all(|&x| x == a.final_state_hashes[0]));
-    if !state_match {
-        failures.push(format!(
-            "final state mismatch: chaos {:x?} vs twin {:x?}",
-            a.final_state_hashes, twin.final_state_hashes
-        ));
-    }
-
     // the schedule itself says how many crash spans the profile has —
     // no hand-maintained table to drift out of sync with the profiles
     let want_rec = cbm_store::ChaosSchedule::build(&chaos_cfg).spans.len();
@@ -322,51 +325,15 @@ fn run_cell(
             a.chaos.recoveries.len()
         ));
     }
-    let windows_spanning_recovery = a
+    let spanning = a
         .windows
         .iter()
         .filter(|w| w.spans_recovery && w.result.is_ok())
         .count();
-    if want_rec > 0 && windows_spanning_recovery == 0 {
+    if want_rec > 0 && spanning == 0 {
         failures.push("no verified window spans a recovery".into());
     }
-    if a.total_ops != chaos_cfg.total_ops() {
-        failures.push(format!(
-            "ops lost: {} of {}",
-            a.total_ops,
-            chaos_cfg.total_ops()
-        ));
-    }
-
-    // a monitored cell must certify every op despite the fault plan:
-    // nack-repaired deliveries fold exactly once, recovered workers
-    // rebuild their shadows from the state transfer
-    if dim.monitor {
-        if a.monitor.ops_checked != a.total_ops {
-            failures.push(format!(
-                "monitor certified {} of {} ops",
-                a.monitor.ops_checked, a.total_ops
-            ));
-        }
-        if a.monitor.violations != 0 {
-            failures.push(format!(
-                "{} confirmed monitor violation(s): {:?}",
-                a.monitor.violations, a.monitor.records
-            ));
-        }
-    }
-
-    Cell {
-        profile: label,
-        mode,
-        seed,
-        ops_survived: a.total_ops,
-        windows_spanning_recovery,
-        determinism_match,
-        state_match,
-        failures,
-        report: a,
-    }
+    judge(label, &chaos_cfg, [a, a2, twin], failures, spanning)
 }
 
 /// The fault-free cold-restart cell: run to the middle epoch boundary
@@ -383,7 +350,7 @@ fn run_cold_cell(
     transport: Transport,
     log_base: &Path,
 ) -> Cell {
-    let base_cfg = cfg(mode, seed, quick, dim, cbm_net::fault::FaultPlan::new());
+    let base_cfg = cfg(mode, seed, quick, dim);
     let epochs = (base_cfg.ops_per_worker / base_cfg.verify.every_ops.max(1)) as u64;
     let halt = (epochs / 2).max(1);
 
@@ -394,62 +361,20 @@ fn run_cold_cell(
         // replays real log records, not just the compacted snapshot
         halted_cfg.durable.snapshot_every = 4;
         halted_cfg.durable.halt_at_boundary = halt;
-        let halted = run_workload(&Workload::Counter, &halted_cfg, transport);
+        let halted = run(&halted_cfg, transport);
         let mut resumed_cfg = halted_cfg.clone();
         resumed_cfg.durable.halt_at_boundary = 0;
         resumed_cfg.durable.resume = true;
-        let resumed = run_workload(&Workload::Counter, &resumed_cfg, transport);
-        (halted, resumed)
+        (halted, run(&resumed_cfg, transport))
     };
-
     let (halted, a) = pair("a");
     let (_, a2) = pair("b");
-    let twin = run_workload(&Workload::Counter, &base_cfg, transport);
+    let twin = run(&base_cfg, transport);
 
     let mut failures = Vec::new();
     if !halted.verified() {
         failures.push("halted prefix run had unverified windows".into());
     }
-    for w in a.windows.iter().filter(|w| w.result.is_err()) {
-        failures.push(format!(
-            "window {} [{}]: {:?}",
-            w.window, w.criterion, w.result
-        ));
-    }
-    if !a.drains_converged {
-        failures.push("drain divergence".into());
-    }
-    if a.total_ops != base_cfg.total_ops() {
-        failures.push(format!(
-            "resume lost ops: {} of {}",
-            a.total_ops,
-            base_cfg.total_ops()
-        ));
-    }
-
-    let determinism_match = det_columns(&a) == det_columns(&a2);
-    if !determinism_match {
-        for ((k, va), (_, vb)) in det_columns(&a).iter().zip(det_columns(&a2).iter()) {
-            if va != vb {
-                failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
-            }
-        }
-    }
-
-    let full =
-        base_cfg.sharding.replication == 0 || base_cfg.sharding.replication >= base_cfg.workers;
-    let state_match = a.final_state_hashes == twin.final_state_hashes
-        && (!full
-            || a.final_state_hashes
-                .iter()
-                .all(|&x| x == a.final_state_hashes[0]));
-    if !state_match {
-        failures.push(format!(
-            "cold restart diverged from uninterrupted twin: {:x?} vs {:x?}",
-            a.final_state_hashes, twin.final_state_hashes
-        ));
-    }
-
     // every worker resumed from its own disk: one self-helper row each
     if a.chaos.recoveries.len() != base_cfg.workers {
         failures.push(format!(
@@ -458,235 +383,118 @@ fn run_cold_cell(
             a.chaos.recoveries.len()
         ));
     }
-    for rec in &a.chaos.recoveries {
-        if rec.helper != rec.worker {
-            failures.push(format!(
-                "worker {} resumed through helper {} instead of its own disk",
-                rec.worker, rec.helper
-            ));
-        }
+    for rec in a.chaos.recoveries.iter().filter(|r| r.helper != r.worker) {
+        failures.push(format!(
+            "worker {} resumed through helper {} instead of its own disk",
+            rec.worker, rec.helper
+        ));
     }
     if disk_cols(&a).1 == 0 {
         failures.push("resume replayed no log records".into());
     }
+    judge("cold-restart".into(), &base_cfg, [a, a2, twin], failures, 0)
+}
 
-    if dim.monitor {
-        if a.monitor.ops_checked != a.total_ops {
-            failures.push(format!(
-                "monitor certified {} of {} ops across the restart",
-                a.monitor.ops_checked, a.total_ops
-            ));
-        }
-        if a.monitor.violations != 0 {
-            failures.push(format!(
-                "{} confirmed monitor violation(s): {:?}",
-                a.monitor.violations, a.monitor.records
-            ));
-        }
+/// Print a judged cell's line and failures, and dump its flight record
+/// if it failed (every cell under `--trace`).
+fn finish(cell: Cell, trace: bool, trace_dir: &str) -> Cell {
+    let r = &cell.report;
+    let (mode, seed) = (r.config.mode.criterion(), r.config.seed);
+    eprint!(
+        "{:>20} {mode} seed {seed}: {} msgs, {} drops [{}], {} dups [{}], \
+         {} delayed, {} repairs",
+        cell.profile,
+        r.msgs_sent,
+        r.chaos.drops,
+        per_node(&r.chaos.dropped_per_node),
+        r.chaos.dups,
+        per_node(&r.chaos.dup_per_node),
+        r.chaos.delayed,
+        r.chaos.repairs,
+    );
+    let green = cell.failures.is_empty();
+    eprintln!(" ... {}", if green { "ok" } else { "FAIL" });
+    for f in &cell.failures {
+        eprintln!("    {f}");
     }
-
-    Cell {
-        profile: "cold-restart".into(),
-        mode,
-        seed,
-        ops_survived: a.total_ops,
-        windows_spanning_recovery: 0,
-        determinism_match,
-        state_match,
-        failures,
-        report: a,
+    // tracing is auto-on under chaos, so every non-green cell has a
+    // flight record to dump for post-mortems; --trace keeps the green
+    // ones too
+    if trace || !green {
+        let name = format!("{}-{mode}-s{seed}", cell.profile);
+        report::dump_trace(r, trace_dir, &name, "    ");
     }
+    cell
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
+    let mut args = Flags::from_env(USAGE);
+    let (mut quick, mut trace) = (false, false);
     let mut out_path = String::from("BENCH_chaos.json");
     let mut summary_path: Option<String> = None;
     let mut seeds: u64 = 0;
-    let mut rf: usize = 0;
-    let mut workers: usize = 0;
-    let mut locality: usize = 0;
-    let mut trace = false;
+    let mut dim = Dims::default();
     let mut trace_dir = String::from("traces");
-    let mut monitor = false;
     let mut transport = Transport::Thread;
-    let mut log_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut log_dir: Option<PathBuf> = None;
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--trace" => trace = true,
-            "--monitor" => monitor = true,
-            "--log-dir" => match it.next() {
-                Some(p) => log_dir = Some(p.clone()),
-                None => {
-                    eprintln!("--log-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--transport" => match it.next().map(String::as_str).and_then(Transport::parse) {
-                Some(t) => transport = t,
-                None => {
-                    eprintln!("--transport needs thread or tcp");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-dir" => match it.next() {
-                Some(p) => trace_dir = p.clone(),
-                None => {
-                    eprintln!("--trace-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = n,
-                None => {
-                    eprintln!("--seeds needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => rf = n,
-                None => {
-                    eprintln!("--rf needs a replication factor (0 = full)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => workers = n,
-                None => {
-                    eprintln!("--workers needs a worker count (0 = default 4)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--locality" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => locality = n,
-                None => {
-                    eprintln!("--locality needs a window size (0 = global draw)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] \
-                     [--rf N] [--workers N] [--locality N] [--monitor] [--trace] \
-                     [--trace-dir DIR] [--transport thread|tcp] [--log-dir DIR]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            "--monitor" => dim.monitor = true,
+            "--log-dir" => log_dir = Some(args.value(&a, "a path")),
+            "--transport" => transport = args.choice(&a, "thread or tcp", Transport::parse),
+            "--trace-dir" => trace_dir = args.value(&a, "a path"),
+            "--out" => out_path = args.value(&a, "a path"),
+            "--summary" => summary_path = Some(args.value(&a, "a path")),
+            "--seeds" => seeds = args.value(&a, "a number"),
+            "--rf" => dim.rf = args.value(&a, "a replication factor (0 = full)"),
+            "--workers" => dim.workers = args.value(&a, "a worker count (0 = default 4)"),
+            "--locality" => dim.locality = args.value(&a, "a window size (0 = global draw)"),
+            other => args.other(other),
         }
     }
     if seeds == 0 {
         seeds = if quick { 2 } else { 3 };
     }
-
-    let dim = Dims {
-        workers,
-        rf,
-        locality,
-        monitor,
-    };
     // the durability cells always run; without --log-dir they write
     // under a process-scoped scratch directory in $TMPDIR
-    let log_base: PathBuf = log_dir.map(PathBuf::from).unwrap_or_else(|| {
+    let log_base = log_dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("cbm-chaos-logs-{}", std::process::id()))
     });
     if let Err(e) = std::fs::create_dir_all(&log_base) {
-        eprintln!("could not create --log-dir {}: {e}", log_base.display());
-        return ExitCode::from(2);
+        usage_error(format!(
+            "could not create --log-dir {}: {e}",
+            log_base.display()
+        ));
     }
 
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut failed = 0usize;
-    let finish = |cell: Cell, cells: &mut Vec<Cell>, failed: &mut usize| {
-        eprint!(
-            "{:>20} {} seed {}: {} msgs, {} drops [{}], {} dups [{}], \
-             {} delayed, {} repairs",
-            cell.profile,
-            cell.mode.criterion(),
-            cell.seed,
-            cell.report.msgs_sent,
-            cell.report.chaos.drops,
-            per_node(&cell.report.chaos.dropped_per_node),
-            cell.report.chaos.dups,
-            per_node(&cell.report.chaos.dup_per_node),
-            cell.report.chaos.delayed,
-            cell.report.chaos.repairs,
-        );
-        let green = cell.failures.is_empty();
-        if green {
-            eprintln!(" ... ok");
-        } else {
-            *failed += 1;
-            eprintln!(" ... FAIL");
-            for f in &cell.failures {
-                eprintln!("    {f}");
-            }
-        }
-        // tracing is auto-on under chaos, so every non-green cell has
-        // a flight record to dump for post-mortems; --trace keeps the
-        // green ones too
-        if let Some(rec) = &cell.report.trace {
-            if trace || !green {
-                let fname = format!("{}-{}-s{}", cell.profile, cell.mode.criterion(), cell.seed);
-                match cbm_bench::write_trace(&trace_dir, &fname, rec) {
-                    Ok((chrome, jsonl)) => eprintln!("    trace: {chrome} + {jsonl}"),
-                    Err(e) => eprintln!("    trace: could not write to {trace_dir}: {e}"),
-                }
-            }
-        }
-        cells.push(cell);
+    let grid = || {
+        [Mode::Causal, Mode::Convergent]
+            .into_iter()
+            .flat_map(move |m| (0..seeds).map(move |s| (m, SEED + s)))
     };
-    for name in PROFILE_NAMES {
-        for mode in [Mode::Causal, Mode::Convergent] {
-            for s in 0..seeds {
-                let seed = 42 + s;
-                let cell = run_cell(name, mode, seed, quick, dim, transport, None);
-                finish(cell, &mut cells, &mut failed);
-            }
-        }
-    }
-    // the durability matrix: the crash profiles again, recovering
-    // from the epoch log instead of the live transfer...
-    for name in ["crash-recover", "rolling-crashes"] {
-        for mode in [Mode::Causal, Mode::Convergent] {
-            for s in 0..seeds {
-                let seed = 42 + s;
-                let cell = run_cell(name, mode, seed, quick, dim, transport, Some(&log_base));
-                finish(cell, &mut cells, &mut failed);
-            }
+    // the fault-profile matrix, then the durability matrix: the crash
+    // profiles again, recovering from the epoch log instead of the
+    // live transfer...
+    let mut matrix: Vec<(&'static str, Option<&Path>)> =
+        PROFILE_NAMES.iter().map(|&name| (name, None)).collect();
+    matrix
+        .extend(["crash-recover", "rolling-crashes"].map(|name| (name, Some(log_base.as_path()))));
+    let mut cells: Vec<Cell> = Vec::new();
+    for (name, log) in matrix {
+        for (mode, seed) in grid() {
+            let cell = run_cell(name, mode, seed, quick, dim, transport, log);
+            cells.push(finish(cell, trace, &trace_dir));
         }
     }
     // ...and the fault-free cold restart of the whole fleet
-    for mode in [Mode::Causal, Mode::Convergent] {
-        for s in 0..seeds {
-            let seed = 42 + s;
-            let cell = run_cold_cell(mode, seed, quick, dim, transport, &log_base);
-            finish(cell, &mut cells, &mut failed);
-        }
+    for (mode, seed) in grid() {
+        let cell = run_cold_cell(mode, seed, quick, dim, transport, &log_base);
+        cells.push(finish(cell, trace, &trace_dir));
     }
 
-    let json = render_json(quick, seeds, rf, &cells);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, document(quick, seeds, dim.rf, &cells).render()) {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -698,6 +506,7 @@ fn main() -> ExitCode {
         }
     }
 
+    let failed = cells.iter().filter(|c| !c.failures.is_empty()).count();
     if failed > 0 {
         eprintln!("chaos_loadgen: {failed} cell(s) failed");
         ExitCode::FAILURE
@@ -706,124 +515,102 @@ fn main() -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON (the workspace vendors no serializer;
-/// the explicit schema doubles as documentation).
-fn render_json(quick: bool, seeds: u64, rf: usize, cells: &[Cell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-chaos-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"seeds_per_cell\": {seeds},\n"));
-    s.push_str(&format!("  \"replication\": {rf},\n"));
+/// The `cbm-chaos-v1` document.
+fn document(quick: bool, seeds: u64, rf: usize, cells: &[Cell]) -> Json {
     // bytes_sent stays in each cell as an informational column but is
     // not deterministic: delta headers depend on delivery interleaving
-    s.push_str(
-        "  \"deterministic_columns\": [\"total_ops\", \"msgs_sent\", \
-         \"drops\", \"dups\", \"parked\", \"released\", \"delayed\", \"pruned\", \"crash_discarded\", \"nacks\", \"repairs\", \
-         \"repaired_batches\", \"recoveries\", \"remote_reads\", \"windows\", \
-         \"monitor_ops_checked\", \"monitor_escalations\", \
-         \"log_bytes\", \"replayed_records\"],\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.report;
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"profile\": \"{}\",\n", c.profile));
-        s.push_str(&format!("      \"mode\": \"{}\",\n", c.mode.criterion()));
-        s.push_str(&format!("      \"seed\": {},\n", c.seed));
-        s.push_str(&format!("      \"workers\": {},\n", r.config.workers));
-        s.push_str(&format!(
-            "      \"ops_per_worker\": {},\n",
-            r.config.ops_per_worker
-        ));
-        s.push_str(&format!("      \"ops_survived\": {},\n", c.ops_survived));
-        s.push_str(&format!("      \"wall_ms\": {},\n", r.wall_ns / 1_000_000));
-        s.push_str(&format!("      \"msgs_sent\": {},\n", r.msgs_sent));
-        s.push_str(&format!("      \"bytes_sent\": {},\n", r.bytes_sent));
-        s.push_str(&format!("      \"drops\": {},\n", r.chaos.drops));
-        s.push_str(&format!("      \"dups\": {},\n", r.chaos.dups));
-        s.push_str(&format!("      \"parked\": {},\n", r.chaos.parked));
-        s.push_str(&format!("      \"released\": {},\n", r.chaos.released));
-        s.push_str(&format!("      \"delayed\": {},\n", r.chaos.delayed));
-        s.push_str(&format!("      \"pruned\": {},\n", r.chaos.pruned));
-        s.push_str(&format!(
-            "      \"crash_discarded\": {},\n",
-            r.chaos.crash_discarded
-        ));
-        s.push_str(&format!("      \"nacks\": {},\n", r.chaos.nacks));
-        s.push_str(&format!("      \"repairs\": {},\n", r.chaos.repairs));
-        s.push_str(&format!(
-            "      \"repaired_batches\": {},\n",
-            r.chaos.repaired_batches
-        ));
-        s.push_str(&format!(
-            "      \"dropped_per_node\": {:?},\n",
-            r.chaos.dropped_per_node
-        ));
-        s.push_str(&format!("      \"remote_reads\": {},\n", r.remote_reads));
-        let (log_bytes, replayed) = disk_cols(r);
-        s.push_str(&format!("      \"log_bytes\": {log_bytes},\n"));
-        s.push_str(&format!("      \"replayed_records\": {replayed},\n"));
-        s.push_str("      \"recoveries\": [\n");
-        for (j, rec) in r.chaos.recoveries.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"worker\": {}, \"helper\": {}, \"crash_epoch\": {}, \
-                 \"recover_epoch\": {}, \"synced_shards\": {}, \"synced_objects\": {}, \
-                 \"replayed_records\": {}, \"log_bytes\": {}, \"sync_ms\": {}}}{}\n",
-                rec.worker,
-                rec.helper,
-                rec.crash_epoch,
-                rec.recover_epoch,
-                rec.synced_shards,
-                rec.synced_objects,
-                rec.replayed_records,
-                rec.log_bytes,
-                rec.sync_wall_ns / 1_000_000,
-                if j + 1 < r.chaos.recoveries.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("      ],\n");
-        s.push_str(&format!("      \"windows\": {},\n", r.windows.len()));
-        s.push_str(&format!(
-            "      \"windows_failed\": {},\n",
-            r.windows_failed
-        ));
-        s.push_str(&format!(
-            "      \"windows_spanning_recovery\": {},\n",
-            c.windows_spanning_recovery
-        ));
-        if r.monitor.enabled {
-            s.push_str(&format!(
-                "      \"monitor_ops_checked\": {},\n",
-                r.monitor.ops_checked
-            ));
-            s.push_str(&format!(
-                "      \"monitor_escalations\": {},\n",
-                r.monitor.escalations
-            ));
-            s.push_str(&format!(
-                "      \"monitor_violations\": {},\n",
-                r.monitor.violations
-            ));
-        }
-        s.push_str(&format!(
-            "      \"determinism_match\": {},\n",
-            c.determinism_match
-        ));
-        s.push_str(&format!("      \"state_match\": {},\n", c.state_match));
-        s.push_str(&format!("      \"ok\": {}\n", c.failures.is_empty()));
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
+    let deterministic = [
+        "total_ops",
+        "msgs_sent",
+        "drops",
+        "dups",
+        "parked",
+        "released",
+        "delayed",
+        "pruned",
+        "crash_discarded",
+        "nacks",
+        "repairs",
+        "repaired_batches",
+        "recoveries",
+        "remote_reads",
+        "windows",
+        "monitor_ops_checked",
+        "monitor_escalations",
+        "log_bytes",
+        "replayed_records",
+    ];
+    Json::obj(vec![
+        ("schema", "cbm-chaos-v1".into()),
+        ("quick", quick.into()),
+        ("seeds_per_cell", seeds.into()),
+        ("replication", rf.into()),
+        (
+            "deterministic_columns",
+            Json::Arr(deterministic.map(Json::from).to_vec()),
+        ),
+        ("cells", Json::List(cells.iter().map(cell_json).collect())),
+    ])
+}
+
+fn cell_json(c: &Cell) -> Json {
+    let r = &c.report;
+    let (log_bytes, replayed) = disk_cols(r);
+    let recoveries = r.chaos.recoveries.iter().map(|rec| {
+        Json::row(vec![
+            ("worker", rec.worker.into()),
+            ("helper", rec.helper.into()),
+            ("crash_epoch", rec.crash_epoch.into()),
+            ("recover_epoch", rec.recover_epoch.into()),
+            ("synced_shards", rec.synced_shards.into()),
+            ("synced_objects", rec.synced_objects.into()),
+            ("replayed_records", rec.replayed_records.into()),
+            ("log_bytes", rec.log_bytes.into()),
+            ("sync_ms", (rec.sync_wall_ns / 1_000_000).into()),
+        ])
+    });
+    let dropped = r.chaos.dropped_per_node.iter().map(|&n| n.into()).collect();
+    let mut fields = vec![
+        ("profile", c.profile.as_str().into()),
+        ("mode", r.config.mode.criterion().into()),
+        ("seed", r.config.seed.into()),
+        ("workers", r.config.workers.into()),
+        ("ops_per_worker", r.config.ops_per_worker.into()),
+        ("ops_survived", r.total_ops.into()),
+        ("wall_ms", (r.wall_ns / 1_000_000).into()),
+        ("msgs_sent", r.msgs_sent.into()),
+        ("bytes_sent", r.bytes_sent.into()),
+        ("drops", r.chaos.drops.into()),
+        ("dups", r.chaos.dups.into()),
+        ("parked", r.chaos.parked.into()),
+        ("released", r.chaos.released.into()),
+        ("delayed", r.chaos.delayed.into()),
+        ("pruned", r.chaos.pruned.into()),
+        ("crash_discarded", r.chaos.crash_discarded.into()),
+        ("nacks", r.chaos.nacks.into()),
+        ("repairs", r.chaos.repairs.into()),
+        ("repaired_batches", r.chaos.repaired_batches.into()),
+        ("dropped_per_node", Json::Arr(dropped)),
+        ("remote_reads", r.remote_reads.into()),
+        ("log_bytes", log_bytes.into()),
+        ("replayed_records", replayed.into()),
+        ("recoveries", Json::List(recoveries.collect())),
+        ("windows", r.windows.len().into()),
+        ("windows_failed", r.windows_failed.into()),
+        (
+            "windows_spanning_recovery",
+            c.windows_spanning_recovery.into(),
+        ),
+    ];
+    if r.monitor.enabled {
+        fields.push(("monitor_ops_checked", r.monitor.ops_checked.into()));
+        fields.push(("monitor_escalations", r.monitor.escalations.into()));
+        fields.push(("monitor_violations", r.monitor.violations.into()));
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    fields.push(("determinism_match", c.determinism_match.into()));
+    fields.push(("state_match", c.state_match.into()));
+    fields.push(("ok", c.failures.is_empty().into()));
+    Json::obj(fields)
 }
 
 /// Per-recipient fault counts as `a/b/c/d` (one slot per node), the
@@ -835,7 +622,6 @@ fn per_node(counts: &[u64]) -> String {
         .collect::<Vec<_>>()
         .join("/")
 }
-
 /// Append a GitHub Actions job-summary markdown table.
 fn append_summary(path: &str, quick: bool, cells: &[Cell]) -> std::io::Result<()> {
     let rows: Vec<Vec<String>> = cells
@@ -844,8 +630,8 @@ fn append_summary(path: &str, quick: bool, cells: &[Cell]) -> std::io::Result<()
             let r = &c.report;
             vec![
                 c.profile.to_string(),
-                c.mode.criterion().to_string(),
-                c.seed.to_string(),
+                r.config.mode.criterion().to_string(),
+                r.config.seed.to_string(),
                 r.msgs_sent.to_string(),
                 format!(
                     "{} ({})",
@@ -878,7 +664,7 @@ fn append_summary(path: &str, quick: bool, cells: &[Cell]) -> std::io::Result<()
             ]
         })
         .collect();
-    cbm_bench::append_summary_table(
+    append_summary_table(
         path,
         &format!("Chaos sweep ({})", if quick { "quick" } else { "full" }),
         &[

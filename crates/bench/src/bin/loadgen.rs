@@ -2,8 +2,8 @@
 //! and emit the committed throughput baseline (`BENCH_throughput.json`).
 //!
 //! ```text
-//! loadgen [--quick] [--out PATH] [--summary PATH] [--baseline PATH]
-//!         [--gate PATH] [--trace] [--trace-dir DIR] [--monitor]
+//! loadgen [--quick] [--out PATH] [--summary PATH] [--gate PATH]
+//!         [--trace] [--trace-dir DIR] [--monitor]
 //!         [--transport thread|tcp] [--procs N] [--log-dir DIR]
 //!         [--workers N] [--objects N] [--ops N] [--read-ratio R]
 //!         [--batch N|off] [--mode cc|ccv] [--seed S] [--rf N]
@@ -44,11 +44,10 @@
 //! composes with `--gate`.
 //!
 //! `--summary` appends a markdown table (one row per leg, with the
-//! committed baseline's deterministic message count alongside when
-//! `--baseline` names a readable throughput JSON) — CI points it at
-//! `$GITHUB_STEP_SUMMARY` so regressions are readable without
-//! downloading artifacts. Leg names key the lookup, so pass the
-//! baseline generated from the **same matrix**: the committed
+//! `--gate` baseline's deterministic message count alongside) — CI
+//! points it at `$GITHUB_STEP_SUMMARY` so regressions are readable
+//! without downloading artifacts. Leg names key the baseline, so gate
+//! against the one generated from the **same matrix**: the committed
 //! `BENCH_throughput_quick.json` for `--quick` runs,
 //! `BENCH_throughput.json` for full runs.
 //!
@@ -100,19 +99,26 @@
 //! leg of the run (or for the single `custom` leg), for ad-hoc
 //! certification sweeps.
 //!
-//! Exit status: non-zero iff any leg reports a failed window, a
-//! drain-point divergence (convergent mode), an uncertified op or
+//! Exit status: 1 iff any leg reports a failed window, a drain-point
+//! divergence (convergent mode), an uncertified op or
 //! monitor-confirmed violation on a monitor-enabled leg, or a `--gate`
-//! deviation.
+//! deviation; 2 on a usage error (an unknown flag, a flag without its
+//! value, an unreadable `--gate` baseline), before any leg runs.
 
+use cbm_bench::flags::{usage_error, Flags, WorkloadFlags};
 use cbm_bench::fleet::NodePool;
+use cbm_bench::gate::Gate;
+use cbm_bench::json::Json;
 use cbm_bench::proto::LegSpec;
-use cbm_bench::{run_workload, Transport, Workload};
-use cbm_store::{
-    BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
-    VerifyConfig,
-};
+use cbm_bench::report::{self, append_summary_table};
+use cbm_bench::{leg_config, run_workload, Transport, Workload};
+use cbm_store::{BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport};
 use std::process::ExitCode;
+
+const USAGE: &str = "loadgen [--quick] [--out PATH] [--summary PATH] [--gate PATH] [--trace] \
+     [--trace-dir DIR] [--monitor] [--log-dir DIR] [--transport thread|tcp] [--procs N] \
+     [--workers N] [--objects N] [--ops N] [--read-ratio R] [--batch N|off] [--mode cc|ccv] \
+     [--seed S] [--rf N] [--locality N] [--remote-read-ratio R]";
 
 /// One matrix cell.
 #[derive(Clone)]
@@ -138,28 +144,10 @@ fn leg(
     read_ratio: f64,
     verify_every: usize,
     window_ops: usize,
-    seed: u64,
 ) -> Leg {
     Leg {
         name: name.to_string(),
-        cfg: StoreConfig {
-            workers,
-            objects,
-            ops_per_worker: ops,
-            mode,
-            batch,
-            verify: VerifyConfig {
-                every_ops: verify_every,
-                window_ops,
-                sample_every: 1,
-                monitor: false,
-            },
-            seed,
-            sharding: ShardConfig::full(),
-            chaos: cbm_net::fault::FaultPlan::new(),
-            obs: ObsConfig::default(),
-            durable: DurableConfig::default(),
-        },
+        cfg: leg_config(mode, workers, objects, ops, batch, verify_every, window_ops),
         read_ratio,
         remote_read_ratio: 0.0,
     }
@@ -221,7 +209,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             50_000,
             48,
-            42,
         ),
         leg(
             "cc-4w-1024o-nobatch-r50",
@@ -233,7 +220,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             50_000,
             48,
-            42,
         ),
         leg(
             "ccv-4w-1024o-b32-r50",
@@ -245,7 +231,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             50_000,
             48,
-            42,
         ),
         leg(
             "cc-2w-1024o-b32-r50",
@@ -257,7 +242,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             50_000,
             48,
-            42,
         ),
         leg(
             "cc-8w-1024o-b32-r50",
@@ -269,7 +253,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             25_000,
             48,
-            42,
         ),
         leg(
             "cc-4w-64o-b32-r50",
@@ -281,7 +264,6 @@ fn full_matrix() -> Vec<Leg> {
             0.5,
             50_000,
             48,
-            42,
         ),
         leg(
             "cc-4w-1024o-b32-r90",
@@ -293,7 +275,6 @@ fn full_matrix() -> Vec<Leg> {
             0.9,
             50_000,
             48,
-            42,
         ),
         // the partial-replication axis: same workload shape as the
         // 8-worker full-replication leg, at rf 2 and rf 4, with 1% of
@@ -310,7 +291,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 25_000,
                 48,
-                42,
             ),
             2,
             0.01,
@@ -326,7 +306,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 25_000,
                 48,
-                42,
             ),
             4,
             0.01,
@@ -342,7 +321,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 25_000,
                 48,
-                42,
             ),
             2,
             0.01,
@@ -370,7 +348,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 4_000,
                 24,
-                42,
             ),
             2,
             8,
@@ -387,7 +364,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 2_000,
                 24,
-                42,
             ),
             2,
             8,
@@ -404,7 +380,6 @@ fn full_matrix() -> Vec<Leg> {
                 0.5,
                 1_000,
                 24,
-                42,
             ),
             2,
             8,
@@ -439,7 +414,6 @@ fn quick_matrix() -> Vec<Leg> {
             0.5,
             1_000,
             24,
-            42,
         ),
         leg(
             "cc-4w-64o-nobatch-r50-quick",
@@ -451,7 +425,6 @@ fn quick_matrix() -> Vec<Leg> {
             0.5,
             1_000,
             24,
-            42,
         ),
         leg(
             "ccv-4w-64o-b8-r50-quick",
@@ -463,7 +436,6 @@ fn quick_matrix() -> Vec<Leg> {
             0.5,
             1_000,
             24,
-            42,
         ),
         // rf ∈ {1, 2}: the sharding-smoke axis (5% roaming reads keep
         // the routed-read path exercised in CI every run)
@@ -478,7 +450,6 @@ fn quick_matrix() -> Vec<Leg> {
                 0.5,
                 1_000,
                 24,
-                42,
             ),
             1,
             0.05,
@@ -494,7 +465,6 @@ fn quick_matrix() -> Vec<Leg> {
                 0.5,
                 1_000,
                 24,
-                42,
             ),
             2,
             0.05,
@@ -510,7 +480,6 @@ fn quick_matrix() -> Vec<Leg> {
                 0.5,
                 1_000,
                 24,
-                42,
             ),
             2,
             0.05,
@@ -530,7 +499,6 @@ fn quick_matrix() -> Vec<Leg> {
                 0.5,
                 500,
                 16,
-                42,
             ),
             2,
             8,
@@ -559,308 +527,67 @@ fn workload_of(l: &Leg) -> Workload {
     }
 }
 
-fn run_leg(l: &Leg, transport: Transport) -> StoreReport {
-    run_workload(&workload_of(l), &l.cfg, transport)
-}
-
-/// Print one leg's verdict diagnostics and dump its flight record when
-/// warranted; returns `true` iff the leg failed (a failed window, a
-/// drain divergence, or an uncertified monitor-enabled run). In
-/// multi-process runs the report arrives without its trace — the node
-/// already dumped it into the shared `trace_dir`.
-fn report_leg(l: &Leg, r: &StoreReport, trace: bool, trace_dir: &str) -> bool {
-    for w in r.windows.iter().filter(|w| w.result.is_err()) {
-        eprintln!(
-            "{}: FAIL window {} [{}]: {:?}",
-            l.name, w.window, w.criterion, w.result
-        );
-    }
-    if r.monitor.enabled {
-        eprintln!(
-            "{}: monitor {}/{} ops certified, {} escalation(s) ({} cleared, {} violations)",
-            l.name,
-            r.monitor.ops_checked,
-            r.total_ops,
-            r.monitor.escalations,
-            r.monitor.cleared,
-            r.monitor.violations
-        );
-        for rec in &r.monitor.records {
-            eprintln!(
-                "  ESCALATE worker {} epoch {} op {}: {} ({} events) -> {}",
-                rec.worker, rec.epoch, rec.at_op, rec.pattern, rec.events, rec.verdict
-            );
-        }
-    }
-    let uncertified = r.monitor.enabled && !r.monitor.certified(r.total_ops);
-    if uncertified {
-        eprintln!(
-            "{}: FAIL monitor: certification shortfall ({}/{} ops) or confirmed violation",
-            l.name, r.monitor.ops_checked, r.total_ops
-        );
-    }
-    // Flight-recorder dump: always under --trace; automatically on a
-    // failed verdict, a monitor escalation, or any repair/recovery the
-    // engine traced — escalated legs always leave a post-mortem record
-    // for CI to upload.
-    if let Some(rec) = &r.trace {
-        let wanted = trace
-            || !r.verified()
-            || r.monitor.escalations > 0
-            || r.chaos.repairs > 0
-            || !r.chaos.recoveries.is_empty();
-        if wanted {
-            match cbm_bench::write_trace(trace_dir, &l.name, rec) {
-                Ok((chrome, jsonl)) => eprintln!("  trace: {chrome} + {jsonl}"),
-                Err(e) => eprintln!("  trace: could not write to {trace_dir}: {e}"),
-            }
-        }
-    }
-    !r.verified() || uncertified
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Flags::from_env(USAGE);
     let mut quick = false;
     let mut out_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
     let mut gate_path: Option<String> = None;
     let mut trace = false;
     let mut trace_dir = String::from("traces");
-    let mut force_monitor = false;
     let mut transport = Transport::Thread;
     let mut procs: usize = 0;
     let mut log_dir: Option<String> = None;
-    let mut custom = StoreConfig::default();
-    let mut custom_read_ratio = 0.5;
-    let mut custom_remote_read_ratio = 0.05;
-    let mut is_custom = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next_usize = |flag: &str, it: &mut std::slice::Iter<String>| -> Option<usize> {
-            let v = it.next().and_then(|v| v.parse().ok());
-            if v.is_none() {
-                eprintln!("{flag} needs a number");
-            }
-            v
-        };
+    let mut custom = WorkloadFlags::default();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("--baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate" => match it.next() {
-                Some(p) => gate_path = Some(p.clone()),
-                None => {
-                    eprintln!("--gate needs a baseline path");
-                    return ExitCode::from(2);
-                }
-            },
             "--trace" => trace = true,
-            "--monitor" => force_monitor = true,
-            "--log-dir" => match it.next() {
-                Some(p) => log_dir = Some(p.clone()),
-                None => {
-                    eprintln!("--log-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--transport" => match it.next().map(String::as_str).and_then(Transport::parse) {
-                Some(t) => transport = t,
-                None => {
-                    eprintln!("--transport needs thread or tcp");
-                    return ExitCode::from(2);
-                }
-            },
-            "--procs" => match next_usize("--procs", &mut it) {
-                Some(v) if v > 0 => procs = v,
-                _ => {
-                    eprintln!("--procs needs a positive node count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-dir" => match it.next() {
-                Some(p) => trace_dir = p.clone(),
-                None => {
-                    eprintln!("--trace-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match next_usize("--rf", &mut it) {
-                Some(v) => {
-                    custom.sharding = ShardConfig::rf(v);
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--locality" => match next_usize("--locality", &mut it) {
-                Some(v) => {
-                    custom.sharding.locality = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--remote-read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    custom_remote_read_ratio = v.clamp(0.0, 1.0);
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--remote-read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match next_usize("--workers", &mut it) {
-                Some(v) => {
-                    custom.workers = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--objects" => match next_usize("--objects", &mut it) {
-                Some(v) => {
-                    custom.objects = v.max(1);
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--ops" => match next_usize("--ops", &mut it) {
-                Some(v) => {
-                    custom.ops_per_worker = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    custom_read_ratio = v.clamp(0.0, 1.0);
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" => match it.next().map(String::as_str) {
-                Some("off") => {
-                    custom.batch = BatchPolicy::Off;
-                    is_custom = true;
-                }
-                Some(v) => match v.parse() {
-                    Ok(k) => {
-                        custom.batch = BatchPolicy::Every(k);
-                        is_custom = true;
-                    }
-                    Err(_) => {
-                        eprintln!("--batch needs a number or 'off'");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("--batch needs a number or 'off'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--mode" => match it.next().map(String::as_str) {
-                Some("cc") => {
-                    custom.mode = Mode::Causal;
-                    is_custom = true;
-                }
-                Some("ccv") => {
-                    custom.mode = Mode::Convergent;
-                    is_custom = true;
-                }
-                _ => {
-                    eprintln!("--mode needs cc or ccv");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    custom.seed = v;
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "loadgen [--quick] [--out PATH] [--summary PATH] [--baseline PATH] \
-                     [--gate PATH] [--trace] [--trace-dir DIR] [--monitor] [--log-dir DIR] \
-                     [--transport thread|tcp] [--procs N] [--workers N] \
-                     [--objects N] [--ops N] [--read-ratio R] [--batch N|off] [--mode cc|ccv] \
-                     [--seed S] [--rf N] [--locality N] [--remote-read-ratio R]"
-                );
-                return ExitCode::SUCCESS;
+            "--out" => out_path = Some(args.value(&a, "a path")),
+            "--summary" => summary_path = Some(args.value(&a, "a path")),
+            "--gate" => gate_path = Some(args.value(&a, "a baseline path")),
+            "--log-dir" => log_dir = Some(args.value(&a, "a path")),
+            "--trace-dir" => trace_dir = args.value(&a, "a path"),
+            "--transport" => transport = args.choice(&a, "thread or tcp", Transport::parse),
+            "--procs" => {
+                procs = args.choice(&a, "a positive node count", |v| {
+                    v.parse().ok().filter(|&n| n > 0)
+                })
             }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            flag if custom.take(flag, &mut args) => {}
+            other => args.other(other),
         }
     }
+    let gate = gate_path
+        .map(|path| Gate::load(&path, "legs", |leg| Some(leg.get("name")?.as_str()?.into())));
 
-    let mut legs: Vec<Leg> = if is_custom {
-        custom.verify.every_ops = custom
-            .verify
-            .every_ops
-            .min(custom.ops_per_worker / 2)
-            .max(1);
+    // --monitor (a workload flag) forces the monitor onto every leg
+    let force_monitor = custom.cfg.verify.monitor;
+    let mut legs: Vec<Leg> = if custom.custom {
         vec![Leg {
             name: "custom".into(),
-            cfg: custom,
-            read_ratio: custom_read_ratio,
-            remote_read_ratio: custom_remote_read_ratio,
+            cfg: custom.config(),
+            read_ratio: custom.read_ratio,
+            remote_read_ratio: custom.remote_read_ratio,
         }]
     } else if quick {
         quick_matrix()
     } else {
         full_matrix()
     };
-    if trace {
-        for l in &mut legs {
-            l.cfg.obs.trace = true;
-        }
-    }
-    if force_monitor {
-        for l in &mut legs {
-            l.cfg.verify.monitor = true;
-        }
-    }
-    // --log-dir turns the durable epoch log on for every leg (one
-    // subdirectory each — legs must never share logs). Logging is
-    // write-path only here: it sends no messages and issues no ops,
-    // so every deterministic column stays equal to the memory-only
-    // run's and the same committed `--gate` baselines keep gating
-    // (`docs/DURABILITY.md`). Wall-clock columns absorb the fsyncs.
-    if let Some(base) = &log_dir {
-        for l in &mut legs {
+    for l in &mut legs {
+        l.cfg.obs.trace |= trace;
+        l.cfg.verify.monitor |= force_monitor;
+        // --log-dir turns the durable epoch log on for every leg (one
+        // subdirectory each — legs must never share logs). Logging is
+        // write-path only here: it sends no messages and issues no ops,
+        // so every deterministic column stays equal to the memory-only
+        // run's and the same committed `--gate` baselines keep gating
+        // (`docs/DURABILITY.md`). Wall-clock columns absorb the fsyncs.
+        if let Some(base) = &log_dir {
             let dir = std::path::Path::new(base).join(&l.name);
             if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("could not create --log-dir {}: {e}", dir.display());
-                return ExitCode::from(2);
+                usage_error(format!("could not create --log-dir {}: {e}", dir.display()));
             }
             l.cfg.durable = DurableConfig {
                 log_dir: Some(dir.to_string_lossy().into_owned()),
@@ -868,31 +595,6 @@ fn main() -> ExitCode {
             };
         }
     }
-
-    // Load the gate baseline *before* any leg runs: a missing or
-    // unparsable baseline is an operator error that must fail fast
-    // with a clean message and exit 2 — never a post-run surprise and
-    // never a panic.
-    let gate: Option<(String, std::collections::HashMap<String, GateCounts>)> = match gate_path {
-        None => None,
-        Some(path) => match std::fs::read_to_string(&path) {
-            Err(e) => {
-                eprintln!("loadgen: cannot read gate baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-            Ok(text) => {
-                let baseline = parse_baseline_counts(&text);
-                if baseline.is_empty() {
-                    eprintln!(
-                        "loadgen: gate baseline {path} contains no legs — \
-                         not a cbm-throughput document?"
-                    );
-                    return ExitCode::from(2);
-                }
-                Some((path, baseline))
-            }
-        },
-    };
 
     let reports: Vec<(Leg, StoreReport)> = if procs > 0 {
         // Multi-process mode: every leg runs in a cbm-node worker
@@ -931,12 +633,12 @@ fn main() -> ExitCode {
         if killed > 0 {
             eprintln!("loadgen: {killed} node(s) had to be killed at shutdown");
         }
-        legs.iter().cloned().zip(collected).collect()
+        legs.into_iter().zip(collected).collect()
     } else {
         let mut out: Vec<(Leg, StoreReport)> = Vec::new();
-        for l in &legs {
+        for l in legs {
             eprint!("{} [{}] ... ", l.name, transport.name());
-            let r = run_leg(l, transport);
+            let r = run_workload(&workload_of(&l), &l.cfg, transport);
             eprintln!(
                 "{:.0} ops/s, p50 {} ns, p99 {} ns, {} msgs, mean batch {:.1}, \
                  {} windows ({} failed)",
@@ -948,16 +650,27 @@ fn main() -> ExitCode {
                 r.windows.len(),
                 r.windows_failed
             );
-            out.push((l.clone(), r));
+            out.push((l, r));
         }
         out
     };
 
     let mut failures = 0usize;
     for (l, r) in &reports {
-        if report_leg(l, r, trace, &trace_dir) {
-            failures += 1;
+        if let Some(m) = report::monitor_summary(r) {
+            eprintln!("{}: {m}", l.name);
         }
+        let failed = report::run_failures(r);
+        for f in &failed {
+            eprintln!("{}: FAIL {f}", l.name);
+        }
+        // Flight-recorder dump: always under --trace, otherwise when the
+        // run warrants a post-mortem. A multi-process report arrives
+        // without its record — the node already dumped it.
+        if trace || report::wants_trace(r) {
+            report::dump_trace(r, &trace_dir, &l.name, "  ");
+        }
+        failures += usize::from(!failed.is_empty());
     }
 
     // default output mirrors the committed baseline the matrix
@@ -970,73 +683,51 @@ fn main() -> ExitCode {
             "BENCH_throughput.json"
         })
     });
-    let json = render_json(quick, is_custom, &reports);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, document(quick, custom.custom, &reports).render()) {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path} ({} legs)", reports.len());
 
     if let Some(path) = summary_path {
-        let baseline = baseline_path
-            .as_deref()
-            .and_then(|p| std::fs::read_to_string(p).ok())
-            .map(|s| parse_baseline_msgs(&s))
-            .unwrap_or_default();
-        if let Err(e) = append_summary(&path, quick, &reports, &baseline) {
+        if let Err(e) = append_summary(&path, quick, &reports, gate.as_ref()) {
             eprintln!("could not write summary {path}: {e}");
         }
     }
 
     let mut gate_failures = 0usize;
-    if let Some((path, baseline)) = &gate {
+    if let Some(gate) = &gate {
         for (l, r) in &reports {
-            match baseline.get(&l.name) {
-                None => {
-                    eprintln!(
-                        "GATE {}: leg missing from {path} — regenerate the \
-                         committed baseline",
-                        l.name
-                    );
-                    gate_failures += 1;
-                }
-                Some(base) => {
-                    let mut deviations: Vec<String> = Vec::new();
-                    let mut check = |col: &str, got: u64, want: Option<u64>| {
-                        if let Some(w) = want {
-                            if got != w {
-                                deviations.push(format!("{col} {got} (baseline {w})"));
-                            }
-                        }
-                    };
-                    check("msgs", r.msgs_sent, base.msgs);
-                    check("batches", r.batches_sent, base.batches);
-                    check("payloads", r.payloads_sent, base.payloads);
-                    // escalation behaviour is part of the
-                    // determinism contract: same (config,
-                    // seed) => same certified-op and
-                    // escalation counts. Exception: --monitor
-                    // forcing the monitor onto a leg whose
-                    // baseline recorded it off (mon_ops == 0)
-                    // makes the columns incomparable — the
-                    // monitor-smoke job pins those legs by
-                    // diffing two forced runs instead, and
-                    // the uncertified-leg failure still
-                    // applies.
-                    if !(force_monitor && base.mon_ops == Some(0)) {
-                        check("monitor_ops_checked", r.monitor.ops_checked, base.mon_ops);
-                        check("monitor_escalations", r.monitor.escalations, base.mon_esc);
-                    }
-                    if !deviations.is_empty() {
-                        eprintln!(
-                            "GATE {}: deterministic counts deviate from {path}: {}",
-                            l.name,
-                            deviations.join(", ")
-                        );
-                        gate_failures += 1;
-                    }
-                }
+            let mut got = vec![
+                ("msgs_sent", r.msgs_sent),
+                ("batches_sent", r.batches_sent),
+                ("payloads_sent", r.payloads_sent),
+            ];
+            // escalation behaviour is part of the determinism contract:
+            // same (config, seed) => same certified-op and escalation
+            // counts. Exception: --monitor forcing the monitor onto a
+            // leg whose baseline recorded it off (0 ops checked) makes
+            // the columns incomparable — the monitor-smoke job pins
+            // those legs by diffing two forced runs instead, and the
+            // uncertified-leg failure still applies.
+            if !(force_monitor && gate.count(&l.name, "monitor_ops_checked") == Some(0)) {
+                got.push(("monitor_ops_checked", r.monitor.ops_checked));
+                got.push(("monitor_escalations", r.monitor.escalations));
             }
+            let problem = match gate.deviations(&l.name, &got, |g, want| g == want) {
+                None => format!(
+                    "leg missing from {} — regenerate the committed baseline",
+                    gate.path
+                ),
+                Some(off) if !off.is_empty() => format!(
+                    "deterministic counts deviate from {}: {}",
+                    gate.path,
+                    off.join(", ")
+                ),
+                Some(_) => continue,
+            };
+            eprintln!("GATE {}: {problem}", l.name);
+            gate_failures += 1;
         }
         if gate_failures == 0 {
             println!(
@@ -1044,7 +735,7 @@ fn main() -> ExitCode {
                  (msgs + batches + payloads + monitor counters; bytes \
                  are interleaving-dependent and not gated)",
                 reports.len(),
-                path
+                gate.path
             );
         }
     }
@@ -1060,77 +751,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// One leg's gated deterministic counts from a committed baseline.
-/// `bytes_sent` is deliberately absent — delta headers make byte
-/// totals interleaving-dependent. The monitor columns are optional so
-/// pre-monitor baselines still parse (they then simply don't gate the
-/// monitor counters).
-#[derive(Default, Clone, Copy)]
-struct GateCounts {
-    msgs: Option<u64>,
-    batches: Option<u64>,
-    payloads: Option<u64>,
-    mon_ops: Option<u64>,
-    mon_esc: Option<u64>,
-}
-
-/// Extract `name -> GateCounts` from a committed baseline document
-/// (one field per line; see `cbm_bench::field_str`).
-fn parse_baseline_counts(json: &str) -> std::collections::HashMap<String, GateCounts> {
-    let mut out = std::collections::HashMap::new();
-    let mut current: Option<String> = None;
-    let mut acc = GateCounts::default();
-    let flush = |name: &mut Option<String>,
-                 acc: &mut GateCounts,
-                 out: &mut std::collections::HashMap<String, GateCounts>| {
-        if let Some(n) = name.take() {
-            out.insert(n, *acc);
-        }
-        *acc = GateCounts::default();
-    };
-    for line in json.lines() {
-        if let Some(name) = cbm_bench::field_str(line, "name") {
-            flush(&mut current, &mut acc, &mut out);
-            current = Some(name);
-        } else if let Some(v) = cbm_bench::field_u64(line, "msgs_sent") {
-            acc.msgs = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "batches_sent") {
-            acc.batches = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "payloads_sent") {
-            acc.payloads = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "monitor_ops_checked") {
-            acc.mon_ops = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "monitor_escalations") {
-            acc.mon_esc = Some(v);
-        }
-    }
-    flush(&mut current, &mut acc, &mut out);
-    out
-}
-
-/// Extract `name -> msgs_sent` from a committed baseline document
-/// (one field per line; see `cbm_bench::field_str`).
-fn parse_baseline_msgs(json: &str) -> std::collections::HashMap<String, u64> {
-    let mut out = std::collections::HashMap::new();
-    let mut current: Option<String> = None;
-    for line in json.lines() {
-        if let Some(name) = cbm_bench::field_str(line, "name") {
-            current = Some(name);
-        } else if let Some(v) = cbm_bench::field_u64(line, "msgs_sent") {
-            if let Some(name) = current.take() {
-                out.insert(name, v);
-            }
-        }
-    }
-    out
-}
-
-/// Append a GitHub Actions job-summary markdown table.
+/// Append the GitHub Actions job-summary tables; the "baseline msgs"
+/// column is the `--gate` baseline's.
 fn append_summary(
     path: &str,
     quick: bool,
     reports: &[(Leg, StoreReport)],
-    baseline: &std::collections::HashMap<String, u64>,
+    gate: Option<&Gate>,
 ) -> std::io::Result<()> {
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -1154,8 +781,7 @@ fn append_summary(
                 r.latency.p50_ns.to_string(),
                 r.latency.p99_ns.to_string(),
                 r.msgs_sent.to_string(),
-                baseline
-                    .get(&l.name)
+                gate.and_then(|g| g.count(&l.name, "msgs_sent"))
                     .map(|v| v.to_string())
                     .unwrap_or_else(|| "—".into()),
                 r.remote_reads.to_string(),
@@ -1164,7 +790,7 @@ fn append_summary(
             ]
         })
         .collect();
-    cbm_bench::append_summary_table(
+    append_summary_table(
         path,
         &format!(
             "Throughput smoke ({})",
@@ -1212,7 +838,7 @@ fn append_summary(
         .collect();
     scaling_rows.sort_by_key(|row| row[1].parse::<usize>().unwrap_or(0));
     if !scaling_rows.is_empty() {
-        cbm_bench::append_summary_table(
+        append_summary_table(
             path,
             "Scaling: bytes/op vs workers (rf legs)",
             &[
@@ -1260,7 +886,7 @@ fn append_summary(
         })
         .collect();
     if !monitor_rows.is_empty() {
-        cbm_bench::append_summary_table(
+        append_summary_table(
             path,
             "Monitor certification (streaming bad-pattern checker)",
             &[
@@ -1300,7 +926,7 @@ fn append_summary(
     if !tcp_rows.is_empty() {
         let mut columns = vec!["leg"];
         columns.extend(TCP_COUNTERS);
-        cbm_bench::append_summary_table(
+        append_summary_table(
             path,
             "Socket transport counters (informational, never gated)",
             &columns,
@@ -1331,7 +957,7 @@ fn append_summary(
         })
         .collect();
     if !stock_rows.is_empty() {
-        cbm_bench::append_summary_table(
+        append_summary_table(
             path,
             "Envelope buffers (informational, never gated)",
             &["leg", "reused", "allocated", "reuse"],
@@ -1362,7 +988,7 @@ fn append_summary(
     if !durable_rows.is_empty() {
         let mut columns = vec!["leg"];
         columns.extend(DURABLE_COUNTERS);
-        cbm_bench::append_summary_table(
+        append_summary_table(
             path,
             "Epoch log I/O (informational, never gated)",
             &columns,
@@ -1376,128 +1002,93 @@ fn append_summary(
     for (l, r) in reports {
         for e in &r.epochs {
             let mut row = vec![l.name.clone()];
-            row.extend(cbm_bench::epoch_row(e));
+            row.extend(report::epoch_row(e));
             epoch_rows.push(row);
         }
     }
     let mut columns: Vec<&str> = vec!["leg"];
-    columns.extend(cbm_bench::EPOCH_COLUMNS);
-    cbm_bench::append_summary_table(path, "Per-epoch activity", &columns, &epoch_rows)
+    columns.extend(report::EPOCH_COLUMNS);
+    append_summary_table(path, "Per-epoch activity", &columns, &epoch_rows)
 }
 
-/// Hand-rolled JSON (the workspace vendors no serializer;
-/// the explicit schema doubles as documentation).
-fn render_json(quick: bool, custom: bool, reports: &[(Leg, StoreReport)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-throughput-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"custom\": {custom},\n"));
+/// The `cbm-throughput-v1` document.
+fn document(quick: bool, custom: bool, reports: &[(Leg, StoreReport)]) -> Json {
     // bytes_sent is informational, not deterministic: delta-encoded
     // knowledge headers depend on delivery interleaving
-    s.push_str(
-        "  \"deterministic_columns\": [\"total_ops\", \"msgs_sent\", \
-         \"batches_sent\", \"payloads_sent\", \"mean_batch\", \"remote_reads\", \
-         \"windows\", \"monitor_ops_checked\", \"monitor_escalations\"],\n",
-    );
-    s.push_str("  \"legs\": [\n");
-    for (i, (l, r)) in reports.iter().enumerate() {
-        let batch = match l.cfg.batch {
-            BatchPolicy::Off => "\"off\"".to_string(),
-            BatchPolicy::Every(k) => k.to_string(),
+    let deterministic = [
+        "total_ops",
+        "msgs_sent",
+        "batches_sent",
+        "payloads_sent",
+        "mean_batch",
+        "remote_reads",
+        "windows",
+        "monitor_ops_checked",
+        "monitor_escalations",
+    ];
+    let legs = reports.iter().map(|(l, r)| leg_json(l, r)).collect();
+    Json::obj(vec![
+        ("schema", "cbm-throughput-v1".into()),
+        ("quick", quick.into()),
+        ("custom", custom.into()),
+        (
+            "deterministic_columns",
+            Json::Arr(deterministic.map(Json::from).to_vec()),
+        ),
+        ("legs", Json::List(legs)),
+    ])
+}
+
+fn leg_json(l: &Leg, r: &StoreReport) -> Json {
+    let windows = r.windows.iter().map(|w| {
+        let verdict = match &w.result {
+            Ok(()) => "ok".to_string(),
+            Err(e) => e.replace('"', "'"),
         };
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", l.name));
-        s.push_str(&format!(
-            "      \"mode\": \"{}\",\n",
-            l.cfg.mode.criterion()
-        ));
-        s.push_str(&format!("      \"workers\": {},\n", l.cfg.workers));
-        s.push_str(&format!("      \"objects\": {},\n", l.cfg.objects));
-        s.push_str(&format!(
-            "      \"ops_per_worker\": {},\n",
-            l.cfg.ops_per_worker
-        ));
-        s.push_str(&format!("      \"read_ratio\": {},\n", l.read_ratio));
-        s.push_str(&format!(
-            "      \"replication\": {},\n",
-            l.cfg.sharding.replication
-        ));
-        s.push_str(&format!(
-            "      \"locality\": {},\n",
-            l.cfg.sharding.locality
-        ));
-        s.push_str(&format!(
-            "      \"remote_read_ratio\": {},\n",
-            l.remote_read_ratio
-        ));
-        s.push_str(&format!("      \"batch\": {batch},\n"));
-        s.push_str(&format!("      \"seed\": {},\n", l.cfg.seed));
-        s.push_str(&format!("      \"total_ops\": {},\n", r.total_ops));
-        s.push_str(&format!("      \"wall_ms\": {},\n", r.wall_ns / 1_000_000));
-        s.push_str(&format!("      \"ops_per_sec\": {:.0},\n", r.ops_per_sec));
-        s.push_str(&format!("      \"p50_ns\": {},\n", r.latency.p50_ns));
-        s.push_str(&format!("      \"p99_ns\": {},\n", r.latency.p99_ns));
-        s.push_str(&format!("      \"max_ns\": {},\n", r.latency.max_ns));
-        s.push_str(&format!("      \"mean_ns\": {},\n", r.latency.mean_ns));
-        s.push_str(&format!("      \"msgs_sent\": {},\n", r.msgs_sent));
-        s.push_str(&format!("      \"bytes_sent\": {},\n", r.bytes_sent));
-        s.push_str(&format!("      \"batches_sent\": {},\n", r.batches_sent));
-        s.push_str(&format!("      \"payloads_sent\": {},\n", r.payloads_sent));
-        s.push_str(&format!("      \"mean_batch\": {:.2},\n", r.mean_batch));
-        s.push_str(&format!("      \"remote_reads\": {},\n", r.remote_reads));
-        s.push_str(&format!("      \"monitor\": {},\n", r.monitor.enabled));
-        s.push_str(&format!(
-            "      \"monitor_ops_checked\": {},\n",
-            r.monitor.ops_checked
-        ));
-        s.push_str(&format!(
-            "      \"monitor_escalations\": {},\n",
-            r.monitor.escalations
-        ));
-        s.push_str(&format!(
-            "      \"monitor_violations\": {},\n",
-            r.monitor.violations
-        ));
-        s.push_str(&format!(
-            "      \"monitor_certified\": {},\n",
-            r.monitor.enabled && r.monitor.certified(r.total_ops)
-        ));
-        s.push_str(&format!(
-            "      \"drains_converged\": {},\n",
-            r.drains_converged
-        ));
-        s.push_str(&format!(
-            "      \"windows_failed\": {},\n",
-            r.windows_failed
-        ));
-        s.push_str("      \"windows\": [\n");
-        for (j, w) in r.windows.iter().enumerate() {
-            let verdict = match &w.result {
-                Ok(()) => "\"ok\"".to_string(),
-                Err(e) => format!("\"{}\"", e.replace('"', "'")),
-            };
-            let shard = w
-                .shard
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "null".into());
-            s.push_str(&format!(
-                "        {{\"window\": {}, \"shard\": {}, \"criterion\": \"{}\", \"events\": {}, \"verdict\": {}}}{}\n",
-                w.window,
-                shard,
-                w.criterion,
-                w.events,
-                verdict,
-                if j + 1 < r.windows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ]\n");
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+        Json::row(vec![
+            ("window", w.window.into()),
+            ("shard", w.shard.into()),
+            ("criterion", w.criterion.into()),
+            ("events", w.events.into()),
+            ("verdict", verdict.into()),
+        ])
+    });
+    let batch = match l.cfg.batch {
+        BatchPolicy::Off => "off".into(),
+        BatchPolicy::Every(k) => k.into(),
+    };
+    Json::obj(vec![
+        ("name", l.name.as_str().into()),
+        ("mode", l.cfg.mode.criterion().into()),
+        ("workers", l.cfg.workers.into()),
+        ("objects", l.cfg.objects.into()),
+        ("ops_per_worker", l.cfg.ops_per_worker.into()),
+        ("read_ratio", l.read_ratio.into()),
+        ("replication", l.cfg.sharding.replication.into()),
+        ("locality", l.cfg.sharding.locality.into()),
+        ("remote_read_ratio", l.remote_read_ratio.into()),
+        ("batch", batch),
+        ("seed", l.cfg.seed.into()),
+        ("total_ops", r.total_ops.into()),
+        ("wall_ms", (r.wall_ns / 1_000_000).into()),
+        ("ops_per_sec", Json::fixed(r.ops_per_sec, 0)),
+        ("p50_ns", r.latency.p50_ns.into()),
+        ("p99_ns", r.latency.p99_ns.into()),
+        ("max_ns", r.latency.max_ns.into()),
+        ("mean_ns", r.latency.mean_ns.into()),
+        ("msgs_sent", r.msgs_sent.into()),
+        ("bytes_sent", r.bytes_sent.into()),
+        ("batches_sent", r.batches_sent.into()),
+        ("payloads_sent", r.payloads_sent.into()),
+        ("mean_batch", Json::fixed(r.mean_batch, 2)),
+        ("remote_reads", r.remote_reads.into()),
+        ("monitor", r.monitor.enabled.into()),
+        ("monitor_ops_checked", r.monitor.ops_checked.into()),
+        ("monitor_escalations", r.monitor.escalations.into()),
+        ("monitor_violations", r.monitor.violations.into()),
+        ("monitor_certified", r.monitor.certified(r.total_ops).into()),
+        ("drains_converged", r.drains_converged.into()),
+        ("windows_failed", r.windows_failed.into()),
+        ("windows", Json::List(windows.collect())),
+    ])
 }

@@ -31,8 +31,10 @@
 //!   machines). Wall times are recorded but **never** gate CI, since
 //!   runner hardware varies.
 //!
-//! Exit status: non-zero iff a verdict in the matrix is `unknown`, a
-//! scenario run fails verification, or the node gate trips.
+//! Exit status: 1 iff a verdict in the matrix is `unknown`, a scenario
+//! run fails verification, or the node gate trips; 2 on a usage error
+//! (an unknown flag, a flag without its value, an unreadable `--gate`
+//! baseline), before any cell runs.
 //!
 //! The run also measures **tracing overhead**: one quick store leg
 //! with the `cbm-obs` flight recorder off, then on, reporting the
@@ -41,11 +43,20 @@
 //! the committed JSON; the observability acceptance bar (tracing-on
 //! within 10% of tracing-off) is checked by eye on this line.
 
-use cbm_bench::{field_str, field_u64, recorded_window_adt, recorded_window_history};
+use cbm_bench::flags::Flags;
+use cbm_bench::gate::Gate;
+use cbm_bench::json::Json;
+use cbm_bench::report::append_summary_table;
+use cbm_bench::{leg_config, recorded_window_adt, recorded_window_history, run_workload};
+use cbm_bench::{Transport, Workload};
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_sim::{registry, run_scenario};
+use cbm_store::{BatchPolicy, Mode, StoreConfig};
 use std::process::ExitCode;
 use std::time::Instant;
+
+const USAGE: &str =
+    "perf_baseline [--quick] [--out PATH] [--iters N] [--gate PATH] [--summary PATH]";
 
 struct CheckerCell {
     criterion: &'static str,
@@ -65,57 +76,30 @@ struct ScenarioCell {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Flags::from_env(USAGE);
     let mut quick = false;
     let mut out_path = String::from("BENCH_checker.json");
     let mut iters: u32 = 0;
     let mut gate_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate" => match it.next() {
-                Some(p) => gate_path = Some(p.clone()),
-                None => {
-                    eprintln!("--gate needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => iters = n,
-                None => {
-                    eprintln!("--iters needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "perf_baseline [--quick] [--out PATH] [--iters N] [--gate PATH] \
-                     [--summary PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            "--out" => out_path = args.value(&a, "a path"),
+            "--gate" => gate_path = Some(args.value(&a, "a path")),
+            "--summary" => summary_path = Some(args.value(&a, "a path")),
+            "--iters" => iters = args.value(&a, "a number"),
+            other => args.other(other),
         }
     }
+    let gate = gate_path.map(|path| {
+        Gate::load(&path, "checker", |c| {
+            Some(cell_key(
+                c.get("criterion")?.as_str()?,
+                c.get("ops_per_proc")?.lit()?,
+            ))
+        })
+    });
     if iters == 0 {
         iters = if quick { 3 } else { 15 };
     }
@@ -194,8 +178,10 @@ fn main() -> ExitCode {
     );
 
     // --- Emit -----------------------------------------------------------
-    let json = render_json(quick, iters, &cells, &scen_cells);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(
+        &out_path,
+        document(quick, iters, &cells, &scen_cells).render(),
+    ) {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -213,55 +199,39 @@ fn main() -> ExitCode {
 
     // --- Node-count regression gate -------------------------------------
     let mut gate_failures = 0usize;
-    // parsed once; reused by the job summary below
-    let mut committed_nodes: std::collections::HashMap<(String, usize), u64> =
-        std::collections::HashMap::new();
-    if let Some(path) = gate_path.as_deref() {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("could not read gate baseline {path}: {e}");
+    if let Some(gate) = &gate {
+        let mut compared = 0usize;
+        for c in &cells {
+            // >10% growth fails; node counts are deterministic, so this
+            // is machine-independent (wall times never gate). A quick
+            // run covers a subset of the committed matrix.
+            let key = cell_key(c.criterion, c.ops_per_proc);
+            let Some(off) =
+                gate.deviations(&key, &[("nodes", c.nodes)], |n, base| n * 10 <= base * 11)
+            else {
+                continue;
+            };
+            compared += 1;
+            if !off.is_empty() {
                 gate_failures += 1;
-            }
-            Ok(baseline) => {
-                let committed = parse_checker_nodes(&baseline);
-                if committed.is_empty() {
-                    eprintln!("gate baseline {path} has no checker cells");
-                    gate_failures += 1;
-                }
-                let mut compared = 0usize;
-                for c in &cells {
-                    let Some(&base_nodes) =
-                        committed.get(&(c.criterion.to_string(), c.ops_per_proc))
-                    else {
-                        continue; // quick runs cover a subset of the committed matrix
-                    };
-                    compared += 1;
-                    // >10% growth fails; node counts are deterministic, so
-                    // this is machine-independent (wall times never gate)
-                    if c.nodes * 10 > base_nodes * 11 {
-                        gate_failures += 1;
-                        eprintln!(
-                            "NODE REGRESSION: {} at {} ops/proc used {} nodes vs committed {} (+{:.0}%)",
-                            c.criterion,
-                            c.ops_per_proc,
-                            c.nodes,
-                            base_nodes,
-                            (c.nodes as f64 / base_nodes as f64 - 1.0) * 100.0
-                        );
-                    }
-                }
-                if compared == 0 {
-                    eprintln!("gate baseline {path} shares no cells with this run's matrix");
-                    gate_failures += 1;
-                }
-                println!("node gate: {compared} cell(s) compared against {path}");
-                committed_nodes = committed;
+                eprintln!("NODE REGRESSION: {key}: {}", off.join(", "));
             }
         }
+        if compared == 0 {
+            eprintln!(
+                "gate baseline {} shares no cells with this run's matrix",
+                gate.path
+            );
+            gate_failures += 1;
+        }
+        println!(
+            "node gate: {compared} cell(s) compared against {}",
+            gate.path
+        );
     }
 
     if let Some(path) = summary_path {
-        if let Err(e) = append_summary(&path, quick, &cells, &scen_cells, &committed_nodes) {
+        if let Err(e) = append_summary(&path, quick, &cells, &scen_cells, gate.as_ref()) {
             eprintln!("could not write summary {path}: {e}");
         }
         let row = vec![vec![
@@ -269,7 +239,7 @@ fn main() -> ExitCode {
             format!("{ops_on:.0}"),
             format!("{overhead_pct:+.1}%"),
         ]];
-        if let Err(e) = cbm_bench::append_summary_table(
+        if let Err(e) = append_summary_table(
             &path,
             "Tracing overhead (non-gating)",
             &["ops/s trace off", "ops/s trace on", "overhead"],
@@ -290,50 +260,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run one small store leg with the flight recorder off, then on,
-/// and return `(ops_per_sec_off, ops_per_sec_on)`. Same
+/// Run one small store leg — the quick throughput matrix's
+/// `cc-4w-64o-b8-r50` register workload — with the flight recorder
+/// off, then on, and return `(ops_per_sec_off, ops_per_sec_on)`. Same
 /// `(config, seed)` both times — tracing must not change any
 /// deterministic column, only (bounded) wall time.
 fn tracing_overhead(quick: bool) -> (f64, f64) {
-    use cbm_adt::register::{RegInput, Register};
-    use cbm_adt::space::SpaceInput;
-    use cbm_store::{
-        BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
-    };
-    use rand::Rng;
-
     let ops = if quick { 4_000 } else { 40_000 };
-    let mut cfg = StoreConfig {
-        workers: 4,
-        objects: 64,
-        ops_per_worker: ops,
-        mode: Mode::Causal,
-        batch: BatchPolicy::Every(8),
-        verify: VerifyConfig {
-            every_ops: ops / 4,
-            window_ops: 24,
-            sample_every: 1,
-            monitor: false,
-        },
-        seed: 42,
-        sharding: ShardConfig::full(),
-        chaos: cbm_net::fault::FaultPlan::new(),
-        obs: ObsConfig::default(),
-        durable: DurableConfig::default(),
-    };
-    let gen = |_: usize, _: u64, rng: &mut rand::rngs::StdRng| {
-        let obj = rng.gen_range(0u32..64);
-        if rng.gen_bool(0.5) {
-            SpaceInput::new(obj, RegInput::Read)
-        } else {
-            SpaceInput::new(obj, RegInput::Write(rng.gen_range(1u64..1_000_000)))
-        }
+    let mut cfg = leg_config(Mode::Causal, 4, 64, ops, BatchPolicy::Every(8), ops / 4, 24);
+    let workload = Workload::Register {
+        read_ratio: 0.5,
+        remote_read_ratio: 0.0,
     };
     // best-of-3 per side: the legs are short, so single runs are too
     // noisy to read a ~5% effect from
-    let best = |cfg: &cbm_store::StoreConfig| {
+    let best = |cfg: &StoreConfig| {
         (0..3)
-            .map(|_| cbm_store::run(&Register, cfg, gen).ops_per_sec)
+            .map(|_| run_workload(&workload, cfg, Transport::Thread).ops_per_sec)
             .fold(0.0f64, f64::max)
     };
     let off = best(&cfg);
@@ -348,13 +291,14 @@ fn append_summary(
     quick: bool,
     cells: &[CheckerCell],
     scen: &[ScenarioCell],
-    committed: &std::collections::HashMap<(String, usize), u64>,
+    gate: Option<&Gate>,
 ) -> std::io::Result<()> {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
-            let (base, delta) = match committed.get(&(c.criterion.to_string(), c.ops_per_proc)) {
-                Some(&b) if b > 0 => (
+            let key = cell_key(c.criterion, c.ops_per_proc);
+            let (base, delta) = match gate.and_then(|g| g.count(&key, "nodes")) {
+                Some(b) if b > 0 => (
                     b.to_string(),
                     format!("{:+.1}%", (c.nodes as f64 / b as f64 - 1.0) * 100.0),
                 ),
@@ -371,7 +315,7 @@ fn append_summary(
             ]
         })
         .collect();
-    cbm_bench::append_summary_table(
+    append_summary_table(
         path,
         &format!(
             "Checker perf smoke ({})",
@@ -399,7 +343,7 @@ fn append_summary(
             ]
         })
         .collect();
-    cbm_bench::append_summary_table(
+    append_summary_table(
         path,
         "",
         &["scenario", "seeds", "failures", "total ms"],
@@ -407,62 +351,41 @@ fn append_summary(
     )
 }
 
-/// Extract `(criterion, ops_per_proc) -> nodes` from a committed
-/// baseline document (the workspace vendors no deserializer; the
-/// emitter writes one checker cell per line, which
-/// this scanner relies on).
-fn parse_checker_nodes(json: &str) -> std::collections::HashMap<(String, usize), u64> {
-    let mut out = std::collections::HashMap::new();
-    for line in json.lines() {
-        let Some(criterion) = field_str(line, "criterion") else {
-            continue;
-        };
-        let (Some(ops), Some(nodes)) = (field_u64(line, "ops_per_proc"), field_u64(line, "nodes"))
-        else {
-            continue;
-        };
-        out.insert((criterion, ops as usize), nodes);
-    }
-    out
+/// A checker cell's gate key.
+fn cell_key(criterion: &str, ops_per_proc: usize) -> String {
+    format!("{criterion}/{ops_per_proc}")
 }
 
-/// Hand-rolled JSON writer: the workspace vendors no serializer,
-/// and the schema is small enough that explicit rendering
-/// doubles as its documentation.
-fn render_json(quick: bool, iters: u32, cells: &[CheckerCell], scens: &[ScenarioCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-perf-baseline-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"iters\": {iters},\n"));
-    s.push_str("  \"workload\": \"recorded_window_history(ops, seed=7), 2 procs, W2^1\",\n");
-    s.push_str("  \"checker\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"criterion\": \"{}\", \"ops_per_proc\": {}, \"events\": {}, \"verdict\": \"{}\", \"nodes\": {}, \"best_ns\": {}, \"mean_ns\": {}}}{}\n",
-            c.criterion,
-            c.ops_per_proc,
-            c.events,
-            c.verdict,
-            c.nodes,
-            c.best_ns,
-            c.mean_ns,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"scenarios\": [\n");
-    for (i, c) in scens.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"seeds\": {}, \"failures\": {}, \"total_ms\": {}}}{}\n",
-            c.scenario,
-            c.seeds,
-            c.failures,
-            c.total_ms,
-            if i + 1 < scens.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+/// The `cbm-perf-baseline-v1` document.
+fn document(quick: bool, iters: u32, cells: &[CheckerCell], scens: &[ScenarioCell]) -> Json {
+    let checker = cells.iter().map(|c| {
+        Json::row(vec![
+            ("criterion", c.criterion.into()),
+            ("ops_per_proc", c.ops_per_proc.into()),
+            ("events", c.events.into()),
+            ("verdict", c.verdict.to_string().into()),
+            ("nodes", c.nodes.into()),
+            ("best_ns", c.best_ns.into()),
+            ("mean_ns", c.mean_ns.into()),
+        ])
+    });
+    let scenarios = scens.iter().map(|c| {
+        Json::row(vec![
+            ("scenario", c.scenario.as_str().into()),
+            ("seeds", c.seeds.into()),
+            ("failures", c.failures.into()),
+            ("total_ms", c.total_ms.into()),
+        ])
+    });
+    Json::obj(vec![
+        ("schema", "cbm-perf-baseline-v1".into()),
+        ("quick", quick.into()),
+        ("iters", iters.into()),
+        (
+            "workload",
+            "recorded_window_history(ops, seed=7), 2 procs, W2^1".into(),
+        ),
+        ("checker", Json::List(checker.collect())),
+        ("scenarios", Json::List(scenarios.collect())),
+    ])
 }

@@ -17,46 +17,48 @@
 //!   regression corpus so `tests/scenarios.rs` replays them forever
 //!   (see `docs/SIMULATION.md` and `docs/PERFORMANCE.md`).
 //!
-//! Exit status is non-zero if any run or sweep failed, so the binary
-//! can gate CI jobs.
+//! Exit status is 1 if any run or sweep failed, so the binary can gate
+//! CI jobs, and 2 on a usage error (an unknown command, flag or
+//! scenario, a flag without its value).
 
+use cbm_bench::flags::{usage_error, Flags};
 use cbm_bench::render_table;
 use cbm_sim::corpus::CorpusEntry;
 use cbm_sim::{corpus, explore, registry, run_scenario, Scenario, ScenarioOutcome};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "scenario_runner — fault-injection scenarios over the cbm stack\n\n\
+     USAGE:\n  scenario_runner list\n  scenario_runner run [NAME] [--seed N]\n  \
+     scenario_runner explore [NAME] --seeds LO..HI [--threads N] [--record PATH]\n\n\
+     Scenarios come from cbm-sim's registry; every run is verified\n\
+     against its criterion (CC/CCv) and is a pure function of\n\
+     (scenario, seed).";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut words = args.iter().map(String::as_str);
-    match words.next() {
-        None | Some("run") => cmd_run(&args),
+    let mut args = Flags::from_env(USAGE);
+    match args.next().as_deref() {
+        None | Some("run") => cmd_run(args),
         Some("list") => {
             cmd_list();
             ExitCode::SUCCESS
         }
-        Some("explore") => cmd_explore(&args),
-        Some("help") | Some("--help") | Some("-h") => {
-            print_help();
+        Some("explore") => cmd_explore(args),
+        Some("help") => {
+            println!("{USAGE}");
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("unknown command '{other}'\n");
-            print_help();
-            ExitCode::FAILURE
-        }
+        Some(other) => args.other(other),
     }
 }
 
-fn print_help() {
-    println!(
-        "scenario_runner — fault-injection scenarios over the cbm stack\n\n\
-         USAGE:\n  scenario_runner list\n  scenario_runner run [NAME] [--seed N]\n  \
-         scenario_runner explore [NAME] --seeds LO..HI [--threads N] [--record PATH]\n\n\
-         Scenarios come from cbm-sim's registry; every run is verified\n\
-         against its criterion (CC/CCv) and is a pure function of\n\
-         (scenario, seed)."
-    );
+/// The registry scenario called `name`.
+fn scenario(name: &str) -> Scenario {
+    registry::by_name(name).unwrap_or_else(|| {
+        usage_error(format!(
+            "unknown scenario '{name}' (try `scenario_runner list`)"
+        ))
+    })
 }
 
 fn cmd_list() {
@@ -89,37 +91,18 @@ fn cmd_list() {
     );
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(mut args: Flags) -> ExitCode {
     let mut seed = 0u64;
     let mut name: Option<String> = None;
-    let mut it = args
-        .iter()
-        .skip(if args.first().map(String::as_str) == Some("run") {
-            1
-        } else {
-            0
-        });
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = parse_or_die(it.next(), "--seed needs a value");
-            }
-            other if !other.starts_with('-') => name = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--seed" => seed = args.value(&a, "a value"),
+            other if !other.starts_with('-') => name = Some(a.clone()),
+            other => args.other(other),
         }
     }
-
-    let targets: Vec<Scenario> = match &name {
-        Some(n) => match registry::by_name(n) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown scenario '{n}' (try `scenario_runner list`)");
-                return ExitCode::FAILURE;
-            }
-        },
+    let targets = match &name {
+        Some(n) => vec![scenario(n)],
         None => registry::scenarios(),
     };
 
@@ -168,59 +151,37 @@ fn outcome_row(o: &ScenarioOutcome) -> Vec<String> {
     ]
 }
 
-fn cmd_explore(args: &[String]) -> ExitCode {
+fn cmd_explore(mut args: Flags) -> ExitCode {
     let mut name: Option<String> = None;
     let mut seeds = 0u64..16;
     let mut record: Option<PathBuf> = None;
     let mut threads = 1usize;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--threads" => {
-                threads = parse_or_die(it.next(), "--threads needs a count");
-                if threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    return ExitCode::FAILURE;
-                }
+                threads = args.choice(&a, "a count of at least 1", |v| {
+                    v.parse().ok().filter(|&n| n > 0)
+                })
             }
             "--seeds" => {
-                let spec: String = parse_or_die(it.next(), "--seeds needs LO..HI");
-                let Some((lo, hi)) = spec.split_once("..") else {
-                    eprintln!("--seeds wants LO..HI, got '{spec}'");
-                    return ExitCode::FAILURE;
-                };
-                let (Ok(lo), Ok(hi)) = (lo.parse::<u64>(), hi.parse::<u64>()) else {
-                    eprintln!("--seeds wants integers, got '{spec}'");
-                    return ExitCode::FAILURE;
-                };
-                if lo >= hi {
-                    eprintln!("--seeds range '{spec}' is empty — nothing would run");
-                    return ExitCode::FAILURE;
-                }
-                seeds = lo..hi;
+                seeds = args.choice(&a, "a non-empty LO..HI range", |v| {
+                    let (lo, hi) = v.split_once("..")?;
+                    let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
+                    (lo < hi).then_some(lo..hi)
+                })
             }
-            "--record" => {
-                record = Some(PathBuf::from(parse_or_die::<String>(
-                    it.next(),
-                    "--record needs a path",
-                )));
-            }
-            other if !other.starts_with('-') => name = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--record" => record = Some(args.value(&a, "a path")),
+            other if !other.starts_with('-') => name = Some(a.clone()),
+            other => args.other(other),
         }
     }
 
     let reports = match &name {
-        Some(n) => match registry::by_name(n) {
-            Some(s) => vec![explore::explore_threaded(&s, seeds.clone(), threads)],
-            None => {
-                eprintln!("unknown scenario '{n}'");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(n) => vec![explore::explore_threaded(
+            &scenario(n),
+            seeds.clone(),
+            threads,
+        )],
         None => explore::explore_all_threaded(seeds.clone(), threads),
     };
 
@@ -292,15 +253,5 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             seeds.start, seeds.end
         );
         ExitCode::SUCCESS
-    }
-}
-
-fn parse_or_die<T: std::str::FromStr>(v: Option<&String>, msg: &str) -> T {
-    match v.and_then(|s| s.parse().ok()) {
-        Some(t) => t,
-        None => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
     }
 }

@@ -34,37 +34,28 @@
 //! `obs-smoke` job runs this over the artifacts `loadgen --quick
 //! --trace` produced.
 
-use cbm_bench::{field_str, field_u64};
+use cbm_bench::flags::{usage_error, Flags};
+use cbm_bench::json::{parse_prefix, Json};
 use cbm_obs::export::TRACE_SCHEMA;
 use cbm_obs::SpanKind;
 use std::process::ExitCode;
 
-/// `"key": -3` on a line (signed twin of `cbm_bench::field_u64`).
-fn field_i64(line: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let digits: String = rest
-        .chars()
-        .enumerate()
-        .take_while(|(i, c)| c.is_ascii_digit() || (*i == 0 && *c == '-'))
-        .map(|(_, c)| c)
-        .collect();
-    digits.parse().ok()
+const USAGE: &str = "trace_check [--schema PATH] FILE...";
+
+/// One exported line as a JSON value, its trailing comma (if any)
+/// ignored.
+fn parse_line(line: &str) -> Option<Json> {
+    parse_prefix(line).map(|(v, _)| v)
 }
 
-/// `"key": true|false` on a line.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
+/// Field `key` of `obj` read as `T` (a number or a boolean).
+fn lit<T: std::str::FromStr>(obj: &Json, key: &str) -> Option<T> {
+    obj.get(key)?.lit()
+}
+
+/// Field `key` of `obj` as a string.
+fn string<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
+    obj.get(key)?.as_str()
 }
 
 /// Timeline rank of a kind name — the seal order spans are emitted in.
@@ -78,12 +69,13 @@ fn check_jsonl(path: &str, text: &str) -> Vec<String> {
     let Some(header) = lines.next() else {
         return vec![format!("{path}: empty file")];
     };
-    match field_str(header, "schema") {
+    let header = parse_line(header).unwrap_or(Json::Obj(vec![]));
+    match string(&header, "schema") {
         Some(s) if s == TRACE_SCHEMA => {}
         Some(s) => errs.push(format!("{path}: schema '{s}', expected '{TRACE_SCHEMA}'")),
         None => errs.push(format!("{path}: header missing 'schema'")),
     }
-    let workers = match field_u64(header, "workers") {
+    let workers = match lit::<u64>(&header, "workers") {
         Some(w) if w >= 1 => w,
         Some(w) => {
             errs.push(format!("{path}: implausible workers {w}"));
@@ -94,11 +86,11 @@ fn check_jsonl(path: &str, text: &str) -> Vec<String> {
             0
         }
     };
-    let declared = field_u64(header, "spans");
+    let declared = lit::<u64>(&header, "spans");
     if declared.is_none() {
         errs.push(format!("{path}: header missing 'spans'"));
     }
-    if field_u64(header, "dropped").is_none() {
+    if lit::<u64>(&header, "dropped").is_none() {
         errs.push(format!("{path}: header missing 'dropped'"));
     }
 
@@ -115,8 +107,12 @@ fn check_jsonl(path: &str, text: &str) -> Vec<String> {
                 "{path}:{lno}: nondeterministic field leaked into the logical timeline"
             ));
         }
-        let kind = field_str(line, "kind");
-        let rank = match kind.as_deref().and_then(kind_rank) {
+        let Some(span) = parse_line(line) else {
+            errs.push(format!("{path}:{lno}: not a JSON object"));
+            continue;
+        };
+        let kind = string(&span, "kind");
+        let rank = match kind.and_then(kind_rank) {
             Some(r) => r,
             None => {
                 errs.push(format!("{path}:{lno}: unknown kind {:?}", kind));
@@ -124,20 +120,21 @@ fn check_jsonl(path: &str, text: &str) -> Vec<String> {
             }
         };
         let (Some(epoch), Some(worker), Some(logical), Some(a), Some(b)) = (
-            field_u64(line, "epoch"),
-            field_u64(line, "worker"),
-            field_u64(line, "logical"),
-            field_u64(line, "a"),
-            field_u64(line, "b"),
+            lit::<u64>(&span, "epoch"),
+            lit::<u64>(&span, "worker"),
+            lit::<u64>(&span, "logical"),
+            lit::<u64>(&span, "a"),
+            lit::<u64>(&span, "b"),
         ) else {
             errs.push(format!("{path}:{lno}: missing numeric field"));
             continue;
         };
-        let (Some(peer), Some(shard)) = (field_i64(line, "peer"), field_i64(line, "shard")) else {
+        let (Some(peer), Some(shard)) = (lit::<i64>(&span, "peer"), lit::<i64>(&span, "shard"))
+        else {
             errs.push(format!("{path}:{lno}: missing peer/shard"));
             continue;
         };
-        let Some(flag) = field_bool(line, "flag") else {
+        let Some(flag) = lit::<bool>(&span, "flag") else {
             errs.push(format!("{path}:{lno}: missing flag"));
             continue;
         };
@@ -185,19 +182,23 @@ fn check_chrome(path: &str, text: &str) -> Vec<String> {
             continue; // the trailer line
         }
         let lno = i + 1;
-        let Some(ph) = field_str(t, "ph") else {
+        let Some(event) = parse_line(t) else {
+            errs.push(format!("{path}:{lno}: not a JSON object"));
+            continue;
+        };
+        let Some(ph) = string(&event, "ph") else {
             errs.push(format!("{path}:{lno}: event without 'ph'"));
             continue;
         };
-        match ph.as_str() {
+        match ph {
             "M" => {}
             "X" => {
-                if !t.contains("\"ts\": ") || !t.contains("\"dur\": ") {
+                if event.get("ts").is_none() || event.get("dur").is_none() {
                     errs.push(format!("{path}:{lno}: complete event missing ts/dur"));
                 }
             }
             "i" => {
-                if !t.contains("\"ts\": ") {
+                if event.get("ts").is_none() {
                     errs.push(format!("{path}:{lno}: instant event missing ts"));
                 }
             }
@@ -206,11 +207,11 @@ fn check_chrome(path: &str, text: &str) -> Vec<String> {
         if ph == "M" {
             continue;
         }
-        let name = field_str(t, "name");
-        if name.as_deref().and_then(kind_rank).is_none() {
+        let name = string(&event, "name");
+        if name.and_then(kind_rank).is_none() {
             errs.push(format!("{path}:{lno}: event name is not a span kind"));
         }
-        if matches!(name.as_deref(), Some("op" | "read_route")) && ph != "X" {
+        if matches!(name, Some("op" | "read_route")) && ph != "X" {
             errs.push(format!(
                 "{path}:{lno}: {} span without a duration (traced but untimed)",
                 name.unwrap_or_default()
@@ -221,33 +222,18 @@ fn check_chrome(path: &str, text: &str) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Flags::from_env(USAGE);
     let mut files: Vec<String> = Vec::new();
     let mut schema_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--schema" => match it.next() {
-                Some(p) => schema_path = Some(p.clone()),
-                None => {
-                    eprintln!("--schema needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("trace_check [--schema PATH] FILE...");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
-            f => files.push(f.to_string()),
+            "--schema" => schema_path = Some(args.value(&a, "a path")),
+            f if !f.starts_with('-') => files.push(a.clone()),
+            other => args.other(other),
         }
     }
     if files.is_empty() {
-        eprintln!("trace_check: no files given (trace_check [--schema PATH] FILE...)");
-        return ExitCode::from(2);
+        usage_error(format!("trace_check: no files given ({USAGE})"));
     }
 
     let mut errs: Vec<String> = Vec::new();

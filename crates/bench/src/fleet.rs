@@ -4,7 +4,7 @@
 //! the running binary in the cargo target dir), each of which dials
 //! back to the driver's loopback control listener and announces its id
 //! ([`crate::proto::Ctrl::Hello`]). Legs are then dispatched over the
-//! control streams ([`NodePool::run_leg`]) and the nodes' engine runs
+//! control streams ([`NodePool::run_batch`]) and the nodes' engine runs
 //! happen in **their** process — each hosting a full replica set over
 //! its own in-process TCP mesh — so a matrix parallelises across
 //! processes while every leg's deterministic columns stay a pure
@@ -131,14 +131,6 @@ impl NodePool {
     /// Is the pool empty?
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Run one leg on node `node`, blocking until its report arrives.
-    pub fn run_leg(&mut self, node: usize, spec: &LegSpec) -> io::Result<StoreReport> {
-        let handle = self.nodes[node]
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "node already shut down"))?;
-        dispatch(handle, node, spec)
     }
 
     /// Run a batch of legs across the fleet — leg `i` on node

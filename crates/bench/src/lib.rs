@@ -1,16 +1,39 @@
-//! # cbm-bench — figure regeneration harnesses and benchmarks
+//! # cbm-bench — the harness layer, figure binaries, and benchmarks
 //!
-//! One binary per paper figure (experiments E1–E5 of DESIGN.md) plus
-//! Criterion micro-benchmarks (E9). This library hosts the shared
-//! pieces: plain-text table rendering, random history generation for
-//! the hierarchy experiment, and the measured classification of a
-//! history against every applicable criterion.
+//! The binaries that regenerate every committed artifact (`loadgen`,
+//! `chaos_loadgen`, `perf_baseline`, `trace_check`), the `cbm-node`
+//! fleet worker, the `scenario_runner` CLI, one binary per paper figure
+//! (experiments E1–E5 of DESIGN.md) and Criterion micro-benchmarks
+//! (E9). This library is everything they share, written once:
+//!
+//! * [`flags`] — the flag parser (exit 2 on every usage error) and the
+//!   eleven workload flags of a single-configuration run;
+//! * [`json`] — the one document layout and the parser that reads it
+//!   back;
+//! * [`gate`] — the committed baseline a run's exact counts must
+//!   reproduce, loaded before any work runs;
+//! * [`report`] — the checks that fail a run, the flight-record dump
+//!   policy, and the job-summary tables;
+//! * [`Workload`], [`run_workload`] and [`leg_config`] — the op
+//!   generators and engine configurations every binary runs;
+//! * [`proto`] and [`fleet`] — the control protocol and the process
+//!   pool behind `loadgen --procs`;
+//! * for the figures: plain-text tables, random history generation,
+//!   and the measured classification of a history against every
+//!   applicable criterion.
+//!
+//! A new harness binary builds on these instead of its own parser,
+//! writer, gate or verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flags;
 pub mod fleet;
+pub mod gate;
+pub mod json;
 pub mod proto;
+pub mod report;
 
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::register::{RegInput, Register};
@@ -19,7 +42,9 @@ use cbm_adt::window::{WInput, WOutput, WindowStream};
 use cbm_adt::Adt;
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_history::{History, HistoryBuilder};
-use cbm_store::{run, run_tcp, ShardMap, StoreConfig, StoreReport};
+use cbm_store::{
+    run, run_tcp, BatchPolicy, Mode, ShardMap, StoreConfig, StoreReport, VerifyConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +55,7 @@ use rand::{Rng, SeedableRng};
 /// `--gate` baseline gates both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// Crossbeam channels between worker threads (the default).
+    /// In-process channels between worker threads (the default).
     Thread,
     /// A real TCP mesh over loopback, one socket pair per worker pair.
     Tcp,
@@ -127,6 +152,40 @@ pub fn run_workload(w: &Workload, cfg: &StoreConfig, t: Transport) -> StoreRepor
                 Transport::Tcp => run_tcp(&Counter, cfg, gen),
             }
         }
+    }
+}
+
+/// The seed of every `loadgen` leg, and the first of the seeds each
+/// chaos cell sweeps.
+pub const SEED: u64 = 42;
+
+/// One harness leg's engine configuration: `workers` workers issuing
+/// `ops` operations each over `objects` objects in `mode`, batching by
+/// `batch`, verifying a `window_ops`-op window every `every_ops` ops,
+/// seeded with [`SEED`]. Everything else — full replication, no faults,
+/// no tracing, no disk — is [`StoreConfig::default`]'s.
+pub fn leg_config(
+    mode: Mode,
+    workers: usize,
+    objects: usize,
+    ops: usize,
+    batch: BatchPolicy,
+    every_ops: usize,
+    window_ops: usize,
+) -> StoreConfig {
+    StoreConfig {
+        workers,
+        objects,
+        ops_per_worker: ops,
+        mode,
+        batch,
+        verify: VerifyConfig {
+            every_ops,
+            window_ops,
+            ..VerifyConfig::default()
+        },
+        seed: SEED,
+        ..StoreConfig::default()
     }
 }
 
@@ -287,107 +346,6 @@ pub fn recorded_window_adt() -> cbm_adt::window::WindowArray {
 pub fn bar(value: f64, scale: f64, width: usize) -> String {
     let filled = ((value / scale).min(1.0) * width as f64).round() as usize;
     format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
-}
-
-/// `"key": "value"` on a line of the hand-rolled baseline JSON, if
-/// present. The committed `BENCH_*.json` emitters write one field per
-/// line, so the binaries' baseline parsers share these scanners
-/// instead of a deserializer (the workspace vendors none) —
-/// keeping the emitter convention and every parser in one crate.
-pub fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('\"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// `"key": 123` on a line of the hand-rolled baseline JSON, if present.
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Append one titled markdown table to a GitHub Actions job-summary
-/// file (`$GITHUB_STEP_SUMMARY`). Shared by the `--summary` flags of
-/// `perf_baseline`, `loadgen`, and `chaos_loadgen`, so the summary
-/// format lives in one place. Pass an empty title to continue the
-/// previous section with another table.
-pub fn append_summary_table(
-    path: &str,
-    title: &str,
-    columns: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if !title.is_empty() {
-        writeln!(f, "## {title}\n")?;
-    }
-    writeln!(f, "| {} |", columns.join(" | "))?;
-    writeln!(f, "|{}|", vec!["---"; columns.len()].join("|"))?;
-    for row in rows {
-        writeln!(f, "| {} |", row.join(" | "))?;
-    }
-    writeln!(f)
-}
-
-/// Columns of the per-epoch dashboard table (prefix each row with a
-/// leg/cell name column when rendering several runs into one table).
-pub const EPOCH_COLUMNS: [&str; 11] = [
-    "epoch",
-    "ops",
-    "updates",
-    "remote reads",
-    "batches",
-    "payloads",
-    "delivered",
-    "nacks",
-    "repairs",
-    "faults",
-    "crashed",
-];
-
-/// One [`EPOCH_COLUMNS`] row. Every value is deterministic per
-/// `(config, seed)`, so these tables diff exactly across reruns.
-pub fn epoch_row(e: &cbm_store::EpochMetrics) -> Vec<String> {
-    vec![
-        e.epoch.to_string(),
-        e.ops.to_string(),
-        e.updates.to_string(),
-        e.remote_reads.to_string(),
-        e.batches.to_string(),
-        e.payloads.to_string(),
-        e.delivered.to_string(),
-        e.nacks.to_string(),
-        e.repairs.to_string(),
-        e.faults.to_string(),
-        e.crashed.to_string(),
-    ]
-}
-
-/// Dump a run's flight record as both export formats:
-/// `dir/name.trace.json` (load in Perfetto / `chrome://tracing`) and
-/// `dir/name.jsonl` (the byte-comparable logical timeline). Returns
-/// the two paths written.
-pub fn write_trace(
-    dir: &str,
-    name: &str,
-    rec: &cbm_obs::FlightRecord,
-) -> std::io::Result<(String, String)> {
-    std::fs::create_dir_all(dir)?;
-    let chrome = format!("{dir}/{name}.trace.json");
-    let jsonl = format!("{dir}/{name}.jsonl");
-    std::fs::write(&chrome, cbm_obs::export::chrome_json(rec))?;
-    std::fs::write(&jsonl, cbm_obs::export::jsonl(rec))?;
-    Ok((chrome, jsonl))
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 //! [`crate::thread_net::ThreadNet`]) move envelopes; the protocols
 //! decide delivery order:
 //!
-//! * [`RawBroadcast`] — reliable, unordered (baseline for eventual
-//!   consistency without causality);
 //! * [`FifoBroadcast`] — per-sender FIFO (PRAM / pipelined consistency);
 //! * [`CausalBroadcast`] — vector-clock causal delivery (the primitive
 //!   assumed by Figs. 4 and 5);
@@ -38,7 +36,6 @@
 use crate::clock::VectorClock;
 use crate::stock::Stock;
 use crate::NodeId;
-use std::collections::VecDeque;
 
 /// An envelope of the causal broadcast: payload plus causal metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -984,19 +981,6 @@ impl<P: Clone> FifoBroadcast<P> {
     }
 }
 
-/// Unordered reliable broadcast: every received envelope is delivered
-/// immediately (the weakest substrate; eventual consistency baselines
-/// build on it).
-#[derive(Debug, Clone, Default)]
-pub struct RawBroadcast;
-
-impl RawBroadcast {
-    /// Trivial pass-through (kept for symmetry with the other layers).
-    pub fn on_receive<P>(&mut self, msg: P) -> Vec<P> {
-        vec![msg]
-    }
-}
-
 /// Messages of the sequencer protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeqMsg<P> {
@@ -1114,29 +1098,6 @@ impl<P: Clone> SequencerBroadcast<P> {
     /// Slots delivered so far.
     pub fn delivered(&self) -> u64 {
         self.next_deliver - 1
-    }
-}
-
-/// A simple deterministic delivery queue used in protocol unit tests.
-#[derive(Debug, Default)]
-pub struct TestLink<M> {
-    queue: VecDeque<M>,
-}
-
-impl<M> TestLink<M> {
-    /// An empty link.
-    pub fn new() -> Self {
-        TestLink {
-            queue: VecDeque::new(),
-        }
-    }
-    /// Enqueue a message.
-    pub fn send(&mut self, m: M) {
-        self.queue.push_back(m);
-    }
-    /// Dequeue in order.
-    pub fn recv(&mut self) -> Option<M> {
-        self.queue.pop_front()
     }
 }
 
@@ -1592,21 +1553,5 @@ mod tests {
         let (d, _) = p2.on_receive(ord2);
         assert_eq!(d.len(), 1);
         assert_eq!(p2.delivered(), 2);
-    }
-
-    #[test]
-    fn raw_broadcast_is_immediate() {
-        let mut r = RawBroadcast;
-        assert_eq!(r.on_receive(42), vec![42]);
-    }
-
-    #[test]
-    fn test_link_is_fifo() {
-        let mut l = TestLink::new();
-        l.send(1);
-        l.send(2);
-        assert_eq!(l.recv(), Some(1));
-        assert_eq!(l.recv(), Some(2));
-        assert_eq!(l.recv(), None);
     }
 }

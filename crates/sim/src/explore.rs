@@ -121,16 +121,15 @@ fn run_pairs(pairs: &[(&Scenario, u64)], threads: usize) -> Vec<ScenarioOutcome>
         }
     } else {
         let chunk = pairs.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (out_chunk, pair_chunk) in out.chunks_mut(chunk).zip(pairs.chunks(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, (s, seed)) in out_chunk.iter_mut().zip(pair_chunk) {
                         *slot = Some(run_scenario(s, *seed));
                     }
                 });
             }
-        })
-        .expect("exploration worker panicked");
+        });
     }
     out.into_iter()
         .map(|o| o.expect("every pair ran"))
