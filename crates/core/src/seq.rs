@@ -33,13 +33,13 @@ pub struct SeqShared<T: Adt> {
 impl<T: Adt> Replica<T> for SeqShared<T> {
     type Msg = SeqMsg<Stamped<T::Input>>;
 
-    fn new_replica(me: NodeId, _n: usize, adt: T) -> Self {
+    fn new_replica(me: NodeId, n: usize, adt: T) -> Self {
         let state = adt.initial();
         SeqShared {
             adt,
             me,
             state,
-            proto: SequencerBroadcast::new(me),
+            proto: SequencerBroadcast::new(me, n),
         }
     }
 
@@ -86,7 +86,7 @@ impl<T: Adt> Replica<T> for SeqShared<T> {
         applied: &mut Vec<u64>,
     ) {
         let (deliveries, forward) = self.proto.on_receive(msg);
-        if let Some(fwd) = forward {
+        for fwd in forward {
             // we are the sequencer: fan out, then apply our own copy
             out.push(Outgoing::Broadcast(fwd.clone()));
             let (more, _) = self.proto.on_receive(fwd);
@@ -101,7 +101,7 @@ impl<T: Adt> Replica<T> for SeqShared<T> {
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
         match msg {
-            SeqMsg::Submit { .. } => 2 + 8 + 16,
+            SeqMsg::Submit { .. } => 2 + 8 + 8 + 16,
             SeqMsg::Ordered { .. } => 8 + 2 + 8 + 16,
         }
     }

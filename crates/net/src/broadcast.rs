@@ -5,14 +5,28 @@
 //! (after immediate local delivery, §6.1 property 3), and `on_receive`
 //! turns an incoming envelope into the list of payloads now deliverable
 //! in protocol order. The transports ([`crate::sim::SimNet`],
-//! [`crate::thread_net::ThreadNet`]) move envelopes; the protocols
-//! decide delivery order:
+//! [`crate::thread_net::ThreadNet`], [`crate::tcp::TcpNet`]) move
+//! envelopes; the protocols decide delivery order:
 //!
-//! * [`FifoBroadcast`] — per-sender FIFO (PRAM / pipelined consistency);
 //! * [`CausalBroadcast`] — vector-clock causal delivery (the primitive
 //!   assumed by Figs. 4 and 5);
+//! * [`InterestBatchCausalBroadcast`] — the same rule over per-edge
+//!   stamps, with payloads batched per interest mask (partial
+//!   replication; the stack the live store engine runs on);
+//! * [`FifoBroadcast`] — per-sender FIFO (PRAM / pipelined consistency);
 //! * [`SequencerBroadcast`] — total order through a sequencer
 //!   (sequential consistency baseline; not wait-free).
+//!
+//! All four deliver through one reorder buffer: per sender, a delivered
+//! count and the envelopes received ahead of it, keyed by that sender's
+//! sequence number. An envelope is released when it is its sender's
+//! next and passes the protocol's *gate* — its causal past is delivered
+//! (causal, interest), or nothing at all (FIFO, and both streams of the
+//! sequencer). A copy at or below the delivered count, or of an
+//! envelope already held, is dropped on arrival, so a duplicating or
+//! retransmitting transport costs bandwidth but never a second
+//! delivery, and the buffer never holds more than the distinct
+//! envelopes still waiting for their past.
 //!
 //! ```
 //! use cbm_net::broadcast::CausalBroadcast;
@@ -36,6 +50,80 @@
 use crate::clock::VectorClock;
 use crate::stock::Stock;
 use crate::NodeId;
+use std::collections::btree_map::{BTreeMap, Entry};
+
+/// The reorder buffer every protocol here delivers through.
+///
+/// Per sender it keeps a delivered count and the envelopes received
+/// ahead of it, keyed by that sender's sequence number (1-based). What
+/// a protocol adds is its *gate*: the condition, beyond "next from that
+/// sender", under which a queue head may be released.
+#[derive(Debug, Clone)]
+struct Held<M> {
+    /// Envelopes delivered from each sender — own sends included, for
+    /// the protocols that deliver them locally at once.
+    delivered: Vec<u64>,
+    /// Envelopes received ahead of `delivered`, per sender.
+    queues: Vec<BTreeMap<u64, M>>,
+}
+
+impl<M> Held<M> {
+    fn new(n: usize) -> Self {
+        Held {
+            delivered: vec![0; n],
+            queues: (0..n).map(|_| BTreeMap::new()).collect(),
+        }
+    }
+
+    /// Keep envelope `seq` from `sender`, unless it is stale (already
+    /// delivered) or a copy of one already held.
+    fn offer(&mut self, sender: NodeId, seq: u64, m: M) {
+        if seq > self.delivered[sender] {
+            if let Entry::Vacant(slot) = self.queues[sender].entry(seq) {
+                slot.insert(m);
+            }
+        }
+    }
+
+    /// Release the first sender's queue head that is next in sequence
+    /// and passes `gate` (which also sees the delivered counts). Callers
+    /// loop until `None`, so a protocol's fold runs between releases.
+    fn next(&mut self, mut gate: impl FnMut(&M, &[u64]) -> bool) -> Option<M> {
+        for (s, queue) in self.queues.iter_mut().enumerate() {
+            let Some(head) = queue.first_entry() else {
+                continue;
+            };
+            if *head.key() == self.delivered[s] + 1 && gate(head.get(), &self.delivered) {
+                self.delivered[s] += 1;
+                return Some(head.remove());
+            }
+        }
+        None
+    }
+
+    /// Distinct envelopes received from `sender`: delivered plus held.
+    /// Unlike the delivered count this does not depend on other
+    /// senders (an envelope blocked behind a lost dependency still
+    /// counts), which makes it the gap detector for lossy transports:
+    /// `received_from(q) <` what `q` published it sent iff something
+    /// from `q` was physically lost.
+    fn received_from(&self, sender: NodeId) -> u64 {
+        self.delivered[sender] + self.queues[sender].len() as u64
+    }
+
+    /// Envelopes held, over all senders.
+    fn len(&self) -> usize {
+        self.queues.iter().map(BTreeMap::len).sum()
+    }
+
+    /// Drop everything held and restart from the delivered counts
+    /// `frontier` (crash recovery).
+    fn reset(&mut self, frontier: &[u64]) {
+        assert_eq!(frontier.len(), self.delivered.len(), "frontier arity");
+        self.delivered.copy_from_slice(frontier);
+        self.queues.iter_mut().for_each(BTreeMap::clear);
+    }
+}
 
 /// An envelope of the causal broadcast: payload plus causal metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,25 +148,9 @@ pub struct CausalMsg<P> {
 #[derive(Debug, Clone)]
 pub struct CausalBroadcast<P> {
     me: NodeId,
-    delivered: VectorClock,
-    buffer: Vec<CausalMsg<P>>,
-    /// Duplicate-suppression set: `(sender, seq)` of every envelope
-    /// accepted into the buffer but not yet delivered. A duplicating
-    /// or retransmitting transport (duplicate-storm faults, the chaos
-    /// layer's repair path) can hand us the same out-of-order envelope
-    /// many times; without this set each copy would land in the buffer
-    /// and the set itself, unpruned, would grow with every message
-    /// ever received. Entries are pruned at the vector-clock floor of
-    /// what can still be re-offered: anything at or below `delivered`
-    /// is already suppressed by the stale check, so the set stays
-    /// bounded by the number of genuinely out-of-order envelopes —
-    /// independent of how many duplicates the transport injects.
-    seen: std::collections::HashSet<(NodeId, u64)>,
-    /// Per-sender cardinality of `seen`, maintained on insert/prune so
-    /// [`received_from`](Self::received_from) is O(1) instead of a scan
-    /// over the whole suppression set (gap detection runs it per peer
-    /// per drain — the scan was O(peers · pending) per rendezvous).
-    pending_from: Vec<u64>,
+    /// The delivered clock (own broadcasts included) and the envelopes
+    /// waiting for their causal past.
+    held: Held<CausalMsg<P>>,
 }
 
 impl<P: Clone> CausalBroadcast<P> {
@@ -86,10 +158,7 @@ impl<P: Clone> CausalBroadcast<P> {
     pub fn new(me: NodeId, n: usize) -> Self {
         CausalBroadcast {
             me,
-            delivered: VectorClock::new(n),
-            buffer: Vec::new(),
-            seen: std::collections::HashSet::new(),
-            pending_from: vec![0; n],
+            held: Held::new(n),
         }
     }
 
@@ -97,9 +166,11 @@ impl<P: Clone> CausalBroadcast<P> {
     /// (property 3 of §6.1) and the returned envelope must be sent to
     /// every other process.
     pub fn broadcast(&mut self, payload: P) -> CausalMsg<P> {
-        let mut vc = self.delivered.clone();
-        vc.tick(self.me);
-        self.delivered.tick(self.me);
+        self.held.delivered[self.me] += 1;
+        let mut vc = VectorClock::new(self.held.delivered.len());
+        for (j, &d) in self.held.delivered.iter().enumerate() {
+            vc.set(j, d);
+        }
         CausalMsg {
             sender: self.me,
             vc,
@@ -108,69 +179,17 @@ impl<P: Clone> CausalBroadcast<P> {
     }
 
     /// Receive an envelope; returns every message that becomes
-    /// deliverable, in causal delivery order. Stale envelopes — own
-    /// messages and duplicates of anything already delivered (a lossy
-    /// or duplicating transport may redeliver) — are discarded, so the
-    /// buffer stays bounded by the number of genuinely out-of-order
-    /// messages.
-    #[allow(clippy::while_let_loop)] // the loop body borrows self.buffer twice
+    /// deliverable, in causal delivery order. Own messages and copies
+    /// of anything already delivered or held are discarded.
     pub fn on_receive(&mut self, msg: CausalMsg<P>) -> Vec<CausalMsg<P>> {
-        // suppression is two-tier: the delivered clock rejects
-        // anything already delivered (stale), the `seen` set rejects
-        // duplicates of envelopes still waiting in the buffer
-        if !self.stale(&msg) && self.seen.insert((msg.sender, msg.vc.get(msg.sender))) {
-            self.pending_from[msg.sender] += 1;
-            self.buffer.push(msg);
-        }
-        let mut out = Vec::new();
-        loop {
-            let Some(pos) = self.buffer.iter().position(|m| self.deliverable(m)) else {
-                break;
-            };
-            let m = self.buffer.swap_remove(pos);
-            self.delivered.tick(m.sender);
-            out.push(m);
-        }
-        if !out.is_empty() {
-            // prune the suppression set at the delivered floor:
-            // everything at or below it is suppressed by the stale
-            // check, so keeping it would only grow the set without
-            // bound under a duplicate storm
-            let delivered = &self.delivered;
-            let pending_from = &mut self.pending_from;
-            self.seen.retain(|&(s, q)| {
-                let keep = q > delivered.get(s);
-                if !keep {
-                    pending_from[s] -= 1;
-                }
-                keep
-            });
-            // `seen` guarantees the buffer holds no duplicates of the
-            // just-delivered envelopes, but keep the invariant scan as
-            // a cheap safety net (it is O(buffer) only on delivery)
-            let me = self.me;
-            self.buffer
-                .retain(|m| m.sender != me && m.vc.get(m.sender) > delivered.get(m.sender));
-        }
-        out
-    }
-
-    /// Entries in the duplicate-suppression set (bounded by the number
-    /// of out-of-order envelopes awaiting delivery; see `on_receive`).
-    pub fn suppression_len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Distinct messages **received** from `sender`: delivered plus
-    /// buffered-out-of-order. Unlike the delivered clock, this count
-    /// does not depend on the vector-clock stamps of concurrent
-    /// messages (a message blocked behind a lost dependency still
-    /// counts), which makes it the right gap detector for lossy
-    /// transports: `received_from(q) < q's published send count` iff
-    /// something from `q` was physically lost. O(1): the per-sender
-    /// buffered count is maintained on insert and prune.
-    pub fn received_from(&self, sender: NodeId) -> u64 {
-        self.delivered.get(sender) + self.pending_from[sender]
+        self.held.offer(msg.sender, msg.vc.get(msg.sender), msg);
+        std::iter::from_fn(|| {
+            self.held.next(|m, delivered| {
+                let mut past = m.vc.components().iter().zip(delivered).enumerate();
+                past.all(|(j, (v, d))| j == m.sender || v <= d)
+            })
+        })
+        .collect()
     }
 
     /// Reset this endpoint to a delivery frontier (crash recovery).
@@ -183,41 +202,17 @@ impl<P: Clone> CausalBroadcast<P> {
     /// messages this endpoint has broadcast, so future broadcasts keep
     /// their sequence numbers contiguous.
     pub fn resync(&mut self, frontier: &[u64]) {
-        assert_eq!(frontier.len(), self.delivered.len(), "frontier arity");
-        for (i, &v) in frontier.iter().enumerate() {
-            self.delivered.set(i, v);
-        }
-        self.buffer.clear();
-        self.seen.clear();
-        self.pending_from.fill(0);
-    }
-
-    /// Already delivered (or sent by us)?
-    fn stale(&self, m: &CausalMsg<P>) -> bool {
-        m.sender == self.me || m.vc.get(m.sender) <= self.delivered.get(m.sender)
-    }
-
-    fn deliverable(&self, m: &CausalMsg<P>) -> bool {
-        if m.sender == self.me {
-            // own messages were already delivered locally
-            return false;
-        }
-        if m.vc.get(m.sender) != self.delivered.get(m.sender) + 1 {
-            return false;
-        }
-        (0..self.delivered.len())
-            .filter(|&j| j != m.sender)
-            .all(|j| m.vc.get(j) <= self.delivered.get(j))
+        self.held.reset(frontier);
     }
 
     /// Number of messages delivered from each sender.
-    pub fn delivered_clock(&self) -> &VectorClock {
-        &self.delivered
+    pub fn delivered(&self) -> &[u64] {
+        &self.held.delivered
     }
 
     /// Envelopes waiting for their causal past.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.held.len()
     }
 }
 
@@ -260,11 +255,18 @@ pub struct InterestMsg<P> {
 
 cbm_adt::wire_struct!(InterestMsg<P> { sender, seq, knows, payload });
 
-/// Per-process causal multicast with **per-recipient interest filters**
-/// and **per-edge sequence numbers** — the delivery substrate for
-/// partially replicated stores (Xiang & Vaidya's observation that
-/// causal consistency survives partial replication given careful
-/// metadata).
+/// Per-process causal multicast with **per-recipient interest
+/// filters**, **per-edge sequence numbers** and payload **batching per
+/// interest mask** — the delivery substrate for partially replicated
+/// stores (Xiang & Vaidya's observation that causal consistency
+/// survives partial replication given careful metadata).
+///
+/// Payloads that share a recipient set coalesce into one envelope per
+/// flush, so a batch is only ever addressed to nodes interested in
+/// (all of) its contents — the store engine keys masks by shard, giving
+/// "deliver a batch only to replicas interested in at least one of its
+/// objects" with no per-op filtering at the receiver. The batch is the
+/// causal unit.
 ///
 /// [`CausalBroadcast`]'s vector-clock rule assumes every process
 /// receives every envelope; with interest filtering that assumption
@@ -300,27 +302,18 @@ cbm_adt::wire_struct!(InterestMsg<P> { sender, seq, knows, payload });
 /// full-interest order equivalence and transitive causal delivery
 /// under partial interest.
 #[derive(Debug, Clone)]
-pub struct InterestCausalBroadcast<P> {
+pub struct InterestBatchCausalBroadcast<P> {
     me: NodeId,
     /// Envelopes sent on each `me → r` edge (cumulative, including
     /// copies a faulty transport may drop after stamping).
     edge_sent: Vec<u64>,
-    /// Envelopes delivered on each `s → me` edge.
-    delivered: Vec<u64>,
     /// `seen[j * n + r]`: envelopes on edge `j → r` known to be in
     /// this process's causal past (via deliveries and matrix merges).
     /// Rows for `j = me` are unused (`edge_sent` is that row).
     seen: Vec<u64>,
-    /// Envelopes waiting for their causal past (on our edges).
-    buffer: Vec<InterestMsg<P>>,
-    /// Duplicate suppression for buffered-but-undelivered envelopes,
-    /// keyed by edge sequence number; pruned at the delivered floor
-    /// exactly like [`CausalBroadcast`]'s set.
-    pending: std::collections::HashSet<(NodeId, u64)>,
-    /// Per-sender cardinality of `pending`, maintained on insert/prune
-    /// so [`received_from`](Self::received_from) is O(1) instead of a
-    /// scan over the whole suppression set.
-    pending_from: Vec<u64>,
+    /// Envelopes delivered on each `s → me` edge, and those waiting for
+    /// their causal past.
+    held: Held<InterestMsg<Vec<P>>>,
     /// Monotone change counter driving the dirty-row delta encoding:
     /// bumped whenever any matrix row changes (an own-row edge
     /// increment, a delivery fold, a recovery fold).
@@ -340,359 +333,9 @@ pub struct InterestCausalBroadcast<P> {
     /// delivery makes "the previous envelope on this edge" well-defined
     /// at both ends, which is what makes delta encoding sound.
     edge_col: Vec<u64>,
-    /// Emptied headers handed back by
-    /// [`recycle_header`](Self::recycle_header): the next stamp refills
-    /// one in place instead of allocating.
+    /// Emptied headers handed back by [`recycle`](Self::recycle): the
+    /// next stamp refills one in place instead of allocating.
     headers: Stock<KnowledgeDelta>,
-}
-
-impl<P: Clone> InterestCausalBroadcast<P> {
-    /// A fresh endpoint for process `me` in a cluster of `n`
-    /// (≤ [`InterestMask::MAX_NODES`]: interest sets are inline
-    /// bitsets).
-    pub fn new(me: NodeId, n: usize) -> Self {
-        assert!(
-            n <= InterestMask::MAX_NODES,
-            "interest masks are {}-bit bitsets: n = {n}",
-            InterestMask::MAX_NODES
-        );
-        InterestCausalBroadcast {
-            me,
-            edge_sent: vec![0; n],
-            delivered: vec![0; n],
-            seen: vec![0; n * n],
-            buffer: Vec::new(),
-            pending: std::collections::HashSet::new(),
-            pending_from: vec![0; n],
-            ver: 0,
-            row_ver: vec![0; n],
-            sent_ver: vec![0; n],
-            edge_col: vec![0; n * n],
-            headers: Stock::default(),
-        }
-    }
-
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.edge_sent.len()
-    }
-
-    /// Multicast `payload` to the nodes in `recipients`: the payload is
-    /// delivered locally at once (the caller applies its own operations
-    /// when it invokes them) and one individually stamped envelope is
-    /// returned per *other* interested node, in ascending node order —
-    /// send each to its recipient.
-    pub fn multicast(
-        &mut self,
-        payload: P,
-        recipients: InterestMask,
-    ) -> Vec<(NodeId, InterestMsg<P>)> {
-        let mut out = Vec::new();
-        self.multicast_into(payload, recipients, P::clone, &mut out);
-        out
-    }
-
-    /// [`multicast`](Self::multicast) into a caller-kept vector, with
-    /// the caller choosing how a recipient's copy of the payload is
-    /// made: `copy` runs once per recipient but the last, which takes
-    /// `payload` itself — a fan-out of `k` costs `k - 1` copies.
-    pub fn multicast_into(
-        &mut self,
-        payload: P,
-        recipients: InterestMask,
-        mut copy: impl FnMut(&P) -> P,
-        out: &mut Vec<(NodeId, InterestMsg<P>)>,
-    ) {
-        let n = self.cluster_size();
-        let me = self.me;
-        let targets = || recipients.iter().filter(move |&r| r != me && r < n);
-        let mut left = 0usize;
-        for r in targets() {
-            self.edge_sent[r] += 1;
-            left += 1;
-        }
-        if left == 0 {
-            return;
-        }
-        // the logical stamp is still one matrix snapshot per flush: row
-        // `me` is the post-increment edge counts (so each recipient's
-        // column includes its own copy, and merging at any receiver
-        // teaches it about the flush's other copies), rows `j ≠ me` the
-        // transitively merged knowledge. On the wire each recipient
-        // gets only the rows that changed since *its* edge's previous
-        // envelope — per-edge FIFO delivery lets it overlay them on the
-        // view that envelope left behind — and within a row only the
-        // non-zero cells (counts are monotone, so zero-now means
-        // zero-in-every-earlier-stamp: the sparseness is exact).
-        self.ver += 1;
-        self.row_ver[me] = self.ver;
-        let mut payload = Some(payload);
-        for r in targets() {
-            let mut knows = self.headers.draw().unwrap_or_default();
-            let dirty = |j: &usize| self.row_ver[*j] > self.sent_ver[r];
-            // size the header before filling it, so a fresh one is two
-            // allocations and a recycled one usually none
-            let cells = (0..n)
-                .filter(dirty)
-                .map(|j| self.row(j).iter().filter(|&&v| v != 0).count())
-                .sum();
-            knows.reserve((0..n).filter(dirty).count(), cells);
-            for j in (0..n).filter(dirty) {
-                let cells = self.row(j).iter().enumerate();
-                knows.push_row(
-                    j as u32,
-                    cells.filter(|&(_, &v)| v != 0).map(|(c, &v)| (c as u32, v)),
-                );
-            }
-            self.sent_ver[r] = self.ver;
-            left -= 1;
-            let payload = if left == 0 {
-                payload.take()
-            } else {
-                payload.as_ref().map(&mut copy)
-            };
-            out.push((
-                r,
-                InterestMsg {
-                    sender: me,
-                    seq: self.edge_sent[r],
-                    knows,
-                    payload: payload.expect("the payload moves into the last envelope only"),
-                },
-            ));
-        }
-    }
-
-    /// Row `j` of this node's knowledge matrix as the next stamp
-    /// carries it: `edge_sent` for our own row, `seen` otherwise.
-    fn row(&self, j: NodeId) -> &[u64] {
-        if j == self.me {
-            &self.edge_sent
-        } else {
-            let n = self.cluster_size();
-            &self.seen[j * n..(j + 1) * n]
-        }
-    }
-
-    /// Hand back a delivered envelope's header once it has been folded
-    /// and read: it is emptied and kept (while the stock has room) for
-    /// the next stamp to refill.
-    pub fn recycle_header(&mut self, knows: KnowledgeDelta) {
-        self.headers.stow(knows);
-    }
-
-    /// Receive an envelope addressed to this node; returns every
-    /// envelope that becomes deliverable, in causal delivery order.
-    /// Delivering an envelope folds its knowledge matrix into this
-    /// endpoint's, so later multicasts carry the dependency forward
-    /// (transitivity across uninterested intermediaries).
-    pub fn on_receive(&mut self, msg: InterestMsg<P>) -> Vec<InterestMsg<P>> {
-        let mut out = Vec::new();
-        self.on_receive_into(msg, &mut out);
-        out
-    }
-
-    /// [`on_receive`](Self::on_receive), appending the deliverable
-    /// envelopes to a caller-kept vector.
-    pub fn on_receive_into(&mut self, msg: InterestMsg<P>, out: &mut Vec<InterestMsg<P>>) {
-        if !self.stale(&msg) && self.pending.insert((msg.sender, msg.seq)) {
-            self.pending_from[msg.sender] += 1;
-            self.buffer.push(msg);
-        }
-        let before = out.len();
-        #[allow(clippy::while_let_loop)] // the loop body borrows self.buffer twice
-        loop {
-            let Some(pos) = self.buffer.iter().position(|m| self.deliverable(m)) else {
-                break;
-            };
-            let m = self.buffer.swap_remove(pos);
-            self.delivered[m.sender] += 1;
-            let n = self.cluster_size();
-            let s = m.sender;
-            // fold the delta's rows: rows absent from the delta need no
-            // fold — this edge's previous envelope (delivered first,
-            // per-edge FIFO) already folded identical values, and
-            // `seen` is monotone since
-            for (row, cells) in m.knows.rows() {
-                let j = row as usize;
-                // refresh this edge's carried-over view of our column
-                // (the decode baseline for the edge's next delta)
-                self.edge_col[s * n + j] = KnowledgeDelta::cell(cells, self.me);
-                if j == self.me {
-                    continue; // our own row is edge_sent, authoritative
-                }
-                let mut changed = false;
-                for &(c, v) in cells {
-                    let i = j * n + c as usize;
-                    if v > self.seen[i] {
-                        self.seen[i] = v;
-                        changed = true;
-                    }
-                }
-                if changed {
-                    self.ver += 1;
-                    self.row_ver[j] = self.ver;
-                }
-            }
-            out.push(m);
-        }
-        if out.len() > before {
-            let delivered = &self.delivered;
-            let pending_from = &mut self.pending_from;
-            self.pending.retain(|&(s, q)| {
-                let keep = q > delivered[s];
-                if !keep {
-                    pending_from[s] -= 1;
-                }
-                keep
-            });
-            let me = self.me;
-            self.buffer
-                .retain(|m| m.sender != me && m.seq > delivered[m.sender]);
-        }
-    }
-
-    /// Already delivered (or sent by us)?
-    fn stale(&self, m: &InterestMsg<P>) -> bool {
-        m.sender == self.me || m.seq <= self.delivered[m.sender]
-    }
-
-    fn deliverable(&self, m: &InterestMsg<P>) -> bool {
-        if m.sender == self.me || m.seq != self.delivered[m.sender] + 1 {
-            return false;
-        }
-        // the gate needs our column of the sender's matrix: dirty rows
-        // carry it in the delta, clean rows are unchanged from this
-        // edge's previous envelope, whose column `edge_col` kept. The
-        // seq check above guarantees that previous envelope is exactly
-        // the one `edge_col` currently reflects. Merge-walk the sorted
-        // delta rows so the gate is O(n + delta), not O(n · delta).
-        let n = self.delivered.len();
-        let s = m.sender;
-        let mut rows = m.knows.rows().peekable();
-        for j in 0..n {
-            while rows.next_if(|(row, _)| (*row as usize) < j).is_some() {}
-            if j == s || j == self.me {
-                continue;
-            }
-            let v = match rows.peek() {
-                Some((row, cells)) if *row as usize == j => KnowledgeDelta::cell(cells, self.me),
-                _ => self.edge_col[s * n + j],
-            };
-            if v > self.delivered[j] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Envelopes sent so far on the `me → r` edge.
-    pub fn edge_sent(&self, r: NodeId) -> u64 {
-        self.edge_sent[r]
-    }
-
-    /// Envelopes delivered so far on each `s → me` edge.
-    pub fn delivered_edges(&self) -> &[u64] {
-        &self.delivered
-    }
-
-    /// Distinct envelopes **received** on the `q → me` edge: delivered
-    /// plus buffered out-of-order — the per-edge gap detector for lossy
-    /// transports (see [`CausalBroadcast::received_from`]). O(1): the
-    /// per-edge buffered count is maintained on insert and prune.
-    pub fn received_from(&self, q: NodeId) -> u64 {
-        self.delivered[q] + self.pending_from[q]
-    }
-
-    /// Envelopes waiting for their causal past.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Entries in the duplicate-suppression set.
-    pub fn suppression_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Snapshot of this node's current edge knowledge: the `seen`
-    /// matrix with our own row replaced by `edge_sent` — exactly the
-    /// stamp the **next** envelope flushed from here would carry
-    /// *before* its own edge increments. Row-major `n × n`,
-    /// `knowledge[j * n + r]` = envelopes we know `j` has sent to `r`.
-    /// Observability hook (trace spans stamp flushes with it); never
-    /// read by the protocol itself.
-    pub fn knowledge(&self) -> Vec<u64> {
-        let n = self.cluster_size();
-        let mut k = self.seen.clone();
-        k[self.me * n..(self.me + 1) * n].copy_from_slice(&self.edge_sent);
-        k
-    }
-
-    /// Reset this endpoint to a consistent cut (crash recovery).
-    ///
-    /// `delivered` is the cut's per-edge frontier (`delivered[j]` =
-    /// envelopes `j` had sent to *this* node at the cut) and `sent` the
-    /// full cut edge matrix (`sent[j * n + r]` = envelopes `j` had sent
-    /// to `r`): because every envelope `j` sends to `r` is by
-    /// construction of interest to `r`, the cut matrix *is* the correct
-    /// `seen` projection for a replica whose installed state folds in
-    /// everything up to the cut. Our own row (`edge_sent`) is kept —
-    /// peers' delivery counters for our edges survived the crash.
-    pub fn resync(&mut self, delivered: &[u64], sent: &[u64]) {
-        let n = self.cluster_size();
-        assert_eq!(delivered.len(), n, "frontier arity");
-        assert_eq!(sent.len(), n * n, "edge matrix arity");
-        for (j, &d) in delivered.iter().enumerate() {
-            if j != self.me {
-                self.delivered[j] = d;
-                let mut changed = false;
-                for r in 0..n {
-                    let i = j * n + r;
-                    if sent[i] > self.seen[i] {
-                        self.seen[i] = sent[i];
-                        changed = true;
-                    }
-                }
-                // rows the cut grew must reach peers whose last
-                // envelope predates the fold
-                if changed {
-                    self.ver += 1;
-                    self.row_ver[j] = self.ver;
-                }
-            }
-        }
-        self.buffer.clear();
-        self.pending.clear();
-        self.pending_from.fill(0);
-        // the per-edge decode baselines died with the pre-crash
-        // in-flight state: zero them and rely on every live peer
-        // calling [`mark_refresh`](Self::mark_refresh) for this node,
-        // so the next envelope on each inbound edge is a full refresh
-        // against exactly this zero baseline
-        self.edge_col.fill(0);
-    }
-
-    /// Forget what the `me → r` edge's receiver is assumed to already
-    /// know: the next envelope stamped for `r` carries every row this
-    /// matrix has ever touched — a full refresh against a zero decode
-    /// baseline. The engine calls this on every live peer when `r`
-    /// recovers from a crash: envelopes stamped for `r` while it was
-    /// down consumed delta state but were dropped, and `r`'s own
-    /// baselines restart from zero ([`resync`](Self::resync)).
-    pub fn mark_refresh(&mut self, r: NodeId) {
-        self.sent_ver[r] = 0;
-    }
-}
-
-/// [`InterestCausalBroadcast`] with payload **batching per interest
-/// mask**: payloads that share a recipient set coalesce into one
-/// envelope per flush, so a batch is only ever addressed to nodes
-/// interested in (all of) its contents — the store engine keys masks
-/// by shard, giving "deliver a batch only to replicas interested in at
-/// least one of its objects" with no per-op filtering at the receiver.
-#[derive(Debug, Clone)]
-pub struct InterestBatchCausalBroadcast<P> {
-    inner: InterestCausalBroadcast<Vec<P>>,
     /// Pending payloads per interest mask, in first-push order (the
     /// flush order at drains must be deterministic).
     pending: Vec<(InterestMask, Vec<P>)>,
@@ -734,10 +377,24 @@ impl<P> PayloadBufs<P> {
 
 impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// A fresh endpoint for process `me` in a cluster of `n`
-    /// (≤ [`InterestMask::MAX_NODES`]).
+    /// (≤ [`InterestMask::MAX_NODES`]: interest sets are inline
+    /// bitsets).
     pub fn new(me: NodeId, n: usize) -> Self {
+        assert!(
+            n <= InterestMask::MAX_NODES,
+            "interest masks are {}-bit bitsets: n = {n}",
+            InterestMask::MAX_NODES
+        );
         InterestBatchCausalBroadcast {
-            inner: InterestCausalBroadcast::new(me, n),
+            me,
+            edge_sent: vec![0; n],
+            seen: vec![0; n * n],
+            held: Held::new(n),
+            ver: 0,
+            row_ver: vec![0; n],
+            sent_ver: vec![0; n],
+            edge_col: vec![0; n * n],
+            headers: Stock::default(),
             pending: Vec::new(),
             batches_sent: 0,
             payloads_sent: 0,
@@ -748,6 +405,11 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
                 allocated: 0,
             },
         }
+    }
+
+    /// Cluster size.
+    pub fn cluster_size(&self) -> usize {
+        self.edge_sent.len()
     }
 
     /// Queue a payload addressed to `recipients` for the next flush of
@@ -769,7 +431,9 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     }
 
     /// Seal one mask's pending payloads into stamped per-recipient
-    /// envelopes (empty if nothing is pending for the mask).
+    /// envelopes, one per *other* interested node in ascending node
+    /// order (empty if nothing is pending for the mask). The payloads
+    /// were delivered locally when the caller applied them.
     pub fn flush_mask(&mut self, recipients: InterestMask) -> Vec<(NodeId, InterestMsg<Vec<P>>)> {
         let mut out = Vec::new();
         self.flush_mask_into(recipients, &mut out);
@@ -779,7 +443,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// [`flush_mask`](Self::flush_mask), appending the envelopes to a
     /// caller-kept vector. The last recipient's envelope carries the
     /// pending batch itself; the others carry copies drawn from the
-    /// recycled stock.
+    /// recycled stock — a fan-out of `k` costs `k - 1` copies.
     pub fn flush_mask_into(
         &mut self,
         recipients: InterestMask,
@@ -788,17 +452,69 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
         let Some(pos) = self.pending.iter().position(|(m, _)| *m == recipients) else {
             return;
         };
-        let (mask, batch) = self.pending.remove(pos);
+        let (_, mut batch) = self.pending.remove(pos);
         self.batches_sent += 1;
         self.payloads_sent += batch.len() as u64;
         self.bufs.batch_cap = self.bufs.batch_cap.max(batch.len());
-        let bufs = &mut self.bufs;
-        let copy = |batch: &Vec<P>| {
-            let mut buf = bufs.draw();
-            buf.extend_from_slice(batch);
-            buf
-        };
-        self.inner.multicast_into(batch, mask, copy, out);
+        let (n, me) = (self.cluster_size(), self.me);
+        let targets = || recipients.iter().filter(move |&r| r != me && r < n);
+        let mut left = 0usize;
+        for r in targets() {
+            self.edge_sent[r] += 1;
+            left += 1;
+        }
+        if left == 0 {
+            return;
+        }
+        // the logical stamp is one matrix snapshot per flush: row `me`
+        // is the post-increment edge counts (so each recipient's column
+        // includes its own copy, and merging at any receiver teaches it
+        // about the flush's other copies), rows `j ≠ me` the
+        // transitively merged knowledge. On the wire each recipient
+        // gets only the rows that changed since *its* edge's previous
+        // envelope — per-edge FIFO delivery lets it overlay them on the
+        // view that envelope left behind — and within a row only the
+        // non-zero cells (counts are monotone, so zero-now means
+        // zero-in-every-earlier-stamp: the sparseness is exact).
+        self.ver += 1;
+        self.row_ver[me] = self.ver;
+        for r in targets() {
+            let mut knows = self.headers.draw().unwrap_or_default();
+            let dirty = |j: &usize| self.row_ver[*j] > self.sent_ver[r];
+            // size the header before filling it, so a fresh one is two
+            // allocations and a recycled one usually none
+            let cells = (0..n)
+                .filter(dirty)
+                .map(|j| self.row(j).iter().filter(|&&v| v != 0).count())
+                .sum();
+            knows.reserve((0..n).filter(dirty).count(), cells);
+            for j in (0..n).filter(dirty) {
+                let cells = self.row(j).iter().enumerate();
+                knows.push_row(
+                    j as u32,
+                    cells.filter(|&(_, &v)| v != 0).map(|(c, &v)| (c as u32, v)),
+                );
+            }
+            self.sent_ver[r] = self.ver;
+            left -= 1;
+            let payload = if left == 0 {
+                std::mem::take(&mut batch)
+            } else {
+                let mut copy = self.bufs.draw();
+                copy.extend_from_slice(&batch);
+                copy
+            };
+            let seq = self.edge_sent[r];
+            out.push((
+                r,
+                InterestMsg {
+                    sender: me,
+                    seq,
+                    knows,
+                    payload,
+                },
+            ));
+        }
     }
 
     /// Flush every pending mask, in first-push order (drain points).
@@ -815,21 +531,98 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
         }
     }
 
-    /// Receive a batch envelope; returns every batch that becomes
-    /// deliverable, in causal order (see
-    /// [`InterestCausalBroadcast::on_receive`]).
-    pub fn on_receive(&mut self, msg: InterestMsg<Vec<P>>) -> Vec<InterestMsg<Vec<P>>> {
-        self.inner.on_receive(msg)
+    /// Row `j` of this node's knowledge matrix as the next stamp
+    /// carries it: `edge_sent` for our own row, `seen` otherwise.
+    fn row(&self, j: NodeId) -> &[u64] {
+        if j == self.me {
+            &self.edge_sent
+        } else {
+            let n = self.cluster_size();
+            &self.seen[j * n..(j + 1) * n]
+        }
     }
 
-    /// [`on_receive`](Self::on_receive), appending to a caller-kept
-    /// vector.
+    /// Receive a batch envelope addressed to this node; returns every
+    /// envelope that becomes deliverable, in causal delivery order.
+    /// Delivering an envelope folds its knowledge matrix into this
+    /// endpoint's, so later flushes carry the dependency forward
+    /// (transitivity across uninterested intermediaries).
+    pub fn on_receive(&mut self, msg: InterestMsg<Vec<P>>) -> Vec<InterestMsg<Vec<P>>> {
+        let mut out = Vec::new();
+        self.on_receive_into(msg, &mut out);
+        out
+    }
+
+    /// [`on_receive`](Self::on_receive), appending the deliverable
+    /// envelopes to a caller-kept vector.
     pub fn on_receive_into(
         &mut self,
         msg: InterestMsg<Vec<P>>,
         out: &mut Vec<InterestMsg<Vec<P>>>,
     ) {
-        self.inner.on_receive_into(msg, out);
+        let (me, n) = (self.me, self.cluster_size());
+        self.held.offer(msg.sender, msg.seq, msg);
+        // the gate needs our column of the sender's matrix: dirty rows
+        // carry it in the delta, clean rows are unchanged from this
+        // edge's previous envelope, whose column `edge_col` kept — and
+        // `Held` only offers the edge's next envelope, so that previous
+        // envelope is exactly the one `edge_col` reflects. Merge-walk
+        // the sorted delta rows so the gate is O(n + delta).
+        let gate = |m: &InterestMsg<Vec<P>>, delivered: &[u64], edge_col: &[u64]| {
+            let s = m.sender;
+            let mut rows = m.knows.rows().peekable();
+            (0..n).all(|j| {
+                while rows.next_if(|(row, _)| (*row as usize) < j).is_some() {}
+                let v = match rows.peek() {
+                    Some((row, cells)) if *row as usize == j => KnowledgeDelta::cell(cells, me),
+                    _ => edge_col[s * n + j],
+                };
+                j == s || j == me || v <= delivered[j]
+            })
+        };
+        while let Some(m) = self
+            .held
+            .next(|m, delivered| gate(m, delivered, &self.edge_col))
+        {
+            self.fold(&m);
+            out.push(m);
+        }
+    }
+
+    /// Fold a delivered envelope's delta rows into this endpoint's
+    /// knowledge. Rows absent from the delta need no fold — this edge's
+    /// previous envelope (delivered first, per-edge FIFO) already folded
+    /// identical values, and `seen` is monotone since.
+    fn fold(&mut self, m: &InterestMsg<Vec<P>>) {
+        let n = self.cluster_size();
+        for (row, cells) in m.knows.rows() {
+            let j = row as usize;
+            // refresh this edge's carried-over view of our column (the
+            // decode baseline for the edge's next delta)
+            self.edge_col[m.sender * n + j] = KnowledgeDelta::cell(cells, self.me);
+            if j != self.me {
+                // our own row is edge_sent, authoritative
+                self.raise_row(j, cells.iter().map(|&(c, v)| (c as usize, v)));
+            }
+        }
+    }
+
+    /// Raise row `j` of `seen` cell-wise to `(column, count)` pairs,
+    /// marking the row dirty for the delta encoding if any cell grew.
+    fn raise_row(&mut self, j: NodeId, cells: impl IntoIterator<Item = (usize, u64)>) {
+        let n = self.cluster_size();
+        let mut changed = false;
+        for (c, v) in cells {
+            let cell = &mut self.seen[j * n + c];
+            if v > *cell {
+                *cell = v;
+                changed = true;
+            }
+        }
+        if changed {
+            self.ver += 1;
+            self.row_ver[j] = self.ver;
+        }
     }
 
     /// Hand back a delivered envelope once its payloads are applied:
@@ -840,7 +633,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// sender's allocation is not freed from this thread.
     pub fn recycle(&mut self, env: InterestMsg<Vec<P>>) {
         self.bufs.stock.stow(env.payload);
-        self.inner.recycle_header(env.knows);
+        self.headers.stow(env.knows);
     }
 
     /// Payload vectors drawn from the recycled stock so far.
@@ -855,50 +648,83 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
 
     /// Batch envelopes sent so far on the `me → r` edge.
     pub fn edge_sent(&self, r: NodeId) -> u64 {
-        self.inner.edge_sent(r)
+        self.edge_sent[r]
     }
 
     /// Batch envelopes delivered so far on each `s → me` edge.
     pub fn delivered_edges(&self) -> &[u64] {
-        self.inner.delivered_edges()
+        &self.held.delivered
     }
 
-    /// Distinct batch envelopes received on the `q → me` edge.
+    /// Distinct batch envelopes **received** on the `q → me` edge:
+    /// delivered plus buffered out of order — the per-edge gap detector
+    /// for lossy transports (`received_from(q) <` the count `q`
+    /// published for this edge iff something on it was lost).
     pub fn received_from(&self, q: NodeId) -> u64 {
-        self.inner.received_from(q)
+        self.held.received_from(q)
     }
 
     /// Envelopes waiting for their causal past.
     pub fn buffered(&self) -> usize {
-        self.inner.buffered()
+        self.held.len()
     }
 
-    /// Entries in the duplicate-suppression set.
-    pub fn suppression_len(&self) -> usize {
-        self.inner.suppression_len()
-    }
-
-    /// Current edge-knowledge snapshot (see
-    /// [`InterestCausalBroadcast::knowledge`]): the pre-flush clock
-    /// stamp trace spans attach to `batch_flush` events.
+    /// Snapshot of this node's current edge knowledge: the `seen`
+    /// matrix with our own row replaced by `edge_sent` — exactly the
+    /// stamp the **next** envelope flushed from here would carry
+    /// *before* its own edge increments. Row-major `n × n`,
+    /// `knowledge[j * n + r]` = envelopes we know `j` has sent to `r`.
+    /// Observability hook (trace spans stamp `batch_flush` events with
+    /// it); never read by the protocol itself.
     pub fn knowledge(&self) -> Vec<u64> {
-        self.inner.knowledge()
+        let n = self.cluster_size();
+        let mut k = self.seen.clone();
+        k[self.me * n..(self.me + 1) * n].copy_from_slice(&self.edge_sent);
+        k
     }
 
-    /// Reset to a consistent cut after crash recovery (see
-    /// [`InterestCausalBroadcast::resync`]); pending unsent payloads
-    /// are discarded with the rest of the pre-crash in-flight state.
+    /// Reset this endpoint to a consistent cut (crash recovery).
+    ///
+    /// `delivered` is the cut's per-edge frontier (`delivered[j]` =
+    /// envelopes `j` had sent to *this* node at the cut) and `sent` the
+    /// full cut edge matrix (`sent[j * n + r]` = envelopes `j` had sent
+    /// to `r`): because every envelope `j` sends to `r` is by
+    /// construction of interest to `r`, the cut matrix *is* the correct
+    /// `seen` projection for a replica whose installed state folds in
+    /// everything up to the cut. Our own row (`edge_sent`) is kept —
+    /// peers' delivery counters for our edges survived the crash.
+    /// Pending unsent payloads are discarded with the rest of the
+    /// pre-crash in-flight state.
     pub fn resync(&mut self, delivered: &[u64], sent: &[u64]) {
-        self.inner.resync(delivered, sent);
+        let n = self.cluster_size();
+        assert_eq!(sent.len(), n * n, "edge matrix arity");
+        self.held.reset(delivered);
+        // rows the cut grew must reach peers whose last envelope
+        // predates the fold
+        let me = self.me;
+        for j in (0..n).filter(|&j| j != me) {
+            self.raise_row(j, sent[j * n..(j + 1) * n].iter().copied().enumerate());
+        }
+        // the per-edge decode baselines died with the pre-crash
+        // in-flight state: zero them and rely on every live peer
+        // calling [`mark_refresh`](Self::mark_refresh) for this node,
+        // so the next envelope on each inbound edge is a full refresh
+        // against exactly this zero baseline
+        self.edge_col.fill(0);
         while let Some((_, q)) = self.pending.pop() {
             self.bufs.stock.stow(q);
         }
     }
 
-    /// Force the next envelope stamped for `r` to be a full knowledge
-    /// refresh (see [`InterestCausalBroadcast::mark_refresh`]).
+    /// Forget what the `me → r` edge's receiver is assumed to already
+    /// know: the next envelope stamped for `r` carries every row this
+    /// matrix has ever touched — a full refresh against a zero decode
+    /// baseline. The engine calls this on every live peer when `r`
+    /// recovers from a crash: envelopes stamped for `r` while it was
+    /// down consumed delta state but were dropped, and `r`'s own
+    /// baselines restart from zero ([`resync`](Self::resync)).
     pub fn mark_refresh(&mut self, r: NodeId) {
-        self.inner.mark_refresh(r);
+        self.sent_ver[r] = 0;
     }
 
     /// Logical batches flushed so far (a flush to `k` recipients is one
@@ -929,9 +755,9 @@ pub struct FifoMsg<P> {
 #[derive(Debug, Clone)]
 pub struct FifoBroadcast<P> {
     me: NodeId,
-    sent: u64,
-    next: Vec<u64>,
-    buffer: Vec<FifoMsg<P>>,
+    /// Messages delivered per sender (own broadcasts included) and
+    /// those received ahead of their predecessors.
+    held: Held<FifoMsg<P>>,
 }
 
 impl<P: Clone> FifoBroadcast<P> {
@@ -939,45 +765,25 @@ impl<P: Clone> FifoBroadcast<P> {
     pub fn new(me: NodeId, n: usize) -> Self {
         FifoBroadcast {
             me,
-            sent: 0,
-            next: vec![1; n],
-            buffer: Vec::new(),
+            held: Held::new(n),
         }
     }
 
     /// Broadcast `payload` (delivered locally at once).
     pub fn broadcast(&mut self, payload: P) -> FifoMsg<P> {
-        self.sent += 1;
-        self.next[self.me] = self.sent + 1;
+        self.held.delivered[self.me] += 1;
         FifoMsg {
             sender: self.me,
-            seq: self.sent,
+            seq: self.held.delivered[self.me],
             payload,
         }
     }
 
     /// Receive an envelope; returns newly deliverable messages in FIFO
     /// order.
-    #[allow(clippy::while_let_loop)]
     pub fn on_receive(&mut self, msg: FifoMsg<P>) -> Vec<FifoMsg<P>> {
-        if msg.sender == self.me {
-            return Vec::new();
-        }
-        self.buffer.push(msg);
-        let mut out = Vec::new();
-        loop {
-            let Some(pos) = self
-                .buffer
-                .iter()
-                .position(|m| m.seq == self.next[m.sender])
-            else {
-                break;
-            };
-            let m = self.buffer.swap_remove(pos);
-            self.next[m.sender] += 1;
-            out.push(m);
-        }
-        out
+        self.held.offer(msg.sender, msg.seq, msg);
+        std::iter::from_fn(|| self.held.next(|_, _| true)).collect()
     }
 }
 
@@ -988,6 +794,10 @@ pub enum SeqMsg<P> {
     Submit {
         /// Originating process.
         origin: NodeId,
+        /// The origin's submission count, this one included (1-based):
+        /// the sequencer orders each origin's submissions once each, in
+        /// submission order.
+        count: u64,
         /// Application payload.
         payload: P,
     },
@@ -1004,30 +814,39 @@ pub enum SeqMsg<P> {
 
 /// Totally ordered broadcast through a fixed sequencer (process 0).
 ///
-/// Used by the sequential-consistency baseline: an update completes
-/// only when its `Ordered` envelope comes back, so operation latency is
-/// at least one round trip to the sequencer — precisely the
-/// communication dependence that §1 contrasts with wait-free causal
-/// objects.
+/// Two FIFO streams: submissions flow per origin into the sequencer,
+/// slots flow from the sequencer to everyone. Used by the
+/// sequential-consistency baseline: an update completes only when its
+/// `Ordered` envelope comes back, so operation latency is at least one
+/// round trip to the sequencer — precisely the communication dependence
+/// that §1 contrasts with wait-free causal objects.
 #[derive(Debug, Clone)]
 pub struct SequencerBroadcast<P> {
     me: NodeId,
-    next_slot: u64,    // sequencer state
-    next_deliver: u64, // per-process delivery cursor
-    buffer: Vec<SeqMsg<P>>,
+    /// Payloads this process has submitted.
+    submitted: u64,
+    /// Slots assigned so far (sequencer state).
+    slots_assigned: u64,
+    /// At the sequencer: submissions per origin, released in
+    /// submission order.
+    submissions: Held<(NodeId, P)>,
+    /// Ordered payloads, released in slot order (one stream, from the
+    /// sequencer).
+    slots: Held<(u64, NodeId, P)>,
 }
 
 /// The sequencer role is fixed to process 0.
 pub const SEQUENCER: NodeId = 0;
 
 impl<P: Clone> SequencerBroadcast<P> {
-    /// A fresh endpoint for process `me`.
-    pub fn new(me: NodeId) -> Self {
+    /// A fresh endpoint for process `me` in a cluster of `n`.
+    pub fn new(me: NodeId, n: usize) -> Self {
         SequencerBroadcast {
             me,
-            next_slot: 1,
-            next_deliver: 1,
-            buffer: Vec::new(),
+            submitted: 0,
+            slots_assigned: 0,
+            submissions: Held::new(n),
+            slots: Held::new(SEQUENCER + 1),
         }
     }
 
@@ -1036,74 +855,72 @@ impl<P: Clone> SequencerBroadcast<P> {
     /// `Ordered` envelope to broadcast).
     pub fn submit(&mut self, payload: P) -> SeqMsg<P> {
         if self.me == SEQUENCER {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            SeqMsg::Ordered {
-                slot,
-                origin: self.me,
-                payload,
-            }
-        } else {
-            SeqMsg::Submit {
-                origin: self.me,
-                payload,
-            }
+            return self.order(SEQUENCER, payload);
+        }
+        self.submitted += 1;
+        SeqMsg::Submit {
+            origin: self.me,
+            count: self.submitted,
+            payload,
+        }
+    }
+
+    /// Assign the next slot (sequencer only).
+    fn order(&mut self, origin: NodeId, payload: P) -> SeqMsg<P> {
+        self.slots_assigned += 1;
+        SeqMsg::Ordered {
+            slot: self.slots_assigned,
+            origin,
+            payload,
         }
     }
 
     /// Handle an incoming envelope.
     ///
     /// Returns `(deliveries, to_broadcast)`: payloads now deliverable
-    /// in slot order, plus (at the sequencer) the `Ordered` envelope to
-    /// fan out.
-    #[allow(clippy::type_complexity, clippy::while_let_loop)]
-    pub fn on_receive(&mut self, msg: SeqMsg<P>) -> (Vec<(u64, NodeId, P)>, Option<SeqMsg<P>>) {
+    /// in slot order, plus (at the sequencer) the `Ordered` envelopes to
+    /// fan out — one per submission that came due, none for a copy of
+    /// a submission already ordered.
+    #[allow(clippy::type_complexity)]
+    pub fn on_receive(&mut self, msg: SeqMsg<P>) -> (Vec<(u64, NodeId, P)>, Vec<SeqMsg<P>>) {
         match msg {
-            SeqMsg::Submit { origin, payload } => {
+            SeqMsg::Submit {
+                origin,
+                count,
+                payload,
+            } => {
                 assert_eq!(self.me, SEQUENCER, "Submit routed to non-sequencer");
-                let slot = self.next_slot;
-                self.next_slot += 1;
-                let ordered = SeqMsg::Ordered {
-                    slot,
-                    origin,
-                    payload,
-                };
-                (Vec::new(), Some(ordered))
-            }
-            ordered @ SeqMsg::Ordered { .. } => {
-                self.buffer.push(ordered);
-                let mut out = Vec::new();
-                loop {
-                    let Some(pos) = self.buffer.iter().position(
-                        |m| matches!(m, SeqMsg::Ordered { slot, .. } if *slot == self.next_deliver),
-                    ) else {
-                        break;
-                    };
-                    let SeqMsg::Ordered {
-                        slot,
-                        origin,
-                        payload,
-                    } = self.buffer.swap_remove(pos)
-                    else {
-                        unreachable!()
-                    };
-                    self.next_deliver += 1;
-                    out.push((slot, origin, payload));
+                self.submissions.offer(origin, count, (origin, payload));
+                let mut due = Vec::new();
+                while let Some((origin, payload)) = self.submissions.next(|_, _| true) {
+                    due.push(self.order(origin, payload));
                 }
-                (out, None)
+                (Vec::new(), due)
+            }
+            SeqMsg::Ordered {
+                slot,
+                origin,
+                payload,
+            } => {
+                self.slots.offer(SEQUENCER, slot, (slot, origin, payload));
+                let out = std::iter::from_fn(|| self.slots.next(|_, _| true)).collect();
+                (out, Vec::new())
             }
         }
     }
 
     /// Slots delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.next_deliver - 1
+        self.slots.delivered[SEQUENCER]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// An interest mask from an explicit node list.
     fn mask(bits: &[usize]) -> InterestMask {
@@ -1112,6 +929,21 @@ mod tests {
             m.set(b);
         }
         m
+    }
+
+    /// A batch of one: push `payload` for `recipients` and flush it.
+    fn multicast<P: Clone>(
+        p: &mut InterestBatchCausalBroadcast<P>,
+        payload: P,
+        recipients: InterestMask,
+    ) -> Vec<(NodeId, InterestMsg<Vec<P>>)> {
+        p.push(payload, recipients);
+        p.flush_mask(recipients)
+    }
+
+    /// The envelope addressed to `to` in a flush.
+    fn to<P: Clone>(envs: &[(NodeId, InterestMsg<Vec<P>>)], to: NodeId) -> InterestMsg<Vec<P>> {
+        envs.iter().find(|(r, _)| *r == to).unwrap().1.clone()
     }
 
     #[test]
@@ -1174,9 +1006,9 @@ mod tests {
     #[test]
     fn duplicate_storm_keeps_buffer_and_suppression_bounded() {
         // p0 broadcasts a chain m1..m8; p1 receives m2..m8 (m1 held
-        // back) in R duplicated rounds: the buffer and the suppression
-        // set must stay bounded by the 7 distinct undelivered
-        // envelopes, independent of R.
+        // back) in R duplicated rounds: the held envelopes, which are
+        // the suppression set, must stay bounded by the 7 distinct
+        // undelivered envelopes, independent of R.
         let mut p0 = CausalBroadcast::<u64>::new(0, 2);
         let mut p1 = CausalBroadcast::<u64>::new(1, 2);
         let msgs: Vec<_> = (0..8).map(|i| p0.broadcast(i)).collect();
@@ -1185,20 +1017,21 @@ mod tests {
                 assert!(p1.on_receive(m.clone()).is_empty());
             }
             assert_eq!(p1.buffered(), 7, "duplicates must not accumulate");
-            assert_eq!(p1.suppression_len(), 7);
+            assert_eq!(p1.held.received_from(0), 7);
         }
-        // the missing head arrives: everything delivers, and the
-        // suppression set is pruned at the new delivered floor
+        // the missing head arrives: everything delivers and nothing
+        // stays held
         let out = p1.on_receive(msgs[0].clone());
         assert_eq!(out.len(), 8);
         assert_eq!(p1.buffered(), 0);
-        assert_eq!(p1.suppression_len(), 0, "pruned below the floor");
-        // late duplicates of delivered envelopes stay suppressed by
-        // the delivered clock and never re-enter the set
+        assert_eq!(p1.held.received_from(0), 8);
+        // late duplicates of delivered envelopes are stale against the
+        // delivered count and never re-enter the buffer
         for m in &msgs {
             assert!(p1.on_receive(m.clone()).is_empty());
         }
-        assert_eq!(p1.suppression_len(), 0);
+        assert_eq!(p1.buffered(), 0);
+        assert_eq!(p1.delivered(), [8, 0]);
     }
 
     #[test]
@@ -1214,13 +1047,12 @@ mod tests {
         assert_eq!(p2.buffered(), 1);
         p2.resync(&[2, 0, 0]);
         assert_eq!(p2.buffered(), 0);
-        assert_eq!(p2.suppression_len(), 0);
         // below-frontier envelopes are stale; the next one delivers
         assert!(p2.on_receive(a).is_empty());
         let out = p2.on_receive(c);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, 3);
-        assert_eq!(p2.delivered_clock().get(0), 3);
+        assert_eq!(p2.delivered(), [3, 0, 0]);
     }
 
     /// All nodes interested: the interest protocol must behave exactly
@@ -1228,25 +1060,22 @@ mod tests {
     #[test]
     fn interest_full_mask_degenerates_to_causal_broadcast() {
         let all = full_interest(3);
-        let mut p0 = InterestCausalBroadcast::<&str>::new(0, 3);
-        let mut p1 = InterestCausalBroadcast::<&str>::new(1, 3);
-        let mut p2 = InterestCausalBroadcast::<&str>::new(2, 3);
+        let mut p0 = InterestBatchCausalBroadcast::<&str>::new(0, 3);
+        let mut p1 = InterestBatchCausalBroadcast::<&str>::new(1, 3);
+        let mut p2 = InterestBatchCausalBroadcast::<&str>::new(2, 3);
 
-        let q = p0.multicast("2+2?", all);
+        let q = multicast(&mut p0, "2+2?", all);
         assert_eq!(q.len(), 2, "one stamped copy per other node");
-        let to_p1 = q.iter().find(|(r, _)| *r == 1).unwrap().1.clone();
-        let to_p2 = q.iter().find(|(r, _)| *r == 2).unwrap().1.clone();
-        assert_eq!(p1.on_receive(to_p1).len(), 1);
-        let a = p1.multicast("4", all);
-        let a_to_p2 = a.iter().find(|(r, _)| *r == 2).unwrap().1.clone();
+        assert_eq!(p1.on_receive(to(&q, 1)).len(), 1);
+        let a = multicast(&mut p1, "4", all);
 
         // p2 gets the answer first: buffered until the question arrives
-        assert!(p2.on_receive(a_to_p2).is_empty());
+        assert!(p2.on_receive(to(&a, 2)).is_empty());
         assert_eq!(p2.buffered(), 1);
-        let both = p2.on_receive(to_p2);
+        let both = p2.on_receive(to(&q, 2));
         assert_eq!(both.len(), 2);
-        assert_eq!(both[0].payload, "2+2?");
-        assert_eq!(both[1].payload, "4");
+        assert_eq!(both[0].payload, ["2+2?"]);
+        assert_eq!(both[1].payload, ["4"]);
     }
 
     /// A dependency on an envelope outside the recipient's interest
@@ -1258,52 +1087,45 @@ mod tests {
         // and multicasts "c" to everyone; node 2 (never interested in
         // "b") must deliver "c" at once, while node 0 (interested, copy
         // of "b" still in flight) must buffer "c" behind it.
-        let mut p0 = InterestCausalBroadcast::<&str>::new(0, 4);
-        let mut p1 = InterestCausalBroadcast::<&str>::new(1, 4);
-        let mut p2 = InterestCausalBroadcast::<&str>::new(2, 4);
-        let mut p3 = InterestCausalBroadcast::<&str>::new(3, 4);
+        let mut p0 = InterestBatchCausalBroadcast::<&str>::new(0, 4);
+        let mut p1 = InterestBatchCausalBroadcast::<&str>::new(1, 4);
+        let mut p2 = InterestBatchCausalBroadcast::<&str>::new(2, 4);
+        let mut p3 = InterestBatchCausalBroadcast::<&str>::new(3, 4);
 
-        let b = p3.multicast("b", mask(&[0, 1, 3]));
+        let b = multicast(&mut p3, "b", mask(&[0, 1, 3]));
         assert_eq!(b.len(), 2, "copies for nodes 0 and 1 only");
-        let b_to_p1 = b.iter().find(|(r, _)| *r == 1).unwrap().1.clone();
-        let b_to_p0 = b.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
-        assert_eq!(p1.on_receive(b_to_p1).len(), 1);
-        let c = p1.multicast("c", full_interest(4));
+        assert_eq!(p1.on_receive(to(&b, 1)).len(), 1);
+        let c = multicast(&mut p1, "c", full_interest(4));
 
         // p2 never saw (and never will see) b — c must deliver at once
-        let c_to_p2 = c.iter().find(|(r, _)| *r == 2).unwrap().1.clone();
-        let got = p2.on_receive(c_to_p2);
+        let got = p2.on_receive(to(&c, 2));
         assert_eq!(got.len(), 1, "uninterested dependency must not block");
-        assert_eq!(got[0].payload, "c");
+        assert_eq!(got[0].payload, ["c"]);
 
         // ...but node 0, which IS interested in b, must wait for it
-        let c_to_p0 = c.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
-        assert!(p0.on_receive(c_to_p0).is_empty());
+        assert!(p0.on_receive(to(&c, 0)).is_empty());
         assert_eq!(p0.buffered(), 1);
-        let both = p0.on_receive(b_to_p0);
+        let both = p0.on_receive(to(&b, 0));
         assert_eq!(both.len(), 2);
-        assert_eq!(both[0].payload, "b");
-        assert_eq!(both[1].payload, "c");
+        assert_eq!(both[0].payload, ["b"]);
+        assert_eq!(both[1].payload, ["c"]);
 
         // transitivity through an uninterested intermediary: node 2
         // (which never saw b) multicasts "d" causally after c — node 0
         // must still order b before d
-        let mut q0 = InterestCausalBroadcast::<&str>::new(0, 4);
-        let d = p2.multicast("d", full_interest(4));
-        let d_to_p0 = d.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
-        let b2 = p3.multicast("b2", mask(&[0, 1, 3])); // fresh b for the fresh q0
-        let _ = b2;
+        let mut q0 = InterestBatchCausalBroadcast::<&str>::new(0, 4);
+        let d = multicast(&mut p2, "d", full_interest(4));
         // q0 receives d first: blocked on c AND (transitively) on b
-        assert!(q0.on_receive(d_to_p0).is_empty());
+        assert!(q0.on_receive(to(&d, 0)).is_empty());
         assert_eq!(q0.buffered(), 1, "d waits for its transitive past");
     }
 
     #[test]
     fn interest_edges_are_fifo_with_dup_suppression_and_gap_counts() {
-        let mut p0 = InterestCausalBroadcast::<u32>::new(0, 2);
-        let mut p1 = InterestCausalBroadcast::<u32>::new(1, 2);
-        let m1 = p0.multicast(1, mask(&[0, 1])).pop().unwrap().1;
-        let m2 = p0.multicast(2, mask(&[0, 1])).pop().unwrap().1;
+        let mut p0 = InterestBatchCausalBroadcast::<u32>::new(0, 2);
+        let mut p1 = InterestBatchCausalBroadcast::<u32>::new(1, 2);
+        let m1 = to(&multicast(&mut p0, 1, mask(&[0, 1])), 1);
+        let m2 = to(&multicast(&mut p0, 2, mask(&[0, 1])), 1);
         assert_eq!(p0.edge_sent(1), 2);
         // reversed arrival with duplicates
         assert!(p1.on_receive(m2.clone()).is_empty());
@@ -1311,10 +1133,12 @@ mod tests {
         assert_eq!(p1.buffered(), 1, "duplicate suppressed");
         assert_eq!(p1.received_from(0), 1, "m2 received, m1 missing");
         let got = p1.on_receive(m1);
-        assert_eq!(got.iter().map(|m| m.payload).collect::<Vec<_>>(), [1, 2]);
+        let payloads: Vec<_> = got.iter().map(|m| m.payload.clone()).collect();
+        assert_eq!(payloads, [[1], [2]]);
         assert_eq!(p1.received_from(0), 2);
-        assert_eq!(p1.suppression_len(), 0, "pruned at the floor");
+        assert_eq!(p1.buffered(), 0, "nothing held past the floor");
         assert!(p1.on_receive(m2).is_empty(), "late dup is stale");
+        assert_eq!(p1.buffered(), 0);
     }
 
     #[test]
@@ -1322,12 +1146,12 @@ mod tests {
         // 3 nodes, everything full interest; node 2 crashes after
         // delivering nothing, then resyncs to a cut where node 0 had
         // sent it 2 envelopes and node 1 one envelope
-        let mut p2 = InterestCausalBroadcast::<u32>::new(2, 3);
-        let mut p0 = InterestCausalBroadcast::<u32>::new(0, 3);
-        let e1 = p0.multicast(1, full_interest(3));
-        let e2 = p0.multicast(2, full_interest(3));
-        let e3 = p0.multicast(3, full_interest(3));
-        let _ = (e1, e2);
+        let mut p2 = InterestBatchCausalBroadcast::<u32>::new(2, 3);
+        let mut p0 = InterestBatchCausalBroadcast::<u32>::new(0, 3);
+        for k in 1..=2 {
+            multicast(&mut p0, k, full_interest(3));
+        }
+        let e3 = multicast(&mut p0, 3, full_interest(3));
         // cut matrix: sent[j*n+r]
         let mut sent = vec![0u64; 9];
         sent[2] = 2; // 0 -> 2
@@ -1339,10 +1163,9 @@ mod tests {
         // e3 (edge seq 3) is the next on the 0 -> 2 edge: delivers even
         // though its dep[1] = 0 understates the cut (deps only lower-
         // bound the floor)
-        let m3 = e3.into_iter().find(|(r, _)| *r == 2).unwrap().1;
-        let got = p2.on_receive(m3);
+        let got = p2.on_receive(to(&e3, 2));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload, 3);
+        assert_eq!(got[0].payload, [3]);
     }
 
     #[test]
@@ -1384,13 +1207,11 @@ mod tests {
         p2.push(7, full_interest(3));
         let e2 = p2.flush_all();
         // node 0 was never sent [9]: [7] delivers at once
-        let to0 = e2.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
-        assert_eq!(p0.on_receive(to0).len(), 1);
+        assert_eq!(p0.on_receive(to(&e2, 0)).len(), 1);
         // node 1 originated [9] (its own past): [7] also delivers at
         // once — the dependency rides the sender's own row, which the
         // originator trivially satisfies
-        let to1 = e2.iter().find(|(r, _)| *r == 1).unwrap().1.clone();
-        let got = p1.on_receive(to1);
+        let got = p1.on_receive(to(&e2, 1));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, vec![7]);
         // a third party that IS sent both must order them: replay the
@@ -1399,15 +1220,12 @@ mod tests {
         let mut q2 = InterestBatchCausalBroadcast::<u8>::new(2, 3);
         q1.push(9, mask(&[0, 1, 2])); // now node 0 is interested too
         let e = q1.flush_all();
-        let to2 = e.iter().find(|(r, _)| *r == 2).unwrap().1.clone();
-        let to0_first = e.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
-        assert_eq!(q2.on_receive(to2).len(), 1);
+        assert_eq!(q2.on_receive(to(&e, 2)).len(), 1);
         q2.push(7, full_interest(3));
         let e2 = q2.flush_all();
-        let to0_second = e2.iter().find(|(r, _)| *r == 0).unwrap().1.clone();
         let mut q0 = InterestBatchCausalBroadcast::<u8>::new(0, 3);
-        assert!(q0.on_receive(to0_second).is_empty(), "needs [9] first");
-        let both = q0.on_receive(to0_first);
+        assert!(q0.on_receive(to(&e2, 0)).is_empty(), "needs [9] first");
+        let both = q0.on_receive(to(&e, 0));
         assert_eq!(both.len(), 2);
         assert_eq!(both[0].payload, vec![9]);
         assert_eq!(both[1].payload, vec![7]);
@@ -1421,7 +1239,6 @@ mod tests {
     #[test]
     fn recycled_buffers_carry_the_next_flush() {
         use crate::stock::STOCK_BYTES;
-        use std::collections::HashSet;
 
         const N: usize = 4;
         let all = full_interest(N);
@@ -1432,8 +1249,8 @@ mod tests {
         // envelope is delivered and handed back; returns, per node, the
         // payload buffers it sent in and the ones it recycled
         let round = |nodes: &mut Vec<InterestBatchCausalBroadcast<u64>>, tag: u64| {
-            let mut sent = vec![HashSet::new(); N];
-            let mut recycled = vec![HashSet::new(); N];
+            let mut sent = vec![BTreeSet::new(); N];
+            let mut recycled = vec![BTreeSet::new(); N];
             let mut wire = Vec::new();
             for (me, node) in nodes.iter_mut().enumerate() {
                 for k in 0..8 {
@@ -1465,7 +1282,7 @@ mod tests {
         );
         for node in &nodes {
             assert_eq!(node.bufs.stock.len(), N - 1);
-            assert_eq!(node.inner.headers.len(), N - 1);
+            assert_eq!(node.headers.len(), N - 1);
         }
         let (sent, _) = round(&mut nodes, 2);
         for me in 0..N {
@@ -1499,7 +1316,7 @@ mod tests {
         for _ in 0..10_000 {
             nodes[0].recycle(env(128));
             assert!(nodes[0].bufs.stock.bytes() <= STOCK_BYTES);
-            assert!(nodes[0].inner.headers.bytes() <= STOCK_BYTES);
+            assert!(nodes[0].headers.bytes() <= STOCK_BYTES);
         }
         assert_eq!(nodes[0].bufs.stock.len(), STOCK_BYTES / (128 * 8));
         nodes[0].recycle(env(0));
@@ -1526,18 +1343,20 @@ mod tests {
 
     #[test]
     fn sequencer_orders_everything() {
-        let mut s = SequencerBroadcast::<&str>::new(SEQUENCER);
-        let mut p1 = SequencerBroadcast::<&str>::new(1);
-        let mut p2 = SequencerBroadcast::<&str>::new(2);
+        let mut s = SequencerBroadcast::<&str>::new(SEQUENCER, 3);
+        let mut p1 = SequencerBroadcast::<&str>::new(1, 3);
+        let mut p2 = SequencerBroadcast::<&str>::new(2, 3);
 
         // p1 and p2 submit concurrently; sequencer orders
         let sub1 = p1.submit("x");
         let sub2 = p2.submit("y");
-        let (d, ord1) = s.on_receive(sub1);
+        let (d, ord1) = s.on_receive(sub1.clone());
         assert!(d.is_empty());
         let (_, ord2) = s.on_receive(sub2);
-        let ord1 = ord1.unwrap();
-        let ord2 = ord2.unwrap();
+        let [ord1] = <[_; 1]>::try_from(ord1).unwrap();
+        let [ord2] = <[_; 1]>::try_from(ord2).unwrap();
+        // a duplicated submission is not ordered again
+        assert!(s.on_receive(sub1).1.is_empty());
 
         // out-of-order arrival at p1
         let (d, _) = p1.on_receive(ord2.clone());
@@ -1553,5 +1372,210 @@ mod tests {
         let (d, _) = p2.on_receive(ord2);
         assert_eq!(d.len(), 1);
         assert_eq!(p2.delivered(), 2);
+    }
+
+    /// How the shared reorder test drives one protocol endpoint.
+    struct Rig<G, E, M> {
+        /// A fresh observer.
+        new: fn() -> G,
+        /// The buffer underneath it.
+        held: fn(&mut G) -> &mut Held<M>,
+        /// One receive, returning the `(sender, seq)` keys it released.
+        receive: fn(&mut G, E) -> Vec<(NodeId, u64)>,
+        /// An envelope's `(sender, seq)` key.
+        key: fn(&E) -> (NodeId, u64),
+    }
+
+    fn causal_key(m: &CausalMsg<u32>) -> (NodeId, u64) {
+        (m.sender, m.vc.get(m.sender))
+    }
+
+    fn interest_key(m: &InterestMsg<Vec<u32>>) -> (NodeId, u64) {
+        (m.sender, m.seq)
+    }
+
+    fn fifo_key(m: &FifoMsg<u32>) -> (NodeId, u64) {
+        (m.sender, m.seq)
+    }
+
+    /// A submission's origin and count, or a slot from the sequencer.
+    fn seq_key(m: &SeqMsg<u32>) -> (NodeId, u64) {
+        match *m {
+            SeqMsg::Submit { origin, count, .. } => (origin, count),
+            SeqMsg::Ordered { slot, .. } => (SEQUENCER, slot),
+        }
+    }
+
+    /// Every envelope 1–4 times, in a seeded order.
+    fn arrivals<E: Clone>(envs: &[E], rng: &mut StdRng) -> Vec<E> {
+        let mut out: Vec<E> = envs
+            .iter()
+            .flat_map(|e| vec![e.clone(); rng.gen_range(1..=4usize)])
+            .collect();
+        for i in (1..out.len()).rev() {
+            out.swap(i, rng.gen_range(0..=i));
+        }
+        out
+    }
+
+    /// Offer `envs` to `rx` reordered and duplicated, checking the
+    /// buffer after every arrival; then replay the same arrivals into
+    /// `fresh`, reset to the frontier `rx` had reached halfway with
+    /// envelopes below that frontier still held.
+    fn check_exactly_once<G, E: Clone, M>(rig: Rig<G, E, M>, envs: &[E], rng: &mut StdRng) {
+        let arrivals = arrivals(envs, rng);
+        let (mut rx, mut fresh) = ((rig.new)(), (rig.new)());
+        let n = (rig.held)(&mut rx).delivered.len();
+        let (mut arrived, mut delivered) = (BTreeSet::new(), BTreeSet::new());
+        let mut frontier = Vec::new();
+        for (i, env) in arrivals.iter().enumerate() {
+            arrived.insert((rig.key)(env));
+            for key in (rig.receive)(&mut rx, env.clone()) {
+                assert!(delivered.insert(key), "{key:?} delivered twice");
+            }
+            // the buffer is exactly the distinct envelopes not yet
+            // delivered, however many copies arrived
+            let held = (rig.held)(&mut rx);
+            assert_eq!(held.len(), arrived.len() - delivered.len());
+            for s in 0..n {
+                let from_s = arrived.iter().filter(|k| k.0 == s).count() as u64;
+                assert_eq!(held.received_from(s), from_s, "sender {s}");
+            }
+            if i == arrivals.len() / 2 {
+                frontier = held.delivered.clone();
+            }
+        }
+        assert_eq!(delivered.len(), envs.len(), "every envelope delivered");
+        // an endpoint holding envelopes the frontier covers (each
+        // sender's first withheld) drops them all when reset to it, then
+        // delivers exactly what lies above the frontier, once
+        for env in arrivals.iter().filter(|env| {
+            let (s, q) = (rig.key)(env);
+            q > 1 && q <= frontier[s]
+        }) {
+            assert!((rig.receive)(&mut fresh, env.clone()).is_empty());
+        }
+        (rig.held)(&mut fresh).reset(&frontier);
+        assert_eq!((rig.held)(&mut fresh).len(), 0);
+        let mut again = BTreeSet::new();
+        for env in arrivals {
+            for key in (rig.receive)(&mut fresh, env) {
+                assert!(again.insert(key), "{key:?} delivered twice after reset");
+            }
+        }
+        let above = envs.iter().map(rig.key).filter(|&(s, q)| q > frontier[s]);
+        assert_eq!(again, above.collect());
+        assert_eq!((rig.held)(&mut fresh).len(), 0);
+    }
+
+    /// One buffer, four gates: under seeded reorderings with every
+    /// envelope arriving up to four times, each protocol delivers every
+    /// envelope exactly once, holds only the distinct envelopes still
+    /// out of order, counts them in `received_from`, and restarts
+    /// cleanly from a `reset` frontier.
+    #[test]
+    fn held_delivers_exactly_once_under_reorder_and_duplication() {
+        for seed in 0..24 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            // causal: nodes 0 and 1 broadcast, each delivering the
+            // other's message half the time (causal chains); node 2
+            // observes
+            let mut nodes: Vec<_> = (0..2)
+                .map(|me| CausalBroadcast::<u32>::new(me, 3))
+                .collect();
+            let mut envs = Vec::new();
+            for k in 0..16 {
+                let s = rng.gen_range(0..2usize);
+                let m = nodes[s].broadcast(k);
+                if rng.gen_bool(0.5) {
+                    nodes[1 - s].on_receive(m.clone());
+                }
+                envs.push(m);
+            }
+            let rig = Rig {
+                new: || CausalBroadcast::new(2, 3),
+                held: |p| &mut p.held,
+                receive: |p, m| p.on_receive(m).iter().map(causal_key).collect(),
+                key: causal_key,
+            };
+            check_exactly_once(rig, &envs, rng);
+
+            // interest: nodes 0, 1 and 3 multicast to random masks,
+            // peers delivering half the time; node 2 observes what is
+            // addressed to it
+            let mut nodes: Vec<_> = (0..4)
+                .map(|me| InterestBatchCausalBroadcast::<u32>::new(me, 4))
+                .collect();
+            let mut envs = Vec::new();
+            for k in 0..24 {
+                let s = [0, 1, 3][rng.gen_range(0..3usize)];
+                let recipients = mask(&(0..4).filter(|_| rng.gen_bool(0.6)).collect::<Vec<_>>());
+                for (r, env) in multicast(&mut nodes[s], k, recipients) {
+                    if r == 2 {
+                        envs.push(env);
+                    } else if rng.gen_bool(0.5) {
+                        nodes[r].on_receive(env);
+                    }
+                }
+            }
+            let rig = Rig {
+                new: || InterestBatchCausalBroadcast::new(2, 4),
+                held: |p| &mut p.held,
+                receive: |p, m| p.on_receive(m).iter().map(interest_key).collect(),
+                key: interest_key,
+            };
+            check_exactly_once(rig, &envs, rng);
+
+            // FIFO: nodes 0 and 1 broadcast, node 2 observes
+            let mut nodes: Vec<_> = (0..2).map(|me| FifoBroadcast::<u32>::new(me, 3)).collect();
+            let envs: Vec<_> = (0..16)
+                .map(|k| nodes[k as usize % 2].broadcast(k))
+                .collect();
+            let rig = Rig {
+                new: || FifoBroadcast::new(2, 3),
+                held: |p| &mut p.held,
+                receive: |p, m| p.on_receive(m).iter().map(fifo_key).collect(),
+                key: fifo_key,
+            };
+            check_exactly_once(rig, &envs, rng);
+
+            // sequencer: nodes 1 and 2 submit their counts, node 0
+            // orders them (each ordered once, in per-origin order), node
+            // 1 delivers the slots
+            let mut nodes: Vec<_> = (0..3)
+                .map(|me| SequencerBroadcast::<u32>::new(me, 3))
+                .collect();
+            let subs: Vec<_> = (0..16)
+                .map(|k| nodes[1 + k % 2].submit(k as u32 / 2 + 1))
+                .collect();
+            let rig = Rig {
+                new: || SequencerBroadcast::<u32>::new(SEQUENCER, 3),
+                held: |p| &mut p.submissions,
+                receive: |p, m| {
+                    let ordered = p.on_receive(m).1.into_iter();
+                    ordered
+                        .map(|o| match o {
+                            SeqMsg::Ordered {
+                                origin, payload, ..
+                            } => (origin, payload.into()),
+                            SeqMsg::Submit { .. } => unreachable!("the sequencer orders"),
+                        })
+                        .collect()
+                },
+                key: seq_key,
+            };
+            check_exactly_once(rig, &subs, rng);
+            let slots: Vec<_> = subs
+                .into_iter()
+                .flat_map(|sub| nodes[SEQUENCER].on_receive(sub).1)
+                .collect();
+            let rig = Rig {
+                new: || SequencerBroadcast::new(1, 3),
+                held: |p| &mut p.slots,
+                receive: |p, m| p.on_receive(m).0.iter().map(|d| (SEQUENCER, d.0)).collect(),
+                key: seq_key,
+            };
+            check_exactly_once(rig, &slots, rng);
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! holds that previous stamp's view — so an envelope only needs the
 //! **rows that changed since the edge's last envelope** (the sender
 //! tracks per-row change versions, see
-//! [`crate::broadcast::InterestCausalBroadcast`]), and within a row
+//! [`crate::broadcast::InterestBatchCausalBroadcast`]), and within a row
 //! only the non-zero cells (edge counts are monotone non-decreasing,
 //! so a cell that is zero now was zero in every earlier stamp too —
 //! sparseness is exact, not approximate).

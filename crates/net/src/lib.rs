@@ -15,13 +15,13 @@
 //!    delivered before the received message.
 //!
 //! Alongside the causal broadcast we provide the weaker and stronger
-//! layers the baselines in `cbm-core` need: FIFO broadcast (PRAM),
-//! unordered reliable broadcast (eventual consistency without
-//! causality), and a sequencer-based total-order broadcast (sequential
-//! consistency — *not* wait-free; its latency is the motivation metric
-//! of §1).
+//! layers the baselines in `cbm-core` need: FIFO broadcast (PRAM) and
+//! a sequencer-based total-order broadcast (sequential consistency —
+//! *not* wait-free; its latency is the motivation metric of §1). Every
+//! protocol releases through one per-sender reorder buffer, so stale
+//! and duplicated envelopes are dropped the same way everywhere.
 //!
-//! Two transports run the protocols:
+//! Three transports run the protocols:
 //!
 //! * [`sim::SimNet`] — a deterministic, seeded discrete-event simulator
 //!   with pluggable latency models and crash injection; every test and

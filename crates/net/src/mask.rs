@@ -12,7 +12,7 @@
 /// The recipient set of an interest-filtered multicast (bit `i` = node
 /// `i` is interested). Fixed-width inline bitset; the node bound is
 /// [`InterestMask::MAX_NODES`], asserted by
-/// [`crate::broadcast::InterestCausalBroadcast::new`].
+/// [`crate::broadcast::InterestBatchCausalBroadcast::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterestMask {
     words: [u64; Self::WORDS],

@@ -135,15 +135,15 @@ proptest! {
     #[test]
     fn sequencer_total_order(swaps1 in prop::collection::vec((0usize..8, 0usize..8), 0..20),
                              swaps2 in prop::collection::vec((0usize..8, 0usize..8), 0..20)) {
-        let mut seq: SequencerBroadcast<usize> = SequencerBroadcast::new(0);
-        let mut p1: SequencerBroadcast<usize> = SequencerBroadcast::new(1);
-        let mut p2: SequencerBroadcast<usize> = SequencerBroadcast::new(2);
+        let mut seq: SequencerBroadcast<usize> = SequencerBroadcast::new(0, 3);
+        let mut p1: SequencerBroadcast<usize> = SequencerBroadcast::new(1, 3);
+        let mut p2: SequencerBroadcast<usize> = SequencerBroadcast::new(2, 3);
         // 8 submissions from p1/p2 alternating; sequencer orders them
         let mut ordered = Vec::new();
         for i in 0..8usize {
             let sub = if i % 2 == 0 { p1.submit(i) } else { p2.submit(i) };
             let (_, fwd) = seq.on_receive(sub);
-            ordered.push(fwd.unwrap());
+            ordered.extend(fwd);
         }
         let deliver = |node: &mut SequencerBroadcast<usize>, swaps: &[(usize, usize)]| {
             let mut order: Vec<usize> = (0..8).collect();
@@ -171,7 +171,7 @@ proptest! {
     /// state machine never duplicates a slot.
     #[test]
     fn sequencer_slots_unique(count in 1usize..20) {
-        let mut seq: SequencerBroadcast<usize> = SequencerBroadcast::new(0);
+        let mut seq: SequencerBroadcast<usize> = SequencerBroadcast::new(0, 1);
         let mut slots = std::collections::HashSet::new();
         for i in 0..count {
             let m = seq.submit(i);

@@ -1,5 +1,6 @@
 //! Property tests for the interest-filtered causal multicast
-//! ([`cbm_net::broadcast::InterestCausalBroadcast`]).
+//! ([`cbm_net::broadcast::InterestBatchCausalBroadcast`]), each
+//! envelope a batch of one.
 //!
 //! The headline property: across random clusters, replication masks,
 //! workloads, arrival interleavings, and injected duplicates, interest
@@ -21,7 +22,8 @@
 //!   reference exactly: same deliveries in the same order per replica.
 
 use cbm_net::broadcast::{
-    CausalBroadcast, CausalMsg, InterestCausalBroadcast, InterestMask, KnowledgeDelta,
+    CausalBroadcast, CausalMsg, InterestBatchCausalBroadcast, InterestMask, InterestMsg,
+    KnowledgeDelta,
 };
 use cbm_net::NodeId;
 use proptest::prelude::*;
@@ -47,15 +49,15 @@ struct Harness {
     /// Reference endpoints (full broadcast).
     refs: Vec<CausalBroadcast<Payload>>,
     /// Interest endpoints.
-    ints: Vec<InterestCausalBroadcast<Payload>>,
+    ints: Vec<InterestBatchCausalBroadcast<Payload>>,
     /// Undelivered reference envelopes per recipient: `(id, env)`.
     ref_pending: Vec<Vec<(u32, CausalMsg<Payload>)>>,
     /// Undelivered interest envelopes per recipient.
-    int_pending: Vec<Vec<(u32, cbm_net::broadcast::InterestMsg<Payload>)>>,
+    int_pending: Vec<Vec<(u32, InterestMsg<Vec<Payload>>)>>,
     /// Every interest envelope already arrived, for duplicate
     /// injection (true retransmissions — a duplicate of something not
     /// yet on the wire would desynchronize the two arrival schedules).
-    int_arrived: Vec<Vec<cbm_net::broadcast::InterestMsg<Payload>>>,
+    int_arrived: Vec<Vec<InterestMsg<Vec<Payload>>>>,
     /// Interest mask per message id.
     mask_of: HashMap<u32, InterestMask>,
     /// Transitive causal past per message id, in the interest world.
@@ -75,7 +77,7 @@ struct Harness {
     /// the shadow — the delta machinery must be observationally
     /// identical to shipping full matrices.
     ///
-    /// [`knowledge`]: InterestCausalBroadcast::knowledge
+    /// [`knowledge`]: InterestBatchCausalBroadcast::knowledge
     shadow_seen: Vec<Vec<u64>>,
     shadow_edge_sent: Vec<Vec<u64>>,
     /// The dense matrix each envelope logically stamps, keyed by
@@ -93,7 +95,7 @@ impl Harness {
             rf,
             refs: (0..n).map(|me| CausalBroadcast::new(me, n)).collect(),
             ints: (0..n)
-                .map(|me| InterestCausalBroadcast::new(me, n))
+                .map(|me| InterestBatchCausalBroadcast::new(me, n))
                 .collect(),
             ref_pending: vec![Vec::new(); n],
             int_pending: vec![Vec::new(); n],
@@ -113,7 +115,8 @@ impl Harness {
     }
 
     /// The dense knowledge snapshot node `me`'s next envelope would
-    /// logically stamp (shadow of [`InterestCausalBroadcast::knowledge`]).
+    /// logically stamp (shadow of
+    /// [`InterestBatchCausalBroadcast::knowledge`]).
     fn shadow_knowledge(&self, me: NodeId) -> Vec<u64> {
         let n = self.n;
         let mut k = self.shadow_seen[me].clone();
@@ -137,7 +140,8 @@ impl Harness {
                 self.ref_pending[r].push((id, env.clone()));
             }
         }
-        let envs = self.ints[s].multicast((id, topic), mask);
+        self.ints[s].push((id, topic), mask);
+        let envs = self.ints[s].flush_mask(mask);
         // shadow the dense-era stamp: post-increment own row, merged
         // rows for everyone else — the matrix every recipient's
         // delta-decoded view must reconstruct exactly
@@ -185,7 +189,7 @@ impl Harness {
         self.offer_interest(r, env);
     }
 
-    fn offer_interest(&mut self, r: NodeId, env: cbm_net::broadcast::InterestMsg<Payload>) {
+    fn offer_interest(&mut self, r: NodeId, env: InterestMsg<Vec<Payload>>) {
         let n = self.n;
         let rf = self.rf;
         let before = self.int_delivered[r].len();
@@ -224,7 +228,7 @@ impl Harness {
                     }
                 }
             }
-            self.int_delivered[r].push(got.payload.0);
+            self.int_delivered[r].push(got.payload[0].0);
         }
         assert_eq!(
             self.ints[r].knowledge(),

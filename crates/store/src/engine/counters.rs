@@ -153,8 +153,6 @@ counter_block! {
     peaks {
         /// Causal-buffer high-water mark.
         peak_buffered => "causal_buffer_peak",
-        /// Duplicate-suppression set high-water mark.
-        peak_suppression => "suppression_set_peak",
         /// Pending-batch queue high-water mark.
         peak_pending => "batch_queue_peak",
     }

@@ -389,9 +389,5 @@ where
         }
         self.deliverable = batches;
         self.c.peak_buffered = self.c.peak_buffered.max(self.proto.buffered() as u64);
-        self.c.peak_suppression = self
-            .c
-            .peak_suppression
-            .max(self.proto.suppression_len() as u64);
     }
 }

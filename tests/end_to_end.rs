@@ -5,8 +5,11 @@
 
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::log::AppendLog;
-use cbm_adt::window::WindowArray;
+use cbm_adt::window::{WaInput, WindowArray};
+use cbm_check::pc::check_pc;
+use cbm_check::sc::check_sc;
 use cbm_check::verify::verify_cc_execution;
+use cbm_check::{Budget, Verdict};
 use cbm_core::causal::CausalShared;
 use cbm_core::cluster::{Cluster, Script, ScriptOp};
 use cbm_core::convergent::ConvergentShared;
@@ -14,6 +17,8 @@ use cbm_core::pram::PramShared;
 use cbm_core::seq::SeqShared;
 use cbm_core::wk_array::{WkArrayCc, WkArrayCcv};
 use cbm_core::workload::{window_script, WindowWorkload};
+use cbm_history::EventId;
+use cbm_net::fault::{Fault, FaultPlan};
 use cbm_net::latency::LatencyModel;
 
 const LATENCIES: [LatencyModel; 3] = [
@@ -332,5 +337,63 @@ fn append_log_causal_prefixes() {
                 assert_eq!(authors, sorted, "author {p} out of order in {st:?}");
             }
         }
+    }
+}
+
+/// A transport that duplicates half of all messages costs bandwidth,
+/// never a second application: under `DupAll` every PRAM and SC replica
+/// applies each event exactly once — SC replicas every event, PRAM
+/// replicas their own events plus every write — and the histories stay
+/// PC and SC respectively.
+#[test]
+fn duplicated_messages_apply_once_under_pram_and_sc() {
+    /// Does every replica apply exactly the events `expect` says?
+    fn applied_once(
+        apply_orders: &[Vec<EventId>],
+        own: &[Vec<EventId>],
+        expect: impl Fn(usize, EventId) -> bool,
+    ) {
+        let events: Vec<EventId> = own.iter().flatten().copied().collect();
+        for (p, order) in apply_orders.iter().enumerate() {
+            let mut got = order.clone();
+            got.sort_unstable();
+            let mut want: Vec<EventId> = events.iter().copied().filter(|&e| expect(p, e)).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "replica {p}: applied {order:?}");
+        }
+    }
+    let dup_all = || FaultPlan::new().at(0, Fault::DupAll { prob: 0.5 });
+    for seed in 0..6 {
+        let cfg = WindowWorkload {
+            procs: 3,
+            ops_per_proc: 4,
+            streams: 1,
+            write_ratio: 0.6,
+            max_think: 10,
+            seed,
+        };
+        let adt = WindowArray::new(1, 2);
+        let latency = LatencyModel::Uniform(1, 40);
+
+        let pram: Cluster<WindowArray, PramShared<WindowArray>> =
+            Cluster::new(3, adt, latency, seed);
+        let res = pram.run_faulted(window_script(&cfg), dup_all());
+        assert!(
+            res.stats.net.msgs_duplicated > 0,
+            "seed {seed}: no duplicates"
+        );
+        let is_write = |e: EventId| matches!(res.history.label(e).input, WaInput::Write(..));
+        applied_once(&res.apply_orders, &res.own, |p, e| {
+            res.own[p].contains(&e) || is_write(e)
+        });
+        let pc = check_pc(&adt, &res.history, &Budget::default());
+        assert_eq!(pc.verdict, Verdict::Sat, "seed {seed}: PRAM not PC");
+
+        let sc: Cluster<WindowArray, SeqShared<WindowArray>> = Cluster::new(3, adt, latency, seed);
+        let res = sc.run_faulted(window_script(&cfg), dup_all());
+        assert_eq!(res.stats.incomplete_ops, 0, "seed {seed}");
+        applied_once(&res.apply_orders, &res.own, |_, _| true);
+        let verdict = check_sc(&adt, &res.history, &Budget::default()).verdict;
+        assert_eq!(verdict, Verdict::Sat, "seed {seed}: sequencer not SC");
     }
 }
