@@ -7,7 +7,7 @@
 //! fault-delayed envelopes), publish the cumulative per-edge envelope
 //! counts, and receive until every published envelope on every inbound
 //! edge is delivered — answering routed reads the whole time, so a
-//! worker blocked on a reply can always make progress into the
+//! worker waiting on a reply can always make progress into the
 //! rendezvous. Because the pause points are counted in operations —
 //! not wall time — the set of flushed envelopes (and therefore
 //! `msgs_sent`) is a pure function of the configuration and seed,
@@ -340,15 +340,6 @@ where
         }
     }
 
-    /// Spin — integrating whatever arrives — until `ready`.
-    fn pump_until(&mut self, ready: impl Fn(&Self) -> bool) {
-        while !ready(self) {
-            if !self.pump() {
-                std::thread::yield_now();
-            }
-        }
-    }
-
     /// A crashed worker's side of a rendezvous: drop inbound traffic,
     /// unprocessed, until `counter` shows all `n` workers.
     fn discard_until_all(&mut self, counter: &AtomicU64, n: usize) {
@@ -428,20 +419,11 @@ where
                     self.ep.send_reliable(q, StoreMsg::Nack, nack_bytes());
                 }
             }
-            let mut done_marked = false;
-            loop {
-                let got_any = self.pump();
-                if !done_marked && (0..n).all(|q| q == self.me || !self.missing_from(q)) {
-                    done_marked = true;
-                    coord.done[parity].fetch_add(1, Ordering::SeqCst);
-                }
-                if done_marked && coord.done[parity].load(Ordering::SeqCst) >= n as u64 {
-                    break;
-                }
-                if !got_any {
-                    std::thread::yield_now();
-                }
-            }
+            // complete here, then keep serving nacks until every
+            // worker is
+            self.pump_until(|w| (0..n).all(|q| q == w.me || !w.missing_from(q)));
+            coord.done[parity].fetch_add(1, Ordering::SeqCst);
+            self.pump_until(|_| coord.done[parity].load(Ordering::SeqCst) >= n as u64);
         }
         // reset the other parity slots for the next drain while every
         // worker is still on this side of the closing barrier
@@ -541,16 +523,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosSchedule;
-    use crate::config::{
-        BatchPolicy, DurableConfig, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
-    };
-    use crate::engine::counters::Published;
-    use crate::engine::taps::Taps;
-    use crate::shard::ShardMap;
-    use cbm_adt::register::Register;
-    use cbm_net::thread_net::ThreadNet;
-    use cbm_obs::Registry;
+    use crate::engine::worker::tests::Rig;
 
     /// What reaches a worker that is draining in discard mode is
     /// dropped unprocessed, counted, and published by name — the
@@ -558,40 +531,16 @@ mod tests {
     /// crashed worker at its cut; see `tests/tap_seam.rs`).
     #[test]
     fn a_discard_drain_counts_what_it_drops() {
-        let cfg = StoreConfig {
-            workers: 2,
-            objects: 4,
-            ops_per_worker: 8,
-            mode: Mode::Causal,
-            batch: BatchPolicy::Every(1),
-            verify: VerifyConfig {
-                every_ops: 8,
-                window_ops: 0,
-                sample_every: 1,
-                monitor: false,
-            },
-            seed: 1,
-            sharding: ShardConfig::full(),
-            chaos: cbm_net::fault::FaultPlan::new(),
-            obs: ObsConfig::default(),
-            durable: DurableConfig::default(),
-        };
-        let (map, sched) = (ShardMap::build(&cfg), ChaosSchedule::build(&cfg));
-        let mut eps = ThreadNet::<StoreMsg<_, _, _>>::new(2).into_endpoints();
-        let (peer, ep) = (eps.pop().unwrap(), eps.pop().unwrap());
-        let mut registry = Registry::new();
-        let published = Published::register(&mut registry);
-        let coord = Coordinator::new(2, map.shards());
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let taps = Taps::new(&Register, &cfg, &map, 0, false, tx, Instant::now());
-        let mut w = Worker::new(&Register, &cfg, &sched, &map, ep, &coord, &published, taps);
+        let rig = Rig::new();
+        let (mut w, peer) = rig.worker();
         for _ in 0..3 {
             peer.send_sized(0, StoreMsg::Nack, nack_bytes());
         }
         w.discard_until_all(&AtomicU64::new(2), 2);
         assert_eq!(w.c.discarded, 3);
-        published.publish(&w.counters().since(&w.prev));
-        assert!(registry
+        rig.published.publish(&w.counters().since(&w.prev));
+        assert!(rig
+            .registry
             .snapshot()
             .contains(&("msgs_discarded_total".to_string(), 3)));
     }

@@ -26,7 +26,10 @@
 //! object travels to a live replica of its shard over a reliable
 //! request/reply exchange (the one place a worker waits — the price
 //! §1's wait-freedom result puts on reading state you do not
-//! replicate). See `docs/SHARDING.md`.
+//! replicate). The requester waits the way the drain rendezvous does
+//! ([`Worker::pump_until`]): it polls its inbox and serves whatever
+//! arrives, yielding its timeslice only when the inbox is empty, so
+//! the wait never sleeps in the kernel. See `docs/SHARDING.md`.
 //!
 //! ## Interest edges
 //!
@@ -105,6 +108,9 @@ pub(super) struct Worker<'a, T: Adt, E> {
     /// Read-routing table for the current epoch: a live replica per
     /// shard, recomputed at every boundary from the shared schedule.
     pub(super) read_route: Vec<NodeId>,
+    /// The reply slot: a routed read is outstanding. The server
+    /// certifies what it answers, so the reply's value is not kept.
+    awaiting_reply: bool,
     /// This worker's cumulative counters; `c.ops` doubles as the
     /// script position.
     pub(super) c: Counters,
@@ -175,6 +181,7 @@ where
             outbox: Vec::new(),
             deliverable: Vec::new(),
             read_route: vec![0; map.shards()],
+            awaiting_reply: false,
             c: Counters::default(),
             prev: Counters::default(),
             published,
@@ -199,7 +206,7 @@ where
     }
 
     /// Execute one operation against the local replica. Updates and
-    /// hosted reads are wait-free; a read of a non-hosted object blocks
+    /// hosted reads are wait-free; a read of a non-hosted object waits
     /// on a routed request/reply (serving peers' traffic meanwhile).
     fn execute(&mut self, op: SpaceInput<T::Input>) {
         let is_update = self.adt.is_update(&op.input);
@@ -265,16 +272,8 @@ where
             StoreMsg::ReadReq { obj, input },
             read_req_bytes::<T::Input>(),
         );
-        loop {
-            match self.ep.recv() {
-                Some((from, msg)) => {
-                    if self.handle(from, msg).is_some() {
-                        return;
-                    }
-                }
-                None => unreachable!("mesh closed while a routed read was in flight"),
-            }
-        }
+        self.awaiting_reply = true;
+        self.pump_until(|w| !w.awaiting_reply);
     }
 
     /// Seal and ship one mask's pending batch through the fault layer.
@@ -318,13 +317,8 @@ where
         self.outbox = envs;
     }
 
-    /// Handle one inbound message; returns the output when it answers
-    /// this worker's outstanding routed read.
-    pub(super) fn handle(
-        &mut self,
-        from: NodeId,
-        msg: StoreMsg<T::Input, T::Output, T::State>,
-    ) -> Option<T::Output> {
+    /// Handle one inbound message.
+    fn handle(&mut self, from: NodeId, msg: StoreMsg<T::Input, T::Output, T::State>) {
         match msg {
             StoreMsg::Batch(env) => self.deliver(env),
             StoreMsg::Repair(envs) => {
@@ -343,7 +337,13 @@ where
                     read_reply_bytes::<T::Output>(),
                 );
             }
-            StoreMsg::ReadReply { output } => return Some(output),
+            StoreMsg::ReadReply { .. } if self.awaiting_reply => self.awaiting_reply = false,
+            StoreMsg::ReadReply { .. } => {
+                // a reply with no read outstanding is a protocol bug:
+                // it must not satisfy the next read
+                self.c.discarded += 1;
+                debug_assert!(false, "read reply with no outstanding request");
+            }
             StoreMsg::ShardSync(_) => {
                 // a state transfer outside the recovery phase is a
                 // protocol bug; tolerate and count rather than corrupt
@@ -358,7 +358,6 @@ where
                 self.c.discarded += 1;
             }
         }
-        None
     }
 
     /// Integrate everything that has arrived (non-blocking).
@@ -366,10 +365,21 @@ where
         let mut got_any = false;
         while let Some((from, msg)) = self.ep.try_recv() {
             got_any = true;
-            let reply = self.handle(from, msg);
-            debug_assert!(reply.is_none(), "read reply with no outstanding request");
+            self.handle(from, msg);
         }
         got_any
+    }
+
+    /// The engine's one wait: spin — integrating whatever arrives, and
+    /// yielding the timeslice only when nothing has — until `ready`.
+    /// Never a blocking receive: the peer this worker waits on may
+    /// itself be waiting on a message only this worker can serve.
+    pub(super) fn pump_until(&mut self, ready: impl Fn(&Self) -> bool) {
+        while !ready(self) {
+            if !self.pump() {
+                std::thread::yield_now();
+            }
+        }
     }
 
     /// Deliver one batch envelope through the interest causal layer,
@@ -389,5 +399,105 @@ where
         }
         self.deliverable = batches;
         self.c.peak_buffered = self.c.peak_buffered.max(self.proto.buffered() as u64);
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use super::*;
+    use cbm_adt::register::{RegInput, RegOutput, Register};
+    use cbm_net::thread_net::{Endpoint, ThreadNet};
+    use cbm_obs::Registry;
+    use std::time::Instant;
+
+    type Msg = StoreMsg<RegInput, RegOutput, u64>;
+
+    /// Everything worker 0 of a 2-node `ThreadNet` borrows, for tests
+    /// that drive one worker by hand on the test thread.
+    pub(in crate::engine) struct Rig {
+        cfg: StoreConfig,
+        map: ShardMap,
+        sched: ChaosSchedule,
+        coord: Coordinator,
+        pub registry: Registry,
+        pub published: Published,
+    }
+
+    impl Rig {
+        pub fn new() -> Self {
+            let cfg = StoreConfig {
+                workers: 2,
+                objects: 4,
+                ..StoreConfig::default()
+            };
+            let map = ShardMap::build(&cfg);
+            let mut registry = Registry::new();
+            Rig {
+                coord: Coordinator::new(2, map.shards()),
+                map,
+                sched: ChaosSchedule::build(&cfg),
+                published: Published::register(&mut registry),
+                registry,
+                cfg,
+            }
+        }
+
+        /// Worker 0, and node 1's endpoint to play its peer.
+        pub fn worker(&self) -> (Worker<'_, Register, Endpoint<Msg>>, Endpoint<Msg>) {
+            let mut eps = ThreadNet::new(2).into_endpoints();
+            let (peer, ep) = (eps.pop().unwrap(), eps.pop().unwrap());
+            let (cfg, map) = (&self.cfg, &self.map);
+            // no verifier thread: window records go nowhere
+            let windows = std::sync::mpsc::channel().0;
+            let taps = Taps::new(&Register, cfg, map, 0, false, windows, Instant::now());
+            let (coord, published) = (&self.coord, &self.published);
+            let w = Worker::new(&Register, cfg, &self.sched, map, ep, coord, published, taps);
+            (w, peer)
+        }
+    }
+
+    /// A routed read waits by serving: a peer's request and a batch
+    /// that arrive ahead of the reply are handled, in arrival order,
+    /// before the read returns — and a second reply satisfies nothing.
+    #[test]
+    fn a_routed_read_serves_what_arrives_before_its_reply() {
+        let rig = Rig::new();
+        let (mut w, peer) = rig.worker();
+        let mut proto = InterestBatchCausalBroadcast::new(1, 2);
+        let write = WireOp {
+            obj: 0,
+            input: RegInput::Write(7),
+            ts: Timestamp::new(1, 1),
+            wseq: None,
+        };
+        proto.push(write, InterestMask::first_n(2));
+        let (_, env) = proto.flush_all().pop().unwrap();
+        let (read, zero) = (RegInput::Read, RegOutput::Val(0));
+        let reply = || StoreMsg::ReadReply { output: zero };
+        let req = StoreMsg::ReadReq {
+            obj: 0,
+            input: read,
+        };
+        peer.send(0, req);
+        peer.send(0, StoreMsg::Batch(env));
+        peer.send(0, reply());
+        w.remote_read(1, 1, read);
+        assert_eq!((w.c.reads_served, w.c.delivered), (1, 1));
+        assert_eq!(w.table.output(&Register, 0, &read), RegOutput::Val(7));
+        // the peer got this worker's request, then the answer to its
+        // own, served before the batch was delivered
+        let got: Vec<_> = std::iter::from_fn(|| peer.try_recv()).collect();
+        let [(0, StoreMsg::ReadReq { obj: 1, .. }), (0, StoreMsg::ReadReply { output })] = got[..]
+        else {
+            panic!("{got:?}");
+        };
+        assert_eq!(output, zero);
+
+        // a stray reply is counted as discarded (and, being a protocol
+        // bug, trips the debug assertion)
+        peer.send(0, reply());
+        let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.pump()));
+        assert_eq!(pumped.is_err(), cfg!(debug_assertions));
+        assert_eq!(w.c.discarded, 1);
     }
 }

@@ -6,8 +6,8 @@ use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
 use cbm_net::fault::FaultPlan;
 use cbm_store::{
-    run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
-    VerifyConfig,
+    run, run_tcp, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig,
+    StoreReport, VerifyConfig,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -270,6 +270,36 @@ fn rf1_replicates_nothing_and_still_serves_reads() {
     assert!(r.remote_reads > 0);
     // the only traffic is read request/reply pairs
     assert_eq!(r.msgs_sent, 2 * r.remote_reads);
+}
+
+/// Eight single-replica workers that only read, with a drain every 16
+/// ops: seven reads in eight are routed, so drains open while other
+/// workers still have reads in flight. A waiting reader and a waiting
+/// rendezvous both spin serving their inbox; neither may starve the
+/// other, on either transport.
+#[test]
+fn routed_reads_and_drains_spin_without_starving_each_other() {
+    let cfg = StoreConfig {
+        workers: 8,
+        ops_per_worker: 2_000,
+        verify: VerifyConfig {
+            every_ops: 16,
+            window_ops: 4,
+            sample_every: 1,
+            monitor: false,
+        },
+        ..sharded_cfg(Mode::Causal, 1)
+    };
+    for r in [
+        run(&Register, &cfg, reg_gen(32, 1.0)),
+        run_tcp(&Register, &cfg, reg_gen(32, 1.0)),
+    ] {
+        assert_sharded_healthy(&r, 8);
+        assert!(r.remote_reads > r.total_ops / 2, "{}", r.remote_reads);
+        let served: u64 = r.per_worker.iter().map(|w| w.reads_served).sum();
+        assert_eq!(served, r.remote_reads, "every routed read was answered");
+        assert_eq!(r.msgs_sent, 2 * r.remote_reads);
+    }
 }
 
 #[test]
