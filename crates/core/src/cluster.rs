@@ -265,8 +265,8 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
         let mut outputs: Vec<Option<T::Output>> = Vec::new();
         let mut invoke_times: Vec<u64> = Vec::new();
         let mut complete_times: Vec<Option<u64>> = Vec::new();
-        let mut apply_orders: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut own: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut apply_orders: Vec<Vec<EventId>> = vec![Vec::new(); n];
+        let mut own: Vec<Vec<EventId>> = vec![Vec::new(); n];
         let mut pending_invoked: HashMap<u64, (NodeId, u64)> = HashMap::new();
         let mut stats = RunStats::default();
 
@@ -325,7 +325,7 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
                     outputs.push(None);
                     invoke_times.push(ti);
                     complete_times.push(None);
-                    own[p].push(event);
+                    own[p].push(EventId(event as u32));
 
                     let mut out = Vec::new();
                     let outcome = self.replicas[p].invoke(event, &op.input, &mut out);
@@ -334,7 +334,7 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
                         InvokeOutcome::Done(o) => {
                             outputs[event as usize] = Some(o);
                             complete_times[event as usize] = Some(ti);
-                            apply_orders[p].push(event);
+                            apply_orders[p].push(EventId(event as u32));
                             stats.op_latencies.push(0);
                             stats.makespan = stats.makespan.max(ti);
                             // schedule next op
@@ -372,7 +372,7 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
                         &mut applied,
                     );
                     self.route(to, out, &mut stats);
-                    apply_orders[to].extend(applied);
+                    apply_orders[to].extend(applied.into_iter().map(|e| EventId(e as u32)));
                     for (ev, o) in completed {
                         outputs[ev as usize] = Some(o);
                         complete_times[ev as usize] = Some(d.time);
@@ -429,23 +429,9 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
         }
         let history = builder.build();
 
-        // delivered-before causal order: prefix pairs at each replica
         let m = history.len();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for p in 0..n {
-            let own_set: std::collections::HashSet<u64> = own[p].iter().copied().collect();
-            let mut prefix: Vec<u64> = Vec::new();
-            for &e in &apply_orders[p] {
-                if own_set.contains(&e) {
-                    for &g in &prefix {
-                        edges.push((g as usize, e as usize));
-                    }
-                }
-                prefix.push(e);
-            }
-        }
-        let causal =
-            Relation::from_edges(m, &edges).expect("delivered-before relation must be acyclic");
+        let causal = Relation::delivered_before(m, &apply_orders, &own)
+            .expect("delivered-before relation must be acyclic");
 
         // real-time interval order: e < f iff complete(e) < invoke(f)
         let mut rt_edges: Vec<(usize, usize)> = Vec::new();
@@ -462,14 +448,8 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
         RunResult {
             history,
             causal,
-            apply_orders: apply_orders
-                .into_iter()
-                .map(|v| v.into_iter().map(|e| EventId(e as u32)).collect())
-                .collect(),
-            own: own
-                .into_iter()
-                .map(|v| v.into_iter().map(|e| EventId(e as u32)).collect())
-                .collect(),
+            apply_orders,
+            own,
             final_states,
             arbitration,
             realtime,

@@ -23,7 +23,6 @@ use crate::cluster::{Cluster, Script, ScriptOp};
 use crate::seq::SeqShared;
 use cbm_adt::window::{WaInput, WaOutput, WindowArray};
 use cbm_adt::Value;
-use cbm_history::EventId;
 use cbm_net::latency::LatencyModel;
 
 /// Decisions of a consensus run: `decisions[p]` is what process `p`
@@ -99,13 +98,6 @@ pub fn causal_attempt(proposals: &[Value], latency: LatencyModel, seed: u64) -> 
     let decisions = extract_decisions(&res.history, n);
     let agreed = decisions.windows(2).all(|w| w[0] == w[1]);
     (decisions, agreed)
-}
-
-/// The first write event in a history (diagnostics for the example).
-pub fn first_write(history: &cbm_history::History<WaInput, WaOutput>) -> Option<EventId> {
-    history
-        .events()
-        .find(|e| matches!(history.label(*e).input, WaInput::Write(..)))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! histories.
 
 use crate::bitset::BitSet;
+use crate::event::EventId;
 
 /// A strict partial order (or, transiently, an arbitrary DAG relation)
 /// over events `0..n`, stored as per-event predecessor bitsets.
@@ -40,6 +41,32 @@ impl Relation {
         }
         r.close_transitive();
         r.is_acyclic().then_some(r)
+    }
+
+    /// The delivered-before order of a replicated run over `n` events:
+    /// `f < e` for every own event `e` of a replica and every `f` that
+    /// replica applied before it. `apply_orders[p]` is replica `p`'s
+    /// apply order, `own[p]` the events it invoked. Returns `None` if
+    /// the result has a cycle.
+    pub fn delivered_before(
+        n: usize,
+        apply_orders: &[Vec<EventId>],
+        own: &[Vec<EventId>],
+    ) -> Option<Self> {
+        let mut edges = Vec::new();
+        let mut mine = BitSet::new(n);
+        for (order, own) in apply_orders.iter().zip(own) {
+            mine.clear();
+            for e in own {
+                mine.insert(e.idx());
+            }
+            for (i, e) in order.iter().enumerate() {
+                if mine.contains(e.idx()) {
+                    edges.extend(order[..i].iter().map(|g| (g.idx(), e.idx())));
+                }
+            }
+        }
+        Relation::from_edges(n, &edges)
     }
 
     /// Adopt per-event predecessor rows that are **already transitively

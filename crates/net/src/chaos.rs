@@ -411,13 +411,9 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         self.ep.send_sized(to, msg, bytes);
     }
 
-    /// Blocking receive (crashed endpoints still receive: the *engine*
-    /// decides to discard, so discards can be counted at the replica).
-    pub fn recv(&self) -> Option<(NodeId, M)> {
-        self.ep.recv()
-    }
-
-    /// Non-blocking receive.
+    /// Non-blocking receive (crashed endpoints still receive: the
+    /// *engine* decides to discard, so discards can be counted at the
+    /// replica).
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
         self.ep.try_recv()
     }

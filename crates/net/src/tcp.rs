@@ -317,6 +317,23 @@ fn check_crc(body: &[u8], expect: u32) -> Result<(), FrameError> {
     }
 }
 
+/// The one deframing step: the body of the frame at the start of
+/// `buf` (it spans `FRAME_HEADER + body.len()` bytes), `Ok(None)` if
+/// `buf` holds less than one whole frame, or why the frame there is
+/// not one — a length above `max`, or a body that fails its CRC. The
+/// stream decoder and the epoch log's scan both step with this.
+pub fn next_frame_in(buf: &[u8], max: usize) -> Result<Option<&[u8]>, FrameError> {
+    if buf.len() < FRAME_HEADER {
+        return Ok(None);
+    }
+    let (len, expect) = parse_header(buf, max)?;
+    let Some(body) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
+        return Ok(None);
+    };
+    check_crc(body, expect)?;
+    Ok(Some(body))
+}
+
 /// Incremental frame reassembly: feed arbitrary byte chunks with
 /// [`push`](FrameDecoder::push) (or let a socket write straight into
 /// the buffer with [`read_from`](FrameDecoder::read_from)), pull
@@ -405,17 +422,9 @@ impl FrameDecoder {
     /// inside a corrupted byte stream is guesswork, so callers drop
     /// the connection instead.
     pub fn next_body(&mut self) -> Result<Option<&[u8]>, FrameError> {
-        let avail = &self.buf[self.start..self.end];
-        if avail.len() < FRAME_HEADER {
-            return Ok(None);
-        }
-        let (len, expect) = parse_header(avail, self.max)?;
-        let Some(body) = avail.get(FRAME_HEADER..FRAME_HEADER + len) else {
-            return Ok(None);
-        };
-        check_crc(body, expect)?;
-        self.start += FRAME_HEADER + len;
-        Ok(Some(body))
+        let body = next_frame_in(&self.buf[self.start..self.end], self.max)?;
+        self.start += body.map_or(0, |b| FRAME_HEADER + b.len());
+        Ok(body)
     }
 
     /// [`next_body`](FrameDecoder::next_body), copied out.

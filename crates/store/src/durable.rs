@@ -51,19 +51,11 @@ use cbm_adt::wire::{put_slice, Wire};
 use cbm_adt::{wire_struct, Adt};
 use cbm_check::monitor::MonitorStats;
 use cbm_net::clock::Timestamp;
-use cbm_net::tcp::{crc32, frame_into};
+use cbm_net::tcp::{frame_into, next_frame_in, FRAME_HEADER, MAX_FRAME};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-
-/// Frame header: `[len u32 LE][crc32 u32 LE]`, identical to the socket
-/// transport's framing.
-pub const FRAME_HEADER: usize = 8;
-
-/// Hard cap on one record body (matches [`cbm_net::tcp::MAX_FRAME`]);
-/// a length field above this is corruption, not a record.
-pub const MAX_RECORD: usize = 64 << 20;
 
 /// Record tag: one own update applied at invocation.
 pub const TAG_OWN: u8 = 0;
@@ -369,22 +361,13 @@ impl EpochLog {
 /// is torn (header or body past EOF, oversized length) or fails its
 /// CRC. Returns the record ranges `(offset, body_range)` of the clean
 /// prefix.
-#[allow(clippy::type_complexity)]
 fn scan_frames(buf: &[u8]) -> Vec<(u64, std::ops::Range<usize>)> {
     let mut frames = Vec::new();
     let mut pos = 0usize;
-    while buf.len() - pos >= FRAME_HEADER {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_RECORD || buf.len() - pos - FRAME_HEADER < len {
-            break; // torn tail: length runs past EOF
-        }
-        let body = pos + FRAME_HEADER..pos + FRAME_HEADER + len;
-        if crc32(&buf[body.clone()]) != crc {
-            break; // torn tail: body half-written
-        }
-        frames.push((pos as u64, body.clone()));
-        pos = body.end;
+    while let Ok(Some(body)) = next_frame_in(&buf[pos..], MAX_FRAME) {
+        let start = pos + FRAME_HEADER;
+        frames.push((pos as u64, start..start + body.len()));
+        pos = start + body.len();
     }
     frames
 }

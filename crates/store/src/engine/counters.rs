@@ -143,11 +143,12 @@ counter_block! {
         monitor_escalations => "monitor_escalations",
         /// Estimated wall time inside monitor hooks (strided sample).
         monitor_ns => "monitor_ns",
-        /// Inbound messages dropped unprocessed: a crashed worker's
-        /// discard-drains, pre-recovery stragglers, and — the reason
-        /// this is published — recovery traffic arriving outside the
-        /// recovery phase, which release builds tolerate and count
-        /// rather than corrupt the replica. Depends on interleaving.
+        /// Inbound messages dropped unprocessed: whatever reaches a
+        /// worker that is down (from its crash cut until its recovery
+        /// transfer is in), and — the reason this is published — a
+        /// state transfer or read reply nothing awaits, which release
+        /// builds tolerate and count rather than corrupt the replica.
+        /// Depends on interleaving.
         discarded => "msgs_discarded_total",
     }
     peaks {

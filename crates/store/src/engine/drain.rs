@@ -36,6 +36,7 @@
 //! boundary is `recovery.rs`.
 
 use super::counters::Counters;
+use super::taps::now;
 use super::worker::Worker;
 use super::WorkerResult;
 use crate::config::Mode;
@@ -50,7 +51,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Instant;
 
 /// Shared rendezvous state.
 pub(super) struct Coordinator {
@@ -247,7 +247,7 @@ where
     fn last_cut(&mut self, e: u64) {
         self.enter_epoch(e);
         debug_assert!(!self.crashed, "schedule must recover everyone");
-        self.quiesce(false, (e, true));
+        self.quiesce((e, true));
         self.compact_and_check_convergence(e);
         // seal past e-1, so fault events stamped at this last boundary
         // tick (epoch index e) are kept too
@@ -296,8 +296,9 @@ where
         }
 
         // the boundary drain: a worker crashing *at* this boundary
-        // still participates normally — the drain is its cut
-        self.quiesce(was_crashed, (e, true));
+        // still participates normally — the drain is its cut — and one
+        // recovering here is still down (`discarding`)
+        self.quiesce((e, true));
 
         // liveness flags for the coming epoch (deterministic: every
         // worker derives them from the shared schedule)
@@ -306,6 +307,8 @@ where
         }
 
         let spans_recovery = self.recover_at_boundary(e);
+        // down from the cut just made, or up again past the transfer
+        self.discarding = self.crashed;
         self.compact_and_check_convergence(e);
 
         // epoch e-1 is over everywhere (its repair round included):
@@ -340,40 +343,28 @@ where
         }
     }
 
-    /// A crashed worker's side of a rendezvous: drop inbound traffic,
-    /// unprocessed, until `counter` shows all `n` workers.
-    fn discard_until_all(&mut self, counter: &AtomicU64, n: usize) {
-        loop {
-            while self.ep.try_recv().is_some() {
-                self.c.discarded += 1;
-            }
-            if counter.load(Ordering::SeqCst) >= n as u64 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     /// The drain: flush, publish the per-edge counts, then receive
     /// until every published envelope on every inbound edge has been
     /// delivered — nacking edges whose envelopes were lost to faults,
     /// and serving peers' nacks and routed reads until *everyone* is
     /// complete. A worker that spent the last epoch crashed
-    /// (`discard`) drains and discards instead: its state is
-    /// re-established by the recovery transfer, not by late delivery.
+    /// (`discarding`) only keeps the rendezvous, dropping what arrives:
+    /// its state is re-established by the recovery transfer, not by
+    /// late delivery.
     ///
     /// `cut` is the drain's identity for the durable epoch log:
     /// `(epoch, is_epoch_boundary)`. Live drains seal it once the
     /// closing barrier confirms the cut is complete everywhere — so a
     /// restart replaying to the seal lands on a fleet-wide consistent
     /// cut (`docs/DURABILITY.md`).
-    pub(super) fn quiesce(&mut self, discard: bool, cut: (u64, bool)) {
-        let t = Instant::now();
+    pub(super) fn quiesce(&mut self, cut: (u64, bool)) {
+        let t = now();
+        let live = !self.discarding;
         let n = self.ep.cluster_size();
         let coord = self.coord;
         let parity = (self.quiesce_idx % 2) as usize;
         self.quiesce_idx += 1;
-        if !discard {
+        if live {
             self.flush_all();
             self.ep.flush_delayed(); // held-back sends belong to this cut
         }
@@ -390,12 +381,8 @@ where
         // arrival: spin (serving traffic) until every worker has
         // published its cut counts — only then are gaps meaningful
         coord.arrive[parity].fetch_add(1, Ordering::SeqCst);
-        if discard {
-            self.discard_until_all(&coord.arrive[parity], n);
-            coord.done[parity].fetch_add(1, Ordering::SeqCst);
-            self.discard_until_all(&coord.done[parity], n);
-        } else {
-            self.pump_until(|_| coord.arrive[parity].load(Ordering::SeqCst) >= n as u64);
+        self.pump_until(|_| coord.arrive[parity].load(Ordering::SeqCst) >= n as u64);
+        if live {
             // settle the transport: every peer has published its cut
             // and sent its marker behind its final transmissions, so
             // once all markers are in, what has not arrived never will
@@ -422,9 +409,9 @@ where
             // complete here, then keep serving nacks until every
             // worker is
             self.pump_until(|w| (0..n).all(|q| q == w.me || !w.missing_from(q)));
-            coord.done[parity].fetch_add(1, Ordering::SeqCst);
-            self.pump_until(|_| coord.done[parity].load(Ordering::SeqCst) >= n as u64);
         }
+        coord.done[parity].fetch_add(1, Ordering::SeqCst);
+        self.pump_until(|_| coord.done[parity].load(Ordering::SeqCst) >= n as u64);
         // reset the other parity slots for the next drain while every
         // worker is still on this side of the closing barrier
         if self.me == 0 {
@@ -433,11 +420,11 @@ where
         }
         coord.barrier.wait(); // globally drained
         self.c.drains += 1;
-        let seal = (!discard && self.taps.logging()).then(|| self.seal_info(cut.0, cut.1));
+        let seal = (live && self.taps.logging()).then(|| self.seal_info(cut.0, cut.1));
         self.taps.cut(
             t,
             self.quiesce_idx,
-            !discard,
+            live,
             (self.c.delivered, self.c.nacks),
             seal,
             &self.table,
@@ -480,7 +467,7 @@ where
     /// workers already sent their placeholder at the open. `e` is the
     /// epoch whose window closes (the mid-epoch cut's log identity).
     fn close_window(&mut self, e: u64) {
-        self.quiesce(self.crashed, (e, false));
+        self.quiesce((e, false));
         self.taps.close_window();
     }
 
@@ -525,10 +512,10 @@ mod tests {
     use super::*;
     use crate::engine::worker::tests::Rig;
 
-    /// What reaches a worker that is draining in discard mode is
-    /// dropped unprocessed, counted, and published by name — the
-    /// non-zero case no correct run produces (peers stop addressing a
-    /// crashed worker at its cut; see `tests/tap_seam.rs`).
+    /// What reaches a worker that is down is dropped unprocessed,
+    /// counted, and published by name — the non-zero case no correct
+    /// run produces (peers stop addressing a crashed worker at its cut;
+    /// see `tests/tap_seam.rs`).
     #[test]
     fn a_discard_drain_counts_what_it_drops() {
         let rig = Rig::new();
@@ -536,8 +523,10 @@ mod tests {
         for _ in 0..3 {
             peer.send_sized(0, StoreMsg::Nack, nack_bytes());
         }
-        w.discard_until_all(&AtomicU64::new(2), 2);
+        w.discarding = true;
+        w.pump();
         assert_eq!(w.c.discarded, 3);
+        assert_eq!(w.c.repairs, 0, "nothing was served");
         rig.published.publish(&w.counters().since(&w.prev));
         assert!(rig
             .registry

@@ -47,7 +47,6 @@ use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 use taps::{TapReport, Taps};
 use worker::Worker;
 
@@ -156,7 +155,7 @@ where
     let coord = Coordinator::new(n, map.shards());
     let (tx, rx) = mpsc::channel::<WindowRecord<T>>();
 
-    let t0 = Instant::now();
+    let t0 = taps::now();
     let (mut results, verdicts, verifier_spans) = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
         for ep in endpoints {
@@ -177,7 +176,7 @@ where
         let (verdicts, vspans) = verifier.join().expect("verifier thread panicked");
         (results, verdicts, vspans)
     });
-    let wall_ns = t0.elapsed().as_nanos();
+    let wall_ns = taps::ns_since(t0) as u128;
     results.sort_by_key(|r| r.worker);
 
     // one pass over the workers; the counter totals come from the one

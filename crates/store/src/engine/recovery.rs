@@ -19,7 +19,17 @@
 //!
 //! Every path ends the same way, [`Worker::adopt_cut`]: the table
 //! holds a recovered cut, the attachments restart from it.
+//!
+//! Neither side receives anything itself. A helper waits in
+//! [`Worker::pump_until`] until [`Worker::handle`] has put its
+//! recoverer's handshake in that recoverer's slot — handshakes from
+//! simultaneous recoverers each land in their own — and a recoverer
+//! waits there until `handle` has installed every helper's reply,
+//! through [`Worker::install_shards`] (rung 3) or
+//! [`Worker::apply_delta`] (rung 2). The recoverer is still down while
+//! it waits, so anything else that reaches it is dropped and counted.
 
+use super::taps::{now, ns_since};
 use super::worker::Worker;
 use crate::chaos::CrashSpan;
 use crate::durable::Recovered;
@@ -34,7 +44,6 @@ use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 impl<'a, T, E> Worker<'a, T, E>
 where
@@ -87,7 +96,7 @@ where
             self.taps.wipe_log();
             return 0;
         };
-        let t = Instant::now();
+        let t = now();
         self.install_replay(&rec);
         self.c.ops = rec.seal.issued;
         debug_assert_eq!(
@@ -114,7 +123,7 @@ where
             helper: self.me,
             synced_shards: 0,
             synced_objects: 0,
-            sync_wall_ns: t.elapsed().as_nanos() as u64,
+            sync_wall_ns: ns_since(t),
             replayed_records: rec.replayed_records,
             log_bytes: rec.log_bytes,
         });
@@ -143,7 +152,10 @@ where
         }
         if !recoveries.is_empty() {
             self.coord.barrier.wait(); // transfers complete
-            debug_assert!(self.stash.is_empty(), "unconsumed recovery handshakes");
+            debug_assert!(
+                self.sync_req.iter().all(Option::is_none),
+                "unserved handshakes"
+            );
         }
 
         // disk recovery: start keeping ops for each worker crashing at
@@ -180,7 +192,9 @@ where
     /// states of those shards. In disk mode wait for the recoverer's
     /// handshake, then ship either the op delta kept since its crash
     /// cut (`full = false`) or — when its disk was torn or stale — the
-    /// same full states.
+    /// same full states. Every elected helper has the delta: election
+    /// depends only on the span, so each one started its retention
+    /// buffer at the crash cut.
     fn serve_shard_sync(&mut self, span: &CrashSpan) {
         let kept = self.taps.take_retained(span.worker);
         let shards = self.elected_shards(span);
@@ -188,8 +202,12 @@ where
             debug_assert!(kept.is_none(), "a retention buffer with no election");
             return;
         }
+        let full = !self.disk_recovery || {
+            self.pump_until(|w| w.sync_req[span.worker].is_some());
+            self.sync_req[span.worker].take() == Some(true)
+        };
         let lamport = self.clock.now();
-        let (msg, bytes) = if self.disk_recovery && !self.wait_sync_req(span.worker) {
+        let (msg, bytes) = if !full {
             let payload = ShardDeltaPayload {
                 shards: kept.expect("every elected helper activated a retention buffer"),
                 lamport,
@@ -210,35 +228,11 @@ where
         self.ep.send_reliable(span.worker, msg, bytes);
     }
 
-    /// Block until `worker`'s recovery handshake arrives and return its
-    /// `full` flag. Handshakes from *other* simultaneous recoverers are
-    /// stashed for the spans served later in the boundary's span list;
-    /// nothing else can arrive — every worker is inside the recovery
-    /// phase, past the drain's closing barrier.
-    fn wait_sync_req(&mut self, worker: NodeId) -> bool {
-        loop {
-            let queued = self
-                .stash
-                .iter()
-                .position(|(from, m)| *from == worker && matches!(m, StoreMsg::SyncReq { .. }));
-            if let Some(i) = queued {
-                match self.stash.swap_remove(i).1 {
-                    StoreMsg::SyncReq { full } => return full,
-                    _ => unreachable!("position matched a SyncReq"),
-                }
-            }
-            match self.ep.recv() {
-                Some(msg) => self.stash.push(msg),
-                None => unreachable!("mesh closed during the recovery handshake"),
-            }
-        }
-    }
-
     /// Recovering side: climb the ladder (see the [module docs](self)).
     fn receive_shard_sync(&mut self, span: &CrashSpan) {
-        let t = Instant::now();
+        let t = now();
         // deterministic order: handshakes go out sorted
-        let expected: BTreeSet<NodeId> = self
+        let helpers: BTreeSet<NodeId> = self
             .map
             .hosted(self.me)
             .iter()
@@ -265,54 +259,16 @@ where
                     full = false;
                 }
             }
-            // handshake each helper *before* blocking on their responses
-            for &h in &expected {
+            for &h in &helpers {
                 self.ep
                     .send_reliable(h, StoreMsg::SyncReq { full }, sync_req_bytes());
             }
         }
-        let (mut synced_shards, mut synced_objects) = (0u64, 0u64);
-        let mut served = 0usize;
-        while served < expected.len() {
-            match self.ep.recv() {
-                Some((from, StoreMsg::ShardSync(payload))) => {
-                    // rung 3: the helper's post-drain shard states
-                    debug_assert!(expected.contains(&from), "sync from a non-helper");
-                    debug_assert!(full, "a full transfer was not requested");
-                    for (s, states) in &payload.shards {
-                        synced_shards += 1;
-                        synced_objects += states.len() as u64;
-                        self.table
-                            .install_slots(self.map.slots_of(*s as usize), states);
-                    }
-                    self.clock.observe(payload.lamport);
-                    served += 1;
-                }
-                Some((from, StoreMsg::ShardDelta(payload))) => {
-                    // rung 2: the outage-window op delta, applied onto
-                    // the cut state the disk replay just installed
-                    debug_assert!(expected.contains(&from), "delta from a non-helper");
-                    debug_assert!(!full, "a delta was not requested");
-                    for (_, ops) in &payload.shards {
-                        synced_shards += 1;
-                        synced_objects += ops.len() as u64;
-                        for op in ops {
-                            self.clock.observe(op.ts.time);
-                            self.table.apply_update(self.adt, op.obj, op.ts, &op.input);
-                        }
-                    }
-                    self.clock.observe(payload.lamport);
-                    served += 1;
-                }
-                Some((from, msg @ StoreMsg::SyncReq { .. })) => {
-                    // another simultaneous recoverer's handshake, for a
-                    // span this worker serves later in the span list
-                    self.stash.push((from, msg));
-                }
-                Some(_) => self.c.discarded += 1, // pre-recovery straggler
-                None => unreachable!("mesh closed during recovery"),
-            }
-        }
+        // every reply is awaited at once; the worker is still down, so
+        // whatever else arrives meanwhile is dropped and counted
+        self.sync_replies = helpers.len();
+        self.pump_until(|w| w.sync_replies == 0);
+        let (synced_shards, synced_objects) = std::mem::take(&mut self.synced);
         let n = self.ep.cluster_size();
         let matrix: Vec<u64> = self
             .coord
@@ -334,9 +290,36 @@ where
             helper: span.helper,
             synced_shards,
             synced_objects,
-            sync_wall_ns: t.elapsed().as_nanos() as u64,
+            sync_wall_ns: ns_since(t),
             replayed_records,
             log_bytes,
         });
+    }
+
+    /// Rung 3, one helper's reply: install its post-drain shard states.
+    pub(super) fn install_shards(&mut self, payload: &ShardSyncPayload<T::State>) {
+        for (s, states) in &payload.shards {
+            self.synced.0 += 1;
+            self.synced.1 += states.len() as u64;
+            self.table
+                .install_slots(self.map.slots_of(*s as usize), states);
+        }
+        self.clock.observe(payload.lamport);
+        self.sync_replies -= 1;
+    }
+
+    /// Rung 2, one helper's reply: apply the outage-window op delta
+    /// onto the cut state the disk replay installed.
+    pub(super) fn apply_delta(&mut self, payload: &ShardDeltaPayload<T::Input>) {
+        for (_, ops) in &payload.shards {
+            self.synced.0 += 1;
+            self.synced.1 += ops.len() as u64;
+            for op in ops {
+                self.clock.observe(op.ts.time);
+                self.table.apply_update(self.adt, op.obj, op.ts, &op.input);
+            }
+        }
+        self.clock.observe(payload.lamport);
+        self.sync_replies -= 1;
     }
 }

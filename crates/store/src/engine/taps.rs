@@ -84,15 +84,15 @@ pub(super) struct TapReport {
     pub latency: LatencySummary,
 }
 
-/// The one clock reading on the op path.
+/// The engine's one clock reading.
 #[inline(always)]
-fn now() -> Instant {
+pub(super) fn now() -> Instant {
     Instant::now()
 }
 
 /// Nanoseconds since `t`.
 #[inline(always)]
-fn ns_since(t: Instant) -> u64 {
+pub(super) fn ns_since(t: Instant) -> u64 {
     now().duration_since(t).as_nanos() as u64
 }
 

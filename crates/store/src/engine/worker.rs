@@ -10,6 +10,18 @@
 //! that is not wait-free — a read of a shard this replica does not
 //! host ([`Worker::remote_read`]).
 //!
+//! ## One switch, one wait
+//!
+//! Every message a worker takes, in every phase — op path, drain,
+//! recovery — goes through [`Worker::handle`], and every wait is
+//! [`Worker::pump_until`]: poll the inbox, handle what arrived, yield
+//! the timeslice only when nothing has. The rendezvous, a routed read
+//! and both sides of a recovery transfer wait on a condition over the
+//! worker's own state, so no wait ever sleeps in the kernel or can
+//! miss a message another phase would have served. A replica that is
+//! down (`discarding`: from its crash cut until its recovery transfer
+//! is in) drops everything but that transfer, counted.
+//!
 //! ## Execution model
 //!
 //! Each worker thread is a replica of the shards assigned to it by the
@@ -24,12 +36,9 @@
 //! replica of their object (non-hosted updates are deterministically
 //! re-addressed, [`ShardMap::localize`]), and a read of a non-hosted
 //! object travels to a live replica of its shard over a reliable
-//! request/reply exchange (the one place a worker waits — the price
-//! §1's wait-freedom result puts on reading state you do not
-//! replicate). The requester waits the way the drain rendezvous does
-//! ([`Worker::pump_until`]): it polls its inbox and serves whatever
-//! arrives, yielding its timeslice only when the inbox is empty, so
-//! the wait never sleeps in the kernel. See `docs/SHARDING.md`.
+//! request/reply exchange (the one place a worker waits on the op
+//! path — the price §1's wait-freedom result puts on reading state you
+//! do not replicate). See `docs/SHARDING.md`.
 //!
 //! ## Interest edges
 //!
@@ -123,10 +132,17 @@ pub(super) struct Worker<'a, T: Adt, E> {
     /// In-run crash recovery goes through the disk ladder (own log
     /// replay + co-replica delta fetch) instead of full state transfer.
     pub(super) disk_recovery: bool,
-    /// Recovery-phase handshakes that arrived while this worker was
-    /// blocked on a different span's handshake (simultaneous spans).
-    #[allow(clippy::type_complexity)]
-    pub(super) stash: Vec<(NodeId, StoreMsg<T::Input, T::Output, T::State>)>,
+    /// The replica is down, from its crash cut until its recovery
+    /// transfer is in: [`Worker::handle`] drops what arrives, counted
+    /// in `c.discarded`, except that transfer.
+    pub(super) discarding: bool,
+    /// Helper side of a recovery: `sync_req[q]` is recoverer `q`'s
+    /// handshake (its `full` flag) from arrival until it is served.
+    pub(super) sync_req: Vec<Option<bool>>,
+    /// Recoverer side: transfer replies still to come, and the
+    /// `(shards, objects)` the ones already in have installed.
+    pub(super) sync_replies: usize,
+    pub(super) synced: (u64, u64),
     pub(super) taps: Taps<'a, T>,
 }
 
@@ -188,7 +204,10 @@ where
             rows: Vec::new(),
             recoveries: Vec::new(),
             disk_recovery: taps.logging() && cfg.durable.recover_from_disk,
-            stash: Vec::new(),
+            discarding: false,
+            sync_req: vec![None; n],
+            sync_replies: 0,
+            synced: (0, 0),
             taps,
         }
     }
@@ -317,9 +336,18 @@ where
         self.outbox = envs;
     }
 
-    /// Handle one inbound message.
+    /// Handle one inbound message: the engine's only inbound switch.
     fn handle(&mut self, from: NodeId, msg: StoreMsg<T::Input, T::Output, T::State>) {
         match msg {
+            StoreMsg::SyncReq { full } => {
+                debug_assert!(self.sync_req[from].is_none(), "a second handshake");
+                self.sync_req[from] = Some(full);
+            }
+            StoreMsg::ShardSync(payload) if self.sync_replies > 0 => self.install_shards(&payload),
+            StoreMsg::ShardDelta(payload) if self.sync_replies > 0 => self.apply_delta(&payload),
+            // a down replica's state is re-established by its recovery
+            // transfer, not by late delivery
+            _ if self.discarding => self.c.discarded += 1,
             StoreMsg::Batch(env) => self.deliver(env),
             StoreMsg::Repair(envs) => {
                 for env in envs {
@@ -344,18 +372,11 @@ where
                 self.c.discarded += 1;
                 debug_assert!(false, "read reply with no outstanding request");
             }
-            StoreMsg::ShardSync(_) => {
-                // a state transfer outside the recovery phase is a
-                // protocol bug; tolerate and count rather than corrupt
-                // the replica
-                debug_assert!(false, "unexpected ShardSync outside recovery");
+            StoreMsg::ShardSync(_) | StoreMsg::ShardDelta(_) => {
+                // a state transfer nobody awaits is a protocol bug;
+                // tolerate and count rather than corrupt the replica
                 self.c.discarded += 1;
-            }
-            StoreMsg::SyncReq { .. } | StoreMsg::ShardDelta(_) => {
-                // the disk-recovery handshake lives entirely inside the
-                // boundary's recovery phase; anywhere else is a bug
-                debug_assert!(false, "recovery handshake outside the recovery phase");
-                self.c.discarded += 1;
+                debug_assert!(false, "state transfer with no reply pending");
             }
         }
     }
@@ -370,7 +391,7 @@ where
         got_any
     }
 
-    /// The engine's one wait: spin — integrating whatever arrives, and
+    /// The engine's one wait: spin — handling whatever arrives, and
     /// yielding the timeslice only when nothing has — until `ready`.
     /// Never a blocking receive: the peer this worker waits on may
     /// itself be waiting on a message only this worker can serve.

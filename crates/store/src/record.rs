@@ -267,23 +267,7 @@ pub fn verify_window<T: Adt>(
         own.push((base[p]..base[p + 1]).map(EventId).collect());
     }
 
-    // delivered-before causal order from apply prefixes (the same
-    // construction the simulation driver uses on recorded executions)
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (p, order) in apply_orders.iter().enumerate() {
-        let lo = base[p];
-        let hi = base[p + 1];
-        let mut prefix: Vec<usize> = Vec::with_capacity(order.len());
-        for e in order {
-            if e.0 >= lo && e.0 < hi {
-                for &g in &prefix {
-                    edges.push((g, e.idx()));
-                }
-            }
-            prefix.push(e.idx());
-        }
-    }
-    let causal = Relation::from_edges(m, &edges)
+    let causal = Relation::delivered_before(m, &apply_orders, &own)
         .ok_or_else(|| "delivered-before relation is cyclic".to_string())?;
 
     match mode {

@@ -210,6 +210,39 @@ fn rolling_disk_recoveries_with_snapshots_are_deterministic() {
     let _ = fs::remove_dir_all(&db);
 }
 
+/// Two workers crash at one cut and recover from disk at one boundary:
+/// every helper serves both recoverers, whichever handshake reaches it
+/// first, and nothing is left over or discarded.
+#[test]
+fn two_workers_recover_from_disk_at_one_boundary() {
+    let e = EVERY as u64;
+    let plan = FaultPlan::new()
+        .at(e, Fault::Crash(2))
+        .at(e, Fault::Crash(3))
+        .at(3 * e, Fault::Recover(2))
+        .at(3 * e, Fault::Recover(3));
+    for mode in [Mode::Causal, Mode::Convergent] {
+        for seed in [3, 14, 15] {
+            let twin = cfg(mode, 4, 4 * EVERY, seed, FaultPlan::new());
+            let free = run(&Counter, &twin, counter_gen(16));
+            for snapshot_every in [0, 2] {
+                let dir = tmpdir("pair");
+                let mut c = cfg(mode, 4, 4 * EVERY, seed, plan.clone());
+                c.durable = durable_cfg(&dir, snapshot_every);
+                let chaos = run(&Counter, &c, counter_gen(16));
+                let what = format!("{mode:?} seed {seed} snapshot_every {snapshot_every}");
+                assert_same_final_state(&chaos, &free, &what);
+                assert_windows_ok(&chaos);
+                let recs = &chaos.chaos.recoveries;
+                assert_eq!(recs.len(), 2, "{what}");
+                assert!(recs.iter().all(|r| r.replayed_records > 0), "{what}");
+                assert_eq!(chaos.metric("msgs_discarded_total"), Some(0), "{what}");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
 /// Halt the whole fleet at a sealed boundary, restart it from disk,
 /// and require the resumed run to finish byte-identical — state
 /// hashes *and* monitor counter totals — to the uninterrupted twin.
