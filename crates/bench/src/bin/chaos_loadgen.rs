@@ -2,10 +2,18 @@
 //! and emit the committed chaos baseline (`BENCH_chaos.json`).
 //!
 //! ```text
-//! chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] [--rf N]
-//!               [--workers N] [--locality N] [--monitor] [--trace] [--trace-dir DIR]
-//!               [--transport thread|tcp] [--log-dir DIR]
+//! chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] [--gate PATH]
+//!               [--rf N] [--workers N] [--locality N] [--monitor] [--trace]
+//!               [--trace-dir DIR] [--transport thread|tcp] [--log-dir DIR]
 //! ```
+//!
+//! `--gate PATH` holds every cell to a committed baseline written by
+//! this binary (`BENCH_chaos.json` for the full matrix): each scalar
+//! column the baseline lists in `deterministic_columns`, plus the
+//! number of `recoveries` rows, must reproduce exactly in the cell of
+//! the same profile, mode, seed, workers and ops per worker. A cell the
+//! baseline lacks fails; a baseline that cannot be read, has no cells
+//! or lists no deterministic columns exits 2 before any cell runs.
 //!
 //! `--transport tcp` runs every cell's replica mesh over real loopback
 //! sockets; the chaos layer (`ChaosEndpoint`) wraps the socket
@@ -45,9 +53,10 @@
 //! missing recovery (crash profiles must report every span recovered,
 //! with at least one verified window spanning the recovery drain), a
 //! final-state mismatch against the twin, or any determinism mismatch
-//! between the two chaos runs. Exit status is 1 iff any cell failed —
-//! this is what the `chaos-smoke` CI job (and the nightly extended
-//! sweep) gates on — and 2 on a usage error, before any cell runs.
+//! between the two chaos runs. Exit status is 1 iff any cell failed or
+//! deviated from the `--gate` baseline — this is what the `chaos-smoke`
+//! CI job (and the nightly extended sweep) gates on — and 2 on a usage
+//! error, before any cell runs.
 //! Wall-clock columns are recorded but never gate.
 //!
 //! `--workers`/`--locality` override the matrix dimensions — the
@@ -83,6 +92,7 @@
 //!   halt+resume pair runs twice to pin its determinism.
 
 use cbm_bench::flags::{usage_error, Flags};
+use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::report::{self, append_summary_table};
 use cbm_bench::{leg_config, run_workload, Transport, Workload, SEED};
@@ -93,8 +103,22 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] \
-     [--rf N] [--workers N] [--locality N] [--monitor] [--trace] \
+     [--gate PATH] [--rf N] [--workers N] [--locality N] [--monitor] [--trace] \
      [--trace-dir DIR] [--transport thread|tcp] [--log-dir DIR]";
+
+/// A cell row's gate key: profile / mode / seed / workers /
+/// ops_per_worker.
+fn cell_key(row: &Json) -> Option<String> {
+    let lit = |k: &str| row.get(k)?.lit::<u64>();
+    Some(format!(
+        "{}/{}/{}/{}/{}",
+        row.get("profile")?.as_str()?,
+        row.get("mode")?.as_str()?,
+        lit("seed")?,
+        lit("workers")?,
+        lit("ops_per_worker")?
+    ))
+}
 
 /// One judged cell; its mode and seed are its report's.
 struct Cell {
@@ -432,6 +456,7 @@ fn main() -> ExitCode {
     let (mut quick, mut trace) = (false, false);
     let mut out_path = String::from("BENCH_chaos.json");
     let mut summary_path: Option<String> = None;
+    let mut gate_path: Option<String> = None;
     let mut seeds: u64 = 0;
     let mut dim = Dims::default();
     let mut trace_dir = String::from("traces");
@@ -447,6 +472,7 @@ fn main() -> ExitCode {
             "--trace-dir" => trace_dir = args.value(&a, "a path"),
             "--out" => out_path = args.value(&a, "a path"),
             "--summary" => summary_path = Some(args.value(&a, "a path")),
+            "--gate" => gate_path = Some(args.value(&a, "a baseline path")),
             "--seeds" => seeds = args.value(&a, "a number"),
             "--rf" => dim.rf = args.value(&a, "a replication factor (0 = full)"),
             "--workers" => dim.workers = args.value(&a, "a worker count (0 = default 4)"),
@@ -454,6 +480,16 @@ fn main() -> ExitCode {
             other => args.other(other),
         }
     }
+    let gate = gate_path.map(|path| {
+        let gate = Gate::load(&path, "cells", cell_key);
+        let columns = gate.strings("deterministic_columns");
+        if columns.is_empty() {
+            usage_error(format!(
+                "gate baseline {path} lists no deterministic_columns"
+            ));
+        }
+        (gate, columns)
+    });
     if seeds == 0 {
         seeds = if quick { 2 } else { 3 };
     }
@@ -506,9 +542,35 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut gate_failures = 0usize;
+    if let Some((gate, columns)) = &gate {
+        for c in &cells {
+            let row = cell_json(c);
+            let key = cell_key(&row).expect("a cell row carries its key columns");
+            let got: Vec<(&str, u64)> = columns
+                .iter()
+                .filter_map(|col| Some((col.as_str(), row.get(col)?.count()?)))
+                .collect();
+            if let Some(problem) = gate.exact(&key, &got) {
+                eprintln!("GATE {key}: {problem}");
+                gate_failures += 1;
+            }
+        }
+        if gate_failures == 0 {
+            println!(
+                "gate: {} cell(s) reproduce {} exactly ({} deterministic columns)",
+                cells.len(),
+                gate.path,
+                columns.len()
+            );
+        }
+    }
+
     let failed = cells.iter().filter(|c| !c.failures.is_empty()).count();
-    if failed > 0 {
-        eprintln!("chaos_loadgen: {failed} cell(s) failed");
+    if failed > 0 || gate_failures > 0 {
+        eprintln!(
+            "chaos_loadgen: {failed} cell(s) failed, {gate_failures} deviated from the gate baseline"
+        );
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -714,20 +714,10 @@ fn main() -> ExitCode {
                 got.push(("monitor_ops_checked", r.monitor.ops_checked));
                 got.push(("monitor_escalations", r.monitor.escalations));
             }
-            let problem = match gate.deviations(&l.name, &got, |g, want| g == want) {
-                None => format!(
-                    "leg missing from {} — regenerate the committed baseline",
-                    gate.path
-                ),
-                Some(off) if !off.is_empty() => format!(
-                    "deterministic counts deviate from {}: {}",
-                    gate.path,
-                    off.join(", ")
-                ),
-                Some(_) => continue,
-            };
-            eprintln!("GATE {}: {problem}", l.name);
-            gate_failures += 1;
+            if let Some(problem) = gate.exact(&l.name, &got) {
+                eprintln!("GATE {}: {problem}", l.name);
+                gate_failures += 1;
+            }
         }
         if gate_failures == 0 {
             println!(

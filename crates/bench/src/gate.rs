@@ -16,6 +16,7 @@ use std::collections::HashMap;
 pub struct Gate {
     /// The baseline file, named in every gate message.
     pub path: String,
+    doc: Json,
     rows: HashMap<String, Json>,
 }
 
@@ -40,13 +41,25 @@ impl Gate {
         }
         Gate {
             path: path.to_string(),
+            doc,
             rows,
         }
     }
 
-    /// Column `col` of row `key`, if the baseline has both.
+    /// The strings of the document's array field `field` (none if the
+    /// document lacks it).
+    pub fn strings(&self, field: &str) -> Vec<String> {
+        let items = self.doc.get(field).map(Json::items).unwrap_or_default();
+        items
+            .iter()
+            .filter_map(|v| Some(v.as_str()?.into()))
+            .collect()
+    }
+
+    /// Column `col` of row `key` as a count ([`Json::count`]), if the
+    /// baseline has both.
     pub fn count(&self, key: &str, col: &str) -> Option<u64> {
-        self.rows.get(key)?.get(col)?.lit()
+        self.rows.get(key)?.get(col)?.count()
     }
 
     /// Hold a run's `(column, value)` counts against row `key`: `None`
@@ -66,5 +79,23 @@ impl Gate {
             (!ok(g, want)).then(|| format!("{col} {g} (baseline {want})"))
         });
         Some(off.collect())
+    }
+
+    /// Hold a run's counts to row `key` exactly: `None` if every
+    /// column reproduces, else the one-line problem — the row is
+    /// missing, or which columns deviate.
+    pub fn exact(&self, key: &str, got: &[(&str, u64)]) -> Option<String> {
+        match self.deviations(key, got, |g, want| g == want) {
+            None => Some(format!(
+                "missing from {} — regenerate the committed baseline",
+                self.path
+            )),
+            Some(off) if off.is_empty() => None,
+            Some(off) => Some(format!(
+                "deterministic counts deviate from {}: {}",
+                self.path,
+                off.join(", ")
+            )),
+        }
     }
 }

@@ -132,6 +132,15 @@ impl Json {
         }
     }
 
+    /// A count: a literal read as `u64`, or the number of items of an
+    /// array.
+    pub fn count(&self) -> Option<u64> {
+        match self {
+            Json::Arr(v) | Json::List(v) => Some(v.len() as u64),
+            v => v.lit(),
+        }
+    }
+
     /// A literal read as `T` (`u64`, `i64`, `f64`, `bool`, ...); `None`
     /// for other values and for literals `T` cannot hold.
     pub fn lit<T: std::str::FromStr>(&self) -> Option<T> {

@@ -41,6 +41,11 @@ const CASES: &[(&str, &[&str], &str)] = &[
         "--seeds needs a number",
     ),
     (
+        CHAOS,
+        &["--quick", "--gate", "missing.json", "--out", "out.json"],
+        "cannot read gate baseline",
+    ),
+    (
         PERF,
         &["--quick", "--out", "out.json", "--bogus"],
         "unknown argument '--bogus'",

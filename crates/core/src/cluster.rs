@@ -239,6 +239,9 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
                 plan.push(*at, Fault::Crash(p));
             }
         }
+        if let Err(e) = plan.check(n) {
+            panic!("{e}");
+        }
         let mut schedule = plan.into_schedule();
 
         let mut procs: Vec<ProcState<T::Input>> = script
@@ -289,7 +292,9 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
                 (None, None) => break,
                 (ta, Some(tf)) if ta.is_none_or(|ta| tf <= ta) => {
                     self.net.advance_time(tf);
-                    schedule.apply_due(&mut self.net, tf);
+                    while let Some(fault) = schedule.next_due(tf) {
+                        self.net.apply(fault);
+                    }
                     // mirror transport crash state into the driver
                     for (p, st) in procs.iter_mut().enumerate() {
                         let down = self.net.is_crashed(p);

@@ -32,10 +32,11 @@
 //! never to the recovery protocol (a real system re-establishes a TCP
 //! stream for catch-up; see `docs/CHAOS.md` for the contract).
 //!
-//! The type implements [`FaultTarget`], so the same [`FaultPlan`]
-//! vocabulary drives the simulator and the live engine: each endpoint
-//! replays the full plan and applies the events that concern it (its
-//! own outbound links, its own crash state, everyone's liveness).
+//! Its fault state is its own row of the [`Links`] table the simulator
+//! holds whole, so one [`FaultPlan`] means the same thing on both:
+//! each endpoint replays the full plan through
+//! [`ChaosEndpoint::apply`], and the table keeps what concerns it (its
+//! own outbound links, everyone's liveness and clock skew).
 //!
 //! ## The operation clock
 //!
@@ -53,22 +54,13 @@
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
 use crate::endpoint::Endpoint as EndpointApi;
-use crate::fault::{FaultSchedule, FaultTarget};
+use crate::fault::{Effect, Fault, FaultSchedule, Links};
 use crate::thread_net::ThreadNetStats;
 use crate::NodeId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Per-outbound-link fault state.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkChaos {
-    blocked: bool,
-    drop_prob: f64,
-    dup_prob: f64,
-    extra_delay: u64,
-}
 
 /// A message parked on a blocked outbound link.
 struct Parked<M> {
@@ -167,10 +159,8 @@ pub struct ChaosEndpoint<M, E = crate::thread_net::Endpoint<M>> {
     /// early after held-back sends are flushed or discarded — a due
     /// tick with nothing to do just re-arms it.
     next_due: u64,
-    links: Vec<LinkChaos>,
-    self_crashed: bool,
-    peer_crashed: Vec<bool>,
-    skew: u64,
+    /// This endpoint's row of the fault table.
+    links: Links,
     rng: StdRng,
     parked: Vec<Parked<M>>,
     delayed: Vec<Delayed<M>>,
@@ -189,16 +179,12 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     /// seeded by `seed` (derive it from the run seed and the node id
     /// so endpoints roll independent, reproducible streams).
     pub fn new(ep: E, seed: u64) -> Self {
-        let n = ep.cluster_size();
         ChaosEndpoint {
+            links: Links::row(ep.me(), ep.cluster_size()),
             ep,
             vtime: 0,
             plan: FaultSchedule::default(),
             next_due: u64::MAX,
-            links: vec![LinkChaos::default(); n],
-            self_crashed: false,
-            peer_crashed: vec![false; n],
-            skew: 0,
             rng: StdRng::seed_from_u64(seed),
             parked: Vec::new(),
             delayed: Vec::new(),
@@ -228,9 +214,25 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         self.events_overflow
     }
 
-    fn record(&mut self, kind: ChaosEventKind, to: NodeId) {
-        if self.event_cap == 0 {
-            return;
+    /// Count one injection (per-recipient drops and duplicates also in
+    /// the shared transport statistics) and record it if recording is
+    /// on.
+    fn note(&mut self, kind: ChaosEventKind, to: NodeId) {
+        let c = &mut self.counters;
+        match kind {
+            ChaosEventKind::Drop => {
+                c.drops += 1;
+                self.ep.stats().dropped_per_node[to].fetch_add(1, Ordering::Relaxed);
+            }
+            ChaosEventKind::Dup => {
+                c.dups += 1;
+                self.ep.stats().dup_per_node[to].fetch_add(1, Ordering::Relaxed);
+            }
+            ChaosEventKind::Park => c.parked += 1,
+            ChaosEventKind::Release => c.released += 1,
+            ChaosEventKind::Prune => c.pruned += 1,
+            ChaosEventKind::Delay => c.delayed += 1,
+            ChaosEventKind::CrashDiscard => c.crash_discarded += 1,
         }
         if self.events.len() < self.event_cap {
             self.events.push(ChaosEvent {
@@ -238,7 +240,7 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
                 to,
                 kind,
             });
-        } else {
+        } else if self.event_cap > 0 {
             self.events_overflow += 1;
         }
     }
@@ -265,7 +267,7 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
 
     /// Is this endpoint currently crashed?
     pub fn is_crashed(&self) -> bool {
-        self.self_crashed
+        self.links.crashed(self.me())
     }
 
     /// Install the fault plan this endpoint replays on its operation
@@ -306,7 +308,9 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         // timeline of a partition has always read, and flight records
         // are compared byte for byte across builds
         let mut plan = std::mem::take(&mut self.plan);
-        plan.apply_due(self, now);
+        while let Some(fault) = plan.next_due(now) {
+            self.apply(fault);
+        }
         self.plan = plan;
         self.vtime = now;
         let (mut due, rest): (Vec<Delayed<M>>, Vec<Delayed<M>>) = std::mem::take(&mut self.delayed)
@@ -330,44 +334,38 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
 
     /// Send one message through the fault layer.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
-        if self.self_crashed {
-            self.counters.crash_discarded += 1;
-            self.record(ChaosEventKind::CrashDiscard, to);
-            return;
+        let me = self.me();
+        if self.links.crashed(me) {
+            return self.note(ChaosEventKind::CrashDiscard, to);
         }
-        if self.peer_crashed[to] {
+        if self.links.crashed(to) {
             // the recipient is down: the copy is lost in flight
-            self.count_drop(to);
-            return;
+            return self.note(ChaosEventKind::Drop, to);
         }
-        if self.links[to].blocked {
-            self.counters.parked += 1;
-            self.record(ChaosEventKind::Park, to);
-            self.parked.push(Parked { to, msg, bytes });
-            return;
+        if self.links.blocked(me, to) {
+            self.note(ChaosEventKind::Park, to);
+            return self.parked.push(Parked { to, msg, bytes });
         }
-        if self.links[to].drop_prob > 0.0 && self.rng.gen_bool(self.links[to].drop_prob) {
-            self.count_drop(to);
-            return;
+        match self.links.roll(me, to, &mut self.rng) {
+            0 => self.note(ChaosEventKind::Drop, to),
+            copies => {
+                if copies == 2 {
+                    self.note(ChaosEventKind::Dup, to);
+                    // the injected extra copy is the only clone: what a
+                    // fault-free link sends is the message itself
+                    self.dispatch(to, msg.clone(), bytes);
+                }
+                self.dispatch(to, msg, bytes);
+            }
         }
-        if self.links[to].dup_prob > 0.0 && self.rng.gen_bool(self.links[to].dup_prob) {
-            self.counters.dups += 1;
-            self.stats().dup_per_node[to].fetch_add(1, Ordering::Relaxed);
-            self.record(ChaosEventKind::Dup, to);
-            // the injected extra copy is the only clone: what a
-            // fault-free link sends is the message itself
-            self.dispatch(to, msg.clone(), bytes);
-        }
-        self.dispatch(to, msg, bytes);
     }
 
     /// Put one surviving copy on the wire, or hold it back if the link
     /// is degraded.
     fn dispatch(&mut self, to: NodeId, msg: M, bytes: usize) {
-        let delay = self.links[to].extra_delay + self.skew;
+        let delay = self.links.delay(self.me(), to);
         if delay > 0 {
-            self.counters.delayed += 1;
-            self.record(ChaosEventKind::Delay, to);
+            self.note(ChaosEventKind::Delay, to);
             let due = self.vtime + delay;
             self.next_due = self.next_due.min(due);
             self.delayed.push(Delayed {
@@ -448,12 +446,9 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     /// kept across the cut; the partition itself stays in force for
     /// traffic after the drain.
     pub fn prune_parked(&mut self) {
-        self.counters.pruned += self.parked.len() as u64;
-        let targets: Vec<NodeId> = self.parked.iter().map(|p| p.to).collect();
-        for to in targets {
-            self.record(ChaosEventKind::Prune, to);
+        for p in std::mem::take(&mut self.parked) {
+            self.note(ChaosEventKind::Prune, p.to);
         }
-        self.parked.clear();
     }
 
     /// Messages currently parked on blocked links.
@@ -466,69 +461,57 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         self.delayed.len()
     }
 
-    /// Mark a peer crashed/recovered: sends to crashed peers are
-    /// suppressed and counted as drops to them (the engine shares the
-    /// fault schedule, so all endpoints flip these flags at the same
-    /// drain boundary).
-    pub fn set_peer_crashed(&mut self, node: NodeId, crashed: bool) {
-        if node == self.me() {
-            if crashed {
-                self.crash_self();
-            } else {
-                self.self_crashed = false;
+    /// Apply one fault to this endpoint's fault table ([`Links::apply`]),
+    /// then do what its [`Effect`] asks: a heal releases the parked
+    /// sends whose link is open again, and this endpoint crashing
+    /// discards its parked and held-back outbound.
+    pub fn apply(&mut self, fault: &Fault) {
+        match self.links.apply(fault) {
+            Effect::Release => self.release_parked(),
+            Effect::Crash(node) if node == self.me() => {
+                // the in-flight drop of a crash: each discarded message
+                // counts as a drop to its recipient
+                let parked = std::mem::take(&mut self.parked).into_iter().map(|p| p.to);
+                let delayed = std::mem::take(&mut self.delayed).into_iter().map(|d| d.to);
+                for to in parked.chain(delayed) {
+                    self.note(ChaosEventKind::Drop, to);
+                    self.note(ChaosEventKind::CrashDiscard, to);
+                }
             }
-        } else {
-            self.peer_crashed[node] = crashed;
+            _ => {}
         }
     }
 
-    /// Crash this endpoint: every parked and held-back outbound
-    /// message is discarded immediately (the in-flight drop of a
-    /// crash), counted as drops to its recipients.
-    fn crash_self(&mut self) {
-        self.self_crashed = true;
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            self.count_drop(p.to);
-            self.counters.crash_discarded += 1;
-            self.record(ChaosEventKind::CrashDiscard, p.to);
-        }
-        let delayed = std::mem::take(&mut self.delayed);
-        for d in delayed {
-            self.count_drop(d.to);
-            self.counters.crash_discarded += 1;
-            self.record(ChaosEventKind::CrashDiscard, d.to);
-        }
+    /// Mark a node crashed/recovered: sends to crashed peers are
+    /// suppressed and counted as drops to them, and this endpoint
+    /// crashing discards its outbound (the engine shares the fault
+    /// schedule, so all endpoints flip these flags at the same drain
+    /// boundary).
+    pub fn set_peer_crashed(&mut self, node: NodeId, crashed: bool) {
+        self.apply(&if crashed {
+            Fault::Crash(node)
+        } else {
+            Fault::Recover(node)
+        });
     }
 
     /// Release parked messages whose link has been healed.
     fn release_parked(&mut self) {
-        let mut still = Vec::new();
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            if self.links[p.to].blocked {
-                still.push(p);
-            } else {
-                self.counters.released += 1;
-                self.record(ChaosEventKind::Release, p.to);
-                self.transmit(p.to, p.msg, p.bytes);
-            }
-        }
+        let (still, open): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|p| self.links.blocked(self.me(), p.to));
         self.parked = still;
+        for p in open {
+            self.note(ChaosEventKind::Release, p.to);
+            self.transmit(p.to, p.msg, p.bytes);
+        }
     }
 
     fn transmit(&mut self, to: NodeId, msg: M, bytes: usize) {
-        if self.peer_crashed[to] {
-            self.count_drop(to);
-            return;
+        if self.links.crashed(to) {
+            return self.note(ChaosEventKind::Drop, to);
         }
         self.ep.send_sized(to, msg, bytes);
-    }
-
-    fn count_drop(&mut self, to: NodeId) {
-        self.counters.drops += 1;
-        self.stats().dropped_per_node[to].fetch_add(1, Ordering::Relaxed);
-        self.record(ChaosEventKind::Drop, to);
     }
 
     /// Graceful shutdown of the underlying endpoint.
@@ -537,65 +520,10 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     }
 }
 
-impl<M: Clone + Send, E: EndpointApi<M>> FaultTarget for ChaosEndpoint<M, E> {
-    fn nodes(&self) -> usize {
-        self.cluster_size()
-    }
-
-    fn crash(&mut self, node: NodeId) {
-        self.set_peer_crashed(node, true);
-    }
-
-    fn recover(&mut self, node: NodeId) {
-        self.set_peer_crashed(node, false);
-    }
-
-    fn set_link_blocked(&mut self, from: NodeId, to: NodeId, blocked: bool) {
-        if from != self.me() {
-            return; // another endpoint's outbound link
-        }
-        self.links[to].blocked = blocked;
-        if !blocked {
-            self.release_parked();
-        }
-    }
-
-    fn heal_all(&mut self) {
-        for l in self.links.iter_mut() {
-            l.blocked = false;
-        }
-        self.release_parked();
-    }
-
-    fn set_link_drop(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        if from == self.me() {
-            self.links[to].drop_prob = prob.clamp(0.0, 1.0);
-        }
-    }
-
-    fn set_link_dup(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        if from == self.me() {
-            self.links[to].dup_prob = prob.clamp(0.0, 1.0);
-        }
-    }
-
-    fn set_link_delay(&mut self, from: NodeId, to: NodeId, extra: u64) {
-        if from == self.me() {
-            self.links[to].extra_delay = extra;
-        }
-    }
-
-    fn set_clock_skew(&mut self, node: NodeId, offset: u64) {
-        if node == self.me() {
-            self.skew = offset;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{apply_fault, Fault, FaultPlan};
+    use crate::fault::FaultPlan;
     use crate::thread_net::{Endpoint, ThreadNet};
 
     fn pair() -> (ChaosEndpoint<u32>, Endpoint<u32>) {
@@ -642,14 +570,11 @@ mod tests {
     #[test]
     fn certain_drop_loses_and_counts_per_node() {
         let (mut a, b) = pair();
-        apply_fault(
-            &mut a,
-            &Fault::LinkDrop {
-                from: 0,
-                to: 1,
-                prob: 1.0,
-            },
-        );
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         for i in 0..5 {
             a.send(1, i, 1);
         }
@@ -663,14 +588,11 @@ mod tests {
     #[test]
     fn certain_dup_duplicates_and_counts() {
         let (mut a, b) = pair();
-        apply_fault(
-            &mut a,
-            &Fault::LinkDup {
-                from: 0,
-                to: 1,
-                prob: 1.0,
-            },
-        );
+        a.apply(&Fault::LinkDup {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         a.send(1, 9, 2);
         assert_eq!(b.recv(), Some((0, 9)));
         assert_eq!(b.recv(), Some((0, 9)));
@@ -685,7 +607,11 @@ mod tests {
             let mut net: ThreadNet<u32> = ThreadNet::new(2);
             let mut a = ChaosEndpoint::new(net.endpoint(0), seed);
             let b = net.endpoint(1);
-            a.set_link_drop(0, 1, 0.5);
+            a.apply(&Fault::LinkDrop {
+                from: 0,
+                to: 1,
+                prob: 0.5,
+            });
             for i in 0..64 {
                 a.send(1, i, 1);
             }
@@ -702,11 +628,11 @@ mod tests {
     #[test]
     fn blocked_link_parks_then_releases_on_heal() {
         let (mut a, b) = pair();
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send(1, 7, 1);
         assert_eq!(a.parked_count(), 1);
         assert_eq!(b.try_recv(), None);
-        apply_fault(&mut a, &Fault::HealAll);
+        a.apply(&Fault::HealAll);
         assert_eq!(a.parked_count(), 0);
         assert_eq!(b.recv(), Some((0, 7)));
         assert_eq!(a.counters().released, 1);
@@ -716,7 +642,7 @@ mod tests {
     fn partition_fault_only_touches_own_outbound() {
         let mut net: ThreadNet<u32> = ThreadNet::new(4);
         let mut a = ChaosEndpoint::new(net.endpoint(0), 1);
-        apply_fault(&mut a, &Fault::Partition { side: vec![0, 1] });
+        a.apply(&Fault::Partition { side: vec![0, 1] });
         a.send(1, 1, 1); // same side: flows
         a.send(2, 2, 1); // cross side: parked
         assert_eq!(a.parked_count(), 1);
@@ -725,7 +651,11 @@ mod tests {
     #[test]
     fn delay_holds_back_until_tick() {
         let (mut a, b) = pair();
-        a.set_link_delay(0, 1, 3);
+        a.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 1,
+            extra: 3,
+        });
         a.advance_to(10);
         a.send(1, 5, 1);
         assert_eq!(a.delayed_count(), 1);
@@ -782,7 +712,7 @@ mod tests {
     #[test]
     fn skew_delays_all_outbound() {
         let (mut a, b) = pair();
-        apply_fault(&mut a, &Fault::ClockSkew { node: 0, offset: 2 });
+        a.apply(&Fault::ClockSkew { node: 0, offset: 2 });
         a.send(1, 1, 1);
         assert_eq!(a.delayed_count(), 1);
         a.flush_delayed();
@@ -793,7 +723,7 @@ mod tests {
     #[test]
     fn crash_discards_outbound_and_suppresses_inbound_sends() {
         let (mut a, b) = pair();
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send(1, 1, 1);
         a.set_peer_crashed(0, true); // crash self: parked discarded
         assert_eq!(a.parked_count(), 0);
@@ -818,8 +748,12 @@ mod tests {
     #[test]
     fn reliable_bypass_ignores_faults() {
         let (mut a, b) = pair();
-        a.set_link_drop(0, 1, 1.0);
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send_reliable(1, 99, 8);
         assert_eq!(b.recv(), Some((0, 99)));
     }
@@ -840,20 +774,36 @@ mod tests {
         let (mut wire_msgs, mut wire_bytes) = (0u64, 0u64);
 
         // certain drop: nothing on the wire
-        a.set_link_drop(0, 1, 1.0);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         a.send(1, 10, 100);
-        a.set_link_drop(0, 1, 0.0);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 0.0,
+        });
 
         // certain dup: two copies, both counted
-        a.set_link_dup(0, 2, 1.0);
+        a.apply(&Fault::LinkDup {
+            from: 0,
+            to: 2,
+            prob: 1.0,
+        });
         a.send(2, 11, 7);
         (wire_msgs, wire_bytes) = (wire_msgs + 2, wire_bytes + 14);
-        a.set_link_dup(0, 2, 0.0);
+        a.apply(&Fault::LinkDup {
+            from: 0,
+            to: 2,
+            prob: 0.0,
+        });
 
         // park then prune: the parked copy never reaches the wire; the
         // engine's repair re-ships the payload over the reliable path,
         // which counts exactly once
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send(1, 12, 9);
         a.prune_parked();
         a.send_reliable(1, 12, 9);
@@ -861,25 +811,37 @@ mod tests {
 
         // park then heal: the released copy counts exactly once
         a.send(1, 13, 5);
-        a.heal_all();
+        a.apply(&Fault::HealAll);
         (wire_msgs, wire_bytes) = (wire_msgs + 1, wire_bytes + 5);
 
         // delay then flush: the held-back copy counts exactly once,
         // at transmission
-        a.set_link_delay(0, 2, 4);
+        a.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 2,
+            extra: 4,
+        });
         a.send(2, 14, 3);
         assert_eq!(a.stats().snapshot().msgs_sent, wire_msgs, "held back");
         a.flush_delayed();
         (wire_msgs, wire_bytes) = (wire_msgs + 1, wire_bytes + 3);
-        a.set_link_delay(0, 2, 0);
+        a.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 2,
+            extra: 0,
+        });
 
         // fault-free broadcast: one count per copy
         a.broadcast(15, 4);
         (wire_msgs, wire_bytes) = (wire_msgs + 2, wire_bytes + 8);
 
         // reliable control while links are faulty: exactly one count
-        a.set_link_drop(0, 1, 1.0);
-        a.set_link_blocked(0, 2, true);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
+        a.apply(&Fault::BlockLink { from: 0, to: 2 });
         a.send_reliable(1, 16, 21);
         a.send_reliable(2, 17, 2);
         (wire_msgs, wire_bytes) = (wire_msgs + 2, wire_bytes + 23);
@@ -906,15 +868,23 @@ mod tests {
     #[test]
     fn event_recording_mirrors_counters_and_is_off_by_default() {
         let (mut a, _b) = pair();
-        a.set_link_drop(0, 1, 1.0);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         a.send(1, 1, 1);
         assert!(a.take_events().is_empty(), "recording is opt-in");
 
         a.record_events(16);
         a.advance_to(5);
         a.send(1, 2, 1); // dropped
-        a.set_link_drop(0, 1, 0.0);
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 0.0,
+        });
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send(1, 3, 1); // parked
         a.prune_parked();
         let ev = a.take_events();
@@ -946,7 +916,11 @@ mod tests {
     fn event_recording_caps_and_counts_overflow() {
         let (mut a, _b) = pair();
         a.record_events(2);
-        a.set_link_drop(0, 1, 1.0);
+        a.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         for i in 0..5 {
             a.send(1, i, 1);
         }
@@ -958,7 +932,7 @@ mod tests {
     #[test]
     fn prune_parked_counts_and_clears() {
         let (mut a, b) = pair();
-        a.set_link_blocked(0, 1, true);
+        a.apply(&Fault::BlockLink { from: 0, to: 1 });
         a.send(1, 1, 1);
         a.send(1, 2, 1);
         a.prune_parked();

@@ -1,21 +1,24 @@
-//! Timed fault plans applied to a transport.
+//! Timed fault plans and the one table that interprets them.
 //!
 //! A [`FaultPlan`] is a schedule of [`Fault`]s — partitions and heals,
 //! per-link loss/duplication probabilities, latency degradation, node
 //! crash *and recover*, clock skew — each firing at a logical time.
 //! The plan is pure data and **transport-agnostic**: a driver turns it
-//! into a [`FaultSchedule`] and applies due events to any
-//! [`FaultTarget`] as its notion of time advances, so faults act
-//! entirely at the transport layer and no protocol or replica code
-//! knows they exist. Two targets exist today:
+//! into a [`FaultSchedule`] and, as its notion of time advances, hands
+//! each due fault ([`FaultSchedule::next_due`]) to its transport's
+//! `apply`, so faults act entirely at the transport layer and no
+//! protocol or replica code knows they exist. Both transports keep
+//! their fault state in a [`Links`] table, and [`Links::apply`] is the
+//! only code that interprets a fault:
 //!
-//! * [`crate::sim::SimNet`] — logical time is simulated time; the
-//!   driver is `cbm-core`'s `Cluster`;
+//! * [`crate::sim::SimNet`] holds every sender's row
+//!   ([`Links::all`]); logical time is simulated time, and the driver
+//!   is `cbm-core`'s `Cluster`;
 //! * [`crate::chaos::ChaosEndpoint`] — the sender-side fault view of a
-//!   real-thread [`crate::thread_net::ThreadNet`] endpoint; logical
-//!   time is the owning worker's deterministic operation counter, so
-//!   live-engine fault injection stays reproducible per `(config,
-//!   seed)` (see `docs/CHAOS.md`).
+//!   real-thread or socket endpoint — holds its own row
+//!   ([`Links::row`]); logical time is the owning worker's
+//!   deterministic operation counter, so live-engine fault injection
+//!   stays reproducible per `(config, seed)` (see `docs/CHAOS.md`).
 //!
 //! Fault semantics (see `docs/SIMULATION.md` for the full story):
 //!
@@ -35,40 +38,8 @@
 
 use crate::NodeId;
 use cbm_adt::{wire_enum, wire_struct};
-
-/// A transport that fault events can act on.
-///
-/// [`FaultSchedule::apply_due`] drives any implementor, which is what
-/// lets one [`FaultPlan`] describe an outage for both the
-/// single-threaded simulator ([`crate::sim::SimNet`]) and the
-/// real-thread chaos layer ([`crate::chaos::ChaosEndpoint`]). The
-/// methods mirror the fault alphabet; implementors that cannot honour
-/// a dimension (e.g. a per-endpoint view only controls its own
-/// outbound links) apply the subset that concerns them and ignore the
-/// rest — the contract is "at least this much misbehaviour", never
-/// less determinism.
-pub trait FaultTarget {
-    /// Cluster size (faults naming nodes `>= nodes()` are a bug).
-    fn nodes(&self) -> usize;
-    /// Node stops sending/receiving; its in-flight inbound is dropped.
-    fn crash(&mut self, node: NodeId);
-    /// Node resumes; messages lost while down stay lost.
-    fn recover(&mut self, node: NodeId);
-    /// Block or unblock the directed link `from → to` (blocked links
-    /// park messages until healed).
-    fn set_link_blocked(&mut self, from: NodeId, to: NodeId, blocked: bool);
-    /// Unblock every link (parked messages re-enter).
-    fn heal_all(&mut self);
-    /// Set the loss probability of the directed link (0.0–1.0).
-    fn set_link_drop(&mut self, from: NodeId, to: NodeId, prob: f64);
-    /// Set the duplication probability of the directed link (0.0–1.0).
-    fn set_link_dup(&mut self, from: NodeId, to: NodeId, prob: f64);
-    /// Add constant extra latency to the directed link (0 resets).
-    fn set_link_delay(&mut self, from: NodeId, to: NodeId, extra: u64);
-    /// Skew a node's clock: all its sends arrive `offset` later
-    /// (0 resets).
-    fn set_clock_skew(&mut self, node: NodeId, offset: u64);
-}
+use rand::Rng;
+use std::ops::Range;
 
 /// One transport-level fault (or repair).
 #[derive(Debug, Clone, PartialEq)]
@@ -177,6 +148,39 @@ wire_enum!(Fault {
     13 => ClockSkew { node, offset },
 });
 
+impl Fault {
+    /// Can this fault make a message miss its recipient (a loss, a
+    /// blocked link, or a crashed node)? Duplication and latency
+    /// faults deliver everything, only twice or late.
+    pub fn can_lose(&self) -> bool {
+        matches!(
+            self,
+            Fault::Crash(_)
+                | Fault::LinkDrop { .. }
+                | Fault::DropAll { .. }
+                | Fault::Partition { .. }
+                | Fault::PartitionOneWay { .. }
+                | Fault::BlockLink { .. }
+        )
+    }
+
+    /// Every node id the fault names.
+    fn nodes(&self) -> Vec<NodeId> {
+        match self {
+            Fault::Crash(p) | Fault::Recover(p) | Fault::ClockSkew { node: p, .. } => vec![*p],
+            Fault::Partition { side } => side.clone(),
+            Fault::PartitionOneWay { from, to } => [from.as_slice(), to].concat(),
+            Fault::BlockLink { from, to }
+            | Fault::HealLink { from, to }
+            | Fault::LinkDrop { from, to, .. }
+            | Fault::LinkDup { from, to, .. }
+            | Fault::LinkDelay { from, to, .. } => vec![*from, *to],
+            Fault::HealAll | Fault::DropAll { .. } | Fault::DupAll { .. } => vec![],
+            Fault::DelayAll { .. } => vec![],
+        }
+    }
+}
+
 /// A fault firing at a simulated time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
@@ -233,6 +237,21 @@ impl FaultPlan {
         &self.events
     }
 
+    /// Does every event name only nodes of a cluster of `n`? The error
+    /// names the first event (in insertion order) that does not.
+    /// Drivers check a plan before anything runs: a fault naming an
+    /// unknown node is a bug in the plan, not a runtime condition.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        for FaultEvent { at, fault } in &self.events {
+            if let Some(p) = fault.nodes().into_iter().find(|&p| p >= n) {
+                return Err(format!(
+                    "{fault:?} at {at} names node {p} outside cluster of {n}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Freeze into an applicable schedule (events sorted by time;
     /// ties apply in insertion order).
     pub fn into_schedule(self) -> FaultSchedule {
@@ -256,19 +275,13 @@ impl FaultSchedule {
         self.events.get(self.cursor).map(|e| e.at)
     }
 
-    /// Apply every event due at or before `now`; returns how many
-    /// fired.
-    pub fn apply_due<N: FaultTarget>(&mut self, net: &mut N, now: u64) -> usize {
-        let mut fired = 0;
-        while let Some(ev) = self.events.get(self.cursor) {
-            if ev.at > now {
-                break;
-            }
-            apply_fault(net, &ev.fault);
-            self.cursor += 1;
-            fired += 1;
-        }
-        fired
+    /// Take the next event due at or before `now`, if any. Drivers
+    /// apply each before taking the next, so a heal that follows a
+    /// block on the same tick releases in between.
+    pub fn next_due(&mut self, now: u64) -> Option<&Fault> {
+        let ev = self.events.get(self.cursor).filter(|e| e.at <= now)?;
+        self.cursor += 1;
+        Some(&ev.fault)
     }
 
     /// All events applied?
@@ -277,74 +290,169 @@ impl FaultSchedule {
     }
 }
 
-/// Apply one fault to any [`FaultTarget`].
-pub fn apply_fault<N: FaultTarget>(net: &mut N, fault: &Fault) {
-    let n = net.nodes();
-    match fault {
-        Fault::Crash(p) => net.crash(*p),
-        Fault::Recover(p) => net.recover(*p),
-        Fault::Partition { side } => {
-            let in_side = membership(n, side);
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b && in_side[a] != in_side[b] {
-                        net.set_link_blocked(a, b, true);
-                    }
-                }
+/// Fault state of one directed link.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Cell {
+    blocked: bool,
+    drop_prob: f64,
+    dup_prob: f64,
+    extra_delay: u64,
+}
+
+/// What a transport must do after [`Links::apply`]: the two effects
+/// of a fault that a table cannot carry out itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// The table update is the whole effect.
+    None,
+    /// A link reopened: re-inject the parked messages whose link is
+    /// open now.
+    Release,
+    /// The node just went down: drop what is in flight to or from it
+    /// now, so drop counts fall in the fault's window.
+    Crash(NodeId),
+}
+
+/// The fault state of a cluster of `n` nodes as one transport sees it:
+/// a cell per directed link for the sender rows it controls, plus
+/// every node's crash flag and clock skew.
+///
+/// [`Links::apply`] is the only interpretation of a [`Fault`],
+/// [`Links::roll`] the only drop/duplicate roll, and [`Links::delay`]
+/// the only delay rule. A fault on a link outside the held rows
+/// changes nothing here: that sender's own table carries it.
+#[derive(Debug, Clone)]
+pub struct Links {
+    n: usize,
+    /// The sender rows `cells` holds, `n` cells each.
+    senders: Range<NodeId>,
+    cells: Vec<Cell>,
+    crashed: Vec<bool>,
+    skew: Vec<u64>,
+}
+
+impl Links {
+    /// Every sender's row (a simulator's whole network).
+    pub fn all(n: usize) -> Self {
+        Links::rows(0..n, n)
+    }
+
+    /// Only `me`'s outbound links (an endpoint's O(n) view).
+    pub fn row(me: NodeId, n: usize) -> Self {
+        Links::rows(me..me + 1, n)
+    }
+
+    fn rows(senders: Range<NodeId>, n: usize) -> Self {
+        Links {
+            n,
+            cells: vec![Cell::default(); senders.len() * n],
+            senders,
+            crashed: vec![false; n],
+            skew: vec![0; n],
+        }
+    }
+
+    fn index(&self, from: NodeId, to: NodeId) -> usize {
+        (from - self.senders.start) * self.n + to
+    }
+
+    fn cell(&self, from: NodeId, to: NodeId) -> &Cell {
+        &self.cells[self.index(from, to)]
+    }
+
+    /// Update the held links `a → b` that `pick` selects.
+    fn update(&mut self, pick: impl Fn(NodeId, NodeId) -> bool, f: impl Fn(&mut Cell)) {
+        for a in self.senders.clone() {
+            for b in (0..self.n).filter(|&b| pick(a, b)) {
+                let i = self.index(a, b);
+                f(&mut self.cells[i]);
             }
         }
-        Fault::PartitionOneWay { from, to } => {
-            let to_set = membership(n, to);
-            for &a in from {
-                assert!(a < n, "fault names node {a} outside cluster of {n}");
-                for (b, &in_to) in to_set.iter().enumerate() {
-                    if a != b && in_to {
-                        net.set_link_blocked(a, b, true);
-                    }
-                }
+    }
+
+    /// Apply one fault to the table. The plan must name only nodes of
+    /// the cluster ([`FaultPlan::check`]). A heal always asks for a
+    /// release: messages park only on blocked links, so releasing
+    /// after a heal of a link this table does not hold moves nothing.
+    pub fn apply(&mut self, fault: &Fault) -> Effect {
+        let one = |&from: &NodeId, &to: &NodeId| move |a, b| (a, b) == (from, to);
+        let every = |a, b| a != b;
+        let clamp = |p: &f64| p.clamp(0.0, 1.0);
+        match fault {
+            Fault::Crash(p) if !std::mem::replace(&mut self.crashed[*p], true) => {
+                return Effect::Crash(*p);
             }
-        }
-        Fault::BlockLink { from, to } => net.set_link_blocked(*from, *to, true),
-        Fault::HealLink { from, to } => net.set_link_blocked(*from, *to, false),
-        Fault::HealAll => net.heal_all(),
-        Fault::LinkDrop { from, to, prob } => net.set_link_drop(*from, *to, *prob),
-        Fault::DropAll { prob } => {
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        net.set_link_drop(a, b, *prob);
-                    }
-                }
+            Fault::Crash(_) => {} // already down
+            Fault::Recover(p) => self.crashed[*p] = false,
+            Fault::Partition { side } => {
+                let side = membership(self.n, side);
+                self.update(|a, b| side[a] != side[b], |c| c.blocked = true);
             }
-        }
-        Fault::LinkDup { from, to, prob } => net.set_link_dup(*from, *to, *prob),
-        Fault::DupAll { prob } => {
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        net.set_link_dup(a, b, *prob);
-                    }
-                }
+            Fault::PartitionOneWay { from, to } => {
+                let (from, to) = (membership(self.n, from), membership(self.n, to));
+                self.update(|a, b| a != b && from[a] && to[b], |c| c.blocked = true);
             }
-        }
-        Fault::LinkDelay { from, to, extra } => net.set_link_delay(*from, *to, *extra),
-        Fault::DelayAll { extra } => {
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        net.set_link_delay(a, b, *extra);
-                    }
-                }
+            Fault::BlockLink { from, to } => self.update(one(from, to), |c| c.blocked = true),
+            Fault::HealLink { from, to } => {
+                self.update(one(from, to), |c| c.blocked = false);
+                return Effect::Release;
             }
+            Fault::HealAll => {
+                self.update(|_, _| true, |c| c.blocked = false);
+                return Effect::Release;
+            }
+            Fault::LinkDrop { from, to, prob } => {
+                self.update(one(from, to), |c| c.drop_prob = clamp(prob))
+            }
+            Fault::DropAll { prob } => self.update(every, |c| c.drop_prob = clamp(prob)),
+            Fault::LinkDup { from, to, prob } => {
+                self.update(one(from, to), |c| c.dup_prob = clamp(prob))
+            }
+            Fault::DupAll { prob } => self.update(every, |c| c.dup_prob = clamp(prob)),
+            Fault::LinkDelay { from, to, extra } => {
+                self.update(one(from, to), |c| c.extra_delay = *extra)
+            }
+            Fault::DelayAll { extra } => self.update(every, |c| c.extra_delay = *extra),
+            Fault::ClockSkew { node, offset } => self.skew[*node] = *offset,
         }
-        Fault::ClockSkew { node, offset } => net.set_clock_skew(*node, *offset),
+        Effect::None
+    }
+
+    /// Is the directed link blocked?
+    pub fn blocked(&self, from: NodeId, to: NodeId) -> bool {
+        self.cell(from, to).blocked
+    }
+
+    /// Is the node down?
+    pub fn crashed(&self, node: NodeId) -> bool {
+        self.crashed[node]
+    }
+
+    /// Extra delay of a message `from → to`: the link's extra latency
+    /// plus the sender's clock skew.
+    pub fn delay(&self, from: NodeId, to: NodeId) -> u64 {
+        self.cell(from, to).extra_delay + self.skew[from]
+    }
+
+    /// How many copies of a message `from → to` the link delivers: 0
+    /// (dropped), 1, or 2 (duplicated). Draws the drop roll, then the
+    /// duplicate roll, each only when its probability is nonzero — so
+    /// a fault-free link consumes no randomness.
+    pub fn roll(&self, from: NodeId, to: NodeId, rng: &mut impl Rng) -> usize {
+        let c = self.cell(from, to);
+        if c.drop_prob > 0.0 && rng.gen_bool(c.drop_prob) {
+            0
+        } else if c.dup_prob > 0.0 && rng.gen_bool(c.dup_prob) {
+            2
+        } else {
+            1
+        }
     }
 }
 
 fn membership(n: usize, nodes: &[NodeId]) -> Vec<bool> {
     let mut m = vec![false; n];
     for &p in nodes {
-        assert!(p < n, "fault names node {p} outside cluster of {n}");
         m[p] = true;
     }
     m
@@ -353,11 +461,17 @@ fn membership(n: usize, nodes: &[NodeId]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::LatencyModel;
-    use crate::sim::SimNet;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn net2() -> SimNet<u8> {
-        SimNet::new(2, LatencyModel::Constant(5), 1)
+    /// Apply every event due at or before `now`; how many fired.
+    fn apply_due(sched: &mut FaultSchedule, net: &mut Links, now: u64) -> usize {
+        let mut fired = 0;
+        while let Some(f) = sched.next_due(now) {
+            net.apply(f);
+            fired += 1;
+        }
+        fired
     }
 
     #[test]
@@ -366,43 +480,40 @@ mod tests {
             .at(20, Fault::Recover(1))
             .at(10, Fault::Crash(1));
         let mut sched = plan.into_schedule();
-        let mut net = net2();
+        let mut net = Links::all(2);
         assert_eq!(sched.peek_time(), Some(10));
-        assert_eq!(sched.apply_due(&mut net, 5), 0);
-        assert_eq!(sched.apply_due(&mut net, 10), 1);
-        assert!(net.is_crashed(1));
-        assert_eq!(sched.apply_due(&mut net, 100), 1);
-        assert!(!net.is_crashed(1));
+        assert_eq!(apply_due(&mut sched, &mut net, 5), 0);
+        assert_eq!(apply_due(&mut sched, &mut net, 10), 1);
+        assert!(net.crashed(1));
+        assert_eq!(apply_due(&mut sched, &mut net, 100), 1);
+        assert!(!net.crashed(1));
         assert!(sched.exhausted());
     }
 
     #[test]
     fn partition_blocks_both_directions() {
-        let mut net: SimNet<u8> = SimNet::new(4, LatencyModel::Constant(1), 1);
-        apply_fault(&mut net, &Fault::Partition { side: vec![0, 1] });
-        assert!(net.is_link_blocked(0, 2));
-        assert!(net.is_link_blocked(2, 0));
-        assert!(net.is_link_blocked(1, 3));
-        assert!(!net.is_link_blocked(0, 1));
-        assert!(!net.is_link_blocked(2, 3));
-        apply_fault(&mut net, &Fault::HealAll);
-        assert!(!net.is_link_blocked(0, 2));
+        let mut net = Links::all(4);
+        net.apply(&Fault::Partition { side: vec![0, 1] });
+        assert!(net.blocked(0, 2));
+        assert!(net.blocked(2, 0));
+        assert!(net.blocked(1, 3));
+        assert!(!net.blocked(0, 1));
+        assert!(!net.blocked(2, 3));
+        net.apply(&Fault::HealAll);
+        assert!(!net.blocked(0, 2));
     }
 
     #[test]
     fn one_way_partition_is_asymmetric() {
-        let mut net: SimNet<u8> = SimNet::new(3, LatencyModel::Constant(1), 1);
-        apply_fault(
-            &mut net,
-            &Fault::PartitionOneWay {
-                from: vec![0],
-                to: vec![1, 2],
-            },
-        );
-        assert!(net.is_link_blocked(0, 1));
-        assert!(net.is_link_blocked(0, 2));
-        assert!(!net.is_link_blocked(1, 0));
-        assert!(!net.is_link_blocked(2, 0));
+        let mut net = Links::all(3);
+        net.apply(&Fault::PartitionOneWay {
+            from: vec![0],
+            to: vec![1, 2],
+        });
+        assert!(net.blocked(0, 1));
+        assert!(net.blocked(0, 2));
+        assert!(!net.blocked(1, 0));
+        assert!(!net.blocked(2, 0));
     }
 
     #[test]
@@ -411,5 +522,96 @@ mod tests {
         let b = FaultPlan::new().at(2, Fault::Recover(0));
         a.merge(b);
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn check_names_the_first_node_outside_the_cluster() {
+        let plan = FaultPlan::new()
+            .at(1, Fault::DropAll { prob: 0.1 })
+            .at(2, Fault::BlockLink { from: 0, to: 7 })
+            .at(3, Fault::ClockSkew { node: 9, offset: 1 });
+        assert_eq!(plan.check(10), Ok(()));
+        let err = plan.check(4).unwrap_err();
+        assert!(err.contains("node 7 outside cluster of 4"), "{err}");
+        let one_way = Fault::PartitionOneWay {
+            from: vec![0],
+            to: vec![4],
+        };
+        assert!(FaultPlan::new().at(0, one_way).check(4).is_err());
+    }
+
+    #[test]
+    fn a_crash_reports_its_effect_once() {
+        let mut net = Links::all(2);
+        assert_eq!(net.apply(&Fault::Crash(1)), Effect::Crash(1));
+        assert_eq!(net.apply(&Fault::Crash(1)), Effect::None, "already down");
+        assert_eq!(net.apply(&Fault::Recover(1)), Effect::None);
+        assert_eq!(net.apply(&Fault::Crash(1)), Effect::Crash(1));
+    }
+
+    fn random_fault(rng: &mut StdRng, n: usize) -> Fault {
+        let set =
+            |rng: &mut StdRng| -> Vec<NodeId> { (0..n).filter(|_| rng.gen_bool(0.5)).collect() };
+        let prob = |rng: &mut StdRng| [0.0, 0.25, 1.0][rng.gen_range(0..3usize)];
+        let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let extra = rng.gen_range(0..5u64);
+        match rng.gen_range(0..14u32) {
+            0 => Fault::Crash(from),
+            1 => Fault::Recover(from),
+            2 => Fault::Partition { side: set(rng) },
+            3 => Fault::PartitionOneWay {
+                from: set(rng),
+                to: set(rng),
+            },
+            4 => Fault::BlockLink { from, to },
+            5 => Fault::HealLink { from, to },
+            6 => Fault::HealAll,
+            7 => Fault::LinkDrop {
+                from,
+                to,
+                prob: prob(rng),
+            },
+            8 => Fault::DropAll { prob: prob(rng) },
+            9 => Fault::LinkDup {
+                from,
+                to,
+                prob: prob(rng),
+            },
+            10 => Fault::DupAll { prob: prob(rng) },
+            11 => Fault::LinkDelay { from, to, extra },
+            12 => Fault::DelayAll { extra },
+            _ => Fault::ClockSkew {
+                node: from,
+                offset: extra,
+            },
+        }
+    }
+
+    /// An endpoint's one-row table is exactly its row of the whole
+    /// network's table, whatever the plan.
+    #[test]
+    fn a_row_table_agrees_with_its_row_of_the_full_table() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..9usize);
+            let plan: Vec<Fault> = (0..rng.gen_range(0..24usize))
+                .map(|_| random_fault(&mut rng, n))
+                .collect();
+            let mut all = Links::all(n);
+            let mut rows: Vec<Links> = (0..n).map(|me| Links::row(me, n)).collect();
+            for f in &plan {
+                all.apply(f);
+                for row in &mut rows {
+                    row.apply(f);
+                }
+            }
+            for (me, row) in rows.iter().enumerate() {
+                for to in 0..n {
+                    assert_eq!(row.cell(me, to), all.cell(me, to), "{plan:?}");
+                    assert_eq!(row.delay(me, to), all.delay(me, to), "{plan:?}");
+                    assert_eq!(row.crashed(to), all.crashed(to), "{plan:?}");
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! messages between nodes with randomized (seeded) per-message delays,
 //! and applies transport-level faults — crash/recover, link blocking
 //! (partitions), probabilistic loss and duplication, latency
-//! degradation, and clock skew. The protocol logic lives in
+//! degradation, and clock skew — through [`SimNet::apply`], which
+//! keeps every sender's row of the shared fault table
+//! ([`Links::all`]). The protocol logic lives in
 //! [`crate::broadcast`] and the replica logic in `cbm-core`; a driver
 //! loop pops deliveries ([`SimNet::pop`]) and pushes sends
 //! ([`SimNet::send`] / [`SimNet::broadcast`]), interleaving application
@@ -14,7 +16,7 @@
 //! `(seed, workload, fault plan)` — which is what lets the figure and
 //! scenario harnesses attach exact causal witnesses to each run.
 //!
-//! Faults are usually not toggled by hand but scheduled through a
+//! Faults are usually not applied by hand but scheduled through a
 //! [`crate::fault::FaultPlan`]; the architecture of the fault layer
 //! and the scenario subsystem on top of it is described in
 //! `docs/SIMULATION.md`.
@@ -29,15 +31,16 @@
 //! * **Loss is final.** A message failing its per-link drop roll is
 //!   counted ([`NetStats::msgs_dropped`], per-recipient in
 //!   [`NetStats::dropped_per_node`]) and never delivered.
-//! * **Crash drops eagerly.** [`SimNet::crash`] removes the node's
+//! * **Crash drops eagerly.** [`Fault::Crash`] removes the node's
 //!   in-flight *and parked* inbound messages immediately, so drop
-//!   counters are accurate per fault window; [`SimNet::recover`]
+//!   counters are accurate per fault window; [`Fault::Recover`]
 //!   resumes the node without restoring anything it missed.
 
+use crate::fault::{Effect, Fault, Links};
 use crate::latency::LatencyModel;
 use crate::NodeId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -96,15 +99,6 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// Per-directed-link fault state.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkState {
-    blocked: bool,
-    drop_prob: f64,
-    dup_prob: f64,
-    extra_delay: u64,
-}
-
 /// The simulated network.
 #[derive(Debug)]
 pub struct SimNet<M> {
@@ -114,9 +108,7 @@ pub struct SimNet<M> {
     heap: BinaryHeap<Reverse<HeapKey>>,
     slots: Vec<Option<InFlight<M>>>,
     free: Vec<usize>,
-    crashed: Vec<bool>,
-    links: Vec<LinkState>,
-    skew: Vec<u64>,
+    links: Links,
     parked: Vec<InFlight<M>>,
     latency: LatencyModel,
     rng: StdRng,
@@ -140,9 +132,7 @@ impl<M: Clone> SimNet<M> {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            crashed: vec![false; n],
-            links: vec![LinkState::default(); n * n],
-            skew: vec![0; n],
+            links: Links::all(n),
             parked: Vec::new(),
             latency,
             rng: StdRng::seed_from_u64(seed),
@@ -165,23 +155,29 @@ impl<M: Clone> SimNet<M> {
         self.time
     }
 
-    fn link(&self, from: NodeId, to: NodeId) -> &LinkState {
-        &self.links[from * self.n + to]
-    }
-
-    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkState {
-        &mut self.links[from * self.n + to]
-    }
-
-    /// Mark a node as crashed: it stops sending and receiving ("a
-    /// process that crashes simply stops operating", §6.1). Its
-    /// in-flight and parked inbound messages are dropped *now*, so
-    /// [`NetStats`] drop counts are attributable to the fault window.
-    pub fn crash(&mut self, node: NodeId) {
-        if self.crashed[node] {
-            return;
+    /// Apply one fault to the fault table ([`Links::apply`]), then do
+    /// what its [`Effect`] asks. A heal re-injects the parked messages
+    /// whose link is open again. A crashed node stops sending and
+    /// receiving ("a process that crashes simply stops operating",
+    /// §6.1), and its in-flight and parked inbound messages are dropped
+    /// *now*, so [`NetStats`] drop counts are attributable to the fault
+    /// window. A recovered node resumes without what it missed
+    /// (crash-recovery without a durable log), so causally later
+    /// messages may buffer above.
+    pub fn apply(&mut self, fault: &Fault) {
+        match self.links.apply(fault) {
+            Effect::None => {}
+            Effect::Release => self.release_parked(),
+            Effect::Crash(node) => self.drop_inbound(node),
         }
-        self.crashed[node] = true;
+    }
+
+    /// The fault table.
+    pub fn links(&self) -> &Links {
+        &self.links
+    }
+
+    fn drop_inbound(&mut self, node: NodeId) {
         // Eagerly drop in-flight inbound: take the destined slots out;
         // pop() discards their orphaned heap keys lazily.
         for slot in self.slots.iter_mut() {
@@ -198,59 +194,9 @@ impl<M: Clone> SimNet<M> {
         self.stats.msgs_parked = self.parked.len() as u64;
     }
 
-    /// Un-crash a node: it resumes sending and receiving. Messages
-    /// dropped while it was down stay lost (crash-recovery without a
-    /// durable log), so causally later messages may buffer above.
-    pub fn recover(&mut self, node: NodeId) {
-        self.crashed[node] = false;
-    }
-
     /// Has the node crashed?
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node]
-    }
-
-    /// Block or unblock the directed link `from → to`. Unblocking
-    /// re-injects parked messages with fresh latency draws.
-    pub fn set_link_blocked(&mut self, from: NodeId, to: NodeId, blocked: bool) {
-        self.link_mut(from, to).blocked = blocked;
-        if !blocked {
-            self.release_parked();
-        }
-    }
-
-    /// Is the directed link blocked?
-    pub fn is_link_blocked(&self, from: NodeId, to: NodeId) -> bool {
-        self.link(from, to).blocked
-    }
-
-    /// Unblock every link; parked messages re-enter the network.
-    pub fn heal_all(&mut self) {
-        for l in self.links.iter_mut() {
-            l.blocked = false;
-        }
-        self.release_parked();
-    }
-
-    /// Set the loss probability of the directed link (0.0–1.0).
-    pub fn set_link_drop(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        self.link_mut(from, to).drop_prob = prob.clamp(0.0, 1.0);
-    }
-
-    /// Set the duplication probability of the directed link (0.0–1.0).
-    pub fn set_link_dup(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        self.link_mut(from, to).dup_prob = prob.clamp(0.0, 1.0);
-    }
-
-    /// Add constant extra delay to the directed link (0 resets).
-    pub fn set_link_delay(&mut self, from: NodeId, to: NodeId, extra: u64) {
-        self.link_mut(from, to).extra_delay = extra;
-    }
-
-    /// Skew a node's clock: every message it sends arrives `offset`
-    /// ticks later (0 resets).
-    pub fn set_clock_skew(&mut self, node: NodeId, offset: u64) {
-        self.skew[node] = offset;
+        self.links.crashed(node)
     }
 
     /// Messages currently parked on blocked links.
@@ -258,13 +204,18 @@ impl<M: Clone> SimNet<M> {
         self.parked.len()
     }
 
-    fn enqueue(&mut self, flight: InFlight<M>) {
-        self.seq += 1;
-        let key = HeapKey {
-            deliver_at: flight.deliver_at,
-            seq: self.seq,
-            slot: 0, // patched below
+    /// Put one copy in flight with a fresh latency draw: it arrives
+    /// after the base latency plus the link's delay ([`Links::delay`]).
+    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let delay = self.latency.sample(&mut self.rng).max(1);
+        let deliver_at = self.time + delay + self.links.delay(from, to);
+        let flight = InFlight {
+            deliver_at,
+            from,
+            to,
+            msg,
         };
+        self.seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s] = Some(flight);
@@ -275,56 +226,42 @@ impl<M: Clone> SimNet<M> {
                 self.slots.len() - 1
             }
         };
-        self.heap.push(Reverse(HeapKey { slot, ..key }));
+        self.heap.push(Reverse(HeapKey {
+            deliver_at,
+            seq: self.seq,
+            slot,
+        }));
     }
 
-    /// Re-inject parked messages whose link is now open, with fresh
-    /// latency draws (the same delay composition as [`SimNet::send`]:
-    /// base latency + link extra + sender skew).
+    /// Re-inject parked messages whose link is now open, in parking
+    /// order, each with a fresh latency draw.
     fn release_parked(&mut self) {
-        let mut still_parked = Vec::new();
-        for f in std::mem::take(&mut self.parked) {
-            if self.link(f.from, f.to).blocked {
-                still_parked.push(f);
-            } else {
-                let delay = self.latency.sample(&mut self.rng).max(1);
-                let deliver_at =
-                    self.time + delay + self.link(f.from, f.to).extra_delay + self.skew[f.from];
-                self.enqueue(InFlight { deliver_at, ..f });
-            }
+        let (still, open): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|f| self.links.blocked(f.from, f.to));
+        self.parked = still;
+        for f in open {
+            self.launch(f.from, f.to, f.msg);
         }
-        self.parked = still_parked;
         self.stats.msgs_parked = self.parked.len() as u64;
     }
 
     /// Send one point-to-point message; `size_hint` feeds the byte
     /// counter (use the wire codec in [`crate::msg`] or an estimate).
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M, size_hint: usize) {
-        if self.crashed[from] {
+        if self.links.crashed(from) {
             return;
         }
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += size_hint as u64;
-        let link = *self.link(from, to);
-        if link.drop_prob > 0.0 && self.rng.gen_bool(link.drop_prob) {
-            self.stats.drop_to(to);
-            return;
+        let copies = self.links.roll(from, to, &mut self.rng);
+        match copies {
+            0 => self.stats.drop_to(to),
+            2 => self.stats.msgs_duplicated += 1,
+            _ => {}
         }
-        let copies = if link.dup_prob > 0.0 && self.rng.gen_bool(link.dup_prob) {
-            self.stats.msgs_duplicated += 1;
-            2
-        } else {
-            1
-        };
         for _ in 0..copies {
-            let delay = self.latency.sample(&mut self.rng).max(1);
-            let deliver_at = self.time + delay + link.extra_delay + self.skew[from];
-            self.enqueue(InFlight {
-                deliver_at,
-                from,
-                to,
-                msg: msg.clone(),
-            });
+            self.launch(from, to, msg.clone());
         }
     }
 
@@ -366,11 +303,11 @@ impl<M: Clone> SimNet<M> {
             };
             self.free.push(key.slot);
             self.time = self.time.max(flight.deliver_at);
-            if self.crashed[flight.to] {
+            if self.links.crashed(flight.to) {
                 self.stats.drop_to(flight.to);
                 continue;
             }
-            if self.link(flight.from, flight.to).blocked {
+            if self.links.blocked(flight.from, flight.to) {
                 self.parked.push(flight);
                 self.stats.msgs_parked = self.parked.len() as u64;
                 continue;
@@ -409,38 +346,6 @@ impl<M: Clone> SimNet<M> {
     /// Transport statistics so far.
     pub fn stats(&self) -> NetStats {
         self.stats.clone()
-    }
-}
-
-/// [`SimNet`] is the canonical [`crate::fault::FaultTarget`]: every
-/// fault dimension maps 1:1 onto an inherent method.
-impl<M: Clone> crate::fault::FaultTarget for SimNet<M> {
-    fn nodes(&self) -> usize {
-        self.len()
-    }
-    fn crash(&mut self, node: NodeId) {
-        SimNet::crash(self, node);
-    }
-    fn recover(&mut self, node: NodeId) {
-        SimNet::recover(self, node);
-    }
-    fn set_link_blocked(&mut self, from: NodeId, to: NodeId, blocked: bool) {
-        SimNet::set_link_blocked(self, from, to, blocked);
-    }
-    fn heal_all(&mut self) {
-        SimNet::heal_all(self);
-    }
-    fn set_link_drop(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        SimNet::set_link_drop(self, from, to, prob);
-    }
-    fn set_link_dup(&mut self, from: NodeId, to: NodeId, prob: f64) {
-        SimNet::set_link_dup(self, from, to, prob);
-    }
-    fn set_link_delay(&mut self, from: NodeId, to: NodeId, extra: u64) {
-        SimNet::set_link_delay(self, from, to, extra);
-    }
-    fn set_clock_skew(&mut self, node: NodeId, offset: u64) {
-        SimNet::set_clock_skew(self, node, offset);
     }
 }
 
@@ -499,11 +404,11 @@ mod tests {
     fn crashed_nodes_drop_messages() {
         let mut net: SimNet<u8> = SimNet::new(2, LatencyModel::Constant(1), 1);
         net.send(0, 1, 1, 1);
-        net.crash(1);
+        net.apply(&Fault::Crash(1));
         assert!(net.pop().is_none());
         assert_eq!(net.stats().msgs_dropped, 1);
         // crashed nodes also stop sending
-        net.crash(0);
+        net.apply(&Fault::Crash(0));
         net.send(0, 1, 2, 1);
         assert!(!net.has_in_flight());
     }
@@ -514,7 +419,7 @@ mod tests {
         net.send(0, 2, 1, 1);
         net.send(1, 2, 2, 1);
         net.send(0, 1, 3, 1);
-        net.crash(2);
+        net.apply(&Fault::Crash(2));
         // drops are counted at crash time, before any pop
         let s = net.stats();
         assert_eq!(s.msgs_dropped, 2);
@@ -528,10 +433,10 @@ mod tests {
     #[test]
     fn recover_resumes_sending_and_receiving() {
         let mut net: SimNet<u8> = SimNet::new(2, LatencyModel::Constant(1), 1);
-        net.crash(1);
+        net.apply(&Fault::Crash(1));
         net.send(0, 1, 1, 1);
         assert!(net.pop().is_none());
-        net.recover(1);
+        net.apply(&Fault::Recover(1));
         net.send(0, 1, 2, 1);
         let d = net.pop().expect("post-recovery delivery");
         assert_eq!(d.msg, 2);
@@ -543,12 +448,12 @@ mod tests {
     #[test]
     fn blocked_links_park_then_release_on_heal() {
         let mut net: SimNet<u8> = SimNet::new(2, LatencyModel::Constant(5), 1);
-        net.set_link_blocked(0, 1, true);
+        net.apply(&Fault::BlockLink { from: 0, to: 1 });
         net.send(0, 1, 7, 1);
         assert!(net.pop().is_none(), "blocked link must not deliver");
         assert_eq!(net.parked_count(), 1);
         assert_eq!(net.stats().msgs_parked, 1);
-        net.set_link_blocked(0, 1, false);
+        net.apply(&Fault::HealLink { from: 0, to: 1 });
         let d = net.pop().expect("released after heal");
         assert_eq!(d.msg, 7);
         assert_eq!(net.parked_count(), 0);
@@ -558,7 +463,7 @@ mod tests {
     #[test]
     fn blocked_links_are_directional() {
         let mut net: SimNet<u8> = SimNet::new(2, LatencyModel::Constant(5), 1);
-        net.set_link_blocked(0, 1, true);
+        net.apply(&Fault::BlockLink { from: 0, to: 1 });
         net.send(1, 0, 9, 1);
         let d = net.pop().expect("reverse direction open");
         assert_eq!(d.msg, 9);
@@ -567,7 +472,11 @@ mod tests {
     #[test]
     fn drop_probability_loses_messages() {
         let mut net: SimNet<u32> = SimNet::new(2, LatencyModel::Constant(1), 3);
-        net.set_link_drop(0, 1, 1.0);
+        net.apply(&Fault::LinkDrop {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         for i in 0..5 {
             net.send(0, 1, i, 1);
         }
@@ -581,7 +490,11 @@ mod tests {
     #[test]
     fn dup_probability_duplicates_messages() {
         let mut net: SimNet<u32> = SimNet::new(2, LatencyModel::Constant(1), 3);
-        net.set_link_dup(0, 1, 1.0);
+        net.apply(&Fault::LinkDup {
+            from: 0,
+            to: 1,
+            prob: 1.0,
+        });
         net.send(0, 1, 42, 1);
         let a = net.pop().expect("first copy");
         let b = net.pop().expect("second copy");
@@ -598,12 +511,23 @@ mod tests {
         let mut net: SimNet<u8> = SimNet::new(2, LatencyModel::Constant(10), 1);
         net.send(0, 1, 1, 1);
         let base = net.pop().unwrap().time;
-        net.set_link_delay(0, 1, 100);
+        net.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 1,
+            extra: 100,
+        });
         net.send(0, 1, 2, 1);
         let delayed = net.pop().unwrap().time;
         assert!(delayed >= base + 100);
-        net.set_link_delay(0, 1, 0);
-        net.set_clock_skew(0, 1000);
+        net.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 1,
+            extra: 0,
+        });
+        net.apply(&Fault::ClockSkew {
+            node: 0,
+            offset: 1000,
+        });
         net.send(0, 1, 3, 1);
         let skewed = net.pop().unwrap().time;
         assert!(skewed >= delayed + 1000);
@@ -612,9 +536,13 @@ mod tests {
     #[test]
     fn pop_due_never_overshoots_the_limit() {
         let mut net: SimNet<u8> = SimNet::new(3, LatencyModel::Constant(5), 1);
-        net.set_link_blocked(0, 1, true);
+        net.apply(&Fault::BlockLink { from: 0, to: 1 });
         net.send(0, 1, 1, 1); // due t=5 but parks when popped
-        net.set_link_delay(0, 2, 200);
+        net.apply(&Fault::LinkDelay {
+            from: 0,
+            to: 2,
+            extra: 200,
+        });
         net.send(0, 2, 2, 1); // due t=205
                               // peek_time is only a lower bound (the t=5 entry will park)
         assert_eq!(net.peek_time(), Some(5));

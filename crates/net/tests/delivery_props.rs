@@ -259,15 +259,18 @@ mod fault_props {
             let side: Vec<usize> = (0..n).filter(|i| side_mask & (1 << i) != 0).collect();
             let mut net: SimNet<u32> = SimNet::new(n, LatencyModel::Constant(3), 1);
             let plan = FaultPlan::new().at(0, Fault::Partition { side: side.clone() });
-            plan.into_schedule().apply_due(&mut net, 0);
+            let mut sched = plan.into_schedule();
+            while let Some(f) = sched.next_due(0) {
+                net.apply(f);
+            }
 
             // symmetry + exactness: blocked iff the endpoints straddle
             let in_side = |p: usize| side.contains(&p);
             for a in 0..n {
                 for b in 0..n {
                     if a == b { continue; }
-                    prop_assert_eq!(net.is_link_blocked(a, b), in_side(a) != in_side(b));
-                    prop_assert_eq!(net.is_link_blocked(a, b), net.is_link_blocked(b, a));
+                    prop_assert_eq!(net.links().blocked(a, b), in_side(a) != in_side(b));
+                    prop_assert_eq!(net.links().blocked(a, b), net.links().blocked(b, a));
                 }
             }
 
@@ -287,11 +290,11 @@ mod fault_props {
             prop_assert_eq!(net.stats().msgs_dropped, 0, "partitions must not lose messages");
 
             // heal: every link reopens and every parked message flows
-            net.heal_all();
+            net.apply(&Fault::HealAll);
             for a in 0..n {
                 for b in 0..n {
                     if a != b {
-                        prop_assert!(!net.is_link_blocked(a, b));
+                        prop_assert!(!net.links().blocked(a, b));
                     }
                 }
             }
@@ -318,7 +321,7 @@ mod fault_props {
             for i in 0..pre {
                 net.send(sender, victim, i as u32, 1);
             }
-            net.crash(victim);
+            net.apply(&Fault::Crash(victim));
             prop_assert_eq!(net.stats().dropped_per_node[victim], pre as u64);
             for i in 0..post {
                 net.send(sender, victim, i as u32, 1);
@@ -327,7 +330,7 @@ mod fault_props {
             prop_assert_eq!(net.stats().msgs_dropped, (pre + post) as u64);
             prop_assert_eq!(net.stats().dropped_per_node[victim], (pre + post) as u64);
 
-            net.recover(victim);
+            net.apply(&Fault::Recover(victim));
             net.send(sender, victim, 99, 1);
             let d = net.pop().expect("post-recovery delivery");
             prop_assert_eq!(d.to, victim);

@@ -85,6 +85,9 @@ impl ChaosSchedule {
     /// runtime condition.
     pub fn build(cfg: &StoreConfig) -> Self {
         let n = cfg.workers.max(1);
+        if let Err(e) = cfg.chaos.check(n) {
+            panic!("{e}");
+        }
         let every = cfg.verify.every_ops;
         assert!(
             cfg.chaos.is_empty() || every > 0,
@@ -102,10 +105,6 @@ impl ChaosSchedule {
         for FaultEvent { at, fault } in cfg.chaos.events() {
             match fault {
                 Fault::Crash(p) | Fault::Recover(p) => {
-                    assert!(
-                        *p < n,
-                        "crash fault names worker {p} outside cluster of {n}"
-                    );
                     assert!(
                         *at % every as u64 == 0,
                         "crash/recover at tick {at} is not an epoch boundary (every_ops {every})"
@@ -290,25 +289,6 @@ impl ChaosSchedule {
     /// Does any chaos dimension apply to this run?
     pub fn is_active(&self) -> bool {
         !self.spans.is_empty() || !self.link_plan.is_empty()
-    }
-
-    /// Can this plan make a fast-path envelope miss a drain (drops,
-    /// blocked links, or crash suppression)? Only then can a drain
-    /// nack arrive, so only then is the epoch repair log worth
-    /// retaining — duplication/latency-only plans keep the fault-free
-    /// hot path.
-    pub fn can_lose(&self) -> bool {
-        !self.spans.is_empty()
-            || self.link_plan.events().iter().any(|e| {
-                matches!(
-                    e.fault,
-                    Fault::LinkDrop { .. }
-                        | Fault::DropAll { .. }
-                        | Fault::Partition { .. }
-                        | Fault::PartitionOneWay { .. }
-                        | Fault::BlockLink { .. }
-                )
-            })
     }
 }
 
@@ -510,6 +490,20 @@ mod tests {
             .at(150, Fault::Crash(1))
             .at(300, Fault::Recover(1));
         ChaosSchedule::build(&cfg(2, 400, 100, plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside cluster")]
+    fn link_fault_naming_an_unknown_worker_is_rejected() {
+        let plan = FaultPlan::new().at(10, Fault::BlockLink { from: 0, to: 7 });
+        ChaosSchedule::build(&cfg(4, 400, 100, plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside cluster")]
+    fn skew_naming_an_unknown_worker_is_rejected() {
+        let plan = FaultPlan::new().at(10, Fault::ClockSkew { node: 9, offset: 1 });
+        ChaosSchedule::build(&cfg(4, 400, 100, plan));
     }
 
     #[test]

@@ -102,7 +102,10 @@ pub(super) struct Worker<'a, T: Adt, E> {
     pub(super) crashed: bool,
     /// Drains started so far (also the transport marker a cut waits for).
     pub(super) quiesce_idx: u64,
-    /// Precomputed `sched.can_lose()` (checked on every flush).
+    /// Can any fault of the plan lose a message ([`Fault::can_lose`])?
+    /// Precomputed: checked on every flush.
+    ///
+    /// [`Fault::can_lose`]: cbm_net::fault::Fault::can_lose
     loss_capable: bool,
     /// Precomputed `InterestMask::solo(me)`: an update whose shard has
     /// this mask has no other replica to reach.
@@ -191,7 +194,7 @@ where
             clock: LamportClock::new(),
             crashed: false,
             quiesce_idx: 0,
-            loss_capable: sched.can_lose(),
+            loss_capable: cfg.chaos.events().iter().any(|e| e.fault.can_lose()),
             solo: InterestMask::solo(me),
             epoch_sent: vec![Vec::new(); n],
             outbox: Vec::new(),

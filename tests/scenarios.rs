@@ -7,7 +7,8 @@
 //!    matching criterion checker (CC for causal flavours, CCv for
 //!    arbitrated ones), plus the scenario's convergence expectation;
 //! 2. **runs are reproducible** — the same `(scenario, seed)` is
-//!    bit-identical across reruns;
+//!    bit-identical across reruns, and every scenario × seeds 0..8
+//!    matches `tests/golden/scenario_fingerprints.txt`;
 //! 3. **the regression corpus replays** — every committed
 //!    `(scenario, seed)` in `tests/regression_corpus.txt` (seeds once
 //!    found failing by the explorer) must pass forever after.
@@ -66,6 +67,35 @@ fn reruns_are_bit_identical() {
             a.fingerprint, b.fingerprint,
             "{} diverged across reruns",
             scenario.name
+        );
+    }
+}
+
+/// Every registry scenario × seeds 0..8 reproduces its committed
+/// fingerprint (`name seed fingerprint` lines). The fixture was
+/// generated before the simulator and the live engine shared one fault
+/// table, so a mismatch means a run changed — a roll order, a release
+/// order — not that the fixture is stale. On failure the produced file
+/// is left in `target/tmp/` for a line diff.
+#[test]
+fn fingerprints_reproduce_the_golden_fixture() {
+    let mut got = String::new();
+    for scenario in registry::scenarios() {
+        for seed in 0..8 {
+            let fp = run_scenario(&scenario, seed).fingerprint;
+            got += &format!("{} {seed} {fp:016x}\n", scenario.name);
+        }
+    }
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scenario_fingerprints.txt");
+    let want = std::fs::read_to_string(&fixture).unwrap_or_default();
+    if got != want {
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("scenario_fingerprints.txt");
+        std::fs::write(&out, &got).expect("write the produced fingerprints");
+        panic!(
+            "scenario fingerprints diverge from {}; produced file: {}",
+            fixture.display(),
+            out.display()
         );
     }
 }
