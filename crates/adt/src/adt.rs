@@ -114,18 +114,6 @@ pub trait AdtExt: Adt {
         }
         q
     }
-
-    /// Fold a sequence of inputs from a given state (in place).
-    fn fold_inputs_from<'a, I>(&self, mut q: Self::State, inputs: I) -> Self::State
-    where
-        Self::Input: 'a,
-        I: IntoIterator<Item = &'a Self::Input>,
-    {
-        for i in inputs {
-            q = self.transition(&q, i);
-        }
-        q
-    }
 }
 
 impl<T: Adt + ?Sized> AdtExt for T {}

@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod adt;
+pub mod arbitration;
 pub mod counter;
 pub mod kv;
 pub mod log;

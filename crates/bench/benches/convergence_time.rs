@@ -86,50 +86,9 @@ fn bench_delivery(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the checkpoint interval of the arbitrated log, under the
-/// adversarial swapped-timestamp arrival. Interval 1 snapshots after
-/// every entry (cheap replays, heavy snapshotting), `usize::MAX`
-/// disables checkpointing (every out-of-order insert replays the whole
-/// log); the default of 32 sits in the elbow.
-fn bench_checkpoint_ablation(c: &mut Criterion) {
-    let msgs = envelopes(true);
-    let mut group = c.benchmark_group("ccv_checkpoint_ablation");
-    group.throughput(Throughput::Elements(N as u64));
-    for interval in [1usize, 8, 32, 128, usize::MAX] {
-        let label = if interval == usize::MAX {
-            "off".to_string()
-        } else {
-            interval.to_string()
-        };
-        group.bench_with_input(BenchmarkId::new("interval", label), &msgs, |b, msgs| {
-            b.iter_batched(
-                || {
-                    let r: ConvergentShared<WindowArray> =
-                        ConvergentShared::with_checkpoint_interval(
-                            0,
-                            2,
-                            WindowArray::new(1, 3),
-                            interval,
-                        );
-                    (r, msgs.clone())
-                },
-                |(mut r, msgs)| {
-                    let mut out: Vec<Outgoing<_>> = Vec::new();
-                    for m in msgs {
-                        r.on_deliver(1, m, &mut out, &mut Vec::new(), &mut Vec::new());
-                    }
-                    r.log_len()
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_delivery, bench_checkpoint_ablation
+    targets = bench_delivery
 }
 criterion_main!(benches);

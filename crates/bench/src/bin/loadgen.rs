@@ -955,6 +955,33 @@ fn append_summary(
         )?;
     }
 
+    // Convergent-mode arbitration (docs/THROUGHPUT.md "What
+    // arbitration costs"): late arrivals and the δ steps their refolds
+    // replayed. Only CCv legs refold; how many depends on interleaving.
+    let refold_rows: Vec<Vec<String>> = reports
+        .iter()
+        .filter_map(|(l, r)| {
+            let refolds = r.metric("objects_refolds_total")?;
+            let steps = r.metric("objects_refold_steps_total")?;
+            (refolds > 0).then(|| {
+                vec![
+                    l.name.clone(),
+                    refolds.to_string(),
+                    steps.to_string(),
+                    format!("{:.1}", steps as f64 / refolds as f64),
+                ]
+            })
+        })
+        .collect();
+    if !refold_rows.is_empty() {
+        append_summary_table(
+            path,
+            "Arbitration refolds (informational, never gated)",
+            &["leg", "refolds", "steps", "steps/refold"],
+            &refold_rows,
+        )?;
+    }
+
     // Epoch log I/O (docs/DURABILITY.md): only --log-dir legs write
     // records. Where the write groups fill depends on delivery order,
     // so the table is informational and nothing gates on it.

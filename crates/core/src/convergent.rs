@@ -22,25 +22,19 @@
 //!
 //! ## Cost
 //!
-//! A remote update with a timestamp older than log entries must *undo*
-//! their effect; this implementation replays from checkpointed
-//! prefixes (every [`CHECKPOINT_EVERY`] entries), trading memory for
-//! replay time. Causal delivery keeps insertions near the tail in
-//! practice, so the expected extra work per delivery is O(1)
-//! checkpoint distance — measured in `cbm-bench`'s `convergence_time`
-//! bench.
+//! A remote update ordered before logged ones must *undo* their effect:
+//! the log (`cbm_adt::arbitration::ArbLog`) replays from its last
+//! checkpoint before the insert, one every 32 entries, so a delivery
+//! costs at most 32 steps plus the entries it is ordered before. The
+//! `ccv_delivery` group of `cbm-bench`'s `convergence_time` bench
+//! measures it.
 
 use crate::replica::{stamped_size, InvokeOutcome, Outgoing, Replica, Stamped};
+use cbm_adt::arbitration::ArbLog;
 use cbm_adt::Adt;
 use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
 use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::NodeId;
-
-/// Default checkpoint interval of the arbitrated log (see
-/// [`ConvergentShared::with_checkpoint_interval`] for the ablation
-/// knob; `cbm-bench`'s `convergence_time` bench measures the
-/// trade-off).
-pub const CHECKPOINT_EVERY: usize = 32;
 
 /// A timestamped update as shipped and logged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,18 +54,11 @@ pub struct ConvergentShared<T: Adt> {
     pub n: usize,
     clock: LamportClock,
     bcast: CausalBroadcast<ArbUpdate<T::Input>>,
-    /// Update log, sorted ascending by timestamp.
-    log: Vec<ArbUpdate<T::Input>>,
-    /// `checkpoints[i]` = state after folding `log[0 .. i*ckpt_every]`.
-    checkpoints: Vec<T::State>,
-    /// Checkpoint interval (ablation knob; default [`CHECKPOINT_EVERY`]).
-    ckpt_every: usize,
-    /// Cached fold of the whole log (invalidated on out-of-tail insert).
+    /// Update log keyed `(timestamp, event)`, relative to the fold of
+    /// every compacted (garbage-collected) update.
+    log: ArbLog<(Timestamp, u64), T>,
+    /// Fold of the compaction base and the whole log (the query state).
     head: T::State,
-    head_len: usize,
-    /// Fold of every compacted (garbage-collected) update; the log is
-    /// relative to this state. Equals `initial()` until compaction runs.
-    base: T::State,
     /// Number of compacted updates (diagnostics).
     compacted: u64,
     /// Highest update timestamp received from each peer (stability
@@ -84,30 +71,6 @@ pub struct ConvergentShared<T: Adt> {
 }
 
 impl<T: Adt> ConvergentShared<T> {
-    /// Build a replica with a custom checkpoint interval: smaller
-    /// intervals make out-of-order inserts cheaper (shorter replays)
-    /// at the price of more state snapshots; `usize::MAX` disables
-    /// checkpointing (full replay on every out-of-order insert).
-    pub fn with_checkpoint_interval(me: NodeId, n: usize, adt: T, ckpt_every: usize) -> Self {
-        let init = adt.initial();
-        ConvergentShared {
-            adt,
-            me,
-            n,
-            clock: LamportClock::new(),
-            bcast: CausalBroadcast::new(me, n),
-            log: Vec::new(),
-            checkpoints: vec![init.clone()],
-            head: init.clone(),
-            head_len: 0,
-            base: init,
-            compacted: 0,
-            peer_time: vec![0; n],
-            compact_chunk: None,
-            ckpt_every: ckpt_every.max(1),
-        }
-    }
-
     /// Enable stability-based log compaction: once at least `chunk`
     /// log entries are *stable* they are folded into a base state and
     /// dropped, bounding memory like the verbatim Fig. 5 object does
@@ -143,67 +106,17 @@ impl<T: Adt> ConvergentShared<T> {
             .min(self.clock.now())
     }
 
-    /// Fold the stable prefix into `base` when large enough.
+    /// Fold the stable prefix into the log's seed when large enough.
     fn maybe_compact(&mut self) {
         let Some(chunk) = self.compact_chunk else {
             return;
         };
         let horizon = self.stability_horizon();
-        let stable = self.log.partition_point(|e| e.ts.time < horizon);
-        if stable < chunk {
-            return;
+        let stable = self.log.keys().take_while(|k| k.0.time < horizon).count();
+        if stable >= chunk {
+            self.log.compact_prefix(&self.adt, stable);
+            self.compacted += stable as u64;
         }
-        for entry in self.log.drain(..stable) {
-            self.base = self.adt.transition(&self.base, &entry.op.input);
-        }
-        self.compacted += stable as u64;
-        // everything cached was relative to the old prefix: rebuild
-        self.checkpoints = vec![self.base.clone()];
-        self.head_len = 0;
-        self.refresh();
-    }
-
-    /// Recompute `head` to cover the full log, using the deepest valid
-    /// checkpoint.
-    fn refresh(&mut self) {
-        if self.head_len == self.log.len() {
-            return;
-        }
-        let ck = (self.head_len.min(self.log.len())) / self.ckpt_every;
-        let ck = ck.min(self.checkpoints.len().saturating_sub(1));
-        let mut state = self.checkpoints[ck].clone();
-        let mut pos = ck * self.ckpt_every;
-        // drop checkpoints beyond the replay start; they may be stale
-        self.checkpoints.truncate(ck + 1);
-        while pos < self.log.len() {
-            state = self.adt.transition(&state, &self.log[pos].op.input);
-            pos += 1;
-            if pos.is_multiple_of(self.ckpt_every) {
-                self.checkpoints.push(state.clone());
-            }
-        }
-        self.head = state;
-        self.head_len = self.log.len();
-    }
-
-    /// Insert an update at its timestamp position; invalidates the head
-    /// fold if the insertion is not at the tail.
-    fn insert(&mut self, up: ArbUpdate<T::Input>) {
-        let pos = self.log.partition_point(|entry| entry.ts < up.ts);
-        if pos == self.log.len() && self.head_len == self.log.len() {
-            // tail append: extend the fold incrementally
-            self.head = self.adt.transition(&self.head, &up.op.input);
-            self.log.push(up);
-            self.head_len = self.log.len();
-            if self.log.len().is_multiple_of(self.ckpt_every) {
-                self.checkpoints.push(self.head.clone());
-            }
-            return;
-        }
-        self.log.insert(pos, up);
-        // replay from the last checkpoint at or before pos
-        self.head_len = pos - pos % self.ckpt_every;
-        self.refresh();
     }
 
     /// Number of updates in the arbitrated log.
@@ -214,12 +127,11 @@ impl<T: Adt> ConvergentShared<T> {
     /// The arbitration sequence (event ids in timestamp order) — the
     /// `≤` witness for `verify_ccv_execution`.
     pub fn arbitration(&self) -> Vec<u64> {
-        self.log.iter().map(|u| u.op.event).collect()
+        self.log.keys().map(|&(_, event)| event).collect()
     }
 
     /// Evaluate a query on the current fold without recording.
-    pub fn peek(&mut self, input: &T::Input) -> T::Output {
-        self.refresh();
+    pub fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.head, input)
     }
 }
@@ -228,7 +140,19 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
     type Msg = CausalMsg<ArbUpdate<T::Input>>;
 
     fn new_replica(me: NodeId, n: usize, adt: T) -> Self {
-        Self::with_checkpoint_interval(me, n, adt, CHECKPOINT_EVERY)
+        let init = adt.initial();
+        ConvergentShared {
+            adt,
+            me,
+            n,
+            clock: LamportClock::new(),
+            bcast: CausalBroadcast::new(me, n),
+            log: ArbLog::new(init.clone()),
+            head: init,
+            compacted: 0,
+            peer_time: vec![0; n],
+            compact_chunk: None,
+        }
     }
 
     fn invoke(
@@ -237,20 +161,19 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
         input: &T::Input,
         out: &mut Vec<Outgoing<Self::Msg>>,
     ) -> InvokeOutcome<T::Output> {
-        self.refresh();
         let output = self.adt.output(&self.head, input);
         if self.adt.is_update(input) {
             let ts = Timestamp::new(self.clock.tick(), self.me);
-            let up = ArbUpdate {
+            // own timestamp is the largest seen locally: tail append
+            self.log
+                .insert(&self.adt, &mut self.head, (ts, event), input.clone());
+            let msg = self.bcast.broadcast(ArbUpdate {
                 ts,
                 op: Stamped {
                     event,
                     input: input.clone(),
                 },
-            };
-            // own timestamp is the largest seen locally: tail append
-            self.insert(up.clone());
-            let msg = self.bcast.broadcast(up);
+            });
             out.push(Outgoing::Broadcast(msg));
         }
         InvokeOutcome::Done(output)
@@ -267,20 +190,16 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
         for m in self.bcast.on_receive(msg) {
             self.clock.observe(m.payload.ts.time);
             self.peer_time[m.sender] = self.peer_time[m.sender].max(m.payload.ts.time);
-            applied.push(m.payload.op.event);
-            self.insert(m.payload);
+            let ArbUpdate { ts, op } = m.payload;
+            applied.push(op.event);
+            self.log
+                .insert(&self.adt, &mut self.head, (ts, op.event), op.input);
         }
         self.maybe_compact();
     }
 
     fn local_state(&self) -> T::State {
-        // full fold from the compaction base (cheap relative to the
-        // cloning a cache refresh would need through a shared reference)
-        let mut s = self.base.clone();
-        for up in &self.log {
-            s = self.adt.transition(&s, &up.op.input);
-        }
-        s
+        self.head.clone()
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
@@ -300,6 +219,7 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbm_adt::arbitration::CHECKPOINT_INTERVAL;
     use cbm_adt::window::{WaInput, WaOutput, WindowArray};
     use cbm_adt::Value;
 
@@ -403,7 +323,7 @@ mod tests {
     #[test]
     fn checkpoints_survive_long_logs() {
         let mut reps = cluster(2);
-        let total = 3 * CHECKPOINT_EVERY + 7;
+        let total = 3 * CHECKPOINT_INTERVAL + 7;
         let mut all_out = Vec::new();
         for i in 0..total {
             let mut o = Vec::new();
@@ -475,8 +395,8 @@ mod compaction_tests {
     /// Drive two replicas through `rounds` of alternating increments
     /// with immediate cross-delivery; return (compacting, plain).
     fn run_pair(rounds: usize, chunk: usize) -> (Rep, Rep) {
-        let mut a: Rep = Rep::with_checkpoint_interval(0, 2, Counter, 8).with_compaction(chunk);
-        let mut b: Rep = Rep::with_checkpoint_interval(1, 2, Counter, 8);
+        let mut a: Rep = Rep::new_replica(0, 2, Counter).with_compaction(chunk);
+        let mut b: Rep = Rep::new_replica(1, 2, Counter);
         for i in 0..rounds as u64 {
             let (src, dst, me) = if i % 2 == 0 {
                 (&mut a, &mut b, 0)
@@ -502,7 +422,7 @@ mod compaction_tests {
 
     #[test]
     fn compaction_preserves_state_and_bounds_memory() {
-        let (mut a, mut b) = run_pair(400, 16);
+        let (a, b) = run_pair(400, 16);
         assert_eq!(a.peek(&CtInput::Read), CtOutput::Val(400));
         assert_eq!(b.peek(&CtInput::Read), CtOutput::Val(400));
         assert_eq!(a.local_state(), b.local_state());
@@ -521,10 +441,8 @@ mod compaction_tests {
     #[test]
     fn silent_peer_blocks_compaction() {
         // three replicas, one never speaks: stability never advances
-        let mut a: ConvergentShared<Counter> =
-            ConvergentShared::with_checkpoint_interval(0, 3, Counter, 8).with_compaction(4);
-        let mut b: ConvergentShared<Counter> =
-            ConvergentShared::with_checkpoint_interval(1, 3, Counter, 8);
+        let mut a: Rep = Rep::new_replica(0, 3, Counter).with_compaction(4);
+        let mut b: Rep = Rep::new_replica(1, 3, Counter);
         for i in 0..50u64 {
             let mut out = Vec::new();
             b.invoke(i, &CtInput::Add(1), &mut out);

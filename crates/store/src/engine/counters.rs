@@ -143,6 +143,13 @@ counter_block! {
         monitor_escalations => "monitor_escalations",
         /// Estimated wall time inside monitor hooks (strided sample).
         monitor_ns => "monitor_ns",
+        /// Convergent-mode updates that arrived behind a later-ordered
+        /// one and refolded their object's log (read off the object
+        /// table at snapshots). Depends on interleaving.
+        refolds => "objects_refolds_total",
+        /// `δ` steps those refolds replayed, from the log's last
+        /// checkpoint before each insert to its end.
+        refold_steps => "objects_refold_steps_total",
         /// Inbound messages dropped unprocessed: whatever reaches a
         /// worker that is down (from its crash cut until its recovery
         /// transfer is in), and — the reason this is published — a

@@ -193,8 +193,8 @@ where
     }
 
     /// The cumulative block as of now: the worker's own counts plus
-    /// what the causal layer, the fault layer and the durable log count
-    /// themselves.
+    /// what the causal layer, the fault layer, the durable log and the
+    /// object table count themselves.
     pub(super) fn counters(&self) -> Counters {
         let f = self.ep.counters();
         let d = self.taps.log_counts();
@@ -208,6 +208,8 @@ where
             durable_write_syscalls: d.write_syscalls,
             durable_syncs: d.syncs,
             faults: f.drops + f.dups + f.parked + f.delayed + f.pruned + f.crash_discarded,
+            refolds: self.table.refolds,
+            refold_steps: self.table.refold_steps,
             ..self.c
         }
     }
