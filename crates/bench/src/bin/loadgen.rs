@@ -44,7 +44,8 @@
 //! composes with `--gate`.
 //!
 //! `--summary` appends a markdown table (one row per leg, with the
-//! `--gate` baseline's deterministic message count alongside) — CI
+//! `--gate` baseline's deterministic message count alongside; its
+//! heading names the frame CRC kernel, `cbm_net::crc::kernel`) — CI
 //! points it at `$GITHUB_STEP_SUMMARY` so regressions are readable
 //! without downloading artifacts. Leg names key the baseline, so gate
 //! against the one generated from the **same matrix**: the committed
@@ -783,8 +784,9 @@ fn append_summary(
     append_summary_table(
         path,
         &format!(
-            "Throughput smoke ({})",
-            if quick { "quick" } else { "full" }
+            "Throughput smoke ({}, frame CRC kernel: {})",
+            if quick { "quick" } else { "full" },
+            cbm_net::crc::kernel()
         ),
         &[
             "leg",

@@ -44,12 +44,13 @@
 //! causal order (full replication is the full-mask case). This is the
 //! stack the live store engine runs on.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod broadcast;
 pub mod chaos;
 pub mod clock;
+pub mod crc;
 pub mod delta;
 pub mod endpoint;
 pub mod fault;

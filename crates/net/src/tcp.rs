@@ -18,8 +18,8 @@
 //! [`Endpoint::send_marker`](crate::endpoint::Endpoint::send_marker)).
 //! `len` is bounded by [`MAX_FRAME`]; a frame claiming more is a
 //! protocol error, not an allocation. The CRC is IEEE 802.3 (the
-//! polynomial every `crc32` tool speaks), so captures are checkable
-//! with standard tooling. The
+//! polynomial every `crc32` tool speaks, computed by [`crate::crc`]),
+//! so captures are checkable with standard tooling. The
 //! framing codec is a pure state machine ([`FrameDecoder`]) fed by
 //! arbitrary byte chunks, so split reads, coalesced writes, and
 //! corruption handling are testable without sockets
@@ -109,6 +109,7 @@
 //! [`send_sized`]: crate::endpoint::Endpoint::send_sized
 //! [`Wire`]: crate::wire::Wire
 
+pub use crate::crc::crc32;
 use crate::inbox::{inbox, Inbox, InboxSender};
 use crate::thread_net::ThreadNetStats;
 use crate::wire::{from_bytes, Wire};
@@ -167,65 +168,6 @@ const DECODER_KEEP: usize = 2 * READ_CHUNK;
 /// under the old path's with margin, and throughput is flat from there
 /// up.
 const OUTBOUND_BOUND: usize = 256 << 10;
-
-/// Slice-by-16 tables: `CRC_TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, so sixteen input bytes fold with
-/// sixteen independent look-ups instead of a sixteen-step chain.
-const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 16] {
-    let mut t = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// IEEE 802.3 CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    const T: &[[u32; 256]; 16] = &CRC_TABLES;
-    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    let mut c = !0u32;
-    let mut blocks = data.chunks_exact(16);
-    for b in &mut blocks {
-        let w = [word(b) ^ c, word(&b[4..]), word(&b[8..]), word(&b[12..])];
-        c = 0;
-        // byte j of the block is followed by 15 - j more block bytes
-        for (i, w) in w.iter().enumerate() {
-            let k = 15 - 4 * i;
-            c ^= T[k][(w & 0xFF) as usize]
-                ^ T[k - 1][(w >> 8 & 0xFF) as usize]
-                ^ T[k - 2][(w >> 16 & 0xFF) as usize]
-                ^ T[k - 3][(w >> 24) as usize];
-        }
-    }
-    for &b in blocks.remainder() {
-        c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// The one framing primitive: append `[len][crc][body]` to `out`,
 /// where `encode` writes the body straight behind the reserved header
@@ -1016,59 +958,6 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
 mod tests {
     use super::*;
     use crate::endpoint::Endpoint as _;
-
-    /// The byte-at-a-time table loop the sliced [`crc32`] replaced:
-    /// the reference every sliced result is checked against.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in data {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // the IEEE check value every crc32 implementation agrees on,
-        // then vectors checked against zlib
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(&[0x00; 32]), 0x190A_55AD);
-        assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
-        let ramp: Vec<u8> = (0..32).collect();
-        assert_eq!(crc32(&ramp), 0x9126_7E8A);
-    }
-
-    #[test]
-    fn sliced_crc_equals_bytewise_at_every_length_and_alignment() {
-        // 0..=67 covers empty, tail-only, one to four whole blocks and
-        // every remainder; the offsets move the blocks across every
-        // alignment of the backing buffer
-        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=67 {
-                let data = &buf[start..start + len];
-                assert_eq!(
-                    crc32(data),
-                    crc32_bytewise(data),
-                    "start {start}, len {len}"
-                );
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn sliced_crc_equals_bytewise_on_random_slices(
-            buf in proptest::collection::vec(0u8..=255u8, 0..2048),
-            a in 0usize..2048,
-            b in 0usize..2048,
-        ) {
-            let (a, b) = (a.min(buf.len()), b.min(buf.len()));
-            let data = &buf[a.min(b)..a.max(b)];
-            proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data));
-        }
-    }
 
     #[test]
     fn frame_into_appends_behind_existing_bytes() {

@@ -30,9 +30,10 @@
 //! (`recycled_buffers_carry_the_next_flush`). Measured before/after
 //! figures are in `docs/THROUGHPUT.md`.
 //!
-//! The allocator wrapper is the workspace's only `unsafe`: library
-//! crates stay `#![forbid(unsafe_code)]`, this test crate alone
-//! implements `GlobalAlloc`, by delegating to [`System`].
+//! The allocator wrapper is the workspace's only `unsafe` outside the
+//! library code: library crates stay `#![forbid(unsafe_code)]` but for
+//! `cbm-net`'s one call into its CRC fold kernel, and this test crate
+//! alone implements `GlobalAlloc`, by delegating to [`System`].
 
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::space::SpaceInput;
