@@ -30,7 +30,7 @@ impl OpKind {
     }
     /// Whether this kind has a state-dependent output.
     #[inline]
-    pub fn is_query(self) -> bool {
+    pub(crate) fn is_query(self) -> bool {
         matches!(self, OpKind::PureQuery | OpKind::UpdateQuery)
     }
 }
@@ -93,8 +93,9 @@ pub trait Adt {
     }
 }
 
-/// Extension helpers on any [`Adt`].
-pub trait AdtExt: Adt {
+/// Extension helpers on any [`Adt`] (test-only).
+#[cfg(test)]
+pub(crate) trait AdtExt: Adt {
     /// Apply one input: returns `(δ(q, i), λ(q, i))`.
     #[inline]
     fn apply(&self, q: &Self::State, i: &Self::Input) -> (Self::State, Self::Output) {
@@ -116,6 +117,7 @@ pub trait AdtExt: Adt {
     }
 }
 
+#[cfg(test)]
 impl<T: Adt + ?Sized> AdtExt for T {}
 
 #[cfg(test)]

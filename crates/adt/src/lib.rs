@@ -49,7 +49,6 @@
 //! | [`Memory`](memory::Memory) | [`memory`] | Def. 10, pool of registers `M_X` |
 //! | [`FifoQueue`](queue::FifoQueue) | [`queue`] | queue `Q` of Figs. 3e/3f (`pop` is update+query) |
 //! | [`HdRhQueue`](queue::HdRhQueue) | [`queue`] | queue `Q'` of Fig. 3g (`hd`/`rh` split) |
-//! | [`Stack`](stack::Stack) | [`stack`] | §2.1 (consensus number 2 example) |
 //! | [`Counter`](counter::Counter) | [`counter`] | commutative-update type mentioned in §1 |
 //! | [`AddRemSet`](set::AddRemSet) | [`set`] | non-commutative set (add/remove/contains) |
 //! | [`AppendLog`](log::AppendLog) | [`log`] | append-only sequence (collaborative-editing substrate) |
@@ -68,7 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adt;
+pub(crate) mod adt;
 pub mod arbitration;
 pub mod counter;
 pub mod kv;
@@ -78,36 +77,22 @@ pub mod queue;
 pub mod register;
 pub mod set;
 pub mod space;
-pub mod stack;
 pub mod window;
 pub mod wire;
-pub mod word;
+pub(crate) mod word;
 
-pub use adt::{Adt, AdtExt, OpKind};
-pub use word::{accepts, longest_accepted_prefix, run_inputs, Sym};
+pub use adt::{Adt, OpKind};
 
-/// Convenience prelude: `use cbm_adt::prelude::*;`.
-pub mod prelude {
-    pub use crate::adt::{Adt, AdtExt, OpKind};
-    pub use crate::counter::{Counter, CtInput, CtOutput};
-    pub use crate::kv::{KvInput, KvOutput, KvStore};
-    pub use crate::log::{AppendLog, LogInput, LogOutput};
-    pub use crate::memory::{MemInput, MemOutput, Memory};
-    pub use crate::queue::{FifoQueue, HdRhQueue, QInput, QOutput, QpInput, QpOutput};
-    pub use crate::register::{RegInput, RegOutput, Register};
-    pub use crate::set::{AddRemSet, SetInput, SetOutput};
-    pub use crate::space::{ObjId, ObjectSpace, SpaceInput};
-    pub use crate::stack::{SkInput, SkOutput, Stack};
-    pub use crate::window::{WInput, WOutput, WaInput, WaOutput, WindowArray, WindowStream};
-    pub use crate::word::{accepts, run_inputs, Sym};
-}
+#[cfg(test)]
+use adt::AdtExt;
+pub use word::{accepts, Sym};
 
 /// The value domain used throughout the library.
 ///
 /// The paper uses ℕ with a default value `0`; we use `u64` and keep the
-/// same convention ([`DEFAULT_VALUE`] is what reads return for
+/// same convention (`DEFAULT_VALUE` is what reads return for
 /// never-written cells / shorter-than-`k` windows).
 pub type Value = u64;
 
 /// The default value returned in place of missing writes (the paper's `0`).
-pub const DEFAULT_VALUE: Value = 0;
+pub(crate) const DEFAULT_VALUE: Value = 0;

@@ -21,15 +21,6 @@ pub enum MemInput {
     Read(usize),
 }
 
-impl MemInput {
-    /// The register this operation addresses.
-    pub fn register(&self) -> usize {
-        match self {
-            MemInput::Write(x, _) | MemInput::Read(x) => *x,
-        }
-    }
-}
-
 /// Output alphabet of `M_X`: `Σo = ℕ ∪ {⊥}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOutput {
@@ -49,11 +40,6 @@ impl Memory {
     /// Memory over the name set `{0, …, registers-1}`.
     pub fn new(registers: usize) -> Self {
         Memory { registers }
-    }
-
-    /// Number of register names `|X|`.
-    pub fn registers(&self) -> usize {
-        self.registers
     }
 
     fn addr(&self, x: usize) -> usize {

@@ -18,7 +18,7 @@
 use crate::adt::{Adt, OpKind};
 
 /// Identifier of an object inside an [`ObjectSpace`].
-pub type ObjId = u32;
+pub(crate) type ObjId = u32;
 
 /// An input addressed to one object of the space.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -57,19 +57,9 @@ impl<T: Adt> ObjectSpace<T> {
         }
     }
 
-    /// Number of objects.
-    pub fn objects(&self) -> usize {
-        self.objects
-    }
-
-    /// The shared base-type instance.
-    pub fn base(&self) -> &T {
-        &self.base
-    }
-
     /// The slot an object id maps to (total for any id).
     #[inline]
-    pub fn slot(&self, obj: ObjId) -> usize {
+    pub(crate) fn slot(&self, obj: ObjId) -> usize {
         obj as usize % self.objects
     }
 }
@@ -174,7 +164,7 @@ mod tests {
     #[test]
     fn zero_objects_clamps_to_one() {
         let space = ObjectSpace::new(Register, 0);
-        assert_eq!(space.objects(), 1);
+        assert_eq!(space.objects, 1);
         assert_eq!(space.initial().len(), 1);
     }
 }

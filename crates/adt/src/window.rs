@@ -49,11 +49,6 @@ impl WindowStream {
     pub fn new(k: usize) -> Self {
         WindowStream { k }
     }
-
-    /// The window size `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
 }
 
 impl Adt for WindowStream {

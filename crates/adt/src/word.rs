@@ -10,7 +10,7 @@
 //! are total — so the finite membership test below is faithful to the
 //! paper's definition via infinite sequences.
 
-use crate::adt::{Adt, AdtExt};
+use crate::adt::Adt;
 
 /// A symbol of `Σ = (Σi × Σo) ∪ Σi`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -19,24 +19,6 @@ pub enum Sym<I, O> {
     Op(I, O),
     /// A hidden operation `σi` (side effect only; output unconstrained).
     Hidden(I),
-}
-
-impl<I, O> Sym<I, O> {
-    /// The input part of the symbol.
-    pub fn input(&self) -> &I {
-        match self {
-            Sym::Op(i, _) | Sym::Hidden(i) => i,
-        }
-    }
-
-    /// Hide the output of this symbol (the paper's projection on events
-    /// outside `E″`).
-    pub fn hide(self) -> Sym<I, O> {
-        match self {
-            Sym::Op(i, _) => Sym::Hidden(i),
-            h => h,
-        }
-    }
 }
 
 /// Does `word ∈ L(T)`? (Definition 2, finite-word membership.)
@@ -48,7 +30,7 @@ pub fn accepts<T: Adt>(adt: &T, word: &[Sym<T::Input, T::Output>]) -> bool {
 ///
 /// Because `L(T)` is prefix-closed this is well defined; `word` is
 /// accepted iff the result equals `word.len()`.
-pub fn longest_accepted_prefix<T: Adt>(adt: &T, word: &[Sym<T::Input, T::Output>]) -> usize {
+fn longest_accepted_prefix<T: Adt>(adt: &T, word: &[Sym<T::Input, T::Output>]) -> usize {
     let mut q = adt.initial();
     for (k, sym) in word.iter().enumerate() {
         match sym {
@@ -69,13 +51,13 @@ pub fn longest_accepted_prefix<T: Adt>(adt: &T, word: &[Sym<T::Input, T::Output>
 /// Run a sequence of raw inputs from `q0`, returning the final state and
 /// the outputs `λ` produced along the way (the unique full word of
 /// `L(T)` with these inputs, by determinism).
-pub fn run_inputs<T: Adt>(adt: &T, inputs: &[T::Input]) -> (T::State, Vec<T::Output>) {
+#[cfg(test)]
+pub(crate) fn run_inputs<T: Adt>(adt: &T, inputs: &[T::Input]) -> (T::State, Vec<T::Output>) {
     let mut q = adt.initial();
     let mut outs = Vec::with_capacity(inputs.len());
     for i in inputs {
-        let (q2, o) = adt.apply(&q, i);
-        outs.push(o);
-        q = q2;
+        outs.push(adt.output(&q, i));
+        q = adt.transition(&q, i);
     }
     (q, outs)
 }

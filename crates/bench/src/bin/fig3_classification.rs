@@ -141,7 +141,7 @@ fn main() {
     println!("note on 3g: as drawn, the history admits the SC interleaving");
     println!("  push(1).push(2).hd/1.hd/1.rh(1).rh(1).hd/2.hd/2.rh(2).rh(2),");
     println!("  so our checker reports SC = yes; the caption's 'not SC' does");
-    println!("  not affect any theorem (details in EXPERIMENTS.md).");
+    println!("  not affect any theorem (the expected row in cbm_check::figures).");
 
     if mismatches.is_empty() {
         println!("\nall paper claims reproduced");

@@ -10,8 +10,9 @@
 //! downloading artifacts.
 //!
 //! Runs a **fixed workload matrix** — every generic criterion over the
-//! recorded window-array histories of `checker_scaling` (3/5/7 ops per
-//! process, seed 7), plus a scenario-sweep leg over the registry — and
+//! recorded window-array histories of
+//! `cbm_bench::recorded_window_history` (3/5/7 ops per process, seed
+//! 7), plus a scenario-sweep leg over the registry — and
 //! writes one JSON document with, per cell: the verdict, the search
 //! nodes used, and best/mean wall time over the measured iterations.
 //!

@@ -123,16 +123,6 @@ impl NodePool {
         Ok(NodePool { nodes })
     }
 
-    /// Number of nodes in the pool.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Is the pool empty?
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Run a batch of legs across the fleet — leg `i` on node
     /// `i % len`, every node working its share in parallel (each node
     /// is one process, so the parallelism is real even from a

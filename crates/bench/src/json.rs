@@ -7,7 +7,7 @@
 //! [`Json::List`] one item per line, while a [`Json::Row`]
 //! (`{"k": v, "k2": w}`) and an [`Json::Arr`] (`[a, b]`) stay on one
 //! line. The committed `BENCH_*.json` baselines are in this layout. A
-//! gate reads them back with [`parse`], and `trace_check` reads the
+//! gate reads them back with `parse`, and `trace_check` reads the
 //! flight-recorder exports with [`parse_prefix`]. Parsing what
 //! [`Json::render`] wrote gives back the same tree, layout included.
 
@@ -117,7 +117,7 @@ impl Json {
     }
 
     /// The items of an array; empty for any other value.
-    pub fn items(&self) -> &[Json] {
+    pub(crate) fn items(&self) -> &[Json] {
         match self {
             Json::Arr(v) | Json::List(v) => v,
             _ => &[],
@@ -199,7 +199,7 @@ fn write_str(out: &mut String, s: &str) {
 
 /// Parse a whole document: `None` unless `text` is exactly one JSON
 /// value (surrounding whitespace allowed).
-pub fn parse(text: &str) -> Option<Json> {
+pub(crate) fn parse(text: &str) -> Option<Json> {
     let (v, rest) = parse_prefix(text)?;
     rest.trim().is_empty().then_some(v)
 }

@@ -1,10 +1,10 @@
-//! # cbm-bench — the harness layer, figure binaries, and benchmarks
+//! # cbm-bench — the harness layer and figure binaries
 //!
 //! The binaries that regenerate every committed artifact (`loadgen`,
 //! `chaos_loadgen`, `perf_baseline`, `trace_check`), the `cbm-node`
-//! fleet worker, the `scenario_runner` CLI, one binary per paper figure
-//! (experiments E1–E5 of DESIGN.md) and Criterion micro-benchmarks
-//! (E9). This library is everything they share, written once:
+//! fleet worker, the `scenario_runner` CLI, and one binary per paper
+//! figure (`fig1_hierarchy` … `fig5_ccv_algorithm`). This library is
+//! everything they share, written once:
 //!
 //! * [`flags`] — the flag parser (exit 2 on every usage error) and the
 //!   eleven workload flags of a single-configuration run;
@@ -313,8 +313,8 @@ pub fn random_histories_adt(cfg: &RandomHistories) -> WindowStream {
 }
 
 /// Record a `WindowArray` history from a two-replica causal cluster —
-/// the fixed checker workload shared by the `checker_scaling` bench
-/// and the `perf_baseline` binary, so both measure the same histories.
+/// the fixed checker workload shared by the `perf_baseline` binary and
+/// the `profile_cc` example, so both measure the same histories.
 pub fn recorded_window_history(
     ops_per_proc: usize,
     seed: u64,

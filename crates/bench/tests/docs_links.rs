@@ -206,3 +206,70 @@ fn every_doc_links_back_to_the_hub() {
         "docs without a link back to docs/ARCHITECTURE.md: {missing:?}"
     );
 }
+
+/// Every `*.md` path a Rust source names — in a doc comment, a code
+/// comment or a printed string — resolves from the repo root or from
+/// `docs/`. Sources cite the docs as often as the docs cite each
+/// other, and a renamed or never-written doc rots there just as
+/// silently.
+#[test]
+fn rust_sources_name_only_existing_docs() {
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for e in entries {
+            let p = e.expect("dir entry").path();
+            if p.is_dir() {
+                rust_files(&p, out);
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                out.push(p);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ directory");
+    for krate in crates {
+        rust_files(&krate.expect("dir entry").path().join("src"), &mut files);
+    }
+    files.sort();
+    assert!(
+        files.len() >= 50,
+        "expected the workspace sources, found {}",
+        files.len()
+    );
+
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut broken = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("read source");
+        for (n, line) in text.lines().enumerate() {
+            for (at, _) in line.match_indices(".md") {
+                let end = at + 3;
+                if line[end..].chars().next().is_some_and(path_char) {
+                    continue;
+                }
+                let start = line[..at]
+                    .rfind(|c: char| !path_char(c))
+                    .map_or(0, |i| i + 1);
+                let name = &line[start..end];
+                if name == ".md" || name.starts_with("*.") {
+                    continue;
+                }
+                if !root.join(name).is_file() && !root.join("docs").join(name).is_file() {
+                    let at = file.strip_prefix(&root).unwrap().display();
+                    broken.push(format!("{at}:{}: {name}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "Rust sources name docs that do not exist:\n{}",
+        broken.join("\n")
+    );
+}

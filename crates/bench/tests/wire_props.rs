@@ -255,7 +255,7 @@ arb_struct! {
     ShardDeltaPayload<I> { shards, lamport }
     ShardConfig { shards, replication, placement_seed, locality }
     VerifyConfig { every_ops, window_ops, sample_every, monitor }
-    ObsConfig { trace, op_sample_every, batch_sample_every, epoch_cap, keep_epochs }
+    ObsConfig { trace, op_sample_every, batch_sample_every, epoch_cap }
     DurableConfig { log_dir, snapshot_every, recover_from_disk, resume, halt_at_boundary }
     StoreConfig {
         workers, objects, ops_per_worker, mode, batch, verify, seed, sharding, chaos, obs,

@@ -52,12 +52,12 @@
 //! always empty, so undo is a word-level `clear`). Branching still
 //! materializes candidate past sets (they are genuinely distinct
 //! values), but no level clones the whole `Vec<BitSet>` row table any
-//! more; kernel queries reuse one [`KernelScratch`], and per-event
+//! more; kernel queries reuse one `KernelScratch`, and per-event
 //! condition verdicts are cached across sibling branches.
 
 use crate::kernel::{is_constrained_read, KernelScratch, LinQuery, Outcome};
 use crate::{label_table, Budget, CheckResult, Verdict};
-use cbm_adt::{Adt, OpKind};
+use cbm_adt::Adt;
 use cbm_history::{BitSet, History, MixHasher, Relation, U64Set};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -414,11 +414,6 @@ fn state_hash(placed: &BitSet, pasts: &[BitSet]) -> u64 {
     h.finish()
 }
 
-/// Convenience: does `kind` denote an update? (Re-exported for tests.)
-pub fn kind_is_update(k: OpKind) -> bool {
-    k.is_update()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,11 +569,5 @@ mod tests {
         let h = fig3a();
         let res = check_wcc(&adt, &h, &Budget::nodes(0));
         assert_eq!(res.verdict, Verdict::Unknown);
-    }
-
-    #[test]
-    fn kind_is_update_helper() {
-        assert!(kind_is_update(OpKind::PureUpdate));
-        assert!(!kind_is_update(OpKind::PureQuery));
     }
 }

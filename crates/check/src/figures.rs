@@ -119,15 +119,15 @@ pub fn fig3g() -> QpH {
 }
 
 /// Register names for the memory figures: a..e ↦ 0..4.
-pub const REG_A: usize = 0;
+pub(crate) const REG_A: usize = 0;
 /// Register `b`.
-pub const REG_B: usize = 1;
+pub(crate) const REG_B: usize = 1;
 /// Register `c`.
-pub const REG_C: usize = 2;
+pub(crate) const REG_C: usize = 2;
 /// Register `d`.
-pub const REG_D: usize = 3;
+pub(crate) const REG_D: usize = 3;
 /// Register `e`.
-pub const REG_E: usize = 4;
+pub(crate) const REG_E: usize = 4;
 
 /// Fig. 3h (`M[a-e]`: CCv but not CC):
 /// p0: `wa(1), wc(2), wd(1), rb/0, re/1, rc/3`;
@@ -277,8 +277,9 @@ pub const EXPECTED: [Expected; 9] = [
         cm: None,
     },
     // 3g: the caption says "CC, not SC", but the history as drawn *is*
-    // sequentially consistent (a valid interleaving exists; see
-    // EXPERIMENTS.md) — we claim only CC and measure the rest.
+    // sequentially consistent (a valid interleaving exists; the
+    // `fig3_classification` binary prints it) — we claim only CC and
+    // measure the rest.
     Expected {
         tag: "3g",
         sc: None,

@@ -50,13 +50,6 @@ pub enum Outcome {
     Unknown,
 }
 
-impl Outcome {
-    /// Is this a [`Outcome::Sat`]?
-    pub fn is_sat(&self) -> bool {
-        matches!(self, Outcome::Sat(_))
-    }
-}
-
 /// Access to per-event strict-predecessor sets (transitively closed).
 ///
 /// Implemented by `Relation` references and by the causal-search's
@@ -110,47 +103,11 @@ impl<'a, T: Adt, P: Pasts + ?Sized> LinQuery<'a, T, P> {
         eff
     }
 
-    /// Run the search. `nodes` is decremented per explored node; on
-    /// reaching zero the query gives up with [`Outcome::Unknown`].
-    pub fn run(&self, nodes: &mut u64) -> Outcome {
-        let mut scratch = KernelScratch::default();
-        self.run_with(&mut scratch, nodes)
-    }
-
-    /// [`LinQuery::run`] with caller-owned scratch buffers. Callers
-    /// issuing many queries over the same arena (the causal searchers)
-    /// reuse one [`KernelScratch`] so per-query setup stops touching
-    /// the allocator after the first call.
-    pub fn run_with(&self, scratch: &mut KernelScratch, nodes: &mut u64) -> Outcome {
-        let eff = self.effective_set();
-        let mut search = Dfs::new(self, eff, scratch);
-        let state = self.adt.initial();
-        match search.dfs(&state, nodes) {
-            DfsResult::Found => Outcome::Sat(search.s.seq.clone()),
-            DfsResult::Exhausted => Outcome::Unsat,
-            DfsResult::OutOfBudget => Outcome::Unknown,
-        }
-    }
-
-    /// Decide satisfiability without materializing the witness
-    /// sequence — the checkers that only need yes/no (PC, the causal
-    /// searchers' per-event conditions) use this to skip the final
-    /// `Vec` clone of [`LinQuery::run_with`].
-    pub fn decide_with(&self, scratch: &mut KernelScratch, nodes: &mut u64) -> Outcome {
-        let eff = self.effective_set();
-        let mut search = Dfs::new(self, eff, scratch);
-        let state = self.adt.initial();
-        match search.dfs(&state, nodes) {
-            DfsResult::Found => Outcome::Sat(Vec::new()),
-            DfsResult::Exhausted => Outcome::Unsat,
-            DfsResult::OutOfBudget => Outcome::Unknown,
-        }
-    }
-
-    /// Deterministic replay variant used by the CCv checker: linearize
-    /// `include` in exactly the order given by `sequence` (filtered to
-    /// `include`), checking visible outputs. Much cheaper than `run`.
-    pub fn replay(&self, sequence: &[usize]) -> bool {
+    /// Deterministic replay: linearize `include` in exactly the order
+    /// given by `sequence` (filtered to `include`), checking visible
+    /// outputs. Much cheaper than `run`.
+    #[cfg(test)]
+    pub(crate) fn replay(&self, sequence: &[usize]) -> bool {
         let mut state = self.adt.initial();
         let mut applied = 0usize;
         for &e in sequence {
@@ -170,6 +127,43 @@ impl<'a, T: Adt, P: Pasts + ?Sized> LinQuery<'a, T, P> {
         }
         applied == self.include.count()
     }
+
+    /// Run the search. `nodes` is decremented per explored node; on
+    /// reaching zero the query gives up with [`Outcome::Unknown`].
+    pub fn run(&self, nodes: &mut u64) -> Outcome {
+        let mut scratch = KernelScratch::default();
+        self.run_with(&mut scratch, nodes)
+    }
+
+    /// [`LinQuery::run`] with caller-owned scratch buffers. Callers
+    /// issuing many queries over the same arena (the causal searchers)
+    /// reuse one [`KernelScratch`] so per-query setup stops touching
+    /// the allocator after the first call.
+    pub(crate) fn run_with(&self, scratch: &mut KernelScratch, nodes: &mut u64) -> Outcome {
+        let eff = self.effective_set();
+        let mut search = Dfs::new(self, eff, scratch);
+        let state = self.adt.initial();
+        match search.dfs(&state, nodes) {
+            DfsResult::Found => Outcome::Sat(search.s.seq.clone()),
+            DfsResult::Exhausted => Outcome::Unsat,
+            DfsResult::OutOfBudget => Outcome::Unknown,
+        }
+    }
+
+    /// Decide satisfiability without materializing the witness
+    /// sequence — the checkers that only need yes/no (PC, the causal
+    /// searchers' per-event conditions) use this to skip the final
+    /// `Vec` clone of [`LinQuery::run_with`].
+    pub(crate) fn decide_with(&self, scratch: &mut KernelScratch, nodes: &mut u64) -> Outcome {
+        let eff = self.effective_set();
+        let mut search = Dfs::new(self, eff, scratch);
+        let state = self.adt.initial();
+        match search.dfs(&state, nodes) {
+            DfsResult::Found => Outcome::Sat(Vec::new()),
+            DfsResult::Exhausted => Outcome::Unsat,
+            DfsResult::OutOfBudget => Outcome::Unknown,
+        }
+    }
 }
 
 enum DfsResult {
@@ -188,7 +182,7 @@ const ZOBRIST_SEED: u64 = 0xC0FF_EE00_5EED_0001;
 /// queries keeps the per-query setup allocation-free once the buffers
 /// have grown to the arena size.
 #[derive(Default)]
-pub struct KernelScratch {
+pub(crate) struct KernelScratch {
     done: BitSet,
     ready: BitSet,
     /// CSR of retained successor lists: for retained `p`,
@@ -466,9 +460,10 @@ mod tests {
         let include = BitSet::full(2);
         let visible = BitSet::full(2);
         let mut nodes = 10_000;
-        assert!(query(&adt, &labels, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
     }
 
     #[test]
@@ -484,9 +479,10 @@ mod tests {
             v
         };
         let mut nodes = 10_000;
-        assert!(query(&adt, &labels, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
     }
 
     #[test]
@@ -499,9 +495,10 @@ mod tests {
 
         let labels_ok = vec![w(1), w(2), r(&[2, 1])];
         let mut nodes = 10_000;
-        assert!(query(&adt, &labels_ok, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels_ok, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
 
         let labels_bad = vec![w(1), w(2), r(&[1, 2])];
         let mut nodes = 10_000;
@@ -522,9 +519,10 @@ mod tests {
         include.insert(3);
         let visible = BitSet::full(4);
         let mut nodes = 10_000;
-        assert!(query(&adt, &labels, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
     }
 
     #[test]
@@ -566,9 +564,10 @@ mod tests {
         let include = BitSet::full(11);
         let visible = BitSet::full(11);
         let mut nodes = 100_000;
-        assert!(query(&adt, &labels, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
     }
 
     #[test]
@@ -579,8 +578,9 @@ mod tests {
         let include = BitSet::full(3);
         let visible = BitSet::full(3);
         let mut nodes = 10_000;
-        assert!(query(&adt, &labels, &rel, &include, &visible)
-            .run(&mut nodes)
-            .is_sat());
+        assert!(matches!(
+            query(&adt, &labels, &rel, &include, &visible).run(&mut nodes),
+            Outcome::Sat(_)
+        ));
     }
 }

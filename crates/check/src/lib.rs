@@ -65,8 +65,6 @@ pub mod sc;
 pub mod session;
 pub mod verify;
 
-pub use kernel::Outcome;
-
 use cbm_adt::Adt;
 use cbm_history::{History, Relation};
 
@@ -90,7 +88,7 @@ impl Default for Budget {
 
 impl Budget {
     /// A budget with the given node count and the default chain cap.
-    pub fn nodes(max_nodes: u64) -> Self {
+    pub(crate) fn nodes(max_nodes: u64) -> Self {
         Budget {
             max_nodes,
             ..Default::default()
@@ -184,6 +182,19 @@ impl Criterion {
         Criterion::Pc,
     ];
 
+    /// The criteria directly implied by `self` according to Fig. 1
+    /// (transitively reduced): an implementation satisfying `self`
+    /// satisfies each of these.
+    #[cfg(test)]
+    pub(crate) fn implies(self) -> &'static [Criterion] {
+        match self {
+            Criterion::Sc => &[Criterion::Cc, Criterion::Ccv],
+            Criterion::Cc => &[Criterion::Pc, Criterion::Wcc],
+            Criterion::Ccv => &[Criterion::Wcc],
+            Criterion::Wcc | Criterion::Pc => &[],
+        }
+    }
+
     /// Short display name matching the paper's abbreviations.
     pub fn name(self) -> &'static str {
         match self {
@@ -192,18 +203,6 @@ impl Criterion {
             Criterion::Wcc => "WCC",
             Criterion::Cc => "CC",
             Criterion::Ccv => "CCv",
-        }
-    }
-
-    /// The criteria directly implied by `self` according to Fig. 1
-    /// (transitively reduced): an implementation satisfying `self`
-    /// satisfies each of these.
-    pub fn implies(self) -> &'static [Criterion] {
-        match self {
-            Criterion::Sc => &[Criterion::Cc, Criterion::Ccv],
-            Criterion::Cc => &[Criterion::Pc, Criterion::Wcc],
-            Criterion::Ccv => &[Criterion::Wcc],
-            Criterion::Wcc | Criterion::Pc => &[],
         }
     }
 }

@@ -50,7 +50,7 @@
 //!    explainable" from a genuine criterion violation.
 //!
 //! The kernel replays from the window's seed snapshot via the
-//! [`Seeded`] adapter rather than from `T::initial()`.
+//! `Seeded` adapter rather than from `T::initial()`.
 //!
 //! ## Determinism
 //!
@@ -151,18 +151,6 @@ impl BadPattern {
             BadPattern::WriteHbInitRead { .. } => 4,
             BadPattern::CyclicCf { .. } => 5,
             BadPattern::CyclicCo { .. } => 6,
-        }
-    }
-
-    /// The implicated object, when the pattern is object-granular.
-    pub fn obj(self) -> Option<u32> {
-        match self {
-            BadPattern::ThinAirRead { obj }
-            | BadPattern::WriteCoInitRead { obj }
-            | BadPattern::WriteCoRead { obj }
-            | BadPattern::WriteHbInitRead { obj }
-            | BadPattern::CyclicCf { obj } => Some(obj),
-            BadPattern::CyclicCo { .. } => None,
         }
     }
 }
@@ -351,14 +339,14 @@ pub enum Discipline {
 /// of `q0` — how escalation windows (and any other mid-run slice cut
 /// at a known state) feed the DFS kernel.
 #[derive(Debug, Clone)]
-pub struct Seeded<'a, T: Adt> {
+pub(crate) struct Seeded<'a, T: Adt> {
     adt: &'a T,
     initial: T::State,
 }
 
 impl<'a, T: Adt> Seeded<'a, T> {
     /// Wrap `adt` so that `initial()` returns `initial`.
-    pub fn new(adt: &'a T, initial: T::State) -> Self {
+    pub(crate) fn new(adt: &'a T, initial: T::State) -> Self {
         Seeded { adt, initial }
     }
 }
@@ -416,9 +404,9 @@ pub struct Monitor<T: Adt> {
 /// Default CC ring cap: an object retains between this many and one
 /// less than twice this many events (appends are batched into the
 /// seed `cap` at a time to stay off the fold's critical path).
-pub const DEFAULT_RING_CAP: usize = 12;
+pub(crate) const DEFAULT_RING_CAP: usize = 12;
 /// Default bound on escalation windows handed to the DFS kernel.
-pub const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
+pub(crate) const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
 
 impl<T: Adt + Clone> Monitor<T> {
     /// A monitor over `objects` object slots and `origins` replicas,
@@ -851,11 +839,6 @@ impl<T: Adt + Clone> Monitor<T> {
     pub fn seed_stats(&mut self, s: MonitorStats) {
         self.stats += s;
     }
-
-    /// Per-origin applied-update counts (the co/hb frontier).
-    pub fn frontier(&self) -> &[u64] {
-        &self.delivered
-    }
 }
 
 /// `$name::new` builds a [`Monitor`] of one fixed discipline; every
@@ -932,7 +915,6 @@ mod tests {
         assert_eq!(s.ops_checked, 3, "reads + the write invocation");
         assert_eq!(s.folds, 1);
         assert_eq!(s.escalations, 0);
-        assert_eq!(m.frontier(), &[0, 1]);
     }
 
     #[test]
@@ -1136,8 +1118,6 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), all.len(), "codes must be distinct");
-        assert_eq!(BadPattern::WriteCoRead { obj: 3 }.obj(), Some(3));
-        assert_eq!(BadPattern::CyclicCo { origin: 1 }.obj(), None);
         assert_eq!(BadPattern::CyclicCf { obj: 0 }.name(), "cyclic_cf");
     }
 }

@@ -36,7 +36,7 @@ pub fn check_linearizable<T: Adt>(
 }
 
 /// Shared implementation: SC with an optional extra order to respect.
-pub fn check_sc_constrained<T: Adt>(
+pub(crate) fn check_sc_constrained<T: Adt>(
     adt: &T,
     h: &History<T::Input, T::Output>,
     extra: Option<&Relation>,

@@ -3,7 +3,7 @@
 //! Implements the subset of the `proptest` API this workspace uses —
 //! the `proptest!` / `prop_assert*` macros, `Strategy` with
 //! `prop_map`, range and tuple strategies, `prop::collection::vec`,
-//! `prop_oneof!` / `Just`, `sample::subsequence`, and a deterministic
+//! `prop_oneof!` / `Just`, and a deterministic
 //! `TestRunner` — with seeded random generation and **no shrinking**.
 //! Failing cases report the generated values instead of a minimized
 //! counterexample.
@@ -97,51 +97,6 @@ pub mod bool {
     }
 }
 
-/// Sampling strategies (`proptest::sample::subsequence`).
-pub mod sample {
-    use crate::strategy::Strategy;
-    use crate::test_runner::TestRunner;
-    use rand::Rng;
-
-    /// Strategy choosing an order-preserving subsequence.
-    #[derive(Debug, Clone)]
-    pub struct Subsequence<T> {
-        items: Vec<T>,
-        size: usize,
-    }
-
-    /// A uniformly chosen subsequence of exactly `size` elements of
-    /// `items`, in their original order.
-    pub fn subsequence<T: Clone>(items: Vec<T>, size: usize) -> Subsequence<T> {
-        assert!(size <= items.len(), "subsequence larger than source");
-        Subsequence { items, size }
-    }
-
-    impl<T: Clone + core::fmt::Debug> Strategy for Subsequence<T> {
-        type Value = Vec<T>;
-
-        fn generate(&self, runner: &mut TestRunner) -> Self::Value {
-            // Floyd-style selection of `size` distinct indices.
-            let n = self.items.len();
-            let mut chosen = vec![false; n];
-            let mut picked = 0usize;
-            while picked < self.size {
-                let i = runner.rng().gen_range(0..n);
-                if !chosen[i] {
-                    chosen[i] = true;
-                    picked += 1;
-                }
-            }
-            self.items
-                .iter()
-                .zip(&chosen)
-                .filter(|(_, &c)| c)
-                .map(|(v, _)| v.clone())
-                .collect()
-        }
-    }
-}
-
 /// Everything a test module usually imports.
 pub mod prelude {
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
@@ -154,7 +109,6 @@ pub mod prelude {
     pub mod prop {
         pub use crate::bool;
         pub use crate::collection;
-        pub use crate::sample;
         pub use crate::strategy;
     }
 }
@@ -317,14 +271,6 @@ mod tests {
         fn config_header_accepted(x in 0u8..2) {
             prop_assert!(x < 2);
         }
-    }
-
-    #[test]
-    fn subsequence_of_full_length_is_identity() {
-        use crate::strategy::Strategy;
-        let mut runner = TestRunner::deterministic();
-        let s = crate::sample::subsequence((0..9usize).collect::<Vec<_>>(), 9);
-        assert_eq!(s.generate(&mut runner), (0..9).collect::<Vec<_>>());
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub struct CausalShared<T: Adt> {
     adt: T,
     state: T::State,
     bcast: CausalBroadcast<Stamped<T::Input>>,
-    n: usize,
 }
 
 impl<T: Adt> Replica<T> for CausalShared<T> {
@@ -51,7 +50,6 @@ impl<T: Adt> Replica<T> for CausalShared<T> {
             adt,
             state,
             bcast: CausalBroadcast::new(me, n),
-            n,
         }
     }
 
@@ -104,18 +102,15 @@ impl<T: Adt> Replica<T> for CausalShared<T> {
 
 impl<T: Adt> CausalShared<T> {
     /// Messages buffered awaiting causal delivery.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
         self.bcast.buffered()
-    }
-
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.n
     }
 
     /// Evaluate an arbitrary query on the local state without recording
     /// an event (monitoring hooks).
-    pub fn peek(&self, input: &T::Input) -> T::Output {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.state, input)
     }
 }

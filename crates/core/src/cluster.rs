@@ -59,13 +59,8 @@ impl<I> Script<I> {
     }
 
     /// Number of processes.
-    pub fn n_procs(&self) -> usize {
+    pub(crate) fn n_procs(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Total scripted operations.
-    pub fn total_ops(&self) -> usize {
-        self.ops.iter().map(|v| v.len()).sum()
     }
 }
 
@@ -100,11 +95,6 @@ impl RunStats {
         } else {
             self.op_latencies.iter().sum::<u64>() as f64 / self.op_latencies.len() as f64
         }
-    }
-
-    /// Maximum completion latency.
-    pub fn max_latency(&self) -> u64 {
-        self.op_latencies.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -165,7 +155,6 @@ impl<T: Adt> RunResult<T> {
 
 /// The simulation driver (see module docs).
 pub struct Cluster<T: Adt, R: Replica<T>> {
-    adt: T,
     net: SimNet<R::Msg>,
     replicas: Vec<R>,
 }
@@ -197,15 +186,9 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
             .map(|me| R::new_replica(me, n, adt.clone()))
             .collect();
         Cluster {
-            adt,
             net: SimNet::new(n, latency, seed),
             replicas,
         }
-    }
-
-    /// Direct read-only access to a replica.
-    pub fn replica(&self, p: NodeId) -> &R {
-        &self.replicas[p]
     }
 
     /// Run a script to completion (all ops done or crashed, network
@@ -477,11 +460,6 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
             }
         }
     }
-
-    /// The ADT this cluster replicates.
-    pub fn adt(&self) -> &T {
-        &self.adt
-    }
 }
 
 #[cfg(test)]
@@ -555,7 +533,7 @@ mod tests {
         let res = c.run(write_read_script(3, 2));
         assert_eq!(res.stats.incomplete_ops, 0);
         // non-sequencer ops take ≥ 2 hops of 10 ticks
-        let max = res.stats.max_latency();
+        let max = res.stats.op_latencies.iter().copied().max().unwrap_or(0);
         assert!(max >= 20, "expected blocking latency, got {max}");
         // all replicas end identical (it is an RSM)
         assert!(res.stats.converged);
@@ -706,10 +684,8 @@ mod result_tests {
     fn run_stats_latency_helpers() {
         let mut stats = RunStats::default();
         assert_eq!(stats.mean_latency(), 0.0);
-        assert_eq!(stats.max_latency(), 0);
         stats.op_latencies = vec![2, 4, 6];
         assert_eq!(stats.mean_latency(), 4.0);
-        assert_eq!(stats.max_latency(), 6);
     }
 
     #[test]
@@ -722,7 +698,6 @@ mod result_tests {
             vec![],
         ]);
         assert_eq!(s.n_procs(), 2);
-        assert_eq!(s.total_ops(), 1);
     }
 
     #[test]

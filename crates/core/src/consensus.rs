@@ -28,7 +28,7 @@ use cbm_net::latency::LatencyModel;
 /// Decisions of a consensus run: `decisions[p]` is what process `p`
 /// decided, or `None` if it saw no proposal (cannot happen after its
 /// own write).
-pub type Decisions = Vec<Option<Value>>;
+pub(crate) type Decisions = Vec<Option<Value>>;
 
 fn consensus_script(proposals: &[Value]) -> Script<WaInput> {
     let ops = proposals

@@ -26,7 +26,8 @@
 //! the log (`cbm_adt::arbitration::ArbLog`) replays from its last
 //! checkpoint before the insert, one every 32 entries, so a delivery
 //! costs at most 32 steps plus the entries it is ordered before. The
-//! `ccv_delivery` group of `cbm-bench`'s `convergence_time` bench
+//! live store shares the log, so the benchmark's
+//! `store.objects.apply_ccv_ns` layer (workload `convergent_hot`)
 //! measures it.
 
 use crate::replica::{stamped_size, InvokeOutcome, Outgoing, Replica, Stamped};
@@ -85,13 +86,15 @@ impl<T: Adt> ConvergentShared<T> {
     /// Note: compaction truncates [`ConvergentShared::arbitration`] to
     /// the retained suffix, so enable it only when the run's CCv
     /// witness is not needed.
-    pub fn with_compaction(mut self, chunk: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_compaction(mut self, chunk: usize) -> Self {
         self.compact_chunk = Some(chunk.max(1));
         self
     }
 
     /// Updates folded away by compaction so far.
-    pub fn compacted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn compacted(&self) -> u64 {
         self.compacted
     }
 
@@ -120,18 +123,20 @@ impl<T: Adt> ConvergentShared<T> {
     }
 
     /// Number of updates in the arbitrated log.
-    pub fn log_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn log_len(&self) -> usize {
         self.log.len()
     }
 
     /// The arbitration sequence (event ids in timestamp order) — the
     /// `≤` witness for `verify_ccv_execution`.
-    pub fn arbitration(&self) -> Vec<u64> {
+    pub(crate) fn arbitration(&self) -> Vec<u64> {
         self.log.keys().map(|&(_, event)| event).collect()
     }
 
     /// Evaluate a query on the current fold without recording.
-    pub fn peek(&self, input: &T::Input) -> T::Output {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.head, input)
     }
 }

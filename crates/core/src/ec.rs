@@ -54,18 +54,14 @@ impl<T: Adt> EcShared<T> {
         }
     }
 
-    /// Number of updates merged.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
     /// The arbitration sequence (event ids in timestamp order).
-    pub fn arbitration(&self) -> Vec<u64> {
+    pub(crate) fn arbitration(&self) -> Vec<u64> {
         self.log.iter().map(|u| u.op.event).collect()
     }
 
     /// Evaluate a query on the current fold without recording.
-    pub fn peek(&mut self, input: &T::Input) -> T::Output {
+    #[cfg(test)]
+    pub(crate) fn peek(&mut self, input: &T::Input) -> T::Output {
         self.rebuild();
         self.adt.output(&self.state, input)
     }

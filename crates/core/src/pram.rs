@@ -80,7 +80,8 @@ impl<T: Adt> Replica<T> for PramShared<T> {
 
 impl<T: Adt> PramShared<T> {
     /// Evaluate a query locally without recording.
-    pub fn peek(&self, input: &T::Input) -> T::Output {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.state, input)
     }
 }

@@ -41,23 +41,6 @@ pub enum InvokeOutcome<O> {
     Pending(u64),
 }
 
-impl<O> InvokeOutcome<O> {
-    /// Extract the output of a completed invocation.
-    pub fn unwrap_done(self) -> O {
-        match self {
-            InvokeOutcome::Done(o) => o,
-            InvokeOutcome::Pending(id) => {
-                panic!("operation {id} is pending; flavour is not wait-free")
-            }
-        }
-    }
-
-    /// Did the invocation complete locally?
-    pub fn is_done(&self) -> bool {
-        matches!(self, InvokeOutcome::Done(_))
-    }
-}
-
 /// A replica of a shared object of type `T`.
 pub trait Replica<T: Adt> {
     /// Network message type of this flavour.
@@ -116,28 +99,13 @@ pub trait Replica<T: Adt> {
 
 /// Rough serialized size of a stamped input (metrics only: 8-byte event
 /// id + caller-estimated input size).
-pub fn stamped_size(input_size: usize) -> usize {
+pub(crate) fn stamped_size(input_size: usize) -> usize {
     8 + input_size
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unwrap_done_returns_output() {
-        let o: InvokeOutcome<u32> = InvokeOutcome::Done(7);
-        assert!(o.is_done());
-        assert_eq!(o.unwrap_done(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "pending")]
-    fn unwrap_done_panics_on_pending() {
-        let o: InvokeOutcome<u32> = InvokeOutcome::Pending(3);
-        assert!(!o.is_done());
-        let _ = o.unwrap_done();
-    }
 
     #[test]
     fn stamped_size_adds_event_id() {

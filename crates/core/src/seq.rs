@@ -11,10 +11,9 @@
 //! The point of this baseline is its **cost**: invocations block for at
 //! least a round trip to the sequencer, so operation latency grows with
 //! network delay — the behaviour that §1 contrasts with the wait-free
-//! causal implementations, quantified by `cbm-bench`'s
-//! `latency_vs_delay` bench (experiment E9 in DESIGN.md). It is also
-//! not fault-tolerant: a sequencer crash blocks the object, the CAP
-//! trade-off in miniature.
+//! causal implementations (the cluster test `seq_cluster_ops_pay_latency`
+//! pins it). It is also not fault-tolerant: a sequencer crash blocks
+//! the object, the CAP trade-off in miniature.
 
 use crate::replica::{InvokeOutcome, Outgoing, Replica, Stamped};
 use cbm_adt::Adt;
@@ -134,7 +133,8 @@ impl<T: Adt> SeqShared<T> {
 
     /// Evaluate a query locally without ordering it (debug only; this
     /// would *not* be sequentially consistent as a public operation).
-    pub fn peek(&self, input: &T::Input) -> T::Output {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.state, input)
     }
 }

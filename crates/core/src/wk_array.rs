@@ -33,28 +33,26 @@ pub struct WkArrayCc {
     /// `str_i` — the local state (line 2).
     streams: Vec<Vec<Value>>,
     bcast: CausalBroadcast<(u64 /*event*/, u32 /*x*/, Value)>,
-    n: usize,
 }
 
 impl WkArrayCc {
     /// Direct constructor mirroring `object CC(W_k^K)`.
-    pub fn new(me: NodeId, n: usize, streams: usize, k: usize) -> Self {
+    pub(crate) fn new(me: NodeId, n: usize, streams: usize, k: usize) -> Self {
         WkArrayCc {
             k,
             streams: vec![vec![0; k]; streams],
             bcast: CausalBroadcast::new(me, n),
-            n,
         }
     }
 
     /// `read(x)` (lines 3–5): return the local stream state.
-    pub fn read(&self, x: usize) -> Vec<Value> {
+    pub(crate) fn read(&self, x: usize) -> Vec<Value> {
         self.streams[x].clone()
     }
 
     /// `write(x, v)` (lines 6–8): causally broadcast `Mess(x, v)`;
     /// immediate local reception applies it at once (§6.1, property 3).
-    pub fn write(&mut self, event: u64, x: usize, v: Value) -> CausalMsg<(u64, u32, Value)> {
+    pub(crate) fn write(&mut self, event: u64, x: usize, v: Value) -> CausalMsg<(u64, u32, Value)> {
         self.apply(x, v);
         self.bcast.broadcast((event, x as u32, v))
     }
@@ -71,7 +69,7 @@ impl WkArrayCc {
     }
 
     /// Receive a remote envelope; returns applied event ids in order.
-    pub fn receive(&mut self, msg: CausalMsg<(u64, u32, Value)>) -> Vec<u64> {
+    pub(crate) fn receive(&mut self, msg: CausalMsg<(u64, u32, Value)>) -> Vec<u64> {
         let mut applied = Vec::new();
         for m in self.bcast.on_receive(msg) {
             let (event, x, v) = m.payload;
@@ -135,17 +133,10 @@ impl Replica<WindowArray> for WkArrayCc {
     }
 }
 
-impl WkArrayCc {
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.n
-    }
-}
-
 /// One cell of Fig. 5's state: a value with its timestamp
 /// (`str_i ∈ N^{K×k×(1+2)}`, line 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// The value.
     pub v: Value,
     /// The arbitration timestamp `(vt, j)`.
@@ -154,7 +145,7 @@ pub struct Cell {
 
 impl Cell {
     /// The initial cell `[0, (0, 0)]`.
-    pub const INIT: Cell = Cell {
+    pub(crate) const INIT: Cell = Cell {
         v: 0,
         ts: Timestamp::ZERO,
     };
@@ -177,7 +168,7 @@ pub struct WkArrayCcv {
 
 impl WkArrayCcv {
     /// Direct constructor mirroring `object CCv(W_k^K)`.
-    pub fn new(me: NodeId, n: usize, streams: usize, k: usize) -> Self {
+    pub(crate) fn new(me: NodeId, n: usize, streams: usize, k: usize) -> Self {
         WkArrayCcv {
             me,
             k,
@@ -189,13 +180,13 @@ impl WkArrayCcv {
     }
 
     /// `read(x)` (lines 4–6): strip the timestamps.
-    pub fn read(&self, x: usize) -> Vec<Value> {
+    pub(crate) fn read(&self, x: usize) -> Vec<Value> {
         self.streams[x].iter().map(|c| c.v).collect()
     }
 
     /// `write(x, v)` (lines 7–9): broadcast `Mess(x, v, vtime+1, i)`;
     /// the local copy is applied by the immediate self-reception.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         event: u64,
         x: usize,
@@ -239,7 +230,7 @@ impl WkArrayCcv {
     }
 
     /// Receive a remote envelope; returns applied event ids.
-    pub fn receive(&mut self, msg: CausalMsg<(u64, u32, Value, Timestamp)>) -> Vec<u64> {
+    pub(crate) fn receive(&mut self, msg: CausalMsg<(u64, u32, Value, Timestamp)>) -> Vec<u64> {
         let mut applied = Vec::new();
         for m in self.bcast.on_receive(msg) {
             let (event, x, v, ts) = m.payload;
@@ -247,11 +238,6 @@ impl WkArrayCcv {
             applied.push(event);
         }
         applied
-    }
-
-    /// The timestamped cells of a stream (tests/debug).
-    pub fn cells(&self, x: usize) -> &[Cell] {
-        &self.streams[x]
     }
 }
 

@@ -37,7 +37,7 @@ impl Default for BitSet {
 impl BitSet {
     /// Universes of at most this many indices are stored inline
     /// (without heap allocation).
-    pub const INLINE_BITS: usize = INLINE_WORDS * 64;
+    pub(crate) const INLINE_BITS: usize = INLINE_WORDS * 64;
 
     #[inline]
     fn word_count(len: usize) -> usize {
@@ -129,12 +129,6 @@ impl BitSet {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Is the set empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
-    }
-
     /// `self ∪= other` (universes must match).
     #[inline]
     pub fn union_with(&mut self, other: &BitSet) {
@@ -153,13 +147,16 @@ impl BitSet {
         }
     }
 
-    /// `self ∖= other`.
+    /// `|self ∪ other|` without materializing the union.
     #[inline]
-    pub fn difference_with(&mut self, other: &BitSet) {
+    #[cfg(test)]
+    pub(crate) fn union_count(&self, other: &BitSet) -> usize {
         debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a &= !*b;
-        }
+        self.words()
+            .iter()
+            .zip(other.words())
+            .map(|(a, b)| (a | b).count_ones() as usize)
+            .sum()
     }
 
     /// Is `self ⊆ other`?
@@ -184,27 +181,6 @@ impl BitSet {
             .zip(other.words())
             .zip(mask.words())
             .all(|((a, b), m)| a & m & !b == 0)
-    }
-
-    /// `|self ∪ other|` without materializing the union.
-    #[inline]
-    pub fn union_count(&self, other: &BitSet) -> usize {
-        debug_assert_eq!(self.len, other.len);
-        self.words()
-            .iter()
-            .zip(other.words())
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Is `self ∩ other = ∅`?
-    #[inline]
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        debug_assert_eq!(self.len, other.len);
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & b == 0)
     }
 
     /// Overwrite `self` with `other`'s contents. Universes must match;
@@ -375,14 +351,8 @@ mod tests {
         i.intersect_with(&b);
         assert_eq!(i.to_vec(), vec![65]);
 
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![1]);
-
         assert!(i.is_subset(&a) && i.is_subset(&b));
         assert!(!a.is_subset(&b));
-        assert!(!a.is_disjoint(&b));
-        assert!(d.is_disjoint(&b));
     }
 
     #[test]
@@ -390,7 +360,7 @@ mod tests {
         let mut s = BitSet::full(66);
         assert_eq!(s.count(), 66);
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
     }
 
     #[test]
@@ -485,9 +455,8 @@ mod tests {
         for i in [5, 128] {
             b.insert(i);
         }
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), d.to_vec());
+        let d: Vec<usize> = a.iter().filter(|&i| !b.contains(i)).collect();
+        assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), d);
     }
 
     #[test]

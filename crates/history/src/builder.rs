@@ -1,5 +1,4 @@
-//! Ergonomic construction of histories from sequential processes plus
-//! optional cross-process program-order edges (forks/joins).
+//! Ergonomic construction of histories from sequential processes.
 
 use crate::event::{EventId, Label, ProcId};
 use crate::history::History;
@@ -8,9 +7,7 @@ use crate::order::Relation;
 /// Builder for [`History`] values.
 ///
 /// Events pushed on the same process index are chained in program order
-/// automatically; [`HistoryBuilder::edge`] adds extra `↦` pairs for
-/// non-sequential program structures (multithreaded fork/join, service
-/// orchestration — §2.2 explicitly allows any partial order).
+/// automatically, so every built program order is a union of chains.
 #[derive(Clone, Debug)]
 pub struct HistoryBuilder<I, O> {
     labels: Vec<Label<I, O>>,
@@ -47,7 +44,7 @@ impl<I: Clone, O: Clone> HistoryBuilder<I, O> {
     }
 
     /// Append a pre-built label on process `p`.
-    pub fn push(&mut self, p: usize, label: Label<I, O>) -> EventId {
+    pub(crate) fn push(&mut self, p: usize, label: Label<I, O>) -> EventId {
         let id = self.labels.len();
         self.labels.push(label);
         if self.last_of_proc.len() <= p {
@@ -63,7 +60,8 @@ impl<I: Clone, O: Clone> HistoryBuilder<I, O> {
 
     /// Append an event not assigned to any process (free point in the
     /// partial order); order it explicitly with [`HistoryBuilder::edge`].
-    pub fn free(&mut self, label: Label<I, O>) -> EventId {
+    #[cfg(test)]
+    pub(crate) fn free(&mut self, label: Label<I, O>) -> EventId {
         let id = self.labels.len();
         self.labels.push(label);
         self.proc_of.push(None);
@@ -71,22 +69,12 @@ impl<I: Clone, O: Clone> HistoryBuilder<I, O> {
     }
 
     /// Add a program-order pair `a ↦ b` across processes.
-    pub fn edge(&mut self, a: EventId, b: EventId) {
+    #[cfg(test)]
+    pub(crate) fn edge(&mut self, a: EventId, b: EventId) {
         self.edges.push((a.idx(), b.idx()));
     }
 
-    /// Number of events pushed so far.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// No events yet?
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Finish. Panics if the declared edges create a cycle (program
-    /// orders are partial orders by Definition 4).
+    /// Finish.
     pub fn build(self) -> History<I, O> {
         let n = self.labels.len();
         let prog = Relation::from_edges(n, &self.edges)
@@ -120,14 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn hidden_ops() {
-        let mut b: HistoryBuilder<&str, u32> = HistoryBuilder::new();
-        let a = b.hidden(0, "w");
-        let h = b.build();
-        assert!(!h.label(a).is_visible());
-    }
-
-    #[test]
     #[should_panic(expected = "acyclic")]
     fn cyclic_edges_panic() {
         let mut b: HistoryBuilder<&str, u32> = HistoryBuilder::new();
@@ -146,5 +126,13 @@ mod tests {
         let h = b.build();
         assert!(h.prog().concurrent(a.idx(), c.idx()));
         assert_eq!(h.proc_of(a), None);
+    }
+
+    #[test]
+    fn hidden_ops() {
+        let mut b: HistoryBuilder<&str, u32> = HistoryBuilder::new();
+        let a = b.hidden(0, "w");
+        let h = b.build();
+        assert!(h.label(a).output.is_none());
     }
 }

@@ -56,7 +56,7 @@ pub struct Label<I, O> {
 
 impl<I, O> Label<I, O> {
     /// A full operation `σi/σo`.
-    pub fn op(input: I, output: O) -> Self {
+    pub(crate) fn op(input: I, output: O) -> Self {
         Label {
             input,
             output: Some(output),
@@ -64,7 +64,7 @@ impl<I, O> Label<I, O> {
     }
 
     /// A hidden operation `σi`.
-    pub fn hidden(input: I) -> Self {
+    pub(crate) fn hidden(input: I) -> Self {
         Label {
             input,
             output: None,
@@ -72,16 +72,11 @@ impl<I, O> Label<I, O> {
     }
 
     /// Hide the output (projection outside `E″`).
-    pub fn hide(self) -> Self {
+    pub(crate) fn hide(self) -> Self {
         Label {
             input: self.input,
             output: None,
         }
-    }
-
-    /// Is the output visible?
-    pub fn is_visible(&self) -> bool {
-        self.output.is_some()
     }
 }
 
@@ -92,9 +87,9 @@ mod tests {
     #[test]
     fn label_constructors() {
         let l: Label<&str, u32> = Label::op("r", 7);
-        assert!(l.is_visible());
+        assert!(l.output.is_some());
         let h = l.clone().hide();
-        assert!(!h.is_visible());
+        assert!(h.output.is_none());
         assert_eq!(h.input, "r");
         let g: Label<&str, u32> = Label::hidden("w");
         assert_eq!(g.output, None);

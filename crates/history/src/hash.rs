@@ -111,9 +111,6 @@ impl Hasher for NoHash {
 /// A `HashSet<u64>` that trusts its keys' existing mixing.
 pub type U64Set = std::collections::HashSet<u64, std::hash::BuildHasherDefault<NoHash>>;
 
-/// A `HashMap<u64, V>` that trusts its keys' existing mixing.
-pub type U64Map<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<NoHash>>;
-
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
 ///
 /// The search kernels use it to derive per-event Zobrist keys and to

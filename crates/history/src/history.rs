@@ -162,22 +162,6 @@ impl<I: Clone, O: Clone> History<I, O> {
         stack.pop();
     }
 
-    /// Is `seq` a linearization of `H` (contains every event exactly
-    /// once, in an order compatible with `↦`)?
-    pub fn is_linearization(&self, seq: &[EventId]) -> bool {
-        if seq.len() != self.len() {
-            return false;
-        }
-        let mut seen = BitSet::new(self.len());
-        for &e in seq {
-            if seen.contains(e.idx()) || !self.prog.past(e.idx()).is_subset(&seen) {
-                return false;
-            }
-            seen.insert(e.idx());
-        }
-        true
-    }
-
     /// Enumerate linearizations `lin(H)` (capped); see
     /// [`Relation::linear_extensions`] for the budget contract.
     pub fn linearizations(&self, cap: usize) -> Vec<Vec<EventId>> {
@@ -243,17 +227,6 @@ impl<I: Clone, O: Clone> History<I, O> {
                 (l.input.clone(), out)
             })
             .collect()
-    }
-
-    /// Bitset of all events of declared process `p`.
-    pub fn proc_set(&self, p: ProcId) -> BitSet {
-        let mut s = BitSet::new(self.len());
-        for e in self.events() {
-            if self.proc_of[e.idx()] == Some(p) {
-                s.insert(e.idx());
-            }
-        }
-        s
     }
 
     /// Bitset of every event (`E_H`).
@@ -335,10 +308,11 @@ mod tests {
         let good = vec![EventId(0), EventId(2), EventId(1), EventId(3)];
         let bad = vec![EventId(1), EventId(0), EventId(2), EventId(3)];
         let dup = vec![EventId(0), EventId(0), EventId(2), EventId(3)];
-        assert!(h.is_linearization(&good));
-        assert!(!h.is_linearization(&bad));
-        assert!(!h.is_linearization(&dup));
-        assert!(!h.is_linearization(&good[..3]));
+        let all = h.linearizations(100);
+        assert!(all.contains(&good));
+        assert!(!all.contains(&bad));
+        assert!(!all.contains(&dup));
+        assert!(!all.contains(&good[..3].to_vec()));
     }
 
     #[test]
@@ -360,9 +334,9 @@ mod tests {
         let (ph, map) = h.project(&keep, &visible);
         assert_eq!(ph.len(), 3);
         assert_eq!(map, vec![EventId(0), EventId(1), EventId(2)]);
-        assert!(!ph.label(EventId(0)).is_visible());
-        assert!(ph.label(EventId(1)).is_visible());
-        assert!(!ph.label(EventId(2)).is_visible());
+        assert!(ph.label(EventId(0)).output.is_none());
+        assert!(ph.label(EventId(1)).output.is_some());
+        assert!(ph.label(EventId(2)).output.is_none());
         // program order survives the projection
         assert!(ph.prog_lt(EventId(0), EventId(1)));
     }
@@ -379,7 +353,12 @@ mod tests {
     #[test]
     fn proc_set_and_all_set() {
         let h = two_proc();
-        assert_eq!(h.proc_set(ProcId(1)).to_vec(), vec![2, 3]);
+        let p1: Vec<usize> = h
+            .all_set()
+            .iter()
+            .filter(|&e| h.proc_of(EventId(e as u32)) == Some(ProcId(1)))
+            .collect();
+        assert_eq!(p1, vec![2, 3]);
         assert_eq!(h.all_set().count(), 4);
     }
 }

@@ -15,8 +15,7 @@
 //! * processes `P_H` — maximal chains: [`History::maximal_chains`]
 //!   (for histories built from sequential processes these are exactly the
 //!   per-process event sequences, [`History::process_events`]);
-//! * linearizations `lin(H)` — [`History::linearizations`] /
-//!   [`History::is_linearization`];
+//! * linearizations `lin(H)` — [`History::linearizations`];
 //! * projection `H.π(E′, E″)` — [`History::project`] (keep `E′`, hide the
 //!   outputs of events outside `E″`);
 //! * re-ordering `H→` — checkers carry an explicit [`order::Relation`]
@@ -47,18 +46,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
-pub mod builder;
+pub(crate) mod bitset;
+pub(crate) mod builder;
 pub mod dot;
-pub mod event;
-pub mod hash;
-pub mod history;
-pub mod order;
+pub(crate) mod event;
+pub(crate) mod hash;
+pub(crate) mod history;
+pub(crate) mod order;
 pub mod zones;
 
 pub use bitset::BitSet;
 pub use builder::HistoryBuilder;
 pub use event::{EventId, Label, ProcId};
-pub use hash::{mix64, Fnv, MixHasher, NoHash, U64Map, U64Set};
+pub use hash::{mix64, Fnv, MixHasher, NoHash, U64Set};
 pub use history::History;
 pub use order::Relation;

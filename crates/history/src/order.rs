@@ -103,25 +103,14 @@ impl Relation {
     }
 
     /// Number of events in the universe.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.past.len()
-    }
-
-    /// Is the universe empty?
-    pub fn is_empty(&self) -> bool {
-        self.past.is_empty()
     }
 
     /// Does `a < b` hold?
     #[inline]
     pub fn lt(&self, a: usize, b: usize) -> bool {
         self.past[b].contains(a)
-    }
-
-    /// Does `a ≤ b` hold (reflexive closure)?
-    #[inline]
-    pub fn le(&self, a: usize, b: usize) -> bool {
-        a == b || self.lt(a, b)
     }
 
     /// Are `a` and `b` incomparable?
@@ -326,7 +315,6 @@ mod tests {
     fn closure_and_queries() {
         let r = diamond();
         assert!(r.lt(0, 3)); // transitivity
-        assert!(r.le(1, 1));
         assert!(!r.lt(1, 1));
         assert!(r.concurrent(1, 2));
         assert!(!r.concurrent(0, 3));

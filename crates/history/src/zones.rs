@@ -27,20 +27,6 @@ pub enum Zone {
     ConcurrentPresent,
 }
 
-impl Zone {
-    /// Short tag used by the renderers.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Zone::Present => "present",
-            Zone::ProgramPast => "prog-past",
-            Zone::CausalPastOnly => "causal-past",
-            Zone::ProgramFuture => "prog-future",
-            Zone::CausalFutureOnly => "causal-future",
-            Zone::ConcurrentPresent => "concurrent",
-        }
-    }
-}
-
 /// Classify every event of `h` relative to `e` under `causal`.
 ///
 /// `causal` must contain the program order (Definition 7); this is
@@ -67,6 +53,21 @@ pub fn classify<I: Clone, O: Clone>(h: &History<I, O>, causal: &Relation, e: usi
 }
 
 #[cfg(test)]
+impl Zone {
+    /// Short display tag.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Zone::Present => "present",
+            Zone::ProgramPast => "prog-past",
+            Zone::CausalPastOnly => "causal-past",
+            Zone::ProgramFuture => "prog-future",
+            Zone::CausalFutureOnly => "causal-future",
+            Zone::ConcurrentPresent => "concurrent",
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
@@ -84,6 +85,21 @@ mod tests {
         let mut causal = h.prog().clone();
         causal.add_pair_closed(0, 4);
         (h, causal)
+    }
+
+    #[test]
+    fn tags_are_distinct() {
+        use std::collections::HashSet;
+        let all = [
+            Zone::Present,
+            Zone::ProgramPast,
+            Zone::CausalPastOnly,
+            Zone::ProgramFuture,
+            Zone::CausalFutureOnly,
+            Zone::ConcurrentPresent,
+        ];
+        let tags: HashSet<&str> = all.iter().map(|z| z.tag()).collect();
+        assert_eq!(tags.len(), all.len());
     }
 
     #[test]
@@ -135,20 +151,5 @@ mod tests {
                 assert!(!matches!(z, Zone::CausalPastOnly | Zone::CausalFutureOnly));
             }
         }
-    }
-
-    #[test]
-    fn tags_are_distinct() {
-        use std::collections::HashSet;
-        let all = [
-            Zone::Present,
-            Zone::ProgramPast,
-            Zone::CausalPastOnly,
-            Zone::ProgramFuture,
-            Zone::CausalFutureOnly,
-            Zone::ConcurrentPresent,
-        ];
-        let tags: HashSet<&str> = all.iter().map(|z| z.tag()).collect();
-        assert_eq!(tags.len(), all.len());
     }
 }

@@ -172,7 +172,7 @@ proptest! {
         }
         // all outputs hidden
         for e in ph.events() {
-            prop_assert!(!ph.label(e).is_visible());
+            prop_assert!(ph.label(e).output.is_none());
         }
     }
 }

@@ -201,12 +201,14 @@ impl<P: Clone> CausalBroadcast<P> {
     /// normally. The component for `me` must equal the number of
     /// messages this endpoint has broadcast, so future broadcasts keep
     /// their sequence numbers contiguous.
-    pub fn resync(&mut self, frontier: &[u64]) {
+    #[cfg(test)]
+    pub(crate) fn resync(&mut self, frontier: &[u64]) {
         self.held.reset(frontier);
     }
 
     /// Number of messages delivered from each sender.
-    pub fn delivered(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn delivered(&self) -> &[u64] {
         &self.held.delivered
     }
 
@@ -408,7 +410,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     }
 
     /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
+    pub(crate) fn cluster_size(&self) -> usize {
         self.edge_sent.len()
     }
 
@@ -875,6 +877,12 @@ impl<P: Clone> SequencerBroadcast<P> {
         }
     }
 
+    /// Slots delivered so far.
+    #[cfg(test)]
+    pub(crate) fn delivered(&self) -> u64 {
+        self.slots.delivered[SEQUENCER]
+    }
+
     /// Handle an incoming envelope.
     ///
     /// Returns `(deliveries, to_broadcast)`: payloads now deliverable
@@ -907,11 +915,6 @@ impl<P: Clone> SequencerBroadcast<P> {
                 (out, Vec::new())
             }
         }
-    }
-
-    /// Slots delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.slots.delivered[SEQUENCER]
     }
 }
 

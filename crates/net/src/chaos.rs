@@ -35,7 +35,7 @@
 //! Its fault state is its own row of the [`Links`] table the simulator
 //! holds whole, so one [`FaultPlan`] means the same thing on both:
 //! each endpoint replays the full plan through
-//! [`ChaosEndpoint::apply`], and the table keeps what concerns it (its
+//! `ChaosEndpoint::apply`, and the table keeps what concerns it (its
 //! own outbound links, everyone's liveness and clock skew).
 //!
 //! ## The operation clock
@@ -55,11 +55,13 @@
 
 use crate::endpoint::Endpoint as EndpointApi;
 use crate::fault::{Effect, Fault, FaultSchedule, Links};
+#[cfg(test)]
 use crate::thread_net::ThreadNetStats;
 use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::Ordering;
+#[cfg(test)]
 use std::sync::Arc;
 
 /// A message parked on a blocked outbound link.
@@ -246,7 +248,7 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     }
 
     /// This node's id.
-    pub fn me(&self) -> NodeId {
+    pub(crate) fn me(&self) -> NodeId {
         self.ep.me()
     }
 
@@ -256,7 +258,8 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     }
 
     /// Shared transport statistics.
-    pub fn stats(&self) -> Arc<ThreadNetStats> {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> Arc<ThreadNetStats> {
         self.ep.stats()
     }
 
@@ -266,7 +269,8 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
     }
 
     /// Is this endpoint currently crashed?
-    pub fn is_crashed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_crashed(&self) -> bool {
         self.links.crashed(self.me())
     }
 
@@ -379,26 +383,12 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         }
     }
 
-    /// Send one copy to every other node through the fault layer (the
-    /// last peer's copy is `msg` itself).
-    pub fn broadcast(&mut self, msg: M, bytes: usize) {
-        let me = self.me();
-        let mut peers = (0..self.cluster_size()).filter(|&to| to != me).peekable();
-        while let Some(to) = peers.next() {
-            if peers.peek().is_some() {
-                self.send(to, msg.clone(), bytes);
-            } else {
-                return self.send(to, msg, bytes);
-            }
-        }
-    }
-
     /// Send bypassing the fault layer (repair and state-transfer
     /// traffic; still counted in the transport statistics).
     ///
     /// Accounting contract (audited, pinned by
     /// `bytes_are_exact_under_chaos_with_reliable_control`): the shared
-    /// [`ThreadNetStats`] counters are incremented in exactly one
+    /// `ThreadNetStats` counters are incremented in exactly one
     /// place, [`Endpoint::send_sized`](crate::endpoint::Endpoint::send_sized), when a copy actually enters a
     /// peer's queue — so control traffic through this bypass counts
     /// once per message, fault-path traffic counts once per copy that
@@ -451,21 +441,11 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         }
     }
 
-    /// Messages currently parked on blocked links.
-    pub fn parked_count(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Messages currently held back by latency faults.
-    pub fn delayed_count(&self) -> usize {
-        self.delayed.len()
-    }
-
     /// Apply one fault to this endpoint's fault table ([`Links::apply`]),
     /// then do what its [`Effect`] asks: a heal releases the parked
     /// sends whose link is open again, and this endpoint crashing
     /// discards its parked and held-back outbound.
-    pub fn apply(&mut self, fault: &Fault) {
+    pub(crate) fn apply(&mut self, fault: &Fault) {
         match self.links.apply(fault) {
             Effect::Release => self.release_parked(),
             Effect::Crash(node) if node == self.me() => {
@@ -507,16 +487,38 @@ impl<M: Clone + Send, E: EndpointApi<M>> ChaosEndpoint<M, E> {
         }
     }
 
+    /// Send one copy to every other node through the fault layer (the
+    /// last peer's copy is `msg` itself).
+    #[cfg(test)]
+    pub(crate) fn broadcast(&mut self, msg: M, bytes: usize) {
+        let me = self.me();
+        let mut peers = (0..self.cluster_size()).filter(|&to| to != me).peekable();
+        while let Some(to) = peers.next() {
+            if peers.peek().is_some() {
+                self.send(to, msg.clone(), bytes);
+            } else {
+                return self.send(to, msg, bytes);
+            }
+        }
+    }
+
+    /// Messages currently parked on blocked links.
+    #[cfg(test)]
+    pub(crate) fn parked_count(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Messages currently held back by latency faults.
+    #[cfg(test)]
+    pub(crate) fn delayed_count(&self) -> usize {
+        self.delayed.len()
+    }
+
     fn transmit(&mut self, to: NodeId, msg: M, bytes: usize) {
         if self.links.crashed(to) {
             return self.note(ChaosEventKind::Drop, to);
         }
         self.ep.send_sized(to, msg, bytes);
-    }
-
-    /// Graceful shutdown of the underlying endpoint.
-    pub fn shutdown(self) -> E::Drain {
-        self.ep.shutdown()
     }
 }
 

@@ -2,6 +2,7 @@
 //! (the timestamp arbitration of Fig. 5).
 
 use crate::NodeId;
+#[cfg(test)]
 use std::cmp::Ordering;
 
 /// A vector clock over a fixed cluster size.
@@ -41,7 +42,8 @@ impl VectorClock {
     }
 
     /// Pointwise maximum.
-    pub fn merge(&mut self, other: &VectorClock) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &VectorClock) {
         debug_assert_eq!(self.len(), other.len());
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
@@ -49,19 +51,22 @@ impl VectorClock {
     }
 
     /// `self ≤ other` pointwise.
-    pub fn le(&self, other: &VectorClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn le(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.len(), other.len());
         self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 
     /// Strict domination: `self ≤ other` and `self ≠ other`.
-    pub fn lt(&self, other: &VectorClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn lt(&self, other: &VectorClock) -> bool {
         self.le(other) && self != other
     }
 
     /// Causal comparison: `Some(Less/Greater/Equal)` when comparable,
     /// `None` when concurrent.
-    pub fn causal_cmp(&self, other: &VectorClock) -> Option<Ordering> {
+    #[cfg(test)]
+    pub(crate) fn causal_cmp(&self, other: &VectorClock) -> Option<Ordering> {
         match (self.le(other), other.le(self)) {
             (true, true) => Some(Ordering::Equal),
             (true, false) => Some(Ordering::Less),
@@ -76,7 +81,7 @@ impl VectorClock {
     }
 
     /// Raw components.
-    pub fn components(&self) -> &[u64] {
+    pub(crate) fn components(&self) -> &[u64] {
         &self.0
     }
 }

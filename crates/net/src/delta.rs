@@ -37,7 +37,7 @@ use crate::NodeId;
 use cbm_adt::wire::{put_slice, Wire};
 
 /// Bytes of the LEB128 encoding of `v` (1 byte per 7 bits, ≥ 1).
-pub fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
 }
 
@@ -56,7 +56,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Read one LEB128 varint at `*pos`, advancing it. `None` on
 /// truncation or a value overflowing 64 bits.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -139,13 +139,6 @@ impl KnowledgeDelta {
             start = end as usize;
             (row, cells)
         })
-    }
-
-    /// The delta's row for `j`, if dirty.
-    pub fn row(&self, j: usize) -> Option<&[(u32, u64)]> {
-        self.rows()
-            .find(|(r, _)| *r as usize == j)
-            .map(|(_, cells)| cells)
     }
 
     /// The value of `cells` at `col` (0 when absent — exact, because
@@ -344,10 +337,10 @@ mod tests {
     #[test]
     fn row_and_cell_lookups() {
         let d = KnowledgeDelta::from_rows([(2, [(0, 5), (9, 1)])]);
-        assert_eq!(d.row(2), Some(&[(0, 5), (9, 1)][..]));
-        assert_eq!(d.row(3), None);
-        assert_eq!(KnowledgeDelta::cell(d.row(2).unwrap(), 0), 5);
-        assert_eq!(KnowledgeDelta::cell(d.row(2).unwrap(), 9), 1);
-        assert_eq!(KnowledgeDelta::cell(d.row(2).unwrap(), 4), 0, "absent = 0");
+        let rows: Vec<_> = d.rows().collect();
+        assert_eq!(rows, vec![(2, &[(0, 5), (9, 1)][..])]);
+        assert_eq!(KnowledgeDelta::cell(rows[0].1, 0), 5);
+        assert_eq!(KnowledgeDelta::cell(rows[0].1, 9), 1);
+        assert_eq!(KnowledgeDelta::cell(rows[0].1, 4), 0, "absent = 0");
     }
 }

@@ -8,15 +8,15 @@
 //! each due fault ([`FaultSchedule::next_due`]) to its transport's
 //! `apply`, so faults act entirely at the transport layer and no
 //! protocol or replica code knows they exist. Both transports keep
-//! their fault state in a [`Links`] table, and [`Links::apply`] is the
+//! their fault state in a [`Links`] table, and `Links::apply` is the
 //! only code that interprets a fault:
 //!
 //! * [`crate::sim::SimNet`] holds every sender's row
-//!   ([`Links::all`]); logical time is simulated time, and the driver
+//!   (`Links::all`); logical time is simulated time, and the driver
 //!   is `cbm-core`'s `Cluster`;
 //! * [`crate::chaos::ChaosEndpoint`] — the sender-side fault view of a
 //!   real-thread or socket endpoint — holds its own row
-//!   ([`Links::row`]); logical time is the owning worker's
+//!   (`Links::row`); logical time is the owning worker's
 //!   deterministic operation counter, so live-engine fault injection
 //!   stays reproducible per `(config, seed)` (see `docs/CHAOS.md`).
 //!
@@ -217,14 +217,15 @@ impl FaultPlan {
         self.events.push(FaultEvent { at, fault });
     }
 
-    /// Merge another plan into this one.
-    pub fn merge(&mut self, other: FaultPlan) {
-        self.events.extend(other.events);
-    }
-
     /// No events?
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Merge another plan into this one.
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: FaultPlan) {
+        self.events.extend(other.events);
     }
 
     /// Number of scheduled events.
@@ -283,11 +284,6 @@ impl FaultSchedule {
         self.cursor += 1;
         Some(&ev.fault)
     }
-
-    /// All events applied?
-    pub fn exhausted(&self) -> bool {
-        self.cursor >= self.events.len()
-    }
 }
 
 /// Fault state of one directed link.
@@ -302,7 +298,7 @@ struct Cell {
 /// What a transport must do after [`Links::apply`]: the two effects
 /// of a fault that a table cannot carry out itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
+pub(crate) enum Effect {
     /// The table update is the whole effect.
     None,
     /// A link reopened: re-inject the parked messages whose link is
@@ -317,8 +313,8 @@ pub enum Effect {
 /// a cell per directed link for the sender rows it controls, plus
 /// every node's crash flag and clock skew.
 ///
-/// [`Links::apply`] is the only interpretation of a [`Fault`],
-/// [`Links::roll`] the only drop/duplicate roll, and [`Links::delay`]
+/// `Links::apply` is the only interpretation of a [`Fault`],
+/// `Links::roll` the only drop/duplicate roll, and `Links::delay`
 /// the only delay rule. A fault on a link outside the held rows
 /// changes nothing here: that sender's own table carries it.
 #[derive(Debug, Clone)]
@@ -333,12 +329,12 @@ pub struct Links {
 
 impl Links {
     /// Every sender's row (a simulator's whole network).
-    pub fn all(n: usize) -> Self {
+    pub(crate) fn all(n: usize) -> Self {
         Links::rows(0..n, n)
     }
 
     /// Only `me`'s outbound links (an endpoint's O(n) view).
-    pub fn row(me: NodeId, n: usize) -> Self {
+    pub(crate) fn row(me: NodeId, n: usize) -> Self {
         Links::rows(me..me + 1, n)
     }
 
@@ -374,7 +370,7 @@ impl Links {
     /// the cluster ([`FaultPlan::check`]). A heal always asks for a
     /// release: messages park only on blocked links, so releasing
     /// after a heal of a link this table does not hold moves nothing.
-    pub fn apply(&mut self, fault: &Fault) -> Effect {
+    pub(crate) fn apply(&mut self, fault: &Fault) -> Effect {
         let one = |&from: &NodeId, &to: &NodeId| move |a, b| (a, b) == (from, to);
         let every = |a, b| a != b;
         let clamp = |p: &f64| p.clamp(0.0, 1.0);
@@ -424,13 +420,13 @@ impl Links {
     }
 
     /// Is the node down?
-    pub fn crashed(&self, node: NodeId) -> bool {
+    pub(crate) fn crashed(&self, node: NodeId) -> bool {
         self.crashed[node]
     }
 
     /// Extra delay of a message `from → to`: the link's extra latency
     /// plus the sender's clock skew.
-    pub fn delay(&self, from: NodeId, to: NodeId) -> u64 {
+    pub(crate) fn delay(&self, from: NodeId, to: NodeId) -> u64 {
         self.cell(from, to).extra_delay + self.skew[from]
     }
 
@@ -438,7 +434,7 @@ impl Links {
     /// (dropped), 1, or 2 (duplicated). Draws the drop roll, then the
     /// duplicate roll, each only when its probability is nonzero — so
     /// a fault-free link consumes no randomness.
-    pub fn roll(&self, from: NodeId, to: NodeId, rng: &mut impl Rng) -> usize {
+    pub(crate) fn roll(&self, from: NodeId, to: NodeId, rng: &mut impl Rng) -> usize {
         let c = self.cell(from, to);
         if c.drop_prob > 0.0 && rng.gen_bool(c.drop_prob) {
             0
@@ -487,7 +483,7 @@ mod tests {
         assert!(net.crashed(1));
         assert_eq!(apply_due(&mut sched, &mut net, 100), 1);
         assert!(!net.crashed(1));
-        assert!(sched.exhausted());
+        assert_eq!(sched.peek_time(), None);
     }
 
     #[test]

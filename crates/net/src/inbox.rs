@@ -60,7 +60,7 @@ struct Counts {
 
 /// A sending half; clone one per sender. Dropping the last one
 /// disconnects the inbox.
-pub struct InboxSender<M> {
+pub(crate) struct InboxSender<M> {
     tx: Sender<(NodeId, M)>,
     counts: Arc<Counts>,
 }
@@ -74,7 +74,7 @@ pub struct Inbox<M> {
 }
 
 /// A connected sender/inbox pair.
-pub fn inbox<M>() -> (InboxSender<M>, Inbox<M>) {
+pub(crate) fn inbox<M>() -> (InboxSender<M>, Inbox<M>) {
     let (tx, rx) = mpsc::channel();
     let counts = Arc::new(Counts {
         announced: Line(AtomicU64::new(0)),
@@ -99,7 +99,7 @@ impl<M> Clone for InboxSender<M> {
 impl<M> InboxSender<M> {
     /// Queue `msg` as coming from `from`; `false` if the inbox is gone
     /// (the message is lost, like a send to a crashed node).
-    pub fn send(&self, from: NodeId, msg: M) -> bool {
+    pub(crate) fn send(&self, from: NodeId, msg: M) -> bool {
         // Release pairs with the Acquire in `Inbox::pending`; see the
         // module docs for why the announcement goes first
         self.counts.announced.0.fetch_add(1, Ordering::Release);
@@ -110,7 +110,7 @@ impl<M> InboxSender<M> {
     /// not yet received. A hint (both counts are read `Relaxed` and may
     /// be a moment stale), good for deciding to get out of a lagging
     /// receiver's way and for nothing stronger.
-    pub fn backlog(&self) -> u64 {
+    pub(crate) fn backlog(&self) -> u64 {
         let announced = self.counts.announced.0.load(Ordering::Relaxed);
         announced.saturating_sub(self.counts.taken.0.load(Ordering::Relaxed))
     }
@@ -119,7 +119,7 @@ impl<M> InboxSender<M> {
 impl<M> Inbox<M> {
     /// Messages announced and not yet received (an upper bound on what
     /// is queued; exact once senders are quiescent).
-    pub fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> u64 {
         self.counts.announced.0.load(Ordering::Acquire) - self.taken()
     }
 
@@ -140,7 +140,7 @@ impl<M> Inbox<M> {
 
     /// Non-blocking receive.
     #[inline]
-    pub fn try_recv(&self) -> Option<(NodeId, M)> {
+    pub(crate) fn try_recv(&self) -> Option<(NodeId, M)> {
         if self.pending() == 0 {
             return None;
         }
@@ -149,12 +149,12 @@ impl<M> Inbox<M> {
 
     /// Blocking receive; `None` once the queue is empty and every
     /// sender half is gone.
-    pub fn recv(&self) -> Option<(NodeId, M)> {
+    pub(crate) fn recv(&self) -> Option<(NodeId, M)> {
         self.took(self.rx.recv().ok())
     }
 
     /// Everything queued right now, without blocking.
-    pub fn drain_now(&self) -> Vec<(NodeId, M)> {
+    pub(crate) fn drain_now(&self) -> Vec<(NodeId, M)> {
         std::iter::from_fn(|| self.try_recv()).collect()
     }
 }

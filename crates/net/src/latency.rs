@@ -54,19 +54,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// Mean delay (used by harnesses to label sweeps).
-    pub fn mean(&self) -> f64 {
-        match *self {
-            LatencyModel::Constant(d) => d as f64,
-            LatencyModel::Uniform(min, max) => (min + max) as f64 / 2.0,
-            LatencyModel::HeavyTail {
-                base,
-                tail_prob,
-                tail_max,
-            } => base as f64 + tail_prob * tail_max as f64 / 2.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +69,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 5);
         }
-        assert_eq!(m.mean(), 5.0);
     }
 
     #[test]
@@ -93,7 +79,6 @@ mod tests {
             let d = m.sample(&mut rng);
             assert!((3..=9).contains(&d));
         }
-        assert_eq!(m.mean(), 6.0);
     }
 
     #[test]

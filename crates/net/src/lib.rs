@@ -28,8 +28,7 @@
 //!   figure harness runs on it so executions are replayable;
 //! * [`thread_net::ThreadNet`] — real threads over in-process queues
 //!   with lock-free message/byte accounting and graceful drain, used
-//!   by the live store engine (`cbm-store`) and the Criterion benches
-//!   for wall-clock numbers;
+//!   by the live store engine (`cbm-store`);
 //! * [`tcp::TcpNet`] — real sockets: a CRC-framed, length-prefixed TCP
 //!   mesh over loopback with the same accounting and drain semantics,
 //!   behind the shared [`endpoint::Endpoint`] trait (messages encode
@@ -54,9 +53,9 @@ pub mod crc;
 pub mod delta;
 pub mod endpoint;
 pub mod fault;
-pub mod inbox;
+pub(crate) mod inbox;
 pub mod latency;
-pub mod mask;
+pub(crate) mod mask;
 pub mod msg;
 pub mod sim;
 mod stock;

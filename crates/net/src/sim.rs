@@ -7,7 +7,7 @@
 //! (partitions), probabilistic loss and duplication, latency
 //! degradation, and clock skew — through [`SimNet::apply`], which
 //! keeps every sender's row of the shared fault table
-//! ([`Links::all`]). The protocol logic lives in
+//! (`Links::all`). The protocol logic lives in
 //! [`crate::broadcast`] and the replica logic in `cbm-core`; a driver
 //! loop pops deliveries ([`SimNet::pop`]) and pushes sends
 //! ([`SimNet::send`] / [`SimNet::broadcast`]), interleaving application
@@ -140,23 +140,13 @@ impl<M: Clone> SimNet<M> {
         }
     }
 
-    /// Cluster size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Is the cluster empty?
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Current simulated time (the time of the last delivery popped).
     pub fn now(&self) -> u64 {
         self.time
     }
 
-    /// Apply one fault to the fault table ([`Links::apply`]), then do
-    /// what its [`Effect`] asks. A heal re-injects the parked messages
+    /// Apply one fault to the fault table (`Links::apply`), then do
+    /// what its `Effect` asks. A heal re-injects the parked messages
     /// whose link is open again. A crashed node stops sending and
     /// receiving ("a process that crashes simply stops operating",
     /// §6.1), and its in-flight and parked inbound messages are dropped
@@ -331,12 +321,6 @@ impl<M: Clone> SimNet<M> {
         self.heap.peek().map(|Reverse(k)| k.deliver_at)
     }
 
-    /// Are any messages still in flight? (Parked messages are not in
-    /// flight: they move only when a heal fault fires.)
-    pub fn has_in_flight(&self) -> bool {
-        !self.heap.is_empty()
-    }
-
     /// Advance the clock without delivering (models local computation
     /// time between invocations).
     pub fn advance_time(&mut self, to: u64) {
@@ -410,7 +394,7 @@ mod tests {
         // crashed nodes also stop sending
         net.apply(&Fault::Crash(0));
         net.send(0, 1, 2, 1);
-        assert!(!net.has_in_flight());
+        assert!(net.pop().is_none());
     }
 
     #[test]

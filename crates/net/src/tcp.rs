@@ -43,7 +43,7 @@
 //! A reader lets the socket write straight into its [`FrameDecoder`]'s
 //! buffer, checks each frame's CRC where it lies, decodes the message
 //! from that borrowed slice, and pushes it onto the endpoint's merged
-//! [inbox](crate::inbox) (per-peer FIFO, no cross-peer order — exactly
+//! inbox (per-peer FIFO, no cross-peer order — exactly
 //! `ThreadNet`'s contract, and the same type). The inbox is unbounded and a
 //! reader does nothing else, so **readers always drain their
 //! sockets**, whatever the worker that owns the endpoint is doing. A
@@ -278,8 +278,8 @@ pub fn next_frame_in(buf: &[u8], max: usize) -> Result<Option<&[u8]>, FrameError
 
 /// Incremental frame reassembly: feed arbitrary byte chunks with
 /// [`push`](FrameDecoder::push) (or let a socket write straight into
-/// the buffer with [`read_from`](FrameDecoder::read_from)), pull
-/// complete bodies with [`next_body`](FrameDecoder::next_body) /
+/// the buffer with `read_from`), pull
+/// complete bodies with `next_body` /
 /// [`next_frame`](FrameDecoder::next_frame). A pure state machine, so
 /// the framing contract is testable byte by byte.
 #[derive(Debug, Default)]
@@ -341,11 +341,17 @@ impl FrameDecoder {
 
     /// One `read` from `r` straight into the decoder's spare room — no
     /// bounce buffer. Returns the byte count; `0` is EOF.
-    pub fn read_from(&mut self, mut r: impl Read) -> std::io::Result<usize> {
+    pub(crate) fn read_from(&mut self, mut r: impl Read) -> std::io::Result<usize> {
         self.make_room(READ_CHUNK);
         let n = r.read(&mut self.buf[self.end..])?;
         self.end += n;
         Ok(n)
+    }
+
+    /// Bytes of memory the decoder currently holds.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Bytes buffered but not yet returned as a frame.
@@ -353,23 +359,18 @@ impl FrameDecoder {
         self.end - self.start
     }
 
-    /// Bytes of memory the decoder currently holds.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     /// Next complete body, borrowed from the decoder's buffer (valid
     /// until the next call); `Ok(None)` if more bytes are needed.
     /// After an `Err` the stream is poisoned garbage: resynchronising
     /// inside a corrupted byte stream is guesswork, so callers drop
     /// the connection instead.
-    pub fn next_body(&mut self) -> Result<Option<&[u8]>, FrameError> {
+    pub(crate) fn next_body(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let body = next_frame_in(&self.buf[self.start..self.end], self.max)?;
         self.start += body.map_or(0, |b| FRAME_HEADER + b.len());
         Ok(body)
     }
 
-    /// [`next_body`](FrameDecoder::next_body), copied out.
+    /// `next_body`, copied out.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         Ok(self.next_body()?.map(<[u8]>::to_vec))
     }

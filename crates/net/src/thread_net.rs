@@ -1,9 +1,8 @@
 //! Real-thread transport over unbounded in-process queues (one
-//! [`crate::inbox`] per node).
+//! `crate::inbox` per node).
 //!
-//! Used by the live store engine (`cbm-store`) and the Criterion
-//! benches to measure wall-clock behaviour of the protocols under true
-//! parallelism. Each node owns an inbox; senders are cloneable
+//! Used by the live store engine (`cbm-store`), which runs the
+//! protocols under true parallelism. Each node owns an inbox; senders are cloneable
 //! handles. A message is moved into the channel and out of it — the
 //! transport never copies one. Unlike [`crate::sim::SimNet`] there is no virtual time —
 //! ordering comes from the OS scheduler, which is exactly the
@@ -25,13 +24,13 @@ use std::sync::Arc;
 /// never touches them. They are plain atomics rather than a mutexed
 /// table because the chaos decisions ride the workers' send hot path.
 /// Deliberately no `Default`: the vectors must be sized to the
-/// cluster, so the only constructor is [`ThreadNetStats::new`].
+/// cluster, so the only constructor is `ThreadNetStats::new`.
 #[derive(Debug)]
 pub struct ThreadNetStats {
     /// Messages sent across all links.
     pub msgs_sent: AtomicU64,
     /// Payload bytes sent across all links (as declared by
-    /// [`Endpoint::send_sized`]; plain [`Endpoint::send`] counts 0).
+    /// `Endpoint::send_sized`; plain [`Endpoint::send`] counts 0).
     pub bytes_sent: AtomicU64,
     /// Messages lost to injected faults, per recipient node (chaos
     /// drops, sends suppressed to crashed nodes, crash-time discards).
@@ -55,19 +54,15 @@ pub struct ThreadNetSnapshot {
 
 impl ThreadNetSnapshot {
     /// Total fault-injected losses across all nodes.
-    pub fn msgs_dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn msgs_dropped(&self) -> u64 {
         self.dropped_per_node.iter().sum()
-    }
-
-    /// Total fault-injected duplicate copies across all nodes.
-    pub fn msgs_duplicated(&self) -> u64 {
-        self.dup_per_node.iter().sum()
     }
 }
 
 impl ThreadNetStats {
     /// Counters for a mesh of `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         ThreadNetStats {
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
@@ -157,7 +152,8 @@ impl<M: Send> ThreadNet<M> {
     }
 
     /// Take the endpoint for node `me` (panics if taken twice).
-    pub fn endpoint(&mut self, me: NodeId) -> Endpoint<M> {
+    #[cfg(test)]
+    pub(crate) fn endpoint(&mut self, me: NodeId) -> Endpoint<M> {
         Endpoint {
             me,
             senders: self.senders.clone(),
@@ -168,11 +164,10 @@ impl<M: Send> ThreadNet<M> {
 
     /// Consume the mesh into all `n` endpoints at once.
     ///
-    /// Unlike repeated [`ThreadNet::endpoint`] calls, this drops the
-    /// mesh's own copy of the sender table, so once every endpoint has
-    /// [`Endpoint::shutdown`] the channels actually disconnect and
-    /// blocking drains terminate. Panics if any endpoint was already
-    /// taken.
+    /// This drops the mesh's own copy of the sender table, so once
+    /// every endpoint has `Endpoint::shutdown` the channels actually
+    /// disconnect and blocking drains terminate. Panics if any endpoint
+    /// was already taken.
     pub fn into_endpoints(mut self) -> Vec<Endpoint<M>> {
         (0..self.senders.len())
             .map(|me| Endpoint {
@@ -196,7 +191,7 @@ impl<M: Clone + Send> Endpoint<M> {
     /// The transport moves typed values in memory, so the byte count is
     /// declared by the caller (the protocol layer knows its wire
     /// encoding; see `cbm_net::msg` for exact codecs).
-    pub fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
+    pub(crate) fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
         // a disconnected peer (dropped endpoint) models a crash: sends
         // to it are silently lost, like the simulator's drops
         if self.senders[to].send(self.me, msg) {
@@ -216,7 +211,7 @@ impl<M: Clone + Send> Endpoint<M> {
     }
 
     /// Send to every other node, counting `bytes` per copy.
-    pub fn broadcast_sized(&self, msg: M, bytes: usize) {
+    pub(crate) fn broadcast_sized(&self, msg: M, bytes: usize) {
         for to in 0..self.senders.len() {
             if to != self.me {
                 self.send_sized(to, msg.clone(), bytes);
@@ -230,7 +225,7 @@ impl<M: Clone + Send> Endpoint<M> {
     }
 
     /// Blocking receive.
-    pub fn recv(&self) -> Option<(NodeId, M)> {
+    pub(crate) fn recv(&self) -> Option<(NodeId, M)> {
         self.receiver.recv()
     }
 
@@ -258,7 +253,7 @@ impl<M: Clone + Send> Endpoint<M> {
     /// disconnect and [`Inbox::recv`] returns `None` after the queue
     /// empties — the coordination-free termination used by the store
     /// engine's teardown.
-    pub fn shutdown(self) -> Inbox<M> {
+    pub(crate) fn shutdown(self) -> Inbox<M> {
         self.receiver
     }
 }

@@ -29,7 +29,7 @@ pub const TRACE_SCHEMA: &str = "cbm-trace-v1";
 
 /// Human names for the chaos fault codes carried in the `a` field of
 /// [`SpanKind::Fault`] spans.
-pub const FAULT_NAMES: [&str; 7] = [
+pub(crate) const FAULT_NAMES: [&str; 7] = [
     "drop",
     "dup",
     "park",
@@ -41,7 +41,7 @@ pub const FAULT_NAMES: [&str; 7] = [
 
 /// Name of a fault code (`"fault_<code>"`-free: unknown codes render
 /// as `"unknown"`).
-pub fn fault_name(code: u64) -> &'static str {
+pub(crate) fn fault_name(code: u64) -> &'static str {
     FAULT_NAMES.get(code as usize).copied().unwrap_or("unknown")
 }
 

@@ -59,7 +59,7 @@ fn upper(idx: usize) -> u64 {
 }
 
 /// A mergeable log-bucketed histogram of `u64` samples (nanoseconds,
-/// by convention). See the [module docs](self) for the bucket layout
+/// by convention). See the module docs for the bucket layout
 /// and the ≤ 3.125 % quantile error bound.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
@@ -121,11 +121,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// True iff no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact maximum recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
@@ -156,16 +151,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Iterate over non-empty buckets as `(inclusive upper bound,
-    /// count)` pairs, in increasing value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (upper(i), c))
-    }
 }
 
 /// Shared-mutation mirror of [`LatencyHistogram`]: every slot is an
@@ -191,7 +176,7 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     /// An empty atomic histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: (0..NBUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -212,15 +197,6 @@ impl AtomicHistogram {
         self.count.fetch_add(local.count, Ordering::Relaxed);
         self.sum.fetch_add(local.sum, Ordering::Relaxed);
         self.max.fetch_max(local.max, Ordering::Relaxed);
-    }
-
-    /// Record a single sample directly (used off the hot path, e.g.
-    /// for recovery sync times).
-    pub fn record(&self, v: u64) {
-        self.counts[index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Copy the current contents into an owned [`LatencyHistogram`].
@@ -301,11 +277,10 @@ mod tests {
     fn atomic_mirror_round_trips() {
         let shared = AtomicHistogram::new();
         let mut local = LatencyHistogram::new();
-        for v in [1u64, 100, 10_000, 1 << 40] {
+        for v in [1u64, 100, 10_000, 1 << 40, 7] {
             local.record(v);
         }
         shared.merge_from(&local);
-        shared.record(7);
         let snap = shared.snapshot();
         assert_eq!(snap.count(), 5);
         assert_eq!(snap.max(), 1 << 40);
@@ -320,10 +295,7 @@ mod tests {
         for q in QUANTILES {
             assert_eq!(a.quantile(q), b.quantile(q), "{what}: q{q}");
         }
-        assert!(
-            a.nonzero_buckets().eq(b.nonzero_buckets()),
-            "{what}: buckets"
-        );
+        assert!(a.counts == b.counts, "{what}: buckets");
     }
 
     /// `record_n(v, n)` is `n × record(v)`: through `count`, `mean`,

@@ -2,13 +2,13 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! * [`hist`] — **log-bucketed latency histograms**: HDR-style
+//! * `hist` — **log-bucketed latency histograms**: HDR-style
 //!   mergeable buckets with a documented relative error bound
 //!   (exact max and mean), plus an atomic mirror
 //!   ([`hist::AtomicHistogram`]) that per-worker local histograms
 //!   merge into at drain rendezvous — collection stays off the hot
 //!   path, merging is wait-free `fetch_add`s.
-//! * [`metrics`] — a **lock-free metrics registry**: named atomic
+//! * `metrics` — a **lock-free metrics registry**: named atomic
 //!   counters and gauges registered once (single-threaded build
 //!   phase), then shared immutably; workers accumulate locally and
 //!   flush deltas at deterministic drain points.
@@ -31,8 +31,8 @@
 #![warn(missing_docs)]
 
 pub mod export;
-pub mod hist;
-pub mod metrics;
+pub(crate) mod hist;
+pub(crate) mod metrics;
 pub mod trace;
 
 pub use hist::{AtomicHistogram, LatencyHistogram};

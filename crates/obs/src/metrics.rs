@@ -27,7 +27,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -37,18 +37,13 @@ impl Counter {
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// Overwrite the gauge.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Raise the gauge to `v` if `v` is larger (running peak).
     pub fn raise(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -147,8 +142,6 @@ mod tests {
         g.raise(5);
         g.raise(3);
         assert_eq!(g.get(), 5);
-        g.set(1);
-        assert_eq!(g.get(), 1);
     }
 
     #[test]

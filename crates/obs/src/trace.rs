@@ -99,7 +99,7 @@ impl SpanKind {
     }
 
     /// Canonical sort rank (position in [`SpanKind::ALL`]).
-    pub fn rank(self) -> usize {
+    pub(crate) fn rank(self) -> usize {
         self as usize
     }
 }
@@ -162,7 +162,7 @@ impl Span {
 
     /// The deterministic sort key: everything except `vc`, `wall_ns`,
     /// `dur_ns`.
-    pub fn key(&self) -> (u64, usize, u32, i64, u64, i64, u64, u64, bool) {
+    pub(crate) fn key(&self) -> (u64, usize, u32, i64, u64, i64, u64, u64, bool) {
         (
             self.epoch,
             self.kind.rank(),
@@ -184,17 +184,11 @@ pub struct TraceConfig {
     /// sealing truncates (in logical-key order) past this and counts
     /// the overflow in `dropped`.
     pub cap_per_kind: usize,
-    /// Number of most recent sealed epochs retained (flight-recorder
-    /// window). `0` keeps every epoch.
-    pub keep_epochs: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self {
-            cap_per_kind: 4096,
-            keep_epochs: 0,
-        }
+        Self { cap_per_kind: 4096 }
     }
 }
 
@@ -274,12 +268,6 @@ impl EpochTracer {
             chunk = kept;
         }
         self.sealed.push((epoch, chunk));
-        if self.cfg.keep_epochs > 0 {
-            while self.sealed.len() > self.cfg.keep_epochs {
-                let (_, old) = self.sealed.remove(0);
-                self.dropped += old.len() as u64;
-            }
-        }
     }
 
     /// Consume the recorder: all sealed spans in epoch order (plus any
@@ -308,7 +296,7 @@ pub struct FlightRecord {
     pub workers: u32,
     /// Workload seed the run used.
     pub seed: u64,
-    /// All retained spans, sorted by [`Span::key`].
+    /// All retained spans, sorted by `Span::key`.
     pub spans: Vec<Span>,
     /// Total spans dropped across all recorders by the trace bounds.
     pub dropped: u64,
@@ -331,11 +319,6 @@ impl FlightRecord {
             spans,
             dropped,
         }
-    }
-
-    /// Spans of one kind, in timeline order.
-    pub fn of_kind(&self, kind: SpanKind) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.kind == kind)
     }
 }
 
@@ -372,13 +355,7 @@ mod tests {
 
     #[test]
     fn cap_truncates_deterministically() {
-        let mut t = EpochTracer::new(
-            true,
-            TraceConfig {
-                cap_per_kind: 2,
-                keep_epochs: 0,
-            },
-        );
+        let mut t = EpochTracer::new(true, TraceConfig { cap_per_kind: 2 });
         for l in [5u64, 1, 4, 2, 3] {
             t.push(span(SpanKind::Op, 0, l));
         }
@@ -396,25 +373,6 @@ mod tests {
             spans.iter().filter(|s| s.kind == SpanKind::Drain).count(),
             1
         );
-    }
-
-    #[test]
-    fn keep_epochs_evicts_oldest() {
-        let mut t = EpochTracer::new(
-            true,
-            TraceConfig {
-                cap_per_kind: 0,
-                keep_epochs: 2,
-            },
-        );
-        for e in 0..4u64 {
-            t.push(span(SpanKind::Op, e, e));
-            t.seal(e);
-        }
-        let (spans, dropped) = t.finish();
-        let epochs: Vec<u64> = spans.iter().map(|s| s.epoch).collect();
-        assert_eq!(epochs, vec![2, 3]);
-        assert_eq!(dropped, 2);
     }
 
     #[test]
@@ -442,6 +400,5 @@ mod tests {
         assert_eq!(rec.dropped, 3);
         assert_eq!(rec.spans[0].kind, SpanKind::Op);
         assert_eq!(rec.spans[1].kind, SpanKind::Drain);
-        assert_eq!(rec.of_kind(SpanKind::Op).count(), 1);
     }
 }

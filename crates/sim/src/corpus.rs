@@ -40,7 +40,7 @@ impl fmt::Display for CorpusEntry {
 
 /// Parse corpus text. Unparseable lines are errors (the corpus is
 /// hand-auditable and must stay clean).
-pub fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
+pub(crate) fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
     let mut entries = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -77,7 +77,7 @@ pub fn load(path: &Path) -> Result<Vec<CorpusEntry>, String> {
 }
 
 /// Append an entry to a corpus file (creating it if needed).
-pub fn append(path: &Path, entry: &CorpusEntry) -> Result<(), String> {
+pub(crate) fn append(path: &Path, entry: &CorpusEntry) -> Result<(), String> {
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
         .create(true)

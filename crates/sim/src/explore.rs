@@ -81,12 +81,6 @@ pub fn explore_threaded(
     aggregate(scenario.name, &outcomes)
 }
 
-/// Sweep every registry scenario across the same seed range
-/// (single-threaded).
-pub fn explore_all(seeds: Range<u64>) -> Vec<ExplorationReport> {
-    explore_all_threaded(seeds, 1)
-}
-
 /// Sweep every registry scenario across the same seed range, spreading
 /// the full `(scenario, seed)` pair list over up to `threads` workers
 /// (one global pool — a slow scenario does not serialize the others).

@@ -11,7 +11,7 @@
 //! The subsystem has four parts (see `docs/SIMULATION.md` for the
 //! architecture):
 //!
-//! * [`scenario`] — a [`Scenario`] bundles a
+//! * `scenario` — a [`Scenario`] bundles a
 //!   cluster size, replica flavour, workload shape, latency model,
 //!   [`FaultPlan`](cbm_net::fault::FaultPlan), and expectations;
 //! * [`registry`] — ≥8 built-in scenarios (partitions, flapping
@@ -46,9 +46,7 @@ pub mod corpus;
 pub mod explore;
 pub mod registry;
 pub mod runner;
-pub mod scenario;
+pub(crate) mod scenario;
 
-pub use explore::{explore, explore_all, ExplorationReport};
-pub use registry::{by_name, scenarios};
 pub use runner::{run_scenario, ScenarioOutcome};
 pub use scenario::{Flavour, Scenario};

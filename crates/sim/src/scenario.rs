@@ -67,7 +67,7 @@ pub struct Scenario {
 impl Scenario {
     /// Baseline scenario: no faults, moderate workload. Registry
     /// entries customize from here.
-    pub fn base(name: &'static str, description: &'static str, flavour: Flavour) -> Self {
+    pub(crate) fn base(name: &'static str, description: &'static str, flavour: Flavour) -> Self {
         Scenario {
             name,
             description,

@@ -264,30 +264,30 @@ impl ChaosSchedule {
     }
 
     /// Is `w` crashed during epoch `e`?
-    pub fn crashed_at(&self, w: NodeId, e: u64) -> bool {
+    pub(crate) fn crashed_at(&self, w: NodeId, e: u64) -> bool {
         self.spans
             .iter()
             .any(|s| s.worker == w && e >= s.crash_epoch && e < s.recover_epoch)
     }
 
     /// Operations worker `w` issues in epoch `e`.
-    pub fn ops_of(&self, w: NodeId, e: u64) -> usize {
+    pub(crate) fn ops_of(&self, w: NodeId, e: u64) -> usize {
         self.ops_in_epoch[w].get(e as usize).copied().unwrap_or(0)
     }
 
     /// Crash spans whose cut is the drain opening epoch `e`.
-    pub fn crashes_at(&self, e: u64) -> impl Iterator<Item = &CrashSpan> {
+    pub(crate) fn crashes_at(&self, e: u64) -> impl Iterator<Item = &CrashSpan> {
         self.spans.iter().filter(move |s| s.crash_epoch == e)
     }
 
     /// Crash spans whose recovery transfer runs at the drain opening
     /// epoch `e`.
-    pub fn recoveries_at(&self, e: u64) -> impl Iterator<Item = &CrashSpan> {
+    pub(crate) fn recoveries_at(&self, e: u64) -> impl Iterator<Item = &CrashSpan> {
         self.spans.iter().filter(move |s| s.recover_epoch == e)
     }
 
     /// Does any chaos dimension apply to this run?
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.spans.is_empty() || !self.link_plan.is_empty()
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! Plain records state their field list once (`wire_struct!`) and
 //! enums their tag table once (`wire_enum!`); hand-written impls remain
-//! only where decoding does real work: report labels and the absent
-//! trace slot.
+//! only where decoding does real work: report labels, the absent
+//! trace slot and `ObsConfig`'s reserved slot.
 //!
 //! `&'static str` report fields (window criterion, escalation pattern
 //! and verdict names) travel as strings and re-intern on decode
@@ -70,13 +70,28 @@ wire_struct!(VerifyConfig {
     sample_every,
     monitor
 });
-wire_struct!(ObsConfig {
-    trace,
-    op_sample_every,
-    batch_sample_every,
-    epoch_cap,
-    keep_epochs
-});
+/// The four fields, then a reserved slot that is always `0`: it keeps
+/// the config and control-protocol layouts that the golden fixtures
+/// pin, and any other value fails the decode.
+impl Wire for ObsConfig {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.trace.put(out);
+        self.op_sample_every.put(out);
+        self.batch_sample_every.put(out);
+        self.epoch_cap.put(out);
+        0usize.put(out);
+    }
+
+    fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let cfg = ObsConfig {
+            trace: Wire::get(buf, pos)?,
+            op_sample_every: Wire::get(buf, pos)?,
+            batch_sample_every: Wire::get(buf, pos)?,
+            epoch_cap: Wire::get(buf, pos)?,
+        };
+        (usize::get(buf, pos)? == 0).then_some(cfg)
+    }
+}
 wire_struct!(DurableConfig {
     log_dir,
     snapshot_every,

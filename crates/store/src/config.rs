@@ -37,7 +37,7 @@ pub enum BatchPolicy {
 
 impl BatchPolicy {
     /// The pending-payload count that triggers a flush.
-    pub fn threshold(self) -> usize {
+    pub(crate) fn threshold(self) -> usize {
         match self {
             BatchPolicy::Off => 1,
             BatchPolicy::Every(k) => k.max(1),
@@ -102,7 +102,7 @@ impl ShardConfig {
     }
 
     /// The shard count this config denotes for a given worker count.
-    pub fn shards_or(&self, workers: usize) -> usize {
+    pub(crate) fn shards_or(&self, workers: usize) -> usize {
         if self.shards == 0 {
             workers
         } else {
@@ -184,9 +184,6 @@ pub struct ObsConfig {
     /// Retained spans per kind per epoch per worker; deterministic
     /// truncation past this (see `cbm_obs::trace::TraceConfig`).
     pub epoch_cap: usize,
-    /// Most recent sealed epochs each worker retains (flight-recorder
-    /// window; `0` keeps all epochs).
-    pub keep_epochs: usize,
 }
 
 impl Default for ObsConfig {
@@ -196,7 +193,6 @@ impl Default for ObsConfig {
             op_sample_every: 64,
             batch_sample_every: 32,
             epoch_cap: 4096,
-            keep_epochs: 0,
         }
     }
 }

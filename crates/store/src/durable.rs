@@ -58,11 +58,11 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Record tag: one own update applied at invocation.
-pub const TAG_OWN: u8 = 0;
+pub(crate) const TAG_OWN: u8 = 0;
 /// Record tag: one delivered envelope batch.
-pub const TAG_BATCH: u8 = 1;
+pub(crate) const TAG_BATCH: u8 = 1;
 /// Record tag: a sealed drain cut (followed by `fdatasync`).
-pub const TAG_SEAL: u8 = 2;
+pub(crate) const TAG_SEAL: u8 = 2;
 
 /// Framed records an [`EpochLog`] gathers before handing them to the
 /// file in one `write(2)` (group commit; see the [module docs](self)).
@@ -203,7 +203,6 @@ pub struct LogCounts {
 pub struct EpochLog {
     file: File,
     dir: PathBuf,
-    log_path: PathBuf,
     snap_path: PathBuf,
     /// Framed records not yet written (group commit: see
     /// [`GROUP_BYTES`]). Never written on drop — an unsealed group is
@@ -241,7 +240,6 @@ impl EpochLog {
         Ok(EpochLog {
             file,
             dir: dir.to_path_buf(),
-            log_path,
             snap_path,
             group: Vec::new(),
             boundary_seals: 0,
@@ -349,11 +347,6 @@ impl EpochLog {
         self.counts.write_syscalls += 1;
         self.counts.syncs += 3;
         Ok(())
-    }
-
-    /// Path of the log file (tests and diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.log_path
     }
 }
 
@@ -579,7 +572,7 @@ mod tests {
         let s1 = seal_of(&live, 1, 1);
         assert!(log.seal(&s1, 1).unwrap(), "cadence of 1 compacts");
         log.snapshot(&s1, &live.snapshot()).unwrap();
-        assert_eq!(fs::metadata(log.path()).unwrap().len(), 0);
+        assert_eq!(fs::metadata(log_path(&dir, 3)).unwrap().len(), 0);
 
         // the tail past the snapshot replays on top of it
         live.apply_update(&adt, 1, ts(2, 3), &CtInput::Add(-2));
@@ -616,12 +609,12 @@ mod tests {
         log.log_own(0, ts(1, 0), &CtInput::Add(1)).unwrap();
         let s1 = seal_of(&live, 1, 1);
         log.seal(&s1, 0).unwrap();
-        let committed = fs::read(log.path()).unwrap();
+        let committed = fs::read(log_path(&dir, 0)).unwrap();
 
         // a half-written record after the seal: clean replay to the seal
         let mut torn = committed.clone();
         torn.extend_from_slice(&[9, 0, 0, 0, 1, 2, 3]); // header cut short
-        fs::write(log.path(), &torn).unwrap();
+        fs::write(log_path(&dir, 0), &torn).unwrap();
         let rec = recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal).unwrap();
         assert_eq!(rec.seal, s1);
         assert_eq!(rec.log_bytes, committed.len() as u64);
@@ -630,7 +623,7 @@ mod tests {
         // scan before the seal, so nothing sealed remains -> typed error
         let mut flipped = committed.clone();
         flipped[FRAME_HEADER] ^= 0xff;
-        fs::write(log.path(), &flipped).unwrap();
+        fs::write(log_path(&dir, 0), &flipped).unwrap();
         assert!(matches!(
             recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal),
             Err(LogError::NoSeal)
@@ -675,10 +668,10 @@ mod tests {
         log.log_own(0, ts(1, 0), &CtInput::Add(4)).unwrap();
         let s1 = seal_of(&live, 1, 1);
         log.seal(&s1, 1).unwrap();
-        let stale = fs::read(log.path()).unwrap();
+        let stale = fs::read(log_path(&dir, 0)).unwrap();
 
         log.snapshot(&s1, &live.snapshot()).unwrap();
-        fs::write(log.path(), &stale).unwrap();
+        fs::write(log_path(&dir, 0), &stale).unwrap();
         let rec = recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal).unwrap();
         assert_eq!((&rec.seal, &rec.states), (&s1, &vec![4, 0]));
         assert_eq!(rec.replayed_records, 1, "the snapshot alone");
@@ -687,7 +680,7 @@ mod tests {
         live.apply_update(&adt, 1, ts(5, 1), &CtInput::Add(7));
         let s3 = seal_of(&live, 3, 1);
         log.snapshot(&s3, &live.snapshot()).unwrap();
-        fs::write(log.path(), &stale).unwrap();
+        fs::write(log_path(&dir, 0), &stale).unwrap();
         let rec = recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal).unwrap();
         assert_eq!((&rec.seal, &rec.states), (&s3, &vec![4, 7]));
         let _ = fs::remove_dir_all(&dir);
@@ -757,7 +750,7 @@ mod tests {
                         s.put(b);
                     });
                     seals += 1;
-                    let file = fs::read(log.path()).unwrap();
+                    let file = fs::read(log_path(&dir, 0)).unwrap();
                     assert!(
                         file == stream,
                         "seed {seed} step {step}: sealed bytes differ"
@@ -767,7 +760,7 @@ mod tests {
                     stream.clear();
                     snapshots += 1;
                 }
-                let file = fs::read(log.path()).unwrap();
+                let file = fs::read(log_path(&dir, 0)).unwrap();
                 assert!(
                     stream.starts_with(&file),
                     "seed {seed} step {step}: not a prefix"

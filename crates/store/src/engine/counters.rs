@@ -168,7 +168,7 @@ counter_block! {
 
 impl Counters {
     /// A delta's deterministic per-epoch dashboard row.
-    pub fn epoch_row(&self, epoch: u64, crashed: bool) -> EpochMetrics {
+    pub(crate) fn epoch_row(&self, epoch: u64, crashed: bool) -> EpochMetrics {
         EpochMetrics {
             epoch,
             ops: self.ops,
@@ -185,7 +185,7 @@ impl Counters {
     }
 
     /// The block's per-worker report row.
-    pub fn worker_stats(&self, worker: usize, latency: LatencySummary) -> WorkerStats {
+    pub(crate) fn worker_stats(&self, worker: usize, latency: LatencySummary) -> WorkerStats {
         WorkerStats {
             worker,
             ops: self.ops,

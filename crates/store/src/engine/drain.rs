@@ -88,7 +88,7 @@ pub(super) struct Coordinator {
 }
 
 impl Coordinator {
-    pub fn new(n: usize, shards: usize) -> Self {
+    pub(crate) fn new(n: usize, shards: usize) -> Self {
         let zeros = |k: usize| (0..k).map(|_| AtomicU64::new(0)).collect();
         Coordinator {
             barrier: Barrier::new(n),

@@ -212,7 +212,6 @@ where
                 tracing,
                 TraceConfig {
                     cap_per_kind: cfg.obs.epoch_cap,
-                    keep_epochs: cfg.obs.keep_epochs,
                 },
             ),
             epoch: 0,

@@ -448,7 +448,7 @@ pub(super) mod tests {
     }
 
     impl Rig {
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             let cfg = StoreConfig {
                 workers: 2,
                 objects: 4,
@@ -467,7 +467,7 @@ pub(super) mod tests {
         }
 
         /// Worker 0, and node 1's endpoint to play its peer.
-        pub fn worker(&self) -> (Worker<'_, Register, Endpoint<Msg>>, Endpoint<Msg>) {
+        pub(crate) fn worker(&self) -> (Worker<'_, Register, Endpoint<Msg>>, Endpoint<Msg>) {
             let mut eps = ThreadNet::new(2).into_endpoints();
             let (peer, ep) = (eps.pop().unwrap(), eps.pop().unwrap());
             let (cfg, map) = (&self.cfg, &self.map);

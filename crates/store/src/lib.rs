@@ -32,7 +32,7 @@
 //! anti-entropy state transfer (cut snapshot + vector-clock frontier +
 //! missed-envelope replay) — with sampled verification still running
 //! while the network misbehaves. The named fault profiles and the
-//! schedule derivation live in [`chaos`]; the protocol and its
+//! schedule derivation live in `chaos`; the protocol and its
 //! determinism contract are documented in `docs/CHAOS.md`.
 //!
 //! The engine supports **partial replication**: a [`ShardConfig`]
@@ -92,14 +92,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
+pub(crate) mod chaos;
 pub mod codec;
-pub mod config;
+pub(crate) mod config;
 pub mod durable;
-pub mod engine;
+pub(crate) mod engine;
 pub mod objects;
-pub mod record;
-pub mod shard;
+pub(crate) mod record;
+pub(crate) mod shard;
 pub mod stats;
 pub mod wire;
 

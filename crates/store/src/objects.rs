@@ -49,11 +49,6 @@ impl<T: Adt> ObjectTable<T> {
         }
     }
 
-    /// Number of objects.
-    pub fn objects(&self) -> usize {
-        self.states.len()
-    }
-
     /// The slot an object id maps to.
     #[inline]
     pub fn slot(&self, obj: u32) -> usize {
@@ -89,7 +84,7 @@ impl<T: Adt> ObjectTable<T> {
     }
 
     /// Snapshot every object's current state.
-    pub fn snapshot(&self) -> Vec<T::State> {
+    pub(crate) fn snapshot(&self) -> Vec<T::State> {
         self.states.clone()
     }
 
@@ -110,7 +105,11 @@ impl<T: Adt> ObjectTable<T> {
     /// replication crash recovery): `slots` names the table indices in
     /// the order `states` lists them. Same compaction contract as
     /// [`ObjectTable::install`], applied per slot.
-    pub fn install_slots(&mut self, slots: impl Iterator<Item = usize>, states: &[T::State]) {
+    pub(crate) fn install_slots(
+        &mut self,
+        slots: impl Iterator<Item = usize>,
+        states: &[T::State],
+    ) {
         let mut n = 0;
         for (slot, state) in slots.zip(states) {
             self.states[slot] = state.clone();
@@ -124,7 +123,7 @@ impl<T: Adt> ObjectTable<T> {
 
     /// Order-sensitive hash of one shard's slots (per-shard drain
     /// convergence evidence under partial replication).
-    pub fn shard_hash(&self, slots: impl Iterator<Item = usize>) -> u64 {
+    pub(crate) fn shard_hash(&self, slots: impl Iterator<Item = usize>) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for slot in slots {
             self.states[slot].hash(&mut h);
@@ -133,7 +132,7 @@ impl<T: Adt> ObjectTable<T> {
     }
 
     /// Clone one shard's slot states, ascending slot order.
-    pub fn shard_snapshot(&self, slots: impl Iterator<Item = usize>) -> Vec<T::State> {
+    pub(crate) fn shard_snapshot(&self, slots: impl Iterator<Item = usize>) -> Vec<T::State> {
         slots.map(|slot| self.states[slot].clone()).collect()
     }
 
@@ -148,7 +147,8 @@ impl<T: Adt> ObjectTable<T> {
     }
 
     /// Log entries currently held (convergent arbitration backlog).
-    pub fn log_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn log_len(&self) -> usize {
         self.logs.iter().map(ArbLog::len).sum()
     }
 }

@@ -29,7 +29,7 @@ use cbm_net::NodeId;
 
 /// One recorded own event.
 #[derive(Debug, Clone)]
-pub struct OwnEvent<T: Adt> {
+pub(crate) struct OwnEvent<T: Adt> {
     /// Target object.
     pub obj: u32,
     /// Input.
@@ -41,10 +41,10 @@ pub struct OwnEvent<T: Adt> {
 }
 
 /// A window event reference: (origin worker, origin's own-event index).
-pub type EventRef = (NodeId, u32);
+pub(crate) type EventRef = (NodeId, u32);
 
 /// One worker's contribution to a window.
-pub struct WindowRecord<T: Adt> {
+pub(crate) struct WindowRecord<T: Adt> {
     /// Recording worker.
     pub worker: NodeId,
     /// Window number.
@@ -72,7 +72,7 @@ pub struct WindowRecord<T: Adt> {
 impl<T: Adt> WindowRecord<T> {
     /// The record a crashed worker contributes: no events, no applies,
     /// its stale snapshot carried only for arity.
-    pub fn crashed(worker: NodeId, window: u64, snapshot: Vec<T::State>) -> Self {
+    pub(crate) fn crashed(worker: NodeId, window: u64, snapshot: Vec<T::State>) -> Self {
         WindowRecord {
             worker,
             window,
@@ -87,7 +87,7 @@ impl<T: Adt> WindowRecord<T> {
 }
 
 /// The per-worker recorder driven by the engine's hot loop.
-pub struct WindowRecorder<T: Adt> {
+pub(crate) struct WindowRecorder<T: Adt> {
     active: bool,
     window: u64,
     quota: usize,
@@ -100,7 +100,7 @@ pub struct WindowRecorder<T: Adt> {
 
 impl<T: Adt> WindowRecorder<T> {
     /// An idle recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WindowRecorder {
             active: false,
             window: 0,
@@ -114,14 +114,14 @@ impl<T: Adt> WindowRecorder<T> {
     }
 
     /// Recording?
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.active
     }
 
     /// Start recording `quota` own events from the drained state
     /// `snapshot`. `spans_recovery` marks windows whose opening drain
     /// performed a crash-recovery state transfer.
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         window: u64,
         quota: usize,
@@ -140,7 +140,7 @@ impl<T: Adt> WindowRecorder<T> {
 
     /// Record one own event; returns its wire tag. `None` when the
     /// recorder is idle or this worker's quota is already met.
-    pub fn on_own(&mut self, me: NodeId, ev: OwnEvent<T>) -> Option<u32> {
+    pub(crate) fn on_own(&mut self, me: NodeId, ev: OwnEvent<T>) -> Option<u32> {
         if !self.active || self.own.len() >= self.quota {
             return None;
         }
@@ -150,17 +150,8 @@ impl<T: Adt> WindowRecorder<T> {
         Some(wseq)
     }
 
-    /// Own events still to record before this worker's quota is met.
-    pub fn remaining(&self) -> usize {
-        if self.active {
-            self.quota - self.own.len()
-        } else {
-            0
-        }
-    }
-
     /// Record the delivery of a remote update.
-    pub fn on_remote(&mut self, origin: NodeId, wseq: Option<u32>) {
+    pub(crate) fn on_remote(&mut self, origin: NodeId, wseq: Option<u32>) {
         if !self.active {
             return;
         }
@@ -171,7 +162,7 @@ impl<T: Adt> WindowRecorder<T> {
     }
 
     /// Close the window and hand over the record.
-    pub fn finish(&mut self, me: NodeId) -> WindowRecord<T> {
+    pub(crate) fn finish(&mut self, me: NodeId) -> WindowRecord<T> {
         self.active = false;
         WindowRecord {
             worker: me,
@@ -201,7 +192,7 @@ impl<T: Adt> Default for WindowRecorder<T> {
 /// are excluded from the convergence checks — the window is verified
 /// over the live replicas, which is exactly the guarantee a crashed
 /// process retains (§6.1: a crashed process simply stops operating).
-pub fn verify_window<T: Adt>(
+pub(crate) fn verify_window<T: Adt>(
     space: &ObjectSpace<T>,
     mode: Mode,
     sample_every: usize,
@@ -315,7 +306,7 @@ pub fn verify_window<T: Adt>(
 
 /// One per-shard verification verdict produced by
 /// [`verify_shard_windows`].
-pub struct ShardVerdict {
+pub(crate) struct ShardVerdict {
     /// The shard verified (`None` for a whole-space window under full
     /// replication, or for a window-level failure that prevented the
     /// split).
@@ -340,7 +331,7 @@ pub struct ShardVerdict {
 /// routed remote reads are never recorded (they are served from a
 /// replica's current state and carry no apply position; see
 /// `docs/SHARDING.md` for the verification contract).
-pub fn verify_shard_windows<T: Adt>(
+pub(crate) fn verify_shard_windows<T: Adt>(
     space: &ObjectSpace<T>,
     mode: Mode,
     sample_every: usize,
@@ -768,7 +759,6 @@ mod tests {
             r.on_own(0, ev(0, RegInput::Read, RegOutput::Val(0), 2, 0)),
             Some(1)
         );
-        assert_eq!(r.remaining(), 0);
         assert_eq!(
             r.on_own(0, ev(0, RegInput::Read, RegOutput::Val(0), 3, 0)),
             None

@@ -33,7 +33,9 @@
 //! exactly.
 
 use crate::config::StoreConfig;
-use cbm_net::broadcast::{full_interest, InterestMask};
+#[cfg(test)]
+use cbm_net::broadcast::full_interest;
+use cbm_net::broadcast::InterestMask;
 use cbm_net::NodeId;
 
 /// SplitMix64 finalizer: the placement hash (local copy so placement
@@ -68,7 +70,8 @@ impl ShardMap {
     /// `objects` objects in `shards` shards at replication factor
     /// `replication`, drawing non-home replicas globally
     /// (`locality = 0`; see [`ShardMap::with_locality`]).
-    pub fn new(
+    #[cfg(test)]
+    pub(crate) fn new(
         workers: usize,
         objects: usize,
         shards: usize,
@@ -90,7 +93,7 @@ impl ShardMap {
     /// path ([`ShardMap::build`]) additionally requires every worker
     /// to host at least one shard, because updates execute locally
     /// after [`ShardMap::localize`].
-    pub fn with_locality(
+    pub(crate) fn with_locality(
         workers: usize,
         objects: usize,
         shards: usize,
@@ -209,19 +212,20 @@ impl ShardMap {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
     /// Effective replication factor.
-    pub fn replication(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn replication(&self) -> usize {
         self.replication
     }
 
     /// Is every shard hosted by every worker (the degenerate full-
     /// replication placement, where the engine skips read routing and
     /// per-shard window splitting)?
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.replication == self.workers
     }
 
@@ -254,13 +258,20 @@ impl ShardMap {
 
     /// The shard's home worker (owner of first resort for read
     /// routing).
-    pub fn home(&self, shard: usize) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn home(&self, shard: usize) -> NodeId {
         shard % self.workers
     }
 
     /// Object slots (table indices) belonging to `shard`, ascending.
-    pub fn slots_of(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn slots_of(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
         (shard..self.objects).step_by(self.shards)
+    }
+
+    /// The full-cluster interest mask.
+    #[cfg(test)]
+    pub(crate) fn full_mask(&self) -> InterestMask {
+        full_interest(self.workers)
     }
 
     /// Route an object id to a deterministic object this worker hosts
@@ -281,11 +292,6 @@ impl ShardMap {
         let cand = (slot / self.shards) * self.shards + target;
         let cand = if cand < self.objects { cand } else { target };
         cand as u32
-    }
-
-    /// The full-cluster interest mask.
-    pub fn full_mask(&self) -> InterestMask {
-        full_interest(self.workers)
     }
 }
 

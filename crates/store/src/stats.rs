@@ -48,7 +48,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Extract the summary from a histogram.
-    pub fn from_histogram(h: &LatencyHistogram) -> Self {
+    pub(crate) fn from_histogram(h: &LatencyHistogram) -> Self {
         LatencySummary {
             count: h.count(),
             p50_ns: h.quantile(0.50),
@@ -276,7 +276,7 @@ pub struct EpochMetrics {
 
 impl EpochMetrics {
     /// Add another worker's row for the same epoch into this one.
-    pub fn absorb(&mut self, other: &EpochMetrics) {
+    pub(crate) fn absorb(&mut self, other: &EpochMetrics) {
         self.ops += other.ops;
         self.updates += other.updates;
         self.remote_reads += other.remote_reads;

@@ -127,24 +127,24 @@ pub fn batch_bytes<I>(env: &BatchMsg<I>) -> usize {
 
 /// What one replicated op is charged on the wire: object id,
 /// timestamp, tag byte, and the input's in-memory size.
-pub fn op_bytes<I>() -> usize {
+pub(crate) fn op_bytes<I>() -> usize {
     4 + 10 + 1 + std::mem::size_of::<I>()
 }
 
 /// Estimated wire size of a nack (sender id + tag).
-pub fn nack_bytes() -> usize {
+pub(crate) fn nack_bytes() -> usize {
     2 + 1
 }
 
 /// Wire size of a repair: the envelopes it retransmits, at their
 /// original (delta-encoded) stamp sizes.
-pub fn repair_bytes<I>(batches: &[BatchMsg<I>]) -> usize {
+pub(crate) fn repair_bytes<I>(batches: &[BatchMsg<I>]) -> usize {
     batches.iter().map(batch_bytes).sum()
 }
 
 /// Estimated wire size of a state transfer: shard ids, per-object
 /// states, and the Lamport stamp.
-pub fn sync_bytes<S>(p: &ShardSyncPayload<S>) -> usize {
+pub(crate) fn sync_bytes<S>(p: &ShardSyncPayload<S>) -> usize {
     p.shards
         .iter()
         .map(|(_, states)| 4 + states.len() * std::mem::size_of::<S>())
@@ -153,14 +153,14 @@ pub fn sync_bytes<S>(p: &ShardSyncPayload<S>) -> usize {
 }
 
 /// Estimated wire size of a recovery handshake (sender + tag + flag).
-pub fn sync_req_bytes() -> usize {
+pub(crate) fn sync_req_bytes() -> usize {
     2 + 1 + 1
 }
 
 /// Estimated wire size of a recovery op delta: shard ids plus each op
 /// at the same per-op charge as a batch envelope, and the Lamport
 /// stamp.
-pub fn delta_bytes<I>(p: &ShardDeltaPayload<I>) -> usize {
+pub(crate) fn delta_bytes<I>(p: &ShardDeltaPayload<I>) -> usize {
     p.shards
         .iter()
         .map(|(_, ops)| 4 + ops.len() * op_bytes::<I>())

@@ -249,7 +249,7 @@ fn epoch_log_bytes_are_stable() {
         },
     };
     log.seal(&seal, 0).expect("seal");
-    let bytes = std::fs::read(log.path()).expect("read log");
+    let bytes = std::fs::read(dir.join("worker-0.log")).expect("read log");
     let _ = std::fs::remove_dir_all(&dir);
     assert_golden("epoch log", &bytes, include_str!("golden/epoch_log.hex"));
 }

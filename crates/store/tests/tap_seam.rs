@@ -64,7 +64,6 @@ fn traced() -> ObsConfig {
         op_sample_every: 16,
         batch_sample_every: 2,
         epoch_cap: 1_000_000,
-        keep_epochs: 0,
     }
 }
 

@@ -49,7 +49,6 @@ fn cfg(workers: usize, rf: usize, mode: Mode, batch: usize, seed: u64) -> StoreC
             op_sample_every: 16,
             batch_sample_every: 1,
             epoch_cap: 1_000_000,
-            keep_epochs: 0,
         },
         durable: DurableConfig::default(),
     }

@@ -1,11 +1,11 @@
 //! Tight-loop checker timing on the 14-event recorded history.
 //!
-//! The criterion-stub bench (`checker_scaling`) runs 3 iterations per
+//! `perf_baseline` reports best and mean over a few iterations per
 //! cell, which is enough to track movement but noisy for before/after
 //! comparisons of a single optimization. This example spins each
-//! checker 200 times over the largest `checker_scaling` history — the
-//! same `cbm_bench::recorded_window_history` workload the bench and
-//! `perf_baseline` measure — and prints mean wall time plus the
+//! checker 200 times over its largest history — the same
+//! `cbm_bench::recorded_window_history` workload `perf_baseline`
+//! measures — and prints mean wall time plus the
 //! machine-independent `nodes_used` (see `docs/PERFORMANCE.md`).
 //!
 //! ```text

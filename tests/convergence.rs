@@ -161,8 +161,7 @@ fn add_remove_set_converges_on_conflicts() {
     }
 }
 
-/// Convergence time scales with the tail of the latency distribution
-/// (sanity check for the convergence_time bench).
+/// Convergence time scales with the tail of the latency distribution.
 #[test]
 fn convergence_time_tracks_latency_tail() {
     let time_for = |tail_max: u64| {

@@ -1,5 +1,5 @@
-//! End-to-end validation of the algorithms at scale (experiments E4/E5
-//! of DESIGN.md): hundreds of randomized executions per flavour, over
+//! End-to-end validation of the algorithms at scale (the Fig. 4 and
+//! Fig. 5 replicas): hundreds of randomized executions per flavour, over
 //! adversarial latency distributions and crash faults, each verified
 //! against its own causal witness in linear time.
 

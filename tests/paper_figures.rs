@@ -2,8 +2,8 @@
 //! histories against every criterion, cross-checked with the expected
 //! matrix (paper claims + Fig. 1 hierarchy closures).
 //!
-//! This is experiment E3 of DESIGN.md in test form; the printable
-//! version is `cargo run -p cbm-bench --bin fig3_classification`.
+//! The printable version is `cargo run -p cbm-bench --bin
+//! fig3_classification`.
 
 use cbm_adt::memory::Memory;
 use cbm_adt::queue::{FifoQueue, HdRhQueue};
