@@ -926,19 +926,22 @@ fn append_summary(
         )?;
     }
 
-    // Envelope buffer stock (docs/THROUGHPUT.md "What replication
-    // costs"): the two counts sum to the batch envelopes stamped; how
-    // they split is decided by how deep each worker's inbound backlog
-    // gets relative to its stock, i.e. by the scheduler.
+    // Envelope buffer stocks (docs/THROUGHPUT.md "What replication
+    // costs"): reused and allocated sum to the batch envelopes stamped,
+    // and pooled is the part of reused the engine-wide pool supplied;
+    // how they split is decided by how deep each worker's inbound
+    // backlog gets relative to its stock, i.e. by the scheduler.
     let stock_rows: Vec<Vec<String>> = reports
         .iter()
         .filter_map(|(l, r)| {
             let reused = r.metric("envelope_bufs_reused_total")?;
+            let pooled = r.metric("envelope_bufs_pooled_total")?;
             let allocated = r.metric("envelope_bufs_allocated_total")?;
             (reused + allocated > 0).then(|| {
                 vec![
                     l.name.clone(),
                     reused.to_string(),
+                    pooled.to_string(),
                     allocated.to_string(),
                     format!(
                         "{:.1}%",
@@ -952,7 +955,7 @@ fn append_summary(
         append_summary_table(
             path,
             "Envelope buffers (informational, never gated)",
-            &["leg", "reused", "allocated", "reuse"],
+            &["leg", "reused", "pooled", "allocated", "reuse"],
             &stock_rows,
         )?;
     }

@@ -48,9 +48,10 @@
 //! ```
 
 use crate::clock::VectorClock;
-use crate::stock::Stock;
+use crate::stock::{SharedStock, Stock, STOCK_BYTES};
 use crate::NodeId;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// The reorder buffer every protocol here delivers through.
 ///
@@ -192,20 +193,6 @@ impl<P: Clone> CausalBroadcast<P> {
         .collect()
     }
 
-    /// Reset this endpoint to a delivery frontier (crash recovery).
-    ///
-    /// A recovering replica installs a snapshot taken at a consistent
-    /// cut plus the cut's delivery frontier; everything below the
-    /// frontier is folded into the snapshot, everything above it will
-    /// be re-offered (replayed or freshly received) and must deliver
-    /// normally. The component for `me` must equal the number of
-    /// messages this endpoint has broadcast, so future broadcasts keep
-    /// their sequence numbers contiguous.
-    #[cfg(test)]
-    pub(crate) fn resync(&mut self, frontier: &[u64]) {
-        self.held.reset(frontier);
-    }
-
     /// Number of messages delivered from each sender.
     #[cfg(test)]
     pub(crate) fn delivered(&self) -> &[u64] {
@@ -335,44 +322,92 @@ pub struct InterestBatchCausalBroadcast<P> {
     /// delivery makes "the previous envelope on this edge" well-defined
     /// at both ends, which is what makes delta encoding sound.
     edge_col: Vec<u64>,
-    /// Emptied headers handed back by [`recycle`](Self::recycle): the
-    /// next stamp refills one in place instead of allocating.
-    headers: Stock<KnowledgeDelta>,
     /// Pending payloads per interest mask, in first-push order (the
     /// flush order at drains must be deterministic).
     pending: Vec<(InterestMask, Vec<P>)>,
     batches_sent: u64,
     payloads_sent: u64,
-    bufs: PayloadBufs<P>,
+    bufs: Bufs<P>,
 }
 
-/// Where an [`InterestBatchCausalBroadcast`]'s payload vectors come
-/// from: emptied payloads of delivered envelopes
-/// ([`recycle`](InterestBatchCausalBroadcast::recycle)) first, the
-/// allocator only when there is none.
+/// Emptied envelope buffers shared by the endpoints of one cluster
+/// ([`InterestBatchCausalBroadcast::with_pool`]): what an endpoint's
+/// own stock cannot hold spills here, and an endpoint whose stock is
+/// empty draws from here before it allocates. Bounded at the cluster
+/// size times one endpoint's stock, per kind (payload vectors and
+/// headers); reached with `try_lock` only, so a contended access frees
+/// or allocates as an endpoint without a pool would.
+#[derive(Debug)]
+pub struct BufPool<P> {
+    payloads: SharedStock<Vec<P>>,
+    headers: SharedStock<KnowledgeDelta>,
+}
+
+impl<P> BufPool<P> {
+    /// An empty pool for a cluster of `n`.
+    pub fn new(n: usize) -> Self {
+        BufPool {
+            payloads: SharedStock::bounded(n * STOCK_BYTES),
+            headers: SharedStock::bounded(n * STOCK_BYTES),
+        }
+    }
+}
+
+/// Where an [`InterestBatchCausalBroadcast`]'s envelope buffers come
+/// from: emptied buffers of delivered envelopes
+/// ([`recycle`](InterestBatchCausalBroadcast::recycle)) from its own
+/// stock first, then from the cluster's [`BufPool`] if it shares one,
+/// the allocator only when neither has one.
 #[derive(Debug, Clone)]
-struct PayloadBufs<P> {
-    stock: Stock<Vec<P>>,
+struct Bufs<P> {
+    payloads: Stock<Vec<P>>,
+    headers: Stock<KnowledgeDelta>,
+    pool: Option<Arc<BufPool<P>>>,
     /// The largest batch flushed so far: what a freshly allocated
     /// vector is sized to, so it never regrows on the way to the
     /// caller's flush threshold.
     batch_cap: usize,
     reused: u64,
+    pooled: u64,
     allocated: u64,
 }
 
-impl<P> PayloadBufs<P> {
+impl<P> Bufs<P> {
     /// An empty payload vector.
-    fn draw(&mut self) -> Vec<P> {
-        match self.stock.draw() {
-            Some(buf) => {
-                self.reused += 1;
-                buf
-            }
-            None => {
-                self.allocated += 1;
-                Vec::with_capacity(self.batch_cap)
-            }
+    fn payload(&mut self) -> Vec<P> {
+        if let Some(buf) = self.payloads.draw() {
+            self.reused += 1;
+            return buf;
+        }
+        if let Some(buf) = self.pool.as_ref().and_then(|p| p.payloads.draw()) {
+            self.reused += 1;
+            self.pooled += 1;
+            return buf;
+        }
+        self.allocated += 1;
+        Vec::with_capacity(self.batch_cap)
+    }
+
+    /// An empty header.
+    fn header(&mut self) -> KnowledgeDelta {
+        self.headers
+            .draw()
+            .or_else(|| self.pool.as_ref()?.headers.draw())
+            .unwrap_or_default()
+    }
+
+    /// Keep an emptied payload vector, spilling to the pool past the
+    /// own stock's bound.
+    fn stow_payload(&mut self, buf: Vec<P>) {
+        if let (Some(left), Some(pool)) = (self.payloads.stow(buf), &self.pool) {
+            pool.payloads.stow(left);
+        }
+    }
+
+    /// Keep an emptied header, likewise.
+    fn stow_header(&mut self, buf: KnowledgeDelta) {
+        if let (Some(left), Some(pool)) = (self.headers.stow(buf), &self.pool) {
+            pool.headers.stow(left);
         }
     }
 }
@@ -380,8 +415,18 @@ impl<P> PayloadBufs<P> {
 impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// A fresh endpoint for process `me` in a cluster of `n`
     /// (≤ [`InterestMask::MAX_NODES`]: interest sets are inline
-    /// bitsets).
+    /// bitsets), recycling envelope buffers through its own stock only.
     pub fn new(me: NodeId, n: usize) -> Self {
+        Self::build(me, n, None)
+    }
+
+    /// [`new`](Self::new), with `pool` — shared by the cluster's other
+    /// endpoints — behind its own stock.
+    pub fn with_pool(me: NodeId, n: usize, pool: Arc<BufPool<P>>) -> Self {
+        Self::build(me, n, Some(pool))
+    }
+
+    fn build(me: NodeId, n: usize, pool: Option<Arc<BufPool<P>>>) -> Self {
         assert!(
             n <= InterestMask::MAX_NODES,
             "interest masks are {}-bit bitsets: n = {n}",
@@ -396,14 +441,16 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
             row_ver: vec![0; n],
             sent_ver: vec![0; n],
             edge_col: vec![0; n * n],
-            headers: Stock::default(),
             pending: Vec::new(),
             batches_sent: 0,
             payloads_sent: 0,
-            bufs: PayloadBufs {
-                stock: Stock::default(),
+            bufs: Bufs {
+                payloads: Stock::default(),
+                headers: Stock::default(),
+                pool,
                 batch_cap: 0,
                 reused: 0,
+                pooled: 0,
                 allocated: 0,
             },
         }
@@ -421,7 +468,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
             q.push(payload);
             return q.len();
         }
-        let mut q = self.bufs.draw();
+        let mut q = self.bufs.payload();
         q.push(payload);
         self.pending.push((recipients, q));
         1
@@ -444,8 +491,8 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
 
     /// [`flush_mask`](Self::flush_mask), appending the envelopes to a
     /// caller-kept vector. The last recipient's envelope carries the
-    /// pending batch itself; the others carry copies drawn from the
-    /// recycled stock — a fan-out of `k` costs `k - 1` copies.
+    /// pending batch itself; the others carry copies drawn from
+    /// recycled buffers — a fan-out of `k` costs `k - 1` copies.
     pub fn flush_mask_into(
         &mut self,
         recipients: InterestMask,
@@ -481,7 +528,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
         self.ver += 1;
         self.row_ver[me] = self.ver;
         for r in targets() {
-            let mut knows = self.headers.draw().unwrap_or_default();
+            let mut knows = self.bufs.header();
             let dirty = |j: &usize| self.row_ver[*j] > self.sent_ver[r];
             // size the header before filling it, so a fresh one is two
             // allocations and a recycled one usually none
@@ -502,7 +549,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
             let payload = if left == 0 {
                 std::mem::take(&mut batch)
             } else {
-                let mut copy = self.bufs.draw();
+                let mut copy = self.bufs.payload();
                 copy.extend_from_slice(&batch);
                 copy
             };
@@ -630,20 +677,29 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     /// Hand back a delivered envelope once its payloads are applied:
     /// its payload and header vectors are emptied and kept (up to a
     /// fixed byte bound of each, `stock::STOCK_BYTES`) for the next
-    /// flush to leave in, so in steady state the buffer an update
-    /// arrived in is the buffer the next update leaves in, and the
-    /// sender's allocation is not freed from this thread.
+    /// flush to leave in, so the buffer an update arrived in is the
+    /// buffer the next update leaves in. What the endpoint's own stock
+    /// cannot hold spills into the shared [`BufPool`], if there is one,
+    /// for whichever endpoint next runs short — and is freed only when
+    /// that is full too, or busy.
     pub fn recycle(&mut self, env: InterestMsg<Vec<P>>) {
-        self.bufs.stock.stow(env.payload);
-        self.headers.stow(env.knows);
+        self.bufs.stow_payload(env.payload);
+        self.bufs.stow_header(env.knows);
     }
 
-    /// Payload vectors drawn from the recycled stock so far.
+    /// Payload vectors drawn from recycled buffers so far (the own
+    /// stock or the shared pool).
     pub fn bufs_reused(&self) -> u64 {
         self.bufs.reused
     }
 
-    /// Payload vectors the stock could not supply (allocated).
+    /// Those of [`bufs_reused`](Self::bufs_reused) the shared pool
+    /// supplied.
+    pub fn bufs_pooled(&self) -> u64 {
+        self.bufs.pooled
+    }
+
+    /// Payload vectors no recycled buffer could supply (allocated).
     pub fn bufs_allocated(&self) -> u64 {
         self.bufs.allocated
     }
@@ -714,7 +770,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
         // against exactly this zero baseline
         self.edge_col.fill(0);
         while let Some((_, q)) = self.pending.pop() {
-            self.bufs.stock.stow(q);
+            self.bufs.stow_payload(q);
         }
     }
 
@@ -1037,27 +1093,6 @@ mod tests {
         assert_eq!(p1.delivered(), [8, 0]);
     }
 
-    #[test]
-    fn resync_installs_frontier_and_clears_state() {
-        let mut p0 = CausalBroadcast::<u32>::new(0, 3);
-        let mut p2 = CausalBroadcast::<u32>::new(2, 3);
-        let a = p0.broadcast(1);
-        let b = p0.broadcast(2);
-        let c = p0.broadcast(3);
-        // p2 buffers b out of order, then "crashes" and resyncs to a
-        // frontier that already covers a and b
-        assert!(p2.on_receive(b).is_empty());
-        assert_eq!(p2.buffered(), 1);
-        p2.resync(&[2, 0, 0]);
-        assert_eq!(p2.buffered(), 0);
-        // below-frontier envelopes are stale; the next one delivers
-        assert!(p2.on_receive(a).is_empty());
-        let out = p2.on_receive(c);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].payload, 3);
-        assert_eq!(p2.delivered(), [3, 0, 0]);
-    }
-
     /// All nodes interested: the interest protocol must behave exactly
     /// like [`CausalBroadcast`] (same buffering, same delivery order).
     #[test]
@@ -1284,8 +1319,8 @@ mod tests {
             "cold: a pending batch and two copies each"
         );
         for node in &nodes {
-            assert_eq!(node.bufs.stock.len(), N - 1);
-            assert_eq!(node.headers.len(), N - 1);
+            assert_eq!(node.bufs.payloads.len(), N - 1);
+            assert_eq!(node.bufs.headers.len(), N - 1);
         }
         let (sent, _) = round(&mut nodes, 2);
         for me in 0..N {
@@ -1301,9 +1336,9 @@ mod tests {
         // empty, so the next flush carries only what is pushed after
         nodes[0].push(7, all);
         nodes[0].push(8, all);
-        let held = nodes[0].bufs.stock.len();
+        let held = nodes[0].bufs.payloads.len();
         nodes[0].resync(&[0, 2, 2, 2], &[0; N * N]);
-        assert_eq!(nodes[0].bufs.stock.len(), held + 1);
+        assert_eq!(nodes[0].bufs.payloads.len(), held + 1);
         nodes[0].push(9, all);
         for (_, env) in nodes[0].flush_all() {
             assert_eq!(env.payload, [9]);
@@ -1318,12 +1353,67 @@ mod tests {
         };
         for _ in 0..10_000 {
             nodes[0].recycle(env(128));
-            assert!(nodes[0].bufs.stock.bytes() <= STOCK_BYTES);
-            assert!(nodes[0].headers.bytes() <= STOCK_BYTES);
+            assert!(nodes[0].bufs.payloads.bytes() <= STOCK_BYTES);
+            assert!(nodes[0].bufs.headers.bytes() <= STOCK_BYTES);
         }
-        assert_eq!(nodes[0].bufs.stock.len(), STOCK_BYTES / (128 * 8));
+        assert_eq!(nodes[0].bufs.payloads.len(), STOCK_BYTES / (128 * 8));
         nodes[0].recycle(env(0));
-        assert_eq!(nodes[0].bufs.stock.len(), STOCK_BYTES / (128 * 8));
+        assert_eq!(nodes[0].bufs.payloads.len(), STOCK_BYTES / (128 * 8));
+    }
+
+    /// Two endpoints sharing one pool: what the receiver's full stock
+    /// cannot hold spills into the pool (never past its bound), and
+    /// the sender — whose own stock is empty — draws from it before it
+    /// allocates, always an empty buffer.
+    #[test]
+    fn a_full_stock_spills_into_the_pool_and_an_empty_one_draws_from_it() {
+        use crate::stock::STOCK_BYTES;
+
+        const CAP: usize = 128; // u64 payloads: 1 KiB a buffer
+        let pool = Arc::new(BufPool::new(2));
+        let mut tx = InterestBatchCausalBroadcast::<u64>::with_pool(0, 2, Arc::clone(&pool));
+        let mut rx = InterestBatchCausalBroadcast::<u64>::with_pool(1, 2, Arc::clone(&pool));
+        let to_rx = mask(&[1]);
+        let batch = |tag: u64| (0..CAP as u64).map(|k| tag * 1000 + k).collect::<Vec<_>>();
+        // three stocks' worth of batches in flight at once: the
+        // receiver's stock takes a third, the pool two, the rest is freed
+        let mut wire = Vec::new();
+        for tag in 0..(3 * STOCK_BYTES / (CAP * 8)) as u64 {
+            for p in batch(tag) {
+                tx.push(p, to_rx);
+            }
+            tx.flush_all_into(&mut wire);
+        }
+        assert_eq!(pool.payloads.held(), (0, 0), "nothing spilled yet");
+        for (to, env) in wire.drain(..) {
+            assert_eq!(to, 1);
+            for got in rx.on_receive(env) {
+                rx.recycle(got);
+                assert!(rx.bufs.payloads.bytes() <= STOCK_BYTES);
+                assert!(pool.payloads.held().1 <= 2 * STOCK_BYTES);
+                assert!(pool.headers.held().1 <= 2 * STOCK_BYTES);
+            }
+        }
+        assert_eq!(rx.bufs.payloads.bytes(), STOCK_BYTES);
+        let (spilled, bytes) = pool.payloads.held();
+        assert_eq!(bytes, 2 * STOCK_BYTES, "the receiver spilled into the pool");
+
+        // the sender's next flush leaves in a pooled buffer
+        let allocated = tx.bufs_allocated();
+        for p in batch(7) {
+            tx.push(p, to_rx);
+        }
+        let sent = tx.flush_all();
+        assert_eq!(sent[0].1.payload, batch(7), "drawn empty");
+        assert_eq!(tx.bufs_allocated(), allocated, "the pool supplied it");
+        assert_eq!((tx.bufs_reused(), tx.bufs_pooled()), (1, 1));
+        assert_eq!(pool.payloads.held().0, spilled - 1);
+        for _ in 1..spilled {
+            let buf = tx.bufs.payload();
+            assert_eq!((buf.len(), buf.capacity()), (0, CAP));
+        }
+        assert_eq!(tx.bufs_allocated(), allocated);
+        assert_eq!(pool.payloads.held(), (0, 0));
     }
 
     #[test]

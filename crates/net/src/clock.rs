@@ -2,8 +2,6 @@
 //! (the timestamp arbitration of Fig. 5).
 
 use crate::NodeId;
-#[cfg(test)]
-use std::cmp::Ordering;
 
 /// A vector clock over a fixed cluster size.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -39,40 +37,6 @@ impl VectorClock {
     pub fn tick(&mut self, i: NodeId) -> u64 {
         self.0[i] += 1;
         self.0[i]
-    }
-
-    /// Pointwise maximum.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &VectorClock) {
-        debug_assert_eq!(self.len(), other.len());
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a = (*a).max(*b);
-        }
-    }
-
-    /// `self ≤ other` pointwise.
-    #[cfg(test)]
-    pub(crate) fn le(&self, other: &VectorClock) -> bool {
-        debug_assert_eq!(self.len(), other.len());
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
-    }
-
-    /// Strict domination: `self ≤ other` and `self ≠ other`.
-    #[cfg(test)]
-    pub(crate) fn lt(&self, other: &VectorClock) -> bool {
-        self.le(other) && self != other
-    }
-
-    /// Causal comparison: `Some(Less/Greater/Equal)` when comparable,
-    /// `None` when concurrent.
-    #[cfg(test)]
-    pub(crate) fn causal_cmp(&self, other: &VectorClock) -> Option<Ordering> {
-        match (self.le(other), other.le(self)) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Less),
-            (false, true) => Some(Ordering::Greater),
-            (false, false) => None,
-        }
     }
 
     /// Sum of components (events counted).
@@ -144,25 +108,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vector_clock_ordering() {
-        let mut a = VectorClock::new(3);
-        let mut b = VectorClock::new(3);
-        a.tick(0);
-        b.tick(1);
-        assert_eq!(a.causal_cmp(&b), None); // concurrent
-        b.merge(&a);
-        assert!(a.lt(&b));
-        assert_eq!(a.causal_cmp(&b), Some(Ordering::Less));
-        assert_eq!(a.causal_cmp(&a.clone()), Some(Ordering::Equal));
-    }
-
-    #[test]
     fn merge_is_pointwise_max() {
         let mut a = VectorClock::new(2);
         a.set(0, 5);
-        let mut b = VectorClock::new(2);
-        b.set(1, 7);
-        a.merge(&b);
+        a.set(1, 7);
         assert_eq!(a.components(), &[5, 7]);
         assert_eq!(a.total(), 12);
     }

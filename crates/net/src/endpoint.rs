@@ -86,6 +86,17 @@ pub trait Endpoint<M: Send>: Send {
         u64::MAX
     }
 
+    /// Does a sent message reach its receiver as the very value sent —
+    /// moved in memory, not encoded and decoded? Only then can buffers
+    /// a receiver hands back serve its peers' next sends, so the store
+    /// engine shares one envelope-buffer pool
+    /// ([`crate::broadcast::BufPool`]) among its workers only over such
+    /// a transport. The default, `false`, keeps every endpoint's
+    /// buffers to itself.
+    fn moves_messages(&self) -> bool {
+        false
+    }
+
     /// Stop sending, keep receiving (see module docs).
     fn shutdown(self) -> Self::Drain;
 }

@@ -222,12 +222,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Merge another plan into this one.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: FaultPlan) {
-        self.events.extend(other.events);
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -510,14 +504,6 @@ mod tests {
         assert!(net.blocked(0, 2));
         assert!(!net.blocked(1, 0));
         assert!(!net.blocked(2, 0));
-    }
-
-    #[test]
-    fn merge_keeps_all_events() {
-        let mut a = FaultPlan::new().at(1, Fault::Crash(0));
-        let b = FaultPlan::new().at(2, Fault::Recover(0));
-        a.merge(b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

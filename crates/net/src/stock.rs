@@ -1,5 +1,6 @@
 //! [`Stock`]: the emptied buffers a protocol endpoint keeps so that the
-//! next envelope it stamps leaves in memory an earlier one arrived in.
+//! next envelope it stamps leaves in memory an earlier one arrived in,
+//! and [`SharedStock`]: the one a whole cluster's endpoints share.
 //!
 //! An envelope's payload vector and header arrays are allocated by the
 //! sending worker and, without this, freed by the receiving one — for
@@ -7,14 +8,26 @@
 //! takes the *sender's* arena lock while the sender is allocating from
 //! it. Handing delivered buffers back to the receiver's own endpoint
 //! ([`crate::broadcast::InterestBatchCausalBroadcast::recycle`]) keeps
-//! them on the thread that touched them last: replicas send about as
-//! many envelopes as they receive, so in steady state nothing is
-//! allocated and nothing is freed across threads.
+//! them on the thread that touched them last. A private stock alone is
+//! not enough, though: with fewer cores than workers a worker wakes to
+//! a backlog far deeper than its stock, so it frees most of what it
+//! received while the peers that sent it allocate again (4 workers on
+//! 2 cores reused about 28% of envelope buffers and spent a quarter of
+//! their samples in glibc's allocator). So the endpoints of one engine keep two tiers:
+//! their own LIFO stock first, and behind it one [`SharedStock`] that
+//! a full private stock spills into and an empty one draws from. The
+//! shared tier is reached with `try_lock` only — a contended access
+//! falls back to the allocator, so no worker waits behind a
+//! descheduled holder.
 
-/// Most heap bytes one [`Stock`] holds; what is handed back past it is
-/// freed. Bounded in bytes, not entries, so the cost is the same
-/// whatever the batch size or cluster size (a 256-node full-refresh
-/// header is a megabyte; a 4-node one is 300 bytes).
+use std::sync::Mutex;
+
+/// Most heap bytes one endpoint's [`Stock`] holds; what is handed back
+/// past it spills to the cluster's [`SharedStock`] (bounded at the
+/// cluster size times this) or, past that too, is freed. Bounded in
+/// bytes, not entries, so the cost is the same whatever the batch size
+/// or cluster size (a 256-node full-refresh header is a megabyte; a
+/// 4-node one is 300 bytes).
 ///
 /// Chosen by measurement on the benchmark (4 workers on 2 cores, seed
 /// 42, `--seconds 12`, three runs a step; the parent of this change:
@@ -52,18 +65,28 @@ impl<P> Recycle for Vec<P> {
 }
 
 /// Emptied buffers, LIFO (the most recently touched one is the one
-/// most likely still in cache), at most [`STOCK_BYTES`] of them.
+/// most likely still in cache), at most [`STOCK_BYTES`] of them unless
+/// built [`bounded`](Stock::bounded).
 #[derive(Debug, Clone)]
 pub(crate) struct Stock<B> {
     bufs: Vec<B>,
     bytes: usize,
+    limit: usize,
 }
 
 impl<B> Default for Stock<B> {
     fn default() -> Self {
+        Stock::bounded(STOCK_BYTES)
+    }
+}
+
+impl<B> Stock<B> {
+    /// An empty stock holding at most `limit` heap bytes.
+    pub(crate) fn bounded(limit: usize) -> Self {
         Stock {
             bufs: Vec::new(),
             bytes: 0,
+            limit,
         }
     }
 }
@@ -76,17 +99,24 @@ impl<B: Recycle> Stock<B> {
         Some(buf)
     }
 
-    /// Empty `buf` and keep it, unless it owns no memory or would take
-    /// the stock past its bound (then it is dropped). Emptying happens
-    /// here and nowhere else, so nothing a buffer once carried can ride
-    /// along with what it carries next.
-    pub(crate) fn stow(&mut self, mut buf: B) {
+    /// Empty `buf` and keep it, unless it would take the stock past its
+    /// bound: then it is handed back as it came, for the caller to
+    /// spill or drop. A buffer that owns no memory is dropped. Emptying
+    /// happens here and nowhere else, so nothing a buffer once carried
+    /// can ride along with what it carries next.
+    #[must_use = "a buffer the stock could not keep is the caller's to spill or drop"]
+    pub(crate) fn stow(&mut self, mut buf: B) -> Option<B> {
         let bytes = buf.heap_bytes();
-        if bytes > 0 && self.bytes + bytes <= STOCK_BYTES {
-            buf.empty();
-            self.bytes += bytes;
-            self.bufs.push(buf);
+        if bytes == 0 {
+            return None;
         }
+        if self.bytes + bytes > self.limit {
+            return Some(buf);
+        }
+        buf.empty();
+        self.bytes += bytes;
+        self.bufs.push(buf);
+        None
     }
 
     /// Buffers held.
@@ -95,10 +125,47 @@ impl<B: Recycle> Stock<B> {
         self.bufs.len()
     }
 
-    /// Heap bytes held (never more than [`STOCK_BYTES`]).
+    /// Heap bytes held (never more than its bound).
     #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
+    }
+}
+
+/// A [`Stock`] every endpoint of one cluster reaches, for what their
+/// own stocks cannot hold. Never waited for: a draw or stow that finds
+/// it locked (or poisoned) gives up, and the caller allocates or frees
+/// as it would without it.
+#[derive(Debug)]
+pub(crate) struct SharedStock<B>(Mutex<Stock<B>>);
+
+impl<B: Recycle> SharedStock<B> {
+    /// An empty shared stock holding at most `limit` heap bytes.
+    pub(crate) fn bounded(limit: usize) -> Self {
+        SharedStock(Mutex::new(Stock::bounded(limit)))
+    }
+
+    /// An emptied buffer, if the stock is free and has one.
+    pub(crate) fn draw(&self) -> Option<B> {
+        self.0.try_lock().ok()?.draw()
+    }
+
+    /// Keep `buf` if the stock is free and has room; otherwise it is
+    /// freed — after the lock is released.
+    pub(crate) fn stow(&self, buf: B) {
+        let Ok(mut stock) = self.0.try_lock() else {
+            return;
+        };
+        let left = stock.stow(buf);
+        drop(stock);
+        drop(left);
+    }
+
+    /// `(buffers, heap bytes)` held.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let stock = self.0.lock().expect("unpoisoned");
+        (stock.len(), stock.bytes())
     }
 }
 
@@ -112,8 +179,7 @@ mod tests {
         assert!(s.draw().is_none());
         let (a, b) = (vec![1u64; 8], vec![2u64; 8]);
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        s.stow(a);
-        s.stow(b);
+        assert!(s.stow(a).is_none() && s.stow(b).is_none());
         assert_eq!((s.len(), s.bytes()), (2, 128));
         let got = s.draw().unwrap();
         assert_eq!((got.as_ptr(), got.len()), (pb, 0), "LIFO, emptied");
@@ -125,14 +191,23 @@ mod tests {
     #[test]
     fn never_exceeds_its_bound_and_skips_unallocated() {
         let mut s: Stock<Vec<u8>> = Stock::default();
-        s.stow(Vec::new());
+        assert!(s.stow(Vec::new()).is_none());
         assert_eq!(s.len(), 0, "nothing to keep in an unallocated vector");
         for _ in 0..1000 {
-            s.stow(Vec::with_capacity(1000));
+            let _ = s.stow(Vec::with_capacity(1000));
             assert!(s.bytes() <= STOCK_BYTES);
         }
         assert_eq!(s.len(), STOCK_BYTES / 1000);
-        s.stow(Vec::with_capacity(2 * STOCK_BYTES));
-        assert_eq!(s.len(), STOCK_BYTES / 1000, "an oversized buffer is freed");
+        let big = s.stow(Vec::with_capacity(2 * STOCK_BYTES));
+        assert_eq!(
+            s.len(),
+            STOCK_BYTES / 1000,
+            "an oversized buffer is not kept"
+        );
+        assert_eq!(
+            big.map(|v| v.capacity()),
+            Some(2 * STOCK_BYTES),
+            "it is handed back"
+        );
     }
 }

@@ -286,6 +286,10 @@ impl<M: Clone + Send> crate::endpoint::Endpoint<M> for Endpoint<M> {
         Endpoint::try_recv(self)
     }
 
+    fn moves_messages(&self) -> bool {
+        true
+    }
+
     fn shutdown(self) -> Inbox<M> {
         Endpoint::shutdown(self)
     }

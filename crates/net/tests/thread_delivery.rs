@@ -13,12 +13,14 @@
 //! different submission pattern.
 
 use cbm_net::broadcast::{
-    full_interest, CausalBroadcast, CausalMsg, InterestBatchCausalBroadcast, InterestMsg,
+    full_interest, BufPool, CausalBroadcast, CausalMsg, InterestBatchCausalBroadcast, InterestMsg,
 };
 use cbm_net::clock::VectorClock;
 use cbm_net::thread_net::ThreadNet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
 use std::thread;
 
 /// Independent causal-delivery monitor for one receiver.
@@ -163,76 +165,122 @@ type Stamped = (u64, u64, VectorClock);
 #[test]
 fn batched_causal_delivery_across_threads() {
     for seed in 0..6 {
-        let n = 4;
-        let msgs_per_node = 120u64;
-        let net: ThreadNet<InterestMsg<Vec<Stamped>>> = ThreadNet::new(n);
-        let eps = net.into_endpoints();
-        thread::scope(|s| {
-            for ep in eps {
-                s.spawn(move || {
-                    let me = ep.me;
-                    let n = ep.cluster_size();
-                    let mut rng = StdRng::seed_from_u64(seed ^ (me as u64) << 7);
-                    let mut proto: InterestBatchCausalBroadcast<Stamped> =
-                        InterestBatchCausalBroadcast::new(me, n);
-                    let mut monitor = CausalMonitor::new(me, n);
-                    // per-sender payload cursor: batches preserve issue order
-                    let mut next_payload = vec![0u64; n];
-                    let mut issued = 0u64;
-                    let mut seen = 0u64;
-                    let want = msgs_per_node * (n as u64 - 1);
-                    while issued < msgs_per_node || seen < want {
-                        let burst = rng.gen_range(0u64..=4).min(msgs_per_node - issued);
-                        for _ in 0..burst {
-                            let stamp = monitor.delivered.clone();
-                            proto.push((me as u64, issued, stamp), full_interest(n));
-                            issued += 1;
-                            if proto.pending() >= rng.gen_range(1..=3) || issued == msgs_per_node {
-                                monitor.locally_broadcast();
-                                for (to, env) in proto.flush_all() {
-                                    ep.send(to, env);
-                                }
-                            }
-                        }
-                        let mut got_any = false;
-                        while let Some((_, m)) = ep.try_recv() {
-                            got_any = true;
-                            for batch in proto.on_receive(m) {
-                                // the batch depends on everything its
-                                // origin had delivered when it pushed the
-                                // last payload, and is the origin's next
-                                let (_, _, mut vc) =
-                                    batch.payload.last().expect("non-empty").clone();
-                                vc.tick(batch.sender);
-                                assert_eq!(
-                                    batch.seq,
-                                    vc.get(batch.sender),
-                                    "edge seq = batch count"
-                                );
-                                monitor.deliver(batch.sender, &vc);
-                                for (src, k, _) in batch.payload {
-                                    assert_eq!(src as usize, batch.sender);
-                                    assert_eq!(
-                                        k, next_payload[batch.sender],
-                                        "payload order broken inside/across batches"
-                                    );
-                                    next_payload[batch.sender] = k + 1;
-                                    seen += 1;
-                                }
-                            }
-                        }
-                        if !got_any || rng.gen_bool(0.25) {
-                            thread::yield_now();
-                        }
-                    }
-                    assert_eq!(proto.buffered(), 0, "receiver {me}: undelivered leftovers");
-                    for (q, &cnt) in next_payload.iter().enumerate() {
-                        if q != me {
-                            assert_eq!(cnt, msgs_per_node, "receiver {me} missed payloads of {q}");
-                        }
-                    }
-                });
-            }
-        });
+        batched_stress(seed, 120, 3, false);
     }
+}
+
+/// The same, with every endpoint handing each delivered batch back and
+/// all four sharing one buffer pool, as the store engine's workers do:
+/// a buffer that carried one thread's batch carries another's next, so
+/// anything left in it would break the per-sender payload order. The
+/// runs are long enough, and the batches large enough, for the
+/// endpoints' own stocks to overflow into the pool.
+#[test]
+fn batched_causal_delivery_through_a_shared_pool() {
+    let pooled: u64 = (0..6)
+        .map(|seed| batched_stress(seed, 1500, 40, true))
+        .sum();
+    assert!(pooled > 0, "the pool never supplied a buffer");
+}
+
+/// Raises its flag if dropped by a panicking thread.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.store(true, Relaxed);
+        }
+    }
+}
+
+/// One 4-node batched run, flushing after 1 to `max_batch` payloads;
+/// `pooled`: share one [`BufPool`] and recycle every delivered batch.
+/// Returns the draws the pool served.
+fn batched_stress(seed: u64, msgs_per_node: u64, max_batch: usize, pooled: bool) -> u64 {
+    let n = 4;
+    let net: ThreadNet<InterestMsg<Vec<Stamped>>> = ThreadNet::new(n);
+    let eps = net.into_endpoints();
+    let pool = Arc::new(BufPool::new(n));
+    let failed = AtomicBool::new(false);
+    thread::scope(|s| {
+        let mut nodes = Vec::new();
+        for ep in eps {
+            let (pool, failed) = (Arc::clone(&pool), &failed);
+            nodes.push(s.spawn(move || {
+                // a node that panics stops its peers, which would
+                // otherwise wait forever for its payloads
+                let _stop = StopOnPanic(failed);
+                let me = ep.me;
+                let n = ep.cluster_size();
+                let mut rng = StdRng::seed_from_u64(seed ^ (me as u64) << 7);
+                let mut proto: InterestBatchCausalBroadcast<Stamped> = if pooled {
+                    InterestBatchCausalBroadcast::with_pool(me, n, pool)
+                } else {
+                    InterestBatchCausalBroadcast::new(me, n)
+                };
+                let mut monitor = CausalMonitor::new(me, n);
+                // per-sender payload cursor: batches preserve issue order
+                let mut next_payload = vec![0u64; n];
+                let mut issued = 0u64;
+                let mut seen = 0u64;
+                let want = msgs_per_node * (n as u64 - 1);
+                while (issued < msgs_per_node || seen < want) && !failed.load(Relaxed) {
+                    let burst = rng.gen_range(0u64..=4).min(msgs_per_node - issued);
+                    for _ in 0..burst {
+                        let stamp = monitor.delivered.clone();
+                        proto.push((me as u64, issued, stamp), full_interest(n));
+                        issued += 1;
+                        if proto.pending() >= rng.gen_range(1..=max_batch)
+                            || issued == msgs_per_node
+                        {
+                            monitor.locally_broadcast();
+                            for (to, env) in proto.flush_all() {
+                                ep.send(to, env);
+                            }
+                        }
+                    }
+                    let mut got_any = false;
+                    while let Some((_, m)) = ep.try_recv() {
+                        got_any = true;
+                        for batch in proto.on_receive(m) {
+                            // the batch depends on everything its
+                            // origin had delivered when it pushed the
+                            // last payload, and is the origin's next
+                            let (_, _, mut vc) = batch.payload.last().expect("non-empty").clone();
+                            vc.tick(batch.sender);
+                            assert_eq!(batch.seq, vc.get(batch.sender), "edge seq = batch count");
+                            monitor.deliver(batch.sender, &vc);
+                            for &(src, k, _) in &batch.payload {
+                                assert_eq!(src as usize, batch.sender);
+                                assert_eq!(
+                                    k, next_payload[batch.sender],
+                                    "payload order broken inside/across batches"
+                                );
+                                next_payload[batch.sender] = k + 1;
+                                seen += 1;
+                            }
+                            if pooled {
+                                proto.recycle(batch);
+                            }
+                        }
+                    }
+                    if !got_any || rng.gen_bool(0.25) {
+                        thread::yield_now();
+                    }
+                }
+                if failed.load(Relaxed) {
+                    return 0;
+                }
+                assert_eq!(proto.buffered(), 0, "receiver {me}: undelivered leftovers");
+                for (q, &cnt) in next_payload.iter().enumerate() {
+                    if q != me {
+                        assert_eq!(cnt, msgs_per_node, "receiver {me} missed payloads of {q}");
+                    }
+                }
+                proto.bufs_pooled()
+            }));
+        }
+        nodes.into_iter().map(|h| h.join().unwrap()).sum()
+    })
 }

@@ -105,12 +105,15 @@ counter_block! {
         /// batch traffic is exactly `matrix_bytes + per_op_bytes *
         /// payload_copy_ops` (see `wire_accounting.rs`).
         payload_copy_ops => "payload_copy_ops_total",
-        /// Envelope payload buffers the causal layer drew from its
-        /// recycled stock (read off it at snapshots, like `batches`).
-        /// With `envelope_bufs_allocated` it sums to the envelopes
-        /// stamped; the split depends on interleaving.
+        /// Envelope payload buffers the causal layer drew from
+        /// recycled ones — its own stock or the engine's shared pool
+        /// (read off it at snapshots, like `batches`). With
+        /// `envelope_bufs_allocated` it sums to the envelopes stamped;
+        /// the split depends on interleaving.
         envelope_bufs_reused => "envelope_bufs_reused_total",
-        /// Envelope payload buffers the stock could not supply.
+        /// Those of `envelope_bufs_reused` the shared pool supplied.
+        envelope_bufs_pooled => "envelope_bufs_pooled_total",
+        /// Envelope payload buffers neither could supply.
         envelope_bufs_allocated => "envelope_bufs_allocated_total",
         /// Records framed into the durable epoch log (read off the log
         /// at snapshots, like `batches`).

@@ -202,6 +202,7 @@ where
             batches: self.proto.batches_sent(),
             payloads: self.proto.payloads_sent(),
             envelope_bufs_reused: self.proto.bufs_reused(),
+            envelope_bufs_pooled: self.proto.bufs_pooled(),
             envelope_bufs_allocated: self.proto.bufs_allocated(),
             durable_records: d.records,
             durable_bytes: d.bytes,

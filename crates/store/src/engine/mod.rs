@@ -36,6 +36,7 @@ use cbm_adt::space::SpaceInput;
 use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
 use cbm_check::monitor::MonitorStats;
+use cbm_net::broadcast::BufPool;
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::tcp::TcpNet;
 use cbm_net::thread_net::{ThreadNet, ThreadNetStats};
@@ -153,17 +154,20 @@ where
     let mut registry = Registry::new();
     let published = Published::register(&mut registry);
     let coord = Coordinator::new(n, map.shards());
+    // envelope buffers one worker's stock cannot hold wait here for
+    // whichever worker next runs short (in-memory transports only)
+    let pool = Arc::new(BufPool::new(n));
     let (tx, rx) = mpsc::channel::<WindowRecord<T>>();
 
     let t0 = taps::now();
     let (mut results, verdicts, verifier_spans) = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
         for ep in endpoints {
-            let tx = tx.clone();
+            let (tx, pool) = (tx.clone(), Arc::clone(&pool));
             let (coord, gen, sched, map, published) = (&coord, &gen, &sched, &map, &published);
             handles.push(s.spawn(move || {
                 let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
-                Worker::new(adt, cfg, sched, map, ep, coord, published, taps).run(gen)
+                Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps).run(gen)
             }));
         }
         drop(tx); // verifier's channel closes once every worker exits

@@ -76,12 +76,13 @@ use crate::wire::{op_bytes, read_reply_bytes, read_req_bytes, BatchMsg, StoreMsg
 use cbm_adt::space::SpaceInput;
 use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
-use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMask};
+use cbm_net::broadcast::{BufPool, InterestBatchCausalBroadcast, InterestMask};
 use cbm_net::chaos::ChaosEndpoint;
 use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// The chaos layer wrapped around a worker's transport endpoint,
 /// generic over the underlying transport `E` (thread channels or TCP).
@@ -165,11 +166,19 @@ where
         map: &'a ShardMap,
         ep: E,
         coord: &'a Coordinator,
+        pool: Arc<BufPool<WireOp<T::Input>>>,
         published: &'a Published,
         taps: Taps<'a, T>,
     ) -> Self {
         let me = ep.me();
         let n = ep.cluster_size();
+        // a worker's spilled buffers can serve its peers only when the
+        // transport moves envelopes rather than re-encoding them
+        let proto = if ep.moves_messages() {
+            InterestBatchCausalBroadcast::with_pool(me, n, pool)
+        } else {
+            InterestBatchCausalBroadcast::new(me, n)
+        };
         // the chaos RNG stream is decorrelated from the workload RNGs
         let chaos_seed = cfg
             .seed
@@ -189,7 +198,7 @@ where
             ep,
             coord,
             me,
-            proto: InterestBatchCausalBroadcast::new(me, n),
+            proto,
             table: ObjectTable::new(adt, cfg.objects.max(1), cfg.mode),
             clock: LamportClock::new(),
             crashed: false,
@@ -475,7 +484,18 @@ pub(super) mod tests {
             let windows = std::sync::mpsc::channel().0;
             let taps = Taps::new(&Register, cfg, map, 0, false, windows, Instant::now());
             let (coord, published) = (&self.coord, &self.published);
-            let w = Worker::new(&Register, cfg, &self.sched, map, ep, coord, published, taps);
+            let pool = Arc::new(BufPool::new(2));
+            let w = Worker::new(
+                &Register,
+                cfg,
+                &self.sched,
+                map,
+                ep,
+                coord,
+                pool,
+                published,
+                taps,
+            );
             (w, peer)
         }
     }

@@ -4,31 +4,39 @@
 //! engine's replication path is built to match: a flushed batch moves
 //! into its last recipient's envelope, the other recipients' copies and
 //! the next pending batch are drawn from buffers earlier deliveries
-//! handed back (`InterestBatchCausalBroadcast::recycle`), and a header
-//! is two arrays whatever its dirty-row count. This test runs one
-//! engine shaped like the benchmark's `write_fanout` under a counting
-//! global allocator and holds the run to two budgets:
+//! handed back (`InterestBatchCausalBroadcast::recycle`) — the worker's
+//! own stock first, then the engine's shared `BufPool`, which a full
+//! stock spills into — and a header is two arrays whatever its
+//! dirty-row count. This test runs one engine shaped like the
+//! benchmark's `write_fanout` under a counting global allocator and
+//! holds the run to two budgets:
 //!
 //! * **allocation requests per operation** (`alloc` + `realloc`; the
-//!   parent of the PR that added this test made 0.93);
+//!   replication path made 0.93 before envelopes moved and buffers
+//!   were recycled, 0.115 – 0.160 over ten runs with private stocks
+//!   only, and 0.055 – 0.094 over thirty with the shared pool);
 //! * **large requests** (≥ 1 KiB: a 32-op payload vector is 1.5 KB,
 //!   above glibc's per-thread cache limit, so freeing one from another
 //!   thread takes the allocating thread's arena lock) — every one of
-//!   them must be a counted miss of the recycled stock, one request
+//!   them must be a counted miss of both recycled tiers, one request
 //!   each, plus a small allowance for channel blocks and long-lived
-//!   tables (the parent made 7.2 per flushed batch: six clones and a
-//!   regrow).
+//!   tables (before recycling the path made 7.2 per flushed batch:
+//!   six clones and a regrow).
 //!
-//! How often the stock *hits* is decided by the scheduler, not the
+//! How often the tiers *hit* is decided by the scheduler, not the
 //! code — with fewer cores than workers a worker wakes to a backlog
-//! far deeper than the stock, hands most of it to the allocator and
-//! then out-draws what is left (2.0 – 2.4 large requests per batch
-//! with 4 workers on 2 cores) — so the second budget is stated against
-//! the stock's own miss counter, which makes it a count that cannot
-//! flake. That the stock does hit is pinned
+//! far deeper than its stock and the pool together, hands most of it
+//! to the allocator and then out-draws what is left. With 4 workers on
+//! 2 cores a private stock alone made 2.2 – 2.6 large requests per
+//! batch; the pool makes 1.1 – 1.4 in some runs and 2.3 – 2.5 again
+//! in others, where half the draws find the pool empty and half the
+//! spills find it full (the requests per op stay down either way) — so
+//! the second budget is stated against the miss counter, which makes
+//! it a count that cannot flake. That the tiers do hit is pinned
 //! single-threaded, in `cbm-net`
-//! (`recycled_buffers_carry_the_next_flush`). Measured before/after
-//! figures are in `docs/THROUGHPUT.md`.
+//! (`recycled_buffers_carry_the_next_flush`,
+//! `a_full_stock_spills_into_the_pool_and_an_empty_one_draws_from_it`).
+//! Measured before/after figures are in `docs/THROUGHPUT.md`.
 //!
 //! The allocator wrapper is the workspace's only `unsafe` outside the
 //! library code: library crates stay `#![forbid(unsafe_code)]` but for
@@ -127,19 +135,23 @@ fn replication_stays_inside_its_allocation_budget() {
     assert!(batches > ops / 40, "the run replicated: {batches} batches");
     let metric = |name| report.metric(name).expect("a published counter");
     let reused = metric("envelope_bufs_reused_total");
+    let pooled = metric("envelope_bufs_pooled_total");
     let misses = metric("envelope_bufs_allocated_total");
     assert_eq!(reused + misses, report.msgs_sent, "one buffer per envelope");
+    assert!(pooled <= reused, "pool hits are reuses");
     let per_op = requests as f64 / ops as f64;
+    eprintln!("alloc_budget: {requests} allocation requests over {ops} ops = {per_op:.3}/op");
     eprintln!(
-        "{requests} allocation requests over {ops} ops = {per_op:.3}/op; \
-         {large} of >= {LARGE} B over {batches} batches = {:.3}/batch; \
-         envelope buffers reused {reused}, allocated {misses}",
+        "alloc_budget: {large} of >= {LARGE} B over {batches} batches = {:.3}/batch",
         large as f64 / batches as f64
     );
-    assert!(per_op <= 0.25, "{per_op:.3} allocation requests per op");
+    eprintln!(
+        "alloc_budget: envelope buffers reused {reused} (pooled {pooled}), allocated {misses}"
+    );
+    assert!(per_op <= 0.12, "{per_op:.3} allocation requests per op");
     assert!(
         large <= misses + batches / 2,
-        "{large} requests of >= {LARGE} B: more than the {misses} stock misses \
+        "{large} requests of >= {LARGE} B: more than the {misses} stock and pool misses \
          (one request each) and half a request per each of {batches} batches explain"
     );
 }
