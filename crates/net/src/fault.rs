@@ -149,14 +149,18 @@ wire_enum!(Fault {
 });
 
 impl Fault {
-    /// Can this fault make a message miss its recipient (a loss, a
-    /// blocked link, or a crashed node)? Duplication and latency
-    /// faults deliver everything, only twice or late.
-    pub fn can_lose(&self) -> bool {
+    /// Can this fault lose a message between two **live** nodes (a
+    /// drop or a blocked link), so that a receiver may nack the gap
+    /// and its sender must be able to repair it from a retransmission
+    /// log? That is the nack/repair contract: only a plan holding such
+    /// a fault needs one. A `Crash` does not: nothing is nacked across
+    /// a crash — what a crashed node missed is closed by its recovery
+    /// transfer and a resync to the published edge counts. Duplication
+    /// and latency faults deliver everything, only twice or late.
+    pub fn needs_repair(&self) -> bool {
         matches!(
             self,
-            Fault::Crash(_)
-                | Fault::LinkDrop { .. }
+            Fault::LinkDrop { .. }
                 | Fault::DropAll { .. }
                 | Fault::Partition { .. }
                 | Fault::PartitionOneWay { .. }
@@ -504,6 +508,46 @@ mod tests {
         assert!(net.blocked(0, 2));
         assert!(!net.blocked(1, 0));
         assert!(!net.blocked(2, 0));
+    }
+
+    #[test]
+    fn only_a_loss_between_live_nodes_needs_repair() {
+        let (a, b) = (0, 1);
+        let lossy = [
+            Fault::Partition { side: vec![a] },
+            Fault::PartitionOneWay {
+                from: vec![a],
+                to: vec![b],
+            },
+            Fault::BlockLink { from: a, to: b },
+            Fault::LinkDrop {
+                from: a,
+                to: b,
+                prob: 0.1,
+            },
+            Fault::DropAll { prob: 0.1 },
+        ];
+        let lossless = [
+            Fault::Crash(a),
+            Fault::Recover(a),
+            Fault::HealLink { from: a, to: b },
+            Fault::HealAll,
+            Fault::LinkDup {
+                from: a,
+                to: b,
+                prob: 0.1,
+            },
+            Fault::DupAll { prob: 0.1 },
+            Fault::LinkDelay {
+                from: a,
+                to: b,
+                extra: 3,
+            },
+            Fault::DelayAll { extra: 3 },
+            Fault::ClockSkew { node: a, offset: 3 },
+        ];
+        assert!(lossy.iter().all(Fault::needs_repair));
+        assert!(!lossless.iter().any(Fault::needs_repair));
     }
 
     #[test]

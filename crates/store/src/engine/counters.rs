@@ -133,6 +133,10 @@ counter_block! {
         repairs => "repairs_total",
         /// Batch envelopes carried by those repairs.
         repaired_batches => "repaired_batches_total",
+        /// Envelopes copied into a per-edge repair log at shipping:
+        /// one per envelope under a plan that can lose one between
+        /// live replicas, none under any other plan.
+        repair_copies => "repair_log_copies_total",
         /// Drain rendezvous completed.
         drains => "drains_total",
         /// Fault injections (drops + dups + parks + delays + prunes +
@@ -156,8 +160,9 @@ counter_block! {
         /// Inbound messages dropped unprocessed: whatever reaches a
         /// worker that is down (from its crash cut until its recovery
         /// transfer is in), and — the reason this is published — a
-        /// state transfer or read reply nothing awaits, which release
-        /// builds tolerate and count rather than corrupt the replica.
+        /// state transfer, read reply or nack nothing awaits, which
+        /// release builds tolerate and count rather than corrupt the
+        /// replica.
         /// Depends on interleaving.
         discarded => "msgs_discarded_total",
     }

@@ -26,7 +26,10 @@
 //! known to be lost; the receiver nacks each stalled edge once and the
 //! sender retransmits that edge's epoch log over the reliable path — so
 //! every drain is still a consistent cut, with a deterministic number
-//! of repair messages per edge.
+//! of repair messages per edge. Only a plan that can lose an envelope
+//! between live replicas keeps those logs
+//! ([`Fault::needs_repair`](cbm_net::fault::Fault::needs_repair)):
+//! nothing is nacked across a crash.
 //!
 //! `Crash`/`Recover` faults are epoch-aligned. A crashing worker
 //! completes the boundary drain (the *cut*), then stops operating:
@@ -49,7 +52,7 @@ use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
 /// Shared rendezvous state.
@@ -85,6 +88,22 @@ pub(super) struct Coordinator {
     /// a boundary *every* disk sealed — a cut is a fleet-wide property,
     /// so any disagreement falls back to a fresh run.
     pub resume_epoch: Vec<AtomicU64>,
+    /// A worker thread unwound ([`PanicGuard`]): whatever its peers
+    /// wait on from it will never come, so their waits fail too and
+    /// the run reports the panic instead of hanging.
+    pub panicked: AtomicBool,
+}
+
+/// Held by a worker thread for its whole run: raises
+/// [`Coordinator::panicked`] if the thread unwinds.
+pub(super) struct PanicGuard<'a>(pub &'a Coordinator);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.panicked.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 impl Coordinator {
@@ -99,6 +118,7 @@ impl Coordinator {
             arrive: [AtomicU64::new(0), AtomicU64::new(0)],
             done: [AtomicU64::new(0), AtomicU64::new(0)],
             resume_epoch: zeros(n),
+            panicked: AtomicBool::new(false),
         }
     }
 }
@@ -535,5 +555,45 @@ mod tests {
             .registry
             .snapshot()
             .contains(&("msgs_discarded_total".to_string(), 3)));
+    }
+
+    /// A worker whose plan cannot lose an envelope between live
+    /// replicas keeps no repair log, so a nack reaching it is a
+    /// protocol bug: counted as discarded (and tripping the debug
+    /// assertion), never answered with an empty repair its nacker
+    /// would wait on for ever.
+    #[test]
+    fn a_nack_no_repair_log_can_answer_is_discarded() {
+        let rig = Rig::new();
+        let (mut w, peer) = rig.worker();
+        assert!(!w.keeps_repair_log, "the rig's plan is fault-free");
+        peer.send_sized(0, StoreMsg::Nack, nack_bytes());
+        let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.pump()));
+        assert_eq!(pumped.is_err(), cfg!(debug_assertions));
+        assert_eq!((w.c.discarded, w.c.repairs), (1, 0));
+        assert!(peer.try_recv().is_none(), "nothing was sent back");
+    }
+
+    /// A worker thread that unwinds raises the flag, and a peer's wait
+    /// then fails instead of spinning for ever on what it will never
+    /// send.
+    #[test]
+    fn a_wait_fails_once_a_peer_has_unwound() {
+        let rig = Rig::new();
+        let (mut w, _peer) = rig.worker();
+        let coord = &rig.coord;
+        let unwound = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = PanicGuard(coord);
+                panic!("a worker bug");
+            })
+            .join()
+        });
+        assert!(unwound.is_err() && coord.panicked.load(Ordering::SeqCst));
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.pump_until(|_| false);
+        }));
+        let msg = waited.expect_err("the wait failed");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"a peer worker panicked"));
     }
 }

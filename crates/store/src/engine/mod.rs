@@ -43,7 +43,7 @@ use cbm_net::thread_net::{ThreadNet, ThreadNetStats};
 use cbm_net::NodeId;
 use cbm_obs::{FlightRecord, Registry, Span};
 use counters::{Counters, Published};
-use drain::Coordinator;
+use drain::{Coordinator, PanicGuard};
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -166,6 +166,7 @@ where
             let (tx, pool) = (tx.clone(), Arc::clone(&pool));
             let (coord, gen, sched, map, published) = (&coord, &gen, &sched, &map, &published);
             handles.push(s.spawn(move || {
+                let _guard = PanicGuard(coord);
                 let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
                 Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps).run(gen)
             }));

@@ -10,17 +10,38 @@
 //! that is not wait-free — a read of a shard this replica does not
 //! host ([`Worker::remote_read`]).
 //!
-//! ## One switch, one wait
+//! ## One switch, one wait, four barriers
 //!
 //! Every message a worker takes, in every phase — op path, drain,
-//! recovery — goes through [`Worker::handle`], and every wait is
-//! [`Worker::pump_until`]: poll the inbox, handle what arrived, yield
-//! the timeslice only when nothing has. The rendezvous, a routed read
-//! and both sides of a recovery transfer wait on a condition over the
-//! worker's own state, so no wait ever sleeps in the kernel or can
-//! miss a message another phase would have served. A replica that is
-//! down (`discarding`: from its crash cut until its recovery transfer
-//! is in) drops everything but that transfer, counted.
+//! recovery — goes through [`Worker::handle`], and every wait on a
+//! peer is [`Worker::pump_until`]: poll the inbox, handle what arrived,
+//! yield the timeslice only when nothing has. The rendezvous spins, a
+//! routed read and both sides of a recovery transfer wait on a
+//! condition over the worker's own state, never in a blocking
+//! receive, so no such wait can strand a peer on a message only this
+//! worker would serve. A worker thread that unwinds raises
+//! `Coordinator::panicked`, and a peer's next idle turn in
+//! `pump_until` then fails too, so a panic fails the run instead of
+//! leaving its peers spinning on what it will never send (a peer
+//! already parked at one of the barriers below cannot tell).
+//!
+//! Four waits do sleep in the kernel: the `coord.barrier.wait()`
+//! calls on the [`Coordinator`]'s `std::sync::Barrier` — the drain's
+//! closing barrier ([`Worker::quiesce`]), the one after the per-shard
+//! hashes are published (`compact_and_check_convergence`), the one
+//! after a boundary's recovery transfers (`recover_at_boundary`) and
+//! the one after the cold-start claims (`resume_from_disk`). A parked
+//! worker handles nothing, so each is reached only once every nack,
+//! routed read and transfer of its phase has been answered: no peer
+//! still waits on this worker, and what arrives meanwhile stays in the
+//! inbox. The closing barrier must not serve: after a window-close cut
+//! a worker steps straight on into its next ops (`close_window`), and
+//! a peer still pumping in its `done` spin would deliver those
+//! post-cut envelopes into its own seal and window snapshot.
+//!
+//! A replica that is down (`discarding`: from its crash cut until its
+//! recovery transfer is in) drops everything but that transfer,
+//! counted.
 //!
 //! ## Execution model
 //!
@@ -82,6 +103,7 @@ use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
 use rand::rngs::StdRng;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The chaos layer wrapped around a worker's transport endpoint,
@@ -103,16 +125,20 @@ pub(super) struct Worker<'a, T: Adt, E> {
     pub(super) crashed: bool,
     /// Drains started so far (also the transport marker a cut waits for).
     pub(super) quiesce_idx: u64,
-    /// Can any fault of the plan lose a message ([`Fault::can_lose`])?
+    /// Does any fault of the plan lose envelopes between live
+    /// replicas ([`Fault::needs_repair`])? Only then can a nack arrive,
+    /// so only then does [`Worker::ship`] copy each envelope into
+    /// `epoch_sent`; a fault-free, crash-only, duplication-only or
+    /// latency-only plan ships every envelope by move and keeps no log.
     /// Precomputed: checked on every flush.
     ///
-    /// [`Fault::can_lose`]: cbm_net::fault::Fault::can_lose
-    loss_capable: bool,
+    /// [`Fault::needs_repair`]: cbm_net::fault::Fault::needs_repair
+    pub(super) keeps_repair_log: bool,
     /// Precomputed `InterestMask::solo(me)`: an update whose shard has
     /// this mask has no other replica to reach.
     solo: InterestMask,
     /// Per-recipient envelopes flushed since the last completed drain
-    /// (the per-edge repair logs).
+    /// (the per-edge repair logs; empty unless `keeps_repair_log`).
     pub(super) epoch_sent: Vec<Vec<BatchMsg<T::Input>>>,
     /// The flush and delivery lists, kept between calls so neither
     /// handler allocates one per batch (both are empty at rest).
@@ -203,7 +229,7 @@ where
             clock: LamportClock::new(),
             crashed: false,
             quiesce_idx: 0,
-            loss_capable: cfg.chaos.events().iter().any(|e| e.fault.can_lose()),
+            keeps_repair_log: cfg.chaos.events().iter().any(|e| e.fault.needs_repair()),
             solo: InterestMask::solo(me),
             epoch_sent: vec![Vec::new(); n],
             outbox: Vec::new(),
@@ -320,9 +346,10 @@ where
     }
 
     /// Send the stamped envelopes in `outbox` through the fault layer,
-    /// keeping each in its recipient's epoch repair log when faults can
-    /// lose it — the one place that rule and the byte accounting live,
-    /// so the threshold-flush and drain-flush paths can never diverge.
+    /// keeping a copy of each in its recipient's epoch repair log when
+    /// the plan can lose it between live replicas — the one place that
+    /// rule and the byte accounting live, so the threshold-flush and
+    /// drain-flush paths can never diverge.
     fn ship(&mut self) {
         let mut envs = std::mem::take(&mut self.outbox);
         self.taps.flushed(&envs, &self.proto);
@@ -336,11 +363,12 @@ where
             self.c.matrix_bytes += header as u64;
             self.c.payload_copy_ops += env.payload.len() as u64;
             let bytes = header + env.payload.len() * op_bytes::<T::Input>();
-            if self.loss_capable {
-                // the repair log only matters when faults can lose
-                // envelopes (and hence nacks can arrive); fault-free,
-                // duplication-only, and latency-only runs skip the
-                // clone and the kept memory on their hot path
+            if self.keeps_repair_log {
+                // a nack can arrive only when an envelope can be lost
+                // between live replicas; every other plan — crash-only
+                // included, whose misses the recovery transfer and
+                // resync close — skips the clone and the kept memory
+                self.c.repair_copies += 1;
                 self.epoch_sent[to].push(env.clone());
             }
             self.ep.send(to, StoreMsg::Batch(env), bytes);
@@ -366,7 +394,14 @@ where
                     self.deliver(env);
                 }
             }
-            StoreMsg::Nack => self.serve_nack(from),
+            StoreMsg::Nack if self.keeps_repair_log => self.serve_nack(from),
+            StoreMsg::Nack => {
+                // a nack that no repair log can answer is a protocol
+                // bug: an empty repair would leave the nacker waiting
+                // on its gap for ever
+                self.c.discarded += 1;
+                debug_assert!(false, "nack under a plan that keeps no repair log");
+            }
             StoreMsg::ReadReq { obj, input } => {
                 let output = self.table.output(self.adt, obj, &input);
                 self.c.reads_served += 1;
@@ -403,13 +438,20 @@ where
         got_any
     }
 
-    /// The engine's one wait: spin — handling whatever arrives, and
-    /// yielding the timeslice only when nothing has — until `ready`.
-    /// Never a blocking receive: the peer this worker waits on may
-    /// itself be waiting on a message only this worker can serve.
+    /// The engine's one wait on a peer: spin — handling whatever
+    /// arrives, and yielding the timeslice only when nothing has —
+    /// until `ready`. Never a blocking receive: the peer this worker
+    /// waits on may itself be waiting on a message only this worker
+    /// can serve (the four barriers are the module docs' exception).
     pub(super) fn pump_until(&mut self, ready: impl Fn(&Self) -> bool) {
         while !ready(self) {
             if !self.pump() {
+                // a peer that unwound will never send what this wait
+                // needs: fail too rather than spin for ever
+                assert!(
+                    !self.coord.panicked.load(Ordering::Relaxed),
+                    "a peer worker panicked"
+                );
                 std::thread::yield_now();
             }
         }
@@ -451,7 +493,7 @@ pub(super) mod tests {
         cfg: StoreConfig,
         map: ShardMap,
         sched: ChaosSchedule,
-        coord: Coordinator,
+        pub coord: Coordinator,
         pub registry: Registry,
         pub published: Published,
     }

@@ -8,8 +8,9 @@
 //! own stock first, then the engine's shared `BufPool`, which a full
 //! stock spills into — and a header is two arrays whatever its
 //! dirty-row count. This test runs one engine shaped like the
-//! benchmark's `write_fanout` under a counting global allocator and
-//! holds the run to two budgets:
+//! benchmark's `write_fanout` under a counting global allocator, twice
+//! — fault-free, and with worker 3 crashed from op 50,000 to its
+//! recovery at op 150,000 — and holds each run to two budgets:
 //!
 //! * **allocation requests per operation** (`alloc` + `realloc`; the
 //!   replication path made 0.93 before envelopes moved and buffers
@@ -38,6 +39,12 @@
 //! `a_full_stock_spills_into_the_pool_and_an_empty_one_draws_from_it`).
 //! Measured before/after figures are in `docs/THROUGHPUT.md`.
 //!
+//! The crash leg pins that a crash-only plan keeps no repair log: its
+//! misses are closed by the recovery transfer, never by a nack, so it
+//! ships by move like the fault-free leg. When it copied every envelope
+//! into a log it made 0.34 requests per op and 4.1 large requests per
+//! batch; without the copies it makes about 0.09 and 1.2.
+//!
 //! The allocator wrapper is the workspace's only `unsafe` outside the
 //! library code: library crates stay `#![forbid(unsafe_code)]` but for
 //! `cbm-net`'s one call into its CRC fold kernel, and this test crate
@@ -45,7 +52,7 @@
 
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::space::SpaceInput;
-use cbm_net::fault::FaultPlan;
+use cbm_net::fault::{Fault, FaultPlan};
 use cbm_store::{
     run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
 };
@@ -93,8 +100,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn replication_stays_inside_its_allocation_budget() {
+/// One leg: a `write_fanout`-shaped engine run under `chaos`, counted
+/// from its start to its end and held to both budgets.
+fn leg(name: &str, chaos: FaultPlan) {
     const WORKERS: usize = 4;
     const OPS_PER_WORKER: usize = 200_000;
     const OBJECTS: u32 = 1024;
@@ -112,11 +120,13 @@ fn replication_stays_inside_its_allocation_budget() {
         },
         seed: 11,
         sharding: ShardConfig::full(),
-        chaos: FaultPlan::new(),
+        chaos,
         obs: ObsConfig::default(),
         durable: DurableConfig::default(),
     };
 
+    REQUESTS.store(0, Relaxed);
+    LARGE_REQUESTS.store(0, Relaxed);
     COUNTING.store(true, Relaxed);
     let report = run(&Counter, &cfg, |_, _, rng: &mut StdRng| {
         let obj = rng.gen_range(0..OBJECTS);
@@ -129,29 +139,67 @@ fn replication_stays_inside_its_allocation_budget() {
     COUNTING.store(false, Relaxed);
     let (requests, large) = (REQUESTS.load(Relaxed), LARGE_REQUESTS.load(Relaxed));
 
-    assert!(report.verified() && report.drains_converged);
+    assert!(report.verified() && report.drains_converged, "{name}");
     let ops = (WORKERS * OPS_PER_WORKER) as u64;
     let batches = report.batches_sent;
-    assert!(batches > ops / 40, "the run replicated: {batches} batches");
-    let metric = |name| report.metric(name).expect("a published counter");
+    assert!(
+        batches > ops / 40,
+        "{name}: the run replicated: {batches} batches"
+    );
+    let metric = |m| report.metric(m).expect("a published counter");
     let reused = metric("envelope_bufs_reused_total");
     let pooled = metric("envelope_bufs_pooled_total");
     let misses = metric("envelope_bufs_allocated_total");
-    assert_eq!(reused + misses, report.msgs_sent, "one buffer per envelope");
-    assert!(pooled <= reused, "pool hits are reuses");
+    // every stamped envelope draws one buffer; those addressed to a
+    // down worker are stamped, then suppressed (a drop to it) before
+    // they reach the wire, and the wire also carries one state
+    // transfer per recovery (full replication elects one helper)
+    let transfers = report.chaos.recoveries.len() as u64;
+    assert_eq!(
+        reused + misses + transfers,
+        report.msgs_sent + report.chaos.drops,
+        "{name}: one buffer per stamped envelope"
+    );
+    assert!(pooled <= reused, "{name}: pool hits are reuses");
+    assert_eq!(
+        metric("repair_log_copies_total"),
+        0,
+        "{name}: nothing can be lost between live replicas"
+    );
     let per_op = requests as f64 / ops as f64;
-    eprintln!("alloc_budget: {requests} allocation requests over {ops} ops = {per_op:.3}/op");
     eprintln!(
-        "alloc_budget: {large} of >= {LARGE} B over {batches} batches = {:.3}/batch",
+        "alloc_budget: [{name}] {requests} allocation requests over {ops} ops = {per_op:.3}/op"
+    );
+    eprintln!(
+        "alloc_budget: [{name}] {large} of >= {LARGE} B over {batches} batches = {:.3}/batch",
         large as f64 / batches as f64
     );
     eprintln!(
-        "alloc_budget: envelope buffers reused {reused} (pooled {pooled}), allocated {misses}"
+        "alloc_budget: [{name}] envelope buffers reused {reused} (pooled {pooled}), allocated {misses}"
     );
-    assert!(per_op <= 0.12, "{per_op:.3} allocation requests per op");
+    assert!(
+        per_op <= 0.12,
+        "{name}: {per_op:.3} allocation requests per op"
+    );
     assert!(
         large <= misses + batches / 2,
-        "{large} requests of >= {LARGE} B: more than the {misses} stock and pool misses \
-         (one request each) and half a request per each of {batches} batches explain"
+        "{name}: {large} requests of >= {LARGE} B: more than the {misses} stock and pool \
+         misses (one request each) and half a request per each of {batches} batches explain"
+    );
+}
+
+/// Both legs in one test, one after the other: the counters are
+/// process-global, so two tests running at once would count each
+/// other's requests.
+#[test]
+fn replication_stays_inside_its_allocation_budget() {
+    leg("fault-free", FaultPlan::new());
+    // worker 3 is down for epochs 1 and 2: the plan loses nothing
+    // between live replicas, so it keeps no repair log either
+    leg(
+        "crash",
+        FaultPlan::new()
+            .at(50_000, Fault::Crash(3))
+            .at(150_000, Fault::Recover(3)),
     );
 }

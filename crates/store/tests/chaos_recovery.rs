@@ -365,3 +365,38 @@ fn mixed_chaos_survives_with_counter_state_identity() {
     assert!(chaos.chaos.drops > 0 && chaos.chaos.dups > 0);
     assert_eq!(chaos.chaos.recoveries.len(), 1);
 }
+
+/// Only a plan that can lose an envelope between live replicas keeps
+/// repair logs: under it every stamped envelope is copied once, under
+/// any other plan none is — and a crash-only plan, whose misses the
+/// recovery transfer and resync close, never nacks. (A plan that lost
+/// envelopes without keeping logs would nack a worker that cannot
+/// answer, which trips the engine's debug assertion.)
+#[test]
+fn only_a_plan_that_loses_between_live_replicas_keeps_a_repair_log() {
+    for name in PROFILE_NAMES {
+        let plan = profile(name, 3, EVERY).expect(name);
+        let r = run(
+            &Register,
+            &cfg(Mode::Causal, 3, 3 * EVERY, 21, plan),
+            reg_gen(16),
+        );
+        assert_windows_ok(&r);
+        let metric = |m| r.metric(m).expect("a published counter");
+        let copies = metric("repair_log_copies_total");
+        let stamped =
+            metric("envelope_bufs_reused_total") + metric("envelope_bufs_allocated_total");
+        match *name {
+            "lossy-mesh" | "partition-flap" | "mixed-chaos" => {
+                assert!(copies > 0, "{name}: a lossy plan keeps its repair logs");
+                assert_eq!(copies, stamped, "{name}: one copy per stamped envelope");
+            }
+            "crash-recover" | "rolling-crashes" => {
+                assert_eq!((copies, r.chaos.nacks), (0, 0), "{name}: nothing to repair");
+                assert!(!r.chaos.recoveries.is_empty(), "{name}: a crash recovered");
+            }
+            "duplicate-storm" | "latency-spike" => assert_eq!(copies, 0, "{name}: loses nothing"),
+            _ => unreachable!("{name}: a profile this test does not classify"),
+        }
+    }
+}
