@@ -18,10 +18,9 @@ use cbm_bench::proto::{Ctrl, LegSpec};
 use cbm_bench::Workload;
 use cbm_check::monitor::MonitorStats;
 use cbm_net::broadcast::InterestMsg;
-use cbm_net::clock::{Timestamp, VectorClock};
+use cbm_net::clock::Timestamp;
 use cbm_net::delta::KnowledgeDelta;
 use cbm_net::fault::{Fault, FaultEvent, FaultPlan};
-use cbm_net::msg::{CcWire, CcvWire};
 use cbm_store::durable::SealInfo;
 use cbm_store::stats::{MonitorEscalation, MonitorReport};
 use cbm_store::wire::{ShardDeltaPayload, ShardSyncPayload, StoreMsg, WireOp};
@@ -126,45 +125,6 @@ impl Arb for &'static str {
 impl Arb for Result<(), String> {
     fn arb(g: &mut StdRng) -> Self {
         Option::<String>::arb(g).map_or(Ok(()), Err)
-    }
-}
-
-impl Arb for VectorClock {
-    fn arb(g: &mut StdRng) -> Self {
-        let n = g.gen_range(0usize..5);
-        let mut vc = VectorClock::new(n);
-        for i in 0..n {
-            vc.set(i, u64::arb(g));
-        }
-        vc
-    }
-}
-
-/// A process id that fits the `u16` the Fig. 4/5 messages carry.
-fn small_pid(g: &mut StdRng) -> usize {
-    usize::from(u16::arb(g))
-}
-
-impl Arb for CcWire {
-    fn arb(g: &mut StdRng) -> Self {
-        CcWire {
-            sender: small_pid(g),
-            vc: Arb::arb(g),
-            x: Arb::arb(g),
-            v: Arb::arb(g),
-        }
-    }
-}
-
-impl Arb for CcvWire {
-    fn arb(g: &mut StdRng) -> Self {
-        CcvWire {
-            sender: small_pid(g),
-            vc: Arb::arb(g),
-            x: Arb::arb(g),
-            v: Arb::arb(g),
-            ts: Timestamp::new(Arb::arb(g), small_pid(g)),
-        }
     }
 }
 
@@ -371,8 +331,6 @@ proptest! {
         laws::<Fault>(g)?;
         laws::<FaultEvent>(g)?;
         laws::<FaultPlan>(g)?;
-        laws::<CcWire>(g)?;
-        laws::<CcvWire>(g)?;
         laws::<MonitorStats>(g)?;
         // cbm-store
         laws::<WireOp<RegInput>>(g)?;

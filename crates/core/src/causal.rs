@@ -28,9 +28,11 @@
 //! element and lose another (Fig. 3f) — the behaviour is causally
 //! consistent but not sequentially consistent.
 
-use crate::replica::{stamped_size, InvokeOutcome, Outgoing, Replica, Stamped};
+use crate::replica::{
+    causal_broadcast, causal_size, stamped_size, InvokeOutcome, Outgoing, Replica, Stamped,
+};
 use cbm_adt::Adt;
-use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
+use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMsg};
 use cbm_net::NodeId;
 
 /// A causally consistent replica of any ADT (generalized Fig. 4).
@@ -38,18 +40,18 @@ use cbm_net::NodeId;
 pub struct CausalShared<T: Adt> {
     adt: T,
     state: T::State,
-    bcast: CausalBroadcast<Stamped<T::Input>>,
+    bcast: InterestBatchCausalBroadcast<Stamped<T::Input>>,
 }
 
 impl<T: Adt> Replica<T> for CausalShared<T> {
-    type Msg = CausalMsg<Stamped<T::Input>>;
+    type Msg = InterestMsg<Vec<Stamped<T::Input>>>;
 
     fn new_replica(me: NodeId, n: usize, adt: T) -> Self {
         let state = adt.initial();
         CausalShared {
             adt,
             state,
-            bcast: CausalBroadcast::new(me, n),
+            bcast: InterestBatchCausalBroadcast::new(me, n),
         }
     }
 
@@ -63,11 +65,11 @@ impl<T: Adt> Replica<T> for CausalShared<T> {
         if self.adt.is_update(input) {
             // immediate local delivery, then broadcast the effect
             self.state = self.adt.transition(&self.state, input);
-            let msg = self.bcast.broadcast(Stamped {
+            let op = Stamped {
                 event,
                 input: input.clone(),
-            });
-            out.push(Outgoing::Broadcast(msg));
+            };
+            causal_broadcast(&mut self.bcast, op, out);
         }
         InvokeOutcome::Done(output)
     }
@@ -80,9 +82,12 @@ impl<T: Adt> Replica<T> for CausalShared<T> {
         _completed: &mut Vec<(u64, T::Output)>,
         applied: &mut Vec<u64>,
     ) {
-        for m in self.bcast.on_receive(msg) {
-            self.state = self.adt.transition(&self.state, &m.payload.input);
-            applied.push(m.payload.event);
+        for mut m in self.bcast.on_receive(msg) {
+            for op in m.payload.drain(..) {
+                self.state = self.adt.transition(&self.state, &op.input);
+                applied.push(op.event);
+            }
+            self.bcast.recycle(m);
         }
     }
 
@@ -91,8 +96,8 @@ impl<T: Adt> Replica<T> for CausalShared<T> {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        // envelope: sender (2) + vector clock (2 + 8n) + stamped payload
-        2 + 2 + 8 * msg.vc.len() + stamped_size(16)
+        // exact causal header + estimated stamped payload
+        causal_size(msg, stamped_size(16))
     }
 
     fn flavour() -> &'static str {
@@ -118,37 +123,13 @@ impl<T: Adt> CausalShared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::{copy_for, deliver_each};
     use cbm_adt::window::{WaInput, WaOutput, WindowArray};
 
     fn cluster(n: usize) -> Vec<CausalShared<WindowArray>> {
         (0..n)
             .map(|me| CausalShared::new_replica(me, n, WindowArray::new(2, 2)))
             .collect()
-    }
-
-    /// Deliver every outgoing broadcast to every other replica, in the
-    /// given global order.
-    fn flood(
-        reps: &mut [CausalShared<WindowArray>],
-        msgs: Vec<Outgoing<CausalMsg<Stamped<WaInput>>>>,
-        from: NodeId,
-    ) {
-        for m in msgs {
-            let Outgoing::Broadcast(env) = m else {
-                panic!("cc never sends p2p")
-            };
-            for (to, r) in reps.iter_mut().enumerate() {
-                if to != from {
-                    r.on_deliver(
-                        from,
-                        env.clone(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -176,16 +157,12 @@ mod tests {
             reps[1].peek(&WaInput::Read(1)),
             WaOutput::Window(vec![0, 0])
         );
-        let (head, tail) = reps.split_at_mut(1);
-        let _ = head;
-        let Outgoing::Broadcast(env) = out.pop().unwrap() else {
-            unreachable!()
-        };
         let mut applied = Vec::new();
-        tail[0].on_deliver(0, env, &mut Vec::new(), &mut Vec::new(), &mut applied);
+        let env = copy_for(&out, 1);
+        reps[1].on_deliver(0, env, &mut Vec::new(), &mut Vec::new(), &mut applied);
         assert_eq!(applied, vec![0]);
         assert_eq!(
-            tail[0].peek(&WaInput::Read(1)),
+            reps[1].peek(&WaInput::Read(1)),
             WaOutput::Window(vec![0, 9])
         );
     }
@@ -197,26 +174,16 @@ mod tests {
         let mut reps = cluster(3);
         let mut out0 = Vec::new();
         reps[0].invoke(0, &WaInput::Write(0, 1), &mut out0);
-        let Outgoing::Broadcast(q_env) = out0.pop().unwrap() else {
-            unreachable!()
-        };
 
         // deliver Q to p1 only
-        reps[1].on_deliver(
-            0,
-            q_env.clone(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
+        let q_env = copy_for(&out0, 1);
+        reps[1].on_deliver(0, q_env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         let mut out1 = Vec::new();
         reps[1].invoke(1, &WaInput::Write(0, 2), &mut out1);
-        let Outgoing::Broadcast(a_env) = out1.pop().unwrap() else {
-            unreachable!()
-        };
 
         // p2 gets A first: buffered; then Q: both applied in causal order
         let mut applied = Vec::new();
+        let (a_env, q_env) = (copy_for(&out1, 2), copy_for(&out0, 2));
         reps[2].on_deliver(1, a_env, &mut Vec::new(), &mut Vec::new(), &mut applied);
         assert!(applied.is_empty());
         assert_eq!(reps[2].buffered(), 1);
@@ -237,8 +204,8 @@ mod tests {
         let mut out1 = Vec::new();
         reps[0].invoke(0, &WaInput::Write(0, 1), &mut out0);
         reps[1].invoke(1, &WaInput::Write(0, 2), &mut out1);
-        flood(&mut reps, out0, 0);
-        flood(&mut reps, out1, 1);
+        deliver_each(&mut reps, 0, out0);
+        deliver_each(&mut reps, 1, out1);
         let s0 = reps[0].local_state();
         let s1 = reps[1].local_state();
         // both saw both writes (stream 0 = first window of the flat

@@ -30,10 +30,12 @@
 //! `store.objects.apply_ccv_ns` layer (workload `convergent_hot`)
 //! measures it.
 
-use crate::replica::{stamped_size, InvokeOutcome, Outgoing, Replica, Stamped};
+use crate::replica::{
+    causal_broadcast, causal_size, stamped_size, InvokeOutcome, Outgoing, Replica, Stamped,
+};
 use cbm_adt::arbitration::ArbLog;
 use cbm_adt::Adt;
-use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
+use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMsg};
 use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::NodeId;
 
@@ -54,7 +56,7 @@ pub struct ConvergentShared<T: Adt> {
     /// Cluster size (kept for introspection and debug assertions).
     pub n: usize,
     clock: LamportClock,
-    bcast: CausalBroadcast<ArbUpdate<T::Input>>,
+    bcast: InterestBatchCausalBroadcast<ArbUpdate<T::Input>>,
     /// Update log keyed `(timestamp, event)`, relative to the fold of
     /// every compacted (garbage-collected) update.
     log: ArbLog<(Timestamp, u64), T>,
@@ -142,7 +144,7 @@ impl<T: Adt> ConvergentShared<T> {
 }
 
 impl<T: Adt> Replica<T> for ConvergentShared<T> {
-    type Msg = CausalMsg<ArbUpdate<T::Input>>;
+    type Msg = InterestMsg<Vec<ArbUpdate<T::Input>>>;
 
     fn new_replica(me: NodeId, n: usize, adt: T) -> Self {
         let init = adt.initial();
@@ -151,7 +153,7 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
             me,
             n,
             clock: LamportClock::new(),
-            bcast: CausalBroadcast::new(me, n),
+            bcast: InterestBatchCausalBroadcast::new(me, n),
             log: ArbLog::new(init.clone()),
             head: init,
             compacted: 0,
@@ -172,14 +174,11 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
             // own timestamp is the largest seen locally: tail append
             self.log
                 .insert(&self.adt, &mut self.head, (ts, event), input.clone());
-            let msg = self.bcast.broadcast(ArbUpdate {
-                ts,
-                op: Stamped {
-                    event,
-                    input: input.clone(),
-                },
-            });
-            out.push(Outgoing::Broadcast(msg));
+            let op = Stamped {
+                event,
+                input: input.clone(),
+            };
+            causal_broadcast(&mut self.bcast, ArbUpdate { ts, op }, out);
         }
         InvokeOutcome::Done(output)
     }
@@ -192,13 +191,15 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
         _completed: &mut Vec<(u64, T::Output)>,
         applied: &mut Vec<u64>,
     ) {
-        for m in self.bcast.on_receive(msg) {
-            self.clock.observe(m.payload.ts.time);
-            self.peer_time[m.sender] = self.peer_time[m.sender].max(m.payload.ts.time);
-            let ArbUpdate { ts, op } = m.payload;
-            applied.push(op.event);
-            self.log
-                .insert(&self.adt, &mut self.head, (ts, op.event), op.input);
+        for mut m in self.bcast.on_receive(msg) {
+            for ArbUpdate { ts, op } in m.payload.drain(..) {
+                self.clock.observe(ts.time);
+                self.peer_time[m.sender] = self.peer_time[m.sender].max(ts.time);
+                applied.push(op.event);
+                self.log
+                    .insert(&self.adt, &mut self.head, (ts, op.event), op.input);
+            }
+            self.bcast.recycle(m);
         }
         self.maybe_compact();
     }
@@ -208,8 +209,9 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        // envelope + timestamp (10 bytes) + stamped payload
-        2 + 2 + 8 * msg.vc.len() + 10 + stamped_size(16)
+        // exact causal header + timestamp (10 bytes) + estimated
+        // stamped payload
+        causal_size(msg, 10 + stamped_size(16))
     }
 
     fn flavour() -> &'static str {
@@ -224,6 +226,7 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::deliver_each;
     use cbm_adt::arbitration::CHECKPOINT_INTERVAL;
     use cbm_adt::window::{WaInput, WaOutput, WindowArray};
     use cbm_adt::Value;
@@ -234,30 +237,6 @@ mod tests {
         (0..n)
             .map(|me| Rep::new_replica(me, n, WindowArray::new(1, 2)))
             .collect()
-    }
-
-    #[allow(clippy::needless_range_loop)]
-    fn deliver_all(
-        reps: &mut [Rep],
-        from: NodeId,
-        out: Vec<Outgoing<CausalMsg<ArbUpdate<WaInput>>>>,
-    ) {
-        for m in out {
-            let Outgoing::Broadcast(env) = m else {
-                panic!()
-            };
-            for (to, r) in reps.iter_mut().enumerate() {
-                if to != from {
-                    r.on_deliver(
-                        from,
-                        env.clone(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                    );
-                }
-            }
-        }
     }
 
     fn read0(r: &mut Rep) -> Vec<Value> {
@@ -275,8 +254,8 @@ mod tests {
         let mut out1 = Vec::new();
         reps[0].invoke(0, &WaInput::Write(0, 1), &mut out0);
         reps[1].invoke(1, &WaInput::Write(0, 2), &mut out1);
-        deliver_all(&mut reps, 0, out0);
-        deliver_all(&mut reps, 1, out1);
+        deliver_each(&mut reps, 0, out0);
+        deliver_each(&mut reps, 1, out1);
         let a = read0(&mut reps[0]);
         let b = read0(&mut reps[1]);
         assert_eq!(a, b, "replicas must converge");
@@ -298,8 +277,8 @@ mod tests {
         let mut out0 = Vec::new();
         reps[0].invoke(0, &WaInput::Write(0, 99), &mut out0);
         // p0 receives p1's writes after its own
-        deliver_all(&mut reps, 1, outs1);
-        deliver_all(&mut reps, 0, out0);
+        deliver_each(&mut reps, 1, outs1);
+        deliver_each(&mut reps, 0, out0);
         let a = read0(&mut reps[0]);
         let b = read0(&mut reps[1]);
         assert_eq!(a, b);
@@ -313,11 +292,11 @@ mod tests {
         let mut reps = cluster(2);
         let mut out0 = Vec::new();
         reps[0].invoke(0, &WaInput::Write(0, 1), &mut out0);
-        deliver_all(&mut reps, 0, out0);
+        deliver_each(&mut reps, 0, out0);
         // p1 writes after seeing p0's write: must arbitrate later
         let mut out1 = Vec::new();
         reps[1].invoke(1, &WaInput::Write(0, 2), &mut out1);
-        deliver_all(&mut reps, 1, out1);
+        deliver_each(&mut reps, 1, out1);
         for r in reps.iter_mut() {
             assert_eq!(read0(r), vec![1, 2]);
         }
@@ -335,7 +314,7 @@ mod tests {
             reps[0].invoke(i as u64, &WaInput::Write(0, i as u64), &mut o);
             all_out.extend(o);
         }
-        deliver_all(&mut reps, 0, all_out);
+        deliver_each(&mut reps, 0, all_out);
         assert_eq!(reps[1].log_len(), total);
         let a = read0(&mut reps[0]);
         let b = read0(&mut reps[1]);
@@ -353,34 +332,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn three_replicas_pairwise_converge_under_adversarial_delivery() {
         let mut reps = cluster(3);
-        let mut envs: Vec<(NodeId, CausalMsg<ArbUpdate<WaInput>>)> = Vec::new();
+        let mut envs = Vec::new();
         for (i, v) in [(0usize, 7u64), (1, 8), (2, 9), (0, 10), (2, 11)] {
             let mut o = Vec::new();
             reps[i].invoke(v, &WaInput::Write(0, v), &mut o);
-            for m in o {
-                let Outgoing::Broadcast(env) = m else {
-                    panic!()
-                };
-                envs.push((i, env));
-            }
+            envs.extend(o.into_iter().map(|m| (i, m)));
         }
         // deliver in reverse creation order to everyone (causal
         // broadcast re-sequences as needed)
-        for (from, env) in envs.into_iter().rev() {
-            for to in 0..3 {
-                if to != from {
-                    reps[to].on_deliver(
-                        from,
-                        env.clone(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                    );
-                }
-            }
+        for (from, m) in envs.into_iter().rev() {
+            deliver_each(&mut reps, from, vec![m]);
         }
         let a = read0(&mut reps[0]);
         let b = read0(&mut reps[1]);
@@ -393,6 +356,7 @@ mod tests {
 #[cfg(test)]
 mod compaction_tests {
     use super::*;
+    use crate::replica::copy_for;
     use cbm_adt::counter::{Counter, CtInput, CtOutput};
 
     type Rep = ConvergentShared<Counter>;
@@ -410,17 +374,8 @@ mod compaction_tests {
             };
             let mut out = Vec::new();
             src.invoke(i, &CtInput::Add(1), &mut out);
-            let Outgoing::Broadcast(env) = out.pop().unwrap() else {
-                panic!()
-            };
-            let _ = me;
-            dst.on_deliver(
-                env.sender,
-                env,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-            );
+            let env = copy_for(&out, 1 - me);
+            dst.on_deliver(me, env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         }
         (a, b)
     }
@@ -451,9 +406,7 @@ mod compaction_tests {
         for i in 0..50u64 {
             let mut out = Vec::new();
             b.invoke(i, &CtInput::Add(1), &mut out);
-            let Outgoing::Broadcast(env) = out.pop().unwrap() else {
-                panic!()
-            };
+            let env = copy_for(&out, 0);
             a.on_deliver(1, env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         }
         // peer 2 was silent: horizon stuck at 0, nothing compacted
@@ -479,9 +432,7 @@ mod compaction_tests {
         assert!(before > 0);
         let mut out = Vec::new();
         b.invoke(1000, &CtInput::Add(5), &mut out);
-        let Outgoing::Broadcast(env) = out.pop().unwrap() else {
-            panic!()
-        };
+        let env = copy_for(&out, 0);
         a.on_deliver(1, env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         // 100 increments from the pair run + the straggler's 5
         assert_eq!(a.peek(&CtInput::Read), CtOutput::Val(105));

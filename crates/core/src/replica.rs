@@ -10,6 +10,7 @@
 //! blocking sequentially-consistent baseline side by side.
 
 use cbm_adt::Adt;
+use cbm_net::broadcast::{full_interest, InterestBatchCausalBroadcast, InterestMsg};
 use cbm_net::NodeId;
 
 /// An application payload stamped with the history event id assigned at
@@ -101,6 +102,54 @@ pub trait Replica<T: Adt> {
 /// id + caller-estimated input size).
 pub(crate) fn stamped_size(input_size: usize) -> usize {
     8 + input_size
+}
+
+/// Causally broadcast `payload` to every other replica (§6.1) over the
+/// edge-stamped multicast the store engine runs: queue it for the full
+/// mask and flush at once, which stamps one envelope per peer in
+/// ascending order — the same sends, in the same order, that
+/// [`Outgoing::Broadcast`] of one shared envelope would make.
+pub(crate) fn causal_broadcast<P: Clone>(
+    bcast: &mut InterestBatchCausalBroadcast<P>,
+    payload: P,
+    out: &mut Vec<Outgoing<InterestMsg<Vec<P>>>>,
+) {
+    let all = full_interest(bcast.cluster_size());
+    bcast.push(payload, all);
+    let envs = bcast.flush_mask(all).into_iter();
+    out.extend(envs.map(|(r, env)| Outgoing::To(r, env)));
+}
+
+/// Wire size of a [`causal_broadcast`] envelope: the exact varint
+/// causal header plus `payload_size` bytes per payload.
+pub(crate) fn causal_size<P>(msg: &InterestMsg<Vec<P>>, payload_size: usize) -> usize {
+    msg.knows.wire_len(msg.sender, msg.seq) + msg.payload.len() * payload_size
+}
+
+/// The copy of a [`causal_broadcast`] addressed to `r`.
+#[cfg(test)]
+pub(crate) fn copy_for<M: Clone>(out: &[Outgoing<M>], r: NodeId) -> M {
+    let mut copies = out.iter().filter_map(|o| match o {
+        Outgoing::To(to, m) if *to == r => Some(m.clone()),
+        _ => None,
+    });
+    copies.next().expect("one copy per peer")
+}
+
+/// Deliver every message in `out`, emitted by `from`, to its addressee
+/// in emission order.
+#[cfg(test)]
+pub(crate) fn deliver_each<T: Adt, R: Replica<T>>(
+    reps: &mut [R],
+    from: NodeId,
+    out: Vec<Outgoing<R::Msg>>,
+) {
+    for o in out {
+        let Outgoing::To(to, m) = o else {
+            panic!("a causal broadcast is one copy per peer")
+        };
+        reps[to].on_deliver(from, m, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+    }
 }
 
 #[cfg(test)]

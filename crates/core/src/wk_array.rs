@@ -11,20 +11,27 @@
 //! 2. **cost** — Fig. 5 stores only `k` timestamped values per stream,
 //!    not an operation log: O(k) memory and O(k) work per delivery,
 //!    which the benches compare against the generalized log replica;
-//! 3. **wire realism** — messages use the byte codec of
-//!    `cbm-net::msg`, so reported message sizes are exact.
+//! 3. **wire realism** — messages ride the same edge-stamped causal
+//!    multicast as the live store, so a reported message size is the
+//!    exact varint header the engine ships plus the paper's message:
+//!    `Mess(x, v)` (12 bytes) or `Mess(x, v, vt, j)` (22 bytes).
 //!
 //! Equivalence with the generalized replicas (same outputs under the
 //! same delivery schedule) is asserted in the tests below and in the
 //! integration suite.
 
-use crate::replica::{InvokeOutcome, Outgoing, Replica};
+use crate::replica::{causal_broadcast, causal_size, InvokeOutcome, Outgoing, Replica};
 use cbm_adt::window::{WaInput, WaOutput, WindowArray};
 use cbm_adt::Value;
-use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
+use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMsg};
 use cbm_net::clock::{LamportClock, Timestamp};
-use cbm_net::msg::{CcWire, CcvWire};
 use cbm_net::NodeId;
+
+/// An envelope of Fig. 4: `Mess(x, v)`, stamped with the history event.
+type CcMess = InterestMsg<Vec<(u64 /*event*/, u32 /*x*/, Value)>>;
+
+/// An envelope of Fig. 5: `Mess(x, v, vt, j)`, likewise.
+type CcvMess = InterestMsg<Vec<(u64, u32, Value, Timestamp)>>;
 
 /// Fig. 4: causally consistent array of `K` window streams of size `k`.
 #[derive(Debug, Clone)]
@@ -32,7 +39,7 @@ pub struct WkArrayCc {
     k: usize,
     /// `str_i` — the local state (line 2).
     streams: Vec<Vec<Value>>,
-    bcast: CausalBroadcast<(u64 /*event*/, u32 /*x*/, Value)>,
+    bcast: InterestBatchCausalBroadcast<(u64 /*event*/, u32 /*x*/, Value)>,
 }
 
 impl WkArrayCc {
@@ -41,7 +48,7 @@ impl WkArrayCc {
         WkArrayCc {
             k,
             streams: vec![vec![0; k]; streams],
-            bcast: CausalBroadcast::new(me, n),
+            bcast: InterestBatchCausalBroadcast::new(me, n),
         }
     }
 
@@ -52,9 +59,15 @@ impl WkArrayCc {
 
     /// `write(x, v)` (lines 6–8): causally broadcast `Mess(x, v)`;
     /// immediate local reception applies it at once (§6.1, property 3).
-    pub(crate) fn write(&mut self, event: u64, x: usize, v: Value) -> CausalMsg<(u64, u32, Value)> {
+    pub(crate) fn write(
+        &mut self,
+        event: u64,
+        x: usize,
+        v: Value,
+        out: &mut Vec<Outgoing<CcMess>>,
+    ) {
         self.apply(x, v);
-        self.bcast.broadcast((event, x as u32, v))
+        causal_broadcast(&mut self.bcast, (event, x as u32, v), out);
     }
 
     /// `on receive Mess(x, v)` (lines 9–14): shift the window.
@@ -68,20 +81,20 @@ impl WkArrayCc {
         }
     }
 
-    /// Receive a remote envelope; returns applied event ids in order.
-    pub(crate) fn receive(&mut self, msg: CausalMsg<(u64, u32, Value)>) -> Vec<u64> {
-        let mut applied = Vec::new();
+    /// Receive a remote envelope; appends applied event ids in order.
+    pub(crate) fn receive(&mut self, msg: CcMess, applied: &mut Vec<u64>) {
         for m in self.bcast.on_receive(msg) {
-            let (event, x, v) = m.payload;
-            self.apply(x as usize, v);
-            applied.push(event);
+            for &(event, x, v) in &m.payload {
+                self.apply(x as usize, v);
+                applied.push(event);
+            }
+            self.bcast.recycle(m);
         }
-        applied
     }
 }
 
 impl Replica<WindowArray> for WkArrayCc {
-    type Msg = CausalMsg<(u64, u32, Value)>;
+    type Msg = CcMess;
 
     fn new_replica(me: NodeId, n: usize, adt: WindowArray) -> Self {
         WkArrayCc::new(me, n, adt.streams(), adt.k())
@@ -96,8 +109,7 @@ impl Replica<WindowArray> for WkArrayCc {
         match input {
             WaInput::Read(x) => InvokeOutcome::Done(WaOutput::Window(self.read(*x))),
             WaInput::Write(x, v) => {
-                let msg = self.write(event, *x, *v);
-                out.push(Outgoing::Broadcast(msg));
+                self.write(event, *x, *v, out);
                 InvokeOutcome::Done(WaOutput::Ack)
             }
         }
@@ -111,7 +123,7 @@ impl Replica<WindowArray> for WkArrayCc {
         _completed: &mut Vec<(u64, WaOutput)>,
         applied: &mut Vec<u64>,
     ) {
-        applied.extend(self.receive(msg));
+        self.receive(msg, applied);
     }
 
     fn local_state(&self) -> Vec<Value> {
@@ -119,13 +131,8 @@ impl Replica<WindowArray> for WkArrayCc {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        CcWire {
-            sender: msg.sender,
-            vc: msg.vc.clone(),
-            x: msg.payload.1,
-            v: msg.payload.2,
-        }
-        .wire_size()
+        // causal header + Mess(x, v): x (4) + v (8)
+        causal_size(msg, 4 + 8)
     }
 
     fn flavour() -> &'static str {
@@ -161,7 +168,7 @@ pub struct WkArrayCcv {
     streams: Vec<Vec<Cell>>,
     /// `vtime_i` (line 3).
     vtime: LamportClock,
-    bcast: CausalBroadcast<(u64, u32, Value, Timestamp)>,
+    bcast: InterestBatchCausalBroadcast<(u64, u32, Value, Timestamp)>,
     /// Cluster size.
     pub n: usize,
 }
@@ -174,7 +181,7 @@ impl WkArrayCcv {
             k,
             streams: vec![vec![Cell::INIT; k]; streams],
             vtime: LamportClock::new(),
-            bcast: CausalBroadcast::new(me, n),
+            bcast: InterestBatchCausalBroadcast::new(me, n),
             n,
         }
     }
@@ -191,11 +198,12 @@ impl WkArrayCcv {
         event: u64,
         x: usize,
         v: Value,
-    ) -> CausalMsg<(u64, u32, Value, Timestamp)> {
+        out: &mut Vec<Outgoing<CcvMess>>,
+    ) {
         let ts = Timestamp::new(self.vtime.now() + 1, self.me);
         // immediate self-delivery (lines 10–20 run locally at once)
         self.apply(x, v, ts);
-        self.bcast.broadcast((event, x as u32, v, ts))
+        causal_broadcast(&mut self.bcast, (event, x as u32, v, ts), out);
     }
 
     /// `on receive Mess(x, v, vt, j)` (lines 10–20), transcribed
@@ -229,20 +237,20 @@ impl WkArrayCcv {
         debug_assert!(s.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
 
-    /// Receive a remote envelope; returns applied event ids.
-    pub(crate) fn receive(&mut self, msg: CausalMsg<(u64, u32, Value, Timestamp)>) -> Vec<u64> {
-        let mut applied = Vec::new();
+    /// Receive a remote envelope; appends applied event ids.
+    pub(crate) fn receive(&mut self, msg: CcvMess, applied: &mut Vec<u64>) {
         for m in self.bcast.on_receive(msg) {
-            let (event, x, v, ts) = m.payload;
-            self.apply(x as usize, v, ts);
-            applied.push(event);
+            for &(event, x, v, ts) in &m.payload {
+                self.apply(x as usize, v, ts);
+                applied.push(event);
+            }
+            self.bcast.recycle(m);
         }
-        applied
     }
 }
 
 impl Replica<WindowArray> for WkArrayCcv {
-    type Msg = CausalMsg<(u64, u32, Value, Timestamp)>;
+    type Msg = CcvMess;
 
     fn new_replica(me: NodeId, n: usize, adt: WindowArray) -> Self {
         WkArrayCcv::new(me, n, adt.streams(), adt.k())
@@ -257,8 +265,7 @@ impl Replica<WindowArray> for WkArrayCcv {
         match input {
             WaInput::Read(x) => InvokeOutcome::Done(WaOutput::Window(self.read(*x))),
             WaInput::Write(x, v) => {
-                let msg = self.write(event, *x, *v);
-                out.push(Outgoing::Broadcast(msg));
+                self.write(event, *x, *v, out);
                 InvokeOutcome::Done(WaOutput::Ack)
             }
         }
@@ -272,7 +279,7 @@ impl Replica<WindowArray> for WkArrayCcv {
         _completed: &mut Vec<(u64, WaOutput)>,
         applied: &mut Vec<u64>,
     ) {
-        applied.extend(self.receive(msg));
+        self.receive(msg, applied);
     }
 
     fn local_state(&self) -> Vec<Value> {
@@ -280,14 +287,8 @@ impl Replica<WindowArray> for WkArrayCcv {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        CcvWire {
-            sender: msg.sender,
-            vc: msg.vc.clone(),
-            x: msg.payload.1,
-            v: msg.payload.2,
-            ts: msg.payload.3,
-        }
-        .wire_size()
+        // causal header + Mess(x, v, vt, j): x (4) + v (8) + vt (8) + j (2)
+        causal_size(msg, 4 + 8 + 8 + 2)
     }
 
     fn flavour() -> &'static str {
@@ -298,14 +299,14 @@ impl Replica<WindowArray> for WkArrayCcv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::{copy_for, deliver_each};
 
     #[test]
     fn fig4_read_returns_last_k_writes() {
         let mut r = WkArrayCc::new(0, 1, 1, 3);
-        r.write(0, 0, 1);
-        r.write(1, 0, 2);
-        r.write(2, 0, 3);
-        r.write(3, 0, 4);
+        for (event, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
+            r.write(event, 0, v, &mut Vec::new());
+        }
         assert_eq!(r.read(0), vec![2, 3, 4]);
     }
 
@@ -319,7 +320,7 @@ mod tests {
         for (i, (x, v)) in script.iter().enumerate() {
             let mut out = Vec::new();
             spec.invoke(i as u64, &WaInput::Write(*x, *v), &mut out);
-            fig4.write(i as u64, *x, *v);
+            fig4.write(i as u64, *x, *v, &mut Vec::new());
         }
         let spec_state = spec.local_state();
         for x in 0..3 {
@@ -351,10 +352,11 @@ mod tests {
     fn fig5_two_replicas_converge() {
         let mut a = WkArrayCcv::new(0, 2, 1, 2);
         let mut b = WkArrayCcv::new(1, 2, 1, 2);
-        let ma = a.write(0, 0, 1);
-        let mb = b.write(1, 0, 2);
-        b.receive(ma);
-        a.receive(mb);
+        let (mut ma, mut mb) = (Vec::new(), Vec::new());
+        a.write(0, 0, 1, &mut ma);
+        b.write(1, 0, 2, &mut mb);
+        b.receive(copy_for(&ma, 1), &mut Vec::new());
+        a.receive(copy_for(&mb, 0), &mut Vec::new());
         assert_eq!(a.read(0), b.read(0));
         // tie on vtime=1 broken by pid: p0's write first
         assert_eq!(a.read(0), vec![1, 2]);
@@ -364,53 +366,32 @@ mod tests {
     fn fig5_matches_generalized_convergent_replica() {
         use crate::convergent::ConvergentShared;
         let adt = WindowArray::new(2, 3);
-        let mut spec: ConvergentShared<WindowArray> = ConvergentShared::new_replica(0, 2, adt);
-        let mut spec1: ConvergentShared<WindowArray> = ConvergentShared::new_replica(1, 2, adt);
-        let mut f0 = WkArrayCcv::new(0, 2, 2, 3);
-        let mut f1 = WkArrayCcv::new(1, 2, 2, 3);
+        let mut spec: Vec<ConvergentShared<WindowArray>> = (0..2)
+            .map(|me| ConvergentShared::new_replica(me, 2, adt))
+            .collect();
+        let mut fig: Vec<WkArrayCcv> = (0..2).map(|me| WkArrayCcv::new(me, 2, 2, 3)).collect();
 
         // concurrent writes on both replicas, then full exchange
-        let mut env_spec = Vec::new();
-        let mut env_fig = Vec::new();
+        let (mut env_spec, mut env_fig) = (Vec::new(), Vec::new());
         for (ev, (p, x, v)) in [(0usize, 0usize, 1u64), (1, 0, 2), (0, 1, 3), (1, 1, 4)]
-            .iter()
+            .into_iter()
             .enumerate()
         {
-            let mut o = Vec::new();
-            if *p == 0 {
-                spec.invoke(ev as u64, &WaInput::Write(*x, *v), &mut o);
-                env_spec.push((0usize, o));
-                let m = f0.write(ev as u64, *x, *v);
-                env_fig.push((0usize, m));
-            } else {
-                spec1.invoke(ev as u64, &WaInput::Write(*x, *v), &mut o);
-                env_spec.push((1usize, o));
-                let m = f1.write(ev as u64, *x, *v);
-                env_fig.push((1usize, m));
-            }
+            let (mut o, mut m) = (Vec::new(), Vec::new());
+            spec[p].invoke(ev as u64, &WaInput::Write(x, v), &mut o);
+            fig[p].write(ev as u64, x, v, &mut m);
+            env_spec.push((p, o));
+            env_fig.push((p, m));
         }
-        for (from, outs) in env_spec {
-            for m in outs {
-                let Outgoing::Broadcast(env) = m else {
-                    panic!()
-                };
-                if from == 0 {
-                    spec1.on_deliver(0, env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-                } else {
-                    spec.on_deliver(1, env, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-                }
-            }
+        for (from, o) in env_spec {
+            deliver_each(&mut spec, from, o);
         }
-        for (from, env) in env_fig {
-            if from == 0 {
-                f1.receive(env);
-            } else {
-                f0.receive(env);
-            }
+        for (from, m) in env_fig {
+            deliver_each(&mut fig, from, m);
         }
-        assert_eq!(spec.local_state(), f0.local_state());
-        assert_eq!(spec1.local_state(), f1.local_state());
-        assert_eq!(f0.local_state(), f1.local_state());
+        assert_eq!(spec[0].local_state(), fig[0].local_state());
+        assert_eq!(spec[1].local_state(), fig[1].local_state());
+        assert_eq!(fig[0].local_state(), fig[1].local_state());
     }
 
     #[test]
@@ -423,12 +404,18 @@ mod tests {
     #[test]
     fn wire_sizes_are_exact() {
         let mut cc = WkArrayCc::new(0, 3, 1, 2);
-        let m = cc.write(0, 0, 7);
+        let mut out = Vec::new();
+        cc.write(0, 0, 7, &mut out);
+        let m = copy_for(&out, 2);
+        // the header is exactly the varint codec's bytes: sender, seq,
+        // one row (index, two cells of gap and count) — then Mess(x, v)
+        assert_eq!(m.knows.encode(m.sender, m.seq).len(), 9);
         let sz = Replica::<WindowArray>::msg_size(&cc, &m);
-        assert_eq!(sz, 2 + 2 + 8 * 3 + 4 + 8);
+        assert_eq!(sz, 9 + 4 + 8);
         let mut ccv = WkArrayCcv::new(0, 3, 1, 2);
-        let m = ccv.write(0, 0, 7);
-        let sz2 = Replica::<WindowArray>::msg_size(&ccv, &m);
+        let mut out = Vec::new();
+        ccv.write(0, 0, 7, &mut out);
+        let sz2 = Replica::<WindowArray>::msg_size(&ccv, &copy_for(&out, 2));
         assert_eq!(sz2, sz + 10);
     }
 }

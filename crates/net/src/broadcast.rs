@@ -1,27 +1,28 @@
 //! Broadcast protocol state machines.
 //!
 //! Each protocol is a per-process pure state machine, independent of the
-//! transport: `broadcast` turns an application payload into an envelope
-//! (after immediate local delivery, §6.1 property 3), and `on_receive`
-//! turns an incoming envelope into the list of payloads now deliverable
-//! in protocol order. The transports ([`crate::sim::SimNet`],
+//! transport: a send turns an application payload into envelopes (after
+//! immediate local delivery, §6.1 property 3), and `on_receive` turns an
+//! incoming envelope into the list of envelopes now deliverable in
+//! protocol order. The transports ([`crate::sim::SimNet`],
 //! [`crate::thread_net::ThreadNet`], [`crate::tcp::TcpNet`]) move
 //! envelopes; the protocols decide delivery order:
 //!
-//! * [`CausalBroadcast`] — vector-clock causal delivery (the primitive
-//!   assumed by Figs. 4 and 5);
-//! * [`InterestBatchCausalBroadcast`] — the same rule over per-edge
-//!   stamps, with payloads batched per interest mask (partial
-//!   replication; the stack the live store engine runs on);
+//! * [`InterestBatchCausalBroadcast`] — causal delivery over per-edge
+//!   stamps, with payloads batched per interest mask. With every node
+//!   interested ([`full_interest`]) it is the reliable causal broadcast
+//!   Figs. 4 and 5 assume (§6.1), which the library replicas run; with
+//!   partial masks it is the partial-replication multicast of the live
+//!   store engine;
 //! * [`FifoBroadcast`] — per-sender FIFO (PRAM / pipelined consistency);
 //! * [`SequencerBroadcast`] — total order through a sequencer
 //!   (sequential consistency baseline; not wait-free).
 //!
-//! All four deliver through one reorder buffer: per sender, a delivered
+//! All three deliver through one reorder buffer: per sender, a delivered
 //! count and the envelopes received ahead of it, keyed by that sender's
 //! sequence number. An envelope is released when it is its sender's
 //! next and passes the protocol's *gate* — its causal past is delivered
-//! (causal, interest), or nothing at all (FIFO, and both streams of the
+//! (causal), or nothing at all (FIFO, and both streams of the
 //! sequencer). A copy at or below the delivered count, or of an
 //! envelope already held, is dropped on arrival, so a duplicating or
 //! retransmitting transport costs bandwidth but never a second
@@ -29,25 +30,28 @@
 //! envelopes still waiting for their past.
 //!
 //! ```
-//! use cbm_net::broadcast::CausalBroadcast;
+//! use cbm_net::broadcast::{full_interest, InterestBatchCausalBroadcast};
 //!
-//! let mut alice: CausalBroadcast<&str> = CausalBroadcast::new(0, 3);
-//! let mut bob: CausalBroadcast<&str> = CausalBroadcast::new(1, 3);
-//! let mut carol: CausalBroadcast<&str> = CausalBroadcast::new(2, 3);
+//! let all = full_interest(3);
+//! let mut alice = InterestBatchCausalBroadcast::new(0, 3);
+//! let mut bob = InterestBatchCausalBroadcast::new(1, 3);
+//! let mut carol = InterestBatchCausalBroadcast::new(2, 3);
 //!
-//! let question = alice.broadcast("2+2?");
-//! bob.on_receive(question.clone());
-//! let answer = bob.broadcast("4");
+//! // a flush stamps one envelope per other node, in node order
+//! alice.push("2+2?", all);
+//! let [(_, q_bob), (_, q_carol)]: [_; 2] = alice.flush_all().try_into().unwrap();
+//! bob.on_receive(q_bob);
+//! bob.push("4", all);
+//! let [_, (_, a_carol)]: [_; 2] = bob.flush_all().try_into().unwrap();
 //!
 //! // carol gets the answer first: buffered until the question arrives
-//! assert!(carol.on_receive(answer).is_empty());
-//! let both = carol.on_receive(question);
+//! assert!(carol.on_receive(a_carol).is_empty());
+//! let both = carol.on_receive(q_carol);
 //! assert_eq!(both.len(), 2);
-//! assert_eq!(both[0].payload, "2+2?");
-//! assert_eq!(both[1].payload, "4");
+//! assert_eq!(both[0].payload, ["2+2?"]);
+//! assert_eq!(both[1].payload, ["4"]);
 //! ```
 
-use crate::clock::VectorClock;
 use crate::stock::{SharedStock, Stock, STOCK_BYTES};
 use crate::NodeId;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -126,95 +130,16 @@ impl<M> Held<M> {
     }
 }
 
-/// An envelope of the causal broadcast: payload plus causal metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CausalMsg<P> {
-    /// Broadcaster.
-    pub sender: NodeId,
-    /// Vector timestamp: `vc[sender]` is the message's sequence number,
-    /// other components count the messages delivered at the sender
-    /// before the broadcast.
-    pub vc: VectorClock,
-    /// Application payload.
-    pub payload: P,
-}
-
-/// Per-process causal broadcast (CBCAST-style).
-///
-/// Delivery rule for a message `m` from `s ≠ me`:
-/// `m.vc[s] = delivered[s] + 1` and `m.vc[j] ≤ delivered[j]` for all
-/// `j ≠ s`. Out-of-order envelopes are buffered. This implements
-/// exactly the reliable causal broadcast of §6.1 when run over a
-/// transport that delivers every sent envelope eventually.
-#[derive(Debug, Clone)]
-pub struct CausalBroadcast<P> {
-    me: NodeId,
-    /// The delivered clock (own broadcasts included) and the envelopes
-    /// waiting for their causal past.
-    held: Held<CausalMsg<P>>,
-}
-
-impl<P: Clone> CausalBroadcast<P> {
-    /// A fresh endpoint for process `me` in a cluster of `n`.
-    pub fn new(me: NodeId, n: usize) -> Self {
-        CausalBroadcast {
-            me,
-            held: Held::new(n),
-        }
-    }
-
-    /// Broadcast `payload`: the message is delivered locally at once
-    /// (property 3 of §6.1) and the returned envelope must be sent to
-    /// every other process.
-    pub fn broadcast(&mut self, payload: P) -> CausalMsg<P> {
-        self.held.delivered[self.me] += 1;
-        let mut vc = VectorClock::new(self.held.delivered.len());
-        for (j, &d) in self.held.delivered.iter().enumerate() {
-            vc.set(j, d);
-        }
-        CausalMsg {
-            sender: self.me,
-            vc,
-            payload,
-        }
-    }
-
-    /// Receive an envelope; returns every message that becomes
-    /// deliverable, in causal delivery order. Own messages and copies
-    /// of anything already delivered or held are discarded.
-    pub fn on_receive(&mut self, msg: CausalMsg<P>) -> Vec<CausalMsg<P>> {
-        self.held.offer(msg.sender, msg.vc.get(msg.sender), msg);
-        std::iter::from_fn(|| {
-            self.held.next(|m, delivered| {
-                let mut past = m.vc.components().iter().zip(delivered).enumerate();
-                past.all(|(j, (v, d))| j == m.sender || v <= d)
-            })
-        })
-        .collect()
-    }
-
-    /// Number of messages delivered from each sender.
-    #[cfg(test)]
-    pub(crate) fn delivered(&self) -> &[u64] {
-        &self.held.delivered
-    }
-
-    /// Envelopes waiting for their causal past.
-    pub fn buffered(&self) -> usize {
-        self.held.len()
-    }
-}
-
 pub use crate::delta::KnowledgeDelta;
 pub use crate::mask::{full_interest, InterestMask};
 
 /// An envelope of the interest-filtered causal multicast.
 ///
-/// Unlike [`CausalMsg`], which carries one vector clock meaningful to
-/// every receiver, an interest envelope carries a per-**edge** stamp:
-/// under partial replication a receiver only ever sees the envelopes it
-/// is interested in, so its causal metadata must count envelopes on
-/// interest edges, not global broadcasts it will never get.
+/// Where a vector clock would count every sender's broadcasts, an
+/// interest envelope carries a per-**edge** stamp: under partial
+/// replication a receiver only ever sees the envelopes it is interested
+/// in, so its causal metadata must count envelopes on interest edges,
+/// not global broadcasts it will never get.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterestMsg<P> {
     /// Multicaster.
@@ -257,7 +182,7 @@ cbm_adt::wire_struct!(InterestMsg<P> { sender, seq, knows, payload });
 /// objects" with no per-op filtering at the receiver. The batch is the
 /// causal unit.
 ///
-/// [`CausalBroadcast`]'s vector-clock rule assumes every process
+/// The textbook vector-clock rule (CBCAST) assumes every process
 /// receives every envelope; with interest filtering that assumption
 /// breaks in both directions: a receiver cannot count a sender's
 /// global sequence numbers (it sees gaps where envelopes went
@@ -282,14 +207,16 @@ cbm_adt::wire_struct!(InterestMsg<P> { sender, seq, knows, payload });
 /// metadata cost that partially replicated causal consistency is known
 /// to require.
 ///
-/// With every envelope multicast to the full cluster this degenerates
-/// to [`CausalBroadcast`]: `seq` equals the sender's global sequence
-/// number and the receiver's column its delivered counts — the same
-/// gating, so the delivery order (and every deterministic count
-/// derived from it) is identical. The property tests in
-/// `crates/net/tests/interest_props.rs` pin both directions:
-/// full-interest order equivalence and transitive causal delivery
-/// under partial interest.
+/// With every envelope multicast to the full cluster ([`full_interest`])
+/// this degenerates to CBCAST, the reliable causal broadcast of §6.1:
+/// `seq` equals the sender's global sequence number and the receiver's
+/// column its delivered counts — the same gating, hence the same
+/// delivery order. That is how the library's Fig. 4/5 replicas run it,
+/// one flush per update. The property tests in
+/// `crates/net/tests/interest_props.rs` pin the delivery rule on
+/// message ids: every envelope of interest delivered exactly once,
+/// never before a causal dependency of interest, and never held once
+/// its dependencies of interest are delivered.
 #[derive(Debug, Clone)]
 pub struct InterestBatchCausalBroadcast<P> {
     me: NodeId,
@@ -457,7 +384,7 @@ impl<P: Clone> InterestBatchCausalBroadcast<P> {
     }
 
     /// Cluster size.
-    pub(crate) fn cluster_size(&self) -> usize {
+    pub fn cluster_size(&self) -> usize {
         self.edge_sent.len()
     }
 
@@ -1005,96 +932,8 @@ mod tests {
         envs.iter().find(|(r, _)| *r == to).unwrap().1.clone()
     }
 
-    #[test]
-    fn causal_broadcast_buffers_out_of_causal_order() {
-        // p0 broadcasts m1; p1 receives m1 then broadcasts m2.
-        // p2 receives m2 BEFORE m1: m2 must be buffered.
-        let mut p0 = CausalBroadcast::<&str>::new(0, 3);
-        let mut p1 = CausalBroadcast::<&str>::new(1, 3);
-        let mut p2 = CausalBroadcast::<&str>::new(2, 3);
-
-        let m1 = p0.broadcast("m1");
-        assert_eq!(p1.on_receive(m1.clone()).len(), 1);
-        let m2 = p1.broadcast("m2");
-
-        // m2 first: buffered
-        assert!(p2.on_receive(m2.clone()).is_empty());
-        assert_eq!(p2.buffered(), 1);
-        // m1 arrives: both deliverable, in causal order
-        let delivered = p2.on_receive(m1);
-        assert_eq!(delivered.len(), 2);
-        assert_eq!(delivered[0].payload, "m1");
-        assert_eq!(delivered[1].payload, "m2");
-        assert_eq!(p2.buffered(), 0);
-    }
-
-    #[test]
-    fn causal_broadcast_fifo_per_sender() {
-        let mut p0 = CausalBroadcast::<u32>::new(0, 2);
-        let mut p1 = CausalBroadcast::<u32>::new(1, 2);
-        let a = p0.broadcast(1);
-        let b = p0.broadcast(2);
-        // reversed arrival
-        assert!(p1.on_receive(b.clone()).is_empty());
-        let got = p1.on_receive(a);
-        assert_eq!(
-            got.iter().map(|m| m.payload).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-    }
-
-    #[test]
-    fn concurrent_messages_deliver_in_any_order() {
-        let mut p0 = CausalBroadcast::<u32>::new(0, 3);
-        let mut p1 = CausalBroadcast::<u32>::new(1, 3);
-        let mut p2 = CausalBroadcast::<u32>::new(2, 3);
-        let a = p0.broadcast(10);
-        let b = p1.broadcast(20);
-        // p2 receives b then a — both concurrent, both deliverable at once
-        assert_eq!(p2.on_receive(b).len(), 1);
-        assert_eq!(p2.on_receive(a).len(), 1);
-    }
-
-    #[test]
-    fn own_messages_not_redelivered() {
-        let mut p0 = CausalBroadcast::<u32>::new(0, 2);
-        let m = p0.broadcast(5);
-        assert!(p0.on_receive(m).is_empty());
-    }
-
-    #[test]
-    fn duplicate_storm_keeps_buffer_and_suppression_bounded() {
-        // p0 broadcasts a chain m1..m8; p1 receives m2..m8 (m1 held
-        // back) in R duplicated rounds: the held envelopes, which are
-        // the suppression set, must stay bounded by the 7 distinct
-        // undelivered envelopes, independent of R.
-        let mut p0 = CausalBroadcast::<u64>::new(0, 2);
-        let mut p1 = CausalBroadcast::<u64>::new(1, 2);
-        let msgs: Vec<_> = (0..8).map(|i| p0.broadcast(i)).collect();
-        for _round in 0..50 {
-            for m in &msgs[1..] {
-                assert!(p1.on_receive(m.clone()).is_empty());
-            }
-            assert_eq!(p1.buffered(), 7, "duplicates must not accumulate");
-            assert_eq!(p1.held.received_from(0), 7);
-        }
-        // the missing head arrives: everything delivers and nothing
-        // stays held
-        let out = p1.on_receive(msgs[0].clone());
-        assert_eq!(out.len(), 8);
-        assert_eq!(p1.buffered(), 0);
-        assert_eq!(p1.held.received_from(0), 8);
-        // late duplicates of delivered envelopes are stale against the
-        // delivered count and never re-enter the buffer
-        for m in &msgs {
-            assert!(p1.on_receive(m.clone()).is_empty());
-        }
-        assert_eq!(p1.buffered(), 0);
-        assert_eq!(p1.delivered(), [8, 0]);
-    }
-
-    /// All nodes interested: the interest protocol must behave exactly
-    /// like [`CausalBroadcast`] (same buffering, same delivery order).
+    /// All nodes interested: the protocol is CBCAST — an answer
+    /// overtaking its question is buffered until the question arrives.
     #[test]
     fn interest_full_mask_degenerates_to_causal_broadcast() {
         let all = full_interest(3);
@@ -1479,10 +1318,6 @@ mod tests {
         key: fn(&E) -> (NodeId, u64),
     }
 
-    fn causal_key(m: &CausalMsg<u32>) -> (NodeId, u64) {
-        (m.sender, m.vc.get(m.sender))
-    }
-
     fn interest_key(m: &InterestMsg<Vec<u32>>) -> (NodeId, u64) {
         (m.sender, m.seq)
     }
@@ -1561,7 +1396,7 @@ mod tests {
         assert_eq!((rig.held)(&mut fresh).len(), 0);
     }
 
-    /// One buffer, four gates: under seeded reorderings with every
+    /// One buffer, three gates: under seeded reorderings with every
     /// envelope arriving up to four times, each protocol delivers every
     /// envelope exactly once, holds only the distinct envelopes still
     /// out of order, counts them in `received_from`, and restarts
@@ -1570,29 +1405,6 @@ mod tests {
     fn held_delivers_exactly_once_under_reorder_and_duplication() {
         for seed in 0..24 {
             let rng = &mut StdRng::seed_from_u64(seed);
-            // causal: nodes 0 and 1 broadcast, each delivering the
-            // other's message half the time (causal chains); node 2
-            // observes
-            let mut nodes: Vec<_> = (0..2)
-                .map(|me| CausalBroadcast::<u32>::new(me, 3))
-                .collect();
-            let mut envs = Vec::new();
-            for k in 0..16 {
-                let s = rng.gen_range(0..2usize);
-                let m = nodes[s].broadcast(k);
-                if rng.gen_bool(0.5) {
-                    nodes[1 - s].on_receive(m.clone());
-                }
-                envs.push(m);
-            }
-            let rig = Rig {
-                new: || CausalBroadcast::new(2, 3),
-                held: |p| &mut p.held,
-                receive: |p, m| p.on_receive(m).iter().map(causal_key).collect(),
-                key: causal_key,
-            };
-            check_exactly_once(rig, &envs, rng);
-
             // interest: nodes 0, 1 and 3 multicast to random masks,
             // peers delivering half the time; node 2 observes what is
             // addressed to it

@@ -1,54 +1,7 @@
-//! Logical clocks: vector clocks (causal delivery) and Lamport clocks
-//! (the timestamp arbitration of Fig. 5).
+//! Logical clocks: Lamport clocks and the timestamps they issue (the
+//! arbitration of Fig. 5).
 
 use crate::NodeId;
-
-/// A vector clock over a fixed cluster size.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VectorClock(Vec<u64>);
-
-impl VectorClock {
-    /// The zero clock for `n` processes.
-    pub fn new(n: usize) -> Self {
-        VectorClock(vec![0; n])
-    }
-
-    /// Cluster size.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Is this the zero clock of an empty cluster?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Component for process `i`.
-    pub fn get(&self, i: NodeId) -> u64 {
-        self.0[i]
-    }
-
-    /// Set component `i` (used by broadcast layers).
-    pub fn set(&mut self, i: NodeId, v: u64) {
-        self.0[i] = v;
-    }
-
-    /// Increment component `i` and return the new value.
-    pub fn tick(&mut self, i: NodeId) -> u64 {
-        self.0[i] += 1;
-        self.0[i]
-    }
-
-    /// Sum of components (events counted).
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-
-    /// Raw components.
-    pub(crate) fn components(&self) -> &[u64] {
-        &self.0
-    }
-}
 
 /// A Lamport scalar clock (§6.3: "a logical Lamport's clock is a
 /// pre-total order; to have a total order, writes are timestamped with
@@ -106,15 +59,6 @@ impl Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_is_pointwise_max() {
-        let mut a = VectorClock::new(2);
-        a.set(0, 5);
-        a.set(1, 7);
-        assert_eq!(a.components(), &[5, 7]);
-        assert_eq!(a.total(), 12);
-    }
 
     #[test]
     fn lamport_clock_monotone() {

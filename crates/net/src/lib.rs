@@ -4,8 +4,7 @@
 //! Consistency: Beyond Memory* (PPoPP 2016): a message-passing system of
 //! `n` sequential processes, asynchronous (no bound on delivery delay),
 //! with crash faults, communicating through a **reliable causal
-//! broadcast** ([`broadcast::CausalBroadcast`]) with the four properties
-//! of §6.1:
+//! broadcast** with the four properties of §6.1:
 //!
 //! 1. every received message was broadcast;
 //! 2. a received message is eventually received by all non-faulty
@@ -13,6 +12,15 @@
 //! 3. a non-faulty broadcaster receives its own message immediately;
 //! 4. causal order: a message broadcast after a reception is never
 //!    delivered before the received message.
+//!
+//! The causal broadcast is [`broadcast::InterestBatchCausalBroadcast`]
+//! with every process interested ([`broadcast::full_interest`]): the
+//! library's Fig. 4/5 replicas flush one update per envelope, one
+//! edge-stamped copy per peer. The live store engine runs the same
+//! protocol batched and interest-filtered: payloads that share a
+//! recipient set coalesce into one envelope per flush, cutting message
+//! counts by the mean batch size while preserving causal order, and
+//! under partial replication a replica receives only what it stores.
 //!
 //! Alongside the causal broadcast we provide the weaker and stronger
 //! layers the baselines in `cbm-core` need: FIFO broadcast (PRAM) and
@@ -34,14 +42,6 @@
 //!   behind the shared [`endpoint::Endpoint`] trait (messages encode
 //!   via [`wire::Wire`]), so the engine and the chaos layer run
 //!   unchanged over actual connections.
-//!
-//! For high-throughput callers the causal layer also has a **batched,
-//! interest-filtered mode**,
-//! [`broadcast::InterestBatchCausalBroadcast`]: payloads that share a
-//! recipient set coalesce into one edge-stamped envelope per flush,
-//! cutting message counts by the mean batch size while preserving
-//! causal order (full replication is the full-mask case). This is the
-//! stack the live store engine runs on.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +56,6 @@ pub mod fault;
 pub(crate) mod inbox;
 pub mod latency;
 pub(crate) mod mask;
-pub mod msg;
 pub mod sim;
 mod stock;
 pub mod tcp;

@@ -237,7 +237,8 @@ impl<M: Clone> SimNet<M> {
     }
 
     /// Send one point-to-point message; `size_hint` feeds the byte
-    /// counter (use the wire codec in [`crate::msg`] or an estimate).
+    /// counter (an exact encoded size, such as
+    /// [`crate::delta::KnowledgeDelta::wire_len`], or an estimate).
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M, size_hint: usize) {
         if self.links.crashed(from) {
             return;

@@ -190,7 +190,7 @@ impl<M: Clone + Send> Endpoint<M> {
     ///
     /// The transport moves typed values in memory, so the byte count is
     /// declared by the caller (the protocol layer knows its wire
-    /// encoding; see `cbm_net::msg` for exact codecs).
+    /// encoding).
     pub(crate) fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
         // a disconnected peer (dropped endpoint) models a crash: sends
         // to it are silently lost, like the simulator's drops

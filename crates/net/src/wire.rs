@@ -8,7 +8,7 @@
 //! to their types: [`crate::clock::Timestamp`],
 //! [`crate::delta::KnowledgeDelta`], [`crate::broadcast::InterestMsg`],
 //! the [`crate::fault`] vocabulary (so a `FaultPlan` can ride a control
-//! socket) and the Fig. 4/5 messages of [`crate::msg`] in this crate;
+//! socket) in this crate;
 //! `StoreMsg` and the report chain in `cbm-store`; leg specs in
 //! `cbm-bench`.
 

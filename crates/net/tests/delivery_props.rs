@@ -1,48 +1,62 @@
 //! Property-based safety of the broadcast layers: under *arbitrary*
-//! per-recipient arrival permutations, causal broadcast delivers in a
+//! per-recipient arrival permutations, the causal broadcast (the
+//! full-mask interest multicast, one flush per message) delivers in a
 //! causal order, FIFO broadcast per-sender in order, and the sequencer
 //! in one total order.
 
-use cbm_net::broadcast::{CausalBroadcast, CausalMsg, FifoBroadcast, SeqMsg, SequencerBroadcast};
+use cbm_net::broadcast::{
+    full_interest, FifoBroadcast, InterestBatchCausalBroadcast, InterestMsg, SeqMsg,
+    SequencerBroadcast,
+};
 use proptest::prelude::*;
 
-/// Scripted broadcasts: `(sender, happened-after-index)` — each message
-/// is broadcast by `sender` after the sender received all previously
-/// *scripted* messages marked as its causal inputs. We realize a simple
-/// but adversarial pattern: senders alternate, and each broadcast
-/// happens after the sender has received every earlier message (a
-/// causal chain), so the happened-before order is total and delivery
-/// order must equal script order at every recipient.
-#[allow(clippy::needless_range_loop)]
-fn chain_messages(n_msgs: usize) -> Vec<CausalMsg<usize>> {
-    let mut nodes: Vec<CausalBroadcast<usize>> =
-        (0..3).map(|me| CausalBroadcast::new(me, 3)).collect();
+/// Nodes 0–2 send; node 3 only observes.
+const OBSERVER: usize = 3;
+
+type Env = InterestMsg<Vec<usize>>;
+
+/// Causally broadcast `payload`: one flush, one stamped copy per peer.
+fn cast(node: &mut InterestBatchCausalBroadcast<usize>, payload: usize) -> Vec<(usize, Env)> {
+    node.push(payload, full_interest(OBSERVER + 1));
+    node.flush_all()
+}
+
+/// A causal chain: senders alternate, and every sender delivers each
+/// message at once, so each broadcast happens after every earlier one
+/// — the happened-before order is total and delivery order must equal
+/// send order. Returns the observer's copies, in send order.
+fn chain_messages(n_msgs: usize) -> Vec<Env> {
+    let mut nodes: Vec<InterestBatchCausalBroadcast<usize>> = (0..OBSERVER)
+        .map(|me| InterestBatchCausalBroadcast::new(me, OBSERVER + 1))
+        .collect();
     let mut msgs = Vec::new();
     for i in 0..n_msgs {
-        let s = i % 3;
-        let m = nodes[s].broadcast(i);
-        // everyone else receives immediately (chain: total causal order)
-        for (j, node) in nodes.iter_mut().enumerate() {
-            if j != s {
-                let got = node.on_receive(m.clone());
-                assert_eq!(got.len(), 1);
+        for (r, env) in cast(&mut nodes[i % OBSERVER], i) {
+            if r == OBSERVER {
+                msgs.push(env);
+            } else {
+                assert_eq!(nodes[r].on_receive(env).len(), 1);
             }
         }
-        msgs.push(m);
     }
     msgs
 }
 
 /// Concurrent broadcasts: every sender broadcasts all its messages
 /// without receiving anything — only per-sender FIFO is forced.
-#[allow(clippy::needless_range_loop)]
-fn concurrent_messages(per_sender: usize) -> Vec<CausalMsg<usize>> {
-    let mut nodes: Vec<CausalBroadcast<usize>> =
-        (0..3).map(|me| CausalBroadcast::new(me, 3)).collect();
+/// Returns the observer's copies.
+fn concurrent_messages(per_sender: usize) -> Vec<Env> {
     let mut msgs = Vec::new();
-    for s in 0..3 {
+    for s in 0..OBSERVER {
+        let mut node = InterestBatchCausalBroadcast::new(s, OBSERVER + 1);
         for i in 0..per_sender {
-            msgs.push(nodes[s].broadcast(s * per_sender + i));
+            let copies = cast(&mut node, s * per_sender + i);
+            msgs.extend(
+                copies
+                    .into_iter()
+                    .filter(|(r, _)| *r == OBSERVER)
+                    .map(|(_, env)| env),
+            );
         }
     }
     msgs
@@ -58,27 +72,14 @@ proptest! {
         for (a, b) in swaps {
             order.swap(a, b);
         }
-        // a fourth observer cannot exist (cluster of 3) — use a fresh
-        // endpoint with id 2 that has seen nothing; skip messages it sent
-        let mut observer: CausalBroadcast<usize> = CausalBroadcast::new(2, 3);
+        let mut observer = InterestBatchCausalBroadcast::new(OBSERVER, OBSERVER + 1);
         let mut delivered = Vec::new();
         for &i in &order {
-            if msgs[i].sender == 2 {
-                continue;
-            }
             for m in observer.on_receive(msgs[i].clone()) {
-                delivered.push(m.payload);
+                delivered.extend(m.payload);
             }
         }
-        // delivered = all non-own messages, in chain order
-        let expect: Vec<usize> = (0..9).filter(|i| msgs[*i].sender != 2).collect();
-        // the observer may be unable to deliver messages whose causal
-        // past includes its OWN messages it never sent... in the chain
-        // every message depends on all previous, including sender-2's.
-        // Everything after the first sender-2 message stays buffered:
-        let cut = (0..9).position(|i| msgs[i].sender == 2).unwrap_or(9);
-        let expect: Vec<usize> = expect.into_iter().filter(|&i| i < cut).collect();
-        prop_assert_eq!(delivered, expect);
+        prop_assert_eq!(delivered, (0..9).collect::<Vec<_>>());
     }
 
     /// Concurrent senders: any arrival permutation delivers every
@@ -90,24 +91,19 @@ proptest! {
         for (a, b) in swaps {
             order.swap(a, b);
         }
-        let mut observer: CausalBroadcast<usize> = CausalBroadcast::new(2, 3);
+        let mut observer = InterestBatchCausalBroadcast::new(OBSERVER, OBSERVER + 1);
         let mut delivered: Vec<(usize, usize)> = Vec::new();
         for &i in &order {
-            if msgs[i].sender == 2 {
-                continue;
-            }
             for m in observer.on_receive(msgs[i].clone()) {
-                delivered.push((m.sender, m.payload));
+                delivered.extend(m.payload.iter().map(|&p| (m.sender, p)));
             }
         }
-        // everything from senders 0 and 1 delivered exactly once
-        prop_assert_eq!(delivered.len(), 8);
+        // everything from the three senders delivered exactly once
+        prop_assert_eq!(delivered.len(), 12);
         // FIFO per sender
-        for s in 0..2 {
+        for s in 0..OBSERVER {
             let seq: Vec<usize> = delivered.iter().filter(|(x, _)| *x == s).map(|(_, p)| *p).collect();
-            let mut sorted = seq.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(seq, sorted, "sender {} out of order", s);
+            prop_assert_eq!(seq, (s * 4..(s + 1) * 4).collect::<Vec<_>>(), "sender {} out of order", s);
         }
     }
 

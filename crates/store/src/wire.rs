@@ -113,8 +113,7 @@ pub enum StoreMsg<I, O, S> {
 /// dependencies under partial replication — see `cbm_net::delta` for
 /// the codec and its byte-exact `wire_len`), plus per-op object id,
 /// timestamp, tag byte, and the in-memory payload size as a stand-in
-/// for a real payload codec (see `cbm_net::msg` for exact encodings of
-/// the paper's message shapes). The dense-matrix era charged a flat
+/// for a real payload codec. The dense-matrix era charged a flat
 /// `8·n²`-byte header here; the delta header's size depends on how
 /// much knowledge actually changed on the edge since its previous
 /// envelope, which is what makes bytes/op flat in cluster size under
