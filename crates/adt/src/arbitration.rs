@@ -62,6 +62,12 @@ impl<K: Ord, T: Adt> ArbLog<K, T> {
     ///
     /// A key already in the log means an update was applied twice: a
     /// debug build panics, a release build keeps both.
+    ///
+    /// Never inlined: folded into `ObjectTable::apply_update`, its
+    /// replay makes that function too large to inline into its callers,
+    /// and causal mode, whose branch there is one `transition`, pays a
+    /// call per update for a path it never takes.
+    #[inline(never)]
     pub fn insert(&mut self, adt: &T, fold: &mut T::State, key: K, input: T::Input) -> usize {
         let len = self.entries.len();
         if self.entries.last().is_none_or(|(last, _)| *last < key) {

@@ -31,6 +31,22 @@
 //! cannot drift apart. Impls are hand-written only where decoding does
 //! real work (narrowed widths, label interning, an absent slot).
 //!
+//! ## Why every impl is `#[inline]`
+//!
+//! A release build here has no LTO and 16 codegen units, and the sealed
+//! benchmark is its own workspace root, so no profile setting of ours
+//! reaches it. Without LTO, a non-generic function in this crate is
+//! compiled once, here, and every other crate calls it out of line:
+//! without the attribute, `<u32 as Wire>::put` inside the `WireOp` and
+//! `StoreMsg` codecs that `cbm-store` monomorphises is a call, a frame
+//! and a `Vec` capacity check for four bytes. `#[inline]` puts the body
+//! into each caller's crate, where the optimiser folds a record's
+//! fields into straight-line code. So every `put` and `get` below
+//! carries it, as do the bodies [`wire_struct!`] and [`wire_enum!`]
+//! generate; a hand-written impl on the engine's path needs it too.
+//! CI's "An inlinable codec" lint counts the ones that lack it in this
+//! file and in `KnowledgeDelta`'s impl.
+//!
 //! [`wire_struct!`]: crate::wire_struct
 //! [`wire_enum!`]: crate::wire_enum
 
@@ -86,9 +102,11 @@ pub fn put_slice<T: Wire>(v: &[T], out: &mut Vec<u8>) {
 macro_rules! wire_struct {
     ($ty:ident $(<$($g:ident),+>)? { $($field:ident),+ $(,)? }) => {
         impl $(<$($g: $crate::wire::Wire),+>)? $crate::wire::Wire for $ty $(<$($g),+>)? {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 $($crate::wire::Wire::put(&self.$field, out);)+
             }
+            #[inline]
             fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 Some($ty {
                     $($field: $crate::wire::Wire::get(buf, pos)?,)+
@@ -122,6 +140,7 @@ macro_rules! wire_enum {
         $($tag:literal => $var:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
     }) => {
         impl $(<$($g: $crate::wire::Wire),+>)? $crate::wire::Wire for $ty $(<$($g),+>)? {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
                     $($ty::$var $(($($t),+))? $({ $($f),+ })? => {
@@ -131,6 +150,7 @@ macro_rules! wire_enum {
                     })+
                 }
             }
+            #[inline]
             fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 Some(match <u8 as $crate::wire::Wire>::get(buf, pos)? {
                     $($tag => $ty::$var
@@ -146,9 +166,11 @@ macro_rules! wire_enum {
 macro_rules! int_wire {
     ($($t:ty),*) => {$(
         impl Wire for $t {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 const N: usize = std::mem::size_of::<$t>();
                 let bytes = buf.get(*pos..*pos + N)?;
@@ -162,18 +184,22 @@ macro_rules! int_wire {
 int_wire!(u8, u16, u32, u64, u128, i64);
 
 impl Wire for usize {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         (*self as u64).put(out);
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         usize::try_from(u64::get(buf, pos)?).ok()
     }
 }
 
 impl Wire for bool {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         match u8::get(buf, pos)? {
             0 => Some(false),
@@ -184,19 +210,23 @@ impl Wire for bool {
 }
 
 impl Wire for f64 {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.to_bits().put(out);
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         Some(f64::from_bits(u64::get(buf, pos)?))
     }
 }
 
 impl Wire for String {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
         out.extend_from_slice(self.as_bytes());
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let len = usize::get(buf, pos)?;
         let bytes = buf.get(*pos..pos.checked_add(len)?)?;
@@ -206,6 +236,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Option<T> {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -215,6 +246,7 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         match u8::get(buf, pos)? {
             0 => Some(None),
@@ -225,9 +257,11 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire> Wire for Vec<T> {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         put_slice(self, out);
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let len = usize::get(buf, pos)?;
         // cap preallocation by what the buffer could possibly hold, so
@@ -243,19 +277,23 @@ impl<T: Wire> Wire for Vec<T> {
 /// A box is transparent on the wire (it keeps large enum variants off
 /// the stack; it is not part of the format).
 impl<T: Wire> Wire for Box<T> {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         (**self).put(out);
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         T::get(buf, pos).map(Box::new)
     }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
         self.1.put(out);
     }
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         Some((A::get(buf, pos)?, B::get(buf, pos)?))
     }

@@ -4,9 +4,10 @@
 //!
 //! Two kernels compute the same function:
 //!
-//! - **table**: slice-by-16 look-ups, sixteen input bytes per step. It
-//!   runs everywhere, and it is the whole computation for bodies under
-//!   32 bytes and the sub-16-byte tail of longer ones.
+//! - **table**: slice-by-16 look-ups, sixteen input bytes per step,
+//!   then an 8- and a 4-byte slice and at most three single bytes for
+//!   the remainder. It runs everywhere, and it is the whole computation
+//!   for bodies under 32 bytes and the sub-16-byte tail of longer ones.
 //! - **clmul** (x86_64 with `pclmulqdq` and `sse4.1`, detected at run
 //!   time): the carry-less-multiply fold of Gopal et al., "Fast CRC
 //!   Computation for Generic Polynomials Using PCLMULQDQ Instruction"
@@ -55,18 +56,21 @@ fn crc32_clmul(data: &[u8]) -> Option<u32> {
 }
 
 /// Shortest body [`crc32`] hands to the fold. Measured per kernel on
-/// a 2-core Xeon with `pclmulqdq`, release build, best of six runs, ns
-/// per body, table → fold: 16 B 4.1 → 5.2, 24 B 11.9 → 10.8, 32 B
-/// 8.8 → 7.2, 40 B 17.5 → 12.6, 48 B 14.1 → 8.4, 64 B 20.7 → 7.6,
-/// 128 B 47 → 8.3, 900 B 478 → 46. The fold's fixed reduction costs
-/// what the table spends on 16 bytes, so it loses at 16, breaks even
-/// at 24 and wins from 32 on.
+/// a 2-core Xeon with `pclmulqdq`, `rustc -C opt-level=3`, best of six
+/// runs, ns per body, table → fold: 16 B 4.7 → 5.4, 24 B 6.5 → 6.6,
+/// 28 B 8.2 → 7.7, 30 B 10.8 → 9.3, 31 B 12.2 → 10.6, 32 B 9.4 → 6.2,
+/// 40 B 11.5 → 8.0, 48 B 13.8 → 7.6, 64 B 19.8 → 6.2, 128 B 48 → 8.5,
+/// 900 B 488 → 44. Both kernels take a sub-16-byte tail as an 8- and a
+/// 4-byte slice and at most three single bytes. The fold's fixed
+/// reduction costs what the table spends on 16 bytes, so it loses at
+/// 16 and breaks even at 24. From 28 to 31 it leads by 6–14%, inside
+/// the spread between runs; from 32 on it leads by a third or more.
 const CLMUL_MIN_LEN: usize = 32;
 
 /// Slice-by-16 tables: `CRC_TABLES[k][b]` is the CRC of byte `b`
 /// followed by `k` zero bytes, so sixteen input bytes fold with
 /// sixteen independent look-ups instead of a sixteen-step chain.
-const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 const fn crc_tables() -> [[u32; 256]; 16] {
     let mut t = [[0u32; 256]; 16];
@@ -99,25 +103,44 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 }
 
 /// The table kernel: advance the CRC register `c` (pre-inverted, not
-/// yet post-inverted) over `data`.
+/// yet post-inverted) over `data`: sixteen bytes a step, then the
+/// remainder as one 8-byte slice, one 4-byte slice and at most three
+/// single bytes.
 fn table_update(mut c: u32, data: &[u8]) -> u32 {
-    const T: &[[u32; 256]; 16] = &CRC_TABLES;
     let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut blocks = data.chunks_exact(16);
     for b in &mut blocks {
-        let w = [word(b) ^ c, word(&b[4..]), word(&b[8..]), word(&b[12..])];
-        c = 0;
-        // byte j of the block is followed by 15 - j more block bytes
-        for (i, w) in w.iter().enumerate() {
-            let k = 15 - 4 * i;
-            c ^= T[k][(w & 0xFF) as usize]
-                ^ T[k - 1][(w >> 8 & 0xFF) as usize]
-                ^ T[k - 2][(w >> 16 & 0xFF) as usize]
-                ^ T[k - 3][(w >> 24) as usize];
-        }
+        c = slice_step([word(b) ^ c, word(&b[4..]), word(&b[8..]), word(&b[12..])]);
     }
-    for &b in blocks.remainder() {
-        c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut rest = blocks.remainder();
+    if let Some((b, tail)) = rest.split_first_chunk::<8>() {
+        c = slice_step([word(b) ^ c, word(&b[4..])]);
+        rest = tail;
+    }
+    if let Some((b, tail)) = rest.split_first_chunk::<4>() {
+        c = slice_step([word(b) ^ c]);
+        rest = tail;
+    }
+    for &b in rest {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// One slice of `4 * N` bytes as `N` little-endian words, the
+/// register already XORed into the first: every byte is one
+/// independent look-up, byte `j` in the table for the `4 * N - 1 - j`
+/// bytes that follow it.
+#[inline]
+fn slice_step<const N: usize>(w: [u32; N]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0;
+    for (i, w) in w.iter().enumerate() {
+        let k = 4 * (N - i) - 1;
+        c ^= t[k][(w & 0xFF) as usize]
+            ^ t[k - 1][(w >> 8 & 0xFF) as usize]
+            ^ t[k - 2][(w >> 16 & 0xFF) as usize]
+            ^ t[k - 3][(w >> 24) as usize];
     }
     c
 }
@@ -312,6 +335,20 @@ mod tests {
         ) {
             let (a, b) = (a.min(buf.len()), b.min(buf.len()));
             check_all_kernels(&buf[a.min(b)..a.max(b)]);
+        }
+
+        #[test]
+        fn table_kernel_resumes_from_any_register(
+            data in proptest::collection::vec(0u8..=255u8, 0..=64),
+        ) {
+            // the second call starts its 8- and 4-byte slices from a
+            // register that is not `!0`, at every split point
+            let whole = table_update(!0, &data);
+            proptest::prop_assert_eq!(!whole, crc32_bitwise(&data));
+            for i in 0..=data.len() {
+                let (a, b) = data.split_at(i);
+                proptest::prop_assert_eq!(table_update(table_update(!0, a), b), whole);
+            }
         }
     }
 }

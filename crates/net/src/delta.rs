@@ -238,6 +238,7 @@ impl Recycle for KnowledgeDelta {
 /// The nested form's record, field for field: a `Vec` of
 /// `(row, Vec<(column, value)>)`.
 impl Wire for KnowledgeDelta {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.index.len().put(out);
         for (row, cells) in self.rows() {
@@ -246,6 +247,7 @@ impl Wire for KnowledgeDelta {
         }
     }
 
+    #[inline]
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let n_rows = usize::get(buf, pos)?;
         // cap preallocation by what the buffer could possibly hold
