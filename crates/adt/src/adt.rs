@@ -80,6 +80,18 @@ pub trait Adt {
         self.output(q, i) == *expected
     }
 
+    /// Whether `i` overwrites the whole state: true only if `δ(q, i)`
+    /// is the same state for every `q`.
+    ///
+    /// An arbitrated log ([`crate::arbitration::ArbLog`]) may then
+    /// drop every update ordered before `i`, as Fig. 5 drops a write
+    /// older than all the cells it keeps. `false`, the default, is
+    /// always sound; an adapter that forwards `δ` forwards this too.
+    #[inline]
+    fn overwrites(&self, _i: &Self::Input) -> bool {
+        false
+    }
+
     /// Whether `i` is an update (has a side effect somewhere).
     #[inline]
     fn is_update(&self, i: &Self::Input) -> bool {
@@ -134,5 +146,95 @@ mod tests {
         assert!(OpKind::UpdateQuery.is_query());
         assert!(!OpKind::Noop.is_update());
         assert!(!OpKind::Noop.is_query());
+    }
+}
+
+#[cfg(test)]
+mod overwrite_tests {
+    use super::*;
+    use crate::counter::{Counter, CtInput};
+    use crate::kv::{KvInput, KvStore};
+    use crate::log::{AppendLog, LogInput};
+    use crate::memory::{MemInput, Memory};
+    use crate::queue::{FifoQueue, HdRhQueue, QInput, QpInput};
+    use crate::register::{RegInput, Register};
+    use crate::set::{AddRemSet, SetInput};
+    use crate::space::{ObjectSpace, SpaceInput};
+    use crate::window::{WInput, WaInput, WindowArray, WindowStream};
+    use proptest::prelude::*;
+
+    /// No input of `inputs` claims to overwrite.
+    fn keeps_the_default<T: Adt>(adt: &T, inputs: &[T::Input]) {
+        for i in inputs {
+            let name = std::any::type_name::<T>();
+            assert!(!adt.overwrites(i), "{name} overwrites on {i:?}");
+        }
+    }
+
+    proptest! {
+        /// A register write is the same state from any state; a read
+        /// is no overwrite.
+        #[test]
+        fn a_register_overwrite_ignores_the_state(
+            q1 in 0u64..1000,
+            q2 in 0u64..1000,
+            v in 0u64..1000,
+            write in prop::bool::ANY,
+        ) {
+            let i = if write { RegInput::Write(v) } else { RegInput::Read };
+            prop_assert_eq!(Register.overwrites(&i), write);
+            if Register.overwrites(&i) {
+                prop_assert_eq!(Register.transition(&q1, &i), Register.transition(&q2, &i));
+            }
+        }
+    }
+
+    /// No other alphabet overrides the hook, which `false` keeps sound:
+    /// their writes change one component or fold the old state in, and
+    /// a window keeps the default for every `k`, 1 included.
+    #[test]
+    fn every_other_alphabet_keeps_the_default() {
+        keeps_the_default(&Counter, &[CtInput::Add(1), CtInput::Add(0), CtInput::Read]);
+        keeps_the_default(
+            &KvStore,
+            &[
+                KvInput::Put(1, 2),
+                KvInput::Del(1),
+                KvInput::Get(1),
+                KvInput::Scan,
+                KvInput::Len,
+            ],
+        );
+        keeps_the_default(
+            &AppendLog,
+            &[LogInput::Append(1), LogInput::Read, LogInput::Len],
+        );
+        keeps_the_default(&Memory::new(2), &[MemInput::Write(0, 1), MemInput::Read(0)]);
+        keeps_the_default(&FifoQueue, &[QInput::Push(1), QInput::Pop]);
+        keeps_the_default(
+            &HdRhQueue,
+            &[QpInput::Push(1), QpInput::Hd, QpInput::RemoveHead(1)],
+        );
+        keeps_the_default(
+            &AddRemSet,
+            &[
+                SetInput::Add(1),
+                SetInput::Remove(1),
+                SetInput::Contains(1),
+                SetInput::Len,
+            ],
+        );
+        keeps_the_default(&WindowStream::new(1), &[WInput::Write(1), WInput::Read]);
+        keeps_the_default(
+            &WindowArray::new(2, 1),
+            &[WaInput::Write(0, 1), WaInput::Read(0)],
+        );
+        keeps_the_default(
+            &ObjectSpace::new(Register, 2),
+            &[
+                SpaceInput::new(0, RegInput::Write(1)),
+                SpaceInput::new(1, RegInput::Read),
+            ],
+        );
     }
 }

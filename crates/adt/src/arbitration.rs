@@ -10,31 +10,62 @@
 //! replica keeps its states in one vector and reads with one `λ`.
 //! `cbm-core`'s `ConvergentShared` and `cbm-store`'s convergent object
 //! table share it.
+//!
+//! An update whose `δ` ignores the state it meets ([`Adt::overwrites`])
+//! ends the log: nothing ordered before it can reach the fold, so the
+//! log drops what it holds ahead of it, and an update that arrives
+//! ordered before it is *absorbed* — neither logged nor folded. That is
+//! Fig. 5's discard (lines 12–17): a write older than all `k` cells a
+//! window keeps (`y = 0`) leaves the window as it is. A register, the
+//! `k = 1` window, so keeps only its newest write. An alphabet that
+//! never overwrites keeps every update, as before.
 
 use crate::adt::Adt;
 
 /// Entries between two checkpoints of an [`ArbLog`].
 pub const CHECKPOINT_INTERVAL: usize = 32;
 
+/// What [`ArbLog::insert`] did with an update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placed {
+    /// Appended at the tail: one `δ`.
+    Appended,
+    /// Ordered before an overwriting first entry: neither logged nor
+    /// folded, since the fold cannot see it.
+    Absorbed,
+    /// Inserted before the tail: the `δ` steps replayed, from the last
+    /// checkpoint at or before its position to the end, itself
+    /// included.
+    Refolded(usize),
+}
+
 /// Updates sorted by an arbitration key `K`, relative to a seed state.
 #[derive(Debug, Clone)]
 pub struct ArbLog<K, T: Adt> {
-    /// Ascending by key; keys are unique.
+    /// Ascending by key; keys are unique. No entry after the first
+    /// overwrites, so an overwriting first entry makes the fold ignore
+    /// the seed.
     entries: Vec<(K, T::Input)>,
     /// The fold of no entry.
     seed: T::State,
     /// `checkpoints[c]` is the fold of the first `(c + 1) *`
     /// [`CHECKPOINT_INTERVAL`] entries (an empty log allocates nothing).
     checkpoints: Vec<T::State>,
+    /// Every key inserted since the last reseed, absorbed or dropped
+    /// ones too: a second insert of one is an update applied twice.
+    #[cfg(debug_assertions)]
+    inserted: std::collections::BTreeSet<K>,
 }
 
-impl<K: Ord, T: Adt> ArbLog<K, T> {
+impl<K: Ord + Clone, T: Adt> ArbLog<K, T> {
     /// An empty log whose fold is `seed`.
     pub fn new(seed: T::State) -> Self {
         ArbLog {
             entries: Vec::new(),
             seed,
             checkpoints: Vec::new(),
+            #[cfg(debug_assertions)]
+            inserted: Default::default(),
         }
     }
 
@@ -56,31 +87,49 @@ impl<K: Ord, T: Adt> ArbLog<K, T> {
     /// Insert `input` at `key`'s place and bring `fold` — the fold of
     /// the seed and every entry, which the caller keeps — up to date.
     ///
-    /// Returns the `δ` steps replayed: 0 for an append at the tail,
-    /// otherwise the entries from the last checkpoint at or before the
-    /// insert position to the end, the inserted one included.
+    /// An overwriting `input` drops the entries ordered before it; an
+    /// `input` ordered before an overwriting first entry is absorbed.
     ///
-    /// A key already in the log means an update was applied twice: a
-    /// debug build panics, a release build keeps both.
+    /// A key inserted twice since the last reseed means an update was
+    /// applied twice: a debug build panics, a release build keeps both
+    /// (or absorbs the second).
     ///
     /// Never inlined: folded into `ObjectTable::apply_update`, its
     /// replay makes that function too large to inline into its callers,
     /// and causal mode, whose branch there is one `transition`, pays a
     /// call per update for a path it never takes.
     #[inline(never)]
-    pub fn insert(&mut self, adt: &T, fold: &mut T::State, key: K, input: T::Input) -> usize {
-        let len = self.entries.len();
+    pub fn insert(&mut self, adt: &T, fold: &mut T::State, key: K, input: T::Input) -> Placed {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.inserted.insert(key.clone()),
+            "an update was applied twice"
+        );
+        let overwrites = adt.overwrites(&input);
         if self.entries.last().is_none_or(|(last, _)| *last < key) {
+            if overwrites {
+                self.entries.clear();
+                self.checkpoints.clear();
+            }
             self.entries.push((key, input));
-            self.advance(adt, fold, len);
-            return 0;
+            self.advance(adt, fold, self.entries.len() - 1);
+            return Placed::Appended;
+        }
+        let (first, head) = &self.entries[0];
+        if key < *first && adt.overwrites(head) {
+            return Placed::Absorbed;
         }
         let pos = self.gallop(&key);
-        debug_assert!(self.entries[pos].0 != key, "an update was applied twice");
-        self.entries.insert(pos, (key, input));
-        let from = pos / CHECKPOINT_INTERVAL;
+        let from = if overwrites {
+            // what is ordered before an overwrite cannot reach the fold
+            self.entries.splice(..pos, [(key, input)]);
+            0
+        } else {
+            self.entries.insert(pos, (key, input));
+            pos / CHECKPOINT_INTERVAL
+        };
         self.replay(adt, fold, from);
-        len + 1 - from * CHECKPOINT_INTERVAL
+        Placed::Refolded(self.entries.len() - from * CHECKPOINT_INTERVAL)
     }
 
     /// Restart the log empty from `seed` (drain compaction, snapshot
@@ -88,6 +137,8 @@ impl<K: Ord, T: Adt> ArbLog<K, T> {
     pub fn reseed(&mut self, seed: &T::State) {
         self.entries.clear();
         self.checkpoints.clear();
+        #[cfg(debug_assertions)]
+        self.inserted.clear();
         self.seed.clone_from(seed);
     }
 
@@ -145,18 +196,37 @@ impl<K: Ord, T: Adt> ArbLog<K, T> {
 mod tests {
     use super::*;
     use crate::queue::{FifoQueue, QInput};
+    use crate::register::{RegInput, Register};
 
     type Log = ArbLog<u64, FifoQueue>;
 
-    /// Insert `keys` in the given order, each pushing its own key.
+    /// Insert `keys` in the given order, each pushing its own key;
+    /// returns the `δ` steps each replayed.
     fn build(keys: &[u64]) -> (Log, Vec<u64>, Vec<usize>) {
         let mut log = Log::new(Vec::new());
         let mut fold = Vec::new();
         let steps = keys
             .iter()
-            .map(|&k| log.insert(&FifoQueue, &mut fold, k, QInput::Push(k)))
+            .map(
+                |&k| match log.insert(&FifoQueue, &mut fold, k, QInput::Push(k)) {
+                    Placed::Refolded(steps) => steps,
+                    Placed::Appended => 0,
+                    Placed::Absorbed => unreachable!("a queue never overwrites"),
+                },
+            )
             .collect();
         (log, fold, steps)
+    }
+
+    /// Write each key's value at that key, in the given order.
+    fn write_register(keys: &[u64]) -> (ArbLog<u64, Register>, u64, Vec<Placed>) {
+        let mut log = ArbLog::new(0);
+        let mut fold = 0;
+        let placed = keys
+            .iter()
+            .map(|&k| log.insert(&Register, &mut fold, k, RegInput::Write(k)))
+            .collect();
+        (log, fold, placed)
     }
 
     #[test]
@@ -190,7 +260,10 @@ mod tests {
         assert_eq!(log.seed, (0..45).map(|k| 2 * k).collect::<Vec<_>>());
         // 155 lands at 33 of the remainder: replay from its rebuilt
         // checkpoint 1, and the pop removes the head of the seed
-        assert_eq!(log.insert(&FifoQueue, &mut fold, 155, QInput::Pop), 4);
+        assert_eq!(
+            log.insert(&FifoQueue, &mut fold, 155, QInput::Pop),
+            Placed::Refolded(4)
+        );
         assert_eq!(fold, (1..80).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -200,8 +273,14 @@ mod tests {
         log.reseed(&vec![42]);
         assert!(log.is_empty());
         let mut fold = vec![42];
-        assert_eq!(log.insert(&FifoQueue, &mut fold, 1, QInput::Pop), 0);
-        assert_eq!(log.insert(&FifoQueue, &mut fold, 0, QInput::Push(7)), 2);
+        assert_eq!(
+            log.insert(&FifoQueue, &mut fold, 1, QInput::Pop),
+            Placed::Appended
+        );
+        assert_eq!(
+            log.insert(&FifoQueue, &mut fold, 0, QInput::Push(7)),
+            Placed::Refolded(2)
+        );
         assert_eq!(fold, vec![7], "push 7 arbitrated before the pop");
     }
 
@@ -211,5 +290,39 @@ mod tests {
     #[should_panic(expected = "applied twice")]
     fn a_duplicate_key_trips_in_debug_builds() {
         build(&[1, 4, 2, 4]);
+    }
+
+    /// A register keeps its newest write: a later one clears the log,
+    /// an earlier one is absorbed, and the fold is the newest value.
+    #[test]
+    fn a_register_log_keeps_only_its_newest_write() {
+        let keys: Vec<u64> = (0..100).map(|k| 3 * k + 10).collect();
+        let (mut log, mut fold, placed) = write_register(&keys);
+        assert!(placed.iter().all(|&p| p == Placed::Appended));
+        assert!(log.keys().eq([307].iter()));
+        assert!(log.checkpoints.is_empty());
+        assert_eq!(fold, 307);
+        for late in [306, 5] {
+            let placed = log.insert(&Register, &mut fold, late, RegInput::Write(late));
+            assert_eq!(placed, Placed::Absorbed);
+        }
+        assert_eq!((log.len(), fold), (1, 307));
+        // a reseed forgets the keys: an older one appends again
+        log.reseed(&42);
+        fold = 42;
+        assert_eq!(
+            log.insert(&Register, &mut fold, 1, RegInput::Write(8)),
+            Placed::Appended
+        );
+        assert_eq!((log.len(), fold), (1, 8));
+    }
+
+    /// The key set survives what the log drops: a write absorbed
+    /// behind a newer one, then delivered again, was applied twice.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "applied twice")]
+    fn an_absorbed_update_applied_twice_trips_in_debug_builds() {
+        write_register(&[5, 3, 3]);
     }
 }

@@ -63,6 +63,11 @@ impl Adt for Register {
             RegInput::Read => OpKind::PureQuery,
         }
     }
+
+    #[inline]
+    fn overwrites(&self, i: &Self::Input) -> bool {
+        matches!(i, RegInput::Write(_))
+    }
 }
 
 #[cfg(test)]

@@ -961,19 +961,25 @@ fn append_summary(
     }
 
     // Convergent-mode arbitration (docs/THROUGHPUT.md "What
-    // arbitration costs"): late arrivals and the δ steps their refolds
-    // replayed. Only CCv legs refold; how many depends on interleaving.
+    // arbitration costs"): late arrivals, the δ steps their refolds
+    // replayed, and those absorbed behind an overwrite. Only CCv legs
+    // arbitrate; how many of each depends on interleaving.
     let refold_rows: Vec<Vec<String>> = reports
         .iter()
         .filter_map(|(l, r)| {
             let refolds = r.metric("objects_refolds_total")?;
             let steps = r.metric("objects_refold_steps_total")?;
-            (refolds > 0).then(|| {
+            let absorbed = r.metric("objects_absorbed_total")?;
+            (refolds + absorbed > 0).then(|| {
                 vec![
                     l.name.clone(),
                     refolds.to_string(),
                     steps.to_string(),
-                    format!("{:.1}", steps as f64 / refolds as f64),
+                    match refolds {
+                        0 => "-".to_string(),
+                        _ => format!("{:.1}", steps as f64 / refolds as f64),
+                    },
+                    absorbed.to_string(),
                 ]
             })
         })
@@ -982,7 +988,7 @@ fn append_summary(
         append_summary_table(
             path,
             "Arbitration refolds (informational, never gated)",
-            &["leg", "refolds", "steps", "steps/refold"],
+            &["leg", "refolds", "steps", "steps/refold", "absorbed"],
             &refold_rows,
         )?;
     }

@@ -368,6 +368,9 @@ impl<T: Adt> Adt for Seeded<'_, T> {
     fn kind(&self, i: &Self::Input) -> cbm_adt::OpKind {
         self.adt.kind(i)
     }
+    fn overwrites(&self, i: &Self::Input) -> bool {
+        self.adt.overwrites(i)
+    }
     fn output_matches(&self, q: &Self::State, i: &Self::Input, expected: &Self::Output) -> bool {
         self.adt.output_matches(q, i, expected)
     }

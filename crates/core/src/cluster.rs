@@ -645,11 +645,10 @@ mod result_tests {
         ]))
     }
 
-    #[test]
-    fn ccv_total_covers_all_events_and_extends_causal() {
-        let res = tiny_run();
-        let arb = res.arbitration.clone().expect("arbitrated flavour");
-        let total = res.ccv_total(&arb).expect("consistent arbitration");
+    /// `ccv_total` on the run's own arbitration covers every event and
+    /// extends the causal order.
+    fn assert_total_extends_causal<T: Adt>(res: &RunResult<T>, arb: &[EventId]) {
+        let total = res.ccv_total(arb).expect("consistent arbitration");
         assert_eq!(total.len(), res.history.len());
         let mut pos = vec![0usize; res.history.len()];
         for (i, e) in total.iter().enumerate() {
@@ -660,6 +659,60 @@ mod result_tests {
                 assert!(pos[p] < pos[e]);
             }
         }
+    }
+
+    #[test]
+    fn ccv_total_covers_all_events_and_extends_causal() {
+        let res = tiny_run();
+        let arb = res.arbitration.clone().expect("arbitrated flavour");
+        assert_total_extends_causal(&res, &arb);
+    }
+
+    /// A register's log keeps only its newest write, yet the witness
+    /// lists every update, and orders them consistently with causality.
+    #[test]
+    fn register_witness_lists_every_update() {
+        use cbm_adt::register::{RegInput, Register};
+        let ops = (0..3)
+            .map(|p| {
+                (0..6)
+                    .flat_map(|i| {
+                        [
+                            ScriptOp {
+                                think: 1,
+                                input: RegInput::Write(10 * p + i + 1),
+                            },
+                            ScriptOp {
+                                think: 1,
+                                input: RegInput::Read,
+                            },
+                        ]
+                    })
+                    .collect()
+            })
+            .collect();
+        let c: Cluster<Register, ConvergentShared<Register>> =
+            Cluster::new(3, Register, LatencyModel::Uniform(1, 60), 3);
+        let res = c.run(Script::new(ops));
+        assert!(res.stats.converged);
+        let arb = res.arbitration.clone().expect("arbitrated flavour");
+        let writes: Vec<EventId> = res
+            .history
+            .events()
+            .filter(|&e| matches!(res.history.label(e).input, RegInput::Write(_)))
+            .collect();
+        let mut listed = arb.clone();
+        listed.sort_unstable();
+        assert_eq!(listed, writes, "every write, once");
+        // replica 0 applied some write after a later-arbitrated one, so
+        // its log absorbed it
+        let mut rank = vec![0; res.history.len()];
+        for (i, e) in arb.iter().enumerate() {
+            rank[e.idx()] = i;
+        }
+        let applied: Vec<usize> = res.apply_orders[0].iter().map(|e| rank[e.idx()]).collect();
+        assert!(applied.windows(2).any(|w| w[0] > w[1]), "no late write");
+        assert_total_extends_causal(&res, &arb);
     }
 
     #[test]

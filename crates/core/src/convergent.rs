@@ -25,7 +25,9 @@
 //! A remote update ordered before logged ones must *undo* their effect:
 //! the log (`cbm_adt::arbitration::ArbLog`) replays from its last
 //! checkpoint before the insert, one every 32 entries, so a delivery
-//! costs at most 32 steps plus the entries it is ordered before. The
+//! costs at most 32 steps plus the entries it is ordered before. An
+//! update that overwrites the whole state (a register write) ends the
+//! log, and one ordered before it is absorbed unlogged. The
 //! live store shares the log, so the benchmark's
 //! `store.objects.apply_ccv_ns` layer (workload `convergent_hot`)
 //! measures it.
@@ -57,9 +59,13 @@ pub struct ConvergentShared<T: Adt> {
     pub n: usize,
     clock: LamportClock,
     bcast: InterestBatchCausalBroadcast<ArbUpdate<T::Input>>,
-    /// Update log keyed `(timestamp, event)`, relative to the fold of
+    /// Update log keyed by timestamp, relative to the fold of
     /// every compacted (garbage-collected) update.
-    log: ArbLog<(Timestamp, u64), T>,
+    log: ArbLog<Timestamp, T>,
+    /// `(timestamp, event)` of every update applied, own and
+    /// delivered: the arbitration witness, which the log's keys are
+    /// not once it compacts or absorbs.
+    applied: Vec<(Timestamp, u64)>,
     /// Fold of the compaction base and the whole log (the query state).
     head: T::State,
     /// Number of compacted updates (diagnostics).
@@ -68,8 +74,7 @@ pub struct ConvergentShared<T: Adt> {
     /// tracking for compaction).
     peer_time: Vec<u64>,
     /// Compact once at least this many stable entries accumulated;
-    /// `None` disables compaction (the default — witnesses for
-    /// `verify_ccv_execution` need the full log).
+    /// `None` disables compaction (the default).
     compact_chunk: Option<usize>,
 }
 
@@ -84,10 +89,6 @@ impl<T: Adt> ConvergentShared<T> {
     /// are strictly increasing and FIFO-delivered, so no future arrival
     /// can sort at or before the entry. A silent (or crashed) peer
     /// therefore blocks compaction — the standard stability trade-off.
-    ///
-    /// Note: compaction truncates [`ConvergentShared::arbitration`] to
-    /// the retained suffix, so enable it only when the run's CCv
-    /// witness is not needed.
     #[cfg(test)]
     pub(crate) fn with_compaction(mut self, chunk: usize) -> Self {
         self.compact_chunk = Some(chunk.max(1));
@@ -117,7 +118,7 @@ impl<T: Adt> ConvergentShared<T> {
             return;
         };
         let horizon = self.stability_horizon();
-        let stable = self.log.keys().take_while(|k| k.0.time < horizon).count();
+        let stable = self.log.keys().take_while(|k| k.time < horizon).count();
         if stable >= chunk {
             self.log.compact_prefix(&self.adt, stable);
             self.compacted += stable as u64;
@@ -133,7 +134,9 @@ impl<T: Adt> ConvergentShared<T> {
     /// The arbitration sequence (event ids in timestamp order) — the
     /// `≤` witness for `verify_ccv_execution`.
     pub(crate) fn arbitration(&self) -> Vec<u64> {
-        self.log.keys().map(|&(_, event)| event).collect()
+        let mut applied = self.applied.clone();
+        applied.sort_unstable();
+        applied.into_iter().map(|(_, event)| event).collect()
     }
 
     /// Evaluate a query on the current fold without recording.
@@ -155,6 +158,7 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
             clock: LamportClock::new(),
             bcast: InterestBatchCausalBroadcast::new(me, n),
             log: ArbLog::new(init.clone()),
+            applied: Vec::new(),
             head: init,
             compacted: 0,
             peer_time: vec![0; n],
@@ -173,7 +177,8 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
             let ts = Timestamp::new(self.clock.tick(), self.me);
             // own timestamp is the largest seen locally: tail append
             self.log
-                .insert(&self.adt, &mut self.head, (ts, event), input.clone());
+                .insert(&self.adt, &mut self.head, ts, input.clone());
+            self.applied.push((ts, event));
             let op = Stamped {
                 event,
                 input: input.clone(),
@@ -196,8 +201,8 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
                 self.clock.observe(ts.time);
                 self.peer_time[m.sender] = self.peer_time[m.sender].max(ts.time);
                 applied.push(op.event);
-                self.log
-                    .insert(&self.adt, &mut self.head, (ts, op.event), op.input);
+                self.applied.push((ts, op.event));
+                self.log.insert(&self.adt, &mut self.head, ts, op.input);
             }
             self.bcast.recycle(m);
         }
@@ -350,6 +355,37 @@ mod tests {
         let c = read0(&mut reps[2]);
         assert_eq!(a, b);
         assert_eq!(b, c);
+    }
+}
+
+#[cfg(test)]
+mod register_tests {
+    use super::*;
+    use crate::replica::deliver_each;
+    use cbm_adt::register::{RegInput, RegOutput, Register};
+
+    /// A write older than the newest one is absorbed, not logged, yet
+    /// the witness still lists it in timestamp order.
+    #[test]
+    fn the_witness_lists_writes_the_log_absorbed() {
+        let mut reps: Vec<ConvergentShared<Register>> = (0..2)
+            .map(|me| ConvergentShared::new_replica(me, 2, Register))
+            .collect();
+        // p1 runs ahead: (1, 1), (2, 1), (3, 1)
+        let mut outs1 = Vec::new();
+        for event in 1..4 {
+            reps[1].invoke(event, &RegInput::Write(event), &mut outs1);
+        }
+        // p0 concurrently writes at (1, 0): the globally oldest
+        let mut out0 = Vec::new();
+        reps[0].invoke(0, &RegInput::Write(99), &mut out0);
+        deliver_each(&mut reps, 1, outs1);
+        deliver_each(&mut reps, 0, out0);
+        for r in &reps {
+            assert_eq!(r.peek(&RegInput::Read), RegOutput::Val(3));
+            assert_eq!(r.log_len(), 1, "only the newest write is logged");
+            assert_eq!(r.arbitration(), vec![0, 1, 2, 3]);
+        }
     }
 }
 

@@ -157,6 +157,10 @@ counter_block! {
         /// `δ` steps those refolds replayed, from the log's last
         /// checkpoint before each insert to its end.
         refold_steps => "objects_refold_steps_total",
+        /// Convergent-mode updates ordered before an overwrite their
+        /// object's log already held, so neither logged nor folded
+        /// (Fig. 5's discard). Depends on interleaving.
+        absorbed => "objects_absorbed_total",
         /// Inbound messages dropped unprocessed: whatever reaches a
         /// worker that is down (from its crash cut until its recovery
         /// transfer is in), and — the reason this is published — a

@@ -231,6 +231,7 @@ where
             faults: f.drops + f.dups + f.parked + f.delayed + f.pruned + f.crash_discarded,
             refolds: self.table.refolds,
             refold_steps: self.table.refold_steps,
+            absorbed: self.table.absorbed,
             ..self.c
         }
     }

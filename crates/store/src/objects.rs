@@ -9,15 +9,20 @@
 //! * [`Mode::Convergent`] arbitrates updates by Lamport timestamp into
 //!   a per-object [`ArbLog`] (Fig. 5 generalized); an out-of-order
 //!   arrival refolds the object from the log's last checkpoint before
-//!   it (one every 32 entries), not from the epoch seed. At every drain
-//!   the engine calls [`ObjectTable::compact`]: all replicas have
-//!   delivered the same set, every future timestamp exceeds every
-//!   logged one, so the fold becomes the new seed and the log is
-//!   dropped — keeping memory bounded by the epoch length instead of
-//!   the run length.
+//!   it (one every 32 entries), not from the epoch seed. An update that
+//!   overwrites the whole object ([`Adt::overwrites`], a register
+//!   write) drops the entries ordered before it, and one that arrives
+//!   ordered before such an update is absorbed unlogged, as Fig. 5
+//!   discards a write older than every cell. So a log holds the writes
+//!   since its newest overwrite, not the epoch: one entry for a
+//!   register. At every drain the engine calls
+//!   [`ObjectTable::compact`]: all replicas have delivered the same
+//!   set, every future timestamp exceeds every logged one, so the fold
+//!   becomes the new seed and the log is dropped — keeping memory
+//!   bounded by the epoch length, at worst, instead of the run length.
 
 use crate::config::Mode;
-use cbm_adt::arbitration::ArbLog;
+use cbm_adt::arbitration::{ArbLog, Placed};
 use cbm_adt::Adt;
 use cbm_net::clock::Timestamp;
 use std::hash::{Hash, Hasher};
@@ -33,6 +38,9 @@ pub struct ObjectTable<T: Adt> {
     pub refolds: u64,
     /// `δ` steps those inserts replayed.
     pub(crate) refold_steps: u64,
+    /// Updates ordered before an overwrite already logged: neither
+    /// logged nor folded.
+    pub(crate) absorbed: u64,
 }
 
 impl<T: Adt> ObjectTable<T> {
@@ -46,6 +54,7 @@ impl<T: Adt> ObjectTable<T> {
             },
             refolds: 0,
             refold_steps: 0,
+            absorbed: 0,
         }
     }
 
@@ -67,11 +76,14 @@ impl<T: Adt> ObjectTable<T> {
         match self.logs.get_mut(slot) {
             // causal mode keeps no logs: δ in delivery order
             None => self.states[slot] = adt.transition(&self.states[slot], input),
-            Some(log) => {
-                let steps = log.insert(adt, &mut self.states[slot], ts, input.clone());
-                self.refolds += u64::from(steps > 0);
-                self.refold_steps += steps as u64;
-            }
+            Some(log) => match log.insert(adt, &mut self.states[slot], ts, input.clone()) {
+                Placed::Appended => {}
+                Placed::Absorbed => self.absorbed += 1,
+                Placed::Refolded(steps) => {
+                    self.refolds += 1;
+                    self.refold_steps += steps as u64;
+                }
+            },
         }
     }
 
@@ -157,6 +169,7 @@ impl<T: Adt> ObjectTable<T> {
 mod tests {
     use super::*;
     use cbm_adt::arbitration::CHECKPOINT_INTERVAL;
+    use cbm_adt::counter::{Counter, CtInput, CtOutput};
     use cbm_adt::queue::{FifoQueue, QInput};
     use cbm_adt::register::{RegInput, RegOutput, Register};
     use cbm_adt::window::{WInput, WindowStream};
@@ -193,8 +206,24 @@ mod tests {
         assert_eq!(a.output(&adt, 0, &RegInput::Read), RegOutput::Val(7));
         assert_eq!(b.output(&adt, 0, &RegInput::Read), RegOutput::Val(7));
         assert_eq!(a.state_hash(), b.state_hash());
-        assert_eq!(b.refolds, 1);
-        assert_eq!(a.refolds, 0);
+        // b's late write sorts before the write it holds: absorbed
+        assert_eq!((a.refolds, a.absorbed), (0, 0));
+        assert_eq!((b.refolds, b.absorbed), (0, 1));
+
+        // a counter never overwrites: its late update refolds
+        let adt = Counter;
+        let mut a = ObjectTable::new(&adt, 2, Mode::Convergent);
+        let mut b = ObjectTable::new(&adt, 2, Mode::Convergent);
+        let u1 = (ts(1, 0), CtInput::Add(5));
+        let u2 = (ts(2, 1), CtInput::Add(7));
+        a.apply_update(&adt, 0, u1.0, &u1.1);
+        a.apply_update(&adt, 0, u2.0, &u2.1);
+        b.apply_update(&adt, 0, u2.0, &u2.1);
+        b.apply_update(&adt, 0, u1.0, &u1.1);
+        assert_eq!(b.output(&adt, 0, &CtInput::Read), CtOutput::Val(12));
+        assert_eq!(a.state_hash(), b.state_hash());
+        assert_eq!((a.refolds, a.absorbed), (0, 0));
+        assert_eq!((b.refolds, b.absorbed), (1, 0));
     }
 
     #[test]
@@ -219,16 +248,29 @@ mod tests {
 
     #[test]
     fn compaction_preserves_state_and_clears_logs() {
-        let adt = Register;
+        let adt = Counter;
         let mut tab = ObjectTable::new(&adt, 2, Mode::Convergent);
-        tab.apply_update(&adt, 0, ts(2, 0), &RegInput::Write(4));
-        tab.apply_update(&adt, 0, ts(1, 1), &RegInput::Write(3)); // refold
+        tab.apply_update(&adt, 0, ts(2, 0), &CtInput::Add(4));
+        tab.apply_update(&adt, 0, ts(1, 1), &CtInput::Add(3)); // refold
         assert_eq!(tab.log_len(), 2);
         let before = tab.state_hash();
         tab.compact();
         assert_eq!(tab.log_len(), 0);
         assert_eq!(tab.state_hash(), before);
         // post-compaction updates fold from the new seed
+        tab.apply_update(&adt, 0, ts(5, 0), &CtInput::Add(8));
+        assert_eq!(tab.output(&adt, 0, &CtInput::Read), CtOutput::Val(15));
+
+        // a register logs only its newest write
+        let adt = Register;
+        let mut tab = ObjectTable::new(&adt, 2, Mode::Convergent);
+        tab.apply_update(&adt, 0, ts(2, 0), &RegInput::Write(4));
+        tab.apply_update(&adt, 0, ts(1, 1), &RegInput::Write(3)); // absorbed
+        assert_eq!(tab.log_len(), 1);
+        let before = tab.state_hash();
+        tab.compact();
+        assert_eq!(tab.log_len(), 0);
+        assert_eq!(tab.state_hash(), before);
         tab.apply_update(&adt, 0, ts(5, 0), &RegInput::Write(8));
         assert_eq!(tab.output(&adt, 0, &RegInput::Read), RegOutput::Val(8));
     }
@@ -253,17 +295,23 @@ mod tests {
     type Script = [(u32, u64, u32)];
 
     /// Late inserts [`check_arbitration`] saw: more than a checkpoint
-    /// interval back, and more than half the log back.
+    /// interval back, more than half the log back, and overwrites that
+    /// landed behind a logged entry; and the updates it saw absorbed.
     #[derive(Default)]
     struct Depths {
         far: usize,
         half: usize,
+        late_overwrites: usize,
+        absorbed: usize,
     }
 
     /// Drive a two-object convergent table through `script`. After
     /// every apply the slot's state must be the timestamp-sorted fold
     /// of its entries from its seed, and a late insert may replay at
-    /// most one checkpoint interval plus the entries after it.
+    /// most one checkpoint interval plus the entries after it. An
+    /// update is absorbed exactly when an overwrite ordered after it
+    /// already reached its slot, and a slot's log holds its entries
+    /// from the newest overwrite on.
     fn check_arbitration<T: Adt>(
         adt: &T,
         input: impl Fn(u64) -> T::Input,
@@ -280,18 +328,35 @@ mod tests {
         arrivals.sort_by_key(|&i| (i + hold_back(script[i]), i));
 
         let mut tab = ObjectTable::new(adt, 2, Mode::Convergent);
-        // per slot: seed, and the entries since it
-        let mut model = vec![(adt.initial(), BTreeMap::<Timestamp, T::Input>::new()); 2];
+        // per slot: seed, the entries since it, and the newest of them
+        // that overwrites
+        let mut model = vec![
+            (
+                adt.initial(),
+                BTreeMap::<Timestamp, T::Input>::new(),
+                None::<Timestamp>
+            );
+            2
+        ];
+        let logged = |entries: &BTreeMap<Timestamp, T::Input>, newest: Option<Timestamp>| {
+            newest.map_or(entries.len(), |o| entries.range(o..).count())
+        };
         let installed = adt.transition(&adt.initial(), &input(999));
         let mut depths = Depths::default();
         for i in arrivals {
             let (_, v, cut) = script[i];
-            let (slot, at) = (v as usize % 2, ts(i as u64 + 1, i % 4));
-            let (seed, entries) = &mut model[slot];
+            let (slot, at, op) = (v as usize % 2, ts(i as u64 + 1, i % 4), input(v));
+            let (seed, entries, newest) = &mut model[slot];
+            let absorbed = newest.is_some_and(|o| at < o);
             let after = entries.range(at..).count();
-            let (refolds, steps) = (tab.refolds, tab.refold_steps);
-            tab.apply_update(adt, slot as u32, at, &input(v));
-            entries.insert(at, input(v));
+            let before = logged(entries, *newest).saturating_sub(after);
+            let (refolds, steps, absorbs) = (tab.refolds, tab.refold_steps, tab.absorbed);
+            tab.apply_update(adt, slot as u32, at, &op);
+            let overwrites = adt.overwrites(&op);
+            if overwrites && !absorbed {
+                *newest = Some(at);
+            }
+            entries.insert(at, op);
             let sorted = entries
                 .values()
                 .fold(seed.clone(), |q, i| adt.transition(&q, i));
@@ -303,35 +368,90 @@ mod tests {
                 slot
             );
             let steps = (tab.refold_steps - steps) as usize;
-            prop_assert!(
-                steps <= CHECKPOINT_INTERVAL + after,
-                "{} steps, {} after",
-                steps,
-                after
-            );
-            prop_assert_eq!(tab.refolds - refolds, u64::from(after > 0));
-            depths.far += usize::from(after > CHECKPOINT_INTERVAL);
-            depths.half += usize::from(2 * after > entries.len());
+            prop_assert_eq!(tab.absorbed - absorbs, u64::from(absorbed));
+            if absorbed {
+                prop_assert_eq!((tab.refolds - refolds, steps), (0, 0));
+                depths.absorbed += 1;
+            } else {
+                prop_assert!(
+                    steps <= CHECKPOINT_INTERVAL + after,
+                    "{} steps, {} after",
+                    steps,
+                    after
+                );
+                prop_assert_eq!(tab.refolds - refolds, u64::from(after > 0));
+                depths.far += usize::from(after > CHECKPOINT_INTERVAL);
+                depths.half += usize::from(2 * after > logged(entries, *newest));
+                depths.late_overwrites += usize::from(overwrites && before > 0 && after > 0);
+            }
             match cut {
                 0..3 => {
                     tab.compact();
-                    for (slot, (seed, entries)) in model.iter_mut().enumerate() {
+                    for (slot, (seed, entries, newest)) in model.iter_mut().enumerate() {
                         *seed = tab.snapshot()[slot].clone();
                         entries.clear();
+                        *newest = None;
                     }
                 }
                 3 => {
                     tab.install_slots([1].into_iter(), std::slice::from_ref(&installed));
-                    model[1] = (installed.clone(), BTreeMap::new());
+                    model[1] = (installed.clone(), BTreeMap::new(), None);
                 }
                 _ => {}
             }
             prop_assert_eq!(
                 tab.log_len(),
-                model.iter().map(|(_, e)| e.len()).sum::<usize>()
+                model.iter().map(|(_, e, o)| logged(e, *o)).sum::<usize>()
             );
         }
         Ok(depths)
+    }
+
+    /// A test alphabet where a third of the updates overwrite: `Set`
+    /// replaces the state, `Add` folds its value in order-sensitively.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum SaInput {
+        Set(u64),
+        Add(u64),
+    }
+
+    struct SetAdd;
+
+    impl Adt for SetAdd {
+        type Input = SaInput;
+        type Output = u64;
+        type State = u64;
+
+        fn initial(&self) -> u64 {
+            0
+        }
+        fn transition(&self, q: &u64, i: &SaInput) -> u64 {
+            match *i {
+                SaInput::Set(v) => v,
+                SaInput::Add(v) => q.wrapping_mul(31).wrapping_add(v),
+            }
+        }
+        fn output(&self, q: &u64, _: &SaInput) -> u64 {
+            *q
+        }
+        fn kind(&self, _: &SaInput) -> cbm_adt::OpKind {
+            cbm_adt::OpKind::PureUpdate
+        }
+        fn overwrites(&self, i: &SaInput) -> bool {
+            matches!(i, SaInput::Set(_))
+        }
+    }
+
+    fn set_add(v: u64) -> SaInput {
+        if v.is_multiple_of(3) {
+            SaInput::Set(v)
+        } else {
+            SaInput::Add(v)
+        }
+    }
+
+    fn register_write(v: u64) -> RegInput {
+        RegInput::Write(v)
     }
 
     fn window_write(v: u64) -> WInput {
@@ -362,6 +482,16 @@ mod tests {
         fn queue_log_is_the_sorted_fold(script in script()) {
             check_arbitration(&FifoQueue, queue_op, &script)?;
         }
+
+        #[test]
+        fn register_log_is_the_sorted_fold(script in script()) {
+            check_arbitration(&Register, register_write, &script)?;
+        }
+
+        #[test]
+        fn set_add_log_is_the_sorted_fold(script in script()) {
+            check_arbitration(&SetAdd, set_add, &script)?;
+        }
     }
 
     /// The property's scripts do reach the deep inserts it bounds.
@@ -386,6 +516,15 @@ mod tests {
             "{} far, {} half",
             depths.far,
             depths.half
+        );
+        // and, where a third of the updates overwrite, every branch of
+        // the discard
+        let depths = check_arbitration(&SetAdd, set_add, &script).unwrap();
+        assert!(
+            depths.late_overwrites > 0 && depths.absorbed > 0,
+            "{} late overwrites, {} absorbed",
+            depths.late_overwrites,
+            depths.absorbed
         );
     }
 }
