@@ -24,9 +24,10 @@
 //! **`run`** is the standalone deployment demo of `docs/DEPLOYMENT.md`:
 //! one self-contained process hosting the whole replica set, printing
 //! the report summary, exit status non-zero on any verification
-//! failure. `--profile` applies a named chaos profile
-//! ([`cbm_store::profile`]) — the full fault-injection story works
-//! over sockets. Its workload flags are `loadgen`'s
+//! failure. `--profile` applies a plan of the fault catalogue
+//! ([`cbm_net::fault::CATALOGUE`], built with `e = every_ops`) whose
+//! crashes fall on epoch boundaries — the full fault-injection story
+//! works over sockets. Its workload flags are `loadgen`'s
 //! ([`cbm_bench::flags::WorkloadFlags`]).
 //!
 //! Usage errors exit 2 in both subcommands.
@@ -35,7 +36,7 @@ use cbm_bench::flags::{usage_error, Flags, WorkloadFlags};
 use cbm_bench::proto::{recv_ctrl, send_ctrl, Ctrl, LegSpec};
 use cbm_bench::report::{self, dump_trace};
 use cbm_bench::{run_workload, Transport, Workload};
-use cbm_store::profile;
+use cbm_net::fault::{named, CATALOGUE};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
@@ -170,12 +171,20 @@ fn run_once(mut args: Flags) -> ExitCode {
     }
     let mut cfg = w.config();
     if let Some(name) = &profile_name {
-        cfg.chaos = profile(name, cfg.workers, cfg.verify.every_ops).unwrap_or_else(|| {
-            usage_error(format!(
-                "cbm-node: unknown chaos profile '{name}' (known: {})",
-                cbm_store::PROFILE_NAMES.join(", ")
-            ))
-        });
+        // the live engine cuts a crash at a drain, so it runs only the
+        // plans whose crashes fall on epoch boundaries
+        let (n, e) = (cfg.workers, cfg.verify.every_ops as u64);
+        cfg.chaos = named(name)
+            .map(|p| (p.build)(n, e))
+            .filter(|plan| plan.crashes_on_epochs(e) && plan.check(n).is_ok())
+            .unwrap_or_else(|| {
+                let known: Vec<&str> = CATALOGUE.iter().map(|p| p.name).collect();
+                usage_error(format!(
+                    "cbm-node: chaos profile '{name}' is unknown, or cannot run on {n} \
+                     workers with epochs of {e} ops (catalogue: {})",
+                    known.join(", ")
+                ))
+            });
     }
     let workload = if counter {
         Workload::Counter

@@ -1,5 +1,6 @@
-//! Drive the live store engine through the chaos fault-profile matrix
-//! and emit the committed chaos baseline (`BENCH_chaos.json`).
+//! Drive the live store engine through the chaos matrix — every plan of
+//! the fault catalogue (`cbm_net::fault::CATALOGUE`) the engine can
+//! run — and emit the committed chaos baseline (`BENCH_chaos.json`).
 //!
 //! ```text
 //! chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] [--gate PATH]
@@ -32,7 +33,13 @@
 //! cells. The nightly chaos matrix uploads these dumps as artifacts
 //! for non-green cells (see `docs/OBSERVABILITY.md`).
 //!
-//! For every **fault profile × mode × seed** cell this binary runs the
+//! A plan runs if every `Crash`/`Recover` it schedules falls on an
+//! epoch boundary of the cell (`FaultPlan::crashes_on_epochs`): the
+//! engine cuts a crash at a drain. Plans are built with the cell's
+//! worker count and `e = verify.every_ops`; the `profile` column is the
+//! plan's name.
+//!
+//! For every **plan × mode × seed** cell this binary runs the
 //! engine **three times**:
 //!
 //! 1. the chaos run — fault plan active, sampled online verification
@@ -50,7 +57,7 @@
 //!    loses and duplicates nothing.
 //!
 //! A cell fails on: any unverified window, a drain divergence, a
-//! missing recovery (crash profiles must report every span recovered,
+//! missing recovery (crash plans must report every span recovered,
 //! with at least one verified window spanning the recovery drain), a
 //! final-state mismatch against the twin, or any determinism mismatch
 //! between the two chaos runs. Exit status is 1 iff any cell failed or
@@ -73,11 +80,11 @@
 //! count too. The nightly sweep runs one monitor-on rf-2 sweep this
 //! way.
 //!
-//! Beyond the fault-profile matrix, the sweep always runs the
+//! Beyond the catalogue matrix, the sweep always runs the
 //! **durability cells** of `docs/DURABILITY.md`:
 //!
 //! * `crash-recover-disk` / `rolling-crashes-disk` — the same crash
-//!   profiles with the per-worker epoch log on (`--log-dir`,
+//!   plans with the per-worker epoch log on (`--log-dir`,
 //!   `recover_from_disk`): a crashed worker's in-memory replica is
 //!   discarded and it restarts by replaying its own snapshot + log
 //!   tail, then fetching only the post-cut delta from co-replicas.
@@ -96,9 +103,8 @@ use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::report::{self, append_summary_table};
 use cbm_bench::{leg_config, run_workload, Transport, Workload, SEED};
-use cbm_store::{
-    profile, BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport, PROFILE_NAMES,
-};
+use cbm_net::fault::{named, NamedPlan, CATALOGUE};
+use cbm_store::{BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -132,7 +138,7 @@ struct Cell {
 
 /// Per-worker ops for a cell: the quick/full defaults, divided down
 /// when the cluster axis grows past the default 4 workers — but never
-/// below 4 epochs, because the crash profiles schedule their last
+/// below 4 epochs, because the crash plans schedule their last
 /// `Recover` at tick `3 * every_ops` and the recovery drain needs one
 /// more epoch boundary after it.
 fn cell_ops(quick: bool, workers: usize, every: usize) -> (usize, usize) {
@@ -226,11 +232,10 @@ fn cell_durable(base: &Path, label: &str, mode: Mode, seed: u64) -> DurableConfi
 }
 
 /// A cell's fault-free configuration. Its `workers` and
-/// `verify.every_ops` also feed the fault-profile constructors, so
-/// crash/recover ticks always land on its epoch boundaries. `workers`
-/// = 0 takes the default 4; larger clusters shrink the per-worker op
-/// count so the cell's total work stays bounded on oversubscribed
-/// runners.
+/// `verify.every_ops` are the `(n, e)` its catalogue plan is built
+/// with. `workers` = 0 takes the default 4; larger clusters shrink the
+/// per-worker op count so the cell's total work stays bounded on
+/// oversubscribed runners.
 fn cfg(mode: Mode, seed: u64, quick: bool, dim: Dims) -> StoreConfig {
     let workers = if dim.workers == 0 { 4 } else { dim.workers };
     let every = if quick { 500 } else { 2_000 };
@@ -308,11 +313,11 @@ fn judge(
     }
 }
 
-/// A fault-profile cell, run three times: under the fault plan, again
+/// A catalogue-plan cell, run three times: under the fault plan, again
 /// (the replay), and fault-free (the twin). With `log_base` the
 /// crashed workers recover from their own epoch logs.
 fn run_cell(
-    name: &'static str,
+    plan: &NamedPlan,
     mode: Mode,
     seed: u64,
     quick: bool,
@@ -321,13 +326,12 @@ fn run_cell(
     log_base: Option<&Path>,
 ) -> Cell {
     let label = match log_base {
-        Some(_) => format!("{name}-disk"),
-        None => name.to_string(),
+        Some(_) => format!("{}-disk", plan.name),
+        None => plan.name.to_string(),
     };
     let free_cfg = cfg(mode, seed, quick, dim);
     let mut chaos_cfg = free_cfg.clone();
-    chaos_cfg.chaos =
-        profile(name, free_cfg.workers, free_cfg.verify.every_ops).expect("known profile");
+    chaos_cfg.chaos = (plan.build)(free_cfg.workers, free_cfg.verify.every_ops as u64);
     if let Some(base) = log_base {
         // the replay (run 2) reopens the same directory fresh — the
         // log is wiped and rewritten, which is exactly the contract
@@ -340,8 +344,8 @@ fn run_cell(
     let twin = run(&free_cfg, transport);
 
     let mut failures = Vec::new();
-    // the schedule itself says how many crash spans the profile has —
-    // no hand-maintained table to drift out of sync with the profiles
+    // the schedule itself says how many crash spans the plan has — no
+    // hand-maintained table to drift out of sync with the catalogue
     let want_rec = cbm_store::ChaosSchedule::build(&chaos_cfg).spans.len();
     if a.chaos.recoveries.len() != want_rec {
         failures.push(format!(
@@ -506,21 +510,28 @@ fn main() -> ExitCode {
     }
 
     let grid = || {
-        [Mode::Causal, Mode::Convergent]
+        Mode::BOTH
             .into_iter()
             .flat_map(move |m| (0..seeds).map(move |s| (m, SEED + s)))
     };
-    // the fault-profile matrix, then the durability matrix: the crash
-    // profiles again, recovering from the epoch log instead of the
-    // live transfer...
-    let mut matrix: Vec<(&'static str, Option<&Path>)> =
-        PROFILE_NAMES.iter().map(|&name| (name, None)).collect();
-    matrix
-        .extend(["crash-recover", "rolling-crashes"].map(|name| (name, Some(log_base.as_path()))));
+    // every catalogue plan the engine can run (its crashes on epoch
+    // boundaries), then the durability matrix: the crash plans again,
+    // recovering from the epoch log instead of the live transfer...
+    let free = cfg(Mode::Causal, SEED, quick, dim);
+    let e = free.verify.every_ops as u64;
+    let mut matrix: Vec<(&NamedPlan, Option<&Path>)> = CATALOGUE
+        .iter()
+        .filter(|p| (p.build)(free.workers, e).crashes_on_epochs(e))
+        .map(|p| (p, None))
+        .collect();
+    matrix.extend(["crash-recover", "rolling-crashes"].map(|name| {
+        let plan = named(name).expect("a catalogue plan");
+        (plan, Some(log_base.as_path()))
+    }));
     let mut cells: Vec<Cell> = Vec::new();
-    for (name, log) in matrix {
+    for (plan, log) in matrix {
         for (mode, seed) in grid() {
-            let cell = run_cell(name, mode, seed, quick, dim, transport, log);
+            let cell = run_cell(plan, mode, seed, quick, dim, transport, log);
             cells.push(finish(cell, trace, &trace_dir));
         }
     }

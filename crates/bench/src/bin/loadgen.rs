@@ -64,9 +64,10 @@
 //!   counts. Message/batch/payload counts are **deterministic**
 //!   (rendezvous points are operation-counted, not timed), so those
 //!   columns diff exactly; wall-clock columns are machine-dependent.
-//! * **CI `throughput-smoke`** — runs `loadgen --quick` and fails on a
-//!   panic or on any failed sampled-window verification; wall times
-//!   never gate CI.
+//! * **CI `throughput-smoke`** — runs `loadgen --quick --gate
+//!   BENCH_throughput_quick.json` once and fails on a panic, on any
+//!   failed sampled-window verification or on a gate deviation; wall
+//!   times never gate CI.
 //!
 //! `--gate` turns the committed baseline into a **hard deterministic
 //! gate**: every leg's `msgs_sent`, `batches_sent`, and
@@ -76,10 +77,9 @@
 //! are *not* gated: delta-encoded knowledge headers size by how much
 //! changed on an edge since its previous envelope, which depends on
 //! delivery interleaving (`docs/SHARDING.md`) — `bytes_sent` stays in
-//! the JSON as an informational column. The `sharding-smoke` and
-//! `scaling-smoke` CI jobs run the quick matrix under
-//! `--gate BENCH_throughput_quick.json`, which pins the full-vs-partial
-//! replication traffic win count-for-count.
+//! the JSON as an informational column. Under
+//! `--gate BENCH_throughput_quick.json` the quick matrix pins the
+//! full-vs-partial replication traffic win count-for-count.
 //!
 //! The **scaling axis** (`docs/SCALING.md`): the full matrix carries
 //! 64/128/256-worker legs at rf 2 with locality-bounded placement
@@ -112,7 +112,7 @@ use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::proto::LegSpec;
 use cbm_bench::report::{self, append_summary_table};
-use cbm_bench::{leg_config, run_workload, Transport, Workload};
+use cbm_bench::{leg_config, run_workload, Transport, Workload, COUNTER_READS};
 use cbm_store::{BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport};
 use std::process::ExitCode;
 
@@ -126,12 +126,10 @@ const USAGE: &str = "loadgen [--quick] [--out PATH] [--summary PATH] [--gate PAT
 struct Leg {
     name: String,
     cfg: StoreConfig,
-    read_ratio: f64,
-    /// Fraction of reads that target an arbitrary object (and so may
-    /// route to a remote replica under partial replication); the rest
-    /// read objects the issuing worker hosts. Irrelevant at full
-    /// replication, where every read is local anyway.
-    remote_read_ratio: f64,
+    /// What the workers issue (the generator lives in
+    /// [`cbm_bench::run_workload`], where `cbm-node` reproduces it
+    /// bit-for-bit in multi-process runs).
+    workload: Workload,
 }
 
 #[allow(clippy::too_many_arguments)] // a matrix-cell literal, not an API
@@ -149,25 +147,36 @@ fn leg(
     Leg {
         name: name.to_string(),
         cfg: leg_config(mode, workers, objects, ops, batch, verify_every, window_ops),
-        read_ratio,
-        remote_read_ratio: 0.0,
+        workload: Workload::Register {
+            read_ratio,
+            remote_read_ratio: 0.0,
+        },
     }
 }
 
 /// A `leg` at replication factor `rf` with `remote` of its reads
-/// targeting arbitrary (possibly non-hosted) objects.
-fn sharded(mut l: Leg, rf: usize, remote: f64) -> Leg {
-    l.cfg.sharding = ShardConfig::rf(rf);
-    l.remote_read_ratio = remote;
-    l
+/// targeting arbitrary (possibly non-hosted) objects and so possibly
+/// routing to a remote replica; the rest read objects the issuing
+/// worker hosts.
+fn sharded(l: Leg, rf: usize, remote: f64) -> Leg {
+    roaming(l, ShardConfig::rf(rf), remote)
 }
 
 /// A `sharded` leg whose replicas are confined to a `locality`-worker
 /// neighborhood of each shard's home — the large-cluster placement
 /// that keeps interest fan-in (and delta-header size) bounded.
-fn localized(mut l: Leg, rf: usize, locality: usize, remote: f64) -> Leg {
-    l.cfg.sharding = ShardConfig::rf_local(rf, locality);
-    l.remote_read_ratio = remote;
+fn localized(l: Leg, rf: usize, locality: usize, remote: f64) -> Leg {
+    roaming(l, ShardConfig::rf_local(rf, locality), remote)
+}
+
+fn roaming(mut l: Leg, sharding: ShardConfig, remote: f64) -> Leg {
+    l.cfg.sharding = sharding;
+    if let Workload::Register {
+        remote_read_ratio, ..
+    } = &mut l.workload
+    {
+        *remote_read_ratio = remote;
+    }
     l
 }
 
@@ -438,7 +447,7 @@ fn quick_matrix() -> Vec<Leg> {
             1_000,
             24,
         ),
-        // rf ∈ {1, 2}: the sharding-smoke axis (5% roaming reads keep
+        // rf ∈ {1, 2}: the sharding axis (5% roaming reads keep
         // the routed-read path exercised in CI every run)
         sharded(
             leg(
@@ -485,7 +494,15 @@ fn quick_matrix() -> Vec<Leg> {
             2,
             0.05,
         ),
-        // the scaling-smoke cell: 64 workers, rf 2, locality 8 — keeps
+        // the convergent refold path: counter increments never
+        // overwrite, so a late arrival refolds `ArbLog` (a register
+        // write ends the log instead)
+        Leg {
+            name: "ccv-4w-64o-b8-ctr-quick".into(),
+            cfg: leg_config(Mode::Convergent, 4, 64, 4_000, b8, 1_000, 24),
+            workload: Workload::Counter,
+        },
+        // the scaling cell: 64 workers, rf 2, locality 8 — keeps
         // the large-cluster delivery path (wide interest masks,
         // locality placement, delta headers over many edges) under the
         // exact-count gate on every push
@@ -516,16 +533,6 @@ fn quick_matrix() -> Vec<Leg> {
             "cc-4w-64o-b8-r50-rf2-quick",
         ],
     )
-}
-
-/// The shared register workload this leg denotes (the generator
-/// itself lives in [`cbm_bench::run_workload`], where `cbm-node`
-/// reproduces it bit-for-bit in multi-process runs).
-fn workload_of(l: &Leg) -> Workload {
-    Workload::Register {
-        read_ratio: l.read_ratio,
-        remote_read_ratio: l.remote_read_ratio,
-    }
 }
 
 fn main() -> ExitCode {
@@ -568,8 +575,7 @@ fn main() -> ExitCode {
         vec![Leg {
             name: "custom".into(),
             cfg: custom.config(),
-            read_ratio: custom.read_ratio,
-            remote_read_ratio: custom.remote_read_ratio,
+            workload: custom.register(),
         }]
     } else if quick {
         quick_matrix()
@@ -606,7 +612,7 @@ fn main() -> ExitCode {
             .map(|l| LegSpec {
                 name: l.name.clone(),
                 cfg: l.cfg.clone(),
-                workload: workload_of(l),
+                workload: l.workload.clone(),
                 trace,
                 trace_dir: trace_dir.clone(),
             })
@@ -639,7 +645,7 @@ fn main() -> ExitCode {
         let mut out: Vec<(Leg, StoreReport)> = Vec::new();
         for l in legs {
             eprint!("{} [{}] ... ", l.name, transport.name());
-            let r = run_workload(&workload_of(&l), &l.cfg, transport);
+            let r = run_workload(&l.workload, &l.cfg, transport);
             eprintln!(
                 "{:.0} ops/s, p50 {} ns, p99 {} ns, {} msgs, mean batch {:.1}, \
                  {} windows ({} failed)",
@@ -1085,16 +1091,23 @@ fn leg_json(l: &Leg, r: &StoreReport) -> Json {
         BatchPolicy::Off => "off".into(),
         BatchPolicy::Every(k) => k.into(),
     };
+    let (read_ratio, remote_read_ratio) = match l.workload {
+        Workload::Register {
+            read_ratio,
+            remote_read_ratio,
+        } => (read_ratio, remote_read_ratio),
+        Workload::Counter => (COUNTER_READS, 0.0),
+    };
     Json::obj(vec![
         ("name", l.name.as_str().into()),
         ("mode", l.cfg.mode.criterion().into()),
         ("workers", l.cfg.workers.into()),
         ("objects", l.cfg.objects.into()),
         ("ops_per_worker", l.cfg.ops_per_worker.into()),
-        ("read_ratio", l.read_ratio.into()),
+        ("read_ratio", read_ratio.into()),
         ("replication", l.cfg.sharding.replication.into()),
         ("locality", l.cfg.sharding.locality.into()),
-        ("remote_read_ratio", l.remote_read_ratio.into()),
+        ("remote_read_ratio", remote_read_ratio.into()),
         ("batch", batch),
         ("seed", l.cfg.seed.into()),
         ("total_ops", r.total_ops.into()),

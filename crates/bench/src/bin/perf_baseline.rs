@@ -12,7 +12,7 @@
 //! Runs a **fixed workload matrix** — every generic criterion over the
 //! recorded window-array histories of
 //! `cbm_bench::recorded_window_history` (3/5/7 ops per process, seed
-//! 7), plus a scenario-sweep leg over the registry — and
+//! 7), plus a scenario-sweep leg over every scenario of `cbm-sim` — and
 //! writes one JSON document with, per cell: the verdict, the search
 //! nodes used, and best/mean wall time over the measured iterations.
 //!
@@ -51,7 +51,8 @@ use cbm_bench::report::append_summary_table;
 use cbm_bench::{leg_config, recorded_window_adt, recorded_window_history, run_workload};
 use cbm_bench::{Transport, Workload};
 use cbm_check::{check, Budget, Criterion, Verdict};
-use cbm_sim::{registry, run_scenario};
+use cbm_sim::explore::explore;
+use cbm_sim::Scenario;
 use cbm_store::{BatchPolicy, Mode, StoreConfig};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -70,7 +71,7 @@ struct CheckerCell {
 }
 
 struct ScenarioCell {
-    scenario: String,
+    scenario: Scenario,
     seeds: u64,
     failures: usize,
     total_ms: u128,
@@ -151,21 +152,17 @@ fn main() -> ExitCode {
     // --- Scenario leg ---------------------------------------------------
     let mut scen_cells: Vec<ScenarioCell> = Vec::new();
     let mut scen_failures = 0usize;
-    for scenario in registry::scenarios() {
+    for scenario in Scenario::all() {
         let t = Instant::now();
-        let mut failures = 0usize;
-        for seed in 0..seeds_per_scenario {
-            let o = run_scenario(&scenario, seed);
-            if !o.passes() {
-                failures += 1;
-                eprintln!("FAIL {} seed {}: {:?}", scenario.name, seed, o.failure());
-            }
+        let failures = explore(&scenario, 0..seeds_per_scenario).failures;
+        for f in &failures {
+            eprintln!("FAIL {scenario} seed {}: {}", f.seed, f.reason);
         }
-        scen_failures += failures;
+        scen_failures += failures.len();
         scen_cells.push(ScenarioCell {
-            scenario: scenario.name.to_string(),
+            scenario,
             seeds: seeds_per_scenario,
-            failures,
+            failures: failures.len(),
             total_ms: t.elapsed().as_millis(),
         });
     }
@@ -337,7 +334,8 @@ fn append_summary(
         .iter()
         .map(|s| {
             vec![
-                s.scenario.clone(),
+                s.scenario.name().to_string(),
+                s.scenario.mode.criterion().to_string(),
                 s.seeds.to_string(),
                 s.failures.to_string(),
                 s.total_ms.to_string(),
@@ -347,7 +345,7 @@ fn append_summary(
     append_summary_table(
         path,
         "",
-        &["scenario", "seeds", "failures", "total ms"],
+        &["scenario", "mode", "seeds", "failures", "total ms"],
         &scen_rows,
     )
 }
@@ -372,7 +370,8 @@ fn document(quick: bool, iters: u32, cells: &[CheckerCell], scens: &[ScenarioCel
     });
     let scenarios = scens.iter().map(|c| {
         Json::row(vec![
-            ("scenario", c.scenario.as_str().into()),
+            ("scenario", c.scenario.name().into()),
+            ("mode", c.scenario.mode.criterion().into()),
             ("seeds", c.seeds.into()),
             ("failures", c.failures.into()),
             ("total_ms", c.total_ms.into()),

@@ -6,16 +6,20 @@
 //! scenario_runner explore [NAME] --seeds LO..HI [--threads N] [--record PATH]
 //! ```
 //!
-//! * `list` — every registry scenario with flavour and expectations;
-//! * `run` — run one scenario (or all of them) under one seed and
+//! A scenario is a plan of the fault catalogue
+//! (`cbm_net::fault::CATALOGUE`) in one mode; `NAME` selects a plan,
+//! which then runs in both modes.
+//!
+//! * `list` — every scenario with its criterion and expectations;
+//! * `run` — run one plan (or all of them) under one seed and
 //!   print per-scenario stats: verification verdict, convergence time,
 //!   messages/bytes, drop/duplicate counts;
 //! * `explore` — sweep a seed range hunting for verification
 //!   failures; `--threads N` spreads the `(scenario, seed)` pairs over
 //!   N workers (reports stay byte-identical to `--threads 1`); with
-//!   `--record`, failing `(scenario, seed)` pairs are appended to the
-//!   regression corpus so `tests/scenarios.rs` replays them forever
-//!   (see `docs/SIMULATION.md` and `docs/PERFORMANCE.md`).
+//!   `--record`, failing `(scenario, mode, seed)` triples are appended
+//!   to the regression corpus so `tests/scenarios.rs` replays them
+//!   forever (see `docs/SIMULATION.md` and `docs/PERFORMANCE.md`).
 //!
 //! Exit status is 1 if any run or sweep failed, so the binary can gate
 //! CI jobs, and 2 on a usage error (an unknown command, flag or
@@ -23,17 +27,18 @@
 
 use cbm_bench::flags::{usage_error, Flags};
 use cbm_bench::render_table;
+use cbm_check::Mode;
 use cbm_sim::corpus::CorpusEntry;
-use cbm_sim::{corpus, explore, registry, run_scenario, Scenario, ScenarioOutcome};
+use cbm_sim::{corpus, explore, run_scenario, Scenario, ScenarioOutcome};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "scenario_runner — fault-injection scenarios over the cbm stack\n\n\
      USAGE:\n  scenario_runner list\n  scenario_runner run [NAME] [--seed N]\n  \
      scenario_runner explore [NAME] --seeds LO..HI [--threads N] [--record PATH]\n\n\
-     Scenarios come from cbm-sim's registry; every run is verified\n\
-     against its criterion (CC/CCv) and is a pure function of\n\
-     (scenario, seed).";
+     Scenarios are the fault catalogue's plans, each in both modes;\n\
+     every run is verified against its criterion (CC/CCv) and is a\n\
+     pure function of (scenario, seed).";
 
 fn main() -> ExitCode {
     let mut args = Flags::from_env(USAGE);
@@ -52,42 +57,35 @@ fn main() -> ExitCode {
     }
 }
 
-/// The registry scenario called `name`.
-fn scenario(name: &str) -> Scenario {
-    registry::by_name(name).unwrap_or_else(|| {
-        usage_error(format!(
-            "unknown scenario '{name}' (try `scenario_runner list`)"
-        ))
-    })
+/// The catalogue plan called `name`, in both modes.
+fn scenarios(name: &str) -> Vec<Scenario> {
+    Mode::BOTH
+        .into_iter()
+        .map(|mode| {
+            Scenario::by_name(name, mode).unwrap_or_else(|| {
+                usage_error(format!(
+                    "unknown scenario '{name}' (try `scenario_runner list`)"
+                ))
+            })
+        })
+        .collect()
 }
 
 fn cmd_list() {
-    let rows: Vec<Vec<String>> = registry::scenarios()
+    let rows: Vec<Vec<String>> = Scenario::all()
         .iter()
         .map(|s| {
             vec![
-                s.name.to_string(),
-                s.flavour.criterion().to_string(),
-                s.procs.to_string(),
-                format!("{}x{}", s.ops_per_proc, s.procs),
-                if s.expect_converge { "yes" } else { "-" }.to_string(),
-                s.description.to_string(),
+                s.name().to_string(),
+                s.mode.criterion().to_string(),
+                if s.expect_converge() { "yes" } else { "-" }.to_string(),
+                s.plan.about.to_string(),
             ]
         })
         .collect();
     print!(
         "{}",
-        render_table(
-            &[
-                "scenario",
-                "checks",
-                "procs",
-                "ops",
-                "converge",
-                "description"
-            ],
-            &rows
-        )
+        render_table(&["scenario", "checks", "converge", "description"], &rows)
     );
 }
 
@@ -102,8 +100,8 @@ fn cmd_run(mut args: Flags) -> ExitCode {
         }
     }
     let targets = match &name {
-        Some(n) => vec![scenario(n)],
-        None => registry::scenarios(),
+        Some(n) => scenarios(n),
+        None => Scenario::all(),
     };
 
     let outcomes: Vec<ScenarioOutcome> = targets.iter().map(|s| run_scenario(s, seed)).collect();
@@ -135,11 +133,11 @@ fn cmd_run(mut args: Flags) -> ExitCode {
 
 fn outcome_row(o: &ScenarioOutcome) -> Vec<String> {
     vec![
-        o.scenario.clone(),
+        o.scenario.to_string(),
         o.seed.to_string(),
         match &o.verified {
-            Ok(()) => format!("{} ok", o.criterion),
-            Err(_) => format!("{} FAIL", o.criterion),
+            Ok(()) => format!("{} ok", o.scenario.mode.criterion()),
+            Err(_) => format!("{} FAIL", o.scenario.mode.criterion()),
         },
         if o.converged { "yes" } else { "-" }.to_string(),
         o.convergence_time.to_string(),
@@ -177,11 +175,10 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
     }
 
     let reports = match &name {
-        Some(n) => vec![explore::explore_threaded(
-            &scenario(n),
-            seeds.clone(),
-            threads,
-        )],
+        Some(n) => scenarios(n)
+            .iter()
+            .map(|s| explore::explore_threaded(s, seeds.clone(), threads))
+            .collect(),
         None => explore::explore_all_threaded(seeds.clone(), threads),
     };
 
@@ -189,7 +186,7 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
         .iter()
         .map(|r| {
             vec![
-                r.scenario.clone(),
+                r.scenario.to_string(),
                 r.runs.to_string(),
                 r.failures.len().to_string(),
                 format!("{}/{}", r.converged_runs, r.runs),
@@ -224,7 +221,8 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
             eprintln!("FAIL {} seed {}: {}", f.scenario, f.seed, f.reason);
             if let Some(path) = &record {
                 let entry = CorpusEntry {
-                    scenario: f.scenario.clone(),
+                    scenario: f.scenario.name().to_string(),
+                    mode: f.scenario.mode,
                     seed: f.seed,
                     note: format!("explorer: {}", f.reason),
                 };

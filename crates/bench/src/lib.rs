@@ -97,11 +97,16 @@ pub enum Workload {
         /// to a remote replica under partial replication).
         remote_read_ratio: f64,
     },
-    /// The chaos-matrix counter space: 30% reads, 70% commutative
-    /// increments — chaos runs must converge byte-identically to their
-    /// fault-free twins.
+    /// The chaos-matrix counter space: [`COUNTER_READS`] of ops read,
+    /// the rest are commutative increments — chaos runs must converge
+    /// byte-identically to their fault-free twins, and in convergent
+    /// mode no increment overwrites, so late arrivals refold the
+    /// arbitration log.
     Counter,
 }
+
+/// Fraction of [`Workload::Counter`] operations that read.
+pub const COUNTER_READS: f64 = 0.3;
 
 /// Run `cfg` under the named workload over the chosen transport. This
 /// is the single definition of both generator closures (see
@@ -141,7 +146,7 @@ pub fn run_workload(w: &Workload, cfg: &StoreConfig, t: Transport) -> StoreRepor
             let objects = cfg.objects as u32;
             let gen = move |_: usize, _: u64, rng: &mut StdRng| {
                 let obj = rng.gen_range(0u32..objects);
-                if rng.gen_bool(0.3) {
+                if rng.gen_bool(COUNTER_READS) {
                     SpaceInput::new(obj, CtInput::Read)
                 } else {
                     SpaceInput::new(obj, CtInput::Add(rng.gen_range(1i64..1_000)))

@@ -273,3 +273,39 @@ fn rust_sources_name_only_existing_docs() {
         broken.join("\n")
     );
 }
+
+/// The one fault-scenario table (`docs/CHAOS.md`, "Fault scenarios")
+/// lists the catalogue exactly: every `cbm_net::fault::CATALOGUE`
+/// name, in catalogue order, and its "live engine" column says whether
+/// the plan's crashes fall on epoch boundaries.
+#[test]
+fn the_scenario_table_lists_the_fault_catalogue() {
+    let text = std::fs::read_to_string(repo_root().join("docs/CHAOS.md")).expect("docs/CHAOS.md");
+    let section = text
+        .split("\n## Fault scenarios\n")
+        .nth(1)
+        .expect("a \"Fault scenarios\" section")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    let rows: Vec<(String, String)> = section
+        .lines()
+        .filter_map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name.to_string(), cells.get(3)?.to_string()))
+        })
+        .collect();
+    let e = 500;
+    let want: Vec<(String, String)> = cbm_net::fault::CATALOGUE
+        .iter()
+        .map(|p| {
+            let live = (p.build)(4, e).crashes_on_epochs(e);
+            (p.name.to_string(), (if live { "yes" } else { "no" }).into())
+        })
+        .collect();
+    assert_eq!(
+        rows, want,
+        "docs/CHAOS.md's scenario table drifted from the catalogue"
+    );
+}

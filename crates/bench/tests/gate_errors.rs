@@ -61,6 +61,22 @@ const CASES: &[(&str, &[&str], &str)] = &[
         "unknown argument '--bogus'",
     ),
     (NODE, &["run", "--workers"], "--workers needs a number"),
+    (
+        NODE,
+        &["run", "--profile", "no-such"],
+        "chaos profile 'no-such' is unknown",
+    ),
+    (
+        NODE,
+        &["run", "--profile", "rolling-crashes-mid-epoch"],
+        "chaos profile 'rolling-crashes-mid-epoch' is unknown, or cannot run",
+    ),
+    (
+        NODE,
+        &["run", "--workers", "1", "--profile", "crash-recover"],
+        "cannot run on 1 workers",
+    ),
+    (SCENARIOS, &["run", "no-such"], "unknown scenario 'no-such'"),
     (SCENARIOS, &["run", "--bogus"], "unknown argument '--bogus'"),
     (SCENARIOS, &["bogus"], "unknown argument 'bogus'"),
     (

@@ -68,16 +68,18 @@ pub fn check_wcc<T: Adt>(
     h: &History<T::Input, T::Output>,
     budget: &Budget,
 ) -> CheckResult {
-    Searcher::new(adt, h, Mode::Wcc, budget).run()
+    Searcher::new(adt, h, Level::Wcc, budget).run()
 }
 
 /// Is `h` causally consistent with `adt` (Definition 9)?
 pub fn check_cc<T: Adt>(adt: &T, h: &History<T::Input, T::Output>, budget: &Budget) -> CheckResult {
-    Searcher::new(adt, h, Mode::Cc, budget).run()
+    Searcher::new(adt, h, Level::Cc, budget).run()
 }
 
+/// What a [`Searcher`] checks: weak (Def. 8) or full (Def. 9) causal
+/// consistency.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
+enum Level {
     Wcc,
     Cc,
 }
@@ -86,7 +88,7 @@ struct Searcher<'a, T: Adt> {
     adt: &'a T,
     h: &'a History<T::Input, T::Output>,
     labels: Vec<(T::Input, Option<T::Output>)>,
-    mode: Mode,
+    level: Level,
     n: usize,
     is_read: Vec<bool>,
     is_update: Vec<bool>,
@@ -117,12 +119,12 @@ struct Searcher<'a, T: Adt> {
 }
 
 impl<'a, T: Adt> Searcher<'a, T> {
-    fn new(adt: &'a T, h: &'a History<T::Input, T::Output>, mode: Mode, budget: &Budget) -> Self {
+    fn new(adt: &'a T, h: &'a History<T::Input, T::Output>, level: Level, budget: &Budget) -> Self {
         let labels = label_table::<T>(h);
         let n = h.len();
         let is_read: Vec<bool> = labels.iter().map(|l| is_constrained_read(adt, l)).collect();
         let is_update: Vec<bool> = labels.iter().map(|l| adt.is_update(&l.0)).collect();
-        let (chain_sets, chains_of) = if mode == Mode::Cc {
+        let (chain_sets, chains_of) = if level == Level::Cc {
             let chains = h.maximal_chains(budget.max_chains);
             let mut sets = Vec::with_capacity(chains.len());
             let mut of = vec![Vec::new(); n];
@@ -142,7 +144,7 @@ impl<'a, T: Adt> Searcher<'a, T> {
             adt,
             h,
             labels,
-            mode,
+            level,
             n,
             is_read,
             is_update,
@@ -349,13 +351,13 @@ impl<'a, T: Adt> Searcher<'a, T> {
         pasts[e].clear_and_copy_from(past);
         let mut include = past.clone();
         include.insert(e);
-        match self.mode {
-            Mode::Wcc => {
+        match self.level {
+            Level::Wcc => {
                 let mut visible = BitSet::new(self.n);
                 visible.insert(e);
                 self.kernel_sat(&include, &visible, pasts)
             }
-            Mode::Cc => {
+            Level::Cc => {
                 let mut ok = true;
                 for k in 0..self.chains_of[e].len() {
                     let ci = self.chains_of[e][k];

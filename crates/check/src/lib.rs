@@ -207,6 +207,40 @@ impl Criterion {
     }
 }
 
+/// Which of the paper's two wait-free replication disciplines a
+/// replica runs, and so which criterion its histories are checked
+/// against. The simulator, the live store and the streaming
+/// [`monitor`] all take this one choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Apply updates in causal delivery order (Fig. 4): **CC**
+    /// (Def. 9).
+    Causal,
+    /// Arbitrate updates by Lamport timestamp (Fig. 5): **CCv**
+    /// (Def. 12); replicas converge.
+    Convergent,
+}
+
+cbm_adt::wire_enum!(Mode { 0 => Causal, 1 => Convergent });
+
+impl Mode {
+    /// Both modes, causal first.
+    pub const BOTH: [Mode; 2] = [Mode::Causal, Mode::Convergent];
+
+    /// The criterion the mode is checked against.
+    pub fn checked(self) -> Criterion {
+        match self {
+            Mode::Causal => Criterion::Cc,
+            Mode::Convergent => Criterion::Ccv,
+        }
+    }
+
+    /// Name of [`Mode::checked`] ("CC" or "CCv").
+    pub fn criterion(self) -> &'static str {
+        self.checked().name()
+    }
+}
+
 /// Check `h` against a criterion (dispatcher over the per-criterion
 /// functions; see module docs).
 pub fn check<T: Adt>(
@@ -243,6 +277,20 @@ mod tests {
         assert_eq!(Criterion::Sc.name(), "SC");
         assert_eq!(Criterion::Ccv.name(), "CCv");
         assert_eq!(Criterion::ALL.len(), 5);
+    }
+
+    /// A mode names its criterion and keeps wire tags 0/1, which the
+    /// store's config and control-protocol fixtures pin byte for byte.
+    #[test]
+    fn modes_name_their_criteria_and_keep_their_wire_tags() {
+        use cbm_adt::wire::{from_bytes, to_bytes};
+        assert_eq!(Mode::Causal.checked(), Criterion::Cc);
+        assert_eq!(Mode::Convergent.criterion(), "CCv");
+        for (tag, mode) in Mode::BOTH.into_iter().enumerate() {
+            assert_eq!(to_bytes(&mode), vec![tag as u8]);
+            assert_eq!(from_bytes::<Mode>(&[tag as u8]), Some(mode));
+        }
+        assert_eq!(from_bytes::<Mode>(&[2]), None);
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! but escalations only exist on runs that are already failing.
 
 use crate::verify::{verify_cc_window, verify_ccv_window};
-use crate::{check, Budget, Criterion, Verdict};
+use crate::{check, Budget, Mode, Verdict};
 use cbm_adt::Adt;
 use cbm_history::{EventId, HistoryBuilder, Relation};
 
@@ -325,16 +325,6 @@ impl<T: Adt> Ring<T> {
     }
 }
 
-/// Which replication discipline a [`Monitor`] shadows — the run-time
-/// choice behind the [`CcMonitor`] / [`CcvMonitor`] constructors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Discipline {
-    /// Delivery-order fold (Fig. 4; certifies **CC**, Def. 9).
-    Cc,
-    /// Lamport-arbitrated fold (Fig. 5; certifies **CCv**, Def. 12).
-    Ccv,
-}
-
 /// An [`Adt`] adapter that replays from a captured snapshot instead
 /// of `q0` — how escalation windows (and any other mid-run slice cut
 /// at a known state) feed the DFS kernel.
@@ -376,13 +366,13 @@ impl<T: Adt> Adt for Seeded<'_, T> {
     }
 }
 
-/// The streaming monitor: one type, its [`Discipline`] chosen at
+/// The streaming monitor: one type, its [`Mode`] chosen at
 /// construction. [`CcMonitor`] / [`CcvMonitor`] are constructors that
 /// fix the discipline and `Deref` here.
 #[derive(Debug, Clone)]
 pub struct Monitor<T: Adt> {
     adt: T,
-    discipline: Discipline,
+    mode: Mode,
     me: usize,
     /// The pristine initial state (initial-read classification).
     initial: T::State,
@@ -414,7 +404,7 @@ pub(crate) const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
 impl<T: Adt + Clone> Monitor<T> {
     /// A monitor over `objects` object slots and `origins` replicas,
     /// running at replica `me`.
-    pub fn new(adt: T, discipline: Discipline, objects: usize, origins: usize, me: usize) -> Self {
+    pub fn new(adt: T, mode: Mode, objects: usize, origins: usize, me: usize) -> Self {
         let initial = adt.initial();
         let shadows = (0..objects.max(1))
             .map(|_| Shadow {
@@ -428,7 +418,7 @@ impl<T: Adt + Clone> Monitor<T> {
             .collect();
         Monitor {
             adt,
-            discipline,
+            mode,
             me,
             initial,
             shadows,
@@ -537,8 +527,8 @@ impl<T: Adt + Clone> Monitor<T> {
         let cap = self.ring_cap;
         let sh = &mut self.shadows[obj as usize];
         sh.writes += 1;
-        match self.discipline {
-            Discipline::Cc => {
+        match self.mode {
+            Mode::Causal => {
                 // delivery-order fold: amortized O(1). Appending to
                 // the current generation is a pure store; when it
                 // fills, the previous generation folds exactly into
@@ -556,7 +546,7 @@ impl<T: Adt + Clone> Monitor<T> {
                     sh.ring.cur.clear();
                 }
             }
-            Discipline::Ccv => {
+            Mode::Convergent => {
                 // arbitration fold: insert by stamp; in-order inserts
                 // (the common case) extend the cached fold in O(1),
                 // out-of-order inserts refold from the seed — the
@@ -598,8 +588,8 @@ impl<T: Adt + Clone> Monitor<T> {
         if sh.writes == 0 {
             return BadPattern::ThinAirRead { obj };
         }
-        match self.discipline {
-            Discipline::Cc => {
+        match self.mode {
+            Mode::Causal => {
                 // state-before-last-update, recomputed here (suspicion
                 // path only) so the hot fold never maintains it
                 let mut prev = sh.seed.clone();
@@ -614,7 +604,7 @@ impl<T: Adt + Clone> Monitor<T> {
                     BadPattern::ThinAirRead { obj }
                 }
             }
-            Discipline::Ccv => {
+            Mode::Convergent => {
                 // init-read first: with a single arbitrated update,
                 // "fold minus the winner" is the initial state too
                 if self.adt.output_matches(&self.initial, input, output) {
@@ -743,13 +733,13 @@ impl<T: Adt + Clone> Monitor<T> {
                     .map(|(_, id)| *id)
                     .chain([query_id])
                     .collect();
-                match self.discipline {
-                    Discipline::Cc => {
+                match self.mode {
+                    Mode::Causal => {
                         let initials: Vec<T::State> = vec![sh.seed.clone(); origins.len()];
                         verify_cc_window(&self.adt, &h, &causal, &apply, &own, &initials)
                             .map_err(|e| format!("{e:?}"))
                     }
-                    Discipline::Ccv => {
+                    Mode::Convergent => {
                         // arbitration total order: ring stamps (the
                         // ring is stamp-sorted under CCv), query last
                         let mut order: Vec<(Stamp, EventId)> = stamps
@@ -773,10 +763,7 @@ impl<T: Adt + Clone> Monitor<T> {
         // criterion-level: does *any* causal order explain the window?
         let (verdict, nodes_used) = if m <= self.max_kernel_events {
             let seeded = Seeded::new(&self.adt, sh.seed.clone());
-            let criterion = match self.discipline {
-                Discipline::Cc => Criterion::Cc,
-                Discipline::Ccv => Criterion::Ccv,
-            };
+            let criterion = self.mode.checked();
             let r = check(criterion, &seeded, &h, &self.budget);
             (r.verdict, r.nodes_used)
         } else {
@@ -847,7 +834,7 @@ impl<T: Adt + Clone> Monitor<T> {
 /// `$name::new` builds a [`Monitor`] of one fixed discipline; every
 /// method is the [`Monitor`]'s, reached through `Deref`.
 macro_rules! monitor_of {
-    ($name:ident, $discipline:expr, $doc:literal) => {
+    ($name:ident, $mode:expr, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone)]
         pub struct $name<T: Adt>(Monitor<T>);
@@ -856,7 +843,7 @@ macro_rules! monitor_of {
             /// A monitor over `objects` object slots and `origins`
             /// replicas, running at replica `me`.
             pub fn new(adt: T, objects: usize, origins: usize, me: usize) -> Self {
-                $name(Monitor::new(adt, $discipline, objects, origins, me))
+                $name(Monitor::new(adt, $mode, objects, origins, me))
             }
         }
 
@@ -877,7 +864,7 @@ macro_rules! monitor_of {
 
 monitor_of!(
     CcMonitor,
-    Discipline::Cc,
+    Mode::Causal,
     "Streaming bad-pattern monitor for delivery-order (**CC**, Def. 9) \
      replicas: shadow state folds applied updates in delivery order; \
      query outputs are certified against it in O(1); suspicions \
@@ -886,7 +873,7 @@ monitor_of!(
 
 monitor_of!(
     CcvMonitor,
-    Discipline::Ccv,
+    Mode::Convergent,
     "Streaming bad-pattern monitor layering the arbitration/convergence \
      check (**CCv**, Def. 12): shadow state folds applied updates in \
      Lamport-stamp arbitration order via an independent per-object \

@@ -395,10 +395,20 @@ impl<T: Adt + Clone, R: Replica<T>> Cluster<T, R> {
         stats.net = net_stats;
 
         let final_states: Vec<T::State> = self.replicas.iter().map(|r| r.local_state()).collect();
-        let arbitration = self.replicas.first().and_then(|r| {
-            r.arbitration_hint()
-                .map(|v| v.into_iter().map(|e| EventId(e as u32)).collect())
-        });
+        // the union of every replica's applied updates, in timestamp
+        // order: a replica that missed an update (a dropped message)
+        // cannot place it alone
+        let arbitration = self
+            .replicas
+            .iter()
+            .map(R::arbitration_hint)
+            .collect::<Option<Vec<_>>>()
+            .map(|lists| {
+                let mut known = lists.concat();
+                known.sort_unstable();
+                known.dedup();
+                known.into_iter().map(|(_, e)| EventId(e as u32)).collect()
+            });
         let live_states: Vec<&T::State> = final_states
             .iter()
             .enumerate()
@@ -712,6 +722,43 @@ mod result_tests {
         }
         let applied: Vec<usize> = res.apply_orders[0].iter().map(|e| rank[e.idx()]).collect();
         assert!(applied.windows(2).any(|w| w[0] > w[1]), "no late write");
+        assert_total_extends_causal(&res, &arb);
+    }
+
+    /// Under message loss no one replica applies every update, yet the
+    /// witness lists each update once, in timestamp order: it is the
+    /// union of every replica's applied updates.
+    #[test]
+    fn a_lossy_run_witness_lists_every_update() {
+        use cbm_adt::register::{RegInput, Register};
+        use cbm_net::fault::{Fault, FaultPlan};
+        let ops = (0..3)
+            .map(|p| {
+                (0..6)
+                    .map(|i| ScriptOp {
+                        think: 3,
+                        input: RegInput::Write(10 * p + i + 1),
+                    })
+                    .collect()
+            })
+            .collect();
+        let c: Cluster<Register, ConvergentShared<Register>> =
+            Cluster::new(3, Register, LatencyModel::Uniform(1, 20), 5);
+        let res = c.run_faulted(
+            Script::new(ops),
+            FaultPlan::new().at(0, Fault::DropAll { prob: 0.5 }),
+        );
+        assert!(res.stats.net.msgs_dropped > 0);
+        let updates = res.history.len();
+        assert!(
+            res.apply_orders[0].len() < updates,
+            "replica 0 missed nothing; the test needs a loss"
+        );
+        let arb = res.arbitration.clone().expect("arbitrated flavour");
+        let mut listed = arb.clone();
+        listed.sort_unstable();
+        listed.dedup();
+        assert_eq!(listed.len(), updates, "every update, once");
         assert_total_extends_causal(&res, &arb);
     }
 

@@ -27,10 +27,12 @@
 //! checkpoint before the insert, one every 32 entries, so a delivery
 //! costs at most 32 steps plus the entries it is ordered before. An
 //! update that overwrites the whole state (a register write) ends the
-//! log, and one ordered before it is absorbed unlogged. The
-//! live store shares the log, so the benchmark's
-//! `store.objects.apply_ccv_ns` layer (workload `convergent_hot`)
-//! measures it.
+//! log, and one ordered before it is absorbed unlogged. The live store
+//! shares the log. Its registers never refold, so the benchmark's
+//! `convergent_hot` workload reads a `refold_share` of 0; the loadgen
+//! quick leg `ccv-4w-64o-b8-ctr-quick` runs a counter space, whose
+//! increments never overwrite, and its summary's "Arbitration refolds"
+//! table counts the refolds and the steps they replay.
 
 use crate::replica::{
     causal_broadcast, causal_size, stamped_size, InvokeOutcome, Outgoing, Replica, Stamped,
@@ -131,14 +133,6 @@ impl<T: Adt> ConvergentShared<T> {
         self.log.len()
     }
 
-    /// The arbitration sequence (event ids in timestamp order) — the
-    /// `≤` witness for `verify_ccv_execution`.
-    pub(crate) fn arbitration(&self) -> Vec<u64> {
-        let mut applied = self.applied.clone();
-        applied.sort_unstable();
-        applied.into_iter().map(|(_, event)| event).collect()
-    }
-
     /// Evaluate a query on the current fold without recording.
     #[cfg(test)]
     pub(crate) fn peek(&self, input: &T::Input) -> T::Output {
@@ -223,8 +217,8 @@ impl<T: Adt> Replica<T> for ConvergentShared<T> {
         "convergent (CCv, Fig. 5 generalized)"
     }
 
-    fn arbitration_hint(&self) -> Option<Vec<u64>> {
-        Some(self.arbitration())
+    fn arbitration_hint(&self) -> Option<Vec<(Timestamp, u64)>> {
+        Some(self.applied.clone())
     }
 }
 
@@ -237,6 +231,13 @@ mod tests {
     use cbm_adt::Value;
 
     type Rep = ConvergentShared<WindowArray>;
+
+    /// The event ids of the updates `r` applied, in timestamp order.
+    pub(super) fn arbitration<T: Adt>(r: &ConvergentShared<T>) -> Vec<u64> {
+        let mut applied = r.applied.clone();
+        applied.sort_unstable();
+        applied.into_iter().map(|(_, event)| event).collect()
+    }
 
     fn cluster(n: usize) -> Vec<Rep> {
         (0..n)
@@ -305,8 +306,8 @@ mod tests {
         for r in reps.iter_mut() {
             assert_eq!(read0(r), vec![1, 2]);
         }
-        assert_eq!(reps[0].arbitration(), vec![0, 1]);
-        assert_eq!(reps[1].arbitration(), vec![0, 1]);
+        assert_eq!(arbitration(&reps[0]), vec![0, 1]);
+        assert_eq!(arbitration(&reps[1]), vec![0, 1]);
     }
 
     #[test]
@@ -360,6 +361,7 @@ mod tests {
 
 #[cfg(test)]
 mod register_tests {
+    use super::tests::arbitration;
     use super::*;
     use crate::replica::deliver_each;
     use cbm_adt::register::{RegInput, RegOutput, Register};
@@ -384,7 +386,7 @@ mod register_tests {
         for r in &reps {
             assert_eq!(r.peek(&RegInput::Read), RegOutput::Val(3));
             assert_eq!(r.log_len(), 1, "only the newest write is logged");
-            assert_eq!(r.arbitration(), vec![0, 1, 2, 3]);
+            assert_eq!(arbitration(r), vec![0, 1, 2, 3]);
         }
     }
 }

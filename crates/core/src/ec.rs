@@ -54,11 +54,6 @@ impl<T: Adt> EcShared<T> {
         }
     }
 
-    /// The arbitration sequence (event ids in timestamp order).
-    pub(crate) fn arbitration(&self) -> Vec<u64> {
-        self.log.iter().map(|u| u.op.event).collect()
-    }
-
     /// Evaluate a query on the current fold without recording.
     #[cfg(test)]
     pub(crate) fn peek(&mut self, input: &T::Input) -> T::Output {
@@ -136,8 +131,8 @@ impl<T: Adt> Replica<T> for EcShared<T> {
         "arbitrated log, unordered (EC baseline)"
     }
 
-    fn arbitration_hint(&self) -> Option<Vec<u64>> {
-        Some(self.arbitration())
+    fn arbitration_hint(&self) -> Option<Vec<(Timestamp, u64)>> {
+        Some(self.log.iter().map(|u| (u.ts, u.op.event)).collect())
     }
 }
 

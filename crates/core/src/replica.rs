@@ -11,6 +11,7 @@
 
 use cbm_adt::Adt;
 use cbm_net::broadcast::{full_interest, InterestBatchCausalBroadcast, InterestMsg};
+use cbm_net::clock::Timestamp;
 use cbm_net::NodeId;
 
 /// An application payload stamped with the history event id assigned at
@@ -88,9 +89,11 @@ pub trait Replica<T: Adt> {
         true
     }
 
-    /// For arbitrated flavours: the event ids of all known updates in
-    /// arbitration (timestamp) order — the `≤` witness of Def. 12.
-    fn arbitration_hint(&self) -> Option<Vec<u64>> {
+    /// For arbitrated flavours: every update this replica has applied,
+    /// as `(arbitration timestamp, event id)` in any order. The cluster
+    /// merges every replica's list into the run's `≤` witness of
+    /// Def. 12: under message loss no single replica knows them all.
+    fn arbitration_hint(&self) -> Option<Vec<(Timestamp, u64)>> {
         None
     }
 

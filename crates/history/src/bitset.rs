@@ -4,7 +4,7 @@
 //! events (pasts, downsets, frontiers) and memoise on them; a compact
 //! word-wise representation keeps those inner loops allocation-light and
 //! hashable. Universes of up to [`BitSet::INLINE_BITS`] indices — which
-//! covers every paper figure and every registry scenario — are stored
+//! covers every paper figure and every simulator scenario — are stored
 //! **inline** (no heap allocation at all), so cloning and clearing the
 //! sets the search kernels juggle is a couple of register moves.
 

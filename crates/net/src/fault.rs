@@ -20,6 +20,10 @@
 //!   deterministic operation counter, so live-engine fault injection
 //!   stays reproducible per `(config, seed)` (see `docs/CHAOS.md`).
 //!
+//! Both also draw their named scenarios from one table, [`CATALOGUE`]:
+//! each entry builds its plan for a cluster size and an epoch length
+//! given in the driver's own ticks.
+//!
 //! Fault semantics (see `docs/SIMULATION.md` for the full story):
 //!
 //! * **Partitions park, drops lose.** A message reaching a blocked
@@ -251,6 +255,17 @@ impl FaultPlan {
         Ok(())
     }
 
+    /// Does every `Crash` and `Recover` fall on a multiple of `e`? The
+    /// live engine cuts a crash at an epoch boundary, so it runs only
+    /// plans that pass this for its epoch length (the simulator runs
+    /// any plan).
+    pub fn crashes_on_epochs(&self, e: u64) -> bool {
+        self.events.iter().all(|ev| match ev.fault {
+            Fault::Crash(_) | Fault::Recover(_) => e > 0 && ev.at % e == 0,
+            _ => true,
+        })
+    }
+
     /// Freeze into an applicable schedule (events sorted by time;
     /// ties apply in insertion order).
     pub fn into_schedule(self) -> FaultSchedule {
@@ -258,6 +273,211 @@ impl FaultPlan {
         events.sort_by_key(|e| e.at);
         FaultSchedule { events, cursor: 0 }
     }
+}
+
+/// One entry of the fault-scenario [`CATALOGUE`]: a named plan for a
+/// cluster of `n` nodes whose epoch is `e` ticks long. The simulator
+/// and the live engine both draw their scenarios from the catalogue;
+/// each passes its own tick unit (`docs/CHAOS.md#fault-scenarios`).
+#[derive(Debug, Clone, Copy)]
+pub struct NamedPlan {
+    /// Stable name (gate keys, the regression corpus and
+    /// `cbm-node --profile` refer to it).
+    pub name: &'static str,
+    /// What the plan injects, in one line.
+    pub about: &'static str,
+    /// Build the plan: `(n, e)` → fault events in ticks.
+    pub build: fn(usize, u64) -> FaultPlan,
+}
+
+/// Every named fault scenario. Node ids derive from `n` and times from
+/// `e`; at `n = 4` and `e = 80` the last ten entries are the
+/// simulator's original tick-literal scenarios, event for event.
+pub const CATALOGUE: &[NamedPlan] = &[
+    NamedPlan {
+        name: "lossy-mesh",
+        about: "5% loss on every link, run-long",
+        build: |_, _| FaultPlan::new().at(1, Fault::DropAll { prob: 0.05 }),
+    },
+    NamedPlan {
+        name: "duplicate-storm",
+        about: "25% duplication on every link, run-long",
+        build: |_, _| FaultPlan::new().at(1, Fault::DupAll { prob: 0.25 }),
+    },
+    NamedPlan {
+        name: "latency-spike",
+        about: "every link e/8 ticks slower through the middle of epoch 0",
+        build: |_, e| {
+            let extra = (e / 8).max(1);
+            FaultPlan::new()
+                .at(e / 4, Fault::DelayAll { extra })
+                .at(3 * e / 4, Fault::DelayAll { extra: 0 })
+        },
+    },
+    NamedPlan {
+        name: "partition-flap",
+        about: "the cluster splits in half and heals mid-epoch, twice",
+        build: |n, e| {
+            let side: Vec<NodeId> = (0..n.max(2) / 2).collect();
+            FaultPlan::new()
+                .at(e / 4, Fault::Partition { side: side.clone() })
+                .at(3 * e / 4, Fault::HealAll)
+                .at(e + e / 4, Fault::Partition { side })
+                .at(e + 3 * e / 4, Fault::HealAll)
+        },
+    },
+    NamedPlan {
+        name: "crash-recover",
+        about: "the last node is down for epochs 1 and 2",
+        build: |n, e| {
+            let last = n.max(2) - 1;
+            FaultPlan::new()
+                .at(e, Fault::Crash(last))
+                .at(3 * e, Fault::Recover(last))
+        },
+    },
+    NamedPlan {
+        name: "rolling-crashes",
+        about: "the last two nodes are down one epoch each, in turn (one with 2 nodes)",
+        build: |n, e| {
+            let n = n.max(2);
+            let mut plan = FaultPlan::new()
+                .at(e, Fault::Crash(n - 1))
+                .at(2 * e, Fault::Recover(n - 1));
+            if n >= 3 {
+                plan.push(2 * e, Fault::Crash(n - 2));
+                plan.push(3 * e, Fault::Recover(n - 2));
+            }
+            plan
+        },
+    },
+    NamedPlan {
+        name: "mixed-chaos",
+        about: "2% loss and 10% duplication run-long, a crash span and a latency spike",
+        build: |n, e| {
+            let (last, extra) = (n.max(2) - 1, (e / 16).max(1));
+            FaultPlan::new()
+                .at(1, Fault::DropAll { prob: 0.02 })
+                .at(1, Fault::DupAll { prob: 0.10 })
+                .at(e, Fault::Crash(last))
+                .at(2 * e, Fault::Recover(last))
+                .at(2 * e + e / 2, Fault::DelayAll { extra })
+                .at(3 * e, Fault::DelayAll { extra: 0 })
+        },
+    },
+    NamedPlan {
+        name: "partition-while-writing",
+        about: "the cluster splits in half at e/2 and heals at 3¼e",
+        build: |n, e| {
+            let side = (0..n / 2).collect();
+            FaultPlan::new()
+                .at(e / 2, Fault::Partition { side })
+                .at(13 * e / 4, Fault::HealAll)
+        },
+    },
+    NamedPlan {
+        name: "heal-and-converge",
+        about: "node 0 is cut off from tick 1 to 5e",
+        build: |_, e| {
+            FaultPlan::new()
+                .at(1, Fault::Partition { side: vec![0] })
+                .at(5 * e, Fault::HealAll)
+        },
+    },
+    NamedPlan {
+        name: "asymmetric-partition",
+        about: "node 0's outbound is blocked (its inbound open) from 3e/8 to 3e",
+        build: |n, e| {
+            let (from, to) = (vec![0], (1..n).collect());
+            FaultPlan::new()
+                .at(3 * e / 8, Fault::PartitionOneWay { from, to })
+                .at(3 * e, Fault::HealAll)
+        },
+    },
+    NamedPlan {
+        name: "flapping-links",
+        about: "the 0↔1 link is down 3e/8 of every 3e/4, five times",
+        build: |_, e| {
+            let mut plan = FaultPlan::new();
+            for i in 0..5 {
+                let (down, up) = ((2 + 6 * i) * e / 8, (5 + 6 * i) * e / 8);
+                plan.push(down, Fault::BlockLink { from: 0, to: 1 });
+                plan.push(down, Fault::BlockLink { from: 1, to: 0 });
+                plan.push(up, Fault::HealLink { from: 0, to: 1 });
+                plan.push(up, Fault::HealLink { from: 1, to: 0 });
+            }
+            plan
+        },
+    },
+    NamedPlan {
+        name: "straggler-node",
+        about: "every link to and from the last node is 2½e ticks slower, run-long",
+        build: |n, e| {
+            let (last, extra) = (n.max(1) - 1, 5 * e / 2);
+            let mut plan = FaultPlan::new();
+            for (from, to) in (0..last).flat_map(|p| [(p, last), (last, p)]) {
+                plan.push(0, Fault::LinkDelay { from, to, extra });
+            }
+            plan
+        },
+    },
+    NamedPlan {
+        name: "duplicate-burst",
+        about: "80% duplication on every link until 2½e",
+        build: |_, e| {
+            FaultPlan::new()
+                .at(0, Fault::DupAll { prob: 0.8 })
+                .at(5 * e / 2, Fault::DupAll { prob: 0.0 })
+        },
+    },
+    NamedPlan {
+        name: "rolling-crashes-mid-epoch",
+        about: "nodes 1 and n/2 crash and recover in turn, off epoch boundaries",
+        build: |n, e| {
+            FaultPlan::new()
+                .at(5 * e / 8, Fault::Crash(1))
+                .at(7 * e / 4, Fault::Recover(1))
+                .at(2 * e, Fault::Crash(n / 2))
+                .at(25 * e / 8, Fault::Recover(n / 2))
+        },
+    },
+    NamedPlan {
+        name: "skewed-clocks",
+        about: "nodes 0 and n/2 run e/2 and e ticks behind until 3¾e",
+        build: |n, e| {
+            let mut plan = FaultPlan::new();
+            for (at, scale) in [(0, 1), (15 * e / 4, 0)] {
+                for (node, offset) in [(0, scale * e / 2), (n / 2, scale * e)] {
+                    plan.push(at, Fault::ClockSkew { node, offset });
+                }
+            }
+            plan
+        },
+    },
+    NamedPlan {
+        name: "latency-surge",
+        about: "every link 1⅞e ticks slower from 3e/4 to 2¼e",
+        build: |_, e| {
+            let extra = 15 * e / 8;
+            FaultPlan::new()
+                .at(3 * e / 4, Fault::DelayAll { extra })
+                .at(9 * e / 4, Fault::DelayAll { extra: 0 })
+        },
+    },
+    NamedPlan {
+        name: "lossy-burst",
+        about: "15% loss on every link until 2¾e",
+        build: |_, e| {
+            FaultPlan::new()
+                .at(0, Fault::DropAll { prob: 0.15 })
+                .at(11 * e / 4, Fault::DropAll { prob: 0.0 })
+        },
+    },
+];
+
+/// The catalogue entry called `name`.
+pub fn named(name: &str) -> Option<&'static NamedPlan> {
+    CATALOGUE.iter().find(|p| p.name == name)
 }
 
 /// A [`FaultPlan`] being replayed against a net (the default is the
@@ -564,6 +784,19 @@ mod tests {
             to: vec![4],
         };
         assert!(FaultPlan::new().at(0, one_way).check(4).is_err());
+    }
+
+    #[test]
+    fn crashes_on_epochs_looks_only_at_crash_and_recover_ticks() {
+        let plan = FaultPlan::new()
+            .at(7, Fault::DropAll { prob: 0.1 })
+            .at(100, Fault::Crash(1))
+            .at(300, Fault::Recover(1));
+        assert!(plan.crashes_on_epochs(100));
+        assert!(!plan.crashes_on_epochs(200), "300 is mid-epoch");
+        assert!(!plan.crashes_on_epochs(0), "no epochs, no crash cut");
+        let links_only = FaultPlan::new().at(7, Fault::DropAll { prob: 0.1 });
+        assert!(links_only.crashes_on_epochs(0));
     }
 
     #[test]

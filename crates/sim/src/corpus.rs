@@ -4,8 +4,10 @@
 //! Format (one entry per line, `#` comments and blank lines ignored):
 //!
 //! ```text
-//! <scenario-name> <seed> [note...]
+//! <scenario-name> <CC|CCv> <seed> [note...]
 //! ```
+//!
+//! The second field names the mode by its criterion.
 //!
 //! The explorer (via `scenario_runner explore --record`) appends a
 //! line whenever a sweep finds a failure; after the underlying bug is
@@ -14,14 +16,18 @@
 //! `synthetic` note marks entries added only to exercise the replay
 //! path.
 
+use crate::scenario::parse_mode;
+use cbm_check::Mode;
 use std::fmt;
 use std::path::Path;
 
 /// One committed corpus entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusEntry {
-    /// Scenario registry name.
+    /// Catalogue name of the scenario.
     pub scenario: String,
+    /// The mode it runs in.
+    pub mode: Mode,
     /// Seed to replay.
     pub seed: u64,
     /// Free-form note (why it was recorded).
@@ -30,11 +36,12 @@ pub struct CorpusEntry {
 
 impl fmt::Display for CorpusEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.note.is_empty() {
-            write!(f, "{} {}", self.scenario, self.seed)
-        } else {
-            write!(f, "{} {} {}", self.scenario, self.seed, self.note)
+        let mode = self.mode.criterion();
+        write!(f, "{} {mode} {}", self.scenario, self.seed)?;
+        if !self.note.is_empty() {
+            write!(f, " {}", self.note)?;
         }
+        Ok(())
     }
 }
 
@@ -52,6 +59,10 @@ pub(crate) fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
             .next()
             .ok_or_else(|| format!("line {}: missing scenario", i + 1))?
             .to_string();
+        let mode = parts
+            .next()
+            .and_then(parse_mode)
+            .ok_or_else(|| format!("line {}: missing or bad mode (CC or CCv)", i + 1))?;
         let seed: u64 = parts
             .next()
             .ok_or_else(|| format!("line {}: missing seed", i + 1))?
@@ -60,6 +71,7 @@ pub(crate) fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
         let note = parts.collect::<Vec<_>>().join(" ");
         entries.push(CorpusEntry {
             scenario,
+            mode,
             seed,
             note,
         });
@@ -88,18 +100,19 @@ pub(crate) fn append(path: &Path, entry: &CorpusEntry) -> Result<(), String> {
 }
 
 /// Append an entry unless the corpus already replays the same
-/// `(scenario, seed)` pair; returns whether anything was written.
+/// `(scenario, mode, seed)` triple; returns whether anything was
+/// written.
 ///
 /// The explorer records every failure of a sweep, and overlapping
 /// sweeps (or re-runs of the same range) find the same pairs again —
 /// without this check duplicates silently accumulate in the committed
 /// corpus, bloating the tier-1 replay for zero extra coverage. Notes
-/// are ignored for identity: the pair is what the replay runs.
+/// are ignored for identity: the triple is what the replay runs.
 pub fn append_unique(path: &Path, entry: &CorpusEntry) -> Result<bool, String> {
     let existing = load(path)?;
     if existing
         .iter()
-        .any(|e| e.scenario == entry.scenario && e.seed == entry.seed)
+        .any(|e| (&e.scenario, e.mode, e.seed) == (&entry.scenario, entry.mode, entry.seed))
     {
         return Ok(false);
     }
@@ -113,10 +126,12 @@ mod tests {
 
     #[test]
     fn parse_skips_comments_and_blanks() {
-        let text = "# corpus\n\npartition-while-writing 42 synthetic smoke entry\nlossy-mesh 7\n";
+        let text =
+            "# corpus\n\npartition-while-writing CCv 42 synthetic smoke entry\nlossy-mesh CC 7\n";
         let entries = parse(text).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].scenario, "partition-while-writing");
+        assert_eq!(entries[0].mode, Mode::Convergent);
         assert_eq!(entries[0].seed, 42);
         assert_eq!(entries[0].note, "synthetic smoke entry");
         assert_eq!(entries[1].note, "");
@@ -125,13 +140,15 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(parse("only-a-name").is_err());
-        assert!(parse("name not-a-seed").is_err());
+        assert!(parse("name CC not-a-seed").is_err());
+        assert!(parse("name 7").is_err(), "the mode is required");
     }
 
     #[test]
     fn display_roundtrips_through_parse() {
         let e = CorpusEntry {
             scenario: "flapping-links".into(),
+            mode: Mode::Causal,
             seed: 9,
             note: "found by sweep".into(),
         };
@@ -153,6 +170,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let e = CorpusEntry {
             scenario: "lossy-mesh".into(),
+            mode: Mode::Causal,
             seed: 7,
             note: "first sweep".into(),
         };
@@ -163,11 +181,19 @@ mod tests {
             ..e.clone()
         };
         assert!(!append_unique(&path, &dup).unwrap(), "duplicate refused");
-        // same scenario, new seed: recorded
-        let other = CorpusEntry { seed: 8, ..e };
+        // same scenario, new seed or new mode: recorded
+        let other = CorpusEntry {
+            seed: 8,
+            ..e.clone()
+        };
         assert!(append_unique(&path, &other).unwrap());
+        let ccv = CorpusEntry {
+            mode: Mode::Convergent,
+            ..e
+        };
+        assert!(append_unique(&path, &ccv).unwrap());
         let entries = load(&path).unwrap();
-        assert_eq!(entries.len(), 2);
+        assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].note, "first sweep", "original line untouched");
         let _ = std::fs::remove_file(&path);
     }

@@ -21,13 +21,14 @@
 
 use crate::runner::{run_scenario, ScenarioOutcome};
 use crate::scenario::Scenario;
+use cbm_check::Mode;
 use std::ops::Range;
 
 /// One failing `(scenario, seed)` pair.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Scenario name.
-    pub scenario: String,
+    /// The scenario.
+    pub scenario: Scenario,
     /// The failing seed.
     pub seed: u64,
     /// What went wrong.
@@ -37,8 +38,8 @@ pub struct Failure {
 /// Aggregate result of sweeping one scenario over a seed range.
 #[derive(Debug, Clone)]
 pub struct ExplorationReport {
-    /// Scenario name.
-    pub scenario: String,
+    /// The scenario swept.
+    pub scenario: Scenario,
     /// Seeds run.
     pub runs: usize,
     /// Verification or expectation failures found.
@@ -78,16 +79,16 @@ pub fn explore_threaded(
 ) -> ExplorationReport {
     let pairs: Vec<(&Scenario, u64)> = seeds.map(|s| (scenario, s)).collect();
     let outcomes = run_pairs(&pairs, threads);
-    aggregate(scenario.name, &outcomes)
+    aggregate(scenario, &outcomes)
 }
 
-/// Sweep every registry scenario across the same seed range, spreading
-/// the full `(scenario, seed)` pair list over up to `threads` workers
-/// (one global pool — a slow scenario does not serialize the others).
-/// Reports come back in registry order and are byte-identical to the
-/// single-threaded sweep.
+/// Sweep every scenario ([`Scenario::all`]) across the same seed range,
+/// spreading the full `(scenario, seed)` pair list over up to `threads`
+/// workers (one global pool — a slow scenario does not serialize the
+/// others). Reports come back in catalogue order and are byte-identical
+/// to the single-threaded sweep.
 pub fn explore_all_threaded(seeds: Range<u64>, threads: usize) -> Vec<ExplorationReport> {
-    let scenarios = crate::registry::scenarios();
+    let scenarios = Scenario::all();
     let pairs: Vec<(&Scenario, u64)> = scenarios
         .iter()
         .flat_map(|s| seeds.clone().map(move |seed| (s, seed)))
@@ -97,7 +98,7 @@ pub fn explore_all_threaded(seeds: Range<u64>, threads: usize) -> Vec<Exploratio
     scenarios
         .iter()
         .enumerate()
-        .map(|(i, s)| aggregate(s.name, &outcomes[i * per..(i + 1) * per]))
+        .map(|(i, s)| aggregate(s, &outcomes[i * per..(i + 1) * per]))
         .collect()
 }
 
@@ -131,9 +132,9 @@ fn run_pairs(pairs: &[(&Scenario, u64)], threads: usize) -> Vec<ScenarioOutcome>
 }
 
 /// Fold outcomes (already in seed order) into a report.
-fn aggregate(name: &str, outcomes: &[ScenarioOutcome]) -> ExplorationReport {
+fn aggregate(s: &Scenario, outcomes: &[ScenarioOutcome]) -> ExplorationReport {
     let mut report = ExplorationReport {
-        scenario: name.to_string(),
+        scenario: *s,
         runs: 0,
         failures: Vec::new(),
         mean_convergence_time: 0.0,
@@ -158,7 +159,7 @@ fn aggregate(name: &str, outcomes: &[ScenarioOutcome]) -> ExplorationReport {
         }
         if let Some(reason) = o.failure() {
             report.failures.push(Failure {
-                scenario: o.scenario.clone(),
+                scenario: o.scenario,
                 seed: o.seed,
                 reason,
             });
@@ -174,18 +175,21 @@ fn aggregate(name: &str, outcomes: &[ScenarioOutcome]) -> ExplorationReport {
 
 /// Replay a single `(scenario, seed)` pair by name (corpus replays and
 /// the CLI use this).
-pub fn replay(scenario_name: &str, seed: u64) -> Option<ScenarioOutcome> {
-    crate::registry::by_name(scenario_name).map(|s| run_scenario(&s, seed))
+pub fn replay(scenario_name: &str, mode: Mode, seed: u64) -> Option<ScenarioOutcome> {
+    Scenario::by_name(scenario_name, mode).map(|s| run_scenario(&s, seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+
+    fn scenario(name: &str) -> Scenario {
+        Scenario::by_name(name, Mode::Convergent).unwrap()
+    }
 
     #[test]
     fn exploration_aggregates_runs() {
-        let s = registry::by_name("skewed-clocks").unwrap();
+        let s = scenario("skewed-clocks");
         let r = explore(&s, 0..3);
         assert_eq!(r.runs, 3);
         assert!(r.clean(), "failures: {:?}", r.failures);
@@ -196,8 +200,8 @@ mod tests {
 
     #[test]
     fn replay_resolves_names() {
-        assert!(replay("flapping-links", 1).is_some());
-        assert!(replay("nope", 1).is_none());
+        assert!(replay("flapping-links", Mode::Causal, 1).is_some());
+        assert!(replay("nope", Mode::Causal, 1).is_none());
     }
 
     /// `--threads N` must not change a single byte of the report: same
@@ -205,7 +209,7 @@ mod tests {
     /// fingerprints, because aggregation walks outcomes in pair order.
     #[test]
     fn threaded_sweep_is_deterministic() {
-        let s = registry::by_name("partition-while-writing").unwrap();
+        let s = scenario("partition-while-writing");
         let solo = explore_threaded(&s, 0..6, 1);
         let multi = explore_threaded(&s, 0..6, 3);
         assert_eq!(solo.runs, multi.runs);
@@ -223,7 +227,7 @@ mod tests {
         let multi = explore_all_threaded(0..2, 4);
         assert_eq!(solo.len(), multi.len());
         for (a, b) in solo.iter().zip(&multi) {
-            assert_eq!(a.scenario, b.scenario);
+            assert_eq!(a.scenario.to_string(), b.scenario.to_string());
             assert_eq!(a.runs, b.runs);
             assert_eq!(a.failures.len(), b.failures.len());
             assert_eq!(a.mean_convergence_time, b.mean_convergence_time);
@@ -234,7 +238,7 @@ mod tests {
     /// More workers than pairs must not panic or drop work.
     #[test]
     fn more_threads_than_pairs_is_fine() {
-        let s = registry::by_name("skewed-clocks").unwrap();
+        let s = scenario("skewed-clocks");
         let r = explore_threaded(&s, 0..2, 16);
         assert_eq!(r.runs, 2);
     }

@@ -6,9 +6,10 @@
 //! result (history labels, apply orders, final transport counters) so
 //! two runs of the same pair can be compared exactly.
 
-use crate::scenario::{Flavour, Scenario};
+use crate::scenario::{self, Scenario, LATENCY, PROCS};
 use cbm_adt::window::WindowArray;
 use cbm_check::verify::{verify_cc_execution, verify_ccv_execution};
+use cbm_check::Mode;
 use cbm_core::causal::CausalShared;
 use cbm_core::cluster::{Cluster, RunResult};
 use cbm_core::convergent::ConvergentShared;
@@ -18,18 +19,14 @@ use cbm_core::Replica;
 /// Everything one verified run produces.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// Scenario name.
-    pub scenario: String,
+    /// The scenario that ran.
+    pub scenario: Scenario,
     /// The seed that drove workload, latencies, and fault rolls.
     pub seed: u64,
     /// Checker verdict: `Ok(())` or a description of the violation.
     pub verified: Result<(), String>,
-    /// Criterion the history was verified against ("CC" or "CCv").
-    pub criterion: &'static str,
     /// Did all live replicas hold equal state at quiescence?
     pub converged: bool,
-    /// Whether the scenario *requires* convergence.
-    pub expect_converge: bool,
     /// Simulated time at which the network went quiescent.
     pub convergence_time: u64,
     /// Time of the last operation completion.
@@ -57,14 +54,14 @@ pub struct ScenarioOutcome {
 impl ScenarioOutcome {
     /// Did the run meet the scenario's expectations?
     pub fn passes(&self) -> bool {
-        self.verified.is_ok() && (!self.expect_converge || self.converged)
+        self.failure().is_none()
     }
 
     /// Human-readable failure description, if any.
     pub fn failure(&self) -> Option<String> {
         match &self.verified {
-            Err(e) => Some(format!("{} violation: {e}", self.criterion)),
-            Ok(()) if self.expect_converge && !self.converged => {
+            Err(e) => Some(format!("{} violation: {e}", self.scenario.mode.criterion())),
+            Ok(()) if !self.converged && self.scenario.expect_converge() => {
                 Some("expected convergence, replicas diverged".into())
             }
             Ok(()) => None,
@@ -74,39 +71,38 @@ impl ScenarioOutcome {
 
 /// Run one scenario under one seed and verify the result.
 pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioOutcome {
-    match scenario.flavour {
-        Flavour::Causal => run_flavoured::<CausalShared<WindowArray>>(scenario, seed),
-        Flavour::Convergent => run_flavoured::<ConvergentShared<WindowArray>>(scenario, seed),
+    match scenario.mode {
+        Mode::Causal => run_in::<CausalShared<WindowArray>>(*scenario, seed),
+        Mode::Convergent => run_in::<ConvergentShared<WindowArray>>(*scenario, seed),
     }
 }
 
-fn run_flavoured<R: Replica<WindowArray>>(scenario: &Scenario, seed: u64) -> ScenarioOutcome {
+fn run_in<R: Replica<WindowArray>>(scenario: Scenario, seed: u64) -> ScenarioOutcome {
     let cfg = WindowWorkload {
-        procs: scenario.procs,
-        ops_per_proc: scenario.ops_per_proc,
-        streams: scenario.streams,
-        write_ratio: scenario.write_ratio,
-        max_think: scenario.max_think,
+        procs: PROCS,
+        ops_per_proc: scenario::OPS_PER_PROC,
+        streams: scenario::STREAMS,
+        write_ratio: scenario::WRITE_RATIO,
+        max_think: scenario::MAX_THINK,
         seed,
     };
     let script = window_script(&cfg);
-    let adt = WindowArray::new(scenario.streams, scenario.window_k);
+    let adt = WindowArray::new(scenario::STREAMS, scenario::WINDOW_K);
     // decorrelate the network RNG from the workload RNG
     let net_seed = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let cluster: Cluster<WindowArray, R> =
-        Cluster::new(scenario.procs, adt, scenario.latency, net_seed);
-    let res = cluster.run_faulted(script, scenario.faults.clone());
+    let cluster: Cluster<WindowArray, R> = Cluster::new(PROCS, adt, LATENCY, net_seed);
+    let res = cluster.run_faulted(script, scenario.faults());
 
-    let verified = match scenario.flavour {
-        Flavour::Causal => {
+    let verified = match scenario.mode {
+        Mode::Causal => {
             verify_cc_execution(&adt, &res.history, &res.causal, &res.apply_orders, &res.own)
                 .map_err(|e| format!("{e:?}"))
         }
-        Flavour::Convergent => {
+        Mode::Convergent => {
             let arb = res
                 .arbitration
                 .clone()
-                .ok_or_else(|| "arbitrated flavour produced no arbitration".to_string());
+                .ok_or_else(|| "arbitrated mode produced no arbitration".to_string());
             arb.and_then(|arb| {
                 let total = res
                     .ccv_total(&arb)
@@ -120,12 +116,10 @@ fn run_flavoured<R: Replica<WindowArray>>(scenario: &Scenario, seed: u64) -> Sce
     let fingerprint = fingerprint(&res);
     let net = res.stats.net.clone();
     ScenarioOutcome {
-        scenario: scenario.name.to_string(),
+        scenario,
         seed,
         verified,
-        criterion: scenario.flavour.criterion(),
         converged: res.stats.converged,
-        expect_converge: scenario.expect_converge,
         convergence_time: res.stats.quiescent_at,
         makespan: res.stats.makespan,
         history_len: res.history.len(),
@@ -176,26 +170,33 @@ fn fingerprint(res: &RunResult<WindowArray>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use cbm_net::fault::{FaultPlan, NamedPlan};
+
+    fn scenario(name: &str, mode: Mode) -> Scenario {
+        Scenario::by_name(name, mode).unwrap()
+    }
 
     #[test]
     fn faultless_baseline_verifies_and_converges() {
-        let mut s = crate::scenario::Scenario::base(
-            "baseline",
-            "no faults",
-            crate::scenario::Flavour::Convergent,
-        );
-        s.ops_per_proc = 8;
+        const BASELINE: NamedPlan = NamedPlan {
+            name: "baseline",
+            about: "no faults",
+            build: |_, _| FaultPlan::new(),
+        };
+        let s = Scenario {
+            plan: &BASELINE,
+            mode: Mode::Convergent,
+        };
         let o = run_scenario(&s, 3);
         assert_eq!(o.verified, Ok(()), "{:?}", o.failure());
-        assert!(o.converged);
-        assert_eq!(o.history_len, s.procs * s.ops_per_proc);
-        assert_eq!(o.incomplete_ops, 0, "wait-free flavours never block");
+        assert!(o.converged && s.expect_converge());
+        assert_eq!(o.history_len, PROCS * scenario::OPS_PER_PROC);
+        assert_eq!(o.incomplete_ops, 0, "wait-free modes never block");
     }
 
     #[test]
     fn outcomes_are_bit_identical_across_reruns() {
-        let s = registry::by_name("partition-while-writing").unwrap();
+        let s = scenario("partition-while-writing", Mode::Convergent);
         let a = run_scenario(&s, 11);
         let b = run_scenario(&s, 11);
         assert_eq!(a.fingerprint, b.fingerprint);
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let s = registry::by_name("partition-while-writing").unwrap();
+        let s = scenario("partition-while-writing", Mode::Convergent);
         let a = run_scenario(&s, 1);
         let b = run_scenario(&s, 2);
         assert_ne!(a.fingerprint, b.fingerprint);
@@ -213,8 +214,7 @@ mod tests {
 
     #[test]
     fn failure_reports_are_none_on_pass() {
-        let s = registry::by_name("duplicate-storm").unwrap();
-        let o = run_scenario(&s, 5);
+        let o = run_scenario(&scenario("duplicate-burst", Mode::Convergent), 5);
         assert!(o.passes(), "{:?}", o.failure());
         assert!(o.failure().is_none());
     }

@@ -1,7 +1,7 @@
 //! Chaos orchestration for the live engine: fault schedules projected
-//! onto the workers' deterministic timelines, crash/recovery spans,
-//! helper election, and the named fault profiles the chaos loadgen
-//! sweeps.
+//! onto the workers' deterministic timelines, crash/recovery spans and
+//! helper election. The named plans the chaos loadgen sweeps are
+//! `cbm_net::fault::CATALOGUE`'s, built with `e = verify.every_ops`.
 //!
 //! ## Timelines
 //!
@@ -292,92 +292,6 @@ impl ChaosSchedule {
     }
 }
 
-/// Names of the built-in live-engine fault profiles, the axis the
-/// chaos loadgen sweeps (see `docs/CHAOS.md` for prose descriptions).
-pub const PROFILE_NAMES: &[&str] = &[
-    "lossy-mesh",
-    "duplicate-storm",
-    "latency-spike",
-    "partition-flap",
-    "crash-recover",
-    "rolling-crashes",
-    "mixed-chaos",
-];
-
-/// Build a named fault profile for a cluster of `workers` with the
-/// given rendezvous stride. Returns `None` for unknown names.
-///
-/// Profiles are parameterised by the stride so crash events land on
-/// epoch boundaries whatever the configuration; every plan recovers
-/// every crashed worker, keeps worker 0 alive throughout (a helper
-/// always exists), and heals nothing silently — what the profile
-/// injects stays in force unless the plan says otherwise.
-pub fn profile(name: &str, workers: usize, every_ops: usize) -> Option<FaultPlan> {
-    let n = workers.max(2);
-    let e = every_ops as u64;
-    let plan = match name {
-        // every link loses 5% of fast-path envelopes, all run long
-        "lossy-mesh" => FaultPlan::new().at(1, Fault::DropAll { prob: 0.05 }),
-        // every link delivers 25% of envelopes twice
-        "duplicate-storm" => FaultPlan::new().at(1, Fault::DupAll { prob: 0.25 }),
-        // a global latency spike through the middle of epoch 0, healed
-        // before epoch 1: held-back envelopes release on later ops
-        "latency-spike" => FaultPlan::new()
-            .at(
-                e / 4,
-                Fault::DelayAll {
-                    extra: (every_ops / 8).max(1) as u64,
-                },
-            )
-            .at(3 * e / 4, Fault::DelayAll { extra: 0 }),
-        // the cluster splits mid-epoch and heals within it, twice:
-        // parked envelopes release on heal (park-and-release)
-        "partition-flap" => {
-            let side: Vec<NodeId> = (0..n / 2).collect();
-            FaultPlan::new()
-                .at(e / 4, Fault::Partition { side: side.clone() })
-                .at(3 * e / 4, Fault::HealAll)
-                .at(e + e / 4, Fault::Partition { side })
-                .at(e + 3 * e / 4, Fault::HealAll)
-        }
-        // the last worker dies at the first boundary and rejoins two
-        // epochs later via state transfer
-        "crash-recover" => FaultPlan::new()
-            .at(e, Fault::Crash(n - 1))
-            .at(3 * e, Fault::Recover(n - 1)),
-        // consecutive single-worker outages (needs ≥ 3 workers to keep
-        // a helper alive; with 2 it degrades to crash-recover)
-        "rolling-crashes" => {
-            if n >= 3 {
-                FaultPlan::new()
-                    .at(e, Fault::Crash(n - 1))
-                    .at(2 * e, Fault::Recover(n - 1))
-                    .at(2 * e, Fault::Crash(n - 2))
-                    .at(3 * e, Fault::Recover(n - 2))
-            } else {
-                FaultPlan::new()
-                    .at(e, Fault::Crash(n - 1))
-                    .at(2 * e, Fault::Recover(n - 1))
-            }
-        }
-        // loss, duplication, a crash span, and a latency spike at once
-        "mixed-chaos" => FaultPlan::new()
-            .at(1, Fault::DropAll { prob: 0.02 })
-            .at(1, Fault::DupAll { prob: 0.10 })
-            .at(e, Fault::Crash(n - 1))
-            .at(2 * e, Fault::Recover(n - 1))
-            .at(
-                2 * e + e / 2,
-                Fault::DelayAll {
-                    extra: (every_ops / 16).max(1) as u64,
-                },
-            )
-            .at(3 * e, Fault::DelayAll { extra: 0 }),
-        _ => return None,
-    };
-    Some(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,13 +431,30 @@ mod tests {
         assert!(s.is_active());
     }
 
+    /// Every catalogue plan whose crashes fall on epoch boundaries
+    /// builds a live schedule at 4 workers whatever the epoch length;
+    /// the catalogue's names and its fit inside clusters of 2 to 8
+    /// nodes are checked with the simulator's scenarios.
     #[test]
     fn all_profiles_build_valid_schedules() {
-        for name in PROFILE_NAMES {
-            let plan = profile(name, 4, 100).expect(name);
-            let s = ChaosSchedule::build(&cfg(4, 400, 100, plan));
-            assert!(s.is_active(), "{name} must inject something");
+        use cbm_net::fault::{named, CATALOGUE};
+        let mut live = 0;
+        for p in CATALOGUE {
+            assert_eq!(named(p.name).map(|q| q.name), Some(p.name));
+            for e in [100, 500, 2000] {
+                let plan = (p.build)(4, e);
+                assert_eq!(plan.check(4), Ok(()), "{} at e {e}", p.name);
+                if plan.crashes_on_epochs(e) {
+                    let s = ChaosSchedule::build(&cfg(4, 4 * e as usize, e as usize, plan));
+                    assert!(s.is_active(), "{} must inject something", p.name);
+                    live += 1;
+                }
+            }
         }
-        assert!(profile("no-such", 4, 100).is_none());
+        assert_eq!(
+            live,
+            3 * (CATALOGUE.len() - 1),
+            "only one plan crashes mid-epoch"
+        );
     }
 }

@@ -27,7 +27,7 @@
 //! artifact CI collects) and ships reports with `trace: None`.
 
 use crate::config::{
-    BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
+    BatchPolicy, DurableConfig, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
 };
 use crate::stats::{
     ChaosReport, EpochMetrics, LatencySummary, MonitorEscalation, MonitorReport, RecoveryStats,
@@ -56,7 +56,6 @@ wire_enum!(StoreMsg<I, O, S> {
     7 => ShardDelta(payload),
 });
 
-wire_enum!(Mode { 0 => Causal, 1 => Convergent });
 wire_enum!(BatchPolicy { 0 => Off, 1 => Every(k) });
 wire_struct!(ShardConfig {
     shards,

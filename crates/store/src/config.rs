@@ -3,27 +3,10 @@
 use cbm_net::fault::FaultPlan;
 
 /// How a replica integrates remote updates, which decides the
-/// consistency criterion its sampled windows are verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Apply updates in causal delivery order (the Fig. 4 discipline
-    /// generalized to an object space). Windows verify **CC** (Def. 9).
-    Causal,
-    /// Arbitrate updates by Lamport timestamp into a per-object log
-    /// (the Fig. 5 discipline); replicas converge at every drain.
-    /// Windows verify **CCv** (Def. 12).
-    Convergent,
-}
-
-impl Mode {
-    /// Criterion name of the mode's window verification.
-    pub fn criterion(self) -> &'static str {
-        match self {
-            Mode::Causal => "CC",
-            Mode::Convergent => "CCv",
-        }
-    }
-}
+/// consistency criterion its sampled windows are verified against:
+/// delivery order (**CC**) or Lamport arbitration into a per-object
+/// log, converging at every drain (**CCv**).
+pub use cbm_check::Mode;
 
 /// When pending update payloads are sealed into one causal batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

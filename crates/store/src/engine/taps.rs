@@ -37,7 +37,7 @@
 
 use super::sampler::OpSampler;
 use crate::chaos::CrashSpan;
-use crate::config::{Mode, StoreConfig};
+use crate::config::StoreConfig;
 use crate::durable::{self, EpochLog, LogCounts, LogError, Recovered, SealInfo};
 use crate::objects::ObjectTable;
 use crate::record::{OwnEvent, WindowRecord, WindowRecorder};
@@ -46,7 +46,7 @@ use crate::stats::{LatencySummary, MonitorEscalation};
 use crate::wire::{BatchMsg, WireOp};
 use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
-use cbm_check::monitor::{Discipline, Escalation, Monitor, MonitorStats, Stamp};
+use cbm_check::monitor::{Escalation, Monitor, MonitorStats, Stamp};
 use cbm_check::Verdict;
 use cbm_net::broadcast::InterestBatchCausalBroadcast;
 use cbm_net::chaos::ChaosEvent;
@@ -189,13 +189,10 @@ where
         let dlog = dlog_dir.as_ref().map(|d| {
             EpochLog::open(d, me, !cfg.durable.resume).expect("open the durable epoch log")
         });
-        let monitor = cfg.verify.monitor.then(|| {
-            let discipline = match cfg.mode {
-                Mode::Causal => Discipline::Cc,
-                Mode::Convergent => Discipline::Ccv,
-            };
-            Monitor::new(adt.clone(), discipline, objects, cfg.workers.max(1), me)
-        });
+        let monitor = cfg
+            .verify
+            .monitor
+            .then(|| Monitor::new(adt.clone(), cfg.mode, objects, cfg.workers.max(1), me));
         Taps {
             me,
             adt,

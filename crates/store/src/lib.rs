@@ -31,9 +31,10 @@
 //! with a nack/retransmit round, and recovering workers rejoin via an
 //! anti-entropy state transfer (cut snapshot + vector-clock frontier +
 //! missed-envelope replay) — with sampled verification still running
-//! while the network misbehaves. The named fault profiles and the
-//! schedule derivation live in `chaos`; the protocol and its
-//! determinism contract are documented in `docs/CHAOS.md`.
+//! while the network misbehaves. The schedule derivation lives in
+//! `chaos`, the named fault plans in `cbm_net::fault::CATALOGUE`; the
+//! protocol and its determinism contract are documented in
+//! `docs/CHAOS.md`.
 //!
 //! The engine supports **partial replication**: a [`ShardConfig`]
 //! partitions the object space into shards, a deterministic
@@ -103,7 +104,7 @@ pub(crate) mod shard;
 pub mod stats;
 pub mod wire;
 
-pub use chaos::{profile, ChaosSchedule, CrashSpan, PROFILE_NAMES};
+pub use chaos::{ChaosSchedule, CrashSpan};
 pub use config::{
     BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
 };

@@ -13,16 +13,30 @@
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
-use cbm_net::fault::{Fault, FaultPlan};
+use cbm_net::fault::{named, Fault, FaultPlan, CATALOGUE};
 use cbm_store::{
-    profile, run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig,
-    StoreReport, VerifyConfig, PROFILE_NAMES,
+    run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
+    VerifyConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 const EVERY: usize = 80;
+
+/// The catalogue plan `name` for `n` workers at this file's epoch.
+fn plan(name: &str, n: usize) -> FaultPlan {
+    (named(name).expect(name).build)(n, EVERY as u64)
+}
+
+/// Every catalogue plan the engine can run at this file's epoch (its
+/// crashes on epoch boundaries), as `(name, plan)` for `n` workers.
+fn live_plans(n: usize) -> impl Iterator<Item = (&'static str, FaultPlan)> {
+    CATALOGUE
+        .iter()
+        .map(move |p| (p.name, (p.build)(n, EVERY as u64)))
+        .filter(|(_, plan)| plan.crashes_on_epochs(EVERY as u64))
+}
 
 fn cfg(mode: Mode, workers: usize, ops: usize, seed: u64, chaos: FaultPlan) -> StoreConfig {
     StoreConfig {
@@ -278,8 +292,11 @@ fn link_fault_profiles_verify_windows_in_both_modes() {
         "partition-flap",
     ] {
         for mode in [Mode::Causal, Mode::Convergent] {
-            let plan = profile(name, 3, EVERY).expect(name);
-            let r = run(&Register, &cfg(mode, 3, 3 * EVERY, 21, plan), reg_gen(16));
+            let r = run(
+                &Register,
+                &cfg(mode, 3, 3 * EVERY, 21, plan(name, 3)),
+                reg_gen(16),
+            );
             assert_windows_ok(&r);
             assert!(r.chaos.active);
             match name {
@@ -304,8 +321,7 @@ fn link_fault_profiles_verify_windows_in_both_modes() {
 
 #[test]
 fn every_profile_reproduces_counts_exactly() {
-    for name in PROFILE_NAMES {
-        let plan = profile(name, 3, EVERY).expect(name);
+    for (name, plan) in live_plans(3) {
         let make = || {
             run(
                 &Register,
@@ -349,10 +365,9 @@ fn every_profile_reproduces_counts_exactly() {
 
 #[test]
 fn mixed_chaos_survives_with_counter_state_identity() {
-    let plan = profile("mixed-chaos", 3, EVERY).unwrap();
     let chaos = run(
         &Counter,
-        &cfg(Mode::Convergent, 3, 4 * EVERY, 5, plan),
+        &cfg(Mode::Convergent, 3, 4 * EVERY, 5, plan("mixed-chaos", 3)),
         counter_gen(16),
     );
     let free = run(
@@ -374,8 +389,12 @@ fn mixed_chaos_survives_with_counter_state_identity() {
 /// answer, which trips the engine's debug assertion.)
 #[test]
 fn only_a_plan_that_loses_between_live_replicas_keeps_a_repair_log() {
-    for name in PROFILE_NAMES {
-        let plan = profile(name, 3, EVERY).expect(name);
+    for (name, plan) in live_plans(3) {
+        let lossy = plan.events().iter().any(|ev| ev.fault.needs_repair());
+        let crashes = plan
+            .events()
+            .iter()
+            .any(|ev| matches!(ev.fault, Fault::Crash(_)));
         let r = run(
             &Register,
             &cfg(Mode::Causal, 3, 3 * EVERY, 21, plan),
@@ -386,17 +405,14 @@ fn only_a_plan_that_loses_between_live_replicas_keeps_a_repair_log() {
         let copies = metric("repair_log_copies_total");
         let stamped =
             metric("envelope_bufs_reused_total") + metric("envelope_bufs_allocated_total");
-        match *name {
-            "lossy-mesh" | "partition-flap" | "mixed-chaos" => {
-                assert!(copies > 0, "{name}: a lossy plan keeps its repair logs");
-                assert_eq!(copies, stamped, "{name}: one copy per stamped envelope");
-            }
-            "crash-recover" | "rolling-crashes" => {
-                assert_eq!((copies, r.chaos.nacks), (0, 0), "{name}: nothing to repair");
-                assert!(!r.chaos.recoveries.is_empty(), "{name}: a crash recovered");
-            }
-            "duplicate-storm" | "latency-spike" => assert_eq!(copies, 0, "{name}: loses nothing"),
-            _ => unreachable!("{name}: a profile this test does not classify"),
+        if lossy {
+            assert!(copies > 0, "{name}: a lossy plan keeps its repair logs");
+            assert_eq!(copies, stamped, "{name}: one copy per stamped envelope");
+        } else {
+            assert_eq!((copies, r.chaos.nacks), (0, 0), "{name}: nothing to repair");
+        }
+        if crashes {
+            assert!(!r.chaos.recoveries.is_empty(), "{name}: a crash recovered");
         }
     }
 }

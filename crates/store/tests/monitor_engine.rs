@@ -12,10 +12,10 @@
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
-use cbm_net::fault::FaultPlan;
+use cbm_net::fault::{named, FaultPlan};
 use cbm_store::{
-    profile, run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig,
-    StoreReport, VerifyConfig,
+    run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
+    VerifyConfig,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -147,7 +147,7 @@ fn monitor_counters_are_deterministic_across_runs() {
 #[test]
 fn lossy_mesh_still_certifies() {
     let mut cfg = monitored_cfg(Mode::Causal, 4, 29);
-    cfg.chaos = profile("lossy-mesh", 4, 500).unwrap();
+    cfg.chaos = (named("lossy-mesh").unwrap().build)(4, 500);
     let r = run(&Register, &cfg, reg_gen(32));
     assert_certified(&r);
 }
@@ -155,7 +155,7 @@ fn lossy_mesh_still_certifies() {
 #[test]
 fn duplicate_storm_folds_each_update_once() {
     let mut cfg = monitored_cfg(Mode::Causal, 4, 29);
-    cfg.chaos = profile("duplicate-storm", 4, 500).unwrap();
+    cfg.chaos = (named("duplicate-storm").unwrap().build)(4, 500);
     let r = run(&Register, &cfg, reg_gen(32));
     assert_certified(&r);
     assert_eq!(r.monitor.escalations, 0, "{:?}", r.monitor.records);
@@ -171,7 +171,7 @@ fn crash_recovery_rebuilds_monitor_state() {
     // counters: commutative updates keep the causal-mode comparison
     // exact across the recovery replay
     let mut cfg = monitored_cfg(Mode::Causal, 4, 31);
-    cfg.chaos = profile("crash-recover", 4, 500).unwrap();
+    cfg.chaos = (named("crash-recover").unwrap().build)(4, 500);
     let r = run(&Counter, &cfg, |_, _, rng: &mut StdRng| {
         let obj = rng.gen_range(0u32..32);
         if rng.gen_bool(0.5) {
@@ -189,7 +189,7 @@ fn crash_recovery_rebuilds_monitor_state() {
 #[test]
 fn chaos_monitor_counters_are_deterministic() {
     let mut cfg = monitored_cfg(Mode::Causal, 4, 37);
-    cfg.chaos = profile("mixed-chaos", 4, 500).unwrap();
+    cfg.chaos = (named("mixed-chaos").unwrap().build)(4, 500);
     cfg.sharding = ShardConfig::rf(2);
     let a = run(&Register, &cfg, reg_gen(32));
     let b = run(&Register, &cfg, reg_gen(32));

@@ -121,8 +121,8 @@ fn tcp_survives_a_chaos_profile_identically() {
     // the transport, so the deterministic columns and the repair
     // counters must match ThreadNet exactly.
     let mut c = cfg(3, Mode::Causal);
-    c.chaos =
-        cbm_store::profile("lossy-mesh", c.workers, c.verify.every_ops).expect("known profile");
+    let lossy = cbm_net::fault::named("lossy-mesh").expect("a catalogue plan");
+    c.chaos = (lossy.build)(c.workers, c.verify.every_ops as u64);
     let a = run(&Register, &c, register_gen(16));
     let b = run_tcp(&Register, &c, register_gen(16));
     assert!(b.verified(), "{:?}", b.windows);

@@ -10,11 +10,11 @@
 
 use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
+use cbm_net::fault::named;
 use cbm_obs::export::jsonl;
 use cbm_obs::{FlightRecord, SpanKind};
 use cbm_store::{
-    profile, run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig,
-    VerifyConfig,
+    run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -86,7 +86,7 @@ fn jsonl_byte_identical_under_chaos() {
     let mut c = cfg(4, 0, Mode::Causal, 4, 13);
     c.ops_per_worker = 2_000;
     c.verify.every_ops = 500;
-    c.chaos = profile("lossy-mesh", 4, 500).expect("known profile");
+    c.chaos = (named("lossy-mesh").expect("a catalogue plan").build)(4, 500);
     c.obs.trace = false; // exercise the automatic chaos path
     assert_eq!(jsonl(&traced(&c)), jsonl(&traced(&c)));
 }
