@@ -35,7 +35,7 @@
 use cbm_bench::flags::{usage_error, Flags, WorkloadFlags};
 use cbm_bench::proto::{recv_ctrl, send_ctrl, Ctrl, LegSpec};
 use cbm_bench::report::{self, dump_trace};
-use cbm_bench::{run_workload, Transport, Workload};
+use cbm_bench::{outln, run_workload, Transport, Workload};
 use cbm_net::fault::{named, CATALOGUE};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -192,7 +192,7 @@ fn run_once(mut args: Flags) -> ExitCode {
         w.register()
     };
     let r = run_workload(&workload, &cfg, Transport::Tcp);
-    println!(
+    outln!(
         "cbm-node: {} workers over TCP, {} ops, {:.0} ops/s, {} msgs, \
          {} windows ({} failed), drains converged: {}",
         cfg.workers,
@@ -204,7 +204,7 @@ fn run_once(mut args: Flags) -> ExitCode {
         r.drains_converged
     );
     if let Some(m) = report::monitor_summary(&r) {
-        println!("cbm-node: {m}");
+        outln!("cbm-node: {m}");
     }
     let failures = report::run_failures(&r);
     if failures.is_empty() {

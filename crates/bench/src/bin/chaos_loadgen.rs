@@ -102,7 +102,7 @@ use cbm_bench::flags::{usage_error, Flags};
 use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::report::{self, append_summary_table};
-use cbm_bench::{leg_config, run_workload, Transport, Workload, SEED};
+use cbm_bench::{leg_config, outln, run_workload, Transport, Workload, SEED};
 use cbm_net::fault::{named, NamedPlan, CATALOGUE};
 use cbm_store::{BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport};
 use std::path::{Path, PathBuf};
@@ -545,7 +545,7 @@ fn main() -> ExitCode {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path} ({} cells)", cells.len());
+    outln!("wrote {out_path} ({} cells)", cells.len());
 
     if let Some(path) = summary_path {
         if let Err(e) = append_summary(&path, quick, &cells) {
@@ -568,7 +568,7 @@ fn main() -> ExitCode {
             }
         }
         if gate_failures == 0 {
-            println!(
+            outln!(
                 "gate: {} cell(s) reproduce {} exactly ({} deterministic columns)",
                 cells.len(),
                 gate.path,

@@ -14,7 +14,9 @@
 use cbm_adt::queue::{FifoQueue, HdRhQueue};
 use cbm_adt::window::WindowStream;
 use cbm_adt::Adt;
-use cbm_bench::{classify, random_histories, random_histories_adt, render_table, RandomHistories};
+use cbm_bench::{
+    classify, outln, random_histories, random_histories_adt, render_table, RandomHistories,
+};
 use cbm_check::figures;
 use cbm_check::{Budget, Verdict};
 use cbm_history::History;
@@ -79,7 +81,7 @@ fn add_history<T: Adt>(ev: &mut Evidence, tag: &str, adt: &T, h: &History<T::Inp
 
 #[allow(clippy::needless_range_loop)] // s/w index parallel 5x5 tables
 fn main() {
-    println!("== Fig. 1: empirical criteria hierarchy ==\n");
+    outln!("== Fig. 1: empirical criteria hierarchy ==\n");
     let mut ev = Evidence::new();
 
     // the paper's own separating histories
@@ -117,9 +119,10 @@ fn main() {
         }
     }
 
-    println!(
+    outln!(
         "checked {} histories ({} undecided within budget)\n",
-        ev.histories, ev.unknowns
+        ev.histories,
+        ev.unknowns
     );
 
     // implication matrix
@@ -148,10 +151,10 @@ fn main() {
         rows.push(row);
     }
     let headers: Vec<&str> = std::iter::once("==>").chain(NAMES).collect();
-    println!("{}", render_table(&headers, &rows));
-    println!("legend: '=>' implication predicted by Fig. 1, confirmed on every history;");
-    println!("        'x (tag)' no implication — `tag` is a separating witness");
-    println!("        (witness satisfies the row criterion but not the column one)\n");
+    outln!("{}", render_table(&headers, &rows));
+    outln!("legend: '=>' implication predicted by Fig. 1, confirmed on every history;");
+    outln!("        'x (tag)' no implication — `tag` is a separating witness");
+    outln!("        (witness satisfies the row criterion but not the column one)\n");
 
     // paper arrows, spelled out
     let arrows = [
@@ -165,9 +168,9 @@ fn main() {
         ("CC <- SC", "confirmed above"),
         ("CCv <- SC", "confirmed above"),
     ];
-    println!("paper arrows (weak <- strong):");
+    outln!("paper arrows (weak <- strong):");
     for (a, note) in arrows {
-        println!("  {a:<12} {note}");
+        outln!("  {a:<12} {note}");
     }
 
     assert!(all_consistent, "hierarchy contradicted!");
@@ -181,8 +184,8 @@ fn main() {
         }
     }
     if missing.is_empty() {
-        println!("\nall non-implications separated by witnesses — Fig. 1 reproduced");
+        outln!("\nall non-implications separated by witnesses — Fig. 1 reproduced");
     } else {
-        println!("\nWARNING: no witness found for: {missing:?}");
+        outln!("\nWARNING: no witness found for: {missing:?}");
     }
 }

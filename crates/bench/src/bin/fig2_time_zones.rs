@@ -12,6 +12,7 @@
 //! cargo run --release -p cbm-bench --bin fig2_time_zones
 //! ```
 
+use cbm_bench::outln;
 use cbm_check::figures::fig2_grid;
 use cbm_history::zones::{classify, Zone};
 use cbm_history::ProcId;
@@ -28,23 +29,23 @@ fn zone_symbol(z: Zone) -> &'static str {
 }
 
 fn main() {
-    println!("== Fig. 2: time zones around an event ==\n");
+    outln!("== Fig. 2: time zones around an event ==\n");
     let (h, causal, present) = fig2_grid();
     let zones = classify(&h, &causal, present);
 
-    println!("grid (rows = processes, columns = program order; present = [*]):\n");
+    outln!("grid (rows = processes, columns = program order; present = [*]):\n");
     for p in 0..h.n_procs() {
         let evs = h.process_events(ProcId(p as u32));
         let row: Vec<&str> = evs.iter().map(|e| zone_symbol(zones[e.idx()])).collect();
-        println!("  p{p}:  {}", row.join("  "));
+        outln!("  p{p}:  {}", row.join("  "));
     }
-    println!("\n  PP = program past    CP = causal past (only)");
-    println!("  PF = program future  CF = causal future (only)");
-    println!("   . = concurrent present\n");
+    outln!("\n  PP = program past    CP = causal past (only)");
+    outln!("  PF = program future  CF = causal future (only)");
+    outln!("   . = concurrent present\n");
 
     // zone counts
     let count = |z: Zone| zones.iter().filter(|x| **x == z).count();
-    println!("zone sizes: program past {}, causal-only past {}, program future {}, causal-only future {}, concurrent {}\n",
+    outln!("zone sizes: program past {}, causal-only past {}, program future {}, causal-only future {}, concurrent {}\n",
         count(Zone::ProgramPast),
         count(Zone::CausalPastOnly),
         count(Zone::ProgramFuture),
@@ -54,7 +55,7 @@ fn main() {
 
     // Fig. 2's caption, as a constraint table: which zones must be
     // respected totally (outputs too) and which contribute updates only.
-    println!("per-criterion constraints on the present event's value:\n");
+    outln!("per-criterion constraints on the present event's value:\n");
     let rows = [
         (
             "PC  (Def. 6)",
@@ -78,11 +79,11 @@ fn main() {
         ),
     ];
     for (c, plain, striped) in rows {
-        println!("  {c:<14}");
-        println!("      fully respected : {plain}");
-        println!("      updates count   : {striped}");
+        outln!("  {c:<14}");
+        outln!("      fully respected : {plain}");
+        outln!("      updates count   : {striped}");
     }
-    println!("\nThe inclusion of constraint sets along the arrows of Fig. 1 is");
-    println!("visible directly: CC's constraints contain both PC's and WCC's,");
-    println!("and SC's contain everything.");
+    outln!("\nThe inclusion of constraint sets along the arrows of Fig. 1 is");
+    outln!("visible directly: CC's constraints contain both PC's and WCC's,");
+    outln!("and SC's contain everything.");
 }

@@ -9,13 +9,13 @@
 use cbm_adt::memory::Memory;
 use cbm_adt::queue::{FifoQueue, HdRhQueue};
 use cbm_adt::window::WindowStream;
-use cbm_bench::{classify, expect_mark, mark, render_table};
+use cbm_bench::{classify, expect_mark, mark, outln, render_table};
 use cbm_check::cm::check_cm;
 use cbm_check::figures::{self, EXPECTED};
 use cbm_check::{Budget, Verdict};
 
 fn main() {
-    println!("== Fig. 3: classification of the nine example histories ==\n");
+    outln!("== Fig. 3: classification of the nine example histories ==\n");
     let budget = Budget::default();
     let w2 = WindowStream::new(2);
 
@@ -124,29 +124,29 @@ fn main() {
         &mut mismatches,
     );
 
-    println!(
+    outln!(
         "{}",
         render_table(
             &["hist", "object", "SC", "CC", "CCv", "WCC", "PC", "CM"],
             &rows
         )
     );
-    println!("cells are expected/measured; '-' = the paper leaves it open\n");
+    outln!("cells are expected/measured; '-' = the paper leaves it open\n");
 
-    println!("paper captions:");
-    println!("  3a: CCv, not PC        3b: PC, not WCC      3c: CC, not CCv");
-    println!("  3d: SC                 3e: WCC+PC, not CC   3f: CC, not SC");
-    println!("  3g: CC, not SC (but see note)               3h: CCv, not CC");
-    println!("  3i: CM, not CC\n");
-    println!("note on 3g: as drawn, the history admits the SC interleaving");
-    println!("  push(1).push(2).hd/1.hd/1.rh(1).rh(1).hd/2.hd/2.rh(2).rh(2),");
-    println!("  so our checker reports SC = yes; the caption's 'not SC' does");
-    println!("  not affect any theorem (the expected row in cbm_check::figures).");
+    outln!("paper captions:");
+    outln!("  3a: CCv, not PC        3b: PC, not WCC      3c: CC, not CCv");
+    outln!("  3d: SC                 3e: WCC+PC, not CC   3f: CC, not SC");
+    outln!("  3g: CC, not SC (but see note)               3h: CCv, not CC");
+    outln!("  3i: CM, not CC\n");
+    outln!("note on 3g: as drawn, the history admits the SC interleaving");
+    outln!("  push(1).push(2).hd/1.hd/1.rh(1).rh(1).hd/2.hd/2.rh(2).rh(2),");
+    outln!("  so our checker reports SC = yes; the caption's 'not SC' does");
+    outln!("  not affect any theorem (the expected row in cbm_check::figures).");
 
     if mismatches.is_empty() {
-        println!("\nall paper claims reproduced");
+        outln!("\nall paper claims reproduced");
     } else {
-        println!("\nMISMATCHES: {mismatches:?}");
+        outln!("\nMISMATCHES: {mismatches:?}");
         std::process::exit(1);
     }
 }

@@ -13,6 +13,7 @@ use cbm_adt::memory::Memory;
 use cbm_adt::queue::{FifoQueue, HdRhQueue};
 use cbm_adt::window::WindowStream;
 use cbm_adt::Adt;
+use cbm_bench::outln;
 use cbm_check::causal::check_cc;
 use cbm_check::figures;
 use cbm_check::Budget;
@@ -37,7 +38,7 @@ where
     let dot = to_dot(h, witness.as_ref(), name);
     let path = dir.join(format!("{name}.dot"));
     fs::write(&path, dot)?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }
 
@@ -58,6 +59,6 @@ fn main() -> std::io::Result<()> {
     export(dir, "fig3g", &HdRhQueue, &figures::fig3g())?;
     export(dir, "fig3h", &Memory::new(5), &figures::fig3h())?;
     export(dir, "fig3i", &Memory::new(4), &figures::fig3i())?;
-    println!("\nrender with: dot -Tsvg <file>.dot -o <file>.svg");
+    outln!("\nrender with: dot -Tsvg <file>.dot -o <file>.svg");
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use cbm_adt::window::WindowArray;
-use cbm_bench::render_table;
+use cbm_bench::{outln, render_table};
 use cbm_check::verify::verify_cc_execution;
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_core::causal::CausalShared;
@@ -22,7 +22,7 @@ use cbm_core::workload::{window_script, WindowWorkload};
 use cbm_net::latency::LatencyModel;
 
 fn main() {
-    println!("== Fig. 4: wait-free causally consistent W_k^K (Prop. 6) ==\n");
+    outln!("== Fig. 4: wait-free causally consistent W_k^K (Prop. 6) ==\n");
     let adt = WindowArray::new(4, 3);
 
     let mut rows = Vec::new();
@@ -76,7 +76,7 @@ fn main() {
             ]);
         }
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -91,10 +91,10 @@ fn main() {
             &rows
         )
     );
-    println!("({verified}/{runs} runs verified causally consistent via their witnesses)\n");
+    outln!("({verified}/{runs} runs verified causally consistent via their witnesses)\n");
 
     // contrast with the SC baseline: latency tracks network delay
-    println!("contrast (motivation, §1): mean op latency vs network delay\n");
+    outln!("contrast (motivation, §1): mean op latency vs network delay\n");
     let mut rows = Vec::new();
     for mean_delay in [10u64, 50, 200, 800] {
         let latency = LatencyModel::Constant(mean_delay);
@@ -118,7 +118,7 @@ fn main() {
             cbm_bench::bar(rs.stats.mean_latency(), 1700.0, 30),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &["delay", "CC latency", "SC latency", "SC latency bar"],
@@ -127,7 +127,7 @@ fn main() {
     );
 
     // small runs double-checked by the search decision procedure
-    println!("\ncross-check: small runs decided CC by bounded search:");
+    outln!("\ncross-check: small runs decided CC by bounded search:");
     let mut all = true;
     for seed in 0..5 {
         let cfg = WindowWorkload {
@@ -144,8 +144,8 @@ fn main() {
         let res = cluster.run(window_script(&cfg));
         let v = check(Criterion::Cc, &adt3, &res.history, &Budget::default()).verdict;
         all &= v == Verdict::Sat;
-        println!("  seed {seed}: {v}");
+        outln!("  seed {seed}: {v}");
     }
     assert!(all);
-    println!("\nProp. 6 reproduced: every admitted history is causally consistent.");
+    outln!("\nProp. 6 reproduced: every admitted history is causally consistent.");
 }

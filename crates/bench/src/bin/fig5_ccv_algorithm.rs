@@ -8,7 +8,7 @@
 //! ```
 
 use cbm_adt::window::WindowArray;
-use cbm_bench::render_table;
+use cbm_bench::{outln, render_table};
 use cbm_check::verify::verify_ccv_execution;
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_core::cluster::Cluster;
@@ -18,7 +18,7 @@ use cbm_core::workload::{quiescent_script, window_script, WindowWorkload};
 use cbm_net::latency::LatencyModel;
 
 fn main() {
-    println!("== Fig. 5: wait-free causally convergent W_k^K (Prop. 7) ==\n");
+    outln!("== Fig. 5: wait-free causally convergent W_k^K (Prop. 7) ==\n");
     let adt = WindowArray::new(4, 3);
 
     let mut rows = Vec::new();
@@ -74,7 +74,7 @@ fn main() {
             ]);
         }
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -92,7 +92,7 @@ fn main() {
     );
 
     // convergence time vs latency tail
-    println!("\nconvergence time after the last update vs latency tail:\n");
+    outln!("\nconvergence time after the last update vs latency tail:\n");
     let mut rows = Vec::new();
     for tail in [20u64, 100, 500, 2000] {
         let adt2 = WindowArray::new(2, 2);
@@ -115,13 +115,13 @@ fn main() {
             cbm_bench::bar(res.stats.quiescent_at as f64, 4000.0, 30),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["tail max", "last op", "quiescent at", "bar"], &rows)
     );
 
     // verbatim Fig. 5 equivalence
-    println!("\nverbatim Fig. 5 object vs generalized replica (same seeds):");
+    outln!("\nverbatim Fig. 5 object vs generalized replica (same seeds):");
     let mut equal = true;
     for seed in 0..5 {
         let cfg = WindowWorkload {
@@ -141,12 +141,12 @@ fn main() {
         let rb = b.run(window_script(&cfg));
         let same = ra.final_states == rb.final_states;
         equal &= same;
-        println!("  seed {seed}: states equal = {same}");
+        outln!("  seed {seed}: states equal = {same}");
     }
     assert!(equal);
 
     // small runs decided CCv by search
-    println!("\ncross-check: small runs decided CCv by bounded search:");
+    outln!("\ncross-check: small runs decided CCv by bounded search:");
     for seed in 0..5 {
         let cfg = WindowWorkload {
             procs: 2,
@@ -162,7 +162,7 @@ fn main() {
         let res = cluster.run(window_script(&cfg));
         let v = check(Criterion::Ccv, &adt4, &res.history, &Budget::default()).verdict;
         assert_eq!(v, Verdict::Sat);
-        println!("  seed {seed}: {v}");
+        outln!("  seed {seed}: {v}");
     }
-    println!("\nProp. 7 reproduced: every admitted history is causally convergent.");
+    outln!("\nProp. 7 reproduced: every admitted history is causally convergent.");
 }

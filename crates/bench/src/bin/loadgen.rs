@@ -112,7 +112,7 @@ use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::proto::LegSpec;
 use cbm_bench::report::{self, append_summary_table};
-use cbm_bench::{leg_config, run_workload, Transport, Workload, COUNTER_READS};
+use cbm_bench::{leg_config, outln, run_workload, Transport, Workload, COUNTER_READS};
 use cbm_store::{BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport};
 use std::process::ExitCode;
 
@@ -694,7 +694,7 @@ fn main() -> ExitCode {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path} ({} legs)", reports.len());
+    outln!("wrote {out_path} ({} legs)", reports.len());
 
     if let Some(path) = summary_path {
         if let Err(e) = append_summary(&path, quick, &reports, gate.as_ref()) {
@@ -727,7 +727,7 @@ fn main() -> ExitCode {
             }
         }
         if gate_failures == 0 {
-            println!(
+            outln!(
                 "gate: {} leg(s) reproduce {} exactly \
                  (msgs + batches + payloads + monitor counters; bytes \
                  are interleaving-dependent and not gated)",

@@ -48,7 +48,7 @@ use cbm_bench::flags::Flags;
 use cbm_bench::gate::Gate;
 use cbm_bench::json::Json;
 use cbm_bench::report::append_summary_table;
-use cbm_bench::{leg_config, recorded_window_adt, recorded_window_history, run_workload};
+use cbm_bench::{leg_config, outln, recorded_window_adt, recorded_window_history, run_workload};
 use cbm_bench::{Transport, Workload};
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_sim::explore::explore;
@@ -170,9 +170,11 @@ fn main() -> ExitCode {
     // --- Tracing overhead (non-gating) ----------------------------------
     let (ops_off, ops_on) = tracing_overhead(quick);
     let overhead_pct = (ops_off / ops_on - 1.0) * 100.0;
-    println!(
+    outln!(
         "tracing overhead (store leg, non-gating): off {:.0} ops/s, on {:.0} ops/s ({:+.1}%)",
-        ops_off, ops_on, overhead_pct
+        ops_off,
+        ops_on,
+        overhead_pct
     );
 
     // --- Emit -----------------------------------------------------------
@@ -183,15 +185,21 @@ fn main() -> ExitCode {
         eprintln!("could not write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "wrote {out_path} ({} checker cells, {} scenarios)",
         cells.len(),
         scen_cells.len()
     );
     for c in &cells {
-        println!(
+        outln!(
             "  {:>4} {:>2} ops  {:>3}ev  {:>8}  nodes {:>6}  best {:>9} ns  mean {:>9} ns",
-            c.criterion, c.ops_per_proc, c.events, c.verdict, c.nodes, c.best_ns, c.mean_ns
+            c.criterion,
+            c.ops_per_proc,
+            c.events,
+            c.verdict,
+            c.nodes,
+            c.best_ns,
+            c.mean_ns
         );
     }
 
@@ -222,7 +230,7 @@ fn main() -> ExitCode {
             );
             gate_failures += 1;
         }
-        println!(
+        outln!(
             "node gate: {compared} cell(s) compared against {}",
             gate.path
         );

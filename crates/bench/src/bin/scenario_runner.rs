@@ -26,7 +26,7 @@
 //! scenario, a flag without its value).
 
 use cbm_bench::flags::{usage_error, Flags};
-use cbm_bench::render_table;
+use cbm_bench::{out, outln, render_table};
 use cbm_check::Mode;
 use cbm_sim::corpus::CorpusEntry;
 use cbm_sim::{corpus, explore, run_scenario, Scenario, ScenarioOutcome};
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
         }
         Some("explore") => cmd_explore(args),
         Some("help") => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             ExitCode::SUCCESS
         }
         Some(other) => args.other(other),
@@ -83,7 +83,7 @@ fn cmd_list() {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(&["scenario", "checks", "converge", "description"], &rows)
     );
@@ -106,7 +106,7 @@ fn cmd_run(mut args: Flags) -> ExitCode {
 
     let outcomes: Vec<ScenarioOutcome> = targets.iter().map(|s| run_scenario(s, seed)).collect();
     let rows: Vec<Vec<String>> = outcomes.iter().map(outcome_row).collect();
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -118,7 +118,7 @@ fn cmd_run(mut args: Flags) -> ExitCode {
     );
     let failed: Vec<&ScenarioOutcome> = outcomes.iter().filter(|o| !o.passes()).collect();
     if failed.is_empty() {
-        println!(
+        outln!(
             "\n{} scenario(s) verified under seed {seed}",
             outcomes.len()
         );
@@ -197,7 +197,7 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -231,9 +231,9 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
                 match corpus::append_unique(path, &entry) {
                     Err(e) => eprintln!("could not record to corpus: {e}"),
                     Ok(true) => {
-                        println!("recorded {} {} to {}", f.scenario, f.seed, path.display())
+                        outln!("recorded {} {} to {}", f.scenario, f.seed, path.display())
                     }
-                    Ok(false) => println!(
+                    Ok(false) => outln!(
                         "{} {} already in {} — not recorded again",
                         f.scenario,
                         f.seed,
@@ -246,9 +246,10 @@ fn cmd_explore(mut args: Flags) -> ExitCode {
     if any_fail {
         ExitCode::FAILURE
     } else {
-        println!(
+        outln!(
             "\nall scenarios clean over seeds {}..{}",
-            seeds.start, seeds.end
+            seeds.start,
+            seeds.end
         );
         ExitCode::SUCCESS
     }

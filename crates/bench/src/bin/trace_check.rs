@@ -36,6 +36,7 @@
 
 use cbm_bench::flags::{usage_error, Flags};
 use cbm_bench::json::{parse_prefix, Json};
+use cbm_bench::outln;
 use cbm_obs::export::TRACE_SCHEMA;
 use cbm_obs::SpanKind;
 use std::process::ExitCode;
@@ -264,7 +265,7 @@ fn main() -> ExitCode {
     }
 
     if errs.is_empty() {
-        println!("trace_check: {checked} file(s) valid against {TRACE_SCHEMA}");
+        outln!("trace_check: {checked} file(s) valid against {TRACE_SCHEMA}");
         ExitCode::SUCCESS
     } else {
         for e in &errs {

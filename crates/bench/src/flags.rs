@@ -54,7 +54,7 @@ impl Flags {
     /// usage and exit 0, anything else is a usage error.
     pub fn other(&self, arg: &str) -> ! {
         if arg == "--help" || arg == "-h" {
-            println!("{}", self.usage);
+            crate::outln!("{}", self.usage);
             std::process::exit(0);
         }
         usage_error(format!("unknown argument '{arg}' (see --help)"))

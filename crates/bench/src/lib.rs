@@ -28,6 +28,38 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `print!` for the harness binaries, which write through it and
+/// [`outln!`] only: a reader that went away (`scenario_runner | head`)
+/// ends the process quietly with status 141, as a shell reports a
+/// writer killed by `SIGPIPE`, instead of a panic and status 101.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the harness binaries (see [`out!`]).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one stdout writer behind [`out!`] / [`outln!`]: exit 141 on a
+/// broken pipe, panic on any other write error as `print!` does.
+#[doc(hidden)]
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 pub mod flags;
 pub mod fleet;
 pub mod gate;

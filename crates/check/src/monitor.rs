@@ -35,9 +35,9 @@
 //! shadow state raises a **suspicion**, classified into the
 //! bad-pattern family ([`BadPattern`]) from the last-writer tables,
 //! and the suspicion is **escalated** — the minimal implicated window
-//! (the object's retained event ring, seeded from its pre-ring
-//! snapshot) is rebuilt as a real [`cbm_history::History`] and
-//! re-checked *exactly*, twice:
+//! (the object's retained updates, seeded from the state before them)
+//! is rebuilt as a real [`cbm_history::History`] and re-checked
+//! *exactly*, twice:
 //!
 //! 1. **witness re-verification** — the linear-time checkers of
 //!    [`crate::verify`] replay the window against the delivery
@@ -52,19 +52,33 @@
 //! The kernel replays from the window's seed snapshot via the
 //! `Seeded` adapter rather than from `T::initial()`.
 //!
+//! ## Retention
+//!
+//! Under CC the monitor appends every fold, whatever its object, to
+//! one sequential circular log sized `objects × 12` rounded up to a
+//! power of two, so the hot path's store lands next to the previous
+//! one. An overwritten entry folds into its object's seed, except
+//! while it is still that object's newest update: it is then held
+//! aside until the object's next entry leaves the log. A window is
+//! the seed, the held entry and the object's entries in the log, of
+//! which all but the newest 23 fold into a copy of the seed — bounded,
+//! and never without the newest update a stale read skipped. Under
+//! CCv each object keeps a stamp-sorted log, cut at every drain.
+//!
 //! ## Determinism
 //!
 //! On a correct execution no suspicion ever fires, so the monitor's
 //! observable counters (`ops_checked`, `escalations = 0`) are pure
 //! functions of the workload — which is what lets `cbm-store` gate
 //! them next to its other deterministic columns. The *content* of an
-//! escalation (ring composition) depends on delivery interleaving,
+//! escalation (window composition) depends on delivery interleaving,
 //! but escalations only exist on runs that are already failing.
 
 use crate::verify::{verify_cc_window, verify_ccv_window};
 use crate::{check, Budget, Mode, Verdict};
 use cbm_adt::Adt;
 use cbm_history::{EventId, HistoryBuilder, Relation};
+use std::collections::HashMap;
 
 /// A Lamport stamp as the monitor sees it: logical time plus the
 /// stamping origin. (Deliberately a local type: `cbm-check` sits
@@ -229,100 +243,63 @@ cbm_adt::wire_struct!(MonitorStats {
 });
 
 /// Per-object shadow: independently-derived state, last-writer
-/// context for classification, and the bounded ring the escalation
-/// path rebuilds windows from.
+/// context for classification, and where the object's escalation
+/// window starts. The retained updates themselves live outside it, in
+/// the monitor's one log (CC) or its per-object arbitration logs
+/// (CCv), so the shadow table stays small enough to keep warm.
 #[derive(Debug, Clone)]
 struct Shadow<T: Adt> {
     /// Fold of applied updates in the discipline's order.
     state: T::State,
-    /// Escalation seed: the object's state when the ring was last
-    /// cut (construction, drain compaction, or recovery install).
+    /// Escalation seed: the fold of every applied update the object's
+    /// window no longer retains.
     seed: T::State,
-    /// Updates applied since the ring was last cut, in discipline
-    /// order (delivery order for CC, stamp order for CCv).
-    ring: Ring<T>,
     /// Updates ever applied (classification: initial-read patterns
     /// need to know whether any write exists in the past).
     writes: u64,
+    /// CC: log index of the object's newest update.
+    newest: u64,
+    /// CC: log index where the window was last cut (construction,
+    /// drain compaction, or recovery install): entries before it are
+    /// already in the seed.
+    since: u64,
+    /// CC: the monitor's `held` table has an entry for this object.
+    held: bool,
 }
 
+/// One applied update as the monitor retains it.
 #[derive(Debug, Clone)]
-struct RingEv<T: Adt> {
-    origin: usize,
-    stamp: Stamp,
+struct Entry<T: Adt> {
+    obj: u32,
+    origin: u32,
+    /// Lamport time (with `origin`, the update's [`Stamp`]).
+    time: u64,
     input: T::Input,
     /// Observed output for own events; `None` for remote updates
     /// (their outputs were observed elsewhere — hidden operations).
     output: Option<T::Output>,
 }
 
-/// The event log backing one object's shadow, kept as two
-/// generations. The CC hot path only ever *appends* to the current
-/// generation — a pure store, never a dependent load of a cold slot —
-/// and when the current generation reaches the cap, the previous one
-/// folds into the seed in one sequential pass and the two swap
-/// (pointer swap, no element ever moves). The CCv discipline keeps
-/// everything in the current generation (a stamp-sorted log cleared
-/// at every drain compaction).
-#[derive(Debug, Clone)]
-struct Ring<T: Adt> {
-    /// The previous generation (CC only; empty under CCv).
-    old: Vec<RingEv<T>>,
-    /// The generation being appended to.
-    cur: Vec<RingEv<T>>,
+impl<T: Adt> Entry<T> {
+    fn origin(&self) -> usize {
+        self.origin as usize
+    }
+
+    fn stamp(&self) -> Stamp {
+        Stamp::new(self.time, self.origin())
+    }
+
+    /// Arbitration key (stamp order).
+    fn key(&self) -> (u64, u32) {
+        (self.time, self.origin)
+    }
 }
 
-impl<T: Adt> Ring<T> {
-    fn with_capacity(cap: usize) -> Self {
-        Ring {
-            old: Vec::with_capacity(cap),
-            cur: Vec::with_capacity(cap),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.old.len() + self.cur.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.old.is_empty() && self.cur.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.old.clear();
-        self.cur.clear();
-    }
-
-    /// Entries oldest-to-newest (discipline order).
-    fn iter(&self) -> impl Iterator<Item = &RingEv<T>> {
-        self.old.iter().chain(self.cur.iter())
-    }
-
-    /// The `i`-th entry in discipline order.
-    fn get(&self, i: usize) -> &RingEv<T> {
-        if i < self.old.len() {
-            &self.old[i]
-        } else {
-            &self.cur[i - self.old.len()]
-        }
-    }
-
-    /// Newest entry.
-    fn last(&self) -> Option<&RingEv<T>> {
-        self.cur.last().or_else(|| self.old.last())
-    }
-
-    /// Append newest (CCv in-order path; `old` must be empty).
-    fn push(&mut self, ev: RingEv<T>) {
-        debug_assert!(self.old.is_empty());
-        self.cur.push(ev);
-    }
-
-    /// Insert at discipline position `pos` (CCv out-of-order path).
-    fn insert(&mut self, pos: usize, ev: RingEv<T>) {
-        debug_assert!(self.old.is_empty());
-        self.cur.insert(pos, ev);
-    }
+/// An object's escalation window: the state it starts from and the
+/// updates applied after it, oldest first (discipline order).
+struct Window<'a, T: Adt> {
+    seed: T::State,
+    evs: Vec<&'a Entry<T>>,
 }
 
 /// An [`Adt`] adapter that replays from a captured snapshot instead
@@ -377,6 +354,21 @@ pub struct Monitor<T: Adt> {
     /// The pristine initial state (initial-read classification).
     initial: T::State,
     shadows: Vec<Shadow<T>>,
+    /// CC: every applied update of every object in delivery order, a
+    /// circular log of `log_mask + 1` entries. An append is a
+    /// sequential store; the entry it overwrites folds into its
+    /// object's seed (see [`Monitor::evict`]).
+    log: Vec<Entry<T>>,
+    log_mask: usize,
+    /// Log index of the next append (CC updates folded so far).
+    head: u64,
+    /// CC: entries evicted from the log while still their object's
+    /// newest update, so that every window keeps it. Each folds into
+    /// its seed when the object's next entry is evicted.
+    held: HashMap<u32, Entry<T>>,
+    /// CCv: per-object stamp-sorted logs of the updates applied since
+    /// the last drain.
+    arb: Vec<Vec<Entry<T>>>,
     /// Per-origin last delivered Lamport time (CyclicCO automaton).
     last_ts: Vec<Option<u64>>,
     /// Per-origin applied-update counts: the monitor's co/hb
@@ -384,19 +376,15 @@ pub struct Monitor<T: Adt> {
     /// the engine.
     delivered: Vec<u64>,
     budget: Budget,
-    /// CC ring cap: the ring retains between `cap` and `2*cap - 1`
-    /// entries; each time it fills, the oldest `cap` fold exactly
-    /// into the seed in one amortized pass.
-    ring_cap: usize,
     /// Largest window the kernel search accepts; larger windows still
     /// get the exact witness check but report `Verdict::Unknown`.
     max_kernel_events: usize,
     stats: MonitorStats,
 }
 
-/// Default CC ring cap: an object retains between this many and one
-/// less than twice this many events (appends are batched into the
-/// seed `cap` at a time to stay off the fold's critical path).
+/// Default CC window cap: an escalation window holds at most one less
+/// than twice this many updates, and the CC log retains this many per
+/// object on average.
 pub(crate) const DEFAULT_RING_CAP: usize = 12;
 /// Default bound on escalation windows handed to the DFS kernel.
 pub(crate) const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
@@ -406,26 +394,36 @@ impl<T: Adt + Clone> Monitor<T> {
     /// running at replica `me`.
     pub fn new(adt: T, mode: Mode, objects: usize, origins: usize, me: usize) -> Self {
         let initial = adt.initial();
-        let shadows = (0..objects.max(1))
+        let objects = objects.max(1);
+        let shadows = (0..objects)
             .map(|_| Shadow {
                 state: initial.clone(),
                 seed: initial.clone(),
-                // capacity for both generations up front, so the
-                // hot path never reallocates
-                ring: Ring::with_capacity(DEFAULT_RING_CAP),
                 writes: 0,
+                newest: 0,
+                since: 0,
+                held: false,
             })
             .collect();
+        let (log_cap, arb) = match mode {
+            Mode::Causal => ((objects * DEFAULT_RING_CAP).next_power_of_two(), Vec::new()),
+            Mode::Convergent => (0, (0..objects).map(|_| Vec::new()).collect()),
+        };
         Monitor {
             adt,
             mode,
             me,
             initial,
             shadows,
+            // capacity up front, so the hot path never reallocates
+            log: Vec::with_capacity(log_cap),
+            log_mask: log_cap.saturating_sub(1),
+            head: 0,
+            held: HashMap::new(),
+            arb,
             last_ts: vec![None; origins.max(1)],
             delivered: vec![0; origins.max(1)],
             budget: Budget::nodes(200_000),
-            ring_cap: DEFAULT_RING_CAP,
             max_kernel_events: DEFAULT_MAX_KERNEL_EVENTS,
             stats: MonitorStats::default(),
         }
@@ -451,16 +449,13 @@ impl<T: Adt + Clone> Monitor<T> {
             }
         }
         if self.adt.is_update(input) {
-            let stamp = Stamp::new(time, self.me);
-            self.fold(
+            self.fold(Entry {
                 obj,
-                RingEv {
-                    origin: self.me,
-                    stamp,
-                    input: input.clone(),
-                    output: Some(output.clone()),
-                },
-            );
+                origin: self.me as u32,
+                time,
+                input: input.clone(),
+                output: Some(output.clone()),
+            });
             self.last_ts[self.me] = Some(time);
         }
         esc
@@ -493,15 +488,13 @@ impl<T: Adt + Clone> Monitor<T> {
             }
         }
         self.last_ts[stamp.origin] = Some(stamp.time);
-        self.fold(
+        self.fold(Entry {
             obj,
-            RingEv {
-                origin: stamp.origin,
-                stamp,
-                input: input.clone(),
-                output: None,
-            },
-        );
+            origin: stamp.origin as u32,
+            time: stamp.time,
+            input: input.clone(),
+            output: None,
+        });
         esc
     }
 
@@ -522,28 +515,27 @@ impl<T: Adt + Clone> Monitor<T> {
         Some(self.escalate(obj, input, Some(output), pattern))
     }
 
-    /// Fold one applied update into the object's shadow.
-    fn fold(&mut self, obj: u32, ev: RingEv<T>) {
-        let cap = self.ring_cap;
-        let sh = &mut self.shadows[obj as usize];
+    /// Fold one applied update into its object's shadow.
+    fn fold(&mut self, ev: Entry<T>) {
+        let obj = ev.obj as usize;
+        let sh = &mut self.shadows[obj];
         sh.writes += 1;
         match self.mode {
             Mode::Causal => {
-                // delivery-order fold: amortized O(1). Appending to
-                // the current generation is a pure store; when it
-                // fills, the previous generation folds exactly into
-                // the seed in one sequential pass and the two swap —
-                // a pointer swap, so no element is ever moved. This
-                // is the layout that keeps the monitor's per-fold tax
-                // within the committed hot-path budget.
+                // delivery-order fold: O(1). The update goes to the
+                // one log, a sequential store whatever the object;
+                // the entry it overwrites, if the log has wrapped,
+                // folds into its own object's seed.
                 sh.state = self.adt.transition(&sh.state, &ev.input);
-                sh.ring.cur.push(ev);
-                if sh.ring.cur.len() >= cap {
-                    for e in &sh.ring.old {
-                        sh.seed = self.adt.transition(&sh.seed, &e.input);
-                    }
-                    std::mem::swap(&mut sh.ring.old, &mut sh.ring.cur);
-                    sh.ring.cur.clear();
+                sh.newest = self.head;
+                let at = self.head as usize & self.log_mask;
+                self.head += 1;
+                if at == self.log.len() {
+                    self.log.push(ev);
+                } else {
+                    let old = std::mem::replace(&mut self.log[at], ev);
+                    let idx = self.head - 1 - self.log.len() as u64;
+                    self.evict(old, idx);
                 }
             }
             Mode::Convergent => {
@@ -552,27 +544,19 @@ impl<T: Adt + Clone> Monitor<T> {
                 // out-of-order inserts refold from the seed — the
                 // same amortized profile as the replica's own
                 // arbitration log, but derived independently. The
-                // ring is uncapped between drains (compaction points
+                // log is uncapped between drains (compaction points
                 // are the only stamps-ordered cuts).
-                let key = (ev.stamp.time, ev.stamp.origin);
-                let at_end = sh
-                    .ring
-                    .last()
-                    .map(|b| (b.stamp.time, b.stamp.origin) < key)
-                    .unwrap_or(true);
+                let log = &mut self.arb[obj];
+                let key = ev.key();
+                let at_end = log.last().map(|b| b.key() < key).unwrap_or(true);
                 if at_end {
-                    sh.ring.push(ev);
-                    let input = &sh.ring.last().expect("just pushed").input;
-                    sh.state = self.adt.transition(&sh.state, input);
+                    sh.state = self.adt.transition(&sh.state, &ev.input);
+                    log.push(ev);
                 } else {
-                    let pos = sh
-                        .ring
-                        .iter()
-                        .position(|e| (e.stamp.time, e.stamp.origin) > key)
-                        .unwrap_or(sh.ring.len());
-                    sh.ring.insert(pos, ev);
+                    let pos = log.partition_point(|e| e.key() <= key);
+                    log.insert(pos, ev);
                     let mut st = sh.seed.clone();
-                    for e in sh.ring.iter() {
+                    for e in log.iter() {
                         st = self.adt.transition(&st, &e.input);
                     }
                     sh.state = st;
@@ -581,24 +565,82 @@ impl<T: Adt + Clone> Monitor<T> {
         }
     }
 
+    /// CC: the log overwrote `e`, appended at log index `idx`. An
+    /// entry from before its object's last cut is already in the
+    /// seed; otherwise the object's held entry (older than `e`) folds
+    /// into the seed, and `e` either follows it or, while it is still
+    /// the object's newest update, is held in its place.
+    fn evict(&mut self, e: Entry<T>, idx: u64) {
+        let sh = &mut self.shadows[e.obj as usize];
+        if idx < sh.since {
+            return;
+        }
+        if sh.held {
+            let h = self.held.remove(&e.obj).expect("held flag without entry");
+            sh.seed = self.adt.transition(&sh.seed, &h.input);
+            sh.held = false;
+        }
+        if idx == sh.newest {
+            sh.held = true;
+            self.held.insert(e.obj, e);
+        } else {
+            sh.seed = self.adt.transition(&sh.seed, &e.input);
+        }
+    }
+
+    /// The escalation window of `obj`. Under CC it is built from the
+    /// seed, the held entry (if any) and the object's entries in the
+    /// log; all but the newest `2·cap − 1` fold into the copy of the
+    /// seed, so a window is bounded and always holds the object's
+    /// newest update. Under CCv it is the seed and the object's whole
+    /// arbitration log.
+    fn window(&self, obj: u32) -> Window<'_, T> {
+        let sh = &self.shadows[obj as usize];
+        let mut seed = sh.seed.clone();
+        let evs = match self.mode {
+            Mode::Causal => {
+                let mut evs: Vec<&Entry<T>> = self.held.get(&obj).into_iter().collect();
+                let from = sh
+                    .since
+                    .max(self.head.saturating_sub(self.log.len() as u64));
+                evs.extend(
+                    (from..self.head)
+                        .map(|i| &self.log[i as usize & self.log_mask])
+                        .filter(|e| e.obj == obj),
+                );
+                let excess = evs.len().saturating_sub(2 * DEFAULT_RING_CAP - 1);
+                for e in evs.drain(..excess) {
+                    seed = self.adt.transition(&seed, &e.input);
+                }
+                evs
+            }
+            Mode::Convergent => self.arb[obj as usize].iter().collect(),
+        };
+        Window { seed, evs }
+    }
+
     /// Classify a query mismatch into the bad-pattern family from the
     /// O(1) last-writer context.
     fn classify(&self, obj: u32, input: &T::Input, output: &T::Output) -> BadPattern {
-        let sh = &self.shadows[obj as usize];
-        if sh.writes == 0 {
+        if self.shadows[obj as usize].writes == 0 {
             return BadPattern::ThinAirRead { obj };
         }
+        // state-before-last-update (CC) / fold minus the arbitration-
+        // maximal update (CCv), recomputed here (suspicion path only)
+        // so the hot fold never maintains it
+        let win = self.window(obj);
+        let n = win.evs.len();
+        let mut prev = win.seed;
+        for e in &win.evs[..n.saturating_sub(1)] {
+            prev = self.adt.transition(&prev, &e.input);
+        }
+        let skipped_last = self.adt.output_matches(&prev, input, output);
+        let init_read = self.adt.output_matches(&self.initial, input, output);
         match self.mode {
             Mode::Causal => {
-                // state-before-last-update, recomputed here (suspicion
-                // path only) so the hot fold never maintains it
-                let mut prev = sh.seed.clone();
-                for e in sh.ring.iter().take(sh.ring.len().saturating_sub(1)) {
-                    prev = self.adt.transition(&prev, &e.input);
-                }
-                if self.adt.output_matches(&prev, input, output) {
+                if skipped_last {
                     BadPattern::WriteCoRead { obj }
-                } else if self.adt.output_matches(&self.initial, input, output) {
+                } else if init_read {
                     BadPattern::WriteCoInitRead { obj }
                 } else {
                     BadPattern::ThinAirRead { obj }
@@ -606,27 +648,21 @@ impl<T: Adt + Clone> Monitor<T> {
             }
             Mode::Convergent => {
                 // init-read first: with a single arbitrated update,
-                // "fold minus the winner" is the initial state too
-                if self.adt.output_matches(&self.initial, input, output) {
-                    return BadPattern::WriteHbInitRead { obj };
+                // "fold minus the winner" is the initial state too;
+                // otherwise, does the output ignore exactly the
+                // conflict winner?
+                if init_read {
+                    BadPattern::WriteHbInitRead { obj }
+                } else if n > 0 && skipped_last {
+                    BadPattern::CyclicCf { obj }
+                } else {
+                    BadPattern::ThinAirRead { obj }
                 }
-                // fold minus the arbitration-maximal update: does the
-                // output ignore exactly the conflict winner?
-                if !sh.ring.is_empty() {
-                    let mut st = sh.seed.clone();
-                    for e in sh.ring.iter().take(sh.ring.len() - 1) {
-                        st = self.adt.transition(&st, &e.input);
-                    }
-                    if self.adt.output_matches(&st, input, output) {
-                        return BadPattern::CyclicCf { obj };
-                    }
-                }
-                BadPattern::ThinAirRead { obj }
             }
         }
     }
 
-    /// Rebuild the minimal implicated window (the object's ring plus
+    /// Rebuild the minimal implicated window (the object's window plus
     /// the suspect query) and re-check it exactly: witness first, then
     /// the bounded kernel from the [`Seeded`] snapshot.
     fn escalate(
@@ -637,49 +673,48 @@ impl<T: Adt + Clone> Monitor<T> {
         pattern: BadPattern,
     ) -> Escalation {
         self.stats.escalations += 1;
-        let sh = &self.shadows[obj as usize];
+        let Window { seed, evs } = self.window(obj);
 
-        // processes of the micro-history: every origin in the ring
+        // processes of the micro-history: every origin in the window
         // plus the querying replica, in id order (determinism)
-        let mut origins: Vec<usize> = sh.ring.iter().map(|e| e.origin).collect();
+        let mut origins: Vec<usize> = evs.iter().map(|e| e.origin()).collect();
         origins.push(self.me);
         origins.sort_unstable();
         origins.dedup();
         let pidx = |o: usize| origins.binary_search(&o).expect("origin registered");
 
-        // program order per origin = ring order restricted to it (the
-        // discipline folds each origin's updates in its issue order)
+        // program order per origin = window order restricted to it
+        // (the discipline folds each origin's updates in its issue
+        // order)
         let mut b: HistoryBuilder<T::Input, T::Output> = HistoryBuilder::new();
-        let mut ring_ids: Vec<EventId> = Vec::with_capacity(sh.ring.len());
-        let mut stamps: Vec<Stamp> = Vec::with_capacity(sh.ring.len() + 1);
+        let mut win_ids: Vec<EventId> = Vec::with_capacity(evs.len());
+        let mut stamps: Vec<Stamp> = Vec::with_capacity(evs.len() + 1);
         for o in &origins {
-            for e in sh.ring.iter().filter(|e| e.origin == *o) {
+            for e in evs.iter().filter(|e| e.origin() == *o) {
                 let id = match &e.output {
                     Some(out) => b.op(pidx(*o), e.input.clone(), out.clone()),
                     None => b.hidden(pidx(*o), e.input.clone()),
                 };
-                ring_ids.push(id);
-                stamps.push(e.stamp);
+                win_ids.push(id);
+                stamps.push(e.stamp());
             }
         }
-        // ring_ids above is grouped by origin; rebuild delivery order
-        // (the order of the ring itself) for the apply-order witness
-        let mut by_ring: Vec<EventId> = Vec::with_capacity(sh.ring.len());
+        // win_ids above is grouped by origin; rebuild delivery order
+        // (the order of the window itself) for the apply-order witness
+        let mut by_win: Vec<EventId> = Vec::with_capacity(evs.len());
         {
-            let mut next: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            let mut grouped: std::collections::HashMap<usize, Vec<EventId>> =
-                std::collections::HashMap::new();
+            let mut next: HashMap<usize, usize> = HashMap::new();
+            let mut grouped: HashMap<usize, Vec<EventId>> = HashMap::new();
             let mut k = 0usize;
             for o in &origins {
-                let cnt = sh.ring.iter().filter(|e| e.origin == *o).count();
-                grouped.insert(*o, ring_ids[k..k + cnt].to_vec());
+                let cnt = evs.iter().filter(|e| e.origin() == *o).count();
+                grouped.insert(*o, win_ids[k..k + cnt].to_vec());
                 next.insert(*o, 0);
                 k += cnt;
             }
-            for e in sh.ring.iter() {
-                let i = next.get_mut(&e.origin).expect("grouped");
-                by_ring.push(grouped[&e.origin][*i]);
+            for e in &evs {
+                let i = next.get_mut(&e.origin()).expect("grouped");
+                by_win.push(grouped[&e.origin()][*i]);
                 *i += 1;
             }
         }
@@ -695,10 +730,9 @@ impl<T: Adt + Clone> Monitor<T> {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         {
             // per-origin chains
-            let mut last: std::collections::HashMap<usize, EventId> =
-                std::collections::HashMap::new();
-            for (id, e) in ring_ids.iter().zip(sh.ring.iter()) {
-                if let Some(prev) = last.insert(e.origin, *id) {
+            let mut last: HashMap<usize, EventId> = HashMap::new();
+            for (id, e) in win_ids.iter().zip(evs.iter()) {
+                if let Some(prev) = last.insert(e.origin(), *id) {
                     edges.push((prev.idx(), id.idx()));
                 }
             }
@@ -706,11 +740,11 @@ impl<T: Adt + Clone> Monitor<T> {
                 edges.push((prev.idx(), query_id.idx()));
             }
             // everything applied before the query is in its causal
-            // past at this replica; own ring events likewise saw the
-            // ring prefix before them
-            for (i, id) in by_ring.iter().enumerate() {
-                if sh.ring.get(i).origin == self.me {
-                    for prior in &by_ring[..i] {
+            // past at this replica; own window events likewise saw
+            // the window prefix before them
+            for (i, id) in by_win.iter().enumerate() {
+                if evs[i].origin() == self.me {
+                    for prior in &by_win[..i] {
                         edges.push((prior.idx(), id.idx()));
                     }
                 }
@@ -720,32 +754,32 @@ impl<T: Adt + Clone> Monitor<T> {
         let witness = match Relation::from_edges(m, &edges) {
             None => Err("witnessed delivery order is cyclic".to_string()),
             Some(causal) => {
-                // the replica's apply order: ring in delivery order,
+                // the replica's apply order: window in delivery order,
                 // then the query; own events carry checked outputs
                 let me_p = pidx(self.me);
                 let mut apply: Vec<Vec<EventId>> = vec![Vec::new(); origins.len()];
-                apply[me_p] = by_ring.iter().copied().chain([query_id]).collect();
+                apply[me_p] = by_win.iter().copied().chain([query_id]).collect();
                 let mut own: Vec<Vec<EventId>> = vec![Vec::new(); origins.len()];
-                own[me_p] = by_ring
+                own[me_p] = by_win
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| sh.ring.get(*i).origin == self.me)
+                    .filter(|(i, _)| evs[*i].origin() == self.me)
                     .map(|(_, id)| *id)
                     .chain([query_id])
                     .collect();
                 match self.mode {
                     Mode::Causal => {
-                        let initials: Vec<T::State> = vec![sh.seed.clone(); origins.len()];
+                        let initials: Vec<T::State> = vec![seed.clone(); origins.len()];
                         verify_cc_window(&self.adt, &h, &causal, &apply, &own, &initials)
                             .map_err(|e| format!("{e:?}"))
                     }
                     Mode::Convergent => {
-                        // arbitration total order: ring stamps (the
-                        // ring is stamp-sorted under CCv), query last
+                        // arbitration total order: window stamps (the
+                        // window is stamp-sorted under CCv), query last
                         let mut order: Vec<(Stamp, EventId)> = stamps
                             .iter()
                             .copied()
-                            .zip(ring_ids.iter().copied())
+                            .zip(win_ids.iter().copied())
                             .collect();
                         order.sort_by_key(|(s, _)| (s.time, s.origin));
                         let total: Vec<EventId> = order
@@ -753,7 +787,7 @@ impl<T: Adt + Clone> Monitor<T> {
                             .map(|(_, id)| id)
                             .chain([query_id])
                             .collect();
-                        verify_ccv_window(&self.adt, &h, &causal, &total, 1, &sh.seed)
+                        verify_ccv_window(&self.adt, &h, &causal, &total, 1, &seed)
                             .map_err(|e| format!("{e:?}"))
                     }
                 }
@@ -762,7 +796,7 @@ impl<T: Adt + Clone> Monitor<T> {
 
         // criterion-level: does *any* causal order explain the window?
         let (verdict, nodes_used) = if m <= self.max_kernel_events {
-            let seeded = Seeded::new(&self.adt, sh.seed.clone());
+            let seeded = Seeded::new(&self.adt, seed);
             let criterion = self.mode.checked();
             let r = check(criterion, &seeded, &h, &self.budget);
             (r.verdict, r.nodes_used)
@@ -786,26 +820,37 @@ impl<T: Adt + Clone> Monitor<T> {
         }
     }
 
-    /// Drain compaction: every ring is cut at a stamps-ordered point
+    /// Drain compaction: every window is cut at a stamps-ordered point
     /// (all later Lamport times exceed all folded ones), so the seed
     /// absorbs the fold and the escalation window restarts empty.
     pub fn on_drain(&mut self) {
         for sh in &mut self.shadows {
             sh.seed = sh.state.clone();
-            sh.ring.clear();
+            sh.since = self.head;
+            sh.held = false;
+        }
+        self.held.clear();
+        for log in &mut self.arb {
+            log.clear();
         }
     }
 
     /// Crash recovery: the replica installed `state` for `slot` from
-    /// a co-replica transfer. The shadow restarts from it — ring and
+    /// a co-replica transfer. The shadow restarts from it — window and
     /// last-writer context cleared, so no escalation window rebuilt
     /// after this point can contain pre-crash placeholders.
     pub fn install_slot(&mut self, slot: usize, state: &T::State) {
         let sh = &mut self.shadows[slot];
         sh.state = state.clone();
         sh.seed = state.clone();
-        sh.ring.clear();
+        sh.since = self.head;
         sh.writes = 0;
+        if std::mem::take(&mut sh.held) {
+            self.held.remove(&(slot as u32));
+        }
+        if let Some(log) = self.arb.get_mut(slot) {
+            log.clear();
+        }
     }
 
     /// Recovery resync: restart the per-origin frontier (post-recovery
@@ -1109,5 +1154,129 @@ mod tests {
         codes.dedup();
         assert_eq!(codes.len(), all.len(), "codes must be distinct");
         assert_eq!(BadPattern::CyclicCf { obj: 0 }.name(), "cyclic_cf");
+    }
+
+    #[test]
+    fn stale_read_past_the_whole_log_keeps_the_overwrite() {
+        let mut m = CcMonitor::new(Register, 2, 2, 0);
+        m.on_delivered(0, &w(5), Stamp::new(1, 1));
+        m.on_delivered(0, &w(7), Stamp::new(2, 1));
+        // traffic on object 1 overwrites the whole log: object 0's
+        // two writes are older than every entry in it
+        let log = (2 * DEFAULT_RING_CAP).next_power_of_two() as u64;
+        for i in 0..log {
+            m.on_delivered(1, &w(100 + i), Stamp::new(3 + i, 1));
+        }
+        assert!(m.log.iter().all(|e| e.obj == 1));
+        let newest: Vec<RegInput> = m.window(0).evs.iter().map(|e| e.input).collect();
+        assert_eq!(newest, vec![w(7)], "the overwrite stays in the window");
+        // the replica skipped that overwrite
+        let esc = m
+            .on_own(0, &RegInput::Read, &RegOutput::Val(5), 3 + log)
+            .expect("stale read must escalate");
+        assert_eq!(esc.pattern, BadPattern::WriteCoRead { obj: 0 });
+        assert!(esc.confirmed(), "{:?}", esc.witness);
+        assert_eq!(esc.verdict, Verdict::Sat);
+        assert_eq!(esc.events, 2, "held overwrite + query");
+    }
+
+    mod log_props {
+        use super::*;
+        use cbm_adt::counter::{Counter, CtInput, CtOutput};
+        use proptest::prelude::*;
+
+        fn add(n: i64) -> CtInput {
+            CtInput::Add(n)
+        }
+
+        /// One step of a random CC monitor stream over a few objects
+        /// (a counter, so every update moves the state and a fold
+        /// the seed missed shows).
+        #[derive(Debug, Clone)]
+        enum Op {
+            Own(u32, i64),
+            Read(u32),
+            Delivered(u32, i64, usize),
+            /// `n` remote writes to one object in a row.
+            Burst(u32, usize),
+            Drain,
+            Install(u32, i64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (0u32..100, 0u32..OBJECTS, 1i64..1000, 1usize..3, 1usize..80).prop_map(
+                |(k, obj, v, origin, n)| match k {
+                    0..=29 => Op::Own(obj, v),
+                    30..=39 => Op::Read(obj),
+                    40..=84 => Op::Delivered(obj, v, origin),
+                    85..=93 => Op::Burst(obj, n),
+                    94..=96 => Op::Drain,
+                    _ => Op::Install(obj, v),
+                },
+            )
+        }
+
+        const OBJECTS: u32 = 4;
+
+        proptest! {
+            /// After every step, for every object: its window folds
+            /// from the window's seed to the shadow state, holds at
+            /// most `2·cap − 1` updates, and ends with the object's
+            /// newest update since its last cut. The 64-entry log
+            /// wraps many times per case.
+            #[test]
+            fn windows_fold_to_the_shadow_and_keep_the_newest(
+                ops in prop::collection::vec(op(), 1..400),
+            ) {
+                let mut m = CcMonitor::new(Counter, OBJECTS as usize, 3, 0);
+                let mut newest: Vec<Option<Stamp>> = vec![None; OBJECTS as usize];
+                let mut t = 0u64;
+                for op in &ops {
+                    match *op {
+                        Op::Own(obj, v) => {
+                            t += 1;
+                            m.on_own(obj, &add(v), &CtOutput::Ack, t);
+                            newest[obj as usize] = Some(Stamp::new(t, 0));
+                        }
+                        Op::Read(obj) => {
+                            t += 1;
+                            let v = m.shadows[obj as usize].state;
+                            let esc = m.on_own(obj, &CtInput::Read, &CtOutput::Val(v), t);
+                            prop_assert!(esc.is_none());
+                        }
+                        Op::Delivered(obj, v, origin) => {
+                            t += 1;
+                            m.on_delivered(obj, &add(v), Stamp::new(t, origin));
+                            newest[obj as usize] = Some(Stamp::new(t, origin));
+                        }
+                        Op::Burst(obj, n) => {
+                            for i in 0..n as u64 {
+                                t += 1;
+                                m.on_delivered(obj, &add(i as i64 + 1), Stamp::new(t, 1));
+                            }
+                            newest[obj as usize] = Some(Stamp::new(t, 1));
+                        }
+                        Op::Drain => {
+                            m.on_drain();
+                            newest.iter_mut().for_each(|n| *n = None);
+                        }
+                        Op::Install(obj, v) => {
+                            m.install_slot(obj as usize, &v);
+                            newest[obj as usize] = None;
+                        }
+                    }
+                    for obj in 0..OBJECTS {
+                        let win = m.window(obj);
+                        let mut st = win.seed;
+                        for e in &win.evs {
+                            st = Counter.transition(&st, &e.input);
+                        }
+                        prop_assert_eq!(st, m.shadows[obj as usize].state);
+                        prop_assert!(win.evs.len() < 2 * DEFAULT_RING_CAP);
+                        prop_assert_eq!(win.evs.last().map(|e| e.stamp()), newest[obj as usize]);
+                    }
+                }
+            }
+        }
     }
 }
