@@ -496,7 +496,7 @@ fn quick_matrix() -> Vec<Leg> {
         ),
         // the convergent refold path: counter increments never
         // overwrite, so a late arrival refolds `ArbLog` (a register
-        // write ends the log instead)
+        // write becomes the log's floor instead)
         Leg {
             name: "ccv-4w-64o-b8-ctr-quick".into(),
             cfg: leg_config(Mode::Convergent, 4, 64, 4_000, b8, 1_000, 24),

@@ -26,8 +26,11 @@
 //! the log (`cbm_adt::arbitration::ArbLog`) replays from its last
 //! checkpoint before the insert, one every 32 entries, so a delivery
 //! costs at most 32 steps plus the entries it is ordered before. An
-//! update that overwrites the whole state (a register write) ends the
-//! log, and one ordered before it is absorbed unlogged. The live store
+//! update that overwrites the whole state (a register write) becomes
+//! the log's floor, folded into its seed, and one ordered before it is
+//! absorbed unlogged. Stability compaction counts the floor as the
+//! log's first key; a register's floor is its newest write, which the
+//! horizon never passes, so a register log stays one key. The live store
 //! shares the log. Its registers never refold, so the benchmark's
 //! `convergent_hot` workload reads a `refold_share` of 0; the loadgen
 //! quick leg `ccv-4w-64o-b8-ctr-quick` runs a counter space, whose
@@ -388,6 +391,54 @@ mod register_tests {
             assert_eq!(r.log_len(), 1, "only the newest write is logged");
             assert_eq!(arbitration(r), vec![0, 1, 2, 3]);
         }
+    }
+
+    /// Two replicas take turns with `op(i)`, each delivered at once;
+    /// the first compacts every stable key. Returns (compacting, plain).
+    fn take_turns<T: Adt + Clone>(
+        adt: T,
+        rounds: u64,
+        op: impl Fn(u64) -> T::Input,
+    ) -> (ConvergentShared<T>, ConvergentShared<T>) {
+        let mut reps = [
+            ConvergentShared::new_replica(0, 2, adt.clone()).with_compaction(1),
+            ConvergentShared::new_replica(1, 2, adt),
+        ];
+        for i in 0..rounds {
+            let me = (i % 2) as usize;
+            let mut out = Vec::new();
+            reps[me].invoke(i, &op(i), &mut out);
+            deliver_each(&mut reps, me, out);
+        }
+        let [a, b] = reps;
+        (a, b)
+    }
+
+    /// Stability compaction runs after every delivery, across the
+    /// floor. A register's floor is its newest write, which no peer has
+    /// yet passed, so the horizon never reaches it: the log stays one
+    /// key and nothing compacts. Where updates after the floor are
+    /// logged, compaction folds the floor and them into the seed and
+    /// keeps the fold.
+    #[test]
+    fn stability_compaction_runs_across_the_floor() {
+        let (a, b) = take_turns(Register, 60, RegInput::Write);
+        assert_eq!(a.peek(&RegInput::Read), RegOutput::Val(59));
+        assert_eq!(a.local_state(), b.local_state());
+        assert_eq!((a.log_len(), a.compacted()), (1, 0));
+
+        use cbm_adt::arbitration::testing::{SaInput, SetAdd};
+        let set_add = |i: u64| {
+            if i.is_multiple_of(5) {
+                SaInput::Set(i)
+            } else {
+                SaInput::Add(i)
+            }
+        };
+        let (a, b) = take_turns(SetAdd, 60, set_add);
+        assert_eq!(a.local_state(), b.local_state());
+        assert_eq!(b.log_len(), 5, "the floor at 55 and four adds");
+        assert!(a.compacted() > 0 && a.log_len() < b.log_len());
     }
 }
 

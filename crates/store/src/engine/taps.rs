@@ -39,7 +39,7 @@ use super::sampler::OpSampler;
 use crate::chaos::CrashSpan;
 use crate::config::StoreConfig;
 use crate::durable::{self, EpochLog, LogCounts, LogError, Recovered, SealInfo};
-use crate::objects::ObjectTable;
+use crate::objects::{slot_of, ObjectTable};
 use crate::record::{OwnEvent, WindowRecord, WindowRecorder};
 use crate::shard::ShardMap;
 use crate::stats::{LatencySummary, MonitorEscalation};
@@ -118,10 +118,6 @@ pub(super) struct Taps<'a, T: Adt> {
     /// certifies against a delivery-order shadow fold, CCv against an
     /// independent Lamport-arbitrated one.
     monitor: Option<Monitor<T>>,
-    /// `objects - 1` when the object count is a power of two: lets the
-    /// monitor hooks slot an object with a mask instead of an integer
-    /// division on the hot path.
-    mon_slot_mask: Option<u32>,
     /// Monitor hook call counter (timing stride).
     mon_tick: u64,
     /// Estimated nanoseconds in monitor hooks: every 64th call is
@@ -200,7 +196,6 @@ where
             map,
             t0,
             monitor,
-            mon_slot_mask: objects.is_power_of_two().then(|| (objects - 1) as u32),
             mon_tick: 0,
             mon_ns: 0,
             escalations: Vec::new(),
@@ -324,12 +319,8 @@ where
         let Some(monitor) = self.monitor.as_mut() else {
             return;
         };
-        // `ObjectTable::slot` semantics, the modulo strength-reduced
-        // to a mask when possible
-        let slot = match self.mon_slot_mask {
-            Some(m) => obj & m,
-            None => (obj as usize % self.cfg.objects.max(1)) as u32,
-        };
+        // the monitor keeps each object's shadow in its table slot
+        let slot = slot_of(obj, self.cfg.objects.max(1)) as u32;
         self.mon_tick = self.mon_tick.wrapping_add(1);
         let t = (self.mon_tick & 63 == 0).then(now);
         let esc = hook(monitor, slot);

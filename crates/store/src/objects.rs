@@ -11,15 +11,23 @@
 //!   arrival refolds the object from the log's last checkpoint before
 //!   it (one every 32 entries), not from the epoch seed. An update that
 //!   overwrites the whole object ([`Adt::overwrites`], a register
-//!   write) drops the entries ordered before it, and one that arrives
-//!   ordered before such an update is absorbed unlogged, as Fig. 5
-//!   discards a write older than every cell. So a log holds the writes
-//!   since its newest overwrite, not the epoch: one entry for a
-//!   register. At every drain the engine calls
-//!   [`ObjectTable::compact`]: all replicas have delivered the same
-//!   set, every future timestamp exceeds every logged one, so the fold
-//!   becomes the new seed and the log is dropped — keeping memory
-//!   bounded by the epoch length, at worst, instead of the run length.
+//!   write) becomes the log's *floor*: it is folded into the log's
+//!   seed, never logged, and drops the entries ordered before it; one
+//!   that arrives ordered before the floor is absorbed unlogged, as
+//!   Fig. 5 discards a write older than every cell. So a log holds the
+//!   writes since its newest overwrite, not the epoch, and a register's
+//!   log is its floor's key beside its seed, with no entry at all. At
+//!   every drain the engine calls [`ObjectTable::compact`]: all
+//!   replicas have delivered the same set, every future timestamp
+//!   exceeds every logged one, so the fold becomes the new seed and the
+//!   log is dropped — keeping memory bounded by the epoch length, at
+//!   worst, instead of the run length. Debug builds check that premise:
+//!   a log keeps its highest key across the drain and refuses an update
+//!   ordered at or below it ("ordered before a compacted cut"); a
+//!   crash-recovery install forgets it.
+//!
+//! Object `obj` lives in slot `obj mod objects` (`slot_of`); the engine's
+//! monitor taps place its shadows by the same rule.
 
 use crate::config::Mode;
 use cbm_adt::arbitration::{ArbLog, Placed};
@@ -27,19 +35,30 @@ use cbm_adt::Adt;
 use cbm_net::clock::Timestamp;
 use std::hash::{Hash, Hasher};
 
+/// The slot rule: object `obj` lives in slot `obj mod objects`.
+///
+/// A plain remainder: a mask at a power-of-two count, or a remainder by
+/// multiplication, each made `ObjectTable::apply_update` too large to
+/// inline unasked, and a sequential causal replay then paid a call per
+/// update (`write_fanout_tcp` `setup_s` +10–27%).
+#[inline]
+pub(crate) fn slot_of(obj: u32, objects: usize) -> usize {
+    obj as usize % objects
+}
+
 /// Per-object replica state for one worker.
 pub struct ObjectTable<T: Adt> {
     /// Current state per object (the read path in both modes).
     states: Vec<T::State>,
     /// Convergent mode: per-object epoch log, seeded with the state at
-    /// the last compaction; `states` holds its fold.
+    /// the last compaction or at its floor; `states` holds its fold.
     logs: Vec<ArbLog<Timestamp, T>>,
     /// Mid-log inserts (arbitration work).
     pub refolds: u64,
     /// `δ` steps those inserts replayed.
     pub(crate) refold_steps: u64,
-    /// Updates ordered before an overwrite already logged: neither
-    /// logged nor folded.
+    /// Updates ordered before their log's floor, an overwrite already
+    /// folded: neither logged nor folded.
     pub(crate) absorbed: u64,
 }
 
@@ -61,7 +80,7 @@ impl<T: Adt> ObjectTable<T> {
     /// The slot an object id maps to.
     #[inline]
     pub fn slot(&self, obj: u32) -> usize {
-        obj as usize % self.states.len()
+        slot_of(obj, self.states.len())
     }
 
     /// Wait-free local read: `λ` on the addressed component.
@@ -104,13 +123,15 @@ impl<T: Adt> ObjectTable<T> {
     ///
     /// The cut is a drain point, so in convergent mode the snapshot is
     /// post-compaction state: it becomes both the current states and
-    /// the epoch seeds, and the arbitration logs restart empty — the
-    /// missed-envelope replay then applies on top exactly as live
-    /// delivery would have.
+    /// the epoch seeds, and the arbitration logs restart empty and
+    /// forget their keys — the missed-envelope replay then applies on
+    /// top exactly as live delivery would have.
     pub fn install(&mut self, snapshot: &[T::State]) {
         assert_eq!(snapshot.len(), self.states.len(), "snapshot arity");
         self.states = snapshot.to_vec();
-        self.compact();
+        for (log, state) in self.logs.iter_mut().zip(&self.states) {
+            log.install(state);
+        }
     }
 
     /// Install one shard's slot states at a consistent cut (partial-
@@ -126,7 +147,7 @@ impl<T: Adt> ObjectTable<T> {
         for (slot, state) in slots.zip(states) {
             self.states[slot] = state.clone();
             if let Some(log) = self.logs.get_mut(slot) {
-                log.reseed(state);
+                log.install(state);
             }
             n += 1;
         }
@@ -168,6 +189,7 @@ impl<T: Adt> ObjectTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbm_adt::arbitration::testing::{SaInput, SetAdd};
     use cbm_adt::arbitration::CHECKPOINT_INTERVAL;
     use cbm_adt::counter::{Counter, CtInput, CtOutput};
     use cbm_adt::queue::{FifoQueue, QInput};
@@ -288,10 +310,27 @@ mod tests {
         }
     }
 
+    /// A drain's premise is that no later update is ordered before what
+    /// it compacted; a crash-recovery install makes no such claim.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ordered before a compacted cut")]
+    fn an_update_ordered_before_a_drain_trips_in_debug_builds() {
+        let adt = Register;
+        let mut tab = ObjectTable::new(&adt, 1, Mode::Convergent);
+        tab.apply_update(&adt, 0, ts(5, 0), &RegInput::Write(5));
+        tab.install(&[7]);
+        tab.apply_update(&adt, 0, ts(3, 1), &RegInput::Write(3));
+        assert_eq!(tab.output(&adt, 0, &RegInput::Read), RegOutput::Val(3));
+        tab.compact();
+        tab.apply_update(&adt, 0, ts(2, 2), &RegInput::Write(2));
+    }
+
     /// One scripted update: `(lateness class, value, cut)`. Update `i`
     /// carries timestamp `i + 1` and arrives after the updates up to
     /// `i + hold-back`; `cut` may follow its arrival with a compaction
-    /// or an install of slot 1.
+    /// (a drain, or an install of every slot where an earlier update is
+    /// still in flight) or an install of slot 1.
     type Script = [(u32, u64, u32)];
 
     /// Late inserts [`check_arbitration`] saw: more than a checkpoint
@@ -343,7 +382,10 @@ mod tests {
         };
         let installed = adt.transition(&adt.initial(), &input(999));
         let mut depths = Depths::default();
+        // arrivals so far, and the latest update among them
+        let (mut arrived, mut latest) = (0, 0);
         for i in arrivals {
+            (arrived, latest) = (arrived + 1, latest.max(i));
             let (_, v, cut) = script[i];
             let (slot, at, op) = (v as usize % 2, ts(i as u64 + 1, i % 4), input(v));
             let (seed, entries, newest) = &mut model[slot];
@@ -386,7 +428,14 @@ mod tests {
             }
             match cut {
                 0..3 => {
-                    tab.compact();
+                    // a drain's premise: every update still in flight is
+                    // ordered after every one that arrived. Where it
+                    // fails, the same cut is a snapshot install.
+                    if arrived == latest + 1 {
+                        tab.compact();
+                    } else {
+                        tab.install(&tab.snapshot());
+                    }
                     for (slot, (seed, entries, newest)) in model.iter_mut().enumerate() {
                         *seed = tab.snapshot()[slot].clone();
                         entries.clear();
@@ -407,41 +456,7 @@ mod tests {
         Ok(depths)
     }
 
-    /// A test alphabet where a third of the updates overwrite: `Set`
-    /// replaces the state, `Add` folds its value in order-sensitively.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    enum SaInput {
-        Set(u64),
-        Add(u64),
-    }
-
-    struct SetAdd;
-
-    impl Adt for SetAdd {
-        type Input = SaInput;
-        type Output = u64;
-        type State = u64;
-
-        fn initial(&self) -> u64 {
-            0
-        }
-        fn transition(&self, q: &u64, i: &SaInput) -> u64 {
-            match *i {
-                SaInput::Set(v) => v,
-                SaInput::Add(v) => q.wrapping_mul(31).wrapping_add(v),
-            }
-        }
-        fn output(&self, q: &u64, _: &SaInput) -> u64 {
-            *q
-        }
-        fn kind(&self, _: &SaInput) -> cbm_adt::OpKind {
-            cbm_adt::OpKind::PureUpdate
-        }
-        fn overwrites(&self, i: &SaInput) -> bool {
-            matches!(i, SaInput::Set(_))
-        }
-    }
-
+    /// A third of the updates overwrite.
     fn set_add(v: u64) -> SaInput {
         if v.is_multiple_of(3) {
             SaInput::Set(v)

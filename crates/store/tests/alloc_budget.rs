@@ -8,9 +8,10 @@
 //! own stock first, then the engine's shared `BufPool`, which a full
 //! stock spills into — and a header is two arrays whatever its
 //! dirty-row count. This test runs one engine shaped like the
-//! benchmark's `write_fanout` under a counting global allocator, twice
-//! — fault-free, and with worker 3 crashed from op 50,000 to its
-//! recovery at op 150,000 — and holds each run to two budgets:
+//! benchmark's `write_fanout` under a counting global allocator, three
+//! times — fault-free, with worker 3 crashed from op 50,000 to its
+//! recovery at op 150,000, and fault-free over convergent registers —
+//! and holds each run to two budgets:
 //!
 //! * **allocation requests per operation** (`alloc` + `realloc`; the
 //!   replication path made 0.93 before envelopes moved and buffers
@@ -45,24 +46,43 @@
 //! into a log it made 0.34 requests per op and 4.1 large requests per
 //! batch; without the copies it makes about 0.09 and 1.2.
 //!
+//! The convergent leg runs registers in `Mode::Convergent` on the same
+//! path and budgets (0.053 – 0.058 requests per op in release builds,
+//! level with the causal legs): every register write becomes its
+//! object's arbitration floor, an inline `(key, state)` pair, so the
+//! Lamport arbitration adds no request. One convergent register table
+//! driven alone, with late writes and drains, pins that as an exact
+//! count of 0 (the log used to push each object's newest write into a
+//! vector, one allocation per object written). Debug builds keep every
+//! arbitration key since the last drain in a `BTreeSet`, for the
+//! applied-twice check, so both convergent counts are release-build
+//! budgets.
+//!
 //! The allocator wrapper is the workspace's only `unsafe` outside the
 //! library code: library crates stay `#![forbid(unsafe_code)]` but for
 //! `cbm-net`'s one call into its CRC fold kernel, and this test crate
 //! alone implements `GlobalAlloc`, by delegating to [`System`].
 
 use cbm_adt::counter::{Counter, CtInput};
+use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
+use cbm_adt::wire::Wire;
+use cbm_adt::Adt;
+use cbm_net::clock::Timestamp;
 use cbm_net::fault::{Fault, FaultPlan};
+use cbm_store::objects::ObjectTable;
 use cbm_store::{
     run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
 };
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Requests of at least this many bytes are "large".
 const LARGE: usize = 1024;
+/// Objects in every leg's space.
+const OBJECTS: u32 = 1024;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 /// `alloc` + `realloc` calls while counting.
@@ -100,22 +120,41 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One leg: a `write_fanout`-shaped engine run under `chaos`, counted
-/// from its start to its end and held to both budgets.
-fn leg(name: &str, chaos: FaultPlan) {
+/// One leg: a `write_fanout`-shaped engine run of `adt` in `mode` under
+/// `chaos` — 10% reads (`read`), the rest `update`s — counted from its
+/// start to its end and held to both budgets.
+fn leg<T>(
+    name: &str,
+    adt: &T,
+    mode: Mode,
+    chaos: FaultPlan,
+    read: T::Input,
+    update: impl Fn(&mut StdRng) -> T::Input + Sync,
+) where
+    T: Adt + Clone + Send + Sync,
+    T::Input: Wire + Send + Sync,
+    T::Output: Send,
+    T::State: Wire + Send + Sync,
+{
     const WORKERS: usize = 4;
     const OPS_PER_WORKER: usize = 200_000;
-    const OBJECTS: u32 = 1024;
     let cfg = StoreConfig {
         workers: WORKERS,
         objects: OBJECTS as usize,
         ops_per_worker: OPS_PER_WORKER,
-        mode: Mode::Causal,
+        mode,
         batch: BatchPolicy::Every(32),
         verify: VerifyConfig {
             every_ops: 50_000,
             window_ops: 48,
-            sample_every: 1,
+            // the CCv window check replays each sampled output from a
+            // clone of the whole space state (8 KiB here), about 45,000
+            // requests a run that are the verifier's, not the
+            // replication path's: it checks one output per window
+            sample_every: match mode {
+                Mode::Causal => 1,
+                Mode::Convergent => usize::MAX,
+            },
             monitor: false,
         },
         seed: 11,
@@ -128,12 +167,12 @@ fn leg(name: &str, chaos: FaultPlan) {
     REQUESTS.store(0, Relaxed);
     LARGE_REQUESTS.store(0, Relaxed);
     COUNTING.store(true, Relaxed);
-    let report = run(&Counter, &cfg, |_, _, rng: &mut StdRng| {
+    let report = run(adt, &cfg, |_, _, rng: &mut StdRng| {
         let obj = rng.gen_range(0..OBJECTS);
         if rng.gen_bool(0.10) {
-            SpaceInput::new(obj, CtInput::Read)
+            SpaceInput::new(obj, read.clone())
         } else {
-            SpaceInput::new(obj, CtInput::Add(rng.gen_range(1..100)))
+            SpaceInput::new(obj, update(rng))
         }
     });
     COUNTING.store(false, Relaxed);
@@ -177,10 +216,15 @@ fn leg(name: &str, chaos: FaultPlan) {
     eprintln!(
         "alloc_budget: [{name}] envelope buffers reused {reused} (pooled {pooled}), allocated {misses}"
     );
-    assert!(
-        per_op <= 0.12,
-        "{name}: {per_op:.3} allocation requests per op"
-    );
+    // debug builds keep every arbitration key since the last drain in a
+    // `BTreeSet` (`ArbLog`'s applied-twice check), which allocates as it
+    // grows: the convergent count is a release-build budget
+    if mode == Mode::Causal || !cfg!(debug_assertions) {
+        assert!(
+            per_op <= 0.12,
+            "{name}: {per_op:.3} allocation requests per op"
+        );
+    }
     assert!(
         large <= misses + batches / 2,
         "{name}: {large} requests of >= {LARGE} B: more than the {misses} stock and pool \
@@ -188,18 +232,74 @@ fn leg(name: &str, chaos: FaultPlan) {
     );
 }
 
-/// Both legs in one test, one after the other: the counters are
+/// A convergent register's arbitration log allocates nothing past
+/// set-up: every write becomes its object's floor or is absorbed behind
+/// it, in order or late, and a drain reseeds in place. Counted on one
+/// table, single-threaded, so the count is exact.
+fn register_table_allocates_nothing() {
+    const WRITES: u64 = 100_000;
+    let mut table = ObjectTable::new(&Register, OBJECTS as usize, Mode::Convergent);
+    let mut rng = StdRng::seed_from_u64(11);
+    REQUESTS.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    for chunk in 0..WRITES / 8 {
+        for j in 0..8 {
+            // every other chunk of eight arrives newest first, so its
+            // older writes to a hot object land behind newer ones
+            let t = chunk * 8 + if chunk % 2 == 1 { 7 - j } else { j };
+            let obj = rng.gen_range(0..16);
+            let ts = Timestamp::new(t, (t % 4) as usize);
+            table.apply_update(&Register, obj, ts, &RegInput::Write(t));
+        }
+        if chunk % 1_250 == 1_249 {
+            table.compact();
+        }
+    }
+    COUNTING.store(false, Relaxed);
+    let requests = REQUESTS.load(Relaxed);
+    eprintln!("alloc_budget: [register-table] {requests} allocation requests over {WRITES} writes");
+    assert_eq!(table.refolds, 0, "a register write never refolds");
+    // debug builds' applied-twice key set allocates as it grows
+    if !cfg!(debug_assertions) {
+        assert_eq!(requests, 0, "a register log allocates nothing");
+    }
+}
+
+/// Every leg in one test, one after the other: the counters are
 /// process-global, so two tests running at once would count each
 /// other's requests.
 #[test]
 fn replication_stays_inside_its_allocation_budget() {
-    leg("fault-free", FaultPlan::new());
+    let add = |rng: &mut StdRng| CtInput::Add(rng.gen_range(1..100));
+    leg(
+        "fault-free",
+        &Counter,
+        Mode::Causal,
+        FaultPlan::new(),
+        CtInput::Read,
+        add,
+    );
     // worker 3 is down for epochs 1 and 2: the plan loses nothing
     // between live replicas, so it keeps no repair log either
     leg(
         "crash",
+        &Counter,
+        Mode::Causal,
         FaultPlan::new()
             .at(50_000, Fault::Crash(3))
             .at(150_000, Fault::Recover(3)),
+        CtInput::Read,
+        add,
     );
+    // the same replication path in convergent mode, where every write
+    // is its object's arbitration floor
+    leg(
+        "convergent-register",
+        &Register,
+        Mode::Convergent,
+        FaultPlan::new(),
+        RegInput::Read,
+        |rng| RegInput::Write(rng.gen_range(1..100)),
+    );
+    register_table_allocates_nothing();
 }
