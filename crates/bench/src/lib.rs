@@ -121,7 +121,8 @@ impl Transport {
 pub enum Workload {
     /// The throughput-matrix register space: `read_ratio` of ops read
     /// (a `remote_read_ratio` fraction of those roaming to arbitrary —
-    /// possibly non-hosted — objects), the rest write random values.
+    /// possibly non-hosted — objects), the rest write values unique
+    /// per `(worker, op index)` (a differentiated history).
     Register {
         /// Fraction of operations that are reads.
         read_ratio: f64,
@@ -152,7 +153,8 @@ pub fn run_workload(w: &Workload, cfg: &StoreConfig, t: Transport) -> StoreRepor
             let objects = cfg.objects as u32;
             let (read_ratio, remote) = (*read_ratio, *remote_read_ratio);
             let map = ShardMap::build(cfg);
-            let gen = move |w: usize, _: u64, rng: &mut StdRng| {
+            let workers = cfg.workers.max(1) as u64;
+            let gen = move |w: usize, op: u64, rng: &mut StdRng| {
                 let obj = rng.gen_range(0u32..objects);
                 if rng.gen_bool(read_ratio) {
                     // most reads stay on hosted objects (the locality a
@@ -166,7 +168,13 @@ pub fn run_workload(w: &Workload, cfg: &StoreConfig, t: Transport) -> StoreRepor
                     };
                     SpaceInput::new(obj, RegInput::Read)
                 } else {
-                    SpaceInput::new(obj, RegInput::Write(rng.gen_range(1u64..1_000_000)))
+                    // this draw only advances the RNG, so the op stream
+                    // and every gated count stay the baselines'; the
+                    // value written is unique per (worker, op index), so
+                    // a read of a stale write never matches the current
+                    // one
+                    let _ = rng.gen_range(1u64..1_000_000);
+                    SpaceInput::new(obj, RegInput::Write(op * workers + w as u64 + 1))
                 }
             };
             match t {

@@ -3,8 +3,8 @@
 //! only on suspicion.
 //!
 //! The sampled windows of `cbm-store` replay bounded slices of a run
-//! through the witness checkers of [`crate::verify`]; everything
-//! between windows goes uncertified. Bouajjani, Enea, Guerraoui &
+//! through the witness of [`crate::verify`]; everything between
+//! windows goes uncertified. Bouajjani, Enea, Guerraoui &
 //! Hamza (*On Verifying Causal Consistency*, POPL 2017) show that for
 //! read/write histories, causal-consistency checking reduces to
 //! detecting a small fixed family of **bad patterns** — and detecting
@@ -36,15 +36,17 @@
 //! bad-pattern family ([`BadPattern`]) from the last-writer tables,
 //! and the suspicion is **escalated** — the minimal implicated window
 //! (the object's retained updates, seeded from the state before them)
-//! is rebuilt as a real [`cbm_history::History`] and re-checked
-//! *exactly*, twice:
+//! becomes a [`Recording`] with one part per origin, of which only
+//! this replica is observed (it applied the window in window order,
+//! then the suspect query), and is re-checked *exactly*, twice:
 //!
-//! 1. **witness re-verification** — the linear-time checkers of
-//!    [`crate::verify`] replay the window against the delivery
-//!    evidence the monitor observed ([`Escalation::witness`]); this
-//!    is the authoritative verdict on the *implementation*;
+//! 1. **witness re-verification** — [`Recording::check`], the witness
+//!    the store's sampled windows run too, replays the window against
+//!    the delivery evidence the monitor observed
+//!    ([`Escalation::witness`]); this is the authoritative verdict on
+//!    the *implementation*;
 //! 2. **kernel search** — the bounded DFS kernel ([`crate::check`])
-//!    asks whether *any* causal order explains the window
+//!    asks whether *any* causal order explains the same history
 //!    ([`Escalation::verdict`]), distinguishing "the replica broke
 //!    its own delivery discipline but the history is still causally
 //!    explainable" from a genuine criterion violation.
@@ -74,13 +76,12 @@
 //! escalation (window composition) depends on delivery interleaving,
 //! but escalations only exist on runs that are already failing.
 
-use crate::verify::{verify_cc_window, verify_ccv_window};
+use crate::verify::{Part, Recording};
 use crate::{check, Budget, Mode, Verdict};
 use cbm_adt::Adt;
-use cbm_history::{EventId, HistoryBuilder, Relation};
 use std::collections::HashMap;
 
-/// A Lamport stamp as the monitor sees it: logical time plus the
+/// A Lamport stamp as the checkers see it: logical time plus the
 /// stamping origin. (Deliberately a local type: `cbm-check` sits
 /// below `cbm-net` in the crate graph and must not depend on its
 /// clock types.)
@@ -675,124 +676,44 @@ impl<T: Adt + Clone> Monitor<T> {
         self.stats.escalations += 1;
         let Window { seed, evs } = self.window(obj);
 
-        // processes of the micro-history: every origin in the window
-        // plus the querying replica, in id order (determinism)
+        // one part per origin in the window plus the querying replica,
+        // in id order (determinism), each origin's updates in window
+        // order (the discipline folds them in issue order). Only this
+        // replica is observed: it applied the window in window order,
+        // then the query.
         let mut origins: Vec<usize> = evs.iter().map(|e| e.origin()).collect();
         origins.push(self.me);
         origins.sort_unstable();
         origins.dedup();
         let pidx = |o: usize| origins.binary_search(&o).expect("origin registered");
-
-        // program order per origin = window order restricted to it
-        // (the discipline folds each origin's updates in its issue
-        // order)
-        let mut b: HistoryBuilder<T::Input, T::Output> = HistoryBuilder::new();
-        let mut win_ids: Vec<EventId> = Vec::with_capacity(evs.len());
-        let mut stamps: Vec<Stamp> = Vec::with_capacity(evs.len() + 1);
-        for o in &origins {
-            for e in evs.iter().filter(|e| e.origin() == *o) {
-                let id = match &e.output {
-                    Some(out) => b.op(pidx(*o), e.input.clone(), out.clone()),
-                    None => b.hidden(pidx(*o), e.input.clone()),
-                };
-                win_ids.push(id);
-                stamps.push(e.stamp());
-            }
+        let mut parts: Vec<Part<'_, T>> = origins
+            .iter()
+            .map(|_| Part {
+                events: Vec::new(),
+                applies: None,
+                seed: &seed,
+            })
+            .collect();
+        let mut applies = Vec::with_capacity(evs.len() + 1);
+        for e in &evs {
+            let p = pidx(e.origin());
+            applies.push((p, parts[p].events.len() as u32));
+            parts[p]
+                .events
+                .push((e.input.clone(), e.output.clone(), e.stamp()));
         }
-        // win_ids above is grouped by origin; rebuild delivery order
-        // (the order of the window itself) for the apply-order witness
-        let mut by_win: Vec<EventId> = Vec::with_capacity(evs.len());
-        {
-            let mut next: HashMap<usize, usize> = HashMap::new();
-            let mut grouped: HashMap<usize, Vec<EventId>> = HashMap::new();
-            let mut k = 0usize;
-            for o in &origins {
-                let cnt = evs.iter().filter(|e| e.origin() == *o).count();
-                grouped.insert(*o, win_ids[k..k + cnt].to_vec());
-                next.insert(*o, 0);
-                k += cnt;
-            }
-            for e in &evs {
-                let i = next.get_mut(&e.origin()).expect("grouped");
-                by_win.push(grouped[&e.origin()][*i]);
-                *i += 1;
-            }
-        }
-        let query_id = match output {
-            Some(out) => b.op(pidx(self.me), input.clone(), out.clone()),
-            None => b.hidden(pidx(self.me), input.clone()),
-        };
-        let h = b.build();
+        // the query reads everything the window holds: it arbitrates last
+        let me = pidx(self.me);
+        applies.push((me, parts[me].events.len() as u32));
+        parts[me].events.push((
+            input.clone(),
+            output.cloned(),
+            Stamp::new(u64::MAX, self.me),
+        ));
+        parts[me].applies = Some(applies);
+        let (h, witness) = Recording { parts }.check(&self.adt, self.mode, 1);
+        let witness = witness.map_err(|e| e.to_string());
         let m = h.len();
-
-        // causal order the monitor witnessed: per-origin issue chains
-        // plus delivered-before edges into the replica's own events
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        {
-            // per-origin chains
-            let mut last: HashMap<usize, EventId> = HashMap::new();
-            for (id, e) in win_ids.iter().zip(evs.iter()) {
-                if let Some(prev) = last.insert(e.origin(), *id) {
-                    edges.push((prev.idx(), id.idx()));
-                }
-            }
-            if let Some(prev) = last.get(&self.me) {
-                edges.push((prev.idx(), query_id.idx()));
-            }
-            // everything applied before the query is in its causal
-            // past at this replica; own window events likewise saw
-            // the window prefix before them
-            for (i, id) in by_win.iter().enumerate() {
-                if evs[i].origin() == self.me {
-                    for prior in &by_win[..i] {
-                        edges.push((prior.idx(), id.idx()));
-                    }
-                }
-                edges.push((id.idx(), query_id.idx()));
-            }
-        }
-        let witness = match Relation::from_edges(m, &edges) {
-            None => Err("witnessed delivery order is cyclic".to_string()),
-            Some(causal) => {
-                // the replica's apply order: window in delivery order,
-                // then the query; own events carry checked outputs
-                let me_p = pidx(self.me);
-                let mut apply: Vec<Vec<EventId>> = vec![Vec::new(); origins.len()];
-                apply[me_p] = by_win.iter().copied().chain([query_id]).collect();
-                let mut own: Vec<Vec<EventId>> = vec![Vec::new(); origins.len()];
-                own[me_p] = by_win
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| evs[*i].origin() == self.me)
-                    .map(|(_, id)| *id)
-                    .chain([query_id])
-                    .collect();
-                match self.mode {
-                    Mode::Causal => {
-                        let initials: Vec<T::State> = vec![seed.clone(); origins.len()];
-                        verify_cc_window(&self.adt, &h, &causal, &apply, &own, &initials)
-                            .map_err(|e| format!("{e:?}"))
-                    }
-                    Mode::Convergent => {
-                        // arbitration total order: window stamps (the
-                        // window is stamp-sorted under CCv), query last
-                        let mut order: Vec<(Stamp, EventId)> = stamps
-                            .iter()
-                            .copied()
-                            .zip(win_ids.iter().copied())
-                            .collect();
-                        order.sort_by_key(|(s, _)| (s.time, s.origin));
-                        let total: Vec<EventId> = order
-                            .into_iter()
-                            .map(|(_, id)| id)
-                            .chain([query_id])
-                            .collect();
-                        verify_ccv_window(&self.adt, &h, &causal, &total, 1, &seed)
-                            .map_err(|e| format!("{e:?}"))
-                    }
-                }
-            }
-        };
 
         // criterion-level: does *any* causal order explain the window?
         let (verdict, nodes_used) = if m <= self.max_kernel_events {

@@ -7,10 +7,19 @@
 //! orders (Fig. 4) or a timestamp total order (Fig. 5). Checking that
 //! evidence is linear-time in the history size, which is how
 //! Propositions 6 and 7 are validated on large random executions.
+//!
+//! A run recorded piecewise — the store's sampled windows, the
+//! streaming monitor's escalation windows — is a [`Recording`]: each
+//! replica's own events with their stamps, its apply order where it was
+//! observed, and the state it started from. [`Recording::check`]
+//! derives the history and its causal order from those parts and runs
+//! the CC or CCv witness, so both callers share one witness path.
 
 use crate::label_table;
+use crate::monitor::Stamp;
+use crate::Mode;
 use cbm_adt::Adt;
-use cbm_history::{BitSet, EventId, History, Relation};
+use cbm_history::{BitSet, EventId, History, HistoryBuilder, Relation};
 
 /// Why a CC witness was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,30 +74,7 @@ pub fn verify_cc_execution<T: Adt>(
     verify_cc_from(adt, h, causal, apply_orders, own, |_| adt.initial())
 }
 
-/// Windowed variant of [`verify_cc_execution`] for **online sampled
-/// verification** of a live engine (`cbm-store`): the recorded events
-/// are a bounded window cut from a longer run at a *drained* point
-/// (every replica had delivered every earlier message), so replica `p`
-/// replays its window apply order from its own pre-window snapshot
-/// `initials[p]` instead of from `adt.initial()`.
-///
-/// Soundness of the cut: after a drain, every pre-window event is in
-/// the causal past of every window event and applied at every replica,
-/// so the floor/prefix comparisons restricted to the window are exactly
-/// the full-history comparisons minus a common pre-window set, and the
-/// seeded replay state equals the fold of the replica's pre-window
-/// apply order.
-pub fn verify_cc_window<T: Adt>(
-    adt: &T,
-    h: &History<T::Input, T::Output>,
-    causal: &Relation,
-    apply_orders: &[Vec<EventId>],
-    own: &[Vec<EventId>],
-    initials: &[T::State],
-) -> Result<(), CcViolation> {
-    verify_cc_from(adt, h, causal, apply_orders, own, |p| initials[p].clone())
-}
-
+/// The CC witness, replica `p` replaying from `initial_of(p)`.
 fn verify_cc_from<T: Adt>(
     adt: &T,
     h: &History<T::Input, T::Output>,
@@ -206,36 +192,23 @@ pub fn verify_ccv_execution<T: Adt>(
     total: &[EventId],
     sample_every: usize,
 ) -> Result<(), CcvViolation> {
-    verify_ccv_from(adt, h, causal, total, sample_every, &adt.initial())
+    let initial = adt.initial();
+    verify_ccv_from(adt, h, causal, total, sample_every, |_| &initial)
 }
 
-/// Windowed variant of [`verify_ccv_execution`] for online sampled
-/// verification: the window was cut at a *drained* point of a
-/// **convergent** engine, so all replicas held the same state
-/// `initial`, and each event's replay folds its window causal past
-/// (sorted by the arbitration order) from that common snapshot.
-/// Timestamps of window events exceed every pre-window timestamp
-/// (Lamport clocks after a drain), so the window suffix of the full
-/// arbitration order is exactly the window's own timestamp order.
-pub fn verify_ccv_window<T: Adt>(
+/// The CCv witness over `total`, event `e`'s replay starting from
+/// `seed_of(e)`.
+fn verify_ccv_from<'s, T: Adt>(
     adt: &T,
     h: &History<T::Input, T::Output>,
     causal: &Relation,
     total: &[EventId],
     sample_every: usize,
-    initial: &T::State,
-) -> Result<(), CcvViolation> {
-    verify_ccv_from(adt, h, causal, total, sample_every, initial)
-}
-
-fn verify_ccv_from<T: Adt>(
-    adt: &T,
-    h: &History<T::Input, T::Output>,
-    causal: &Relation,
-    total: &[EventId],
-    sample_every: usize,
-    initial: &T::State,
-) -> Result<(), CcvViolation> {
+    seed_of: impl Fn(EventId) -> &'s T::State,
+) -> Result<(), CcvViolation>
+where
+    T::State: 's,
+{
     if !causal.contains(h.prog()) {
         return Err(CcvViolation::NotACausalOrder);
     }
@@ -266,7 +239,7 @@ fn verify_ccv_from<T: Adt>(
         // replay ⌊e⌋ sorted by the total order
         let mut past: Vec<usize> = causal.past(e.idx()).to_vec();
         past.sort_by_key(|&x| pos[x]);
-        let mut state = initial.clone();
+        let mut state = seed_of(e).clone();
         for x in past {
             state = adt.transition(&state, &labels[x].0);
         }
@@ -277,11 +250,170 @@ fn verify_ccv_from<T: Adt>(
     Ok(())
 }
 
+/// One replica's share of a [`Recording`].
+#[derive(Debug, Clone)]
+pub struct Part<'a, T: Adt> {
+    /// The replica's own events in issue order: input, output (`None`
+    /// for a hidden one) and stamp.
+    pub events: Vec<(T::Input, Option<T::Output>, Stamp)>,
+    /// The order in which the replica applied events — its own at
+    /// invocation, remote updates at delivery — as `(part, index into
+    /// that part's events)`; `None` if the replica was not observed.
+    pub applies: Option<Vec<(usize, u32)>>,
+    /// The replica's state before the recording's first event.
+    pub seed: &'a T::State,
+}
+
+/// A recorded run, one [`Part`] per replica: a window cut at a drained
+/// point, or an escalation window seen from the one replica that
+/// observed it. In the history [`Recording::check`] builds, part `p`
+/// is process `p` and events are numbered part-major.
+#[derive(Debug, Clone)]
+pub struct Recording<'a, T: Adt> {
+    /// The replicas' parts.
+    pub parts: Vec<Part<'a, T>>,
+}
+
+/// Why a [`Recording`] was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordingViolation {
+    /// An apply order names an event no part recorded.
+    UnknownEvent(usize, u32),
+    /// An observed part's apply order does not list each of the part's
+    /// own events exactly once, in issue order.
+    OwnOrder {
+        /// The offending part.
+        part: usize,
+    },
+    /// The delivered-before relation is cyclic.
+    CyclicDelivery,
+    /// The CC witness failed.
+    Cc(CcViolation),
+    /// The CCv witness failed.
+    Ccv(CcvViolation),
+}
+
+impl std::fmt::Display for RecordingViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordingViolation::UnknownEvent(p, i) => {
+                write!(f, "apply order references unknown event ({p},{i})")
+            }
+            RecordingViolation::OwnOrder { part } => write!(
+                f,
+                "part {part} does not apply its own events once each, in issue order"
+            ),
+            RecordingViolation::CyclicDelivery => write!(f, "delivered-before relation is cyclic"),
+            RecordingViolation::Cc(e) => write!(f, "CC violation: {e:?}"),
+            RecordingViolation::Ccv(e) => write!(f, "CCv violation: {e:?}"),
+        }
+    }
+}
+
+impl<T: Adt> Recording<'_, T> {
+    /// The recorded history: part `p`'s events on process `p`, in
+    /// issue order.
+    fn history(&self) -> History<T::Input, T::Output> {
+        let mut b = HistoryBuilder::new();
+        for (p, part) in self.parts.iter().enumerate() {
+            for (input, output, _) in &part.events {
+                match output {
+                    Some(out) => b.op(p, input.clone(), out.clone()),
+                    None => b.hidden(p, input.clone()),
+                };
+            }
+        }
+        b.build()
+    }
+
+    /// Check the recording against `mode`'s criterion. The causal order
+    /// is delivered-before over the observed parts plus program order
+    /// over the unobserved ones. Under CC each observed part replays
+    /// its apply order from its seed; under CCv each `sample_every`-th
+    /// event replays its causal past, sorted by stamp, from its own
+    /// part's seed. Returns the history checked with the verdict.
+    pub fn check(
+        &self,
+        adt: &T,
+        mode: Mode,
+        sample_every: usize,
+    ) -> (History<T::Input, T::Output>, Result<(), RecordingViolation>) {
+        let h = self.history();
+        let verdict = self.witness(adt, &h, mode, sample_every);
+        (h, verdict)
+    }
+
+    fn witness(
+        &self,
+        adt: &T,
+        h: &History<T::Input, T::Output>,
+        mode: Mode,
+        sample_every: usize,
+    ) -> Result<(), RecordingViolation> {
+        let parts = &self.parts;
+        let mut base = vec![0u32; parts.len() + 1];
+        for (p, part) in parts.iter().enumerate() {
+            base[p + 1] = base[p] + part.events.len() as u32;
+        }
+        let own: Vec<Vec<EventId>> = (0..parts.len())
+            .map(|p| (base[p]..base[p + 1]).map(EventId).collect())
+            .collect();
+        // an unobserved part contributes its program order only: as if
+        // it had applied its own events and nothing else
+        let mut applies: Vec<Vec<EventId>> = Vec::with_capacity(parts.len());
+        let mut delivered: Vec<Vec<EventId>> = Vec::with_capacity(parts.len());
+        for (p, part) in parts.iter().enumerate() {
+            let Some(refs) = &part.applies else {
+                applies.push(Vec::new());
+                delivered.push(own[p].clone());
+                continue;
+            };
+            let mut order = Vec::with_capacity(refs.len());
+            for &(q, i) in refs {
+                if q >= parts.len() || i >= parts[q].events.len() as u32 {
+                    return Err(RecordingViolation::UnknownEvent(q, i));
+                }
+                order.push(EventId(base[q] + i));
+            }
+            // program order is not assumed for an observed part: an own
+            // event missing from its apply order would go unchecked
+            let mine = order
+                .iter()
+                .filter(|e| (base[p]..base[p + 1]).contains(&e.0));
+            if !mine.eq(&own[p]) {
+                return Err(RecordingViolation::OwnOrder { part: p });
+            }
+            delivered.push(order.clone());
+            applies.push(order);
+        }
+        let causal = Relation::delivered_before(h.len(), &delivered, &own)
+            .ok_or(RecordingViolation::CyclicDelivery)?;
+        match mode {
+            Mode::Causal => {
+                verify_cc_from(adt, h, &causal, &applies, &own, |p| parts[p].seed.clone())
+                    .map_err(RecordingViolation::Cc)
+            }
+            Mode::Convergent => {
+                let stamps: Vec<Stamp> = (parts.iter())
+                    .flat_map(|part| part.events.iter().map(|ev| ev.2))
+                    .collect();
+                let mut total: Vec<EventId> = h.events().collect();
+                total.sort_by_key(|e| stamps[e.idx()]);
+                let seed_of =
+                    |e: EventId| parts[h.proc_of(e).expect("every event has a part").idx()].seed;
+                verify_ccv_from(adt, h, &causal, &total, sample_every, seed_of)
+                    .map_err(RecordingViolation::Ccv)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbm_adt::register::{RegInput, RegOutput, Register};
+    use cbm_adt::space::{ObjectSpace, SpaceInput};
     use cbm_adt::window::{WInput, WOutput, WindowStream};
-    use cbm_history::HistoryBuilder;
 
     type B = HistoryBuilder<WInput, WOutput>;
 
@@ -385,70 +517,302 @@ mod tests {
         );
     }
 
-    /// A window cut mid-run: the pre-window prefix wrote 7, so reads
-    /// inside the window see (…, 7) histories that are only explainable
-    /// from the seeded snapshot, not from `initial()`.
+    /// A window cut mid-run on W2: p0 writes 9, p1 applies it and
+    /// reads (7, 9) — explainable only from a snapshot in which the
+    /// pre-window prefix wrote 7.
+    fn snapshot_window(seed: &Vec<u64>) -> Recording<'_, WindowStream> {
+        Recording {
+            parts: vec![
+                Part {
+                    events: vec![(WInput::Write(9), Some(WOutput::Ack), Stamp::new(1, 0))],
+                    applies: Some(vec![(0, 0)]),
+                    seed,
+                },
+                Part {
+                    events: vec![(
+                        WInput::Read,
+                        Some(WOutput::Window(vec![7, 9])),
+                        Stamp::new(2, 1),
+                    )],
+                    applies: Some(vec![(0, 0), (1, 0)]),
+                    seed,
+                },
+            ],
+        }
+    }
+
     #[test]
     fn windowed_cc_accepts_with_snapshot_rejects_without() {
         let adt = WindowStream::new(2);
-        let mut b = B::new();
-        let e0 = b.op(0, WInput::Write(9), WOutput::Ack);
-        let e1 = b.op(1, WInput::Read, WOutput::Window(vec![7, 9]));
-        let h = b.build();
-        let mut causal = h.prog().clone();
-        causal.add_pair_closed(e0.idx(), e1.idx());
-        let apply = vec![vec![e0], vec![e0, e1]];
-        let own = vec![vec![e0], vec![e1]];
         // both replicas entered the window holding the drained state
         // (0, 7): the read output (7, 9) replays correctly from it
-        let snapshot = vec![vec![0, 7], vec![0, 7]];
-        assert_eq!(
-            verify_cc_window(&adt, &h, &causal, &apply, &own, &snapshot),
-            Ok(())
-        );
+        let (h, verdict) = snapshot_window(&vec![0, 7]).check(&adt, Mode::Causal, 1);
+        assert_eq!((h.len(), verdict), (2, Ok(())));
         // from the blank initial state the same window is inconsistent
+        let blank = adt.initial();
         assert!(matches!(
-            verify_cc_execution(&adt, &h, &causal, &apply, &own),
-            Err(CcViolation::OutputMismatch { .. })
+            snapshot_window(&blank).check(&adt, Mode::Causal, 1).1,
+            Err(RecordingViolation::Cc(CcViolation::OutputMismatch { .. }))
         ));
     }
 
     #[test]
     fn windowed_cc_detects_wrong_snapshot() {
         let adt = WindowStream::new(2);
-        let mut b = B::new();
-        let e0 = b.op(0, WInput::Write(9), WOutput::Ack);
-        let e1 = b.op(1, WInput::Read, WOutput::Window(vec![7, 9]));
-        let h = b.build();
-        let mut causal = h.prog().clone();
-        causal.add_pair_closed(e0.idx(), e1.idx());
-        let apply = vec![vec![e0], vec![e0, e1]];
-        let own = vec![vec![e0], vec![e1]];
-        let wrong = vec![vec![0, 3], vec![0, 3]];
         assert!(matches!(
-            verify_cc_window(&adt, &h, &causal, &apply, &own, &wrong),
-            Err(CcViolation::OutputMismatch { .. })
+            snapshot_window(&vec![0, 3]).check(&adt, Mode::Causal, 1).1,
+            Err(RecordingViolation::Cc(CcViolation::OutputMismatch { .. }))
         ));
     }
 
     #[test]
     fn windowed_ccv_replays_from_common_snapshot() {
         let adt = WindowStream::new(2);
-        let mut b = B::new();
-        let e0 = b.op(0, WInput::Write(9), WOutput::Ack);
-        let e1 = b.op(1, WInput::Read, WOutput::Window(vec![7, 9]));
-        let h = b.build();
-        let mut causal = h.prog().clone();
-        causal.add_pair_closed(e0.idx(), e1.idx());
-        let total = vec![e0, e1];
-        let snapshot = vec![0, 7];
+        let seed = vec![0, 7];
+        let rec = snapshot_window(&seed);
+        assert_eq!(rec.check(&adt, Mode::Convergent, 1).1, Ok(()));
+        let blank = adt.initial();
         assert_eq!(
-            verify_ccv_window(&adt, &h, &causal, &total, 1, &snapshot),
-            Ok(())
+            snapshot_window(&blank).check(&adt, Mode::Convergent, 1).1,
+            Err(RecordingViolation::Ccv(CcvViolation::OutputMismatch(
+                EventId(1)
+            )))
         );
+    }
+
+    type Space = ObjectSpace<Register>;
+    type Event = (SpaceInput<RegInput>, Option<RegOutput>, Stamp);
+
+    fn op(obj: u32, input: RegInput, output: RegOutput, time: u64, origin: usize) -> Event {
+        (
+            SpaceInput::new(obj, input),
+            Some(output),
+            Stamp::new(time, origin),
+        )
+    }
+
+    /// Two replicas, two registers, both seeded with (0, 9): replica 0
+    /// writes obj0 = 5; replica 1 applies it, reads it, then writes
+    /// obj1 = 4, which replica 0 applies (a read is never applied
+    /// remotely).
+    fn healthy(seed: &Vec<u64>) -> Recording<'_, Space> {
+        Recording {
+            parts: vec![
+                Part {
+                    events: vec![op(0, RegInput::Write(5), RegOutput::Ack, 1, 0)],
+                    applies: Some(vec![(0, 0), (1, 1)]),
+                    seed,
+                },
+                Part {
+                    events: vec![
+                        op(0, RegInput::Read, RegOutput::Val(5), 2, 1),
+                        op(1, RegInput::Write(4), RegOutput::Ack, 3, 1),
+                    ],
+                    applies: Some(vec![(0, 0), (1, 0), (1, 1)]),
+                    seed,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn a_healthy_recording_verifies_under_both_modes() {
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        for mode in Mode::BOTH {
+            let (h, verdict) = healthy(&seed).check(&space, mode, 1);
+            assert_eq!((h.len(), verdict), (3, Ok(())), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn the_seed_feeds_the_replay() {
+        // replica 1 reads obj1 = 9: only explainable through the seed
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        let mut rec = healthy(&seed);
+        rec.parts[1].events[1] = op(1, RegInput::Read, RegOutput::Val(9), 3, 1);
+        assert_eq!(rec.check(&space, Mode::Causal, 1).1, Ok(()));
+        // ...and a wrong carried-in value is caught
+        rec.parts[1].events[1] = op(1, RegInput::Read, RegOutput::Val(8), 3, 1);
+        assert!(matches!(
+            rec.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::Cc(CcViolation::OutputMismatch { .. }))
+        ));
+    }
+
+    #[test]
+    fn a_tampered_output_fails_both_modes() {
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        let mut rec = healthy(&seed);
+        rec.parts[1].events[0] = op(0, RegInput::Read, RegOutput::Val(777), 2, 1);
+        assert!(matches!(
+            rec.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::Cc(CcViolation::OutputMismatch { .. }))
+        ));
+        assert!(matches!(
+            rec.check(&space, Mode::Convergent, 1).1,
+            Err(RecordingViolation::Ccv(CcvViolation::OutputMismatch(_)))
+        ));
+    }
+
+    #[test]
+    fn a_non_causal_apply_order_is_rejected() {
+        // replica 1 claims it read 5 but applied the write after the read
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        let mut rec = healthy(&seed);
+        rec.parts[1].applies = Some(vec![(1, 0), (0, 0), (1, 1)]);
+        assert!(matches!(
+            rec.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::Cc(_))
+        ));
+    }
+
+    #[test]
+    fn apply_orders_must_name_recorded_events_acyclically() {
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        let mut rec = healthy(&seed);
+        rec.parts[0].applies = Some(vec![(0, 0), (1, 1), (1, 2)]);
         assert_eq!(
-            verify_ccv_execution(&adt, &h, &causal, &total, 1),
-            Err(CcvViolation::OutputMismatch(e1))
+            rec.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::UnknownEvent(1, 2))
+        );
+        // each replica applied the other's write before its own
+        let mut cyclic = healthy(&seed);
+        cyclic.parts[1].events.remove(0);
+        cyclic.parts[0].applies = Some(vec![(1, 0), (0, 0)]);
+        cyclic.parts[1].applies = Some(vec![(0, 0), (1, 0)]);
+        assert_eq!(
+            cyclic.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::CyclicDelivery)
+        );
+    }
+
+    /// The monitor's case: one observed replica, and an origin seen
+    /// only through the updates it delivered. The unobserved part is
+    /// ordered by its program order and nothing else: its outputs are
+    /// not replayed, but its order still binds the arbitration.
+    #[test]
+    fn an_unobserved_part_is_ordered_by_program_order_only() {
+        let space = ObjectSpace::new(Register, 1);
+        let seed = vec![0];
+        let hidden = |v, time| {
+            (
+                SpaceInput::new(0, RegInput::Write(v)),
+                None,
+                Stamp::new(time, 1),
+            )
+        };
+        let read = |v| op(0, RegInput::Read, RegOutput::Val(v), 9, 0);
+        let rec = |writes: Vec<Event>, seen| Recording {
+            parts: vec![
+                Part {
+                    events: vec![read(seen)],
+                    applies: Some(vec![(1, 0), (1, 1), (0, 0)]),
+                    seed: &seed,
+                },
+                Part {
+                    events: writes,
+                    applies: None,
+                    seed: &seed,
+                },
+            ],
+        };
+        let writes = || vec![hidden(5, 1), hidden(7, 2)];
+        for mode in Mode::BOTH {
+            assert_eq!(
+                rec(writes(), 7).check(&space, mode, 1).1,
+                Ok(()),
+                "{mode:?}"
+            );
+            assert!(
+                rec(writes(), 5).check(&space, mode, 1).1.is_err(),
+                "{mode:?}"
+            );
+        }
+        // an unobserved output is never replayed...
+        let mut visible = writes();
+        visible[0].1 = Some(RegOutput::Val(123));
+        assert_eq!(rec(visible, 7).check(&space, Mode::Causal, 1).1, Ok(()));
+        // ...but its program order is in the causal order: stamps that
+        // run against it cannot arbitrate
+        let backwards = vec![hidden(5, 2), hidden(7, 1)];
+        assert_eq!(
+            rec(backwards, 7).check(&space, Mode::Convergent, 1).1,
+            Err(RecordingViolation::Ccv(
+                CcvViolation::TotalOrderViolatesCausality
+            ))
+        );
+    }
+
+    /// Two concurrent writes at equal Lamport time: CCv arbitrates by
+    /// origin, whatever order the reader applied them in.
+    #[test]
+    fn a_ccv_tie_at_equal_lamport_time_is_broken_by_origin() {
+        let space = ObjectSpace::new(Register, 1);
+        let seed = vec![0];
+        let rec = |seen| Recording {
+            parts: vec![
+                Part {
+                    events: vec![op(0, RegInput::Write(5), RegOutput::Ack, 1, 0)],
+                    applies: Some(vec![(0, 0)]),
+                    seed: &seed,
+                },
+                Part {
+                    events: vec![op(0, RegInput::Write(7), RegOutput::Ack, 1, 1)],
+                    applies: Some(vec![(1, 0)]),
+                    seed: &seed,
+                },
+                Part {
+                    events: vec![op(0, RegInput::Read, RegOutput::Val(seen), 2, 2)],
+                    applies: Some(vec![(1, 0), (0, 0), (2, 0)]),
+                    seed: &seed,
+                },
+            ],
+        };
+        assert_eq!(rec(7).check(&space, Mode::Convergent, 1).1, Ok(()));
+        assert_eq!(
+            rec(5).check(&space, Mode::Convergent, 1).1,
+            Err(RecordingViolation::Ccv(CcvViolation::OutputMismatch(
+                EventId(2)
+            )))
+        );
+        // delivery order, not the stamp, decides under CC
+        assert_eq!(rec(5).check(&space, Mode::Causal, 1).1, Ok(()));
+    }
+
+    /// An observed replica's apply order must hold each of its own
+    /// events once, in issue order: program order does not fill a gap,
+    /// or the omitted event's output would go unchecked.
+    #[test]
+    fn an_apply_order_that_omits_an_own_event_is_rejected() {
+        let space = ObjectSpace::new(Register, 2);
+        let seed = vec![0, 9];
+        for applies in [
+            vec![(0, 0), (1, 1)],                 // the bogus read is missing
+            vec![(0, 0), (1, 0), (1, 0), (1, 1)], // ...applied twice
+            vec![(0, 0), (1, 1), (1, 0)],         // ...out of issue order
+        ] {
+            let mut rec = healthy(&seed);
+            rec.parts[1].events[0] = op(0, RegInput::Read, RegOutput::Val(42), 2, 1);
+            rec.parts[1].applies = Some(applies.clone());
+            for mode in Mode::BOTH {
+                assert_eq!(
+                    rec.check(&space, mode, 1).1,
+                    Err(RecordingViolation::OwnOrder { part: 1 }),
+                    "{mode:?} {applies:?}"
+                );
+            }
+        }
+        // a lone own event with an empty apply order
+        let mut rec = healthy(&seed);
+        rec.parts[0].applies = Some(Vec::new());
+        assert_eq!(
+            rec.check(&space, Mode::Causal, 1).1,
+            Err(RecordingViolation::OwnOrder { part: 0 })
         );
     }
 

@@ -343,7 +343,7 @@ where
         // open window e-1
         let wid = e - 1;
         if self.crashed {
-            self.taps.crashed_window(wid, self.table.snapshot());
+            self.taps.crashed_window(wid);
         } else {
             let quota = self.window_quota(e, self.sched.ops_of(self.me, e));
             self.taps

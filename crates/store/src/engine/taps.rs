@@ -694,8 +694,8 @@ where
 
     /// This worker sits window `wid` out, crashed: send the verifier
     /// its placeholder.
-    pub(super) fn crashed_window(&mut self, wid: u64, snapshot: Vec<T::State>) {
-        let _ = self.tx.send(WindowRecord::crashed(self.me, wid, snapshot));
+    pub(super) fn crashed_window(&mut self, wid: u64) {
+        let _ = self.tx.send(WindowRecord::crashed(self.me, wid));
     }
 
     /// The open window (if any) is closed everywhere: hand the record

@@ -2,8 +2,9 @@
 //! window verification, deterministic message accounting.
 
 use cbm_adt::counter::{Counter, CtInput};
-use cbm_adt::register::{RegInput, Register};
+use cbm_adt::register::{RegInput, RegOutput, Register};
 use cbm_adt::space::SpaceInput;
+use cbm_adt::{Adt, OpKind};
 use cbm_net::fault::FaultPlan;
 use cbm_store::{
     run, run_tcp, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig,
@@ -361,4 +362,70 @@ fn read_heavy_workloads_send_fewer_payloads() {
     assert!(mostly_reads.payloads_sent < mostly_writes.payloads_sent / 4);
     let rw: u64 = mostly_reads.per_worker.iter().map(|w| w.reads).sum();
     assert!(rw > mostly_reads.total_ops * 8 / 10);
+}
+
+thread_local! {
+    /// The worker whose thread this is, set by [`skewed_writes`] before
+    /// each op it generates.
+    static WORKER: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+}
+
+/// A register whose transition is wrong on worker 1's thread only: a
+/// write there stores one more than it was told. Every write still
+/// answers `Ack`, so no recorded output can show it; only the replicas'
+/// states disagree.
+#[derive(Debug, Clone)]
+struct SkewedAtWorker1;
+
+impl Adt for SkewedAtWorker1 {
+    type Input = RegInput;
+    type Output = RegOutput;
+    type State = u64;
+
+    fn initial(&self) -> u64 {
+        Register.initial()
+    }
+    fn transition(&self, q: &u64, i: &RegInput) -> u64 {
+        match i {
+            RegInput::Write(v) if WORKER.get() == 1 => v + 1,
+            _ => Register.transition(q, i),
+        }
+    }
+    fn output(&self, q: &u64, i: &RegInput) -> RegOutput {
+        Register.output(q, i)
+    }
+    fn kind(&self, i: &RegInput) -> OpKind {
+        Register.kind(i)
+    }
+    fn overwrites(&self, i: &RegInput) -> bool {
+        Register.overwrites(i)
+    }
+}
+
+/// Writes only, each tagging the generating thread with its worker.
+fn skewed_writes(w: usize, _: u64, rng: &mut StdRng) -> SpaceInput<RegInput> {
+    WORKER.set(w);
+    let obj = rng.gen_range(0u32..32);
+    SpaceInput::new(obj, RegInput::Write(rng.gen_range(1u64..1000)))
+}
+
+/// The drain's convergence check is the one divergence detector: two
+/// live replicas of a shard that disagree at a convergent drain fail
+/// the run, though every window verifies (a write's output is `Ack`
+/// whatever state it leaves).
+#[test]
+fn live_replicas_that_disagree_at_a_convergent_drain_fail_the_run() {
+    let cfg = sharded_cfg(Mode::Convergent, 2);
+    let healthy = run(&Register, &cfg, skewed_writes);
+    assert_sharded_healthy(&healthy, 4);
+    assert!(healthy.drains_converged);
+
+    let r = run(&SkewedAtWorker1, &cfg, skewed_writes);
+    assert!(!r.windows.is_empty());
+    assert!(r.windows.iter().all(|w| w.result.is_ok()));
+    assert!(
+        !r.drains_converged,
+        "worker 1 disagrees with its co-replicas"
+    );
+    assert!(!r.verified());
 }
