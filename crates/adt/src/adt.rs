@@ -59,6 +59,18 @@ pub trait Adt {
     /// The transition function `δ(q, σi)` — the side effect.
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State;
 
+    /// `δ` in place: leaves `q` equal to `self.transition(q, i)`.
+    ///
+    /// The default builds the new state and moves it in. A container
+    /// state that changes one component (an [`crate::space::ObjectSpace`]
+    /// slot, a memory cell, a window) overrides it to change just that
+    /// component, so a replay steps one state instead of copying it per
+    /// input. An adapter that forwards `δ` forwards this too.
+    #[inline]
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        *q = self.transition(q, i);
+    }
+
     /// The output function `λ(q, σi)` — the return value, computed in the
     /// state *before* the transition (as in a Mealy machine).
     fn output(&self, q: &Self::State, i: &Self::Input) -> Self::Output;
@@ -236,5 +248,182 @@ mod overwrite_tests {
                 SpaceInput::new(1, RegInput::Read),
             ],
         );
+    }
+}
+
+#[cfg(test)]
+mod in_place_tests {
+    use super::*;
+    use crate::counter::{Counter, CtInput};
+    use crate::kv::{KvInput, KvStore};
+    use crate::log::{AppendLog, LogInput};
+    use crate::memory::{MemInput, Memory};
+    use crate::queue::{FifoQueue, HdRhQueue, QInput, QpInput};
+    use crate::register::{RegInput, Register};
+    use crate::set::{AddRemSet, SetInput};
+    use crate::space::{ObjectSpace, SpaceInput};
+    use crate::window::{WInput, WaInput, WindowArray, WindowStream};
+    use crate::Value;
+    use proptest::prelude::*;
+
+    /// One raw script step: an input selector, an address, a value.
+    type Step = (u8, u32, Value);
+
+    /// Replays `inputs` from `q0` both ways: each in-place step must
+    /// leave exactly the state `transition` returns.
+    fn steps_like_transition<T: Adt>(adt: &T, inputs: &[T::Input]) -> Result<(), TestCaseError> {
+        let mut q = adt.initial();
+        for i in inputs {
+            let next = adt.transition(&q, i);
+            adt.transition_in_place(&mut q, i);
+            prop_assert_eq!(&q, &next, "{} on {:?}", std::any::type_name::<T>(), i);
+        }
+        Ok(())
+    }
+
+    /// A space of four `base` objects steps like `transition`, and like
+    /// the base's own `δ` applied to the addressed slot alone.
+    fn a_space_steps_its_slot<B: Adt + Clone>(
+        base: &B,
+        inputs: &[SpaceInput<B::Input>],
+    ) -> Result<(), TestCaseError> {
+        let space = ObjectSpace::new(base.clone(), 4);
+        steps_like_transition(&space, inputs)?;
+        let (mut q, mut slots) = (space.initial(), space.initial());
+        for i in inputs {
+            let slot = i.obj as usize % 4;
+            slots[slot] = base.transition(&slots[slot], &i.input);
+            space.transition_in_place(&mut q, i);
+            prop_assert_eq!(&q, &slots, "{:?}", i);
+        }
+        Ok(())
+    }
+
+    fn reg((k, _, v): Step) -> RegInput {
+        if k % 2 == 0 {
+            RegInput::Write(v)
+        } else {
+            RegInput::Read
+        }
+    }
+    fn ctr((k, _, v): Step) -> CtInput {
+        if k % 2 == 0 {
+            CtInput::Add(v as i64 - 2)
+        } else {
+            CtInput::Read
+        }
+    }
+    fn win((k, _, v): Step) -> WInput {
+        if k % 2 == 0 {
+            WInput::Write(v)
+        } else {
+            WInput::Read
+        }
+    }
+    fn fifo((k, _, v): Step) -> QInput {
+        if k % 2 == 0 {
+            QInput::Push(v)
+        } else {
+            QInput::Pop
+        }
+    }
+    fn hdrh((k, _, v): Step) -> QpInput {
+        match k % 3 {
+            0 => QpInput::Push(v),
+            1 => QpInput::Hd,
+            _ => QpInput::RemoveHead(v),
+        }
+    }
+    fn set((k, _, v): Step) -> SetInput {
+        match k % 4 {
+            0 => SetInput::Add(v),
+            1 => SetInput::Remove(v),
+            2 => SetInput::Contains(v),
+            _ => SetInput::Len,
+        }
+    }
+    fn log((k, _, v): Step) -> LogInput {
+        match k % 3 {
+            0 => LogInput::Append(v),
+            1 => LogInput::Read,
+            _ => LogInput::Len,
+        }
+    }
+    fn kv((k, x, v): Step) -> KvInput {
+        let key = Value::from(x);
+        match k % 5 {
+            0 | 1 => KvInput::Put(key, v),
+            2 => KvInput::Del(key),
+            3 => KvInput::Get(key),
+            _ => KvInput::Scan,
+        }
+    }
+    fn mem((k, x, v): Step) -> MemInput {
+        if k % 2 == 0 {
+            MemInput::Write(x as usize, v)
+        } else {
+            MemInput::Read(x as usize)
+        }
+    }
+    fn wa((k, x, v): Step) -> WaInput {
+        if k % 2 == 0 {
+            WaInput::Write(x as usize, v)
+        } else {
+            WaInput::Read(x as usize)
+        }
+    }
+
+    /// `script` as inputs of one alphabet.
+    fn each<I>(script: &[Step], f: impl Fn(Step) -> I) -> Vec<I> {
+        script.iter().map(|&s| f(s)).collect()
+    }
+
+    /// `script` addressed across a space (addresses 0..6 over 4
+    /// objects, so some wrap).
+    fn spread<I>(script: &[Step], f: impl Fn(Step) -> I) -> Vec<SpaceInput<I>> {
+        script.iter().map(|&s| SpaceInput::new(s.1, f(s))).collect()
+    }
+
+    proptest! {
+        /// Every alphabet's in-place δ, its own or the default, steps to
+        /// `transition`'s state, and a space over five of them steps as
+        /// its base does on the addressed slot.
+        #[test]
+        fn the_in_place_step_is_the_transition(
+            script in prop::collection::vec((0u8..20, 0u32..6, 0u64..5), 0..40),
+        ) {
+            let s = &script[..];
+            steps_like_transition(&Register, &each(s, reg))?;
+            steps_like_transition(&Counter, &each(s, ctr))?;
+            steps_like_transition(&WindowStream::new(3), &each(s, win))?;
+            steps_like_transition(&WindowStream::new(0), &each(s, win))?;
+            steps_like_transition(&FifoQueue, &each(s, fifo))?;
+            steps_like_transition(&HdRhQueue, &each(s, hdrh))?;
+            steps_like_transition(&AddRemSet, &each(s, set))?;
+            steps_like_transition(&AppendLog, &each(s, log))?;
+            steps_like_transition(&KvStore, &each(s, kv))?;
+            steps_like_transition(&Memory::new(4), &each(s, mem))?;
+            steps_like_transition(&WindowArray::new(4, 2), &each(s, wa))?;
+            steps_like_transition(&WindowArray::new(4, 0), &each(s, wa))?;
+            a_space_steps_its_slot(&Register, &spread(s, reg))?;
+            a_space_steps_its_slot(&Counter, &spread(s, ctr))?;
+            a_space_steps_its_slot(&WindowStream::new(3), &spread(s, win))?;
+            a_space_steps_its_slot(&FifoQueue, &spread(s, fifo))?;
+            a_space_steps_its_slot(&AddRemSet, &spread(s, set))?;
+        }
+    }
+
+    /// A space steps the addressed slot through its base's in-place δ:
+    /// neither the slot vector nor the window it changes is rebuilt (the
+    /// default would allocate a new one while the old is alive, so its
+    /// address would differ).
+    #[test]
+    fn a_space_forwards_the_in_place_step_to_its_base() {
+        let space = ObjectSpace::new(WindowStream::new(2), 3);
+        let mut q = space.initial();
+        let (slots, window) = (q.as_ptr(), q[1].as_ptr());
+        space.transition_in_place(&mut q, &SpaceInput::new(4, WInput::Write(7)));
+        assert_eq!(q, vec![vec![0, 0], vec![0, 7], vec![0, 0]]);
+        assert_eq!((q.as_ptr(), q[1].as_ptr()), (slots, window));
     }
 }

@@ -54,18 +54,20 @@ impl Adt for KvStore {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
         match i {
             KvInput::Put(k, v) => {
-                let mut next = q.clone();
-                next.insert(*k, *v);
-                next
+                q.insert(*k, *v);
             }
             KvInput::Del(k) => {
-                let mut next = q.clone();
-                next.remove(k);
-                next
+                q.remove(k);
             }
-            KvInput::Get(_) | KvInput::Scan | KvInput::Len => q.clone(),
+            KvInput::Get(_) | KvInput::Scan | KvInput::Len => {}
         }
     }
 

@@ -47,13 +47,14 @@ impl Adt for AppendLog {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
-        match i {
-            LogInput::Append(v) => {
-                let mut next = q.clone();
-                next.push(*v);
-                next
-            }
-            LogInput::Read | LogInput::Len => q.clone(),
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        if let LogInput::Append(v) = i {
+            q.push(*v);
         }
     }
 

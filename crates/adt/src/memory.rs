@@ -57,13 +57,14 @@ impl Adt for Memory {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
-        match i {
-            MemInput::Write(x, v) => {
-                let mut next = q.clone();
-                next[self.addr(*x)] = *v;
-                next
-            }
-            MemInput::Read(_) => q.clone(),
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        if let MemInput::Write(x, v) = i {
+            q[self.addr(*x)] = *v;
         }
     }
 

@@ -48,18 +48,20 @@ impl Adt for AddRemSet {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
         match i {
             SetInput::Add(v) => {
-                let mut next = q.clone();
-                next.insert(*v);
-                next
+                q.insert(*v);
             }
             SetInput::Remove(v) => {
-                let mut next = q.clone();
-                next.remove(v);
-                next
+                q.remove(v);
             }
-            SetInput::Contains(_) | SetInput::Len => q.clone(),
+            SetInput::Contains(_) | SetInput::Len => {}
         }
     }
 

@@ -74,10 +74,16 @@ impl<T: Adt> Adt for ObjectSpace<T> {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
-        let slot = self.slot(i.obj);
         let mut next = q.clone();
-        next[slot] = self.base.transition(&q[slot], &i.input);
+        self.transition_in_place(&mut next, i);
         next
+    }
+
+    /// Steps the addressed slot alone, through the base's in-place `δ`.
+    #[inline]
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        let slot = self.slot(i.obj);
+        self.base.transition_in_place(&mut q[slot], &i.input);
     }
 
     fn output(&self, q: &Self::State, i: &Self::Input) -> Self::Output {

@@ -61,9 +61,14 @@ impl Adt for WindowStream {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
-        match i {
-            WInput::Write(v) => shift_in(q, *v),
-            WInput::Read => q.clone(),
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        if let WInput::Write(v) = i {
+            shift_in(q, *v);
         }
     }
 
@@ -94,15 +99,12 @@ impl Adt for WindowStream {
     }
 }
 
-/// `(q1, …, qk) ↦ (q2, …, qk, v)`.
-fn shift_in(q: &[Value], v: Value) -> Vec<Value> {
-    if q.is_empty() {
-        return Vec::new();
+/// `(q1, …, qk) ↦ (q2, …, qk, v)`, in place.
+fn shift_in(q: &mut [Value], v: Value) {
+    if let Some(last) = q.len().checked_sub(1) {
+        q.copy_within(1.., 0);
+        q[last] = v;
     }
-    let mut next = Vec::with_capacity(q.len());
-    next.extend_from_slice(&q[1..]);
-    next.push(v);
-    next
 }
 
 /// Input alphabet of `W_k^K` (array of `K` window streams of size `k`).
@@ -186,18 +188,14 @@ impl Adt for WindowArray {
     }
 
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
-        match i {
-            WaInput::Write(x, v) => {
-                let mut next = q.clone();
-                let w = self.window_mut(&mut next, self.addr(*x));
-                if !w.is_empty() {
-                    w.copy_within(1.., 0);
-                    let last = w.len() - 1;
-                    w[last] = *v;
-                }
-                next
-            }
-            WaInput::Read(_) => q.clone(),
+        let mut next = q.clone();
+        self.transition_in_place(&mut next, i);
+        next
+    }
+
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        if let WaInput::Write(x, v) = i {
+            shift_in(self.window_mut(q, self.addr(*x)), *v);
         }
     }
 

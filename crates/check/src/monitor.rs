@@ -330,6 +330,9 @@ impl<T: Adt> Adt for Seeded<'_, T> {
     fn transition(&self, q: &Self::State, i: &Self::Input) -> Self::State {
         self.adt.transition(q, i)
     }
+    fn transition_in_place(&self, q: &mut Self::State, i: &Self::Input) {
+        self.adt.transition_in_place(q, i)
+    }
     fn output(&self, q: &Self::State, i: &Self::Input) -> Self::Output {
         self.adt.output(q, i)
     }
@@ -851,6 +854,7 @@ monitor_of!(
 mod tests {
     use super::*;
     use cbm_adt::register::{RegInput, RegOutput, Register};
+    use cbm_adt::space::{ObjectSpace, SpaceInput};
 
     fn w(v: u64) -> RegInput {
         RegInput::Write(v)
@@ -1045,6 +1049,22 @@ mod tests {
         assert_eq!(s.output(&7, &RegInput::Read), RegOutput::Val(7));
         assert_eq!(s.transition(&7, &w(9)), 9);
         assert!(s.output_matches(&7, &RegInput::Read, &RegOutput::Val(7)));
+    }
+
+    /// The adapter forwards the in-place δ: a seeded space steps its
+    /// state vector where it lies (the default would move a fresh copy
+    /// in, allocated while the old one is alive, at another address).
+    #[test]
+    fn seeded_adapter_forwards_the_in_place_step() {
+        let space = ObjectSpace::new(Register, 3);
+        let s = Seeded::new(&space, vec![1, 2, 3]);
+        let mut q = s.initial();
+        let at = q.as_ptr();
+        let i = SpaceInput::new(1, w(9));
+        let next = s.transition(&q, &i);
+        s.transition_in_place(&mut q, &i);
+        assert_eq!((q.as_ptr(), &q), (at, &next));
+        assert_eq!(q, vec![1, 9, 3]);
     }
 
     #[test]

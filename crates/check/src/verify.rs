@@ -14,6 +14,12 @@
 //! observed, and the state it started from. [`Recording::check`]
 //! derives the history and its causal order from those parts and runs
 //! the CC or CCv witness, so both callers share one witness path.
+//!
+//! Both witnesses step their replay states with
+//! [`Adt::transition_in_place`] and refill their scratch sets, so a
+//! replayed event allocates nothing: on an object space a step changes
+//! one slot, and a CCv check copies a whole state only once per sampled
+//! output, from that output's seed.
 
 use crate::label_table;
 use crate::monitor::Stamp;
@@ -89,21 +95,34 @@ fn verify_cc_from<T: Adt>(
     if !causal.is_acyclic() {
         return Err(CcViolation::CyclicCausalOrder);
     }
+    let n = h.len();
     let labels = label_table::<T>(h);
-    let mut updates = BitSet::new(h.len());
+    let mut updates = BitSet::new(n);
     for (i, (input, _)) in labels.iter().enumerate() {
         if adt.is_update(input) {
             updates.insert(i);
         }
     }
+    // per-replica scratch, refilled for each replica: nothing below
+    // allocates per event
+    let mut delivered = BitSet::new(n);
+    let mut seen = BitSet::new(n);
+    let mut own_set = BitSet::new(n);
+    let mut relevant = BitSet::new(n);
+    let mut prefix = BitSet::new(n);
+    let mut floor = BitSet::new(n);
+    let mut with_e = BitSet::new(n);
     for (p, order) in apply_orders.iter().enumerate() {
         // (i) the apply order respects the causal order. Only delivered
         // events constrain (a replica cannot apply what it has not
         // seen; events never delivered to p are absent from `order`
         // entirely) — the delivered set is loop-invariant, so it is
         // built once, and the masked-subset test is word-level.
-        let delivered = order_set(h.len(), order);
-        let mut seen = BitSet::new(h.len());
+        delivered.clear();
+        for e in order {
+            delivered.insert(e.idx());
+        }
+        seen.clear();
         for e in order {
             if !causal.past(e.idx()).subset_of_with_mask(&seen, &delivered) {
                 return Err(CcViolation::ApplyOrderViolatesCausality { process: p });
@@ -111,17 +130,19 @@ fn verify_cc_from<T: Adt>(
             seen.insert(e.idx());
         }
         // (ii) per own event: applied prefix = relevant causal past
-        let own_set: std::collections::HashSet<u32> = own[p].iter().map(|e| e.0).collect();
-        let mut relevant = updates.clone();
+        own_set.clear();
         for e in &own[p] {
-            relevant.insert(e.idx());
+            own_set.insert(e.idx());
         }
-        let mut prefix = BitSet::new(h.len());
+        relevant.clear_and_copy_from(&updates);
+        relevant.union_with(&own_set);
+        prefix.clear();
         for e in order {
-            if own_set.contains(&e.0) {
-                let mut floor = causal.floor(e.idx());
+            if own_set.contains(e.idx()) {
+                floor.clear_and_copy_from(causal.past(e.idx()));
+                floor.insert(e.idx());
                 floor.intersect_with(&relevant);
-                let mut with_e = prefix.clone();
+                with_e.clear_and_copy_from(&prefix);
                 with_e.insert(e.idx());
                 with_e.intersect_with(&relevant);
                 if with_e != floor {
@@ -133,11 +154,11 @@ fn verify_cc_from<T: Adt>(
             }
             prefix.insert(e.idx());
         }
-        // (iii) replay with own outputs checked
+        // (iii) replay with own outputs checked, stepping one state
         let mut state = initial_of(p);
         for e in order {
             let (input, out) = &labels[e.idx()];
-            if own_set.contains(&e.0) {
+            if own_set.contains(e.idx()) {
                 if let Some(expected) = out {
                     if !adt.output_matches(&state, input, expected) {
                         return Err(CcViolation::OutputMismatch {
@@ -147,18 +168,10 @@ fn verify_cc_from<T: Adt>(
                     }
                 }
             }
-            state = adt.transition(&state, input);
+            adt.transition_in_place(&mut state, input);
         }
     }
     Ok(())
-}
-
-fn order_set(n: usize, order: &[EventId]) -> BitSet {
-    let mut s = BitSet::new(n);
-    for e in order {
-        s.insert(e.idx());
-    }
-    s
 }
 
 /// Why a CCv witness was rejected.
@@ -230,18 +243,24 @@ where
     }
     let labels = label_table::<T>(h);
     let step = sample_every.max(1);
+    // one past buffer and one state for every replay: a sampled output
+    // copies its seed in, then steps it once per event of its past
+    let mut past: Vec<usize> = Vec::new();
+    let mut state = adt.initial();
     for (k, e) in h.events().enumerate() {
         if k % step != 0 {
             continue;
         }
         let (_, out) = &labels[e.idx()];
         let Some(expected) = out else { continue };
-        // replay ⌊e⌋ sorted by the total order
-        let mut past: Vec<usize> = causal.past(e.idx()).to_vec();
-        past.sort_by_key(|&x| pos[x]);
-        let mut state = seed_of(e).clone();
-        for x in past {
-            state = adt.transition(&state, &labels[x].0);
+        // replay ⌊e⌋ sorted by the total order (positions are distinct,
+        // so the in-place unstable sort gives the one order)
+        past.clear();
+        past.extend(causal.past(e.idx()).iter());
+        past.sort_unstable_by_key(|&x| pos[x]);
+        state.clone_from(seed_of(e));
+        for &x in &past {
+            adt.transition_in_place(&mut state, &labels[x].0);
         }
         if !adt.output_matches(&state, &labels[e.idx()].0, expected) {
             return Err(CcvViolation::OutputMismatch(e));
@@ -484,6 +503,34 @@ mod tests {
                 | Err(CcViolation::OutputMismatch { .. })
                 | Err(CcViolation::ApplyOrderViolatesCausality { .. })
         ));
+    }
+
+    /// Replica 2 applies `w(2)` before the `w(1)` it causally follows,
+    /// and nothing but the apply-order check can see it: its read
+    /// matches that order. Replicas 0 and 1 applied both writes first,
+    /// in causal order, which must not vouch for replica 2.
+    #[test]
+    fn a_remote_apply_out_of_causal_order_is_caught_at_every_replica() {
+        let adt = WindowStream::new(2);
+        let check = |apply: Vec<EventId>, read: Vec<u64>| {
+            let mut b = B::new();
+            let x = b.op(0, WInput::Write(1), WOutput::Ack);
+            let e = b.op(1, WInput::Write(2), WOutput::Ack);
+            let r = b.op(2, WInput::Read, WOutput::Window(read));
+            let h = b.build();
+            let mut causal = h.prog().clone();
+            causal.add_pair_closed(x.idx(), e.idx());
+            causal.add_pair_closed(e.idx(), r.idx());
+            let apply = vec![vec![x, e], vec![x, e], apply];
+            let own = vec![vec![x], vec![e], vec![r]];
+            verify_cc_execution(&adt, &h, &causal, &apply, &own)
+        };
+        let (x, e, r) = (EventId(0), EventId(1), EventId(2));
+        assert_eq!(check(vec![x, e, r], vec![1, 2]), Ok(()));
+        assert_eq!(
+            check(vec![e, x, r], vec![2, 1]),
+            Err(CcViolation::ApplyOrderViolatesCausality { process: 2 })
+        );
     }
 
     #[test]
@@ -814,6 +861,193 @@ mod tests {
             rec.check(&space, Mode::Causal, 1).1,
             Err(RecordingViolation::OwnOrder { part: 0 })
         );
+    }
+
+    /// A test-only adapter that hides its base's in-place δ: every
+    /// replayed step builds a new state through `transition`.
+    #[derive(Debug, Clone)]
+    struct ClonePath<T>(T);
+
+    impl<T: Adt> Adt for ClonePath<T> {
+        type Input = T::Input;
+        type Output = T::Output;
+        type State = T::State;
+
+        fn initial(&self) -> T::State {
+            self.0.initial()
+        }
+        fn transition(&self, q: &T::State, i: &T::Input) -> T::State {
+            self.0.transition(q, i)
+        }
+        fn output(&self, q: &T::State, i: &T::Input) -> T::Output {
+            self.0.output(q, i)
+        }
+        fn kind(&self, i: &T::Input) -> cbm_adt::OpKind {
+            self.0.kind(i)
+        }
+        fn output_matches(&self, q: &T::State, i: &T::Input, expected: &T::Output) -> bool {
+            self.0.output_matches(q, i, expected)
+        }
+    }
+
+    /// One script step: replica, action, object, value.
+    type Step = (usize, u8, u32, u64);
+
+    /// Runs `script` as a causal-broadcast execution of `procs`
+    /// register replicas over `space`, all seeded with `seed`. A step
+    /// either issues an operation at its replica — a write, or a read
+    /// answered as `mode`'s replica answers it (its applied writes
+    /// folded in apply order under CC, in stamp order under CCv) — or
+    /// delivers to it one of the writes it can take next.
+    fn simulate<'s>(
+        space: &Space,
+        seed: &'s Vec<u64>,
+        mode: Mode,
+        procs: usize,
+        script: &[Step],
+    ) -> Recording<'s, Space> {
+        struct Write {
+            origin: usize,
+            index: u32,
+            stamp: Stamp,
+            input: SpaceInput<RegInput>,
+            /// per origin, how many of its writes the issuer had applied
+            deps: Vec<usize>,
+        }
+        let mut writes: Vec<Write> = Vec::new();
+        let mut parts: Vec<Part<'s, Space>> = (0..procs)
+            .map(|_| Part {
+                events: Vec::new(),
+                applies: Some(Vec::new()),
+                seed,
+            })
+            .collect();
+        let mut clock = vec![0u64; procs];
+        let mut applied: Vec<Vec<usize>> = vec![Vec::new(); procs];
+        let mut taken = vec![vec![0usize; procs]; procs];
+        for &(p, action, obj, v) in script {
+            let p = p % procs;
+            let index = parts[p].events.len() as u32;
+            if action < 4 {
+                let input = if action < 2 {
+                    RegInput::Write(v)
+                } else {
+                    RegInput::Read
+                };
+                let input = SpaceInput::new(obj, input);
+                clock[p] += 1;
+                let stamp = Stamp::new(clock[p], p);
+                let mut order: Vec<usize> = applied[p].clone();
+                if mode == Mode::Convergent {
+                    order.sort_by_key(|&w| writes[w].stamp);
+                }
+                let state = order
+                    .iter()
+                    .fold(seed.clone(), |q, &w| space.transition(&q, &writes[w].input));
+                let output = space.output(&state, &input);
+                if space.is_update(&input) {
+                    let deps = taken[p].clone();
+                    taken[p][p] += 1;
+                    applied[p].push(writes.len());
+                    writes.push(Write {
+                        origin: p,
+                        index,
+                        stamp,
+                        input: input.clone(),
+                        deps,
+                    });
+                }
+                parts[p].events.push((input, Some(output), stamp));
+                parts[p].applies.as_mut().unwrap().push((p, index));
+            } else {
+                let ready: Vec<usize> = (0..writes.len())
+                    .filter(|&w| {
+                        let u = &writes[w];
+                        u.origin != p
+                            && taken[p][u.origin] == u.deps[u.origin]
+                            && (0..procs).all(|r| r == u.origin || u.deps[r] <= taken[p][r])
+                    })
+                    .collect();
+                if let Some(&w) = ready.get(v as usize % ready.len().max(1)) {
+                    let u = &writes[w];
+                    taken[p][u.origin] += 1;
+                    clock[p] = clock[p].max(u.stamp.time);
+                    applied[p].push(w);
+                    parts[p].applies.as_mut().unwrap().push((u.origin, u.index));
+                }
+            }
+        }
+        Recording { parts }
+    }
+
+    /// The same recording, checked through [`ClonePath`].
+    fn through_clone_path<'s>(rec: &Recording<'s, Space>) -> Recording<'s, ClonePath<Space>> {
+        let parts = rec.parts.iter().map(|p| Part {
+            events: p.events.clone(),
+            applies: p.applies.clone(),
+            seed: p.seed,
+        });
+        Recording {
+            parts: parts.collect(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Stepping the space in place decides every recording as the
+        /// clone path does, in both modes: healthy runs (which pass in
+        /// the mode they ran), a read answered with a value never
+        /// written (which fails), and a swapped pair of applies or an
+        /// unobserved part (either verdict).
+        #[test]
+        fn in_place_replay_decides_as_the_clone_path(
+            procs in 1usize..4,
+            script in proptest::collection::vec((0usize..4, 0u8..7, 0u32..4, 0u64..6), 0..60),
+            seed in proptest::collection::vec(0u64..3, 3),
+            tamper in (0usize..64, 0usize..3),
+        ) {
+            let space = ObjectSpace::new(Register, 3);
+            let cloning = ClonePath(space.clone());
+            let (index, how) = tamper;
+            for ran in Mode::BOTH {
+                let healthy = simulate(&space, &seed, ran, procs, &script);
+                let mut tampered = healthy.clone();
+                let part = &mut tampered.parts[index % procs];
+                let mut bad_read = false;
+                match how {
+                    0 => {
+                        let reads = part.events.iter_mut().filter_map(|ev| ev.1.as_mut());
+                        if let Some(out) = reads.filter(|o| matches!(o, RegOutput::Val(_))).nth(index % 4) {
+                            *out = RegOutput::Val(1000);
+                            bad_read = true;
+                        }
+                    }
+                    1 => {
+                        let applies = part.applies.as_mut().expect("observed");
+                        if applies.len() > 1 {
+                            let at = index % (applies.len() - 1);
+                            applies.swap(at, at + 1);
+                        }
+                    }
+                    _ => part.applies = None,
+                }
+                for mode in Mode::BOTH {
+                    for sample_every in [1, 3] {
+                        let verdict = healthy.check(&space, mode, sample_every).1;
+                        if mode == ran {
+                            proptest::prop_assert_eq!(&verdict, &Ok(()), "ran {:?}", ran);
+                        }
+                        let cloned = through_clone_path(&healthy).check(&cloning, mode, sample_every).1;
+                        proptest::prop_assert_eq!(verdict, cloned);
+                        let verdict = tampered.check(&space, mode, sample_every).1;
+                        if bad_read && sample_every == 1 {
+                            proptest::prop_assert!(verdict.is_err(), "{:?}", mode);
+                        }
+                        let cloned = through_clone_path(&tampered).check(&cloning, mode, sample_every).1;
+                        proptest::prop_assert_eq!(verdict, cloned);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,18 +162,29 @@ where
     let t0 = taps::now();
     let (mut results, verdicts, verifier_spans) = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
+        // named for per-thread profiles (`tools/sigprof --by-thread`)
         for ep in endpoints {
             let (tx, pool) = (tx.clone(), Arc::clone(&pool));
             let (coord, gen, sched, map, published) = (&coord, &gen, &sched, &map, &published);
-            handles.push(s.spawn(move || {
-                let _guard = PanicGuard(coord);
-                let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
-                Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps).run(gen)
-            }));
+            let worker = std::thread::Builder::new().name(format!("worker-{}", ep.me()));
+            handles.push(
+                worker
+                    .spawn_scoped(s, move || {
+                        let _guard = PanicGuard(coord);
+                        let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
+                        Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps).run(gen)
+                    })
+                    .expect("spawn worker thread"),
+            );
         }
         drop(tx); // verifier's channel closes once every worker exits
         let map = &map;
-        let verifier = s.spawn(move || verifier::verify_windows(adt, cfg, map, tracing, t0, rx));
+        let verifier = std::thread::Builder::new()
+            .name("verifier".into())
+            .spawn_scoped(s, move || {
+                verifier::verify_windows(adt, cfg, map, tracing, t0, rx)
+            })
+            .expect("spawn verifier thread");
         let results: Vec<WorkerResult> = handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
