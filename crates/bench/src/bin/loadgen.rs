@@ -1002,8 +1002,9 @@ fn append_summary(
     // Epoch log I/O (docs/DURABILITY.md): only --log-dir legs write
     // records. Where the write groups fill depends on delivery order,
     // so the table is informational and nothing gates on it.
-    const DURABLE_COUNTERS: [&str; 4] = [
+    const DURABLE_COUNTERS: [&str; 5] = [
         "durable_records_total",
+        "durable_runs_total",
         "durable_bytes_total",
         "durable_write_syscalls_total",
         "durable_syncs_total",

@@ -2,12 +2,17 @@
 //! process restart (see `docs/DURABILITY.md`).
 //!
 //! Each worker appends to its own file, `worker-{id}.log`, in the
-//! configured [`crate::DurableConfig::log_dir`]: one record per
-//! **applied** event — an own update at invocation, a delivered
-//! envelope batch at delivery — plus a *seal* record at every drain
-//! cut, followed by one `fdatasync`. The cut is the durability unit:
-//! replaying the log to its last seal reconstructs exactly the replica
-//! state the fleet agreed on at that cut (drain invariant: in
+//! configured [`crate::DurableConfig::log_dir`]: the sequence of events
+//! it **applied**, in apply order, plus a *seal* record at every drain
+//! cut, followed by one `fdatasync`. Own updates (applied at
+//! invocation) are gathered into **runs** of up to [`RUN_OPS`], one
+//! record each; a delivered envelope batch is one record that names
+//! its position in the open run (`at`: the run's own updates applied
+//! before it), so replay restores the exact interleaving. A run closes
+//! only when it is full or at a seal, which keeps the record count and
+//! the bytes pure functions of the op stream. The cut is the durability
+//! unit: replaying the log to its last seal reconstructs exactly the
+//! replica state the fleet agreed on at that cut (drain invariant: in
 //! convergent mode every post-cut timestamp exceeds every pre-cut one,
 //! so the replayed fold equals the live fold even though compactions
 //! are not replayed).
@@ -15,12 +20,13 @@
 //! Because nothing ever reads past the last seal, records are written
 //! by **group commit**: [`EpochLog`] frames each record onto the end of
 //! one in-memory group and hands the group to the file in a single
-//! `write(2)` once it holds [`GROUP_BYTES`]; a seal writes whatever is
-//! left and then runs its one `fdatasync`. The bytes on disk at every
-//! seal are exactly what a write per record would have left there.
-//! What a crash loses is only ever unsealed — records still in the
-//! group die with the process, which is the same residue recovery
-//! already discards — so dropping an `EpochLog` writes nothing.
+//! `write(2)` once it holds [`GROUP_BYTES`]; a seal closes the open run,
+//! writes whatever is left and then runs its one `fdatasync`. The bytes
+//! on disk at every seal are exactly what a write per record would have
+//! left there. What a crash loses is only ever unsealed — records still
+//! in the group and own updates still in the open run die with the
+//! process, which is the same residue recovery already discards — so
+//! dropping an `EpochLog` writes nothing.
 //!
 //! Every record is framed exactly like a socket frame
 //! ([`cbm_net::tcp`]): `[len u32 LE][crc32 u32 LE][body]`, with bodies
@@ -57,12 +63,35 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Record tag: one own update applied at invocation.
+/// Record tag: one own update applied at invocation. Decode-only: the
+/// format before runs, still replayed so an older log recovers.
 pub(crate) const TAG_OWN: u8 = 0;
-/// Record tag: one delivered envelope batch.
+/// Record tag: one delivered envelope batch with full per-op
+/// timestamps. Decode-only, like [`TAG_OWN`].
 pub(crate) const TAG_BATCH: u8 = 1;
 /// Record tag: a sealed drain cut (followed by `fdatasync`).
 pub(crate) const TAG_SEAL: u8 = 2;
+/// Record tag: a run of own updates, `[n u32][n × (obj u32, time u64,
+/// input)]`; every op's origin is the log's own worker.
+pub(crate) const TAG_RUN: u8 = 3;
+/// Record tag: one delivered envelope batch, `[sender][seq][at
+/// u32][n u32][n × (obj u32, time u64, input)]`; every op's origin is
+/// `sender`, and `at` counts the own updates of the open run applied
+/// before it.
+pub(crate) const TAG_DELIVERED: u8 = 4;
+
+/// Own updates one run record holds: [`EpochLog::log_own`] frames the
+/// open run when it reaches this count, and a seal frames a shorter
+/// one. One frame, and so one CRC, per this many own updates.
+///
+/// Chosen by measurement on the benchmark's `durable_crash` (4 workers
+/// on 2 cores, seed 42, 12 s runs rotating over the sizes, six a size;
+/// the frame per own update this replaced: `docs/DURABILITY.md`, "Runs,
+/// measured"). Medians: 16 5.14 M ops/s, 64 5.17 M, 256 5.36 M, each
+/// inside the others' quartiles. Every size on that plateau already
+/// frames a run of hundreds of bytes under one carry-less-multiply
+/// CRC; 64 is its middle, and holds about 1.3 KiB unframed per worker.
+pub const RUN_OPS: usize = 64;
 
 /// Framed records an [`EpochLog`] gathers before handing them to the
 /// file in one `write(2)` (group commit; see the [module docs](self)).
@@ -184,9 +213,12 @@ fn snap_path(dir: &Path, me: usize) -> PathBuf {
 /// counts off the causal layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogCounts {
-    /// Records framed into the log: own updates, delivered batches,
-    /// seals.
+    /// Records framed into the log: runs of own updates, delivered
+    /// batches, seals.
     pub records: u64,
+    /// Those of `records` that are runs: one per [`RUN_OPS`] own
+    /// updates, plus one per seal that closes a shorter run.
+    pub runs: u64,
     /// Bytes of those records.
     pub bytes: u64,
     /// `write_all` calls: one per full group, one per seal that finds
@@ -204,14 +236,21 @@ pub struct EpochLog {
     file: File,
     dir: PathBuf,
     snap_path: PathBuf,
+    /// The worker this log belongs to: the origin of every run op.
+    me: usize,
     /// Framed records not yet written (group commit: see
     /// [`GROUP_BYTES`]). Never written on drop — an unsealed group is
     /// crash residue by definition.
     group: Vec<u8>,
+    /// The open run's encoded own updates, `run_ops` of them, not yet
+    /// framed (see [`RUN_OPS`]).
+    run: Vec<u8>,
+    run_ops: u32,
     /// Boundary seals since the last snapshot (snapshot cadence).
     boundary_seals: u64,
-    /// Bytes appended to the log since open or last truncation
-    /// (whether or not their group has been written yet).
+    /// Bytes framed into the log since open or last truncation
+    /// (whether or not their group has been written yet; the open
+    /// run's own updates count once the run is framed).
     pub appended: u64,
     /// Cumulative record / write / sync counts.
     pub counts: LogCounts,
@@ -241,7 +280,10 @@ impl EpochLog {
             file,
             dir: dir.to_path_buf(),
             snap_path,
+            me,
             group: Vec::new(),
+            run: Vec::new(),
+            run_ops: 0,
             boundary_seals: 0,
             appended: 0,
             counts: LogCounts::default(),
@@ -251,14 +293,37 @@ impl EpochLog {
     /// Frame one record (`encode` writes the body) onto the group, and
     /// write the group out if that fills it.
     fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
-        let len = frame_into(&mut self.group, encode) as u64;
-        self.appended += len;
+        let len = frame_into(&mut self.group, encode);
+        self.framed(len)
+    }
+
+    /// Account for a record of `len` framed bytes just put on the
+    /// group, and write the group out if that fills it.
+    fn framed(&mut self, len: usize) -> std::io::Result<()> {
+        self.appended += len as u64;
         self.counts.records += 1;
-        self.counts.bytes += len;
+        self.counts.bytes += len as u64;
         if self.group.len() >= GROUP_BYTES {
             self.write_group()?;
         }
         Ok(())
+    }
+
+    /// Frame the open run (if it holds any own update) as one record.
+    fn close_run(&mut self) -> std::io::Result<()> {
+        if self.run_ops == 0 {
+            return Ok(());
+        }
+        let (run, n) = (&self.run, self.run_ops);
+        let len = frame_into(&mut self.group, |b| {
+            b.push(TAG_RUN);
+            n.put(b);
+            b.extend_from_slice(run);
+        });
+        self.run.clear();
+        self.run_ops = 0;
+        self.counts.runs += 1;
+        self.framed(len)
     }
 
     /// Hand the group (if any) to the file in one write.
@@ -271,35 +336,54 @@ impl EpochLog {
         Ok(())
     }
 
-    /// Record one own update, applied at invocation.
+    /// Record one own update, applied at invocation: it joins the open
+    /// run, which is framed once it holds [`RUN_OPS`] updates.
     pub fn log_own<I: Wire>(&mut self, obj: u32, ts: Timestamp, input: &I) -> std::io::Result<()> {
-        self.append(|b| {
-            b.push(TAG_OWN);
-            obj.put(b);
-            ts.put(b);
-            input.put(b);
-        })
+        debug_assert_eq!(
+            ts.pid, self.me,
+            "an own update's origin is the log's worker"
+        );
+        obj.put(&mut self.run);
+        ts.time.put(&mut self.run);
+        input.put(&mut self.run);
+        self.run_ops += 1;
+        if self.run_ops as usize == RUN_OPS {
+            self.close_run()?;
+        }
+        Ok(())
     }
 
-    /// Record one delivered envelope batch.
+    /// Record one delivered envelope batch, placed after the own
+    /// updates of the open run applied so far.
     pub fn log_batch<I: Wire>(
         &mut self,
         sender: usize,
         seq: u64,
         ops: &[WireOp<I>],
     ) -> std::io::Result<()> {
+        let at = self.run_ops;
+        let n = u32::try_from(ops.len()).expect("a batch holds fewer than 2^32 ops");
         self.append(|b| {
-            b.push(TAG_BATCH);
+            b.push(TAG_DELIVERED);
             sender.put(b);
             seq.put(b);
-            put_slice(ops, b);
+            at.put(b);
+            n.put(b);
+            for op in ops {
+                debug_assert_eq!(op.ts.pid, sender, "a batch carries its sender's ops");
+                op.obj.put(b);
+                op.ts.time.put(b);
+                op.input.put(b);
+            }
         })
     }
 
-    /// Seal a drain cut and make everything up to it durable: the rest
-    /// of the group goes out, then one `fdatasync`. Returns whether the
-    /// snapshot cadence says this boundary should compact next.
+    /// Seal a drain cut and make everything up to it durable: the open
+    /// run is framed, the rest of the group goes out, then one
+    /// `fdatasync`. Returns whether the snapshot cadence says this
+    /// boundary should compact next.
     pub fn seal(&mut self, seal: &SealInfo, snapshot_every: u64) -> std::io::Result<bool> {
+        self.close_run()?;
         self.append(|b| {
             b.push(TAG_SEAL);
             seal.put(b);
@@ -318,9 +402,11 @@ impl EpochLog {
     /// truncate the log prefix it replaces. The snapshot goes to a
     /// temp file first and is renamed into place, so a crash leaves
     /// either the old snapshot or the new one — never a torn mix.
-    /// Records appended since the last seal are dropped unwritten: the
-    /// truncation would discard them anyway.
+    /// Records appended since the last seal, and the open run, are
+    /// dropped unwritten: the truncation would discard them anyway.
     pub fn snapshot<S: Wire>(&mut self, seal: &SealInfo, states: &[S]) -> std::io::Result<()> {
+        self.run.clear();
+        self.run_ops = 0;
         // the group doubles as the snapshot frame's scratch buffer
         self.group.clear();
         frame_into(&mut self.group, |b| {
@@ -373,6 +459,71 @@ fn sealed_by(snap: &SealInfo, body: &[u8]) -> bool {
     let mut pos = 1usize;
     body.first() == Some(&TAG_SEAL)
         && SealInfo::get(body, &mut pos).is_some_and(|s| cut(&s) <= cut(snap))
+}
+
+/// A delivered-batch record queued for the run it was applied in: its
+/// position there, its sender, and its `n` encoded ops (`ops`, a range
+/// of the log), decoded only when the run replays.
+struct Delivered {
+    offset: u64,
+    at: u32,
+    sender: usize,
+    n: u32,
+    ops: std::ops::Range<usize>,
+}
+
+impl Delivered {
+    fn apply<T: Adt>(&self, adt: &T, table: &mut ObjectTable<T>, log: &[u8]) -> Result<(), LogError>
+    where
+        T::Input: Wire,
+    {
+        let corrupt = || LogError::CorruptRecord {
+            offset: self.offset,
+        };
+        let buf = &log[self.ops.clone()];
+        let mut pos = 0usize;
+        for _ in 0..self.n {
+            let obj = u32::get(buf, &mut pos).ok_or_else(corrupt)?;
+            let time = u64::get(buf, &mut pos).ok_or_else(corrupt)?;
+            let input = T::Input::get(buf, &mut pos).ok_or_else(corrupt)?;
+            table.apply_update(adt, obj, Timestamp::new(time, self.sender), &input);
+        }
+        if pos != buf.len() {
+            return Err(corrupt());
+        }
+        Ok(())
+    }
+}
+
+/// Replay a run of `n` own updates (`own` applies the next one) with
+/// the delivered batches queued for it: before own update `i` every
+/// batch placed at `i`, after the last one every batch placed at `n`.
+/// A queued batch no position of the run places is corrupt. A seal
+/// replays the batches left as a run of none.
+fn interleave<T: Adt>(
+    pending: &mut Vec<Delivered>,
+    n: u32,
+    adt: &T,
+    table: &mut ObjectTable<T>,
+    log: &[u8],
+    mut own: impl FnMut(&mut ObjectTable<T>) -> Result<(), LogError>,
+) -> Result<(), LogError>
+where
+    T::Input: Wire,
+{
+    let mut queued = pending.drain(..).peekable();
+    for i in 0..=n {
+        while let Some(d) = queued.next_if(|d| d.at == i) {
+            d.apply(adt, table, log)?;
+        }
+        if i < n {
+            own(table)?;
+        }
+    }
+    match queued.next() {
+        Some(d) => Err(LogError::CorruptRecord { offset: d.offset }),
+        None => Ok(()),
+    }
 }
 
 /// Replay this worker's snapshot + log tail to the last sealed cut.
@@ -446,11 +597,46 @@ where
                 .rposition(|(_, body)| sealed_by(snap, &log[body.clone()]))
                 .map_or(0, |i| i + 1)
         });
+        // delivered records wait here for the run they were applied in
+        let mut pending: Vec<Delivered> = Vec::new();
         for (offset, body) in &frames[first..=last] {
             let buf = &log[body.clone()];
             let corrupt = LogError::CorruptRecord { offset: *offset };
             let mut pos = 1usize;
             match buf.first() {
+                Some(&TAG_DELIVERED) => {
+                    let sender = usize::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                    let _seq = u64::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                    let at = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                    let n = u32::get(buf, &mut pos).ok_or(corrupt)?;
+                    pending.push(Delivered {
+                        offset: *offset,
+                        at,
+                        sender,
+                        n,
+                        ops: body.start + pos..body.end,
+                    });
+                }
+                Some(&TAG_RUN) => {
+                    let n = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                    interleave(&mut pending, n, adt, &mut table, &log, |table| {
+                        let obj = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                        let time = u64::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                        let input = T::Input::get(buf, &mut pos).ok_or(corrupt.clone())?;
+                        table.apply_update(adt, obj, Timestamp::new(time, me), &input);
+                        Ok(())
+                    })?;
+                    if pos != buf.len() {
+                        return Err(corrupt);
+                    }
+                }
+                Some(&TAG_SEAL) => {
+                    // batches delivered after the cut's last run closed
+                    interleave(&mut pending, 0, adt, &mut table, &log, |_| Ok(()))?;
+                    seal = Some(SealInfo::get(buf, &mut pos).ok_or(corrupt)?);
+                }
+                // the older records never share a cut with queued ones
+                _ if !pending.is_empty() => return Err(corrupt),
                 Some(&TAG_OWN) => {
                     let obj = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
                     let ts = Timestamp::get(buf, &mut pos).ok_or(corrupt.clone())?;
@@ -466,9 +652,6 @@ where
                             WireOp::get(buf, &mut pos).ok_or(corrupt.clone())?;
                         table.apply_update(adt, op.obj, op.ts, &op.input);
                     }
-                }
-                Some(&TAG_SEAL) => {
-                    seal = Some(SealInfo::get(buf, &mut pos).ok_or(corrupt)?);
                 }
                 _ => return Err(corrupt),
             }
@@ -686,14 +869,125 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// One seal interval of a generated event stream: own writes
+    /// `(obj, value)`, delivered batches `(sender, writes)`, and
+    /// whether the cut compacts into a snapshot.
+    struct Interval {
+        own: Vec<(u32, u64)>,
+        batches: Vec<(usize, Vec<(u32, u64)>)>,
+        snapshot: bool,
+    }
+
+    /// Register writes on 4 objects (so own and delivered writes
+    /// overwrite each other), values unique across the stream, runs
+    /// of own writes both shorter and longer than [`RUN_OPS`].
+    fn intervals(rng: &mut rand::rngs::StdRng) -> Vec<Interval> {
+        use rand::Rng;
+        let mut value = 0u64;
+        let mut write = |rng: &mut rand::rngs::StdRng| {
+            value += 1;
+            (rng.gen_range(0u32..4), value)
+        };
+        (0..rng.gen_range(1usize..5))
+            .map(|_| Interval {
+                own: (0..rng.gen_range(0usize..2 * RUN_OPS + 8))
+                    .map(|_| write(rng))
+                    .collect(),
+                batches: (0..rng.gen_range(0usize..24))
+                    .map(|_| {
+                        let n = rng.gen_range(0usize..5);
+                        (
+                            rng.gen_range(1usize..3),
+                            (0..n).map(|_| write(rng)).collect(),
+                        )
+                    })
+                    .collect(),
+                snapshot: rng.gen_bool(0.3),
+            })
+            .collect()
+    }
+
+    /// Log `intervals` with each one's own writes and batches merged
+    /// in an order drawn from `rng`, applying the same events to a live
+    /// causal table; at every seal the log must recover to exactly the
+    /// live state. Returns the log's counts.
+    fn log_merged(dir: &Path, intervals: &[Interval], rng: &mut rand::rngs::StdRng) -> LogCounts {
+        use rand::Rng;
+        let adt = Register;
+        let mut live = ObjectTable::new(&adt, 4, Mode::Causal);
+        let mut log = EpochLog::open(dir, 0, true).unwrap();
+        let (mut lamport, mut seq) = (0u64, 0u64);
+        for (e, iv) in intervals.iter().enumerate() {
+            let (mut own, mut batches) = (iv.own.iter(), iv.batches.iter());
+            let mut left = (iv.own.len(), iv.batches.len());
+            while left.0 + left.1 > 0 {
+                if rng.gen_range(0..left.0 + left.1) < left.0 {
+                    let &(obj, v) = own.next().unwrap();
+                    lamport += 1;
+                    live.apply_update(&adt, obj, ts(lamport, 0), &RegInput::Write(v));
+                    log.log_own(obj, ts(lamport, 0), &RegInput::Write(v))
+                        .unwrap();
+                    left.0 -= 1;
+                } else {
+                    let (sender, writes) = batches.next().unwrap();
+                    seq += 1;
+                    let ops: Vec<WireOp<RegInput>> = writes
+                        .iter()
+                        .map(|&(obj, v)| WireOp {
+                            obj,
+                            input: RegInput::Write(v),
+                            ts: ts(v, *sender),
+                            wseq: None,
+                        })
+                        .collect();
+                    log.log_batch(*sender, seq, &ops).unwrap();
+                    for op in &ops {
+                        live.apply_update(&adt, op.obj, op.ts, &op.input);
+                    }
+                    left.1 -= 1;
+                }
+            }
+            let seal = seal_of(&live, e as u64 + 1, lamport);
+            log.seal(&seal, 0).unwrap();
+            if iv.snapshot {
+                log.snapshot(&seal, &live.snapshot()).unwrap();
+            }
+            let rec = recover::<Register>(&adt, dir, 0, 4, Mode::Causal)
+                .unwrap_or_else(|err| panic!("cut {}: {err}", e + 1));
+            assert_eq!((&rec.seal, &rec.states), (&seal, &live.snapshot()));
+        }
+        log.counts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Replay restores the order the replica applied its events
+        /// in, not just their set: register writes overwrite each
+        /// other, so a delivered batch replayed at any other position
+        /// of its run lands on a different state. Two interleavings of
+        /// the same events frame the same records and bytes.
+        #[test]
+        fn replay_restores_the_apply_order(seed in 0u64..1_000_000) {
+            use rand::SeedableRng;
+            let dir = tmpdir(&format!("order-{seed}"));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let stream = intervals(&mut rng);
+            let a = log_merged(&dir, &stream, &mut rng);
+            let b = log_merged(&dir, &stream, &mut rng);
+            proptest::prop_assert_eq!((a.records, a.runs, a.bytes), (b.records, b.runs, b.bytes));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     /// Group commit is invisible at every seal. Seeded random runs of
-    /// own records, batches (some several groups long), seals and
+    /// own updates, batches (some several groups long), seals and
     /// snapshots, checked against what a write per record leaves: every
     /// record's `frame_into` output since the last truncation, in
-    /// order. The file is always a prefix of that stream and equals it
-    /// after every seal; `appended` is its length; writes stay within
-    /// one per full group, per seal and per snapshot; syncs are one per
-    /// seal and three per snapshot.
+    /// order, with own updates framed [`RUN_OPS`] to a run and a seal
+    /// framing the shorter run it closes. The file is always a prefix
+    /// of that stream and equals it after every seal; `appended` is its
+    /// length; writes stay within one per full group, per seal and per
+    /// snapshot; syncs are one per seal and three per snapshot.
     #[test]
     fn group_commit_leaves_a_write_per_record_bytes_at_every_seal() {
         use rand::rngs::StdRng;
@@ -703,24 +997,41 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut log = EpochLog::open(&dir, 0, true).unwrap();
             let mut stream = Vec::new();
+            // the reference run: its encoded ops and their count
+            let (mut run, mut run_ops) = (Vec::new(), 0u32);
+            let close = |stream: &mut Vec<u8>, run: &mut Vec<u8>, run_ops: &mut u32| {
+                if *run_ops > 0 {
+                    frame_into(stream, |b| {
+                        b.push(TAG_RUN);
+                        run_ops.put(b);
+                        b.extend_from_slice(run);
+                    });
+                    run.clear();
+                    *run_ops = 0;
+                    return 1;
+                }
+                0
+            };
             let (steps, mut seals, mut snapshots) = (300u64, 0u64, 0u64);
+            let (mut records, mut runs) = (0u64, 0u64);
             for step in 0..steps {
                 let roll = rng.gen_range(0u32..100);
                 if roll < 55 {
                     let obj = rng.gen_range(0u32..64);
                     let input = CtInput::Add(rng.gen_range(-9i64..9));
                     log.log_own(obj, ts(step, 0), &input).unwrap();
-                    frame_into(&mut stream, |b| {
-                        b.push(TAG_OWN);
-                        obj.put(b);
-                        ts(step, 0).put(b);
-                        input.put(b);
-                    });
+                    obj.put(&mut run);
+                    step.put(&mut run);
+                    input.put(&mut run);
+                    run_ops += 1;
+                    if run_ops as usize == RUN_OPS {
+                        runs += close(&mut stream, &mut run, &mut run_ops);
+                    }
                 } else if roll < 85 {
                     // one batch in six is up to a few groups long (an
-                    // op encodes to some 30 bytes)
+                    // op encodes to some 20 bytes)
                     let n = if rng.gen_range(0u32..6) == 0 {
-                        rng.gen_range(GROUP_BYTES / 32..GROUP_BYTES / 8)
+                        rng.gen_range(GROUP_BYTES / 20..GROUP_BYTES / 5)
                     } else {
                         rng.gen_range(0usize..40)
                     };
@@ -734,22 +1045,31 @@ mod tests {
                         .collect();
                     log.log_batch(1, step, &ops).unwrap();
                     frame_into(&mut stream, |b| {
-                        b.push(TAG_BATCH);
+                        b.push(TAG_DELIVERED);
                         1usize.put(b);
                         step.put(b);
-                        put_slice(&ops, b);
+                        run_ops.put(b);
+                        (n as u32).put(b);
+                        for op in &ops {
+                            op.obj.put(b);
+                            op.ts.time.put(b);
+                            op.input.put(b);
+                        }
                     });
+                    records += 1;
                 } else if roll < 97 {
                     let s = SealInfo {
                         epoch: step,
                         ..SealInfo::default()
                     };
                     log.seal(&s, 0).unwrap();
+                    runs += close(&mut stream, &mut run, &mut run_ops);
                     frame_into(&mut stream, |b| {
                         b.push(TAG_SEAL);
                         s.put(b);
                     });
                     seals += 1;
+                    records += 1;
                     let file = fs::read(log_path(&dir, 0)).unwrap();
                     assert!(
                         file == stream,
@@ -758,6 +1078,8 @@ mod tests {
                 } else {
                     log.snapshot(&SealInfo::default(), &[0i64; 4]).unwrap();
                     stream.clear();
+                    run.clear();
+                    run_ops = 0;
                     snapshots += 1;
                 }
                 let file = fs::read(log_path(&dir, 0)).unwrap();
@@ -769,8 +1091,8 @@ mod tests {
             }
             let c = log.counts;
             assert_eq!(
-                (c.records, c.syncs),
-                (steps - snapshots, seals + 3 * snapshots)
+                (c.records, c.runs, c.syncs),
+                (records + runs, runs, seals + 3 * snapshots)
             );
             let bound = c.bytes.div_ceil(GROUP_BYTES as u64) + seals + snapshots;
             assert!(c.write_syscalls <= bound, "seed {seed}: {c:?} > {bound}");

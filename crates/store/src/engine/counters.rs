@@ -118,6 +118,10 @@ counter_block! {
         /// Records framed into the durable epoch log (read off the log
         /// at snapshots, like `batches`).
         durable_records => "durable_records_total",
+        /// Those of `durable_records` that are runs of own updates
+        /// (one per `RUN_OPS` own updates, plus one per seal that
+        /// closes a shorter run).
+        durable_runs => "durable_runs_total",
         /// Bytes of those records.
         durable_bytes => "durable_bytes_total",
         /// `write(2)` calls on the log and snapshot files: one per full

@@ -225,6 +225,7 @@ where
             envelope_bufs_pooled: self.proto.bufs_pooled(),
             envelope_bufs_allocated: self.proto.bufs_allocated(),
             durable_records: d.records,
+            durable_runs: d.runs,
             durable_bytes: d.bytes,
             durable_write_syscalls: d.write_syscalls,
             durable_syncs: d.syncs,

@@ -395,7 +395,7 @@ where
         if is_update {
             if let Some(log) = self.dlog.as_mut() {
                 // reads are pure and replay from state; only the
-                // applied update needs a log record
+                // applied update joins the log's open run
                 log.log_own(obj, ts, input)
                     .expect("append an own-update record");
             }
@@ -554,8 +554,9 @@ where
         proto: &InterestBatchCausalBroadcast<WireOp<T::Input>>,
     ) {
         if let Some(log) = self.dlog.as_mut() {
-            // one record per causally-delivered batch: replay
-            // re-applies it in the same delivery order
+            // one record per causally-delivered batch, placed in the
+            // open run of own updates: replay re-applies it in the
+            // same apply order
             log.log_batch(batch.sender, batch.seq, &batch.payload)
                 .expect("append a delivered-batch record");
         }

@@ -130,8 +130,8 @@ pub struct RecoveryStats {
     pub sync_wall_ns: u64,
     /// Records replayed from the worker's own durable epoch log
     /// (snapshot counts as one; 0 on the memory-only path).
-    /// Deterministic: one record per own update, delivered batch, and
-    /// seal up to the crash cut.
+    /// Deterministic: one record per run of own updates, per
+    /// delivered batch, and per seal up to the crash cut.
     pub replayed_records: u64,
     /// Bytes read back from disk for that replay (snapshot + log
     /// prefix; 0 on the memory-only path). Deterministic — the epoch

@@ -7,7 +7,7 @@
 use cbm_adt::counter::{Counter, CtInput};
 use cbm_adt::space::SpaceInput;
 use cbm_net::fault::{Fault, FaultPlan};
-use cbm_store::durable::GROUP_BYTES;
+use cbm_store::durable::{GROUP_BYTES, RUN_OPS};
 use cbm_store::{
     run, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
     VerifyConfig,
@@ -91,13 +91,20 @@ fn group_commit_keeps_the_sync_schedule_and_the_recovery_ladder() {
         let r = leg(rf);
         assert!(r.verified(), "rf {rf}: {:?}", r.windows);
 
-        // every applied update and every delivered batch is one record,
-        // and so is every seal
+        // every delivered batch is one record, and so is every seal;
+        // own updates go RUN_OPS to a run, and a seal closes a shorter
+        // run (at most one per seal)
         let records = metric(&r, "durable_records_total");
+        let runs = metric(&r, "durable_runs_total");
         assert_eq!(
             records,
-            metric(&r, "updates_total") + metric(&r, "batches_delivered_total") + seals,
+            runs + metric(&r, "batches_delivered_total") + seals,
             "rf {rf}"
+        );
+        let (updates, per) = (metric(&r, "updates_total"), RUN_OPS as u64);
+        assert!(
+            updates / per <= runs && runs <= updates / per + seals,
+            "rf {rf}: {runs} runs for {updates} own updates"
         );
         assert_eq!(
             metric(&r, "durable_syncs_total"),

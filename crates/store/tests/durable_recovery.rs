@@ -16,6 +16,7 @@
 //!   returns a state that disagrees with its seal.
 
 use cbm_adt::counter::{Counter, CtInput};
+use cbm_adt::register::{RegInput, Register};
 use cbm_adt::space::SpaceInput;
 use cbm_net::fault::{Fault, FaultPlan};
 use cbm_store::durable::{self, LogError};
@@ -86,6 +87,19 @@ fn counter_gen(objects: u32) -> impl Fn(usize, u64, &mut StdRng) -> SpaceInput<C
             SpaceInput::new(obj, CtInput::Read)
         } else {
             SpaceInput::new(obj, CtInput::Add(rng.gen_range(1i64..100)))
+        }
+    }
+}
+
+/// Register writes with values that are unique with high probability,
+/// so two writes to one object leave different states in either order.
+fn register_gen(objects: u32) -> impl Fn(usize, u64, &mut StdRng) -> SpaceInput<RegInput> + Sync {
+    move |_, _, rng| {
+        let obj = rng.gen_range(0u32..objects);
+        if rng.gen_bool(0.3) {
+            SpaceInput::new(obj, RegInput::Read)
+        } else {
+            SpaceInput::new(obj, RegInput::Write(rng.gen_range(1u64..1 << 40)))
         }
     }
 }
@@ -168,6 +182,37 @@ proptest! {
     ) {
         let mode = if convergent { Mode::Convergent } else { Mode::Causal };
         check_disk_recovery(mode, 2, crash_e, crash_e + extra, seed);
+    }
+}
+
+/// Counter adds commute, so the legs above would pass a replay that
+/// put a delivered batch anywhere among the victim's own updates.
+/// Register writes do not: a batch replayed at any other position than
+/// the one it was applied at leaves a state the seal's hash rejects,
+/// and the victim would fall through to the full transfer with no
+/// records replayed. Causal mode, where the apply order alone decides
+/// each replica's state.
+#[test]
+fn register_disk_recovery_replays_the_apply_order() {
+    let e = EVERY as u64;
+    for seed in [4, 21] {
+        let dir = tmpdir("register");
+        let plan = FaultPlan::new()
+            .at(2 * e, Fault::Crash(2))
+            .at(3 * e, Fault::Recover(2));
+        let mut c = cfg(Mode::Causal, 3, 4 * EVERY, seed, plan);
+        c.durable = durable_cfg(&dir, 0);
+        let r = run(&Register, &c, register_gen(16));
+        assert_eq!(r.total_ops, 3 * 4 * EVERY as u64, "seed {seed}");
+        assert_windows_ok(&r);
+        assert_eq!(r.chaos.recoveries.len(), 1, "seed {seed}");
+        let rec = &r.chaos.recoveries[0];
+        assert_eq!((rec.worker, rec.crash_epoch), (2, 2), "seed {seed}");
+        assert!(
+            rec.replayed_records > 0 && rec.log_bytes > 0,
+            "seed {seed}: the replay must land on the crash cut (rung 1 or 2): {rec:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 

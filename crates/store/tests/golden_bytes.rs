@@ -5,17 +5,24 @@
 //! log record written by an older build must still decode, so any
 //! change to these bytes is a format break, not a refactor.
 //!
+//! The epoch log broke its format on purpose once, when own updates
+//! went into runs and delivered batches into position-tagged records
+//! (`docs/DURABILITY.md`): `epoch_log.hex` pins the current records,
+//! and `epoch_log_v0.hex`, written by the build before, stays as a
+//! decode fixture that must still recover.
+//!
 //! The fixtures are hex text under `tests/golden/`; a mismatch prints
 //! the actual hex.
 
-use cbm_adt::register::{RegInput, RegOutput};
+use cbm_adt::register::{RegInput, RegOutput, Register};
 use cbm_check::monitor::MonitorStats;
 use cbm_net::broadcast::InterestMsg;
 use cbm_net::clock::Timestamp;
 use cbm_net::delta::KnowledgeDelta;
 use cbm_net::fault::Fault;
 use cbm_net::wire::{from_bytes, to_bytes};
-use cbm_store::durable::{EpochLog, SealInfo};
+use cbm_store::durable::{self, EpochLog, SealInfo};
+use cbm_store::objects::ObjectTable;
 use cbm_store::stats::{MonitorEscalation, MonitorReport};
 use cbm_store::wire::{StoreMsg, WireOp};
 use cbm_store::{
@@ -231,7 +238,15 @@ fn epoch_log_bytes_are_stable() {
     let mut log = EpochLog::open(&dir, 0, true).expect("open log");
     log.log_own(5, Timestamp { time: 7, pid: 0 }, &RegInput::Write(11))
         .expect("own");
-    log.log_batch(2, 40, &ops()).expect("batch");
+    // a batch carries its sender's ops
+    let batch: Vec<WireOp<RegInput>> = ops()
+        .into_iter()
+        .map(|op| WireOp {
+            ts: Timestamp { pid: 2, ..op.ts },
+            ..op
+        })
+        .collect();
+    log.log_batch(2, 40, &batch).expect("batch");
     let seal = SealInfo {
         epoch: 3,
         boundary: true,
@@ -252,4 +267,59 @@ fn epoch_log_bytes_are_stable() {
     let bytes = std::fs::read(dir.join("worker-0.log")).expect("read log");
     let _ = std::fs::remove_dir_all(&dir);
     assert_golden("epoch log", &bytes, include_str!("golden/epoch_log.hex"));
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    let hex = hex.trim();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+        .collect()
+}
+
+/// A log the previous format wrote — one record per own update and
+/// per delivered batch, every op with its full timestamp — recovers to
+/// the state its seal hashed, and so does the same log with records in
+/// the current format and a second seal appended (a worker resuming on
+/// a disk an older build left).
+#[test]
+fn an_epoch_log_in_the_previous_format_still_recovers() {
+    let dir = std::env::temp_dir().join(format!("cbm-golden-log-v0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("log dir");
+    let v0 = unhex(include_str!("golden/epoch_log_v0.hex"));
+    std::fs::write(dir.join("worker-0.log"), &v0).expect("write log");
+    let (adt, objects, mode) = (Register, 32, Mode::Convergent);
+    let rec = durable::recover::<Register>(&adt, &dir, 0, objects, mode).expect("v0 recovers");
+    assert_eq!(rec.seal.state_hash, 0x927f_a606_03f4_8fce);
+    assert_eq!((rec.replayed_records, rec.log_bytes), (3, v0.len() as u64));
+
+    let mut live = ObjectTable::new(&adt, objects, mode);
+    live.install(&rec.states);
+    let mut log = EpochLog::open(&dir, 0, false).expect("reopen log");
+    let own = (5, Timestamp { time: 100, pid: 0 }, RegInput::Write(8));
+    live.apply_update(&adt, own.0, own.1, &own.2);
+    log.log_own(own.0, own.1, &own.2).expect("own");
+    let batch = vec![WireOp {
+        obj: 17,
+        input: RegInput::Write(9),
+        ts: Timestamp { time: 101, pid: 1 },
+        wseq: None,
+    }];
+    live.apply_update(&adt, 17, batch[0].ts, &batch[0].input);
+    log.log_batch(1, 1, &batch).expect("batch");
+    live.compact();
+    let seal = SealInfo {
+        epoch: 4,
+        state_hash: live.state_hash(),
+        ..rec.seal.clone()
+    };
+    log.seal(&seal, 0).expect("seal");
+    let rec = durable::recover::<Register>(&adt, &dir, 0, objects, mode).expect("mixed log");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(rec.seal, seal);
+    assert_eq!(
+        rec.replayed_records, 6,
+        "3 old records, a batch, a run, a seal"
+    );
 }

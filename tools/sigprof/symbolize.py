@@ -13,8 +13,8 @@ thread name with --by-thread.
 A program counter is mapped to a link-time address through the ELF LOAD
 segments of the file it falls in (`readelf -lW`): file offset = pc -
 mapping start + mapping offset, then the LOAD segment holding that
-offset gives its virtual address. Functions come from `nm -C`, lines
-from `addr2line -i -f -C`.
+offset gives its virtual address. Functions come from `nm -C` (`nm -D
+-C` for a stripped library), lines from `addr2line -i -f -C`.
 """
 
 import argparse
@@ -57,14 +57,22 @@ class Elf:
             if f and f[0] == "LOAD":
                 offset, vaddr, filesz = int(f[1], 16), int(f[2], 16), int(f[4], 16)
                 self.loads.append((offset, vaddr, max(filesz, 1)))
+        syms = self.symbols(path) or self.symbols(path, "-D")
+        self.addrs = [a for a, _ in syms]
+        self.names = [n for _, n in syms]
+
+    @staticmethod
+    def symbols(path, *table):
+        """Sorted text symbols from `nm`; a stripped library (the system
+        libc) has none in its symbol table, so pass `-D` for its dynamic
+        one."""
         syms = []
-        for line in tool("nm", "-C", "-n", "--defined-only", path).splitlines():
+        for line in tool("nm", *table, "-C", "-n", "--defined-only", path).splitlines():
             addr, _, rest = line.partition(" ")
             kind, _, name = rest.partition(" ")
             if kind in "tTwWiI" and addr.strip():
                 syms.append((int(addr, 16), name))
-        self.addrs = [a for a, _ in syms]
-        self.names = [n for _, n in syms]
+        return syms
 
     def vaddr(self, file_offset):
         for offset, vaddr, size in self.loads:
