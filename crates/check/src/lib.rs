@@ -24,7 +24,7 @@
 //! For *recorded executions* of the algorithms in `cbm-core`, prefer the
 //! [`verify`] module: the execution supplies its own causal order and
 //! per-replica apply orders, which turn the decision problem into a
-//! linear-time verification (this is how Propositions 6 and 7 are
+//! polynomial-time verification (this is how Propositions 6 and 7 are
 //! validated at scale).
 //!
 //! ## Example

@@ -178,7 +178,7 @@ pub struct Escalation {
     /// Events in the rebuilt minimal window (0 for [`BadPattern::CyclicCo`],
     /// which needs no replay — the stamp regression is the proof).
     pub events: usize,
-    /// Exact linear-time re-verification of the window against the
+    /// Exact polynomial-time re-verification of the window against the
     /// delivery evidence the monitor observed. `Err` confirms the
     /// implementation violated its discipline.
     pub witness: Result<(), String>,

@@ -5,7 +5,8 @@
 //! evidence — the delivered-before relation (a causal order by
 //! construction of the causal broadcast) and either per-replica apply
 //! orders (Fig. 4) or a timestamp total order (Fig. 5). Checking that
-//! evidence is linear-time in the history size, which is how
+//! evidence is a replay plus word-parallel checks of the causal order's
+//! rows (O(n/64) words per row), not a search, which is how
 //! Propositions 6 and 7 are validated on large random executions.
 //!
 //! A run recorded piecewise — the store's sampled windows, the
@@ -13,7 +14,10 @@
 //! replica's own events with their stamps, its apply order where it was
 //! observed, and the state it started from. [`Recording::check`]
 //! derives the history and its causal order from those parts and runs
-//! the CC or CCv witness, so both callers share one witness path.
+//! the CC or CCv witness, so both callers share one witness path. Every
+//! causal past in a recording is a prefix of each replica's events, so
+//! the order takes one frontier pass, O(events × parts), and the check
+//! costs that plus the replay.
 //!
 //! Both witnesses step their replay states with
 //! [`Adt::transition_in_place`] and refill their scratch sets, so a
@@ -56,7 +60,9 @@ pub enum CcViolation {
 }
 
 /// Verify that a recorded execution is causally consistent (Def. 9) via
-/// its own witness, in linear time.
+/// its own witness: per replica, one word-parallel check of the causal
+/// order's rows per applied event (O(n/64) words each), then one replay
+/// of its apply order.
 ///
 /// * `causal` — the delivered-before order (must contain `↦`);
 /// * `apply_orders[p]` — the order in which replica `p` applied events
@@ -329,6 +335,16 @@ impl std::fmt::Display for RecordingViolation {
     }
 }
 
+/// A [`Recording`]'s events in part-major ids.
+struct Orders {
+    /// Where each part's events start, and the number of events last.
+    base: Vec<u32>,
+    /// Each part's own events.
+    own: Vec<Vec<EventId>>,
+    /// Each observed part's apply order; empty for an unobserved part.
+    applies: Vec<Vec<EventId>>,
+}
+
 impl<T: Adt> Recording<'_, T> {
     /// The recorded history: part `p`'s events on process `p`, in
     /// issue order.
@@ -358,17 +374,47 @@ impl<T: Adt> Recording<'_, T> {
         sample_every: usize,
     ) -> (History<T::Input, T::Output>, Result<(), RecordingViolation>) {
         let h = self.history();
-        let verdict = self.witness(adt, &h, mode, sample_every);
+        let verdict = self.apply_orders().and_then(|orders| {
+            let causal = self.causal_order(&orders.base)?;
+            self.replay(adt, &h, mode, sample_every, &orders, &causal)
+        });
         (h, verdict)
     }
 
-    fn witness(
+    /// Run `mode`'s witness over `causal`.
+    fn replay(
         &self,
         adt: &T,
         h: &History<T::Input, T::Output>,
         mode: Mode,
         sample_every: usize,
+        orders: &Orders,
+        causal: &Relation,
     ) -> Result<(), RecordingViolation> {
+        let parts = &self.parts;
+        match mode {
+            Mode::Causal => verify_cc_from(adt, h, causal, &orders.applies, &orders.own, |p| {
+                parts[p].seed.clone()
+            })
+            .map_err(RecordingViolation::Cc),
+            Mode::Convergent => {
+                let stamps: Vec<Stamp> = (parts.iter())
+                    .flat_map(|part| part.events.iter().map(|ev| ev.2))
+                    .collect();
+                let mut total: Vec<EventId> = h.events().collect();
+                total.sort_by_key(|e| stamps[e.idx()]);
+                let seed_of =
+                    |e: EventId| parts[h.proc_of(e).expect("every event has a part").idx()].seed;
+                verify_ccv_from(adt, h, causal, &total, sample_every, seed_of)
+                    .map_err(RecordingViolation::Ccv)
+            }
+        }
+    }
+
+    /// The recording's events in part-major ids. Fails unless every
+    /// apply order names recorded events only and lists its part's own
+    /// events once each, in issue order.
+    fn apply_orders(&self) -> Result<Orders, RecordingViolation> {
         let parts = &self.parts;
         let mut base = vec![0u32; parts.len() + 1];
         for (p, part) in parts.iter().enumerate() {
@@ -377,14 +423,10 @@ impl<T: Adt> Recording<'_, T> {
         let own: Vec<Vec<EventId>> = (0..parts.len())
             .map(|p| (base[p]..base[p + 1]).map(EventId).collect())
             .collect();
-        // an unobserved part contributes its program order only: as if
-        // it had applied its own events and nothing else
         let mut applies: Vec<Vec<EventId>> = Vec::with_capacity(parts.len());
-        let mut delivered: Vec<Vec<EventId>> = Vec::with_capacity(parts.len());
         for (p, part) in parts.iter().enumerate() {
             let Some(refs) = &part.applies else {
                 applies.push(Vec::new());
-                delivered.push(own[p].clone());
                 continue;
             };
             let mut order = Vec::with_capacity(refs.len());
@@ -402,28 +444,78 @@ impl<T: Adt> Recording<'_, T> {
             if !mine.eq(&own[p]) {
                 return Err(RecordingViolation::OwnOrder { part: p });
             }
-            delivered.push(order.clone());
             applies.push(order);
         }
-        let causal = Relation::delivered_before(h.len(), &delivered, &own)
-            .ok_or(RecordingViolation::CyclicDelivery)?;
-        match mode {
-            Mode::Causal => {
-                verify_cc_from(adt, h, &causal, &applies, &own, |p| parts[p].seed.clone())
-                    .map_err(RecordingViolation::Cc)
-            }
-            Mode::Convergent => {
-                let stamps: Vec<Stamp> = (parts.iter())
-                    .flat_map(|part| part.events.iter().map(|ev| ev.2))
-                    .collect();
-                let mut total: Vec<EventId> = h.events().collect();
-                total.sort_by_key(|e| stamps[e.idx()]);
-                let seed_of =
-                    |e: EventId| parts[h.proc_of(e).expect("every event has a part").idx()].seed;
-                verify_ccv_from(adt, h, &causal, &total, sample_every, seed_of)
-                    .map_err(RecordingViolation::Ccv)
+        Ok(Orders { base, own, applies })
+    }
+
+    /// The causal order: delivered-before over the observed parts plus
+    /// program order over the unobserved ones. An observed part applies
+    /// its own events in issue order (as `apply_orders` checks) and an
+    /// unobserved one is ordered by program order alone, so every past
+    /// is a prefix of each part's events: a count per part. One pass
+    /// over the apply orders finds them all, in O(events × parts). Each
+    /// part keeps a running frontier. An own event takes it as its
+    /// past, then counts itself in; a remote event, once its origin has
+    /// placed it, joins its past and itself in. A sweep that moves no
+    /// part means the parts wait on each other: delivery is cyclic.
+    fn causal_order(&self, base: &[u32]) -> Result<Relation, RecordingViolation> {
+        let k = self.parts.len();
+        let n = base[k] as usize;
+        // past[e * k + q]: how many of part q's events precede event e
+        let mut past = vec![0u32; n * k];
+        // running[p * k + q]: how many of part q's events part p has
+        // taken in; placed[q]: how many of its own events q has placed
+        let mut running = vec![0u32; k * k];
+        let mut placed = vec![0u32; k];
+        let mut cursor = vec![0usize; k];
+        for (p, part) in self.parts.iter().enumerate() {
+            if part.applies.is_none() {
+                for i in 0..part.events.len() {
+                    past[(base[p] as usize + i) * k + p] = i as u32;
+                }
+                placed[p] = part.events.len() as u32;
             }
         }
+        loop {
+            let (mut moved, mut done) = (false, true);
+            for (p, part) in self.parts.iter().enumerate() {
+                let Some(refs) = &part.applies else { continue };
+                let frontier = &mut running[p * k..(p + 1) * k];
+                for &(q, i) in &refs[cursor[p]..] {
+                    let e = (base[q] + i) as usize;
+                    let past_e = &mut past[e * k..(e + 1) * k];
+                    if q == p {
+                        past_e.copy_from_slice(frontier);
+                        placed[p] = i + 1;
+                    } else if i >= placed[q] {
+                        break;
+                    } else {
+                        for (r, &f) in frontier.iter_mut().zip(&*past_e) {
+                            *r = (*r).max(f);
+                        }
+                    }
+                    frontier[q] = frontier[q].max(i + 1);
+                    cursor[p] += 1;
+                    moved = true;
+                }
+                done &= cursor[p] == refs.len();
+            }
+            if done {
+                break;
+            }
+            if !moved {
+                return Err(RecordingViolation::CyclicDelivery);
+            }
+        }
+        let rows = (0..n).map(|e| {
+            let mut row = BitSet::new(n);
+            for (q, &count) in past[e * k..(e + 1) * k].iter().enumerate() {
+                row.insert_range(base[q] as usize, (base[q] + count) as usize);
+            }
+            row
+        });
+        Ok(Relation::from_closed_rows(rows.collect()))
     }
 }
 
@@ -992,6 +1084,55 @@ mod tests {
         }
     }
 
+    /// `healthy` with a fault planted at replica `index` (mod the
+    /// replica count) by `how`: 0 a read answered with a value never
+    /// written, 1 two adjacent applies swapped, 2 the replica
+    /// unobserved, 3 every replica's latest remote apply hoisted to the
+    /// front of its order (two that exchanged updates then wait on each
+    /// other: cyclic), 4 a remote apply repeated. Also says whether a
+    /// read was changed.
+    fn tamper<'s>(
+        healthy: &Recording<'s, Space>,
+        index: usize,
+        how: usize,
+    ) -> (Recording<'s, Space>, bool) {
+        let mut tampered = healthy.clone();
+        let me = index % tampered.parts.len();
+        if how == 3 {
+            for (p, part) in tampered.parts.iter_mut().enumerate() {
+                let applies = part.applies.as_mut().expect("observed");
+                if let Some(at) = applies.iter().rposition(|&(q, _)| q != p) {
+                    let hoisted = applies.remove(at);
+                    applies.insert(0, hoisted);
+                }
+            }
+        }
+        let part = &mut tampered.parts[me];
+        let applies = part.applies.as_mut().expect("observed");
+        let remote: Vec<usize> = (0..applies.len())
+            .filter(|&at| applies[at].0 != me)
+            .collect();
+        let mut bad_read = false;
+        match how {
+            0 => {
+                let reads = part.events.iter_mut().filter_map(|ev| ev.1.as_mut());
+                let mut reads = reads.filter(|o| matches!(o, RegOutput::Val(_)));
+                if let Some(out) = reads.nth(index % 4) {
+                    *out = RegOutput::Val(1000);
+                    bad_read = true;
+                }
+            }
+            1 if applies.len() > 1 => {
+                let at = index % (applies.len() - 1);
+                applies.swap(at, at + 1);
+            }
+            2 => part.applies = None,
+            4 if !remote.is_empty() => applies.push(applies[remote[index % remote.len()]]),
+            _ => {}
+        }
+        (tampered, bad_read)
+    }
+
     proptest::proptest! {
         /// Stepping the space in place decides every recording as the
         /// clone path does, in both modes: healthy runs (which pass in
@@ -1003,33 +1144,14 @@ mod tests {
             procs in 1usize..4,
             script in proptest::collection::vec((0usize..4, 0u8..7, 0u32..4, 0u64..6), 0..60),
             seed in proptest::collection::vec(0u64..3, 3),
-            tamper in (0usize..64, 0usize..3),
+            fault in (0usize..64, 0usize..3),
         ) {
             let space = ObjectSpace::new(Register, 3);
             let cloning = ClonePath(space.clone());
-            let (index, how) = tamper;
+            let (index, how) = fault;
             for ran in Mode::BOTH {
                 let healthy = simulate(&space, &seed, ran, procs, &script);
-                let mut tampered = healthy.clone();
-                let part = &mut tampered.parts[index % procs];
-                let mut bad_read = false;
-                match how {
-                    0 => {
-                        let reads = part.events.iter_mut().filter_map(|ev| ev.1.as_mut());
-                        if let Some(out) = reads.filter(|o| matches!(o, RegOutput::Val(_))).nth(index % 4) {
-                            *out = RegOutput::Val(1000);
-                            bad_read = true;
-                        }
-                    }
-                    1 => {
-                        let applies = part.applies.as_mut().expect("observed");
-                        if applies.len() > 1 {
-                            let at = index % (applies.len() - 1);
-                            applies.swap(at, at + 1);
-                        }
-                    }
-                    _ => part.applies = None,
-                }
+                let (tampered, bad_read) = tamper(&healthy, index, how);
                 for mode in Mode::BOTH {
                     for sample_every in [1, 3] {
                         let verdict = healthy.check(&space, mode, sample_every).1;
@@ -1044,6 +1166,110 @@ mod tests {
                         }
                         let cloned = through_clone_path(&tampered).check(&cloning, mode, sample_every).1;
                         proptest::prop_assert_eq!(verdict, cloned);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The recording restricted to the events on objects `keep` holds,
+    /// renumbered, as the store cuts a window per shard.
+    fn project<'s>(rec: &Recording<'s, Space>, keep: impl Fn(u32) -> bool) -> Recording<'s, Space> {
+        let index: Vec<Vec<Option<u32>>> = (rec.parts.iter())
+            .map(|part| {
+                let mut next = 0;
+                let kept = part.events.iter().map(|ev| {
+                    keep(ev.0.obj).then(|| {
+                        next += 1;
+                        next - 1
+                    })
+                });
+                kept.collect()
+            })
+            .collect();
+        let parts = rec.parts.iter().map(|part| Part {
+            events: (part.events.iter())
+                .filter(|ev| keep(ev.0.obj))
+                .cloned()
+                .collect(),
+            applies: part.applies.as_ref().map(|refs| {
+                let kept = refs
+                    .iter()
+                    .filter_map(|&(q, i)| Some((q, index[q][i as usize]?)));
+                kept.collect()
+            }),
+            seed: part.seed,
+        });
+        Recording {
+            parts: parts.collect(),
+        }
+    }
+
+    /// The verdict with the causal order built by the general
+    /// edge-list construction, and that order (`None` if cyclic).
+    fn through_delivered_before(
+        rec: &Recording<'_, Space>,
+        space: &Space,
+        mode: Mode,
+        sample_every: usize,
+    ) -> (Result<(), RecordingViolation>, Option<Option<Relation>>) {
+        let h = rec.history();
+        let orders = match rec.apply_orders() {
+            Ok(orders) => orders,
+            Err(e) => return (Err(e), None),
+        };
+        let delivered: Vec<Vec<EventId>> = (rec.parts.iter().enumerate())
+            .map(|(p, part)| match part.applies {
+                Some(_) => orders.applies[p].clone(),
+                None => orders.own[p].clone(),
+            })
+            .collect();
+        let causal = Relation::delivered_before(h.len(), &delivered, &orders.own);
+        let verdict = match &causal {
+            Some(causal) => rec.replay(space, &h, mode, sample_every, &orders, causal),
+            None => Err(RecordingViolation::CyclicDelivery),
+        };
+        (verdict, Some(causal))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The frontier pass builds exactly the order the edge list and
+        /// its closure build, and finds a cycle exactly when they do, on
+        /// healthy recordings, on every fault `tamper` plants, and on
+        /// the projections a sharded store checks. The verdicts match
+        /// in both modes.
+        #[test]
+        fn frontier_pass_builds_the_delivered_before_order(
+            procs in 1usize..5,
+            script in proptest::collection::vec((0usize..5, 0u8..7, 0u32..4, 0u64..6), 0..70),
+            seed in proptest::collection::vec(0u64..3, 4),
+            fault in (0usize..64, 0usize..5),
+        ) {
+            let space = ObjectSpace::new(Register, 4);
+            let (index, how) = fault;
+            for ran in Mode::BOTH {
+                let healthy = simulate(&space, &seed, ran, procs, &script);
+                let (tampered, _) = tamper(&healthy, index, how);
+                let shards = [
+                    project(&healthy, |obj| obj % 2 == 0),
+                    project(&tampered, |obj| obj % 2 == 1),
+                ];
+                for rec in [&healthy, &tampered].into_iter().chain(&shards) {
+                    let orders = rec.apply_orders();
+                    let frontier = orders.as_ref().map(|o| rec.causal_order(&o.base));
+                    for mode in Mode::BOTH {
+                        for sample_every in [1, 3] {
+                            let (verdict, oracle) =
+                                through_delivered_before(rec, &space, mode, sample_every);
+                            proptest::prop_assert_eq!(rec.check(&space, mode, sample_every).1, verdict);
+                            if let (Ok(frontier), Some(oracle)) = (&frontier, oracle) {
+                                proptest::prop_assert_eq!(frontier.as_ref().ok(), oracle.as_ref());
+                                if let Err(e) = frontier {
+                                    proptest::prop_assert_eq!(e, &RecordingViolation::CyclicDelivery);
+                                }
+                            }
+                        }
                     }
                 }
             }

@@ -110,6 +110,26 @@ impl BitSet {
         self.words_mut()[i / 64] |= 1 << (i % 64);
     }
 
+    /// Insert every index in `lo..hi`, a word at a time. Panics if the
+    /// range leaves the universe.
+    pub fn insert_range(&mut self, lo: usize, hi: usize) {
+        assert!(hi <= self.len, "range {lo}..{hi} out of range {}", self.len);
+        if lo >= hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let head = !0u64 << (lo % 64);
+        let tail = !0u64 >> (63 - (hi - 1) % 64);
+        let ws = self.words_mut();
+        if first == last {
+            ws[first] |= head & tail;
+        } else {
+            ws[first] |= head;
+            ws[first + 1..last].iter_mut().for_each(|w| *w = !0);
+            ws[last] |= tail;
+        }
+    }
+
     /// Remove `i`.
     #[inline]
     pub fn remove(&mut self, i: usize) {
@@ -457,6 +477,21 @@ mod tests {
         }
         let d: Vec<usize> = a.iter().filter(|&i| !b.contains(i)).collect();
         assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), d);
+    }
+
+    #[test]
+    fn insert_range_matches_single_inserts() {
+        for len in [1usize, 63, 64, 65, 128, 129, 300] {
+            for lo in [0, 1, 63, 64, 65, 127, 128, 200] {
+                for hi in [0, 1, 2, 63, 64, 65, 128, 129, 190, 300] {
+                    let (lo, hi) = (lo.min(len), hi.min(len));
+                    let mut s = BitSet::new(len);
+                    s.insert_range(lo, hi);
+                    let t = BitSet::with_capacity_from(lo..hi, len);
+                    assert_eq!(s, t, "{len} {lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,16 @@ impl Relation {
     /// replica applied before it. `apply_orders[p]` is replica `p`'s
     /// apply order, `own[p]` the events it invoked. Returns `None` if
     /// the result has a cycle.
+    ///
+    /// It lists one edge per (applied-before, own) pair and closes them,
+    /// so it assumes nothing of the apply orders. The witness path
+    /// (`cbm_check::verify::Recording`) does not call it: there every
+    /// replica applies all its own events, in issue order, so each past
+    /// is a prefix per origin and one frontier pass builds the order.
+    /// `cbm_core::cluster` keeps this general form because its runs
+    /// break that premise (in the SC baseline a crashed process
+    /// abandons a pending op, which then never reaches its own apply
+    /// order), and the frontier pass's tests use it as their oracle.
     pub fn delivered_before(
         n: usize,
         apply_orders: &[Vec<EventId>],
@@ -72,8 +82,8 @@ impl Relation {
     /// Adopt per-event predecessor rows that are **already transitively
     /// closed and acyclic** (e.g. the causal searchers' witness rows,
     /// closed by construction). Debug builds verify both invariants;
-    /// release builds trust the caller and skip the `O(n²)` closure
-    /// pass of [`Relation::from_edges`].
+    /// release builds trust the caller and skip the closure pass of
+    /// [`Relation::from_edges`].
     pub fn from_closed_rows(past: Vec<BitSet>) -> Self {
         let r = Relation { past };
         debug_assert!(r.is_acyclic(), "from_closed_rows: cyclic rows");
@@ -149,24 +159,52 @@ impl Relation {
         }
     }
 
-    /// Floyd–Warshall-style transitive closure on bitset rows.
+    /// Transitive closure on bitset rows, in topological sweeps over the
+    /// ids: an event whose direct predecessors are all closed is closed
+    /// by absorbing their rows. When every edge points from a lower id
+    /// to a higher one, as the history builder's chains do, one sweep
+    /// closes every row; each edge that points back can cost one more
+    /// sweep. It allocates two rows (a scratch row and the closed set),
+    /// never one per event. Events on or above a cycle never become
+    /// ready; a fixpoint over the rows finishes them, so a cycle still
+    /// shows as `e ∈ past[e]`.
     pub fn close_transitive(&mut self) {
         let n = self.len();
-        // iterate to fixpoint: past[e] ∪= past[p] for each p ∈ past[e]
-        let mut changed = true;
-        while changed {
-            changed = false;
+        let mut scratch = BitSet::new(n);
+        let mut closed = BitSet::new(n);
+        let (mut open, mut swept) = (n, true);
+        while open > 0 && swept {
+            swept = false;
             for e in 0..n {
-                let mut acc = self.past[e].clone();
-                for p in self.past[e].to_vec() {
-                    acc.union_with(&self.past[p]);
-                }
-                if acc != self.past[e] {
-                    self.past[e] = acc;
-                    changed = true;
+                if !closed.contains(e) && self.past[e].is_subset(&closed) {
+                    self.absorb_predecessors(e, &mut scratch);
+                    closed.insert(e);
+                    open -= 1;
+                    swept = true;
                 }
             }
         }
+        let mut grew = open > 0;
+        while grew {
+            grew = false;
+            for e in 0..n {
+                grew |= self.absorb_predecessors(e, &mut scratch);
+            }
+        }
+    }
+
+    /// `past[e] ∪= past[p]` for every `p ∈ past[e]` other than `e`,
+    /// with `scratch` holding the row as it was; returns whether the
+    /// row grew.
+    fn absorb_predecessors(&mut self, e: usize, scratch: &mut BitSet) -> bool {
+        scratch.clear_and_copy_from(&self.past[e]);
+        let mut row = std::mem::take(&mut self.past[e]);
+        for p in scratch.iter().filter(|&p| p != e) {
+            row.union_with(&self.past[p]);
+        }
+        let grew = row != *scratch;
+        self.past[e] = row;
+        grew
     }
 
     /// Strict orders are irreflexive; after closure, a cycle shows up as

@@ -1,5 +1,6 @@
 //! Property-based laws of the order/bitset machinery that every
-//! checker leans on: transitive closure idempotence, linear-extension
+//! checker leans on: the closure against a reference fixpoint (cycles
+//! included), transitive closure idempotence, linear-extension
 //! soundness, projection laws, maximal-chain coverage.
 
 use cbm_history::{BitSet, HistoryBuilder, Relation};
@@ -21,6 +22,79 @@ fn arb_dag(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
             })
             .collect()
     })
+}
+
+/// Random directed graphs over `1..max` nodes: any edges, so cycles and
+/// self-loops occur.
+fn arb_graph(max: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    let pairs = prop::collection::vec((0..max, 0..max), 0..max * 2);
+    (1..max, pairs).prop_map(|(n, pairs)| {
+        let edges = pairs.into_iter().take(n * 2).map(|(a, b)| (a % n, b % n));
+        (n, edges.collect())
+    })
+}
+
+/// The reference closure: per-event rows of direct predecessors,
+/// widened by every predecessor's row until nothing changes.
+fn fixpoint_closure(n: usize, edges: &[(usize, usize)]) -> Vec<BitSet> {
+    let mut past = vec![BitSet::new(n); n];
+    for &(a, b) in edges {
+        past[b].insert(a);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for e in 0..n {
+            let mut acc = past[e].clone();
+            for p in past[e].to_vec() {
+                acc.union_with(&past[p]);
+            }
+            if acc != past[e] {
+                past[e] = acc;
+                changed = true;
+            }
+        }
+    }
+    past
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass closure finds the reference fixpoint's rows, and a
+    /// cycle exactly when the fixpoint does, on graphs up to past the
+    /// inline bitset size.
+    #[test]
+    fn one_pass_closure_equals_the_fixpoint((n, edges) in arb_graph(150)) {
+        let reference = fixpoint_closure(n, &edges);
+        let acyclic = (0..n).all(|e| !reference[e].contains(e));
+        match Relation::from_edges(n, &edges) {
+            Some(r) => {
+                prop_assert!(acyclic);
+                for (e, row) in reference.iter().enumerate() {
+                    prop_assert_eq!(r.past(e), row);
+                }
+            }
+            None => prop_assert!(!acyclic),
+        }
+    }
+
+    /// Rows on a cycle: the forward and backward edges close apart
+    /// (each half is acyclic), and closing their union again must give
+    /// the reference rows of the whole graph, cycles included.
+    #[test]
+    fn closure_of_a_cyclic_graph_equals_the_fixpoint((n, edges) in arb_graph(150)) {
+        let edges: Vec<_> = edges.into_iter().filter(|&(a, b)| a != b).collect();
+        let (forward, backward): (Vec<_>, Vec<_>) = edges.iter().partition(|&&(a, b)| a < b);
+        let mut r = Relation::from_edges(n, &forward).unwrap();
+        let acyclic = r.union_closed(&Relation::from_edges(n, &backward).unwrap());
+        let reference = fixpoint_closure(n, &edges);
+        prop_assert_eq!(acyclic, (0..n).all(|e| !reference[e].contains(e)));
+        prop_assert_eq!(acyclic, r.is_acyclic());
+        for (e, row) in reference.iter().enumerate() {
+            prop_assert_eq!(r.past(e), row);
+        }
+    }
 }
 
 proptest! {
