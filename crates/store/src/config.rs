@@ -237,7 +237,9 @@ impl Default for DurableConfig {
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreConfig {
-    /// Replica worker threads (each a full replica of the space).
+    /// Replica workers (each a full replica of the space under full
+    /// replication). They run on `min(workers, cores)` threads, or one
+    /// thread each over TCP.
     pub workers: usize,
     /// Objects in the space (ids are taken modulo this).
     pub objects: usize,

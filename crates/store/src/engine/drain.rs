@@ -3,12 +3,19 @@
 //!
 //! The run is organised in **epochs** of `verify.every_ops` operations
 //! per worker. At every epoch boundary all workers rendezvous for a
-//! drain ([`Worker::quiesce`]): flush pending batches (and any
+//! drain ([`Host::quiesce`]): flush pending batches (and any
 //! fault-delayed envelopes), publish the cumulative per-edge envelope
 //! counts, and receive until every published envelope on every inbound
 //! edge is delivered — answering routed reads the whole time, so a
 //! worker waiting on a reply can always make progress into the
-//! rendezvous. Because the pause points are counted in operations —
+//! rendezvous.
+//!
+//! Each rendezvous runs per thread, phase by phase over the workers
+//! that thread hosts (`host.rs`): every hosted worker finishes a phase
+//! before any starts the next, each wait is the host's one group wait
+//! over all of them, and each barrier is one wait per thread. The
+//! per-worker halves are the `Worker` methods below; the `Host`
+//! methods sequence them. Because the pause points are counted in operations —
 //! not wall time — the set of flushed envelopes (and therefore
 //! `msgs_sent`) is a pure function of the configuration and seed,
 //! independent of thread interleaving; only wall-clock numbers vary
@@ -39,24 +46,25 @@
 //! boundary is `recovery.rs`.
 
 use super::counters::Counters;
+use super::host::Host;
 use super::taps::now;
 use super::worker::Worker;
 use super::WorkerResult;
 use crate::config::Mode;
 use crate::durable::SealInfo;
 use crate::wire::{nack_bytes, repair_bytes, BatchMsg, StoreMsg};
-use cbm_adt::space::SpaceInput;
 use cbm_adt::wire::Wire;
 use cbm_adt::Adt;
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
+use std::time::Instant;
 
 /// Shared rendezvous state.
 pub(super) struct Coordinator {
+    /// One party per thread: each thread waits once for all the
+    /// workers it hosts.
     pub barrier: Barrier,
     /// Cumulative per-edge envelope counts, `sent_edges[s * n + r]` =
     /// envelopes `s` has addressed to `r`, published at drains. This
@@ -71,9 +79,10 @@ pub(super) struct Coordinator {
     /// Drain points at which live replicas of a shard diverged
     /// (convergent mode).
     pub divergences: AtomicU64,
-    /// Boundary arrival counters, parity-indexed by drain number. The
-    /// arrival rendezvous spins (instead of a barrier) because workers
-    /// must keep serving routed reads until *everyone* has arrived — a
+    /// Boundary arrival counters, parity-indexed by drain number; each
+    /// thread adds the count of workers it hosts. The arrival
+    /// rendezvous spins (instead of a barrier) because workers must
+    /// keep serving routed reads until *everyone* has arrived — a
     /// worker whose last epoch operation awaits a read reply can only
     /// arrive after some peer serves it.
     arrive: [AtomicU64; 2],
@@ -107,10 +116,11 @@ impl Drop for PanicGuard<'_> {
 }
 
 impl Coordinator {
-    pub(crate) fn new(n: usize, shards: usize) -> Self {
+    /// The rendezvous of `n` workers hosted on `threads` threads.
+    pub(crate) fn new(n: usize, threads: usize, shards: usize) -> Self {
         let zeros = |k: usize| (0..k).map(|_| AtomicU64::new(0)).collect();
         Coordinator {
-            barrier: Barrier::new(n),
+            barrier: Barrier::new(threads),
             sent_edges: zeros(n * n),
             hashes: zeros(n),
             shard_hashes: zeros(n * shards),
@@ -123,6 +133,160 @@ impl Coordinator {
     }
 }
 
+impl<'a, T, E> Host<'a, T, E>
+where
+    T: Adt + Clone + Sync,
+    T::Input: Wire + Send + Sync,
+    T::Output: Send,
+    T::State: Wire + Send + Sync,
+    E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
+{
+    /// The run's last cut, at boundary `e`: drain, fsync'd seal,
+    /// compaction, convergence check, metrics row — and no window
+    /// opened after it. Publishes each hosted worker's full-space state
+    /// hash at the cut: it feeds only the report's `final_state_hashes`
+    /// (read after the threads join), so it is computed once here
+    /// rather than at every drain; intermediate convergence checks run
+    /// on per-shard hashes.
+    ///
+    /// Two callers. Teardown (`e = n_epochs`): every crash span has
+    /// recovered by now (the schedule guarantees it), so all replicas
+    /// take part. Deterministic power loss
+    /// ([`crate::config::DurableConfig::halt_at_boundary`]): the run
+    /// stops here without opening epoch `e`'s window, and the halted
+    /// report still carries final-state evidence.
+    pub(super) fn last_cut(&mut self, e: u64) {
+        for w in &mut self.ws {
+            w.enter_epoch(e);
+            debug_assert!(!w.crashed, "schedule must recover everyone");
+        }
+        self.quiesce((e, true));
+        self.compact_and_check_convergence(e);
+        for w in &mut self.ws {
+            // seal past e-1, so fault events stamped at this last
+            // boundary tick (epoch index e) are kept too
+            w.close_epoch(e - 1, e);
+            self.coord.hashes[w.me].store(w.table.state_hash(), Ordering::SeqCst);
+        }
+    }
+
+    /// The rendezvous opening epoch `e`: drain, recover, compact,
+    /// check convergence, open the next verification window.
+    pub(super) fn epoch_boundary(&mut self, e: u64) {
+        for w in &mut self.ws {
+            w.enter_epoch(e);
+        }
+        if e == 0 {
+            return; // the run starts mid-epoch-0; first drain is at e=1
+        }
+        let sched = self.sched;
+        for w in &mut self.ws {
+            let was_crashed = w.crashed;
+            w.crashed = sched.crashed_at(w.me, e);
+            if !was_crashed && w.crashed {
+                w.taps.crashed(e); // the cut this drain establishes
+            }
+        }
+
+        // the boundary drain: a worker crashing *at* this boundary
+        // still participates normally — the drain is its cut — and one
+        // recovering here is still down (`discarding`)
+        self.quiesce((e, true));
+
+        // liveness flags for the coming epoch (deterministic: every
+        // worker derives them from the shared schedule)
+        for w in &mut self.ws {
+            for q in 0..w.ep.cluster_size() {
+                w.ep.set_peer_crashed(q, sched.crashed_at(q, e));
+            }
+        }
+
+        let spans_recovery = self.recover_at_boundary(e);
+        for w in &mut self.ws {
+            // down from the cut just made, or up again past the transfer
+            w.discarding = w.crashed;
+        }
+        self.compact_and_check_convergence(e);
+        for w in &mut self.ws {
+            w.open_epoch(e, spans_recovery);
+        }
+    }
+
+    /// The drain, phase by phase over every hosted worker: flush and
+    /// publish the per-edge counts, then receive until every published
+    /// envelope on every inbound edge has been delivered — nacking
+    /// edges whose envelopes were lost to faults, and serving peers'
+    /// nacks and routed reads until *everyone* is complete. A worker
+    /// that spent the last epoch crashed (`discarding`) only keeps the
+    /// rendezvous, dropping what arrives: its state is re-established
+    /// by the recovery transfer, not by late delivery.
+    ///
+    /// `cut` is the drain's identity for the durable epoch log:
+    /// `(epoch, is_epoch_boundary)`. Live drains seal it once the
+    /// closing barrier confirms the cut is complete everywhere — so a
+    /// restart replaying to the seal lands on a fleet-wide consistent
+    /// cut (`docs/DURABILITY.md`).
+    pub(super) fn quiesce(&mut self, cut: (u64, bool)) {
+        let t = now();
+        let coord = self.coord;
+        let (n, hosted) = (self.n as u64, self.ws.len() as u64);
+        let parity = (self.ws[0].quiesce_idx % 2) as usize;
+        for w in &mut self.ws {
+            w.publish_cut();
+        }
+        // arrival: wait (serving traffic) until every worker has
+        // published its cut counts — only then are gaps meaningful
+        coord.arrive[parity].fetch_add(hosted, Ordering::SeqCst);
+        self.wait(|_| coord.arrive[parity].load(Ordering::SeqCst) >= n);
+        self.wait(|ws| ws.iter().all(Worker::settled));
+        for w in &mut self.ws {
+            w.nack_gaps();
+        }
+        // complete here, then keep serving nacks until every worker is
+        self.wait(|ws| ws.iter().all(Worker::complete));
+        coord.done[parity].fetch_add(hosted, Ordering::SeqCst);
+        self.wait(|_| coord.done[parity].load(Ordering::SeqCst) >= n);
+        // reset the other parity slots for the next drain while every
+        // worker is still on this side of the closing barrier
+        if self.ws[0].me == 0 {
+            coord.arrive[1 - parity].store(0, Ordering::SeqCst);
+            coord.done[1 - parity].store(0, Ordering::SeqCst);
+        }
+        coord.barrier.wait(); // globally drained
+        for w in &mut self.ws {
+            w.seal_cut(t, cut);
+        }
+    }
+
+    /// Every hosted worker met its window quota: drain so the window is
+    /// closed everywhere, then hand the records to the verifier.
+    /// Crashed workers already sent their placeholder at the open. `e`
+    /// is the epoch whose window closes (the mid-epoch cut's log
+    /// identity).
+    pub(super) fn close_window(&mut self, e: u64) {
+        self.quiesce((e, false));
+        for w in &mut self.ws {
+            w.taps.close_window();
+        }
+    }
+
+    /// At a global drain: compact arbitration logs, publish each hosted
+    /// replica's per-hosted-shard state hashes, and (first live replica
+    /// of each shard, convergent mode) record a divergence if the
+    /// shard's live replicas disagree.
+    fn compact_and_check_convergence(&mut self, e: u64) {
+        for w in &mut self.ws {
+            w.publish_hashes();
+        }
+        self.coord.barrier.wait(); // hashes published
+        if self.cfg.mode == Mode::Convergent {
+            for w in &self.ws {
+                w.check_convergence(e);
+            }
+        }
+    }
+}
+
 impl<'a, T, E> Worker<'a, T, E>
 where
     T: Adt + Clone + Sync,
@@ -131,69 +295,9 @@ where
     T::State: Wire + Send + Sync,
     E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
 {
-    /// The worker thread: the op script, epoch by epoch.
-    pub(super) fn run<G>(mut self, gen: &G) -> WorkerResult
-    where
-        G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
-    {
-        let mut rng = StdRng::seed_from_u64(
-            self.cfg
-                .seed
-                .wrapping_add((self.me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        let start = if self.cfg.durable.resume && self.taps.logging() {
-            let r = self.resume_from_disk();
-            // the op script is positional: burn the replayed prefix so
-            // the RNG stream continues exactly where the halted run's
-            // generator stood
-            for i in 0..self.c.ops {
-                let _ = gen(self.me, i, &mut rng);
-            }
-            r
-        } else {
-            0
-        };
-        let halt = self.cfg.durable.halt_at_boundary;
-        let mut halted = false;
-        for e in start..self.sched.n_epochs {
-            if halt != 0 && e == halt && e > start {
-                // deterministic power loss: perform the boundary cut
-                // (drain + fsync'd seal) and stop without opening
-                // epoch e's window — the sealed disks are what a
-                // `resume` run restarts from
-                self.last_cut(e);
-                halted = true;
-                break;
-            }
-            if e == start && e > 0 {
-                // re-entry lands mid-run: the resumed cut already *is*
-                // the boundary drain, so only the per-epoch setup runs
-                self.enter_epoch(e);
-            } else {
-                self.epoch_boundary(e);
-            }
-            let my_ops = self.sched.ops_of(self.me, e);
-            let quota = self.window_quota(e, my_ops);
-            for _ in 0..quota {
-                self.step(gen, &mut rng);
-            }
-            if e > start {
-                self.close_window(e);
-            }
-            for _ in quota..my_ops {
-                self.step(gen, &mut rng);
-            }
-        }
-        if !halted {
-            self.last_cut(self.sched.n_epochs);
-            assert_eq!(
-                self.c.ops as usize, self.cfg.ops_per_worker,
-                "worker {} finished with an incomplete script",
-                self.me
-            );
-        }
-
-        // whatever accrued since the last epoch close flushes once here
+    /// The run is over: flush whatever accrued since the last epoch
+    /// close once, and hand back the worker's result.
+    pub(super) fn finish(self) -> WorkerResult {
         let mut counters = self.counters();
         let chaos = self.ep.counters();
         let taps = self.taps.finish(self.ep.events_overflow());
@@ -211,7 +315,6 @@ where
             taps,
         }
     }
-
     /// The cumulative block as of now: the worker's own counts plus
     /// what the causal layer, the fault layer, the durable log and the
     /// object table count themselves.
@@ -242,7 +345,7 @@ where
     /// deterministic row, and feed the delta (plus the epoch's latency
     /// buckets) into the shared registry — the "merge at drain
     /// rendezvous" half of the metrics contract.
-    fn close_epoch(&mut self, epoch: u64, seal_through: u64) {
+    pub(super) fn close_epoch(&mut self, epoch: u64, seal_through: u64) {
         let faults = self.ep.take_events();
         self.taps
             .seal_epoch(seal_through, faults, self.sched.every_ops as u64);
@@ -256,32 +359,8 @@ where
             .merge_latency(self.c.ops, &self.published.op_latency);
     }
 
-    /// The run's last cut, at boundary `e`: drain, fsync'd seal,
-    /// compaction, convergence check, metrics row — and no window
-    /// opened after it. Publishes the cut's full-space state hash: it
-    /// feeds only the report's `final_state_hashes` (read after the
-    /// threads join), so it is computed once here rather than at every
-    /// drain; intermediate convergence checks run on per-shard hashes.
-    ///
-    /// Two callers. Teardown (`e = n_epochs`): every crash span has
-    /// recovered by now (the schedule guarantees it), so all replicas
-    /// take part. Deterministic power loss
-    /// ([`crate::config::DurableConfig::halt_at_boundary`]): the run
-    /// stops here without opening epoch `e`'s window, and the halted
-    /// report still carries final-state evidence.
-    fn last_cut(&mut self, e: u64) {
-        self.enter_epoch(e);
-        debug_assert!(!self.crashed, "schedule must recover everyone");
-        self.quiesce((e, true));
-        self.compact_and_check_convergence(e);
-        // seal past e-1, so fault events stamped at this last boundary
-        // tick (epoch index e) are kept too
-        self.close_epoch(e - 1, e);
-        self.coord.hashes[self.me].store(self.table.state_hash(), Ordering::SeqCst);
-    }
-
     /// Own events this worker records in epoch `e`'s window.
-    fn window_quota(&self, e: u64, my_ops: usize) -> usize {
+    pub(super) fn window_quota(&self, e: u64, my_ops: usize) -> usize {
         if e == 0 || self.crashed {
             0
         } else {
@@ -293,7 +372,7 @@ where
     /// tick, and the read-routing table is rebuilt — a live replica per
     /// shard, deterministic: every worker derives the same table from
     /// the shared schedule.
-    fn enter_epoch(&mut self, e: u64) {
+    pub(super) fn enter_epoch(&mut self, e: u64) {
         self.ep.advance_to(e * self.sched.every_ops as u64);
         self.read_route = (0..self.map.shards())
             .map(|s| {
@@ -307,41 +386,13 @@ where
             .collect();
     }
 
-    /// The rendezvous opening epoch `e`: drain, recover, compact,
-    /// check convergence, open the next verification window.
-    fn epoch_boundary(&mut self, e: u64) {
-        self.enter_epoch(e);
-        if e == 0 {
-            return; // the run starts mid-epoch-0; first drain is at e=1
-        }
-        let was_crashed = self.crashed;
-        self.crashed = self.sched.crashed_at(self.me, e);
-        if !was_crashed && self.crashed {
-            self.taps.crashed(e); // the cut this drain establishes
-        }
-
-        // the boundary drain: a worker crashing *at* this boundary
-        // still participates normally — the drain is its cut — and one
-        // recovering here is still down (`discarding`)
-        self.quiesce((e, true));
-
-        // liveness flags for the coming epoch (deterministic: every
-        // worker derives them from the shared schedule)
-        for q in 0..self.ep.cluster_size() {
-            self.ep.set_peer_crashed(q, self.sched.crashed_at(q, e));
-        }
-
-        let spans_recovery = self.recover_at_boundary(e);
-        // down from the cut just made, or up again past the transfer
-        self.discarding = self.crashed;
-        self.compact_and_check_convergence(e);
-
-        // epoch e-1 is over everywhere (its repair round included):
-        // seal its spans and difference its metrics row
+    /// The tail of the boundary opening epoch `e`, once its drain,
+    /// recovery and convergence check are done: epoch `e - 1` is over
+    /// everywhere (its repair round included), so seal its spans and
+    /// difference its metrics row, then open window `e - 1`.
+    fn open_epoch(&mut self, e: u64, spans_recovery: bool) {
         self.close_epoch(e - 1, e - 1);
         self.taps.open_epoch(e, spans_recovery);
-
-        // open window e-1
         let wid = e - 1;
         if self.crashed {
             self.taps.crashed_window(wid);
@@ -368,28 +419,12 @@ where
         }
     }
 
-    /// The drain: flush, publish the per-edge counts, then receive
-    /// until every published envelope on every inbound edge has been
-    /// delivered — nacking edges whose envelopes were lost to faults,
-    /// and serving peers' nacks and routed reads until *everyone* is
-    /// complete. A worker that spent the last epoch crashed
-    /// (`discarding`) only keeps the rendezvous, dropping what arrives:
-    /// its state is re-established by the recovery transfer, not by
-    /// late delivery.
-    ///
-    /// `cut` is the drain's identity for the durable epoch log:
-    /// `(epoch, is_epoch_boundary)`. Live drains seal it once the
-    /// closing barrier confirms the cut is complete everywhere — so a
-    /// restart replaying to the seal lands on a fleet-wide consistent
-    /// cut (`docs/DURABILITY.md`).
-    pub(super) fn quiesce(&mut self, cut: (u64, bool)) {
-        let t = now();
-        let live = !self.discarding;
-        let n = self.ep.cluster_size();
-        let coord = self.coord;
-        let parity = (self.quiesce_idx % 2) as usize;
+    /// The drain's first phase at this worker: flush, send the cut
+    /// token, publish the per-edge counts. A worker that is down only
+    /// sends the token and publishes.
+    fn publish_cut(&mut self) {
         self.quiesce_idx += 1;
-        if live {
+        if !self.discarding {
             self.flush_all();
             self.ep.flush_delayed(); // held-back sends belong to this cut
         }
@@ -398,52 +433,63 @@ where
         // asynchronous transport's in-flight frames are never mistaken
         // for faulted ones (no-op on the synchronous thread transport)
         self.ep.send_marker();
+        let n = self.ep.cluster_size();
         for r in 0..n {
             if r != self.me {
-                coord.sent_edges[self.me * n + r].store(self.proto.edge_sent(r), Ordering::SeqCst);
+                self.coord.sent_edges[self.me * n + r]
+                    .store(self.proto.edge_sent(r), Ordering::SeqCst);
             }
         }
-        // arrival: spin (serving traffic) until every worker has
-        // published its cut counts — only then are gaps meaningful
-        coord.arrive[parity].fetch_add(1, Ordering::SeqCst);
-        self.pump_until(|_| coord.arrive[parity].load(Ordering::SeqCst) >= n as u64);
-        if live {
-            // settle the transport: every peer has published its cut
-            // and sent its marker behind its final transmissions, so
-            // once all markers are in, what has not arrived never will
-            self.pump_until(|w| (0..n).all(|q| q == w.me || w.ep.marker_count(q) >= w.quiesce_idx));
-            // everything sent for this cut is on the wire; whatever was
-            // not *received* after this pump was dropped or parked by
-            // the fault layer — nack each such edge once. The received
-            // count (delivered + buffered) is used rather than the
-            // delivered count: an envelope stuck behind a lost
-            // dependency counts as received, so the nack set is a pure
-            // function of the loss pattern, not of interleaving.
-            self.pump();
-            for q in 0..n {
-                if q != self.me
-                    && self.proto.received_from(q)
-                        < coord.sent_edges[q * n + self.me].load(Ordering::SeqCst)
-                {
-                    self.c.nacks += 1;
-                    self.taps
-                        .nack_repair(self.quiesce_idx * n as u64 + q as u64, q, None);
-                    self.ep.send_reliable(q, StoreMsg::Nack, nack_bytes());
-                }
+    }
+
+    /// Is the transport settled for this cut? Every peer has published
+    /// its cut and sent its token behind its final transmissions, so
+    /// once all tokens are in, what has not arrived never will. A
+    /// worker that is down does not judge gaps.
+    fn settled(&self) -> bool {
+        self.discarding
+            || (0..self.ep.cluster_size())
+                .all(|q| q == self.me || self.ep.marker_count(q) >= self.quiesce_idx)
+    }
+
+    /// Everything sent for this cut is on the wire; whatever was not
+    /// *received* after one more pump was dropped or parked by the
+    /// fault layer — nack each such edge once. The received count
+    /// (delivered + buffered) is used rather than the delivered count:
+    /// an envelope stuck behind a lost dependency counts as received,
+    /// so the nack set is a pure function of the loss pattern, not of
+    /// interleaving.
+    fn nack_gaps(&mut self) {
+        if self.discarding {
+            return;
+        }
+        self.pump();
+        let n = self.ep.cluster_size();
+        for q in 0..n {
+            if q != self.me
+                && self.proto.received_from(q)
+                    < self.coord.sent_edges[q * n + self.me].load(Ordering::SeqCst)
+            {
+                self.c.nacks += 1;
+                self.taps
+                    .nack_repair(self.quiesce_idx * n as u64 + q as u64, q, None);
+                self.ep.send_reliable(q, StoreMsg::Nack, nack_bytes());
             }
-            // complete here, then keep serving nacks until every
-            // worker is
-            self.pump_until(|w| (0..n).all(|q| q == w.me || !w.missing_from(q)));
         }
-        coord.done[parity].fetch_add(1, Ordering::SeqCst);
-        self.pump_until(|_| coord.done[parity].load(Ordering::SeqCst) >= n as u64);
-        // reset the other parity slots for the next drain while every
-        // worker is still on this side of the closing barrier
-        if self.me == 0 {
-            coord.arrive[1 - parity].store(0, Ordering::SeqCst);
-            coord.done[1 - parity].store(0, Ordering::SeqCst);
-        }
-        coord.barrier.wait(); // globally drained
+    }
+
+    /// Has this worker delivered every envelope published to it? A
+    /// worker that is down has nothing to deliver.
+    fn complete(&self) -> bool {
+        self.discarding
+            || (0..self.ep.cluster_size()).all(|q| q == self.me || !self.missing_from(q))
+    }
+
+    /// Past the closing barrier, drain `cut` (started at `t`) is
+    /// complete everywhere: seal it, and drop what only a repair could
+    /// have needed.
+    fn seal_cut(&mut self, t: Instant, cut: (u64, bool)) {
+        let live = !self.discarding;
         self.c.drains += 1;
         let seal = (live && self.taps.logging()).then(|| self.seal_info(cut.0, cut.1));
         self.taps.cut(
@@ -487,45 +533,38 @@ where
         self.ep.send_reliable(from, StoreMsg::Repair(tail), bytes);
     }
 
-    /// A worker met its window quota: drain so the window is closed
-    /// everywhere, then hand the record to the verifier. Crashed
-    /// workers already sent their placeholder at the open. `e` is the
-    /// epoch whose window closes (the mid-epoch cut's log identity).
-    fn close_window(&mut self, e: u64) {
-        self.quiesce((e, false));
-        self.taps.close_window();
-    }
-
-    /// At a global drain: compact arbitration logs, publish this
-    /// replica's per-hosted-shard state hashes, and (first live
-    /// replica of each shard, convergent mode) record a divergence if
-    /// the shard's live replicas disagree.
-    fn compact_and_check_convergence(&mut self, e: u64) {
+    /// The first half of a convergence check: compact arbitration
+    /// logs and publish this replica's per-hosted-shard state hashes.
+    fn publish_hashes(&mut self) {
         if !self.crashed {
             self.table.compact();
             self.taps.compacted(); // same cut, same argument
         }
         let shards = self.map.shards();
-        let hashes = &self.coord.shard_hashes;
         for &s in self.map.hosted(self.me) {
-            hashes[self.me * shards + s].store(
+            self.coord.shard_hashes[self.me * shards + s].store(
                 self.table.shard_hash(self.map.slots_of(s)),
                 Ordering::SeqCst,
             );
         }
-        self.coord.barrier.wait(); // hashes published
-        if self.cfg.mode == Mode::Convergent {
-            for s in 0..shards {
-                let mut live = self
-                    .map
-                    .replicas(s)
-                    .iter()
-                    .filter(|&&q| !self.sched.crashed_at(q, e));
-                if live.next() == Some(&self.me) {
-                    let h0 = hashes[self.me * shards + s].load(Ordering::SeqCst);
-                    if live.any(|&q| hashes[q * shards + s].load(Ordering::SeqCst) != h0) {
-                        self.coord.divergences.fetch_add(1, Ordering::SeqCst);
-                    }
+    }
+
+    /// The second half, once every hash is published: as the first
+    /// live replica of a shard, record a divergence if the shard's live
+    /// replicas disagree.
+    fn check_convergence(&self, e: u64) {
+        let shards = self.map.shards();
+        let hashes = &self.coord.shard_hashes;
+        for s in 0..shards {
+            let mut live = self
+                .map
+                .replicas(s)
+                .iter()
+                .filter(|&&q| !self.sched.crashed_at(q, e));
+            if live.next() == Some(&self.me) {
+                let h0 = hashes[self.me * shards + s].load(Ordering::SeqCst);
+                if live.any(|&q| hashes[q * shards + s].load(Ordering::SeqCst) != h0) {
+                    self.coord.divergences.fetch_add(1, Ordering::SeqCst);
                 }
             }
         }
@@ -576,13 +615,14 @@ mod tests {
         assert!(peer.try_recv().is_none(), "nothing was sent back");
     }
 
-    /// A worker thread that unwinds raises the flag, and a peer's wait
-    /// then fails instead of spinning for ever on what it will never
-    /// send.
+    /// A worker thread that unwinds raises the flag, and another
+    /// thread's group wait then fails instead of spinning for ever on
+    /// what it will never send.
     #[test]
     fn a_wait_fails_once_a_peer_has_unwound() {
         let rig = Rig::new();
-        let (mut w, _peer) = rig.worker();
+        let (w, _peer) = rig.worker();
+        let mut host = Host::new(vec![w]);
         let coord = &rig.coord;
         let unwound = std::thread::scope(|s| {
             s.spawn(|| {
@@ -593,7 +633,7 @@ mod tests {
         });
         assert!(unwound.is_err() && coord.panicked.load(Ordering::SeqCst));
         let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.pump_until(|_| false);
+            host.wait(|_| false);
         }));
         let msg = waited.expect_err("the wait failed");
         assert_eq!(msg.downcast_ref::<&str>(), Some(&"a peer worker panicked"));

@@ -1,5 +1,6 @@
-//! The live engine: replica worker threads over [`ThreadNet`] or a TCP
-//! mesh, with partial replication, fault injection and crash recovery.
+//! The live engine: replica workers over [`ThreadNet`] or a TCP mesh,
+//! hosted on as many threads as there are cores (one thread each over
+//! TCP), with partial replication, fault injection and crash recovery.
 //!
 //! The engine is made of separable parts, one file each:
 //!
@@ -8,6 +9,7 @@
 //! | `worker.rs`   | the paper's Fig. 4/5 handlers — on update, on delivery — and the plumbing between them and the wire; the execution model is documented there |
 //! | `drain.rs`    | the epoch schedule and the deterministic rendezvous: drain, nack/repair, convergence check |
 //! | `recovery.rs` | the recovery ladder (own disk → co-replica delta → full transfer) and the cold fleet restart |
+//! | `host.rs`     | the driver: a thread's hosted workers, stepped as one group — op turns, and the one wait every rendezvous and routed read uses |
 //! | `taps.rs`     | the one seam everything that *watches* the handlers hangs off: streaming monitor, flight recorder, durable log, window recorder, latency — and the op path's only clock |
 //! | `sampler.rs`  | which ops that clock times (one per 64-op block) and the weight each enters the latency histogram with |
 //! | `counters.rs` | every engine counter, named once                                   |
@@ -17,6 +19,7 @@
 
 mod counters;
 mod drain;
+mod host;
 mod recovery;
 mod sampler;
 mod taps;
@@ -44,6 +47,7 @@ use cbm_net::NodeId;
 use cbm_obs::{FlightRecord, Registry, Span};
 use counters::{Counters, Published};
 use drain::{Coordinator, PanicGuard};
+use host::Host;
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -63,10 +67,29 @@ where
     T::State: Wire + Send + Sync,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
 {
+    run_hosted(adt, cfg, gen, cores())
+}
+
+/// [`run`] with its workers hosted on `threads` threads (clamped to
+/// `1..=workers`) instead of one per core: how tests reach the
+/// hostings a given machine would not pick.
+pub(crate) fn run_hosted<T, G>(adt: &T, cfg: &StoreConfig, gen: G, threads: usize) -> StoreReport
+where
+    T: Adt + Clone + Send + Sync,
+    T::Input: Wire + Send + Sync,
+    T::Output: Send,
+    T::State: Wire + Send + Sync,
+    G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
+{
     let n = cfg.workers.max(1);
     let net: ThreadNet<StoreMsg<T::Input, T::Output, T::State>> = ThreadNet::new(n);
     let stats = net.stats();
-    run_on(adt, cfg, gen, stats, net.into_endpoints())
+    run_on(adt, cfg, gen, stats, net.into_endpoints(), threads)
+}
+
+/// The cores this process may run on: how many threads host workers.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// [`run`], but over the real-socket transport: the replica set talks
@@ -91,7 +114,7 @@ where
         TcpNet::new(n).expect("bind + handshake the loopback TCP mesh");
     let stats = net.stats();
     let tcp_stats = net.tcp_stats();
-    let mut report = run_on(adt, cfg, gen, stats, net.into_endpoints());
+    let mut report = run_on(adt, cfg, gen, stats, net.into_endpoints(), cores());
     // the mesh's transport counters ride along as ordinary metrics:
     // informational (scheduling decides how frames coalesce), looked
     // up by name, in no deterministic column
@@ -109,7 +132,7 @@ fn tracing(cfg: &StoreConfig, sched: &ChaosSchedule) -> bool {
     cfg.obs.trace || sched.is_active()
 }
 
-/// What a worker thread returns.
+/// What a worker returns.
 struct WorkerResult {
     worker: NodeId,
     /// The worker's final cumulative counter block.
@@ -129,6 +152,7 @@ fn run_on<T, G, E>(
     gen: G,
     stats: Arc<ThreadNetStats>,
     endpoints: Vec<E>,
+    threads: usize,
 ) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
@@ -153,7 +177,17 @@ where
     let tracing = tracing(cfg, &sched);
     let mut registry = Registry::new();
     let published = Published::register(&mut registry);
-    let coord = Coordinator::new(n, map.shards());
+    // worker i runs on thread ⌊i·h/n⌋. Over a transport that encodes
+    // every message (TCP) each worker keeps its own thread: hosted,
+    // `write_fanout_tcp` measured 17% slower (THROUGHPUT.md, "Hosted
+    // workers")
+    let moves = endpoints.first().is_some_and(|ep| ep.moves_messages());
+    let h = if moves { threads.clamp(1, n) } else { n };
+    let mut hosted: Vec<Vec<E>> = (0..h).map(|_| Vec::new()).collect();
+    for ep in endpoints {
+        hosted[ep.me() * h / n].push(ep);
+    }
+    let coord = Coordinator::new(n, h, map.shards());
     // envelope buffers one worker's stock cannot hold wait here for
     // whichever worker next runs short (in-memory transports only)
     let pool = Arc::new(BufPool::new(n));
@@ -161,18 +195,34 @@ where
 
     let t0 = taps::now();
     let (mut results, verdicts, verifier_spans) = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(n);
-        // named for per-thread profiles (`tools/sigprof --by-thread`)
-        for ep in endpoints {
+        let mut handles = Vec::with_capacity(h);
+        for eps in hosted {
             let (tx, pool) = (tx.clone(), Arc::clone(&pool));
             let (coord, gen, sched, map, published) = (&coord, &gen, &sched, &map, &published);
-            let worker = std::thread::Builder::new().name(format!("worker-{}", ep.me()));
+            // named after the range it hosts, for per-thread profiles
+            // (`tools/sigprof --by-thread`); Linux keeps 15 bytes, and
+            // `worker-32..63` fits
+            let (a, b) = (eps[0].me(), eps[eps.len() - 1].me());
+            let name = if a == b {
+                format!("worker-{a}")
+            } else {
+                format!("worker-{a}..{b}")
+            };
             handles.push(
-                worker
+                std::thread::Builder::new()
+                    .name(name)
                     .spawn_scoped(s, move || {
                         let _guard = PanicGuard(coord);
-                        let taps = Taps::new(adt, cfg, map, ep.me(), tracing, tx, t0);
-                        Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps).run(gen)
+                        let ws = eps
+                            .into_iter()
+                            .map(|ep| {
+                                let taps =
+                                    Taps::new(adt, cfg, map, ep.me(), tracing, tx.clone(), t0);
+                                let pool = Arc::clone(&pool);
+                                Worker::new(adt, cfg, sched, map, ep, coord, pool, published, taps)
+                            })
+                            .collect();
+                        Host::new(ws).run(gen)
                     })
                     .expect("spawn worker thread"),
             );
@@ -187,7 +237,7 @@ where
             .expect("spawn verifier thread");
         let results: Vec<WorkerResult> = handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
+            .flat_map(|h| h.join().expect("worker thread panicked"))
             .collect();
         let (verdicts, vspans) = verifier.join().expect("verifier thread panicked");
         (results, verdicts, vspans)

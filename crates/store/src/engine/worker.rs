@@ -14,29 +14,32 @@
 //!
 //! Every message a worker takes, in every phase — op path, drain,
 //! recovery — goes through [`Worker::handle`], and every wait on a
-//! peer is [`Worker::pump_until`]: poll the inbox, handle what arrived,
-//! yield the timeslice only when nothing has. The rendezvous spins, a
-//! routed read and both sides of a recovery transfer wait on a
-//! condition over the worker's own state, never in a blocking
-//! receive, so no such wait can strand a peer on a message only this
-//! worker would serve. A worker thread that unwinds raises
-//! `Coordinator::panicked`, and a peer's next idle turn in
-//! `pump_until` then fails too, so a panic fails the run instead of
-//! leaving its peers spinning on what it will never send (a peer
-//! already parked at one of the barriers below cannot tell).
+//! peer is the host's one group wait ([`Host::wait`]): poll the inbox
+//! of every worker the thread hosts, handle what arrived, yield the
+//! timeslice only when nothing has. The rendezvous spins, a routed
+//! read and both sides of a recovery transfer wait on a condition over
+//! the hosted workers' own state, never in a blocking receive, so no
+//! such wait can strand a peer on a message only a hosted worker would
+//! serve — and a routed read whose server shares the reader's thread
+//! is answered inside the wait. A thread that unwinds raises
+//! `Coordinator::panicked`, and another thread's next idle turn in the
+//! wait then fails too, so a panic fails the run instead of leaving
+//! its peers spinning on what it will never send (a thread already
+//! parked at one of the barriers below cannot tell).
 //!
 //! Four waits do sleep in the kernel: the `coord.barrier.wait()`
-//! calls on the [`Coordinator`]'s `std::sync::Barrier` — the drain's
-//! closing barrier ([`Worker::quiesce`]), the one after the per-shard
-//! hashes are published (`compact_and_check_convergence`), the one
-//! after a boundary's recovery transfers (`recover_at_boundary`) and
-//! the one after the cold-start claims (`resume_from_disk`). A parked
-//! worker handles nothing, so each is reached only once every nack,
-//! routed read and transfer of its phase has been answered: no peer
-//! still waits on this worker, and what arrives meanwhile stays in the
-//! inbox. The closing barrier must not serve: after a window-close cut
-//! a worker steps straight on into its next ops (`close_window`), and
-//! a peer still pumping in its `done` spin would deliver those
+//! calls on the [`Coordinator`]'s `std::sync::Barrier`, one party per
+//! thread — the drain's closing barrier (`Host::quiesce`), the one
+//! after the per-shard hashes are published
+//! (`compact_and_check_convergence`), the one after a boundary's
+//! recovery transfers (`recover_at_boundary`) and the one after the
+//! cold-start claims (`resume_from_disk`). A parked thread handles
+//! nothing, so each is reached only once every nack, routed read and
+//! transfer of its phase has been answered for every hosted worker: no
+//! peer still waits on them, and what arrives meanwhile stays in the
+//! inboxes. The closing barrier must not serve: after a window-close
+//! cut a worker steps straight on into its next ops (`close_window`),
+//! and a peer still pumping in its `done` spin would deliver those
 //! post-cut envelopes into its own seal and window snapshot.
 //!
 //! A replica that is down (`discarding`: from its crash cut until its
@@ -45,21 +48,23 @@
 //!
 //! ## Execution model
 //!
-//! Each worker thread is a replica of the shards assigned to it by the
+//! Each worker is a replica of the shards assigned to it by the
 //! [`ShardMap`] (every shard under the default full-replication
-//! placement). Its loop is wait-free for **replica-local** operations:
-//! it generates its next operation, answers queries on hosted objects
-//! from its local object table, applies and queues updates for the
-//! interest-filtered batched causal multicast, and integrates whatever
-//! peers' batches have arrived — never blocking on another replica
-//! (§6.1's process model under a real scheduler). Under partial
-//! replication two routed paths appear: updates always execute at a
-//! replica of their object (non-hosted updates are deterministically
-//! re-addressed, [`ShardMap::localize`]), and a read of a non-hosted
-//! object travels to a live replica of its shard over a reliable
-//! request/reply exchange (the one place a worker waits on the op
-//! path — the price §1's wait-freedom result puts on reading state you
-//! do not replicate). See `docs/SHARDING.md`.
+//! placement). The workers run on as many threads as there are cores,
+//! each thread hosting a contiguous range of them and stepping them in
+//! turns (`host.rs`). A worker's steps are wait-free for
+//! **replica-local** operations: it generates its next operation,
+//! answers queries on hosted objects from its local object table,
+//! applies and queues updates for the interest-filtered batched causal
+//! multicast, and integrates whatever peers' batches have arrived —
+//! never blocking on another replica (§6.1's process model under a
+//! real scheduler). Under partial replication two routed paths appear:
+//! updates always execute at a replica of their object (non-hosted
+//! updates are deterministically re-addressed, [`ShardMap::localize`]),
+//! and a read of a non-hosted object travels to a live replica of its
+//! shard over a reliable request/reply exchange (the one place a worker
+//! waits on the op path — the price §1's wait-freedom result puts on
+//! reading state you do not replicate). See `docs/SHARDING.md`.
 //!
 //! ## Interest edges
 //!
@@ -74,7 +79,8 @@
 //! Everything that watches these handlers — log, tracing, checking,
 //! window sampling, and the clock that times them — hangs off
 //! [`Taps`]; the epoch schedule and the rendezvous are in `drain.rs`,
-//! crash recovery in `recovery.rs`.
+//! crash recovery in `recovery.rs`, and the driver that steps a
+//! thread's hosted workers through them in `host.rs`.
 //!
 //! ## What a step costs
 //!
@@ -84,6 +90,8 @@
 //! [`cbm_net::inbox`] answers by comparing two counts), and the op
 //! clock ([`Taps::op_start`] times one op in 64). `docs/THROUGHPUT.md`,
 //! "What a step costs", has the measurements.
+//!
+//! [`Host::wait`]: super::host::Host::wait
 
 use super::counters::{Counters, Published};
 use super::drain::Coordinator;
@@ -103,13 +111,22 @@ use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::NodeId;
 use rand::rngs::StdRng;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The chaos layer wrapped around a worker's transport endpoint,
 /// generic over the underlying transport `E` (thread channels or TCP).
 pub(super) type WorkerEndpoint<T, E> =
     ChaosEndpoint<StoreMsg<<T as Adt>::Input, <T as Adt>::Output, <T as Adt>::State>, E>;
+
+/// A routed read whose reply is outstanding: what
+/// [`Worker::read_done`] records once it is in.
+pub(super) struct RoutedRead {
+    t: Instant,
+    obj: u32,
+    shard: usize,
+    server: NodeId,
+}
 
 pub(super) struct Worker<'a, T: Adt, E> {
     pub(super) adt: &'a T,
@@ -149,7 +166,7 @@ pub(super) struct Worker<'a, T: Adt, E> {
     pub(super) read_route: Vec<NodeId>,
     /// The reply slot: a routed read is outstanding. The server
     /// certifies what it answers, so the reply's value is not kept.
-    awaiting_reply: bool,
+    pub(super) awaiting_reply: bool,
     /// This worker's cumulative counters; `c.ops` doubles as the
     /// script position.
     pub(super) c: Counters,
@@ -250,22 +267,28 @@ where
         }
     }
 
-    /// One operation of the hot loop.
-    pub(super) fn step<G>(&mut self, gen: &G, rng: &mut StdRng)
+    /// One operation of the hot loop. A read of a shard this replica
+    /// does not host leaves its request outstanding and returns it:
+    /// the op ends in [`Worker::read_done`] once the host's group wait
+    /// has brought the reply in.
+    pub(super) fn step<G>(&mut self, gen: &G, rng: &mut StdRng) -> Option<RoutedRead>
     where
         G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
     {
         self.ep.tick();
         self.pump();
         let op = gen(self.me, self.c.ops, rng);
-        self.execute(op);
-        self.c.ops += 1;
+        let routed = self.execute(op);
+        if routed.is_none() {
+            self.c.ops += 1;
+        }
+        routed
     }
 
     /// Execute one operation against the local replica. Updates and
-    /// hosted reads are wait-free; a read of a non-hosted object waits
-    /// on a routed request/reply (serving peers' traffic meanwhile).
-    fn execute(&mut self, op: SpaceInput<T::Input>) {
+    /// hosted reads are wait-free; a read of a non-hosted object is
+    /// sent to a replica of its shard and returned outstanding.
+    fn execute(&mut self, op: SpaceInput<T::Input>) -> Option<RoutedRead> {
         let is_update = self.adt.is_update(&op.input);
         let shard = self.map.shard_of(op.obj);
         let hosted = self.map.hosts(self.me, shard);
@@ -273,8 +296,12 @@ where
             let t = self.taps.read_start();
             let server = self.read_route[shard];
             self.remote_read(server, op.obj, op.input);
-            self.taps.read_routed(t, self.c.ops, op.obj, shard, server);
-            return;
+            return Some(RoutedRead {
+                t,
+                obj: op.obj,
+                shard,
+                server,
+            });
         }
         let t = self.taps.op_start(self.c.ops);
         // updates always execute at a replica of their object
@@ -315,12 +342,17 @@ where
             }
         }
         self.taps.op_done(t, self.c.ops, obj, is_update);
+        None
     }
 
     /// Route a read of a non-hosted object to `server`, a live replica
-    /// of its shard, and wait for the reply — serving every other
-    /// message kind while waiting, so two workers reading across each
-    /// other can never deadlock.
+    /// of its shard. The reply is waited for by the host
+    /// ([`Host::wait`]), which serves every other message kind — on
+    /// every worker it hosts — meanwhile, so two workers reading across
+    /// each other can never deadlock, and a server on this worker's
+    /// own thread answers inside the wait.
+    ///
+    /// [`Host::wait`]: super::host::Host::wait
     fn remote_read(&mut self, server: NodeId, obj: u32, input: T::Input) {
         self.c.remote_reads += 1;
         self.c.reads += 1;
@@ -330,7 +362,18 @@ where
             read_req_bytes::<T::Input>(),
         );
         self.awaiting_reply = true;
-        self.pump_until(|w| !w.awaiting_reply);
+    }
+
+    /// The reply to `read` is in: time it and finish the op.
+    pub(super) fn read_done(&mut self, read: RoutedRead) {
+        let RoutedRead {
+            t,
+            obj,
+            shard,
+            server,
+        } = read;
+        self.taps.read_routed(t, self.c.ops, obj, shard, server);
+        self.c.ops += 1;
     }
 
     /// Seal and ship one mask's pending batch through the fault layer.
@@ -438,25 +481,6 @@ where
         got_any
     }
 
-    /// The engine's one wait on a peer: spin — handling whatever
-    /// arrives, and yielding the timeslice only when nothing has —
-    /// until `ready`. Never a blocking receive: the peer this worker
-    /// waits on may itself be waiting on a message only this worker
-    /// can serve (the four barriers are the module docs' exception).
-    pub(super) fn pump_until(&mut self, ready: impl Fn(&Self) -> bool) {
-        while !ready(self) {
-            if !self.pump() {
-                // a peer that unwound will never send what this wait
-                // needs: fail too rather than spin for ever
-                assert!(
-                    !self.coord.panicked.load(Ordering::Relaxed),
-                    "a peer worker panicked"
-                );
-                std::thread::yield_now();
-            }
-        }
-    }
-
     /// Deliver one batch envelope through the interest causal layer,
     /// then hand each applied envelope's buffers back to it.
     fn deliver(&mut self, env: BatchMsg<T::Input>) {
@@ -480,6 +504,7 @@ where
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use crate::engine::host::Host;
     use cbm_adt::register::{RegInput, RegOutput, Register};
     use cbm_net::thread_net::{Endpoint, ThreadNet};
     use cbm_obs::Registry;
@@ -508,7 +533,7 @@ pub(super) mod tests {
             let map = ShardMap::build(&cfg);
             let mut registry = Registry::new();
             Rig {
-                coord: Coordinator::new(2, map.shards()),
+                coord: Coordinator::new(2, 1, map.shards()),
                 map,
                 sched: ChaosSchedule::build(&cfg),
                 published: Published::register(&mut registry),
@@ -544,11 +569,13 @@ pub(super) mod tests {
 
     /// A routed read waits by serving: a peer's request and a batch
     /// that arrive ahead of the reply are handled, in arrival order,
-    /// before the read returns — and a second reply satisfies nothing.
+    /// before the host's wait returns — and a second reply satisfies
+    /// nothing.
     #[test]
     fn a_routed_read_serves_what_arrives_before_its_reply() {
         let rig = Rig::new();
-        let (mut w, peer) = rig.worker();
+        let (w, peer) = rig.worker();
+        let mut host = Host::new(vec![w]);
         let mut proto = InterestBatchCausalBroadcast::new(1, 2);
         let write = WireOp {
             obj: 0,
@@ -567,7 +594,9 @@ pub(super) mod tests {
         peer.send(0, req);
         peer.send(0, StoreMsg::Batch(env));
         peer.send(0, reply());
-        w.remote_read(1, 1, read);
+        host.ws[0].remote_read(1, 1, read);
+        host.wait(|ws| !ws[0].awaiting_reply);
+        let w = &mut host.ws[0];
         assert_eq!((w.c.reads_served, w.c.delivered), (1, 1));
         assert_eq!(w.table.output(&Register, 0, &read), RegOutput::Val(7));
         // the peer got this worker's request, then the answer to its

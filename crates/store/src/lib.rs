@@ -2,8 +2,9 @@
 //!
 //! The rest of the workspace studies the paper's constructions in
 //! single-threaded simulated time; this crate runs them **live**: `N`
-//! replica worker threads serve a sharded multi-object space (object
-//! id → instance of any [`cbm_adt::Adt`]) over real channels
+//! replica workers, hosted on as many threads as there are cores,
+//! serve a sharded multi-object space (object id → instance of any
+//! [`cbm_adt::Adt`]) over real channels
 //! ([`cbm_net::thread_net::ThreadNet`]), with
 //!
 //! * **wait-free local operations** — queries answer from the local
